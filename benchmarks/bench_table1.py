@@ -257,8 +257,8 @@ def check_planner(entries, *, tolerance=0.05, min_delta=0.001):
 def noop_tracer_overhead(report, baseline):
     """Per-(method, n) fractional change of normalized timing vs baseline.
 
-    The engine's hot paths are permanently instrumented (registry-backed
-    stats counters, tracer-enabled checks); with the default NULL_TRACER
+    The engine's hot paths are permanently instrumented (stats counters,
+    tracer-enabled checks); with the default NULL_TRACER
     this delta over the pre-observability baseline *is* the no-op cost.
     Entries below the noise floor (normalized < 1.0) are skipped.
     """

@@ -1,22 +1,17 @@
-"""The columnar data plane shared by every execution layer.
+"""The columnar storage format shared by every layer that holds values.
 
-One chunked-batch representation — :class:`Column` (typed array +
-validity mask), :class:`Batch`, and :class:`ChunkedBatch` with zero-copy
-slice — underlies table storage (:mod:`repro.relational.table`), the
-batch-at-a-time operator paths, the window strategies' measure
-extraction, the parallel partitioner's chunk payloads, and the v3 storage
-format.  See DESIGN.md §5e.
+:class:`Column` (typed array + validity mask) and :class:`ColumnBuilder`
+underlie table storage (:mod:`repro.relational.table`), the window
+strategies' measure extraction, the parallel partitioner's chunk payloads,
+and the v3/v4 storage formats.  Columns are what tables keep and what
+kernels read; operators exchange rows.  See DESIGN.md §5e.
 """
 
-from repro.columns.batch import Batch, ChunkedBatch, kinds_for_schema
 from repro.columns.column import Column, ColumnBuilder, KINDS, kind_for_type
 
 __all__ = [
-    "Batch",
-    "ChunkedBatch",
     "Column",
     "ColumnBuilder",
     "KINDS",
     "kind_for_type",
-    "kinds_for_schema",
 ]

@@ -1,11 +1,12 @@
 """Typed columns: a NumPy value buffer plus a validity (non-NULL) mask.
 
-A :class:`Column` is the unit of the columnar data plane: an immutable
+A :class:`Column` is the unit of columnar storage: an immutable
 *view* of a 1-D NumPy array together with an optional boolean validity
-mask (``True`` = value present, ``False`` = SQL NULL).  Slicing is
-zero-copy — both the value buffer and the mask are NumPy views — which is
-what lets the window strategies, the parallel partitioner, and the batch
-operators hand the same measure buffer around without re-marshalling.
+mask (``True`` = value present, ``False`` = SQL NULL).  A table's
+:meth:`~ColumnBuilder.snapshot` is zero-copy — both the value buffer and
+the mask are NumPy views — which is what lets the window strategies and
+the parallel partitioner read the heap's measure buffer without
+re-marshalling.
 
 Four physical *kinds* cover the engine's type system:
 
@@ -123,24 +124,6 @@ class Column:
             return cls.from_values(values, "object")
         return cls(data, validity)
 
-    @classmethod
-    def concat(cls, columns: Sequence["Column"]) -> "Column":
-        """Concatenate columns of one kind (validity masks merged)."""
-        if len(columns) == 1:
-            return columns[0]
-        data = np.concatenate([c.data for c in columns])
-        if all(c.validity is None for c in columns):
-            return cls(data)
-        validity = np.concatenate(
-            [
-                c.validity
-                if c.validity is not None
-                else np.ones(len(c), dtype=np.bool_)
-                for c in columns
-            ]
-        )
-        return cls(data, validity)
-
     # -- shape / kind ---------------------------------------------------------
 
     def __len__(self) -> int:
@@ -178,14 +161,7 @@ class Column:
                 out[i] = None
         return out
 
-    # -- zero-copy / bulk transforms ------------------------------------------
-
-    def slice(self, start: int, stop: int) -> "Column":
-        """Zero-copy contiguous slice (both buffers are NumPy views)."""
-        return Column(
-            self.data[start:stop],
-            None if self.validity is None else self.validity[start:stop],
-        )
+    # -- bulk transforms -------------------------------------------------------
 
     def take(self, indices) -> "Column":
         """Gather rows by position (this one copies, by construction)."""
@@ -193,12 +169,6 @@ class Column:
         return Column(
             self.data[idx],
             None if self.validity is None else self.validity[idx],
-        )
-
-    def filter(self, mask: np.ndarray) -> "Column":
-        return Column(
-            self.data[mask],
-            None if self.validity is None else self.validity[mask],
         )
 
     def as_float64(self, null_fill: float = 0.0) -> np.ndarray:

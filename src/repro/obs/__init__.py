@@ -9,7 +9,7 @@ Zero-dependency building blocks:
   mergeable :class:`MetricsRegistry` with Prometheus-text and JSON export;
 * :mod:`repro.obs.runtime` — the process-global active tracer/registry and
   the single-publication rule for per-query stats;
-* :mod:`repro.obs.instrument` — per-operator probes over a physical plan;
+* :mod:`repro.obs.instrument` — operator span names and the annotated plan tree;
 * :mod:`repro.obs.explain` — ``EXPLAIN ANALYZE`` rendering;
 * :mod:`repro.obs.slowlog` — the warehouse slow-query ring buffer;
 * :mod:`repro.obs.context` — W3C-traceparent-style context propagation;

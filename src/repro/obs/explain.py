@@ -2,8 +2,8 @@
 
 Two entry points mirror the two query front doors:
 
-* :func:`explain_analyze_plan` — probe and run an already-built physical
-  plan (what ``Database.explain_analyze`` uses);
+* :func:`explain_analyze_plan` — run an already-built physical plan with a
+  probe on its stats block (what ``Database.explain_analyze`` uses);
 * warehouse-level EXPLAIN ANALYZE lives on
   :meth:`repro.warehouse.warehouse.DataWarehouse.explain_analyze`, which
   first consults the view rewriter and renders the derivation trace
@@ -24,29 +24,25 @@ from __future__ import annotations
 import time
 from typing import Any, Tuple
 
-from repro.obs.instrument import PlanProbe
-from repro.obs.trace import NULL_TRACER
+from repro.obs.instrument import render_annotated
+from repro.relational.stats import ExecutionStats, Probe
 
 __all__ = ["explain_analyze_plan"]
 
 
-def explain_analyze_plan(
-    db: Any,
-    plan: Any,
-    *,
-    tracer: Any = NULL_TRACER,
-    stats: Any = None,
-) -> Tuple[str, Any]:
-    """Execute ``plan`` under a probe; return (rendered text, Result).
+def explain_analyze_plan(db: Any, plan: Any) -> Tuple[str, Any]:
+    """Execute ``plan`` measuring every node; return (rendered text, Result).
 
-    ``stats=None`` lets ``db.run`` create (and publish) the stats block,
-    exactly as a normal query would.
+    The stats block is created here, so it is published here — once, as a
+    normal query's would be.
     """
+    stats = ExecutionStats()
+    stats.probe = probe = Probe(plan)
     start = time.perf_counter()
-    with PlanProbe(plan, tracer) as probe:
-        result = db.run(plan, stats)
+    result = db.run(plan, stats)
     elapsed = time.perf_counter() - start
-    lines = [probe.render()]
+    db.publish(stats)
+    lines = [render_annotated(plan, probe.measures)]
     mode = getattr(plan, "planner_mode", None)
     if mode is not None:
         lines.append(f"Planner: {mode}")

@@ -1,32 +1,22 @@
-"""Per-operator probes: span + row/batch accounting over a physical plan.
+"""Operator span names, and the EXPLAIN ANALYZE tree rendering.
 
-:class:`PlanProbe` walks an operator tree and monkey-patches each node's
-``execute`` / ``execute_batches`` *instance* attribute with a wrapper that
+Operators measure themselves: :meth:`Operator.run
+<repro.relational.operators.Operator.run>` opens the span named here
+(``table.scan``, ``join.index``, ``window.evaluate``, …) and fills the
+node's :class:`~repro.relational.stats.NodeMeasure` whenever the stats
+block carries a :class:`~repro.relational.stats.Probe`.
 
-* opens a span named after the operator kind (``table.scan``,
-  ``join.index``, ``window.evaluate``, …) when the tracer is enabled;
-* counts rows/batches out and inclusive wall time into a per-node
-  :class:`NodeMeasure` regardless of the tracer.
-
-Patching is instance-level and fully restored on exit, so plans remain
-reusable and un-probed executions pay nothing.  Spans nest naturally: in a
-pull pipeline the child generator's body first runs inside the parent's
-iteration, which is exactly when its span is pushed under the parent's.
-
-``render_annotated`` then prints the ``EXPLAIN``-style tree with actual
-rows, wall time and any strategy attributes the operator published via its
-``analyze_extra`` dict (the window operator records the chosen strategy
-there, the rewriter records MaxOA/MinOA on the result instead).
+``render_annotated`` prints the ``EXPLAIN``-style tree with those actual
+rows and wall times, plus any strategy attributes the operator published
+via its ``analyze_extra`` dict (the window operator records the chosen
+strategy there, the rewriter records MaxOA/MinOA on the result instead).
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict
 
-from repro.obs.trace import NULL_TRACER
-
-__all__ = ["NodeMeasure", "PlanProbe", "span_name_for", "render_annotated"]
+__all__ = ["span_name_for", "render_annotated"]
 
 # Operator class name -> span name (span taxonomy, DESIGN.md §5f).
 _SPAN_NAMES = {
@@ -52,117 +42,10 @@ def span_name_for(node: Any) -> str:
     return _SPAN_NAMES.get(type(node).__name__, f"op.{type(node).__name__.lower()}")
 
 
-def _span_attrs(node: Any, ordinal: int) -> Dict[str, Any]:
-    # Pre-order ordinal, not id(node): stable across runs and readable.
-    attrs: Dict[str, Any] = {"node": ordinal}
-    table = getattr(node, "table", None)
-    if table is not None and hasattr(table, "name"):
-        attrs["table"] = table.name
-    inner = getattr(node, "inner_table", None)
-    if inner is not None and hasattr(inner, "name"):
-        attrs["inner_table"] = inner.name
-    return attrs
-
-
-class NodeMeasure:
-    """What one probed node actually did during one (or more) executions."""
-
-    __slots__ = ("rows_out", "batches_out", "wall", "calls")
-
-    def __init__(self) -> None:
-        self.rows_out = 0
-        self.batches_out = 0
-        self.wall = 0.0
-        self.calls = 0
-
-
-def _walk(node: Any) -> Iterator[Any]:
-    yield node
-    for child in node.children():
-        yield from _walk(child)
-
-
-class PlanProbe:
-    """Context manager that instruments every node of a plan tree."""
-
-    def __init__(self, plan: Any, tracer: Any = NULL_TRACER) -> None:
-        self.plan = plan
-        self.tracer = tracer
-        self.measures: Dict[int, NodeMeasure] = {}
-        self._patched: List[Any] = []
-
-    def __enter__(self) -> "PlanProbe":
-        for ordinal, node in enumerate(_walk(self.plan)):
-            if id(node) in self.measures:  # shared sub-plan: probe once
-                continue
-            measure = self.measures[id(node)] = NodeMeasure()
-            self._patch(node, measure, ordinal)
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        for node in self._patched:
-            for attr in ("execute", "execute_batches"):
-                try:
-                    delattr(node, attr)
-                except AttributeError:
-                    pass
-        self._patched.clear()
-
-    def _patch(self, node: Any, measure: NodeMeasure, ordinal: int) -> None:
-        tracer = self.tracer
-        name = span_name_for(node)
-        attrs = _span_attrs(node, ordinal)
-        orig_execute = node.execute
-        orig_batches = node.execute_batches
-
-        def execute(stats: Any) -> Iterator[Any]:
-            span = tracer.span(name, **attrs) if tracer.enabled else None
-            measure.calls += 1
-            start = time.perf_counter()
-            n = 0
-            try:
-                for row in orig_execute(stats):
-                    n += 1
-                    yield row
-            finally:
-                measure.rows_out += n
-                measure.wall += time.perf_counter() - start
-                if span is not None:
-                    span.set(rows_out=n)
-                    span.finish()
-
-        def execute_batches(stats: Any, chunk_rows: int = 65536) -> Iterator[Any]:
-            span = tracer.span(name, **attrs) if tracer.enabled else None
-            measure.calls += 1
-            start = time.perf_counter()
-            rows = batches = 0
-            try:
-                for batch in orig_batches(stats, chunk_rows):
-                    rows += batch.num_rows
-                    batches += 1
-                    yield batch
-            finally:
-                measure.rows_out += rows
-                measure.batches_out += batches
-                measure.wall += time.perf_counter() - start
-                if span is not None:
-                    span.set(rows_out=rows, batches_out=batches)
-                    span.finish()
-
-        node.execute = execute
-        node.execute_batches = execute_batches
-        self._patched.append(node)
-
-    # -- rendering -----------------------------------------------------------
-
-    def render(self) -> str:
-        return render_annotated(self.plan, self.measures)
-
-
 def render_annotated(
-    plan: Any, measures: Dict[int, NodeMeasure], indent: int = 0
+    plan: Any, measures: Dict[int, Any], indent: int = 0
 ) -> str:
-    """EXPLAIN-style tree annotated with the probe's actual measurements."""
+    """EXPLAIN-style tree annotated with a probe's ``measures``."""
     measure = measures.get(id(plan))
     note = ""
     est = getattr(plan, "analyze_est", None)
@@ -176,8 +59,6 @@ def render_annotated(
             f"actual rows={measure.rows_out}",
             f"time={measure.wall * 1000:.3f} ms",
         ]
-        if measure.batches_out:
-            parts.append(f"batches={measure.batches_out}")
         if measure.calls > 1:
             parts.append(f"calls={measure.calls}")
         extra = getattr(plan, "analyze_extra", None)

@@ -4,9 +4,9 @@ A :class:`MetricsRegistry` holds instruments keyed by ``(name, labels)``.
 Instruments are created lazily (``registry.counter("repro_cache_hits_total")``
 returns the existing instrument on every later call), mutate cheaply, and
 merge associatively across registries — the same discipline
-:class:`~repro.relational.stats.ExecutionStats` already follows across
-process-pool workers, and indeed ExecutionStats is now a *view* over one of
-these registries.
+:class:`~repro.relational.stats.ExecutionStats` follows across pool
+workers; a finished stats block is added to a registry by
+:func:`repro.obs.runtime.publish_stats`.
 
 Naming follows ``repro_<layer>_<name>`` (see DESIGN.md §5f); exporters
 produce Prometheus text exposition format and plain JSON.  Everything is

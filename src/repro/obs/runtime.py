@@ -14,10 +14,10 @@ null object: counters are a few nanoseconds and ``repro stats`` must work
 without any prior opt-in.
 
 Publication discipline (prevents double counting, see DESIGN.md §5f):
-:func:`publish_stats` folds one query's :class:`ExecutionStats`-backed
-registry into the global registry, and is called exactly once per stats
-block — by ``Database.run``/``run_batches`` when *they* created the block,
-or by ``ExecutorPool.close()`` when the pool owns its stats.  Callers that
+:func:`publish_stats` adds one query's :class:`ExecutionStats` counters to
+the global registry, and is called exactly once per stats block — by
+whoever created it: ``Database.run`` for its own blocks,
+``ExecutorPool.close()`` when the pool owns its stats.  Callers that
 received a stats block never publish it.
 """
 
@@ -101,10 +101,12 @@ def current_context():
 
 
 def publish_stats(stats, registry: Optional[MetricsRegistry] = None) -> None:
-    """Fold one owned ExecutionStats block into the global registry.
+    """Add one owned ExecutionStats block's counters to the global registry.
 
-    The stats block's backing registry already uses the final global metric
-    names (``repro_engine_*`` / ``repro_parallel_*``), so publication is a
-    plain associative merge.
+    Every counter is touched, zeros included, so the full
+    ``repro_engine_*`` / ``repro_parallel_*`` name set is exposed from the
+    first query on.
     """
-    (registry if registry is not None else _registry).merge(stats.registry)
+    target = registry if registry is not None else _registry
+    for metric, value in stats.metric_values():
+        target.counter(metric).inc(value)

@@ -14,12 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.columns import Batch, kinds_for_schema
 from repro.errors import PlanError
-from repro.relational.expr import ColumnRef, Expr
-from repro.relational.operators import BATCH_ROWS, Operator
+from repro.relational.expr import Expr
+from repro.relational.operators import Operator
 from repro.relational.schema import Column, Schema
 from repro.relational.stats import ExecutionStats
 from repro.relational.types import FLOAT, INTEGER, DataType
@@ -79,26 +76,6 @@ class _Accumulator:
         elif self.func == "MAX":
             self.extreme = value if self.extreme is None else max(self.extreme, value)
 
-    def add_column(self, col) -> None:
-        """Bulk update from a numeric :class:`~repro.columns.Column`.
-
-        SUM/AVG use pairwise NumPy summation, so the float result may
-        differ from sequential accumulation in the last ulp — the batch
-        plane's documented deviation from ``execute``.
-        """
-        values = col.data if col.validity is None else col.data[col.validity]
-        if not len(values):
-            return
-        self.count += len(values)
-        if self.func in ("SUM", "AVG"):
-            self.total += float(np.sum(values))
-        elif self.func == "MIN":
-            lo = values.min().item()
-            self.extreme = lo if self.extreme is None else min(self.extreme, lo)
-        elif self.func == "MAX":
-            hi = values.max().item()
-            self.extreme = hi if self.extreme is None else max(self.extreme, hi)
-
     def result(self) -> Any:
         if self.func == "COUNT":
             return self.count
@@ -138,8 +115,8 @@ class _AggSpill:
     cleared; emission merges every spilled partial (chronological order,
     so the global first-seen group order is preserved) with the live
     tail.  SUM/AVG merge partial totals, so a spilled run may differ from
-    the unspilled sequential sum in the last ulp — the same documented
-    deviation as the batch plane's pairwise summation.
+    the unspilled sequential sum in the last ulp (documented, DESIGN.md
+    §5j).
     """
 
     # Rough per-group resident bytes: key tuple + dict slot + accumulators.
@@ -232,7 +209,7 @@ class HashAggregate(Operator):
         groups: Dict[Tuple[Any, ...], List[_Accumulator]] = {}
         order: List[Tuple[Any, ...]] = []
         consumed = 0
-        for row in self.child.execute(stats):
+        for row in self.child.run(stats):
             consumed += 1
             key = tuple(k(row) for k in self._keys)
             accs = groups.get(key)
@@ -256,78 +233,6 @@ class HashAggregate(Operator):
         for key in order:
             stats.groups_emitted += 1
             yield key + tuple(acc.result() for acc in groups[key])
-
-    def execute_batches(
-        self, stats: ExecutionStats, chunk_rows: int = BATCH_ROWS
-    ) -> Iterator[Batch]:
-        """Batch path: one output batch of group rows.
-
-        A *global* aggregate (no GROUP BY) whose arguments are plain
-        column references is evaluated column-at-a-time via
-        :meth:`_Accumulator.add_column`; anything else streams rows out
-        of each batch into the same accumulators ``execute`` uses.
-        """
-        vector_args = not self.group_by and all(
-            spec.arg is None or isinstance(spec.arg, ColumnRef)
-            for spec in self.aggregates
-        )
-        arg_indexes = [
-            None
-            if spec.arg is None
-            else self.child.schema.resolve(spec.arg.name, spec.arg.qualifier)
-            for spec in self.aggregates
-        ] if vector_args else []
-
-        from repro.storage.spill import active_budget
-
-        budget = active_budget()
-        spill = _AggSpill(len(self.aggregates), len(self.group_by))
-        groups: Dict[Tuple[Any, ...], List[_Accumulator]] = {}
-        order: List[Tuple[Any, ...]] = []
-        for batch in self.child.execute_batches(stats, chunk_rows):
-            stats.rows_aggregated += batch.num_rows
-            if vector_args:
-                accs = groups.get(())
-                if accs is None:
-                    accs = [_Accumulator(spec.func) for spec in self.aggregates]
-                    groups[()] = accs
-                    order.append(())
-                for acc, idx in zip(accs, arg_indexes):
-                    if idx is None:
-                        acc.count += batch.num_rows  # COUNT(*)
-                        continue
-                    col = batch.columns[idx]
-                    if col.kind in ("int64", "float64"):
-                        acc.add_column(col)
-                    else:
-                        for v in col.to_pylist():
-                            acc.add(v)
-                continue
-            for row in batch.iter_rows():
-                key = tuple(k(row) for k in self._keys)
-                accs = groups.get(key)
-                if accs is None:
-                    accs = [_Accumulator(spec.func) for spec in self.aggregates]
-                    groups[key] = accs
-                    order.append(key)
-                for acc, arg in zip(accs, self._args):
-                    acc.add(arg(row) if arg is not None else 1)
-            if budget is not None:
-                spill.maybe_spill(groups, order, budget)
-        groups, order = spill.merge(
-            groups, order,
-            lambda: [_Accumulator(spec.func) for spec in self.aggregates],
-        )
-        if not groups and not self.group_by:
-            groups[()] = [_Accumulator(spec.func) for spec in self.aggregates]
-            order.append(())
-        rows = []
-        for key in order:
-            stats.groups_emitted += 1
-            rows.append(key + tuple(acc.result() for acc in groups[key]))
-        yield Batch.from_rows(
-            self.schema.names(), rows, kinds_for_schema(self.schema)
-        )
 
     def children(self) -> Sequence[Operator]:
         return (self.child,)

@@ -14,7 +14,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.relational.catalog import Catalog, ColumnSpec
 from repro.relational.operators import Operator, TableScan
 from repro.relational.schema import Schema
-from repro.relational.stats import ExecutionStats
+from repro.relational.stats import ExecutionStats, Probe
 from repro.relational.table import Table
 
 __all__ = ["Database", "Result"]
@@ -191,9 +191,10 @@ class Database:
 
         When this call creates the stats block (``stats=None``), the
         block's counters are published into the global metrics registry on
-        completion — callers that pass their own block own publication
-        (see :mod:`repro.obs.runtime`).  With a tracer installed, every
-        plan node emits a span (unless the caller probed the plan already).
+        completion — callers that pass their own block call
+        :meth:`publish` themselves when it is final (see
+        :mod:`repro.obs.runtime`).  With a tracer installed, every plan
+        node emits a span (unless the caller's block already has a probe).
         """
         from repro.obs import runtime
 
@@ -202,15 +203,17 @@ class Database:
             stats = ExecutionStats()
         tracer = runtime.get_tracer()
         with self._budget_scope():
-            if tracer.enabled and "execute" not in plan.__dict__:
-                from repro.obs.instrument import PlanProbe
-
-                with tracer.span("query.run"), PlanProbe(plan, tracer):
-                    rows = list(plan.execute(stats))
+            if tracer.enabled and stats.probe is None:
+                stats.probe = Probe(plan, tracer)
+                try:
+                    with tracer.span("query.run"):
+                        rows = list(plan.run(stats))
+                finally:
+                    stats.probe = None
             else:
-                rows = list(plan.execute(stats))
+                rows = list(plan.run(stats))
         if owns_stats:
-            self._publish(stats)
+            self.publish(stats)
         return Result(plan.schema, rows, stats)
 
     def _budget_scope(self):
@@ -224,7 +227,12 @@ class Database:
         return engine_budget(self.memory_budget_bytes)
 
     @staticmethod
-    def _publish(stats: ExecutionStats) -> None:
+    def publish(stats: ExecutionStats) -> None:
+        """Add one finished execution's counters to the global registry.
+
+        Call it once per stats block: :meth:`run` does for blocks it
+        created, the creator does for a block it passed in.
+        """
         from repro.obs import runtime
 
         runtime.publish_stats(stats)
@@ -232,40 +240,6 @@ class Database:
             "repro_engine_queries_total",
             help="Plan executions whose stats block the engine owned",
         ).inc()
-
-    def run_batches(
-        self,
-        plan: Operator,
-        stats: Optional[ExecutionStats] = None,
-        *,
-        chunk_rows: int = 65536,
-    ) -> "ChunkedBatch":
-        """Execute a plan on the batch-at-a-time path.
-
-        Returns the columnar result as a
-        :class:`~repro.columns.ChunkedBatch` (possibly zero-copy views of
-        table heaps).  The logical rows equal :meth:`run`'s, except
-        floating-point aggregates may differ in the last ulp (pairwise
-        versus sequential summation).
-        """
-        from repro.columns import ChunkedBatch
-        from repro.obs import runtime
-
-        owns_stats = stats is None
-        if owns_stats:
-            stats = ExecutionStats()
-        tracer = runtime.get_tracer()
-        with self._budget_scope():
-            if tracer.enabled and "execute" not in plan.__dict__:
-                from repro.obs.instrument import PlanProbe
-
-                with tracer.span("query.run"), PlanProbe(plan, tracer):
-                    chunks = list(plan.execute_batches(stats, chunk_rows))
-            else:
-                chunks = list(plan.execute_batches(stats, chunk_rows))
-        if owns_stats:
-            self._publish(stats)
-        return ChunkedBatch(plan.schema.names(), chunks)
 
     def explain(self, plan: Operator) -> str:
         return plan.explain()

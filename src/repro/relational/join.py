@@ -24,12 +24,9 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.columns import Batch, Column
 from repro.errors import PlanError
 from repro.relational.expr import Expr
-from repro.relational.operators import BATCH_ROWS, Operator
+from repro.relational.operators import Operator
 from repro.relational.stats import ExecutionStats
 from repro.relational.table import Table
 
@@ -38,36 +35,6 @@ __all__ = ["NestedLoopJoin", "IndexNestedLoopJoin", "HashJoin", "SortMergeJoin"]
 Row = Tuple[Any, ...]
 
 _JOIN_TYPES = ("inner", "left")
-
-
-def _take_padded(col: Column, slots: np.ndarray, pad: np.ndarray) -> Column:
-    """Gather ``col[slots]`` with NULLs wherever ``pad`` is set.
-
-    Pad positions carry slot ``-1``; the gather clips them to a harmless
-    index and the validity bit is cleared instead (for empty inner heaps
-    the whole result is the NULL pad).
-    """
-    if len(col) == 0:
-        data = np.empty(len(slots), dtype=col.data.dtype)
-        if col.data.dtype == object:
-            data[:] = None
-        else:
-            data[:] = 0
-        return Column(data, np.zeros(len(slots), dtype=np.bool_))
-    taken = col.take(np.where(pad, 0, slots))
-    if not pad.any():
-        return taken
-    validity = (
-        np.ones(len(slots), dtype=np.bool_)
-        if taken.validity is None
-        else taken.validity.copy()
-    )
-    validity[pad] = False
-    if col.data.dtype == object:
-        data = taken.data.copy()
-        data[pad] = None
-        return Column(data, validity)
-    return Column(taken.data, validity)
 
 
 def _check_join_type(join_type: str) -> None:
@@ -98,14 +65,13 @@ class NestedLoopJoin(Operator):
         self._compiled = predicate.bind(self.schema) if predicate is not None else None
 
     def execute(self, stats: ExecutionStats) -> Iterator[Row]:
-        inner: List[Row] = list(self.right.execute(stats))
+        inner: List[Row] = list(self.right.run(stats))
         compiled = self._compiled
         null_row = (None,) * len(self.right.schema)
-        # O(|L|·|R|) inner loop: accumulate counters locally, flush once
-        # (the stats fields are registry-backed properties now).
+        # O(|L|·|R|) inner loop: accumulate counters locally, flush once.
         pairs = joined = 0
         try:
-            for lrow in self.left.execute(stats):
+            for lrow in self.left.run(stats):
                 matched = False
                 for rrow in inner:
                     pairs += 1
@@ -191,7 +157,7 @@ class IndexNestedLoopJoin(Operator):
         null_row = (None,) * len(self.inner_table.schema)
         lookups = pairs = joined = 0
         try:
-            for lrow in self.left.execute(stats):
+            for lrow in self.left.run(stats):
                 lookups += 1
                 if self._probe is not None:
                     slots = self.index.lookup(tuple(p(lrow) for p in self._probe))
@@ -213,65 +179,6 @@ class IndexNestedLoopJoin(Operator):
         finally:
             stats.bump(
                 index_lookups=lookups, pairs_examined=pairs, rows_joined=joined
-            )
-
-    def execute_batches(
-        self, stats: ExecutionStats, chunk_rows: int = BATCH_ROWS
-    ) -> Iterator[Batch]:
-        """Columnar probe path: gather matches with ``take`` per left batch.
-
-        Probing stays per-row (it is an index lookup), but the output is
-        assembled column-wise: one gather over the left batch and one over
-        a zero-copy snapshot of the inner heap, with LEFT-outer pad rows
-        expressed as cleared validity bits on the inner columns.  Output
-        row order matches ``execute`` exactly.  Residual predicates need
-        combined row tuples, so they take the generic row bridge.
-        """
-        if self._residual is not None:
-            yield from super().execute_batches(stats, chunk_rows)
-            return
-        inner_schema = self.inner_table.schema
-        inner = Batch(
-            inner_schema.names(),
-            [self.inner_table.column_values(i) for i in range(len(inner_schema))],
-        )
-        left_outer = self.join_type == "left"
-        for lbatch in self.left.execute_batches(stats, chunk_rows):
-            left_pos: List[int] = []
-            inner_slots: List[int] = []
-            lookups = pairs = joined = 0
-            for pos, lrow in enumerate(lbatch.iter_rows()):
-                lookups += 1
-                if self._probe is not None:
-                    slots = self.index.lookup(tuple(p(lrow) for p in self._probe))
-                else:
-                    lo = tuple(p(lrow) for p in self._lo) if self._lo else None
-                    hi = tuple(p(lrow) for p in self._hi) if self._hi else None
-                    slots = self.index.range(lo, hi)  # type: ignore[union-attr]
-                matched = False
-                for slot in slots:
-                    pairs += 1
-                    joined += 1
-                    matched = True
-                    left_pos.append(pos)
-                    inner_slots.append(slot)
-                if not matched and left_outer:
-                    joined += 1
-                    left_pos.append(pos)
-                    inner_slots.append(-1)  # NULL pad marker
-            stats.bump(
-                index_lookups=lookups, pairs_examined=pairs, rows_joined=joined
-            )
-            if not left_pos:
-                continue
-            slot_arr = np.asarray(inner_slots, dtype=np.intp)
-            pad = slot_arr < 0
-            left_part = lbatch.take(np.asarray(left_pos, dtype=np.intp))
-            right_cols = [
-                _take_padded(col, slot_arr, pad) for col in inner.columns
-            ]
-            yield Batch(
-                self.schema.names(), list(left_part.columns) + right_cols
             )
 
     def children(self) -> Sequence[Operator]:
@@ -314,7 +221,7 @@ class HashJoin(Operator):
 
     def execute(self, stats: ExecutionStats) -> Iterator[Row]:
         build: dict = {}
-        for rrow in self.right.execute(stats):
+        for rrow in self.right.run(stats):
             key = tuple(k(rrow) for k in self._rk)
             if any(v is None for v in key):
                 continue  # NULL keys never join
@@ -323,7 +230,7 @@ class HashJoin(Operator):
         null_row = (None,) * len(self.right.schema)
         pairs = joined = 0
         try:
-            for lrow in self.left.execute(stats):
+            for lrow in self.left.run(stats):
                 key = tuple(k(lrow) for k in self._lk)
                 matched = False
                 if not any(v is None for v in key):
@@ -400,10 +307,10 @@ class SortMergeJoin(Operator):
 
     def execute(self, stats: ExecutionStats) -> Iterator[Row]:
         left_sorted, left_nulls = self._keyed(
-            list(self.left.execute(stats)), self._lk, stats
+            list(self.left.run(stats)), self._lk, stats
         )
         right_sorted, _ = self._keyed(
-            list(self.right.execute(stats)), self._rk, stats
+            list(self.right.run(stats)), self._rk, stats
         )
         residual = self._residual
         null_row = (None,) * len(self.right.schema)

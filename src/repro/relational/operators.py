@@ -4,7 +4,10 @@ Every operator exposes:
 
 * ``schema`` — the output row shape (bound at construction time);
 * ``execute(stats)`` — an iterator of tuples, threading an
-  :class:`~repro.relational.stats.ExecutionStats` block;
+  :class:`~repro.relational.stats.ExecutionStats` block.  This is the one
+  method a subclass implements;
+* ``run(stats)`` — how a parent (or the engine) pulls a node: the same
+  iterator, measured when the stats block carries a probe;
 * ``explain(indent)`` — a plan-tree pretty print used by ``EXPLAIN``.
 
 Join and aggregation operators live in :mod:`repro.relational.join` and
@@ -13,15 +16,14 @@ Join and aggregation operators live in :mod:`repro.relational.join` and
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+import time
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.columns import Batch, kinds_for_schema
 from repro.errors import PlanError
-from repro.relational.expr import And, ColumnRef, Comparison, Expr, Literal, Or
+from repro.obs.instrument import span_name_for
+from repro.relational.expr import Expr
 from repro.relational.schema import Column, Schema
-from repro.relational.stats import ExecutionStats
+from repro.relational.stats import ExecutionStats, Probe
 from repro.relational.table import Table
 from repro.relational.types import DataType, FLOAT
 
@@ -39,9 +41,6 @@ __all__ = [
 
 Row = Tuple[Any, ...]
 
-# Default rows per batch on the batch-at-a-time paths.
-BATCH_ROWS = 65536
-
 
 class Operator:
     """Base class for executable plan nodes."""
@@ -49,31 +48,45 @@ class Operator:
     schema: Schema
 
     def execute(self, stats: ExecutionStats) -> Iterator[Row]:
+        """The node's row stream.  Subclasses implement this and pull their
+        children through :meth:`run`, never through ``execute``."""
         raise NotImplementedError
 
-    def execute_batches(
-        self, stats: ExecutionStats, chunk_rows: int = BATCH_ROWS
-    ) -> Iterator[Batch]:
-        """Batch-at-a-time execution: yield :class:`Batch` chunks.
+    def run(self, stats: ExecutionStats) -> Iterator[Row]:
+        """Pull this node: ``execute``, measured if ``stats`` has a probe.
 
-        The base implementation bridges the tuple-at-a-time ``execute``
-        path, columnarizing ``chunk_rows`` rows at a time with kinds
-        derived from the operator schema.  Operators with a native
-        columnar strategy (scan, filter, band join, aggregate) override
-        this; either way the logical row stream is identical to
-        ``execute`` (floating-point aggregates excepted — see
-        :mod:`repro.relational.aggregate`).
+        Not for subclasses to override — it is what makes every node report
+        its own span, rows out and wall time without anything wrapping the
+        plan from outside.
         """
-        kinds = kinds_for_schema(self.schema)
-        names = self.schema.names()
-        buffer: List[Row] = []
-        for row in self.execute(stats):
-            buffer.append(row)
-            if len(buffer) >= chunk_rows:
-                yield Batch.from_rows(names, buffer, kinds)
-                buffer = []
-        if buffer:
-            yield Batch.from_rows(names, buffer, kinds)
+        probe = stats.probe
+        if probe is None:
+            return self.execute(stats)
+        return self._measured(stats, probe)
+
+    def _measured(self, stats: ExecutionStats, probe: Probe) -> Iterator[Row]:
+        # Spans nest by themselves: in a pull pipeline a child's body first
+        # runs inside its parent's iteration, which is when its span opens.
+        measure = probe.measures[id(self)]
+        tracer = probe.tracer
+        span = (
+            tracer.span(span_name_for(self), **_span_attrs(self, measure.ordinal))
+            if tracer.enabled
+            else None
+        )
+        measure.calls += 1
+        start = time.perf_counter()
+        n = 0
+        try:
+            for row in self.execute(stats):
+                n += 1
+                yield row
+        finally:
+            measure.rows_out += n
+            measure.wall += time.perf_counter() - start
+            if span is not None:
+                span.set(rows_out=n)
+                span.finish()
 
     def children(self) -> Sequence["Operator"]:
         return ()
@@ -88,6 +101,15 @@ class Operator:
         return "\n".join(lines)
 
 
+def _span_attrs(node: Operator, ordinal: int) -> Dict[str, Any]:
+    attrs: Dict[str, Any] = {"node": ordinal}
+    for key in ("table", "inner_table"):  # scans; index joins
+        table = getattr(node, key, None)
+        if table is not None:
+            attrs[key] = table.name
+    return attrs
+
+
 class TableScan(Operator):
     """Full scan of a base table, optionally under an alias."""
 
@@ -97,10 +119,9 @@ class TableScan(Operator):
         self.schema = table.schema.qualify(self.alias)
 
     def execute(self, stats: ExecutionStats) -> Iterator[Row]:
-        # Accumulate locally and flush once: the counter fields are
-        # registry-backed properties, too slow for a per-row += in the
-        # engine's hottest loop (and the flush also covers early teardown
-        # by a LIMIT upstream).
+        # Accumulate locally and flush once: cheaper than a per-row
+        # attribute += in the engine's hottest loop, and the flush also
+        # covers early teardown by a LIMIT upstream.
         scanned = 0
         try:
             for row in self.table.rows:
@@ -108,15 +129,6 @@ class TableScan(Operator):
                 yield row
         finally:
             stats.rows_scanned += scanned
-
-    def execute_batches(
-        self, stats: ExecutionStats, chunk_rows: int = BATCH_ROWS
-    ) -> Iterator[Batch]:
-        # Native path: hand out zero-copy snapshot slices of the heap —
-        # no row tuples are ever built.
-        for batch in self.table.batches(chunk_rows):
-            stats.rows_scanned += batch.num_rows
-            yield batch
 
     def label(self) -> str:
         if self.alias != self.table.name:
@@ -139,7 +151,7 @@ class Alias(Operator):
         )
 
     def execute(self, stats: ExecutionStats) -> Iterator[Row]:
-        return self.child.execute(stats)
+        return self.child.run(stats)
 
     def children(self) -> Sequence[Operator]:
         return (self.child,)
@@ -156,120 +168,18 @@ class Filter(Operator):
         self.predicate = predicate
         self.schema = child.schema
         self._compiled = predicate.bind(child.schema)
-        self._vectorized = _vector_predicate(predicate, child.schema)
 
     def execute(self, stats: ExecutionStats) -> Iterator[Row]:
         compiled = self._compiled
-        for row in self.child.execute(stats):
+        for row in self.child.run(stats):
             if compiled(row) is True:
                 yield row
-
-    def execute_batches(
-        self, stats: ExecutionStats, chunk_rows: int = BATCH_ROWS
-    ) -> Iterator[Batch]:
-        compiled = self._compiled
-        vectorized = self._vectorized
-        for batch in self.child.execute_batches(stats, chunk_rows):
-            mask = vectorized(batch) if vectorized is not None else None
-            if mask is None:
-                # Row fallback: the predicate shape (or a per-batch object
-                # column) is outside the vectorizable subset.
-                mask = np.fromiter(
-                    (compiled(row) is True for row in batch.iter_rows()),
-                    dtype=np.bool_,
-                    count=batch.num_rows,
-                )
-            if mask.all():
-                yield batch  # zero-copy pass-through
-            elif mask.any():
-                yield batch.filter(mask)
 
     def children(self) -> Sequence[Operator]:
         return (self.child,)
 
     def label(self) -> str:
         return f"Filter({self.predicate})"
-
-
-def _vector_predicate(
-    expr: Expr, schema: Schema
-) -> Optional[Callable[[Batch], Optional[np.ndarray]]]:
-    """Compile ``expr`` to a whole-batch ``is TRUE`` mask evaluator.
-
-    Returns ``None`` when the predicate shape is outside the vectorizable
-    subset (comparisons between column refs and literals, AND/OR of such).
-    The compiled evaluator itself may return ``None`` for a particular
-    batch (e.g. an ``object``-kinded operand) — the caller then falls back
-    to row evaluation for that batch.  Kleene semantics hold because a
-    mask entry means "predicate is exactly TRUE": NULL operands clear it.
-    """
-    if isinstance(expr, (And, Or)):
-        parts = [_vector_predicate(item, schema) for item in expr.items]
-        if any(p is None for p in parts):
-            return None
-        combine = np.logical_and if isinstance(expr, And) else np.logical_or
-
-        def run_bool(batch: Batch) -> Optional[np.ndarray]:
-            masks = [p(batch) for p in parts]  # type: ignore[misc]
-            if any(m is None for m in masks):
-                return None
-            out = masks[0]
-            for m in masks[1:]:
-                out = combine(out, m)
-            return out
-
-        return run_bool
-    if not isinstance(expr, Comparison):
-        return None
-
-    def operand(side: Expr):
-        if isinstance(side, ColumnRef):
-            return ("col", schema.resolve(side.name, side.qualifier))
-        if isinstance(side, Literal):
-            return ("lit", side.value)
-        return None
-
-    left, right = operand(expr.left), operand(expr.right)
-    if left is None or right is None or (left[0] == "lit" and right[0] == "lit"):
-        return None
-    op = {
-        "=": np.equal,
-        "<>": np.not_equal,
-        "<": np.less,
-        "<=": np.less_equal,
-        ">": np.greater,
-        ">=": np.greater_equal,
-    }[expr.op]
-
-    def run_cmp(batch: Batch) -> Optional[np.ndarray]:
-        validity: Optional[np.ndarray] = None
-        values = []
-        for tag, payload in (left, right):
-            if tag == "lit":
-                if payload is None:
-                    return np.zeros(batch.num_rows, dtype=np.bool_)
-                if isinstance(payload, bool) or not isinstance(
-                    payload, (int, float)
-                ):
-                    return None
-                values.append(payload)
-                continue
-            col = batch.columns[payload]
-            if col.kind not in ("int64", "float64"):
-                return None
-            values.append(col.data)
-            if col.validity is not None:
-                validity = (
-                    col.validity
-                    if validity is None
-                    else validity & col.validity
-                )
-        mask = op(values[0], values[1])
-        if validity is not None:
-            mask = mask & validity
-        return mask
-
-    return run_cmp
 
 
 class Project(Operator):
@@ -300,7 +210,7 @@ class Project(Operator):
 
     def execute(self, stats: ExecutionStats) -> Iterator[Row]:
         compiled = self._compiled
-        for row in self.child.execute(stats):
+        for row in self.child.run(stats):
             yield tuple(c(row) for c in compiled)
 
     def children(self) -> Sequence[Operator]:
@@ -331,7 +241,7 @@ class Sort(Operator):
         self._compiled = [(expr.bind(child.schema), asc) for expr, asc in self.keys]
 
     def execute(self, stats: ExecutionStats) -> Iterator[Row]:
-        rows = list(self.child.execute(stats))
+        rows = list(self.child.run(stats))
         stats.rows_sorted += len(rows)
         # Stable multi-key sort: apply keys right-to-left.
         for compiled, asc in reversed(self._compiled):
@@ -361,7 +271,7 @@ class Limit(Operator):
 
     def execute(self, stats: ExecutionStats) -> Iterator[Row]:
         produced = skipped = 0
-        for row in self.child.execute(stats):
+        for row in self.child.run(stats):
             if skipped < self.offset:
                 skipped += 1
                 continue
@@ -395,7 +305,7 @@ class UnionAll(Operator):
 
     def execute(self, stats: ExecutionStats) -> Iterator[Row]:
         for op in self.inputs:
-            for row in op.execute(stats):
+            for row in op.run(stats):
                 yield row
 
     def children(self) -> Sequence[Operator]:
@@ -414,7 +324,7 @@ class Distinct(Operator):
 
     def execute(self, stats: ExecutionStats) -> Iterator[Row]:
         seen = set()
-        for row in self.child.execute(stats):
+        for row in self.child.run(stats):
             if row not in seen:
                 seen.add(row)
                 yield row

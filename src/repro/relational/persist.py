@@ -31,8 +31,11 @@ re-run, so a corrupted dump cannot smuggle in duplicate primary keys.
 
 Crash consistency and corruption detection:
 
-* every file is written to a ``.tmp`` sibling and published with
-  ``os.replace`` — a crash mid-save never tears an existing dump;
+* every file is written to a ``.tmp`` sibling, fsync'd, and published
+  with ``os.replace`` — a crash mid-save never tears an existing dump;
+* the data directory is fsync'd after the last data file and the dump
+  directory after the catalog, so once :func:`save_database` returns a
+  power cut loses nothing, and no catalog can outlive the files it names;
 * the catalog (written *last*, after every data file has landed) records a
   CRC32 per table; :func:`load_database` re-hashes each data file and
   raises a :class:`~repro.errors.CatalogError` naming the corrupt table
@@ -59,7 +62,7 @@ from repro.storage.page import (
     paginate_values,
 )
 
-__all__ = ["save_database", "load_database"]
+__all__ = ["save_database", "load_database", "durable_write"]
 
 # Version history: 1 = row JSONL, no checksums; 2 = row JSONL + per-table
 # CRC32; 3 = columnar JSON (one array per column) + CRC32; 4 = paged
@@ -72,11 +75,30 @@ _WRITABLE_VERSIONS = (2, 3, 4)
 
 
 def _atomic_write(path: str, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` via a temp file + atomic rename."""
+    """Write ``payload`` to ``path`` via an fsync'd temp file + atomic
+    rename.  The rename itself is durable once :func:`_fsync_dir` ran."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(payload)
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
+
+
+def _fsync_dir(directory: str) -> None:
+    """Flush ``directory``'s entries (new files, renames) to stable storage."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def durable_write(path: str, payload: bytes) -> None:
+    """Atomically replace ``path`` with ``payload`` and make it durable:
+    contents and directory entry are on stable storage on return."""
+    _atomic_write(path, payload)
+    _fsync_dir(os.path.dirname(path) or ".")
 
 
 def _row_payload(table) -> bytes:
@@ -155,10 +177,10 @@ def save_database(
         page_size: fixed page size in bytes for format 4 (ignored
             otherwise).
 
-    Atomic at file granularity: each data file and the catalog are staged
-    to a temp sibling and renamed into place, and the catalog — the file
-    load trusts — is only published after every data file it references
-    has landed.  A failure mid-save (including the injected
+    Atomic at file granularity and durable on return: each data file and
+    the catalog are staged to a temp sibling, fsync'd and renamed into
+    place, and the catalog — the file load trusts — is only published
+    after every data file it references has landed.  A failure mid-save (including the injected
     ``storage_write`` fault) leaves any previous dump loadable.
     """
     from repro.faults import injector
@@ -216,7 +238,10 @@ def save_database(
             entry["stats"] = stats_doc
         catalog["tables"].append(entry)
         _atomic_write(os.path.join(data_dir, data_file), payload)
-    _atomic_write(
+    # Data files first, catalog after: the file load trusts must never be
+    # durable ahead of what it references.
+    _fsync_dir(data_dir)
+    durable_write(
         os.path.join(directory, "catalog.json"),
         json.dumps(catalog, indent=2).encode("utf-8"),
     )

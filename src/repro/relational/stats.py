@@ -7,24 +7,25 @@ self-join pattern without an index examines O(n²) row pairs while the
 indexed variant touches O(n·w) (Table 1), and that the derivation patterns'
 join work grows superlinearly (Table 2).
 
-Since the observability plane landed, ``ExecutionStats`` is a **view over a
-private** :class:`~repro.obs.metrics.MetricsRegistry`: each public field is
-a property backed by a registry counter that already carries its final
-global metric name (``repro_engine_rows_scanned_total`` …), so "publish
-this query's counters" is a plain registry merge and the two accountings
-cannot drift apart.  The public API is unchanged — kwargs construction,
-attribute ``+=`` for owner-exclusive serial operators, :meth:`bump` /
-:meth:`merge` for parallel ones, and pickling without locks.
+The block is ten plain ints.  Whoever created it publishes it once, when
+the execution is over, with :func:`repro.obs.runtime.publish_stats`, which
+adds each counter to the process registry under the name
+:meth:`ExecutionStats.metric_values` gives it.
+
+A block may also carry a :class:`Probe`.  :meth:`Operator.run
+<repro.relational.operators.Operator.run>` looks for one on every pull and,
+when it is there, records the node's rows out and inclusive wall time and
+opens the node's span; without one an execution measures nothing.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict
+from typing import Any, Dict, Iterator, Optional, Tuple
 
-from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.trace import NULL_TRACER
 
-__all__ = ["ExecutionStats"]
+__all__ = ["ExecutionStats", "NodeMeasure", "Probe"]
 
 _COUNTERS = (
     "rows_scanned",
@@ -39,7 +40,7 @@ _COUNTERS = (
     "serial_fallbacks",
 )
 
-# Final global metric name per counter.  Scan/join/aggregate/sort counters
+# Global metric name per counter.  Scan/join/aggregate/sort counters
 # belong to the engine layer; the robustness counters to the parallel layer
 # (DESIGN.md §5f naming scheme: repro_<layer>_<name>).
 _METRIC_OF = {
@@ -51,24 +52,49 @@ _METRIC_OF = {
     for name in _COUNTERS
 }
 
-_OPERATOR_ROWS_METRIC = "repro_engine_operator_rows_total"
+
+class NodeMeasure:
+    """What one plan node did during the executions a probe observed."""
+
+    __slots__ = ("ordinal", "rows_out", "wall", "calls")
+
+    def __init__(self, ordinal: int) -> None:
+        # Pre-order position in the plan: stable across runs, unlike id().
+        self.ordinal = ordinal
+        self.rows_out = 0
+        self.wall = 0.0
+        self.calls = 0
 
 
-def _make_property(name: str) -> property:
-    def getter(self: "ExecutionStats") -> int:
-        return self._counters[name].value
+def _walk(node: Any) -> Iterator[Any]:
+    yield node
+    for child in node.children():
+        yield from _walk(child)
 
-    def setter(self: "ExecutionStats", value: int) -> None:
-        self._counters[name].value = value
 
-    getter.__name__ = setter.__name__ = name
-    return property(getter, setter)
+class Probe:
+    """Per-node measures for one plan, and the tracer its spans go to.
+
+    ``measures`` is keyed by ``id(node)`` and holds every node of ``plan``
+    from construction on, so a node that never ran still renders (as
+    "never executed").  With the default null tracer only the measures are
+    kept — that is EXPLAIN ANALYZE.
+    """
+
+    __slots__ = ("tracer", "measures")
+
+    def __init__(self, plan: Any, tracer: Any = NULL_TRACER) -> None:
+        self.tracer = tracer
+        self.measures: Dict[int, NodeMeasure] = {}
+        for ordinal, node in enumerate(_walk(plan)):
+            if id(node) not in self.measures:  # shared sub-plan: one entry
+                self.measures[id(node)] = NodeMeasure(ordinal)
 
 
 class ExecutionStats:
     """Mutable counter block shared by all operators of one execution.
 
-    Attributes (all registry-backed properties):
+    Attributes:
         rows_scanned: tuples produced by base-table scans.
         pairs_examined: row pairs for which a join predicate was evaluated.
         index_lookups: point/range probes against an index.
@@ -81,30 +107,24 @@ class ExecutionStats:
             broken pools) before any retry succeeded.
         serial_fallbacks: times a pool degraded to in-process serial
             execution (broken pool or retry exhaustion).
-        operator_rows: per-operator-label emitted row counts.
+        probe: the :class:`Probe` measuring this execution, or ``None``.
+
+    Serial operators own the block exclusively and use attribute ``+=``;
+    anything that may run beside another thread goes through :meth:`bump`
+    or :meth:`merge`, which take the block's lock.
     """
 
-    __slots__ = ("registry", "_counters", "_lock")
+    __slots__ = _COUNTERS + ("probe", "_lock")
 
     def __init__(self, **counters: int) -> None:
-        self.registry = MetricsRegistry()
-        self._counters: Dict[str, Counter] = {
-            name: self.registry.counter(_METRIC_OF[name]) for name in _COUNTERS
-        }
+        for name in _COUNTERS:
+            setattr(self, name, 0)
+        self.probe: Optional[Probe] = None
         self._lock = threading.Lock()
         for name, value in counters.items():
             if name not in _COUNTERS:
                 raise TypeError(f"unknown execution counter {name!r}")
-            self._counters[name].value = value
-
-    @property
-    def operator_rows(self) -> Dict[str, int]:
-        """Per-operator-label row counts (a snapshot dict view)."""
-        out: Dict[str, int] = {}
-        for inst in self.registry.instruments():
-            if inst.name == _OPERATOR_ROWS_METRIC and inst.labels:
-                out[dict(inst.labels)["operator"]] = inst.value
-        return out
+            setattr(self, name, value)
 
     def bump(self, **counters: int) -> None:
         """Atomically add to named counters (parallel operators' entry point).
@@ -117,22 +137,22 @@ class ExecutionStats:
                 raise AttributeError(f"unknown execution counter {name!r}")
         with self._lock:
             for name, delta in counters.items():
-                self._counters[name].value += delta
-
-    def record_operator(self, label: str, rows: int) -> None:
-        """Add emitted rows under an operator label (lock-protected)."""
-        counter = self.registry.counter(
-            _OPERATOR_ROWS_METRIC, {"operator": label}
-        )
-        with self._lock:
-            counter.value += rows
+                setattr(self, name, getattr(self, name) + delta)
 
     def merge(self, other: "ExecutionStats") -> None:
         """Fold another stats block into this one (sub-plan or per-worker
         accumulation); atomic with respect to concurrent merges/bumps on
         ``self``."""
-        with self._lock:
-            self.registry.merge(other.registry)
+        self.bump(**other.counters())
+
+    def counters(self) -> Dict[str, int]:
+        """Every counter by field name, zeros included."""
+        return {name: getattr(self, name) for name in _COUNTERS}
+
+    def metric_values(self) -> Iterator[Tuple[str, int]]:
+        """``(global metric name, value)`` for every counter, zeros included."""
+        for name, value in self.counters().items():
+            yield _METRIC_OF[name], value
 
     def summary(self) -> str:
         """Render the counters as a one-line report.
@@ -157,27 +177,14 @@ class ExecutionStats:
 
     def __repr__(self) -> str:
         parts = ", ".join(
-            f"{name}={self._counters[name].value}"
-            for name in _COUNTERS
-            if self._counters[name].value
+            f"{name}={value}" for name, value in self.counters().items() if value
         )
         return f"ExecutionStats({parts})"
 
-    # Locks do not pickle; process workers therefore never ship stats blocks,
-    # but persistence of result objects must still work.
-    def __getstate__(self) -> Dict[str, Any]:
-        return {"registry": self.registry}
+    # Locks and probes do not pickle; a restored block has a fresh lock and
+    # measures nothing.
+    def __getstate__(self) -> Dict[str, int]:
+        return self.counters()
 
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        object.__setattr__(self, "registry", state["registry"])
-        object.__setattr__(
-            self,
-            "_counters",
-            {name: self.registry.counter(_METRIC_OF[name]) for name in _COUNTERS},
-        )
-        object.__setattr__(self, "_lock", threading.Lock())
-
-
-for _name in _COUNTERS:
-    setattr(ExecutionStats, _name, _make_property(_name))
-del _name
+    def __setstate__(self, state: Dict[str, int]) -> None:
+        self.__init__(**state)

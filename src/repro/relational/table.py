@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.columns import Batch, Column, ColumnBuilder
+from repro.columns import Column, ColumnBuilder
 from repro.errors import CatalogError, ConstraintError, SchemaError
 from repro.relational.index import HashIndex, SortedIndex
 from repro.relational.schema import Schema
@@ -155,16 +155,6 @@ class Table:
         """Zero-copy snapshot of one column (by schema position or name)."""
         i = column if isinstance(column, int) else self.schema.resolve(column)
         return self._columns[i].snapshot()
-
-    def batches(self, chunk_rows: int = 65536) -> Iterator[Batch]:
-        """Zero-copy columnar snapshot batches of the whole heap."""
-        names = self.schema.names()
-        snapshot = Batch(names, [b.snapshot() for b in self._columns])
-        n = snapshot.num_rows
-        if n == 0:
-            return
-        for start in range(0, n, chunk_rows):
-            yield snapshot.slice(start, min(start + chunk_rows, n))
 
     def memory_bytes(self) -> int:
         """Bytes held by the columnar heap (buffers + validity masks)."""

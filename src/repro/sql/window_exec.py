@@ -156,6 +156,9 @@ class WindowOperator(Operator):
         self.kernel = kernel
         self.share_derivation = share_derivation
         self.specs = list(specs)
+        # What the last execution decided (strategy, rows, sharing hits):
+        # read by EXPLAIN ANALYZE and the adaptive cost table.
+        self.analyze_extra: dict = {}
         columns = list(child.schema.columns)
         for spec in self.specs:
             columns.append(Column(spec.name, FLOAT))
@@ -173,7 +176,7 @@ class WindowOperator(Operator):
     def execute(self, stats: ExecutionStats) -> Iterator[Row]:
         from repro.obs import runtime
 
-        rows: List[Row] = list(self.child.execute(stats))
+        rows: List[Row] = list(self.child.run(stats))
         pool = None
         if (
             self.exec_config is not None
@@ -201,7 +204,10 @@ class WindowOperator(Operator):
             "rows": len(rows),
             "cost_units": units,
         }
-        self._share_sources = {} if self.share_derivation else None
+        sharing = (
+            self._sharing_plan() if self.share_derivation and pool is None else {}
+        )
+        share_sources: dict = {}
         # Run-state spilling ("Support Aggregate Analytic Window Function
         # over Large Data by Spilling"): under an ambient memory budget,
         # computed window columns past the in-memory allowance are written
@@ -218,11 +224,10 @@ class WindowOperator(Operator):
             measure_cache: dict = {}
             sort_cache: dict = {}
             result_cache: dict = {}
-            for spec, (arg, partition, order) in zip(self.specs, self._bound):
-                sig = (
-                    tuple(str(e) for e in spec.partition_by),
-                    tuple((str(o.expr), o.ascending) for o in spec.order_by),
-                )
+            for i, (spec, (arg, partition, order)) in enumerate(
+                zip(self.specs, self._bound)
+            ):
+                sig = _signature(spec)
                 dedup_key = (
                     sig,
                     spec.func,
@@ -241,7 +246,8 @@ class WindowOperator(Operator):
                 )
                 measure = self._measure_column(spec, rows, measure_cache)
                 values = self._evaluate(
-                    spec, arg, order, sig, groups, rows, stats, pool, measure
+                    spec, arg, order, groups, rows, stats, pool, measure,
+                    share_sources, sharing.get(i),
                 )
                 if budget is not None:
                     run_bytes = 8 * len(values)
@@ -360,17 +366,52 @@ class WindowOperator(Operator):
         cache[sig] = groups
         return groups
 
+    def _sharing_plan(self) -> dict:
+        """Which clauses take part in factor-window sharing, and how.
+
+        Maps a spec's position to ``(share_key, is_source)`` for every
+        sliding MIN/MAX clause.  ``is_source`` is set only when a *later*
+        clause has the same key and another frame: wrapping a clause's
+        values as a :class:`CompleteSequence` costs O(n·w) for the header
+        and trailer, so it is done only for a clause somebody can derive
+        from.
+        """
+        keys = {}
+        for i, spec in enumerate(self.specs):
+            if (
+                spec.func in ("MIN", "MAX")
+                and spec.window is not None
+                and spec.window.is_sliding
+            ):
+                keys[i] = (
+                    _signature(spec),
+                    spec.func,
+                    str(spec.arg) if spec.arg is not None else None,
+                )
+        return {
+            i: (
+                key,
+                any(
+                    keys[j] == key and self.specs[j].window != self.specs[i].window
+                    for j in keys
+                    if j > i
+                ),
+            )
+            for i, key in keys.items()
+        }
+
     def _evaluate(
         self,
         spec: WindowColumnSpec,
         arg,
         order,
-        sig,
         groups: dict,
         rows: List[Row],
         stats: ExecutionStats,
         pool=None,
         measure: Optional[DataColumn] = None,
+        sources: Optional[dict] = None,
+        sharing: Optional[Tuple[tuple, bool]] = None,
     ) -> List[float]:
         from repro.obs import runtime
 
@@ -393,21 +434,11 @@ class WindowOperator(Operator):
                 stats.bump(serial_fallbacks=1)
                 self.analyze_extra["strategy"] = "pipelined-fallback"
                 runtime.event("window.serial_fallback", spec=spec.name)
-        share_key = None
-        if (
-            self._share_sources is not None
-            and pool is None
-            and aggregate is not None
-            and aggregate.name in ("MIN", "MAX")
-            and spec.window is not None
-            and spec.window.is_sliding
-        ):
-            share_key = (
-                sig,
-                aggregate.name,
-                str(spec.arg) if spec.arg is not None else None,
+        share_key, is_source = sharing or (None, False)
+        if share_key is not None:
+            derived = self._derive_from_sibling(
+                sources.get(share_key, ()), spec, groups, rows, stats
             )
-            derived = self._derive_from_sibling(share_key, spec, groups, rows, stats)
             if derived is not None:
                 return derived
         seqs: dict = {}
@@ -438,35 +469,33 @@ class WindowOperator(Operator):
                         spec.window,
                         aggregate,
                     )
-                if share_key is not None:
+                if is_source:
                     seqs[gkey] = _as_complete_sequence(
                         raw, values, spec.window, aggregate
                     )
             for i, value in zip(indexes, values):
                 out[i] = value
-        if share_key is not None:
+        if is_source:
             # Register this clause as a derivation source for later siblings.
-            self._share_sources.setdefault(share_key, []).append(
-                (spec.window, seqs)
-            )
+            sources.setdefault(share_key, []).append((spec.window, seqs))
         return out
 
     def _derive_from_sibling(
-        self, share_key, spec: WindowColumnSpec, groups: dict, rows, stats
+        self, candidates, spec: WindowColumnSpec, groups: dict, rows, stats
     ) -> Optional[List[float]]:
         """Factor-window sharing: derive this clause from a sibling's sequence.
 
-        Looks for an already-computed MIN/MAX clause over the same
-        partition/order/measure whose (narrower) frame MaxOA-derives this
-        clause's frame, and evaluates the derivation per group — exactly
-        the paper's view-derivation step, applied between the OVER clauses
-        of one query.
+        Looks among ``candidates`` — the already-computed MIN/MAX clauses
+        over the same partition/order/measure, as ``(window, sequences)`` —
+        for one whose (narrower) frame MaxOA-derives this clause's frame,
+        and evaluates the derivation per group — exactly the paper's
+        view-derivation step, applied between the OVER clauses of one query.
         """
         from repro.core import derivation
         from repro.errors import DerivationError
         from repro.obs import runtime
 
-        for view_window, seqs in self._share_sources.get(share_key, ()):
+        for view_window, seqs in candidates:
             try:
                 chosen = derivation.plan(view_window, spec.window, minmax=True)
             except DerivationError:
@@ -630,6 +659,14 @@ class WindowOperator(Operator):
                     f"{s.window.to_frame_sql()} AS {s.name}"
                 )
         return f"WindowOperator({', '.join(parts)})"
+
+
+def _signature(spec: WindowColumnSpec) -> tuple:
+    """The (PARTITION BY, ORDER BY) identity clauses share sorts under."""
+    return (
+        tuple(str(e) for e in spec.partition_by),
+        tuple((str(o.expr), o.ascending) for o in spec.order_by),
+    )
 
 
 def _as_complete_sequence(raw, values, window, aggregate):

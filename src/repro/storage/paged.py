@@ -7,13 +7,11 @@
 the database's :class:`~repro.storage.buffer_pool.BufferPool` instead of
 an unbounded numpy heap.  :class:`PagedTable` swaps these stores into a
 regular :class:`~repro.relational.table.Table`, so every existing
-consumer — ``TableScan``, the batch operators, ``window_exec``'s measure
-gather, index rebuilds, persistence — streams pages without knowing it:
+consumer — ``TableScan``, ``window_exec``'s measure gather, index
+rebuilds, persistence — streams pages without knowing it:
 
 * ``iter_rows`` already materializes in ``_ITER_CHUNK`` chunks through
   ``pylist``, which gathers page by page (pin → extend → unpin);
-* ``batches()`` yields per-chunk columnar batches instead of one
-  whole-heap snapshot, so batch operators never force full residency;
 * appends go to an in-memory *tail* builder (new rows are hot by
   definition); in-place ``set`` writes through to the page, or hydrates
   the whole table into memory when the new value no longer fits its page
@@ -35,7 +33,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Any, Iterable, Iterator, List, Optional
 
-from repro.columns import Batch, Column, ColumnBuilder
+from repro.columns import Column, ColumnBuilder
 from repro.errors import PageCapacityError
 from repro.relational.table import Table, _ITER_CHUNK
 from repro.storage.buffer_pool import BufferPool, PageRef
@@ -290,31 +288,13 @@ class PagedTable(Table):
             self.buffer_pool.drop_file(file)
             file.close()
 
-    # -- Table overrides ------------------------------------------------------
+    def close(self) -> None:
+        """Close the page files under the paged columns (idempotent)."""
+        for store in self._columns:
+            if isinstance(store, PagedColumnStore):
+                store.file.close()
 
-    def batches(self, chunk_rows: int = 65536) -> Iterator[Batch]:
-        """Stream per-chunk batches instead of snapshotting the heap —
-        unless every column already has an admitted snapshot cache (then
-        the zero-copy whole-heap path is free)."""
-        if all(
-            not isinstance(s, PagedColumnStore) or s._cached is not None
-            for s in self._columns
-        ):
-            yield from super().batches(chunk_rows)
-            return
-        names = self.schema.names()
-        n = self._nrows
-        for start in range(0, n, chunk_rows):
-            stop = min(start + chunk_rows, n)
-            yield Batch(
-                names,
-                [
-                    Column.from_values(
-                        s.pylist(start, stop), getattr(s, "kind", "object")
-                    )
-                    for s in self._columns
-                ],
-            )
+    # -- Table overrides ------------------------------------------------------
 
     def update_slot(self, slot: int, values) -> None:
         new_row = self._coerce(values)

@@ -709,7 +709,7 @@ class DataWarehouse:
         import json
         import os
 
-        from repro.relational.persist import save_database
+        from repro.relational.persist import durable_write, save_database
 
         self._assert_exclusive("save")
 
@@ -739,11 +739,10 @@ class DataWarehouse:
             }
             views.append(entry)
         # Atomic publish: never leave a torn views.json next to a good dump.
-        path = os.path.join(directory, "views.json")
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"views": views}, fh, indent=2)
-        os.replace(tmp, path)
+        durable_write(
+            os.path.join(directory, "views.json"),
+            json.dumps({"views": views}, indent=2).encode("utf-8"),
+        )
 
     @classmethod
     def load(
@@ -807,6 +806,27 @@ class DataWarehouse:
                     entry["name"], definition, complete=entry["complete"]
                 )
         return wh
+
+    def close(self) -> None:
+        """Release the files a paged load holds open.
+
+        Closes every paged table's page file, then the buffer pool (its
+        frames and overlay file).  Nothing to release for an in-memory
+        warehouse, and calling it again is a no-op.  Unsaved updates to
+        paged tables live in the pool, so :meth:`save` first if they
+        matter, and do not query the warehouse afterwards.
+        """
+        for table in self.db.catalog.tables():
+            if getattr(table, "is_paged", False):
+                table.close()
+        if self.db.buffer_pool is not None:
+            self.db.buffer_pool.close()
+
+    def __enter__(self) -> "DataWarehouse":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     def _cache_admit(self, stmt: SelectStmt) -> bool:
         """Admit a missed, rewritable reporting-function shape into the cache."""

@@ -1,20 +1,27 @@
-"""ExecutionStats as a view over MetricsRegistry + publication ownership."""
+"""ExecutionStats behaviour: the counter block, and who publishes it when."""
 
 import pickle
+import sys
+import threading
 
 import pytest
 
+from repro.core.window import sliding
+from repro.faults import FaultPlan, FaultSpec, injector
 from repro.obs import runtime
 from repro.obs.metrics import MetricsRegistry
+from repro.parallel import health
 from repro.parallel.config import ExecutionConfig
 from repro.parallel.executor import ExecutorPool
 from repro.relational.engine import Database
 from repro.relational.operators import TableScan
 from repro.relational.stats import ExecutionStats
 from repro.relational.types import FLOAT, INTEGER
+from repro.sql.patterns import self_join_window
+from repro.warehouse import DataWarehouse, create_sequence_table
 
 
-class TestCompatSurface:
+class TestCounterBlock:
     def test_keyword_constructor(self):
         stats = ExecutionStats(rows_scanned=5, pairs_examined=2)
         assert stats.rows_scanned == 5
@@ -29,7 +36,11 @@ class TestCompatSurface:
         with pytest.raises(AttributeError):
             ExecutionStats().bump(bogus=1)
 
-    def test_property_read_write(self):
+    def test_unknown_attribute_cannot_be_set(self):
+        with pytest.raises(AttributeError):
+            ExecutionStats().rows_teleported = 1
+
+    def test_attribute_read_write(self):
         stats = ExecutionStats()
         stats.rows_scanned += 3
         stats.rows_scanned += 4
@@ -50,27 +61,39 @@ class TestCompatSurface:
         assert a.rows_joined == 5
 
     def test_pickle_round_trip(self):
-        stats = ExecutionStats(rows_scanned=9)
-        stats.record_operator("TableScan(t)", 9)
+        stats = ExecutionStats(rows_scanned=9, serial_fallbacks=1)
         clone = pickle.loads(pickle.dumps(stats))
-        assert clone.rows_scanned == 9
-        assert clone.operator_rows == {"TableScan(t)": 9}
-        clone.bump(rows_scanned=1)  # locks were rebuilt
+        assert clone.rows_scanned == 9 and clone.serial_fallbacks == 1
+        clone.bump(rows_scanned=1)  # the lock was rebuilt
         assert clone.rows_scanned == 10
 
+    def test_query_result_pickles(self):
+        db = _scan_db()
+        result = pickle.loads(pickle.dumps(db.run(TableScan(db.table("t")))))
+        assert result.stats.rows_scanned == 10
 
-class TestRegistryView:
-    def test_counters_live_in_the_stats_registry(self):
-        stats = ExecutionStats(rows_scanned=4, serial_fallbacks=2)
-        assert stats.registry.value("repro_engine_rows_scanned_total") == 4
-        # Parallel-layer counters get the parallel namespace.
-        assert stats.registry.value("repro_parallel_serial_fallbacks_total") == 2
+    def test_bump_and_merge_lose_nothing_under_thread_switching(self):
+        total = ExecutionStats()
+        rounds, workers = 400, 8
 
-    def test_publish_is_a_plain_registry_merge(self):
-        stats = ExecutionStats(rows_scanned=4)
-        target = MetricsRegistry()
-        runtime.publish_stats(stats, target)
-        assert target.value("repro_engine_rows_scanned_total") == 4
+        def worker():
+            for _ in range(rounds):
+                total.bump(rows_sorted=1)
+                total.merge(ExecutionStats(rows_joined=2))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        assert total.rows_sorted == rounds * workers
+        assert total.rows_joined == 2 * rounds * workers
 
 
 def _scan_db():
@@ -80,14 +103,26 @@ def _scan_db():
     return db
 
 
-class TestPublicationOwnership:
-    def test_engine_publishes_only_owned_stats(self):
+class TestPublishedOncePerOwnedExecution:
+    def test_publish_uses_the_layer_metric_names(self):
+        target = MetricsRegistry()
+        runtime.publish_stats(
+            ExecutionStats(rows_scanned=4, serial_fallbacks=2), target
+        )
+        assert target.value("repro_engine_rows_scanned_total") == 4
+        # Parallel-layer counters get the parallel namespace.
+        assert target.value("repro_parallel_serial_fallbacks_total") == 2
+        # Untouched counters are exposed too, at zero.
+        assert target.get("repro_engine_rows_joined_total") is not None
+
+    def test_engine_publishes_stats_it_created(self):
         db = _scan_db()
         registry = MetricsRegistry()
         with runtime.use(registry=registry):
             db.run(TableScan(db.table("t")))
-        assert registry.value("repro_engine_rows_scanned_total") == 10
-        assert registry.value("repro_engine_queries_total") == 1
+            db.run(TableScan(db.table("t")))
+        assert registry.value("repro_engine_rows_scanned_total") == 20
+        assert registry.value("repro_engine_queries_total") == 2
 
     def test_engine_skips_caller_owned_stats(self):
         db = _scan_db()
@@ -99,6 +134,14 @@ class TestPublicationOwnership:
         assert registry.value("repro_engine_rows_scanned_total") == 0
         assert stats.rows_scanned == 10
 
+    def test_explain_analyze_publishes_like_a_query(self):
+        db = _scan_db()
+        registry = MetricsRegistry()
+        with runtime.use(registry=registry):
+            db.explain_analyze("SELECT pos FROM t")
+        assert registry.value("repro_engine_rows_scanned_total") == 10
+        assert registry.value("repro_engine_queries_total") == 1
+
     def test_standalone_pool_publishes_on_close(self):
         registry = MetricsRegistry()
         with runtime.use(registry=registry):
@@ -109,7 +152,7 @@ class TestPublicationOwnership:
 
     def test_double_close_publishes_once(self):
         # close() runs twice on the finally + context-exit path; the
-        # published flag must prevent the counters doubling.
+        # counters must not double.
         registry = MetricsRegistry()
         with runtime.use(registry=registry):
             pool = ExecutorPool(ExecutionConfig(jobs=2, backend="thread"))
@@ -138,6 +181,111 @@ class TestPublicationOwnership:
             out = pool.map(lambda x: x * 2, [1, 2, 3, 4])
         assert out == [2, 4, 6, 8]
         assert shared.tasks_retried == 0
+
+
+WINDOW = (
+    "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING "
+    "AND 1 FOLLOWING) AS s FROM seq ORDER BY pos"
+)
+
+# What the parent of the plain-stats change (commit aaa01b4) exposed after
+# _fixed_query_list(), when ExecutionStats was a view over a private
+# registry that was merged into the global one.
+SEED_METRICS = {
+    "repro_engine_groups_emitted_total": 184,
+    "repro_engine_index_lookups_total": 60,
+    "repro_engine_pairs_examined_total": 7618,
+    "repro_engine_queries_total": 11,
+    "repro_engine_rows_aggregated_total": 1331,
+    "repro_engine_rows_joined_total": 1331,
+    "repro_engine_rows_scanned_total": 849,
+    "repro_engine_rows_sorted_total": 800,
+    "repro_parallel_serial_fallbacks_total": 1,
+    "repro_parallel_tasks_retried_total": 1,
+    "repro_parallel_worker_failures_total": 8,
+}
+
+
+def _fixed_query_list():
+    """Scan/filter/sort, aggregate, both join kinds, window, EXPLAIN
+    ANALYZE, a relational view derivation, then a parallel window query
+    whose pool retries one task and one whose pool degrades to serial."""
+    wh = DataWarehouse()
+    create_sequence_table(wh.db, "seq", 60, seed=3)
+    db = wh.db
+    db.sql("SELECT pos, val FROM seq WHERE pos <= 20 ORDER BY val")
+    db.sql(
+        "SELECT MOD(pos, 4) AS g, SUM(val) AS s, COUNT(*) AS c "
+        "FROM seq GROUP BY MOD(pos, 4)"
+    )
+    db.sql(
+        "SELECT s1.pos, SUM(s2.val) AS s FROM seq s1, seq s2 "
+        "WHERE s2.pos BETWEEN s1.pos - 1 AND s1.pos + 1 "
+        "GROUP BY s1.pos ORDER BY s1.pos"
+    )
+    db.run(self_join_window(db, "seq", window=sliding(1, 1), use_index=True))
+    db.sql(WINDOW)
+    db.explain_analyze(WINDOW)
+    wh.create_view(
+        "mv",
+        "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 "
+        "PRECEDING AND 1 FOLLOWING) AS s FROM seq",
+    )
+    wh.query(
+        "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 "
+        "PRECEDING AND 1 FOLLOWING) AS s FROM seq ORDER BY pos",
+        mode="relational",
+    )
+    wh.query(WINDOW, use_views=False)
+    results = []
+    wh.execution = ExecutionConfig(
+        jobs=2, backend="thread", chunk_size=8, retry_backoff=0.0
+    )
+    with injector.active(FaultPlan([FaultSpec("worker_crash", at=1)])):
+        results.append(wh.query(WINDOW, use_views=False))
+    wh.execution = ExecutionConfig(
+        jobs=2, backend="thread", chunk_size=8, max_retries=0, retry_backoff=0.0
+    )
+    with injector.active(FaultPlan([FaultSpec("worker_crash", at=0, times=50)])):
+        results.append(wh.query(WINDOW, use_views=False))
+    return results
+
+
+@pytest.mark.faults
+class TestSameMetricsAsTheSeed:
+    @pytest.fixture
+    def published(self):
+        registry = MetricsRegistry()
+        try:
+            with runtime.use(registry=registry):
+                retried, degraded = _fixed_query_list()
+        finally:
+            injector.clear()
+            health.reset()
+        return registry, retried, degraded
+
+    def test_names_and_values_equal_the_seed(self, published):
+        registry, _retried, _degraded = published
+        got = {
+            inst.name: inst.value
+            for inst in registry.instruments()
+            if inst.name.startswith(("repro_engine_", "repro_parallel_"))
+            and inst.name.endswith("_total")
+            and not inst.labels
+        }
+        assert got == SEED_METRICS
+
+    def test_retry_and_serial_fallback_are_counted_once(self, published):
+        # The window operator's pool shares the query's stats block, so the
+        # pool must not publish what the engine publishes.
+        registry, retried, degraded = published
+        assert retried.stats.tasks_retried == 1
+        assert degraded.stats.serial_fallbacks == 1
+        assert registry.value("repro_parallel_tasks_retried_total") == 1
+        assert registry.value("repro_parallel_serial_fallbacks_total") == 1
+        assert registry.value("repro_parallel_worker_failures_total") == (
+            retried.stats.worker_failures + degraded.stats.worker_failures
+        )
 
 
 class TestRuntimeScoping:

@@ -30,38 +30,22 @@ class TestBump:
             ExecutionStats().bump(rows_teleported=1)
 
 
-class TestMergeAndOperators:
+class TestMerge:
     def test_concurrent_merges(self):
         total = ExecutionStats()
 
-        def worker(seed):
+        def worker():
             local = ExecutionStats()
             for _ in range(500):
                 local.rows_joined += 1  # serial += on a private block
-            local.record_operator(f"op{seed % 2}", 500)
             total.merge(local)
 
-        pool = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        pool = [threading.Thread(target=worker) for _ in range(6)]
         for t in pool:
             t.start()
         for t in pool:
             t.join()
         assert total.rows_joined == 3_000
-        assert sum(total.operator_rows.values()) == 3_000
-
-    def test_concurrent_record_operator(self):
-        stats = ExecutionStats()
-
-        def worker():
-            for _ in range(1_000):
-                stats.record_operator("scan", 1)
-
-        pool = [threading.Thread(target=worker) for _ in range(4)]
-        for t in pool:
-            t.start()
-        for t in pool:
-            t.join()
-        assert stats.operator_rows["scan"] == 4_000
 
 
 class TestPickling:

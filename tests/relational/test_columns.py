@@ -1,4 +1,4 @@
-"""The columnar data plane: Column, ColumnBuilder, Batch, ChunkedBatch.
+"""Columnar storage: Column and ColumnBuilder.
 
 Also covers the Table-level contracts the plane underpins: lazy row
 iteration with a mutation guard, the RowsView facade, and the
@@ -10,15 +10,8 @@ import datetime
 import numpy as np
 import pytest
 
-from repro.columns import (
-    Batch,
-    ChunkedBatch,
-    Column,
-    ColumnBuilder,
-    kind_for_type,
-    kinds_for_schema,
-)
-from repro.relational import DATE, Database, FLOAT, INTEGER, TEXT
+from repro.columns import Column, ColumnBuilder, kind_for_type
+from repro.relational import Database, FLOAT, INTEGER
 
 
 class TestColumnConstruction:
@@ -68,28 +61,10 @@ class TestColumnConstruction:
 
 
 class TestColumnTransforms:
-    def test_slice_is_zero_copy(self):
-        col = Column.from_values([1.0, None, 3.0, 4.0], "float64")
-        part = col.slice(1, 3)
-        assert np.shares_memory(part.data, col.data)
-        assert part.to_pylist() == [None, 3.0]
-
     def test_take_gathers_validity(self):
         col = Column.from_values([1, None, 3], "int64")
         taken = col.take([2, 1, 1, 0])
         assert taken.to_pylist() == [3, None, None, 1]
-
-    def test_filter_keeps_nulls_under_mask(self):
-        col = Column.from_values([1, None, 3], "int64")
-        kept = col.filter(np.array([True, True, False]))
-        assert kept.to_pylist() == [1, None]
-
-    def test_concat_merges_validity(self):
-        a = Column.from_values([1, 2], "int64")
-        b = Column.from_values([None, 4], "int64")
-        both = Column.concat([a, b])
-        assert both.to_pylist() == [1, 2, None, 4]
-        assert both.null_count == 1
 
     def test_as_float64_zero_copy_fast_path(self):
         col = Column.from_values([1.0, 2.0], "float64")
@@ -144,61 +119,6 @@ class TestColumnBuilder:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             ColumnBuilder("int32")
-
-
-class TestBatch:
-    def test_from_rows_with_kinds(self):
-        batch = Batch.from_rows(
-            ["a", "b"], [(1, "x"), (None, None)], ["int64", "object"]
-        )
-        assert batch.column("a").kind == "int64"
-        assert batch.to_rows() == [(1, "x"), (None, None)]
-
-    def test_ragged_batch_rejected(self):
-        with pytest.raises(ValueError):
-            Batch(["a", "b"], [Column.from_values([1], "int64"),
-                               Column.from_values([1, 2], "int64")])
-
-    def test_slice_take_filter(self):
-        batch = Batch.from_rows(["v"], [(i,) for i in range(6)], ["int64"])
-        assert batch.slice(2, 4).to_rows() == [(2,), (3,)]
-        assert batch.take([5, 0]).to_rows() == [(5,), (0,)]
-        mask = np.array([True, False] * 3)
-        assert batch.filter(mask).to_rows() == [(0,), (2,), (4,)]
-
-    def test_kinds_for_schema(self):
-        db = Database()
-        t = db.create_table("t", [("i", INTEGER), ("f", FLOAT),
-                                  ("s", TEXT), ("d", DATE)])
-        assert kinds_for_schema(t.schema) == [
-            "int64", "float64", "object", "object"
-        ]
-
-
-class TestChunkedBatch:
-    def _chunked(self):
-        mk = lambda lo, hi: Batch.from_rows(
-            ["v"], [(i,) for i in range(lo, hi)], ["int64"]
-        )
-        return ChunkedBatch(["v"], [mk(0, 3), mk(3, 3), mk(3, 7)])
-
-    def test_empty_chunks_dropped(self):
-        cb = self._chunked()
-        assert len(cb.chunks) == 2 and cb.num_rows == 7
-
-    def test_column_spans_chunks(self):
-        assert self._chunked().column("v").to_pylist() == list(range(7))
-
-    def test_slice_spans_chunks(self):
-        cb = self._chunked()
-        assert cb.slice(2, 5).to_rows() == [(2,), (3,), (4,)]
-        # A slice covering a whole chunk reuses it without copying.
-        assert cb.slice(0, 7).chunks[0] is cb.chunks[0]
-
-    def test_combine(self):
-        combined = self._chunked().combine()
-        assert isinstance(combined, Batch)
-        assert combined.to_rows() == [(i,) for i in range(7)]
 
 
 @pytest.fixture
@@ -262,12 +182,6 @@ class TestTableColumnar:
         assert col.to_pylist()[:3] == [1.0, 2.0, None]
         raw = table._columns[1]._data  # noqa: SLF001 - asserting zero-copy
         assert np.shares_memory(col.data, raw)
-
-    def test_batches_cover_all_rows(self, table):
-        batches = list(table.batches(chunk_rows=3))
-        assert [b.num_rows for b in batches] == [3, 3, 3, 1]
-        rows = [r for b in batches for r in b.iter_rows()]
-        assert rows == list(table.rows)
 
     def test_memory_bytes_row_vs_columnar(self, table):
         columnar = table.memory_bytes()

@@ -89,8 +89,6 @@ class TestExecution:
         from repro.relational.stats import ExecutionStats
 
         a = ExecutionStats(rows_scanned=5, pairs_examined=2)
-        a.record_operator("x", 1)
         b = ExecutionStats(rows_scanned=3)
-        b.record_operator("x", 2)
         a.merge(b)
-        assert a.rows_scanned == 8 and a.operator_rows["x"] == 3
+        assert a.rows_scanned == 8 and a.pairs_examined == 2

@@ -98,3 +98,59 @@ class TestWindowOperator:
     def test_label_mentions_frame(self, db):
         op = WindowOperator(db.scan("t"), [spec()])
         assert "ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING" in op.label()
+
+
+class TestFactorWindowSharing:
+    """share_derivation: a MIN/MAX clause is derived from a narrower
+    sibling; a clause nobody derives from pays nothing for the option."""
+
+    @pytest.fixture
+    def wrapped(self, monkeypatch):
+        from repro.sql import window_exec
+
+        calls = []
+        real = window_exec._as_complete_sequence
+
+        def counting(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(window_exec, "_as_complete_sequence", counting)
+        return calls
+
+    def test_lone_clause_is_never_wrapped_as_a_source(self, db, wrapped):
+        wide = spec("MAX", sliding(15, 15))
+        shared = WindowOperator(db.scan("t"), [wide], share_derivation=True)
+        plain = WindowOperator(db.scan("t"), [wide])
+        assert db.run(shared).rows == db.run(plain).rows
+        assert wrapped == []
+        assert "derived" not in shared.analyze_extra
+
+    def test_single_wide_max_under_cost_planner(self, wrapped):
+        db = Database()
+        db.create_table("seq", [("pos", INTEGER), ("val", FLOAT)],
+                        primary_key=["pos"])
+        db.insert("seq", [(i, float((i * 37) % 101)) for i in range(1, 2001)])
+        sql = ("SELECT pos, MAX(val) OVER (ORDER BY pos ROWS BETWEEN 300 "
+               "PRECEDING AND 300 FOLLOWING) AS m FROM seq ORDER BY pos")
+        assert db.sql(sql, planner="cost").rows == db.sql(sql, planner="rule").rows
+        assert wrapped == []
+
+    def test_wider_sibling_is_still_derived(self, db, wrapped):
+        narrow = spec("MAX", sliding(2, 1), name="a")
+        wide = spec("MAX", sliding(4, 2), name="b")
+        shared = WindowOperator(db.scan("t"), [narrow, wide], share_derivation=True)
+        plain = WindowOperator(db.scan("t"), [narrow, wide])
+        assert db.run(shared).rows == db.run(plain).rows
+        assert shared.analyze_extra["derived"] == 1
+        # Only the clause with a later sibling became a source.
+        assert wrapped == [sliding(2, 1)]
+
+    def test_identical_sibling_is_deduped_not_a_reason_to_wrap(self, db, wrapped):
+        twice = [spec("MIN", sliding(3, 3), name="a"),
+                 spec("MIN", sliding(3, 3), name="b")]
+        shared = WindowOperator(db.scan("t"), twice, share_derivation=True)
+        rows = db.run(shared).rows
+        assert all(r[-1] == r[-2] for r in rows)
+        assert shared.analyze_extra["deduped"] == 1
+        assert wrapped == []

@@ -1,4 +1,4 @@
-"""PagedTable end to end: out-of-core reads, write-through, clone, batches."""
+"""PagedTable end to end: out-of-core reads, write-through, clone, scans."""
 
 import datetime
 
@@ -157,14 +157,15 @@ class TestMutation:
         assert loaded.table("t").row(0)[1] != 555.0
 
 
-class TestBatches:
-    def test_batches_stream_under_tight_budget(self, paged):
+class TestScans:
+    def test_scan_streams_under_tight_budget(self, paged):
         ref, loaded = paged
-        got = []
-        for batch in loaded.table("t").batches(chunk_rows=128):
-            got.extend(batch.iter_rows())
-        assert got == list(ref.table("t").rows)
+        got = loaded.run(loaded.scan("t"))
+        assert got.rows == list(ref.table("t").rows)
+        assert got.stats.rows_scanned == ROWS
         assert loaded.buffer_pool.occupancy_bytes() <= 2048
+        assert loaded.buffer_pool.evictions > 0
+        assert loaded.table("t").is_paged  # streamed, not hydrated
 
     def test_snapshot_not_cached_under_tight_budget(self, paged):
         _ref, loaded = paged

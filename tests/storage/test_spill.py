@@ -138,21 +138,23 @@ class TestEngineUnderBudget:
         assert len(got) == len(reference)
         for r, g in zip(reference, got):
             # COUNT/MIN/MAX and group order are exact; SUM/AVG partials
-            # may differ in the last ulp (documented, same as the batch
-            # plane's pairwise summation).
+            # may differ in the last ulp (documented, DESIGN.md §5j).
             assert (g[0], g[2], g[3], g[4]) == (r[0], r[2], r[3], r[4])
             assert g[1] == pytest.approx(r[1], rel=1e-12)
 
-    def test_aggregate_batch_plane_under_budget(self):
-        from repro.sql.parser import parse_query
-        from repro.sql.planner import build_plan
+    def test_aggregate_partitions_actually_spill(self):
+        # 9000 rows cross the operator's 4096-row spill check twice, so the
+        # answer below really is a merge of spilled partials.
+        from repro.obs import runtime
+        from repro.obs.metrics import MetricsRegistry
 
-        db = build_db(4000)
-        plan = build_plan(db, parse_query(AGG_SQL))
-        reference = db.run_batches(plan).to_rows()
+        db = build_db(9000)
+        reference = db.sql(AGG_SQL).rows
         db.memory_budget_bytes = 1024
-        plan2 = build_plan(db, parse_query(AGG_SQL))
-        got = db.run_batches(plan2).to_rows()
+        registry = MetricsRegistry()
+        with runtime.use(registry=registry):
+            got = db.sql(AGG_SQL).rows
+        assert registry.value("repro_spill_blocks_total") >= 2
         assert len(got) == len(reference)
         for r, g in zip(reference, got):
             assert (g[0], g[2], g[3], g[4]) == (r[0], r[2], r[3], r[4])

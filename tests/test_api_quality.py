@@ -70,6 +70,56 @@ class TestExports:
         assert repro.__version__.count(".") == 2
 
 
+class TestOneOperatorPlane:
+    """Operators have one execution protocol: subclasses implement
+    ``execute``; callers pull through the base class's ``run``."""
+
+    @staticmethod
+    def _operator_classes():
+        from repro.relational.operators import Operator
+
+        found = [
+            obj
+            for module in MODULES
+            for obj in vars(module).values()
+            if inspect.isclass(obj)
+            and issubclass(obj, Operator)
+            and obj is not Operator
+            and obj.__module__ == module.__name__
+        ]
+        assert len(found) >= 14
+        return Operator, found
+
+    def test_base_class_has_one_overridable_execution_method(self):
+        base, _subclasses = self._operator_classes()
+        takes_stats = {
+            name
+            for name, fn in vars(base).items()
+            if inspect.isfunction(fn) and "stats" in inspect.signature(fn).parameters
+        }
+        # execute is the hook; run (and its measuring half) is the caller's
+        # entry point, which no subclass may replace.
+        assert takes_stats == {"execute", "run", "_measured"}
+
+    def test_subclasses_define_execute_and_no_second_protocol(self):
+        _base, subclasses = self._operator_classes()
+        for cls in subclasses:
+            assert "execute" in vars(cls), cls.__name__
+            rivals = [
+                name
+                for name in vars(cls)
+                if name in ("run", "_measured")
+                or (name.startswith(("execute", "run_")) and name != "execute")
+            ]
+            assert rivals == [], (cls.__name__, rivals)
+
+    def test_columns_package_exports_no_batch_type(self):
+        import repro.columns
+
+        assert not [n for n in repro.columns.__all__ if "batch" in n.lower()]
+        assert not hasattr(repro.columns, "Batch")
+
+
 class TestErrorHierarchy:
     def test_all_errors_derive_from_repro_error(self):
         from repro import errors
