@@ -40,7 +40,6 @@ from repro.core import (
     apply_delete,
     apply_insert,
     apply_update,
-    compute,
     compute_naive,
     compute_pipelined,
     cumulative,
@@ -112,7 +111,6 @@ __all__ = [
     "apply_delete",
     "apply_insert",
     "apply_update",
-    "compute",
     "compute_naive",
     "compute_parallel",
     "compute_pipelined",

@@ -168,14 +168,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     query = args.query or (
         "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 "
         "PRECEDING AND 1 FOLLOWING) AS s FROM seq ORDER BY pos")
-    options = {"algorithm": args.algorithm, "planner": args.planner}
-    if not args.use_views:
-        options["use_views"] = False
-    if args.analyze:
-        print(wh.explain_analyze(query, **options))
-    else:
-        options.pop("use_views", None)
-        print(wh.explain(query, **options))
+    explain = wh.explain_analyze if args.analyze else wh.explain
+    print(explain(query, algorithm=args.algorithm, use_views=args.use_views))
     return 0
 
 
@@ -978,9 +972,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="SELECT to explain (default: the demo's "
                               "derivable window (3,1) query)")
     explain.add_argument("--rows", type=int, default=200)
-    explain.add_argument("--planner", choices=["rule", "cost"], default="rule",
-                         help="planner mode: heuristic rules or the "
-                              "statistics-driven cost model")
     explain.add_argument("--algorithm", choices=["auto", "maxoa", "minoa"],
                          default="auto")
     explain.add_argument("--native", dest="use_views", action="store_false",

@@ -17,7 +17,7 @@ This package is self-contained (no engine dependencies) and implements:
 
 from repro.core.aggregates import ALL_AGGREGATES, AVG, COUNT, MAX, MIN, SUM, Aggregate, by_name
 from repro.core.complete import CompleteSequence
-from repro.core.compute import OpCounter, compute, compute_naive, compute_pipelined
+from repro.core.compute import OpCounter, compute_naive, compute_pipelined
 from repro.core.derivation import DerivationPlan, derivable, derive, plan, prefix_up_to
 from repro.core.maintenance import MaintenanceResult, apply_delete, apply_insert, apply_update
 from repro.core.positions import PositionFunction
@@ -63,7 +63,6 @@ __all__ = [
     "apply_insert",
     "apply_update",
     "by_name",
-    "compute",
     "compute_naive",
     "compute_pipelined",
     "compute_vectorized",

@@ -42,7 +42,7 @@ from repro.core.aggregates import AVG, COUNT, MAX, MIN, SUM, Aggregate
 from repro.core.window import WindowSpec
 from repro.errors import SequenceError
 
-__all__ = ["OpCounter", "compute_naive", "compute_pipelined", "compute"]
+__all__ = ["OpCounter", "compute_naive", "compute_pipelined"]
 
 
 def _require_nonempty(raw: Sequence[float]) -> None:
@@ -232,36 +232,3 @@ def compute_pipelined(
     if aggregate in (MIN, MAX):
         return _pipelined_minmax(raw, l, h, aggregate, counter)
     raise SequenceError(f"no pipelined form for {aggregate.name}")
-
-
-def compute(
-    raw: Sequence[float],
-    window: WindowSpec,
-    aggregate: Aggregate = SUM,
-    *,
-    strategy: str = "pipelined",
-    counter: Optional[OpCounter] = None,
-) -> List[float]:
-    """Compute ``[x̃_1, ..., x̃_n]`` with the chosen strategy.
-
-    Args:
-        strategy: ``"pipelined"`` (default), ``"naive"``, ``"vectorized"``,
-            or ``"parallel"`` (chunked execution with the default
-            :class:`~repro.parallel.config.ExecutionConfig`).
-
-    Raises:
-        SequenceError: on empty input or an unknown strategy.
-    """
-    if strategy == "parallel":
-        from repro.parallel.compute import compute_parallel
-
-        return compute_parallel(raw, window, aggregate)
-    if strategy == "pipelined":
-        return compute_pipelined(raw, window, aggregate, counter)
-    if strategy == "naive":
-        return compute_naive(raw, window, aggregate, counter)
-    if strategy == "vectorized":
-        from repro.core.vectorized import compute_vectorized
-
-        return compute_vectorized(raw, window, aggregate)
-    raise SequenceError(f"unknown computation strategy {strategy!r}")

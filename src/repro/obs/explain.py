@@ -43,11 +43,10 @@ def explain_analyze_plan(db: Any, plan: Any) -> Tuple[str, Any]:
     elapsed = time.perf_counter() - start
     db.publish(stats)
     lines = [render_annotated(plan, probe.measures)]
-    mode = getattr(plan, "planner_mode", None)
-    if mode is not None:
-        lines.append(f"Planner: {mode}")
-        for note in getattr(plan, "planner_notes", ()) or ():
-            lines.append(f"  {note}")
+    notes = getattr(plan, "planner_notes", ())
+    if notes:
+        lines.append("Planner:")
+        lines.extend(f"  {note}" for note in notes)
     lines.append(f"Execution time: {elapsed * 1000:.3f} ms")
     lines.append(f"Stats: {result.stats.summary()}")
     text = "\n".join(lines)

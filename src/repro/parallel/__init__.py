@@ -8,11 +8,11 @@ BY groups and within long sequences on thread or process pools.
 
 Public surface:
 
-* :class:`ExecutionConfig` — jobs / chunk_size / backend / kernel knobs;
+* :class:`ExecutionConfig` — jobs / chunk_size / backend knobs;
 * :class:`Partitioner` / :class:`Chunk` — overlap-carrying work splitting;
 * :class:`ExecutorPool` — ordered map over serial/thread/process backends;
 * :func:`compute_parallel` / :func:`compute_grouped_parallel` — the chunked
-  counterparts of :func:`repro.core.compute.compute`;
+  counterparts of :func:`repro.core.compute.compute_pipelined`;
 * :func:`evaluate_positions` — pool-assisted explicit evaluation of
   scattered positions (maintenance bands);
 * :mod:`repro.parallel.health` — process-wide broken-backend registry the
@@ -25,13 +25,12 @@ from repro.parallel.compute import (
     compute_parallel,
     evaluate_positions,
 )
-from repro.parallel.config import BACKENDS, KERNELS, ExecutionConfig
+from repro.parallel.config import BACKENDS, ExecutionConfig
 from repro.parallel.executor import ExecutorPool
 from repro.parallel.partitioner import Chunk, Partitioner
 
 __all__ = [
     "BACKENDS",
-    "KERNELS",
     "Chunk",
     "ExecutionConfig",
     "ExecutorPool",

@@ -1,14 +1,15 @@
 """Chunked (partition-parallel) sequence computation.
 
 :func:`compute_parallel` is the parallel counterpart of
-:func:`repro.core.compute.compute` — same inputs, same outputs, evaluated
-as independent chunks on an :class:`~repro.parallel.executor.ExecutorPool`:
+:func:`repro.core.compute.compute_pipelined` — same inputs, same outputs,
+evaluated as independent chunks on an
+:class:`~repro.parallel.executor.ExecutorPool`:
 
 1. the :class:`~repro.parallel.partitioner.Partitioner` cuts the sequence
    into chunks whose payloads carry the ``l``-row header / ``h``-row
    trailer overlap (sliding windows) or plain raw slices (cumulative);
-2. every chunk is evaluated independently by a worker running the scalar
-   pipelined or NumPy vectorized kernel over its padded payload;
+2. every chunk is evaluated independently by a worker running the NumPy
+   vectorized kernel over its padded payload;
 3. the merge concatenates core slices **in chunk order** — and, for
    cumulative windows, folds the carry-in prefix state (running SUM /
    COUNT offset / extremum of all earlier chunks) into each chunk's local
@@ -35,6 +36,7 @@ import numpy as np
 
 from repro.core.aggregates import AVG, COUNT, MAX, MIN, SUM, Aggregate, by_name
 from repro.core.sequence import SequenceSpec
+from repro.core.vectorized import compute_vectorized
 from repro.core.window import WindowSpec
 from repro.errors import ParallelError, SequenceError
 from repro.parallel.config import ExecutionConfig
@@ -66,7 +68,6 @@ class _ChunkTask:
     l: int
     h: int
     worker_aggregate: str
-    kernel: str
     group: int
     index: int
 
@@ -91,25 +92,15 @@ def _run_chunk(task: _ChunkTask) -> np.ndarray:
     """
     window = _task_window(task)
     aggregate = by_name(task.worker_aggregate)
-    if task.kernel == "pipelined":
-        from repro.core.compute import compute_pipelined
-
-        values = np.asarray(
-            compute_pipelined(task.payload.tolist(), window, aggregate),
-            dtype=np.float64,
-        )
-    else:
-        from repro.core.vectorized import compute_vectorized
-
-        values = np.asarray(
-            compute_vectorized(task.payload, window, aggregate), dtype=np.float64
-        )
+    values = np.asarray(
+        compute_vectorized(task.payload, window, aggregate), dtype=np.float64
+    )
     if window.is_cumulative:
         return values
     return values[task.offset : task.offset + task.core_len]
 
 
-def _make_task(chunk: Chunk, window: WindowSpec, aggregate: Aggregate, kernel: str) -> _ChunkTask:
+def _make_task(chunk: Chunk, window: WindowSpec, aggregate: Aggregate) -> _ChunkTask:
     worker_agg = aggregate
     if window.is_cumulative and aggregate is AVG:
         worker_agg = SUM  # merge divides by the global position
@@ -121,7 +112,6 @@ def _make_task(chunk: Chunk, window: WindowSpec, aggregate: Aggregate, kernel: s
         l=window.l,
         h=window.h,
         worker_aggregate=worker_agg.name,
-        kernel="pipelined" if kernel == "pipelined" else "vectorized",
         group=chunk.group,
         index=chunk.index,
     )
@@ -217,7 +207,7 @@ def compute_grouped_parallel(
     """
     cfg = config or ExecutionConfig()
     chunks = Partitioner(cfg).plan(groups, window)
-    tasks = [_make_task(c, window, aggregate, _resolve_kernel(cfg)) for c in chunks]
+    tasks = [_make_task(c, window, aggregate) for c in chunks]
     if pool is not None:
         results = pool.map(_run_chunk, tasks)
     else:
@@ -231,10 +221,6 @@ def compute_grouped_parallel(
         parts = [v for _, v in sorted(by_group[g], key=lambda item: item[0])]
         out.append(_merge_group(parts, window, aggregate))
     return out
-
-
-def _resolve_kernel(config: ExecutionConfig) -> str:
-    return "vectorized" if config.kernel == "auto" else config.kernel
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@ planner down to the chunked sequence kernels.  It decides
 * **how many workers** run concurrently (``jobs``; ``0`` = one per CPU),
 * **how work is split** (``chunk_size`` — the minimum number of core
   positions per chunk; long sequences are cut into roughly equal chunks of
-  at least this size),
+  at least this size), and
 * **where chunks run** (``backend`` — ``"serial"``, ``"thread"``, or
-  ``"process"``), and
-* **which kernel** evaluates a chunk (``kernel`` — ``"auto"`` picks the
-  NumPy :func:`~repro.core.vectorized.compute_vectorized` bulk path,
-  ``"pipelined"`` forces the paper's scalar recursion).
+  ``"process"``).
+
+Every chunk is evaluated by the NumPy
+:func:`~repro.core.vectorized.compute_vectorized` bulk kernel.
 
 The default configuration is strictly serial and byte-for-byte equivalent
 to the historical single-threaded engine, so existing callers are
@@ -27,10 +27,9 @@ from typing import Optional
 
 from repro.errors import ParallelError
 
-__all__ = ["BACKENDS", "KERNELS", "ExecutionConfig"]
+__all__ = ["BACKENDS", "ExecutionConfig"]
 
 BACKENDS = ("serial", "thread", "process")
-KERNELS = ("auto", "pipelined", "vectorized")
 
 
 @dataclass(frozen=True)
@@ -46,8 +45,6 @@ class ExecutionConfig:
             (``ThreadPoolExecutor`` — NumPy kernels release the GIL), or
             ``"process"`` (``ProcessPoolExecutor`` — NumPy-backed chunks are
             pickled to worker processes).
-        kernel: per-chunk computation kernel (``"auto"``/``"pipelined"``/
-            ``"vectorized"``).
         task_timeout: per-task result deadline in seconds for pool backends
             (``None`` waits forever; ignored by the serial path, which
             cannot be preempted).
@@ -63,7 +60,6 @@ class ExecutionConfig:
     jobs: int = 1
     chunk_size: int = 65536
     backend: str = "serial"
-    kernel: str = "auto"
     task_timeout: Optional[float] = None
     max_retries: int = 2
     retry_backoff: float = 0.05
@@ -73,10 +69,6 @@ class ExecutionConfig:
         if self.backend not in BACKENDS:
             raise ParallelError(
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
-            )
-        if self.kernel not in KERNELS:
-            raise ParallelError(
-                f"unknown kernel {self.kernel!r}; expected one of {KERNELS}"
             )
         if self.jobs < 0:
             raise ParallelError(f"jobs must be >= 0, got {self.jobs}")
@@ -118,7 +110,7 @@ class ExecutionConfig:
         """One-line human-readable summary (used by EXPLAIN and the CLI)."""
         text = (
             f"backend={self.backend} jobs={self.resolved_jobs} "
-            f"chunk_size={self.chunk_size} kernel={self.kernel}"
+            f"chunk_size={self.chunk_size}"
         )
         if self.task_timeout is not None:
             text += f" timeout={self.task_timeout:g}s"

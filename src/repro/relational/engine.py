@@ -248,10 +248,11 @@ class Database:
         """Execute a SELECT and render the plan tree with actual rows,
         per-operator inclusive wall time and strategy decisions."""
         from repro.obs.explain import explain_analyze_plan
+        from repro.sql.options import QueryOptions
         from repro.sql.parser import parse_query
         from repro.sql.planner import build_plan
 
-        plan = build_plan(self, parse_query(text), **options)
+        plan = build_plan(self, parse_query(text), QueryOptions.build(options))
         rendered, _result = explain_analyze_plan(self, plan)
         return rendered
 

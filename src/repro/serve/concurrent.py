@@ -67,7 +67,6 @@ def _warehouse_at(snapshot: Snapshot, execution) -> DataWarehouse:
     wh.db = db
     wh.cache = None
     wh.execution = execution
-    wh.planner = "rule"
     wh.slow_queries = None
     wh.incidents = []
     wh._concurrent_owner = None

@@ -42,6 +42,7 @@ from repro.errors import (
     BackpressureError,
     InjectedFault,
     NotPrimaryError,
+    PlanError,
     ProtocolError,
     ReplicationError,
     ServeError,
@@ -49,6 +50,7 @@ from repro.errors import (
 from repro.parallel.config import ExecutionConfig
 from repro.serve import protocol
 from repro.serve.concurrent import ConcurrentWarehouse
+from repro.sql.options import QueryOptions
 
 __all__ = ["ServeServer", "Session"]
 
@@ -332,7 +334,7 @@ class ServeServer:
         sql = request.get("sql")
         if not isinstance(sql, str) or not sql.strip():
             raise ProtocolError("query op needs a non-empty 'sql' string")
-        options = dict(request.get("options", {}))
+        options = self._query_options(request.get("options", {}))
         hold_ms = float(request.get("hold_ms", 0.0))
         if self._inflight >= self.max_queue:
             self._registry().counter(
@@ -385,6 +387,24 @@ class ServeServer:
             # the flag tells clients the answer may trail the (dead) primary.
             payload["stale"] = True
         return payload
+
+    @staticmethod
+    def _query_options(raw: Any) -> Dict[str, Any]:
+        """Check a request's ``options`` before the query is admitted.
+
+        Anything but an object of known query options with values inside
+        their domains is a protocol error — including ``config``,
+        ``session`` and ``hold_ms``, which are the server's to set.
+        """
+        if not isinstance(raw, dict):
+            raise ProtocolError(
+                f"query 'options' must be a JSON object, got {type(raw).__name__}"
+            )
+        try:
+            QueryOptions.build(raw)
+        except PlanError as exc:
+            raise ProtocolError(f"bad query options: {exc}") from None
+        return raw
 
     def _query_on_worker(self, session, sql, hold_ms, options, ctx=None):
         from repro.obs import runtime

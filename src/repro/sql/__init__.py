@@ -18,6 +18,7 @@ from repro.sql.ast_nodes import (
     WindowCall,
 )
 from repro.sql.lexer import Token, tokenize
+from repro.sql.options import QueryOptions
 from repro.sql.parser import parse_expression, parse_select
 from repro.sql.patterns import (
     maxoa_pattern,
@@ -35,6 +36,7 @@ __all__ = [
     "FrameSpec",
     "OrderItem",
     "OverClause",
+    "QueryOptions",
     "SelectItem",
     "SelectStmt",
     "TableRef",

@@ -3,13 +3,11 @@
 The SQL builder (:mod:`repro.sql.planner`) lowers a SELECT to a tree of
 these nodes first; the :class:`~repro.sql.planner.PhysicalPlanner` then
 maps each logical node to a physical operator, estimating cardinalities
-and costs along the way and — under ``planner="cost"`` — choosing the
-window execution strategy, the parallelism placement, and the sharing
-rewrites from those estimates.
+and costs along the way and — where statistics are fresh — choosing the
+window kernel and the sharing rewrites from those estimates.
 
 Logical nodes know their output *schema* (needed for binding checks while
-the statement is being built) but carry no execution state: the same
-logical tree can be lowered under different planner modes.  Schema rules
+the statement is being built) but carry no execution state.  Schema rules
 mirror the physical operators exactly — a logical plan that binds lowers
 to a physical plan that binds.
 

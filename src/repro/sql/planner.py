@@ -17,17 +17,13 @@ logical→physical split:
    :class:`~repro.stats.catalog.StatsCatalog` (annotated as
    ``analyze_est`` so EXPLAIN ANALYZE can show estimated vs. actual).
 
-Two planner modes:
-
-* ``planner="rule"`` (default) — the historical fixed rules: serial
-  pipelined window kernels, parallelism exactly as configured.  Estimates
-  are still annotated, but never change the plan.
-* ``planner="cost"`` — the estimates *choose*: window kernel
-  (pipelined vs. vectorized), parallelism placement (a parallel
-  ExecutionConfig is dropped when the estimated rows cannot amortize the
-  pool), and the multi-window factor-derivation sharing rewrite.  Stale
-  or absent statistics degrade every choice back to the rule-based
-  default, never to a wrong answer.
+There is one planner.  The serial window kernel (pipelined vs.
+vectorized, for the bit-identical MIN/MAX/COUNT kernels only) and the
+multi-window factor-derivation sharing follow the estimates when every
+contributing base table has *fresh* statistics and take their defaults
+(pipelined, no sharing) otherwise: never a wrong answer.  A parallel
+``ExecutionConfig`` runs exactly as configured — the partitioner and the
+pool already keep small inputs inline where their size can be observed.
 
 Join planning is deliberately modest (the queries at hand join at most a
 few tables): WHERE conjuncts are pushed to single-table filters where
@@ -46,7 +42,7 @@ Two window-execution strategies implement Table 1's comparison:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import BindError, PlanError, SchemaError, UnsupportedSqlError
@@ -87,7 +83,8 @@ from repro.sql.logical import (
     LWindow,
     LogicalNode,
 )
-from repro.sql.parser import parse_select
+from repro.sql.options import QueryOptions
+from repro.sql.parser import parse_query
 from repro.sql.patterns import self_join_window
 from repro.sql.window_exec import WindowColumnSpec, WindowOperator
 from repro.stats.collect import TableStats
@@ -105,37 +102,29 @@ __all__ = [
     "PhysicalPlanner",
 ]
 
-PLANNER_MODES = ("rule", "cost")
-
 
 def execute_sql(db: Database, text: str, **options: Any) -> Result:
     """Parse, plan and run a SELECT statement (or UNION ALL compound)."""
-    from repro.sql.parser import parse_query
-
-    plan = build_plan(db, parse_query(text), **options)
-    return db.run(plan)
+    return db.run(build_plan(db, parse_query(text), QueryOptions.build(options)))
 
 
 def explain_sql(db: Database, text: str, **options: Any) -> str:
     """Plan a statement and render the operator tree (no execution)."""
-    from repro.sql.parser import parse_query
-
-    plan = build_plan(db, parse_query(text), **options)
-    return plan.explain()
+    return build_plan(db, parse_query(text), QueryOptions.build(options)).explain()
 
 
 def build_plan(
     db: Database,
     stmt,
+    options: QueryOptions = QueryOptions(),
     *,
-    window_strategy: str = "native",
-    use_index: Any = "auto",
     exec_config: Any = None,
-    planner: str = "rule",
 ) -> Operator:
     """Lower a SELECT (or UNION ALL compound) AST to an operator tree.
 
     Args:
+        options: the query's :class:`~repro.sql.options.QueryOptions`
+            (``window_strategy`` and ``use_index`` matter here).
         exec_config: optional
             :class:`~repro.parallel.config.ExecutionConfig`; when parallel,
             native window operators evaluate their frames through the
@@ -144,73 +133,26 @@ def build_plan(
             — e.g. a process pool that crashed earlier in this process —
             is downgraded to serial execution at plan time, so queries
             self-heal instead of re-triggering the crash path.
-        planner: ``"rule"`` (fixed rules, the historical behavior) or
-            ``"cost"`` (statistics-driven strategy choice; degrades to the
-            rule-based choice wherever statistics are absent or stale).
     """
     from repro.obs import runtime
 
-    if window_strategy not in ("native", "selfjoin"):
-        raise PlanError(f"unknown window strategy {window_strategy!r}")
-    if planner not in PLANNER_MODES:
-        raise PlanError(f"unknown planner mode {planner!r}")
     with runtime.get_tracer().span(
-        "query.plan", window_strategy=window_strategy, planner=planner
+        "query.plan", window_strategy=options.window_strategy
     ):
-        return _build_plan(
-            db,
-            stmt,
-            window_strategy=window_strategy,
-            use_index=use_index,
-            exec_config=exec_config,
-            planner=planner,
+        logical = build_logical(db, stmt, options)
+        return PhysicalPlanner(db, _route_exec_config(exec_config)).lower_root(
+            logical
         )
 
 
-def _build_plan(
-    db: Database,
-    stmt,
-    *,
-    window_strategy: str,
-    use_index: Any,
-    exec_config: Any,
-    planner: str,
-) -> Operator:
-    exec_config = _route_exec_config(exec_config)
-    logical = build_logical(
-        db,
-        stmt,
-        window_strategy=window_strategy,
-        use_index=use_index,
-        exec_config=exec_config,
-    )
-    return PhysicalPlanner(db, planner=planner, exec_config=exec_config).lower_root(
-        logical
-    )
-
-
 def build_logical(
-    db: Database,
-    stmt,
-    *,
-    window_strategy: str = "native",
-    use_index: Any = "auto",
-    exec_config: Any = None,
+    db: Database, stmt, options: QueryOptions = QueryOptions()
 ) -> LogicalNode:
     """Phase 1: lower the AST to a logical plan (no execution state)."""
     from repro.sql.ast_nodes import CompoundSelect
 
     if isinstance(stmt, CompoundSelect):
-        branches = [
-            build_logical(
-                db,
-                sub,
-                window_strategy=window_strategy,
-                use_index=use_index,
-                exec_config=exec_config,
-            )
-            for sub in stmt.selects
-        ]
+        branches = [build_logical(db, sub, options) for sub in stmt.selects]
         node: LogicalNode = LUnionAll(branches)
         if stmt.order_by:
             keys = []
@@ -225,20 +167,17 @@ def build_logical(
         if stmt.limit is not None:
             node = LLimit(node, stmt.limit)
         return node
-    builder = _LogicalBuilder(db, stmt, window_strategy, use_index, exec_config)
-    return builder.build()
+    return _LogicalBuilder(db, stmt, options).build()
 
 
 def _route_exec_config(exec_config: Any) -> Any:
     """Self-healing backend routing: avoid pool backends known to be broken.
 
-    Keeps the rest of the configuration (kernel, chunking) intact — only
+    Keeps the rest of the configuration (chunking, retries) intact — only
     the placement changes, so results stay identical.
     """
     if exec_config is None or not getattr(exec_config, "is_parallel", False):
         return exec_config
-    from dataclasses import replace
-
     from repro.parallel import health
 
     if health.is_broken(exec_config.backend):
@@ -257,19 +196,10 @@ def _binds(expr: Expr, schema) -> bool:
 class _LogicalBuilder:
     """Lower one SELECT statement to a logical plan."""
 
-    def __init__(
-        self,
-        db: Database,
-        stmt: SelectStmt,
-        window_strategy: str,
-        use_index: Any,
-        exec_config: Any = None,
-    ) -> None:
+    def __init__(self, db: Database, stmt: SelectStmt, options: QueryOptions) -> None:
         self.db = db
         self.stmt = stmt
-        self.window_strategy = window_strategy
-        self.use_index = use_index
-        self.exec_config = exec_config
+        self.options = options
 
     # -- entry point -------------------------------------------------------------
 
@@ -283,7 +213,7 @@ class _LogicalBuilder:
             plan = self._aggregate(plan)
 
         window_calls = stmt.window_calls()
-        if window_calls and self.window_strategy == "selfjoin":
+        if window_calls and self.options.window_strategy == "selfjoin":
             return self._selfjoin_query(window_calls)
         window_names: List[str] = []
         if window_calls:
@@ -305,9 +235,7 @@ class _LogicalBuilder:
                 sub = build_logical(
                     self.db,
                     t.subquery,
-                    window_strategy="native",
-                    use_index=self.use_index,
-                    exec_config=self.exec_config,
+                    replace(self.options, window_strategy="native"),
                 )
                 scans.append(LAlias(sub, t.binding))
             else:
@@ -488,7 +416,7 @@ class _LogicalBuilder:
             pos_col=pos_col,
             val_col=call.arg.name,
             partition_cols=partition_cols,
-            use_index=self.use_index,
+            use_index=self.options.use_index,
             output_name=out_name,
         )
         plan: LogicalNode = LPhysical(pattern, note="self-join fig.2")
@@ -630,22 +558,18 @@ class PhysicalPlanner:
     Every lowered operator gets an ``analyze_est`` dict
     (``{"est_rows": int, "est_cost": float}``) that EXPLAIN ANALYZE
     renders next to the probe's actuals.  Strategy decisions (recorded in
-    ``planner_notes`` on the root) only deviate from the rule-based
-    defaults under ``planner="cost"`` *and* fresh statistics.
+    ``planner_notes`` on the root) deviate from the defaults only where
+    the statistics under them are fresh.
     """
 
-    def __init__(
-        self, db: Database, *, planner: str = "rule", exec_config: Any = None
-    ) -> None:
+    def __init__(self, db: Database, exec_config: Any = None) -> None:
         self.db = db
-        self.mode = planner
         self.exec_config = exec_config
         self.cost_model = CostModel(db.stats.adaptive)
         self.notes: List[str] = []
 
     def lower_root(self, node: LogicalNode) -> Operator:
         op, _est = self._lower(node)
-        op.planner_mode = self.mode
         op.planner_notes = list(self.notes)
         return op
 
@@ -788,75 +712,48 @@ class PhysicalPlanner:
         rows = est.rows
         specs = node.specs
         cm = self.cost_model
-
-        parallel_ok = self.exec_config is not None and getattr(
-            self.exec_config, "is_parallel", False
-        )
-        jobs = self.exec_config.jobs if parallel_ok else 1
         groups = self._estimate_groups(specs, est)
-        # The vectorized route is admissible only when it is bit-identical
-        # to the pipelined kernel: MIN/MAX (comparisons only) and COUNT
-        # (integer-exact).  SUM/AVG would reorder float summation, and a
-        # cost-based plan must never change results.
-        vector_ok = all(
-            not s.is_ranking
-            and not s.is_range
-            and s.window is not None
-            and s.func in ("MIN", "MAX", "COUNT")
-            for s in specs
-        )
-
-        def total(strategy: str) -> float:
-            out = 0.0
-            for spec in specs:
-                width = _spec_width(spec)
-                if strategy == "vectorized" and spec.func in ("MIN", "MAX") and (
-                    spec.window is not None and spec.window.is_sliding
-                ):
-                    # The strided MIN/MAX kernel does O(n·w) comparisons.
-                    out += cm.window_cost("vectorized", rows * width)
-                else:
-                    out += cm.window_cost(
-                        strategy, rows, width=width, jobs=jobs, groups=groups
-                    )
-            return out
-
+        label = f"window[{','.join(s.name for s in specs)}]"
         kernel = "pipelined"
-        share = False
-        op_config = self.exec_config
-        chosen = "parallel" if parallel_ok else "pipelined"
-        if self.mode == "cost" and est.fresh:
-            share = True
-            candidates = {"pipelined": total("pipelined")}
-            if vector_ok:
-                candidates["vectorized"] = total("vectorized")
-            if parallel_ok:
-                candidates["parallel"] = total("parallel")
-            chosen = min(
-                candidates, key=lambda s: (candidates[s], s != "pipelined")
+        config = self.exec_config
+        if config is not None and getattr(config, "is_parallel", False):
+            # Parallelism is the caller's configuration, not a plan choice.
+            wcost = sum(
+                cm.window_cost(
+                    "parallel", rows, jobs=config.resolved_jobs, groups=groups
+                )
+                for _ in specs
             )
-            if chosen == "vectorized":
-                kernel = "vectorized"
-                op_config = None
-            elif chosen == "pipelined":
-                # Includes the parallel->serial downgrade for small inputs.
-                op_config = None
-            wcost = candidates[chosen]
+            self.notes.append(f"{label}: parallel (as configured: {config.describe()})")
+        elif est.fresh:
+            # The vectorized route is admissible only when it is
+            # bit-identical to the pipelined kernel: MIN/MAX (comparisons
+            # only) and COUNT (integer-exact).  SUM/AVG would reorder float
+            # summation, and a plan choice must never change results.
+            vector_ok = all(
+                not s.is_ranking
+                and not s.is_range
+                and s.window is not None
+                and s.func in ("MIN", "MAX", "COUNT")
+                for s in specs
+            )
+            kernel, candidates = cm.choose_window_kernel(
+                rows, [(s.func, _spec_width(s)) for s in specs], vector_ok=vector_ok
+            )
+            wcost = candidates[kernel]
             self.notes.append(
-                f"window[{','.join(s.name for s in specs)}]: {chosen} "
+                f"{label}: {kernel} "
                 f"(est_rows={int(rows)}, est_groups={int(groups)}, "
                 f"est_cost={wcost:.1f}, "
                 f"alternatives={ {k: round(v, 1) for k, v in candidates.items()} })"
             )
         else:
-            wcost = total(chosen)
-            if self.mode == "cost":
-                self.notes.append(
-                    f"window[{','.join(s.name for s in specs)}]: {chosen} "
-                    "(rule fallback: statistics absent or stale)"
-                )
+            wcost = sum(cm.window_cost("pipelined", rows) for _ in specs)
+            self.notes.append(
+                f"{label}: pipelined (default: statistics absent or stale)"
+            )
         op = WindowOperator(
-            child, specs, op_config, kernel=kernel, share_derivation=share
+            child, specs, config, kernel=kernel, share_derivation=est.fresh
         )
         return op, _Est(rows, est.cost + wcost, est.fresh, est.table)
 

@@ -1,26 +1,29 @@
 """Query rewriting against materialized reporting-function views.
 
 Given a parsed reporting-function query and the warehouse's registered
-views, the rewriter (1) asks the matcher for candidate views, (2) picks the
-cheapest, and (3) executes the derivation — either
+views, :func:`plan_rewrite` makes the one rewrite decision — (1) asks the
+matcher for candidate views and takes the cheapest, (2) declines it when
+fresh statistics say a base-table recompute is cheaper, (3) picks the
+derivation algorithm and (4) the route:
 
-* **relationally** (``mode="relational"``): the fig. 10 / fig. 13 operator
-  patterns against the view's storage table (the route the paper's
-  evaluation measures), available for unpartitioned SUM/COUNT views; or
-* **in memory** (``mode="memory"``): the explicit/recursive derivation
-  forms over the view's in-memory mirror — needed for partitioned views,
-  MIN/MAX, prefix derivations and the section-6 reductions.
+* **relational**: the fig. 10 / fig. 13 operator patterns against the
+  view's storage table (the route the paper's evaluation measures),
+  available for SUM/COUNT views; or
+* **memory**: the explicit/recursive derivation forms over the view's
+  in-memory mirror — needed for MIN/MAX, prefix derivations and the
+  section-6 reductions.
 
-``mode="auto"`` prefers the relational route when available, mirroring a
-real engine that rewrites the SQL plan.  The rewritten result is returned
-as a normal :class:`~repro.relational.engine.Result` plus a
-:class:`RewriteInfo` describing what happened — warehouse ``EXPLAIN``
-surfaces it.
+``mode="auto"`` takes the relational route when a pattern exists,
+mirroring a real engine that rewrites the SQL plan; the pattern is built
+at plan time, which is how the corner cases it cannot express (e.g. the
+MinOA residue collision) are found.  The resulting :class:`RewritePlan`
+is what :func:`try_rewrite` runs and what warehouse ``EXPLAIN`` prints,
+so the two cannot disagree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import derivation as core_derivation
@@ -29,10 +32,12 @@ from repro.core.window import WindowSpec
 from repro.errors import DerivationError, NoRewriteError
 from repro.relational.engine import Database, Result
 from repro.relational.expr import ColumnRef
+from repro.relational.operators import Operator
 from repro.relational.schema import Column, Schema
 from repro.relational.stats import ExecutionStats
 from repro.relational.types import FLOAT
 from repro.sql.ast_nodes import SelectStmt, WindowCall
+from repro.sql.options import QueryOptions
 from repro.sql.patterns import (
     maxoa_pattern,
     minoa_pattern,
@@ -42,14 +47,21 @@ from repro.sql.patterns import (
 from repro.views.matcher import Match, QueryShape, rank_matches
 from repro.views.materialized import MaterializedSequenceView
 
-__all__ = ["RewriteInfo", "describe_rewrite", "estimate_route_costs", "try_rewrite"]
+__all__ = [
+    "RewriteInfo",
+    "RewritePlan",
+    "estimate_route_costs",
+    "plan_rewrite",
+    "try_rewrite",
+]
 
 Key = Tuple[object, ...]
+LabelledRows = List[Dict[str, object]]
 
 
 @dataclass(frozen=True)
 class RewriteInfo:
-    """Record of a successful rewrite (surfaced by warehouse EXPLAIN)."""
+    """Record of a planned rewrite (surfaced by warehouse EXPLAIN)."""
 
     view: str
     kind: str
@@ -58,50 +70,119 @@ class RewriteInfo:
     variant: Optional[str]
     description: str
 
+    def render(self) -> str:
+        """The ``REWRITE using view ...`` line of warehouse EXPLAIN."""
+        return (
+            f"REWRITE using view {self.view!r} [{self.kind}, "
+            f"{self.algorithm}, {self.mode}"
+            + (f", {self.variant}" if self.variant else "")
+            + f"]: {self.description}"
+        )
+
+
+@dataclass(frozen=True)
+class _Step:
+    """One view derivation of a rewrite plan.
+
+    ``pattern`` is the fig. 10/13 operator tree when the step takes the
+    relational route, ``None`` for the in-memory forms.
+    """
+
+    shape: QueryShape
+    match: Match
+    info: RewriteInfo
+    dplan: Optional[core_derivation.DerivationPlan] = None
+    pattern: Optional[Operator] = None
+
+
+@dataclass(frozen=True)
+class RewritePlan:
+    """How a statement is answered from views: one step per view used (a
+    single match, or the SUM and COUNT components of an AVG)."""
+
+    stmt: SelectStmt
+    shape: QueryShape
+    info: RewriteInfo
+    steps: Tuple[_Step, ...]
+
+    def run(self, db: Database) -> Result:
+        rows, stats = _match_rows(db, self.steps[0])
+        if len(self.steps) == 2:
+            # Section 2.1: "AVG may be directly derived from SUM and
+            # COUNT"; the quotient is taken per output row.
+            count_rows, count_stats = _match_rows(db, self.steps[1])
+            key_cols = list(self.shape.partition_by) + list(self.shape.order_by)
+            counts = {
+                tuple(row[c] for c in key_cols): row["__window__"]
+                for row in count_rows
+            }
+            for row in rows:
+                count = counts.get(tuple(row[c] for c in key_cols))
+                row["__window__"] = row["__window__"] / count if count else None
+            stats.merge(count_stats)
+        return _assemble(db, self.stmt, self.shape, rows, stats)
+
 
 def try_rewrite(
     db: Database,
     stmt: SelectStmt,
     views: Sequence[MaterializedSequenceView],
-    *,
-    algorithm: str = "auto",
-    variant: str = "disjunctive",
-    mode: str = "auto",
-    planner: str = "rule",
+    options: QueryOptions = QueryOptions(),
 ) -> Optional[Tuple[Result, RewriteInfo]]:
-    """Attempt to answer ``stmt`` from a materialized view.
-
-    Returns ``None`` when the statement shape is not rewritable or no view
-    matches; raises only on internal errors of a chosen rewrite.
-
-    Under ``planner="cost"`` (and fresh base-table statistics) the view
-    route is additionally gated on estimated cost: a derivation whose
-    per-position work grows with the sequence length (raw reconstruction,
-    prefix tiling) loses to a base-table recompute at scale, and the
-    rewrite is declined so the planner's base route runs instead.
-    """
-    shape_info = _rewritable_shape(stmt)
-    if shape_info is None:
+    """Answer ``stmt`` from a materialized view: :func:`plan_rewrite`, then
+    run the plan.  ``None`` when the statement is not to be rewritten."""
+    plan = plan_rewrite(db, stmt, views, options)
+    if plan is None:
         return None
-    shape, call = shape_info
+    return plan.run(db), plan.info
+
+
+def plan_rewrite(
+    db: Database,
+    stmt: SelectStmt,
+    views: Sequence[MaterializedSequenceView],
+    options: QueryOptions = QueryOptions(),
+) -> Optional[RewritePlan]:
+    """Decide whether and how ``stmt`` is answered from a view.
+
+    Returns ``None`` when the statement shape is not rewritable, no view
+    matches, or — for a direct match, with fresh base-table statistics and
+    without ``require_rewrite`` — the estimate says a base-table recompute
+    is cheaper: a derivation whose per-position work grows with the
+    sequence length (raw reconstruction, prefix tiling) loses at scale.
+
+    Raises:
+        DerivationError: a forced ``algorithm`` cannot derive the target,
+            or ``mode="relational"`` hit a case the pattern cannot express.
+        NoRewriteError: ``mode="relational"`` where no pattern exists.
+    """
+    shape = _rewritable_shape(stmt)
+    if shape is None:
+        return None
     matches = rank_matches(shape, list(views))
     if matches:
-        if planner == "cost" and not _view_route_wins(db, shape, matches[0]):
+        match = matches[0]
+        # Only a direct match is interchangeable with the base route: a
+        # section-6 ordering reduction answers one row per remaining
+        # ordering value, which the native plan does not reproduce.
+        if (
+            match.kind == "direct"
+            and not options.require_rewrite
+            and not _view_route_wins(db, shape, match)
+        ):
             return None
-        return _execute_match(
-            db, stmt, shape, call, matches[0],
-            algorithm=algorithm, variant=variant, mode=mode,
-        )
+        step = _plan_step(db, shape, match, options)
+        return RewritePlan(stmt, shape, step.info, (step,))
     if shape.func == "AVG":
-        return _try_avg_combination(db, stmt, shape, views, mode=mode)
+        return _plan_avg_combination(db, stmt, shape, views, options)
     return None
 
 
 def _view_route_wins(db: Database, shape: QueryShape, match: Match) -> bool:
     """Cost-compare the matched view route against a base-table recompute.
 
-    True (keep the rewrite) when statistics are absent/stale — the
-    rule-based behavior — or when the view's estimated cost is no worse.
+    True (keep the rewrite) when statistics are absent or stale, or when
+    the view's estimated cost is no worse.
     """
     costs = estimate_route_costs(db, shape, match)
     if costs is None:
@@ -179,141 +260,45 @@ def _per_position_lookups(shape: QueryShape, match: Match, n: float) -> float:
     return max(n / (2.0 * view_width), 1.0)
 
 
-def _try_avg_combination(
+def _plan_avg_combination(
     db: Database,
     stmt: SelectStmt,
     shape: QueryShape,
     views: Sequence[MaterializedSequenceView],
-    *,
-    mode: str,
-) -> Optional[Tuple[Result, RewriteInfo]]:
-    """Answer an AVG reporting function from a SUM view and a COUNT view.
+    options: QueryOptions,
+) -> Optional[RewritePlan]:
+    """Plan an AVG reporting function over a SUM view and a COUNT view.
 
-    Section 2.1: "AVG may be directly derived from SUM and COUNT" — the
-    same holds at the view level.  Both component shapes must be
-    independently answerable; the quotient is taken per output row.
+    Both component shapes must be independently answerable; each picks its
+    own derivation algorithm.
     """
-    from dataclasses import replace
-
-    sum_shape = replace(shape, func="SUM")
-    count_shape = replace(shape, func="COUNT")
-    sum_matches = rank_matches(sum_shape, list(views))
-    count_matches = rank_matches(count_shape, list(views))
-    if not sum_matches or not count_matches:
-        return None
-    component_mode = "memory" if mode == "auto" else mode
-    sum_rows, sum_stats, sum_info = _match_rows(
-        db, sum_shape, sum_matches[0],
-        algorithm="auto", variant="disjunctive", mode=component_mode)
-    count_rows, count_stats, count_info = _match_rows(
-        db, count_shape, count_matches[0],
-        algorithm="auto", variant="disjunctive", mode=component_mode)
-
-    key_cols = list(shape.partition_by) + list(shape.order_by)
-    counts = {
-        tuple(row[c] for c in key_cols): row["__window__"] for row in count_rows
-    }
-    rows: List[Dict[str, object]] = []
-    for row in sum_rows:
-        key = tuple(row[c] for c in key_cols)
-        count = counts.get(key)
-        quotient = row["__window__"] / count if count else None
-        rows.append({**row, "__window__": quotient})
-    sum_stats.merge(count_stats)
+    component_options = replace(
+        options,
+        algorithm="auto",
+        variant="disjunctive",
+        mode="memory" if options.mode == "auto" else options.mode,
+    )
+    steps = []
+    for func in ("SUM", "COUNT"):
+        component = replace(shape, func=func)
+        matches = rank_matches(component, list(views))
+        if not matches:
+            return None
+        steps.append(_plan_step(db, component, matches[0], component_options))
+    sum_info, count_info = steps[0].info, steps[1].info
     info = RewriteInfo(
         f"{sum_info.view}+{count_info.view}",
         "avg_combination",
         f"{sum_info.algorithm}+{count_info.algorithm}",
-        component_mode,
+        component_options.mode,
         None,
         f"AVG = SUM/COUNT combined from views {sum_info.view!r} and "
         f"{count_info.view!r}",
     )
-    return _assemble(db, stmt, shape, rows, sum_stats), info
+    return RewritePlan(stmt, shape, info, tuple(steps))
 
 
-def describe_rewrite(
-    db: Database,
-    stmt: SelectStmt,
-    views: Sequence[MaterializedSequenceView],
-    *,
-    algorithm: str = "auto",
-    variant: str = "disjunctive",
-    mode: str = "auto",
-    planner: str = "rule",
-) -> Optional[RewriteInfo]:
-    """Plan (but do not execute) the rewrite ``try_rewrite`` would choose.
-
-    Used by warehouse EXPLAIN so that explaining a query stays cheap.
-    Returns None when the query would not be rewritten.  The AVG
-    combination is described when both component views match.
-    """
-    shape_info = _rewritable_shape(stmt)
-    if shape_info is None:
-        return None
-    shape, _call = shape_info
-    matches = rank_matches(shape, list(views))
-    if matches:
-        match = matches[0]
-        if planner == "cost" and not _view_route_wins(db, shape, match):
-            return None
-        view = match.view
-        if match.kind == "direct":
-            dplan = match.derivation
-            if algorithm != "auto" and dplan is not None and dplan.algorithm != algorithm:
-                try:
-                    dplan = core_derivation.plan(
-                        view.definition.window,
-                        shape.window,
-                        minmax=view.definition.aggregate.duplicate_insensitive,
-                        algorithm=algorithm,
-                    )
-                except DerivationError:
-                    return None
-            assert dplan is not None
-            relational = (
-                mode != "memory"
-                and dplan.algorithm
-                in ("identity", "maxoa", "minoa", "cumulative", "reconstruct")
-                and (view.definition.aggregate.invertible or dplan.algorithm == "identity")
-                and (not view.is_partitioned or dplan.algorithm != "cumulative")
-            )
-            return RewriteInfo(
-                view.name,
-                "direct",
-                dplan.algorithm,
-                "relational" if relational else "memory",
-                variant if relational else None,
-                dplan.describe(),
-            )
-        return RewriteInfo(
-            view.name,
-            match.kind,
-            "reconstruct+recompute"
-            if match.kind == "partition_reduction"
-            else "prefix-tiling",
-            "memory",
-            None,
-            match.describe(),
-        )
-    if shape.func == "AVG":
-        from dataclasses import replace
-
-        sum_matches = rank_matches(replace(shape, func="SUM"), list(views))
-        count_matches = rank_matches(replace(shape, func="COUNT"), list(views))
-        if sum_matches and count_matches:
-            return RewriteInfo(
-                f"{sum_matches[0].view.name}+{count_matches[0].view.name}",
-                "avg_combination",
-                "sum/count",
-                "memory",
-                None,
-                "AVG = SUM/COUNT combined from two views",
-            )
-    return None
-
-
-def _rewritable_shape(stmt: SelectStmt) -> Optional[Tuple[QueryShape, WindowCall]]:
+def _rewritable_shape(stmt: SelectStmt) -> Optional[QueryShape]:
     if len(stmt.tables) != 1 or stmt.group_by or stmt.having is not None:
         return None
     if stmt.tables[0].is_subquery:
@@ -335,173 +320,138 @@ def _rewritable_shape(stmt: SelectStmt) -> Optional[Tuple[QueryShape, WindowCall
             continue
         if not isinstance(item.value, ColumnRef) or item.value.name not in allowed:
             return None
-    return shape, calls[0]
+    return shape
 
 
-def _execute_match(
-    db: Database,
-    stmt: SelectStmt,
-    shape: QueryShape,
-    call: WindowCall,
-    match: Match,
-    *,
-    algorithm: str,
-    variant: str,
-    mode: str,
-) -> Tuple[Result, RewriteInfo]:
-    rows, stats, info = _match_rows(
-        db, shape, match, algorithm=algorithm, variant=variant, mode=mode
-    )
-    return _assemble(db, stmt, shape, rows, stats), info
+_REDUCTIONS = {
+    "partition_reduction": ("reconstruct+recompute", "partitioning", "partition_by"),
+    "ordering_reduction": ("prefix-tiling", "ordering", "order_by"),
+}
 
 
-def _match_rows(
-    db: Database,
-    shape: QueryShape,
-    match: Match,
-    *,
-    algorithm: str,
-    variant: str,
-    mode: str,
-) -> Tuple[List[Dict[str, object]], ExecutionStats, RewriteInfo]:
-    """Derive the labelled output rows for one match (no final projection)."""
-    view = match.view
-    if match.kind == "direct":
-        return _direct_rows(
-            db, shape, match, algorithm=algorithm, variant=variant, mode=mode
-        )
-    if match.kind == "partition_reduction":
-        derived = core_reporting.partitioning_reduction(
-            view.reporting,
-            shape.partition_by,
-            target_window=shape.window,
-        )
-        rows = _rows_from_reporting(derived, shape, drop_tiebreak=True)
-        info = RewriteInfo(
-            view.name,
-            "partition_reduction",
-            "reconstruct+recompute",
-            "memory",
-            None,
-            f"partitioning reduction {view.definition.partition_by} -> "
-            f"{shape.partition_by}",
-        )
-        return rows, ExecutionStats(), info
-    if match.kind == "ordering_reduction":
-        drop = len(view.definition.order_by) - len(shape.order_by)
-        derived = core_reporting.ordering_reduction(
-            view.reporting, drop, target_window=shape.window
-        )
-        rows = _rows_from_reporting(derived, shape)
-        info = RewriteInfo(
-            view.name,
-            "ordering_reduction",
-            "prefix-tiling",
-            "memory",
-            None,
-            f"ordering reduction {view.definition.order_by} -> {shape.order_by}",
-        )
-        return rows, ExecutionStats(), info
-    raise NoRewriteError(f"unknown match kind {match.kind!r}")  # pragma: no cover
-
-
-def _direct_rows(
-    db: Database,
-    shape: QueryShape,
-    match: Match,
-    *,
-    algorithm: str,
-    variant: str,
-    mode: str,
-) -> Tuple[List[Dict[str, object]], ExecutionStats, RewriteInfo]:
+def _plan_step(
+    db: Database, shape: QueryShape, match: Match, options: QueryOptions
+) -> _Step:
+    """Choose algorithm and route for one match (nothing is executed)."""
     view = match.view
     d = view.definition
+    if match.kind in _REDUCTIONS:
+        algorithm, what, attr = _REDUCTIONS[match.kind]
+        info = RewriteInfo(
+            view.name,
+            match.kind,
+            algorithm,
+            "memory",
+            None,
+            f"{what} reduction {getattr(d, attr)} -> {getattr(shape, attr)}",
+        )
+        return _Step(shape, match, info)
+    if match.kind != "direct":  # pragma: no cover - matcher kinds are closed
+        raise NoRewriteError(f"unknown match kind {match.kind!r}")
+
     dplan = match.derivation
-    if algorithm != "auto" and dplan is not None and dplan.algorithm != algorithm:
+    assert dplan is not None
+    if options.algorithm != "auto" and dplan.algorithm != options.algorithm:
         dplan = core_derivation.plan(
             d.window,
             shape.window,
             minmax=d.aggregate.duplicate_insensitive,
-            algorithm=algorithm,
+            algorithm=options.algorithm,
         )
-    assert dplan is not None
-
+    algo = dplan.algorithm
     # The cumulative-view patterns (figs. 4/5) are built for one global
-    # sequence; everything else now supports partitioned views too.
-    partition_ok = not view.is_partitioned or dplan.algorithm in (
-        "identity", "maxoa", "minoa", "reconstruct"
+    # sequence; everything else supports partitioned views too.
+    relational_ok = algo == "identity" or (
+        d.aggregate.invertible
+        and algo in ("maxoa", "minoa", "cumulative", "reconstruct")
+        and not (view.is_partitioned and algo == "cumulative")
     )
-    relational_ok = partition_ok and (
-        dplan.algorithm in ("identity", "maxoa", "minoa", "cumulative", "reconstruct")
-        and d.aggregate.invertible
-        or dplan.algorithm == "identity"
-    )
-    use_relational = mode == "relational" or (mode == "auto" and relational_ok)
-    if use_relational and not relational_ok:
+    pattern = None
+    if options.mode == "relational" and not relational_ok:
         raise NoRewriteError(
-            f"relational rewrite unavailable for {dplan.algorithm} over a "
+            f"relational rewrite unavailable for {algo} over a "
             f"{'partitioned ' if view.is_partitioned else ''}"
             f"{d.aggregate_name} view"
         )
-
-    from repro.obs import runtime
-
-    if use_relational:
+    if options.mode != "memory" and relational_ok:
         n = 0 if view.is_partitioned else view.single_partition().seq.n
         try:
-            plan = _relational_plan(
+            pattern = _relational_plan(
                 db,
                 d.storage_table,
                 n,
                 d.window,
                 shape.window,
                 dplan,
-                variant,
+                options.variant,
                 partition_cols=d.partition_by,
             )
         except DerivationError:
-            if mode == "relational":
-                raise
             # Relational corner case (e.g. MinOA residue collision,
-            # Δl + Δh ≡ 0 mod Wx): the in-memory form below handles it.
-            plan = None
-        if plan is not None:
-            with runtime.get_tracer().span(
-                "view.derive",
-                view=view.name, algorithm=dplan.algorithm,
-                mode="relational", variant=variant,
-            ):
-                exec_result = db.run(plan)
-            _count_derivation(dplan.algorithm, "relational")
-            n_part = len(d.partition_by)
-            rows = []
-            for row in exec_result.rows:
-                pkey = tuple(row[:n_part])
-                pos = row[n_part]
-                rows.extend(
-                    _label_values(view, pkey, [row[-1]], shape, start_pos=pos)
+            # Δl + Δh ≡ 0 mod Wx): the in-memory form handles it.
+            if options.mode == "relational":
+                raise
+    info = RewriteInfo(
+        view.name,
+        "direct",
+        algo,
+        "relational" if pattern is not None else "memory",
+        options.variant if pattern is not None else None,
+        dplan.describe(),
+    )
+    return _Step(shape, match, info, dplan, pattern)
+
+
+def _match_rows(db: Database, step: _Step) -> Tuple[LabelledRows, ExecutionStats]:
+    """Derive the labelled output rows for one step (no final projection)."""
+    from repro.obs import runtime
+
+    view = step.match.view
+    shape = step.shape
+    if step.match.kind == "partition_reduction":
+        derived = core_reporting.partitioning_reduction(
+            view.reporting, shape.partition_by, target_window=shape.window
+        )
+        return _rows_from_reporting(derived, drop_tiebreak=True), ExecutionStats()
+    if step.match.kind == "ordering_reduction":
+        drop = len(view.definition.order_by) - len(shape.order_by)
+        derived = core_reporting.ordering_reduction(
+            view.reporting, drop, target_window=shape.window
+        )
+        return _rows_from_reporting(derived), ExecutionStats()
+
+    dplan, info = step.dplan, step.info
+    if step.pattern is not None:
+        with runtime.get_tracer().span(
+            "view.derive",
+            view=view.name, algorithm=dplan.algorithm,
+            mode="relational", variant=info.variant,
+        ):
+            exec_result = db.run(step.pattern)
+        _count_derivation(dplan.algorithm, "relational")
+        n_part = len(view.definition.partition_by)
+        rows: LabelledRows = []
+        for row in exec_result.rows:
+            rows.extend(
+                _label_values(
+                    view, tuple(row[:n_part]), [row[-1]], start_pos=row[n_part]
                 )
-            info = RewriteInfo(
-                view.name, "direct", dplan.algorithm, "relational", variant, dplan.describe()
             )
-            return rows, exec_result.stats, info
+        return rows, exec_result.stats
 
     # In-memory derivation, partition-wise.
     with runtime.get_tracer().span(
         "view.derive",
         view=view.name, algorithm=dplan.algorithm, mode="memory",
     ):
-        rows: List[Dict[str, object]] = []
+        rows = []
         for pkey, part in view.reporting.partitions.items():
             values = core_derivation.derive(
                 part.seq, shape.window, chosen=dplan, form="recursive"
             )
-            rows.extend(_label_values(view, pkey, values, shape))
+            rows.extend(_label_values(view, pkey, values))
     _count_derivation(dplan.algorithm, "memory")
-    info = RewriteInfo(
-        view.name, "direct", dplan.algorithm, "memory", None, dplan.describe()
-    )
-    return rows, ExecutionStats(), info
+    return rows, ExecutionStats()
 
 
 def _count_derivation(algorithm: str, mode: str) -> None:
@@ -561,9 +511,8 @@ def _label_values(
     view: MaterializedSequenceView,
     pkey: Key,
     values: Sequence[float],
-    shape: QueryShape,
     start_pos: int = 1,
-) -> List[Dict[str, object]]:
+) -> LabelledRows:
     """Attach partition/order keys to derived per-position values."""
     d = view.definition
     part = view.reporting.partition(pkey)
@@ -581,10 +530,9 @@ def _label_values(
 
 def _rows_from_reporting(
     derived: core_reporting.ReportingSequence,
-    shape: QueryShape,
     *,
     drop_tiebreak: bool = False,
-) -> List[Dict[str, object]]:
+) -> LabelledRows:
     rows = []
     order_cols = list(derived.order_by)
     if drop_tiebreak and order_cols and order_cols[-1] == "__drop__":
@@ -604,7 +552,7 @@ def _assemble(
     db: Database,
     stmt: SelectStmt,
     shape: QueryShape,
-    rows: List[Dict[str, object]],
+    rows: LabelledRows,
     stats: ExecutionStats,
 ) -> Result:
     """Project the labelled rows into the statement's select-item order."""

@@ -263,9 +263,10 @@ def execute_statement(db: Database, stmt: Statement, **options: Any) -> Result:
     from repro.sql.ast_nodes import CompoundSelect
 
     if isinstance(stmt, (SelectStmt, CompoundSelect)):
+        from repro.sql.options import QueryOptions
         from repro.sql.planner import build_plan
 
-        return db.run(build_plan(db, stmt, **options))
+        return db.run(build_plan(db, stmt, QueryOptions.build(options)))
     if isinstance(stmt, CreateTableStmt):
         db.create_table(
             stmt.name,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.stats.adaptive import AdaptiveCostTable
 from repro.stats.collect import ColumnStats, TableStats
@@ -115,34 +115,34 @@ class CostModel:
             )
         raise ValueError(f"unknown window strategy {strategy!r}")
 
-    def choose_window_strategy(
+    def choose_window_kernel(
         self,
         rows: float,
+        clauses: Sequence[Tuple[str, float]],
         *,
-        width: float = 1.0,
-        jobs: int = 1,
-        groups: float = 1.0,
         vector_ok: bool = True,
-        parallel_ok: bool = False,
-    ) -> Tuple[str, float]:
-        """Cheapest admissible strategy as ``(name, cost)``.
+    ) -> Tuple[str, Dict[str, float]]:
+        """Cheapest admissible serial kernel for one window operator.
 
-        Ties break toward ``pipelined`` (the rule-based default), so the
-        cost planner never changes route without a predicted win.
+        ``clauses`` holds one ``(func, width)`` pair per window column
+        (``width`` = frame width for sliding frames, 1 otherwise).  The
+        strided MIN/MAX kernel does O(n·w) comparisons, so the vectorized
+        candidate charges those clauses at ``rows × width``.  Returns the
+        chosen kernel and every candidate's cost; ties break toward
+        ``pipelined``, so the kernel never changes without a predicted win.
         """
-        candidates = {"pipelined": self.window_cost("pipelined", rows, width=width)}
+        candidates = {
+            "pipelined": sum(self.window_cost("pipelined", rows) for _ in clauses)
+        }
         if vector_ok:
-            candidates["vectorized"] = self.window_cost(
-                "vectorized", rows, width=width
+            candidates["vectorized"] = sum(
+                self.window_cost(
+                    "vectorized", rows * width if func in ("MIN", "MAX") else rows
+                )
+                for func, width in clauses
             )
-        if parallel_ok and jobs > 1:
-            candidates["parallel"] = self.window_cost(
-                "parallel", rows, width=width, jobs=jobs, groups=groups
-            )
-        best = min(candidates, key=lambda s: (candidates[s], s != "pipelined"))
-        if candidates[best] >= candidates["pipelined"]:
-            best = "pipelined"
-        return best, candidates[best]
+        best = min(candidates, key=lambda k: (candidates[k], k != "pipelined"))
+        return best, candidates
 
     # -- relational operators ------------------------------------------------
 

@@ -9,10 +9,12 @@ Paths:
 ``naive``            explicit form, O(W) per position (§2.2)
 ``pipelined``        recursive form, O(1) amortised per position (§2.2)
 ``vectorized``       numpy kernels (skipped when numpy is unavailable)
-``engine``           full SQL stack: parse -> plan -> WindowOperator
-``engine-parallel``  same, through the partition-parallel subsystem
-``engine-cost``      same, planned by the cost-based optimizer (statistics
-                     drive the strategy/route choice; results must match)
+``engine``           full SQL stack: parse -> plan -> WindowOperator, planned
+                     from the fresh statistics ``insert`` collected
+``engine-nostats``   same, with the statistics cleared first (the planner's
+                     fallback decisions; results must match)
+``engine-parallel``  same, through the partition-parallel subsystem (every
+                     window operator must report ``strategy=parallel``)
 ``engine-paged``     same, on a v4 paged store loaded behind a small
                      buffer-pool budget (out-of-core reads + spilling)
 ``view-maxoa``       materialized view one step *narrower*, MaxOA (§4)
@@ -98,10 +100,12 @@ def path_vectorized(case: FuzzCase) -> Optional[ResultMap]:
 
 
 def _engine_path(
-    case: FuzzCase, exec_config=None, planner: str = "rule", paged: bool = False
+    case: FuzzCase, exec_config=None, stats: bool = True, paged: bool = False
 ) -> ResultMap:
     """The full SQL stack against the in-process relational engine.
 
+    The dataset is auto-ANALYZEd on insert, so the planner's choices
+    follow fresh statistics unless ``stats=False`` clears them first.
     With ``paged=True`` the dataset takes a detour through the v4 paged
     dump format: saved with a small page size, reloaded behind a buffer
     pool with a deliberately tiny memory budget, and queried out of core
@@ -110,9 +114,11 @@ def _engine_path(
     from repro.relational import FLOAT, INTEGER
     from repro.warehouse import DataWarehouse
 
-    wh = DataWarehouse(execution=exec_config, planner=planner)
+    wh = DataWarehouse(execution=exec_config)
     wh.create_table("t", [("g", INTEGER), ("pos", INTEGER), ("val", FLOAT)])
     wh.insert("t", list(case.rows))
+    if not stats:
+        wh.db.stats.clear()
     if paged:
         import tempfile
 
@@ -122,6 +128,8 @@ def _engine_path(
             result = wh.query(case.sql, use_views=False)
     else:
         result = wh.query(case.sql, use_views=False)
+    if exec_config is not None and exec_config.is_parallel:
+        _require_parallel(result.window_feedback)
     g_i = result.schema.resolve("g")
     pos_i = result.schema.resolve("pos")
     if not case.extra_windows:
@@ -135,9 +143,38 @@ def _engine_path(
     return out
 
 
+def _require_parallel(window_feedback) -> None:
+    """Every window operator must have run on the configured pool.
+
+    A planner that quietly drops the pool would keep every answer right
+    and shrink this path to a copy of ``engine``; the serial fallback is
+    legitimate only while a fault plan is breaking the pool on purpose.
+    """
+    from repro.faults import injector
+
+    allowed = {"parallel"}
+    if injector.active_plan() is not None:
+        allowed.add("pipelined-fallback")
+    strategies = [strategy for strategy, _units in window_feedback]
+    if not strategies or set(strategies) - allowed:
+        raise AssertionError(
+            f"engine-parallel ran window strategies {strategies}; "
+            f"expected only {sorted(allowed)}"
+        )
+
+
 def path_engine(case: FuzzCase) -> ResultMap:
-    """The full SQL stack, serial: parse -> plan -> WindowOperator."""
+    """The full SQL stack, serial: parse -> plan -> WindowOperator.
+
+    Statistics are fresh, so the cost model drives the kernel and sharing
+    choices; the planner contract says those never change results.
+    """
     return _engine_path(case)
+
+
+def path_engine_nostats(case: FuzzCase) -> ResultMap:
+    """The full SQL stack with no statistics: the planner's defaults."""
+    return _engine_path(case, stats=False)
 
 
 def path_engine_parallel(case: FuzzCase) -> ResultMap:
@@ -146,16 +183,6 @@ def path_engine_parallel(case: FuzzCase) -> ResultMap:
 
     config = ExecutionConfig(jobs=2, backend="thread", chunk_size=8)
     return _engine_path(case, exec_config=config)
-
-
-def path_engine_cost(case: FuzzCase) -> ResultMap:
-    """The full SQL stack under the cost-based planner.
-
-    The dataset is auto-ANALYZEd on insert, so statistics are fresh and
-    the cost model actually drives the strategy/route/sharing choices;
-    the planner contract says those choices must never change results.
-    """
-    return _engine_path(case, planner="cost")
 
 
 def path_engine_paged(case: FuzzCase) -> ResultMap:
@@ -285,8 +312,8 @@ PATHS: Dict[str, PathFn] = {
     "pipelined": path_pipelined,
     "vectorized": path_vectorized,
     "engine": path_engine,
+    "engine-nostats": path_engine_nostats,
     "engine-parallel": path_engine_parallel,
-    "engine-cost": path_engine_cost,
     "engine-paged": path_engine_paged,
     "view-maxoa": path_view_maxoa,
     "view-minoa": path_view_minoa,

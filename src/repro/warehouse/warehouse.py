@@ -35,9 +35,10 @@ from repro.errors import (
 )
 from repro.relational.engine import Database, Result
 from repro.sql.ast_nodes import SelectStmt
+from repro.sql.options import QueryOptions
 from repro.sql.parser import parse_select
 from repro.sql.planner import build_plan
-from repro.sql.rewriter import RewriteInfo, try_rewrite
+from repro.sql.rewriter import RewriteInfo, plan_rewrite, try_rewrite
 from repro.views.definition import SequenceViewDefinition
 from repro.views.maintenance import (
     propagate_delete,
@@ -83,22 +84,9 @@ class DataWarehouse:
             maintenance-band recomputation.  ``None`` (the default) runs
             everything serially; a parallel configuration routes those paths
             through the partition-parallel subsystem (:mod:`repro.parallel`).
-        planner: default planner mode for ``query()``/``explain()`` —
-            ``"rule"`` (heuristic, the default) or ``"cost"``
-            (statistics-driven strategy/route/parallelism choice; falls
-            back to the rules whenever statistics are absent or stale).
     """
 
-    def __init__(self, execution=None, planner: str = "rule") -> None:
-        from repro.sql.planner import PLANNER_MODES
-
-        if planner not in PLANNER_MODES:
-            from repro.errors import PlanError
-
-            raise PlanError(
-                f"unknown planner {planner!r} (expected one of {PLANNER_MODES})"
-            )
-        self.planner = planner
+    def __init__(self, execution=None) -> None:
         self.db = Database()
         self.views: Dict[str, MaterializedSequenceView] = {}
         self.cache = None  # set by enable_query_cache()
@@ -330,55 +318,26 @@ class DataWarehouse:
 
     # -- querying ----------------------------------------------------------------------
 
-    def query(
-        self,
-        sql: str,
-        *,
-        use_views: bool = True,
-        require_rewrite: bool = False,
-        algorithm: str = "auto",
-        variant: str = "disjunctive",
-        mode: str = "auto",
-        window_strategy: str = "native",
-        use_index: Any = "auto",
-        planner: Optional[str] = None,
-    ) -> QueryResult:
+    def query(self, sql: str, **options: Any) -> QueryResult:
         """Run a SELECT, preferring materialized views when possible.
 
-        Args:
-            use_views: attempt view-based rewriting first.
-            require_rewrite: raise :class:`NoRewriteError` instead of
-                falling back to base tables.
-            algorithm: derivation algorithm (``"auto"``/``"maxoa"``/
-                ``"minoa"``).
-            variant: relational pattern variant (``"disjunctive"``/
-                ``"union"``).
-            mode: rewrite execution mode (``"auto"``/``"relational"``/
-                ``"memory"``).
-            window_strategy / use_index: forwarded to the native planner
-                (Table 1's execution alternatives).
-            planner: ``"rule"`` or ``"cost"``; ``None`` uses the
-                warehouse default set at construction.
+        The keywords are the fields of
+        :class:`~repro.sql.options.QueryOptions` (``use_views``,
+        ``require_rewrite``, ``algorithm``, ``variant``, ``mode``,
+        ``window_strategy``, ``use_index``), checked here before any work
+        happens: an unknown keyword or a value outside its domain raises
+        :class:`~repro.errors.PlanError`.
         """
         import time
 
         from repro.obs import runtime
 
+        opts = QueryOptions.build(options)
         started = time.perf_counter()
         tracer = runtime.get_tracer()
         span = tracer.span("warehouse.query", sql=sql) if tracer.enabled else None
         try:
-            result = self._query(
-                sql,
-                use_views=use_views,
-                require_rewrite=require_rewrite,
-                algorithm=algorithm,
-                variant=variant,
-                mode=mode,
-                window_strategy=window_strategy,
-                use_index=use_index,
-                planner=planner or self.planner,
-            )
+            result = self._query(sql, opts)
         finally:
             if span is not None:
                 span.finish()
@@ -407,19 +366,7 @@ class DataWarehouse:
             )
         return result
 
-    def _query(
-        self,
-        sql: str,
-        *,
-        use_views: bool,
-        require_rewrite: bool,
-        algorithm: str,
-        variant: str,
-        mode: str,
-        window_strategy: str,
-        use_index: Any,
-        planner: str,
-    ) -> "QueryResult":
+    def _query(self, sql: str, options: QueryOptions) -> "QueryResult":
         from repro.sql.ast_nodes import CompoundSelect
         from repro.sql.parser import parse_query
 
@@ -427,24 +374,11 @@ class DataWarehouse:
         if isinstance(stmt, CompoundSelect):
             # UNION ALL compounds are evaluated natively (branch rewriting
             # would need per-branch provenance; run them against base data).
-            return self._run_native(
-                stmt,
-                window_strategy=window_strategy,
-                use_index=use_index,
-                planner=planner,
-            )
+            return self._run_native(self._native_plan(stmt, options))
         healthy = self.healthy_views()
-        if use_views and healthy:
+        if options.use_views and healthy:
             try:
-                rewritten = try_rewrite(
-                    self.db,
-                    stmt,
-                    healthy,
-                    algorithm=algorithm,
-                    variant=variant,
-                    mode=mode,
-                    planner=planner,
-                )
+                rewritten = try_rewrite(self.db, stmt, healthy, options)
             except ReproError as exc:
                 # Self-healing routing: a rewrite that blows up mid-flight
                 # must not fail the query — fall back to base data.
@@ -458,44 +392,31 @@ class DataWarehouse:
                     for name in info.view.split("+"):
                         self.cache.note_hit(name)
                 return QueryResult.wrap(result, info)
-        if use_views and self.cache is not None:
+        if options.use_views and self.cache is not None:
             admitted = self._cache_admit(stmt)
             if admitted:
                 rewritten = try_rewrite(
-                    self.db, stmt, self.healthy_views(),
-                    algorithm=algorithm, variant=variant, mode=mode,
-                    planner=planner)
+                    self.db, stmt, self.healthy_views(), options
+                )
                 if rewritten is not None:
                     return QueryResult.wrap(*rewritten)
-        if require_rewrite:
+        if options.require_rewrite:
             raise NoRewriteError(
                 "no materialized view can answer this query "
                 f"(registered: {sorted(self.views)})"
             )
-        return self._run_native(
-            stmt,
-            window_strategy=window_strategy,
-            use_index=use_index,
-            planner=planner,
-        )
+        return self._run_native(self._native_plan(stmt, options))
 
-    def _run_native(
-        self, stmt, *, window_strategy: str, use_index: Any, planner: str
-    ) -> "QueryResult":
-        """Plan and run a statement natively, capturing planner feedback.
+    def _native_plan(self, stmt, options: QueryOptions):
+        return build_plan(self.db, stmt, options, exec_config=self.execution)
+
+    def _run_native(self, plan) -> "QueryResult":
+        """Run a native plan, capturing planner feedback.
 
         Attaches the root-operator cardinality q-error (estimated vs
         returned rows) and, for every executed window operator, a
         ``(strategy, rows)`` sample destined for the adaptive cost table.
         """
-        plan = build_plan(
-            self.db,
-            stmt,
-            window_strategy=window_strategy,
-            use_index=use_index,
-            exec_config=self.execution,
-            planner=planner,
-        )
         result = QueryResult.wrap(self.db.run(plan), None)
         est = getattr(plan, "analyze_est", None)
         if est is not None:
@@ -518,91 +439,64 @@ class DataWarehouse:
         result.window_feedback = feedback
         return result
 
-    def explain(self, sql: str, **options: Any) -> str:
-        """Describe how a query would be answered (rewrite or native plan)."""
-        stmt = parse_select(sql)
-        if self.healthy_views():
-            from repro.sql.rewriter import describe_rewrite
+    def _plan_rewrite(self, stmt, options: QueryOptions):
+        """The rewrite plan ``query`` would run, or None for the native
+        route — including when planning the rewrite fails, which ``query``
+        answers from base data."""
+        healthy = self.healthy_views()
+        if not (options.use_views and healthy):
+            return None
+        try:
+            return plan_rewrite(self.db, stmt, healthy, options)
+        except ReproError:
+            return None
 
-            info = describe_rewrite(
-                self.db,
-                stmt,
-                self.healthy_views(),
-                algorithm=options.get("algorithm", "auto"),
-                variant=options.get("variant", "disjunctive"),
-                mode=options.get("mode", "auto"),
-                planner=options.get("planner", self.planner),
-            )
-            if info is not None:
-                return (
-                    f"REWRITE using view {info.view!r} [{info.kind}, "
-                    f"{info.algorithm}, {info.mode}"
-                    + (f", {info.variant}" if info.variant else "")
-                    + f"]: {info.description}"
-                )
-        plan = build_plan(
-            self.db,
-            stmt,
-            window_strategy=options.get("window_strategy", "native"),
-            use_index=options.get("use_index", "auto"),
-            exec_config=self.execution,
-            planner=options.get("planner", self.planner),
-        )
-        return "NATIVE PLAN:\n" + plan.explain()
+    def explain(self, sql: str, **options: Any) -> str:
+        """Describe how a query would be answered (rewrite or native plan).
+
+        Prints the plan ``query(sql, **options)`` would run; nothing is
+        executed.
+        """
+        opts = QueryOptions.build(options)
+        stmt = parse_select(sql)
+        rewrite = self._plan_rewrite(stmt, opts)
+        if rewrite is not None:
+            return rewrite.info.render()
+        return "NATIVE PLAN:\n" + self._native_plan(stmt, opts).explain()
 
     def explain_analyze(self, sql: str, **options: Any) -> str:
-        """Run the query under a fresh tracer and describe what happened.
+        """Plan the query, run that plan under a fresh tracer and describe
+        what happened.
 
         A rewritten query reports the rewrite provenance (view, MaxOA vs
         MinOA, execution mode) plus the recorded span tree — including the
         ``view.derive`` span and any operator spans of the relational
-        pattern; a native query falls through to the engine's annotated
-        operator tree (actual rows and per-operator wall time).
+        pattern; a native query renders the engine's annotated operator
+        tree (actual rows and per-operator wall time).
         """
         import time
 
         from repro.obs import runtime
+        from repro.obs.explain import explain_analyze_plan
         from repro.obs.trace import Tracer
 
-        use_views = options.pop("use_views", True)
-        if use_views and self.healthy_views():
-            from repro.sql.rewriter import describe_rewrite
-
-            stmt = parse_select(sql)
-            info = describe_rewrite(
-                self.db,
-                stmt,
-                self.healthy_views(),
-                algorithm=options.get("algorithm", "auto"),
-                variant=options.get("variant", "disjunctive"),
-                mode=options.get("mode", "auto"),
-                planner=options.get("planner", self.planner),
-            )
-            if info is not None:
-                tracer = Tracer()
-                started = time.perf_counter()
-                with runtime.use(tracer=tracer):
-                    result = self.query(sql, use_views=True, **options)
-                elapsed = time.perf_counter() - started
-                lines = [
-                    f"REWRITE using view {info.view!r} [{info.kind}, "
-                    f"{info.algorithm}, {info.mode}"
-                    + (f", {info.variant}" if info.variant else "")
-                    + f"]: {info.description}",
-                    tracer.render_tree(),
-                    f"Execution time: {elapsed * 1000:.3f} ms",
-                    f"Stats: {result.stats.summary()}",
-                ]
-                return "\n".join(line for line in lines if line)
-        planner_options = {
-            k: v
-            for k, v in options.items()
-            if k in ("window_strategy", "use_index", "planner")
-        }
-        planner_options.setdefault("planner", self.planner)
-        return self.db.explain_analyze(
-            sql, exec_config=self.execution, **planner_options
-        )
+        opts = QueryOptions.build(options)
+        stmt = parse_select(sql)
+        rewrite = self._plan_rewrite(stmt, opts)
+        if rewrite is None:
+            return explain_analyze_plan(self.db, self._native_plan(stmt, opts))[0]
+        tracer = Tracer()
+        started = time.perf_counter()
+        with runtime.use(tracer=tracer):
+            result = rewrite.run(self.db)
+        elapsed = time.perf_counter() - started
+        lines = [
+            rewrite.info.render(),
+            tracer.render_tree(),
+            f"Execution time: {elapsed * 1000:.3f} ms",
+            f"Stats: {result.stats.summary()}",
+        ]
+        return "\n".join(line for line in lines if line)
 
     def value_at(
         self,
@@ -832,10 +726,8 @@ class DataWarehouse:
         """Admit a missed, rewritable reporting-function shape into the cache."""
         from repro.sql.rewriter import _rewritable_shape
 
-        shape_info = _rewritable_shape(stmt)
-        if shape_info is None:
-            return False
-        return self.cache.admit(shape_info[0]) is not None
+        shape = _rewritable_shape(stmt)
+        return shape is not None and self.cache.admit(shape) is not None
 
     # -- workload-driven view advice ------------------------------------------------------
 

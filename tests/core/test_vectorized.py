@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.aggregates import AVG, COUNT, MAX, MIN, SUM
-from repro.core.compute import compute
+from repro.core.compute import compute_pipelined
 from repro.core.vectorized import compute_vectorized
 from repro.core.window import cumulative, sliding
 from repro.errors import SequenceError
@@ -43,8 +43,8 @@ class TestCorrectness:
 
 class TestDispatch:
     def test_compute_strategy(self, raw40):
-        a = compute(raw40, sliding(2, 1), strategy="vectorized")
-        b = compute(raw40, sliding(2, 1), strategy="pipelined")
+        a = compute_vectorized(raw40, sliding(2, 1))
+        b = compute_pipelined(raw40, sliding(2, 1))
         assert_close(a, b)
 
 
@@ -54,6 +54,6 @@ class TestScale:
 
         raw = sequence_values(100_000, seed=2)
         got = compute_vectorized(raw, sliding(5, 5))
-        ref = compute(raw, sliding(5, 5), strategy="pipelined")
+        ref = compute_pipelined(raw, sliding(5, 5))
         assert_close(got[:100], ref[:100])
         assert abs(got[50_000] - ref[50_000]) < 1e-6 * abs(ref[50_000])

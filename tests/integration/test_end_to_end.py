@@ -29,14 +29,46 @@ class TestDerivationChain:
         assert res.rewrite is not None
         assert_close(res.column("s"), brute_window(wh.raw, sliding(l, h)))
 
+    CUMULATIVE = ("SELECT pos, SUM(val) OVER (ORDER BY pos ROWS UNBOUNDED "
+                  "PRECEDING) AS s FROM seq ORDER BY pos")
+
     def test_cumulative_derivable(self, wh):
-        res = wh.query(
-            "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS UNBOUNDED "
-            "PRECEDING) AS s FROM seq ORDER BY pos")
-        assert res.rewrite is not None
+        # The subject is the prefix derivation, not the routing (which
+        # prefers base data here): ask for the view.
+        res = wh.query(self.CUMULATIVE, require_rewrite=True)
+        assert res.rewrite is not None and res.rewrite.algorithm == "prefix"
         import itertools
 
         assert_close(res.column("s"), list(itertools.accumulate(wh.raw)))
+
+    def test_require_rewrite_honoured_under_fresh_statistics(self, wh):
+        """The prefix chain costs O(n/Wx) lookups per position, so with
+        fresh statistics the estimate routes the cumulative target to base
+        data; require_rewrite=True takes the view regardless, and
+        NoRewriteError is kept for 'no view matches'."""
+        from repro.errors import NoRewriteError
+        from repro.sql.parser import parse_select
+        from repro.sql.rewriter import _rewritable_shape, estimate_route_costs
+        from repro.views.matcher import rank_matches
+
+        shape = _rewritable_shape(parse_select(self.CUMULATIVE))
+        (match,) = rank_matches(shape, list(wh.views.values()))
+        view_cost, base_cost = estimate_route_costs(wh.db, shape, match)
+        assert view_cost > base_cost
+
+        by_estimate = wh.query(self.CUMULATIVE)
+        required = wh.query(self.CUMULATIVE, require_rewrite=True)
+        assert by_estimate.rewrite is None
+        assert required.rewrite is not None and required.rewrite.view == "mv"
+        assert_close(by_estimate.column("s"), required.column("s"))
+
+        wh.db.stats.clear()  # no estimate: the view answers by default
+        assert wh.query(self.CUMULATIVE).rewrite is not None
+
+        with pytest.raises(NoRewriteError):
+            wh.query("SELECT pos, MAX(val) OVER (ORDER BY pos ROWS BETWEEN 1 "
+                     "PRECEDING AND 1 FOLLOWING) AS m FROM seq",
+                     require_rewrite=True)
 
     def test_rewrite_result_equals_native(self, wh):
         q = ("SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 4 "
@@ -45,6 +77,40 @@ class TestDerivationChain:
         native = wh.query(q, use_views=False)
         assert rewritten.rewrite is not None and native.rewrite is None
         assert_close(rewritten.column("s"), native.column("s"))
+
+
+class TestReductionsAreNotRoutedByEstimate:
+    def test_ordering_reduction_keeps_the_view_when_base_is_cheaper(self):
+        """An ordering reduction answers per remaining ordering value (one
+        row per region and month); the native plan answers per base row.
+        The two are not interchangeable, so the estimate must not choose."""
+        from repro.sql.parser import parse_select
+        from repro.sql.rewriter import _rewritable_shape, estimate_route_costs
+        from repro.views.matcher import rank_matches
+
+        wh = DataWarehouse()
+        wh.create_table("sales", [("region", "TEXT"), ("month", "INTEGER"),
+                                  ("day", "INTEGER"), ("amount", "FLOAT")])
+        wh.insert("sales", [(r, m, d, float(m * d)) for r in "ab"
+                            for m in range(1, 5) for d in range(1, 16)])
+        wh.create_view(
+            "mv_daily",
+            "SELECT region, month, day, SUM(amount) OVER (PARTITION BY region "
+            "ORDER BY month, day ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w "
+            "FROM sales")
+        monthly = ("SELECT region, month, SUM(amount) OVER (PARTITION BY region "
+                   "ORDER BY month ROWS 1 PRECEDING) AS two_month FROM sales "
+                   "ORDER BY region, month")
+        shape = _rewritable_shape(parse_select(monthly))
+        (match,) = rank_matches(shape, list(wh.views.values()))
+        view_cost, base_cost = estimate_route_costs(wh.db, shape, match)
+        assert match.kind == "ordering_reduction" and view_cost > base_cost
+
+        res = wh.query(monthly)
+        assert res.rewrite is not None and res.rewrite.kind == "ordering_reduction"
+        assert len(res.rows) == 2 * 4
+        assert len(wh.query(monthly, use_views=False).rows) == 2 * 4 * 15
+        assert "ordering_reduction" in wh.explain(monthly)
 
 
 class TestMultipleViews:

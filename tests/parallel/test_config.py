@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ParallelError
-from repro.parallel import BACKENDS, KERNELS, ExecutionConfig
+from repro.parallel import BACKENDS, ExecutionConfig
 
 
 class TestValidation:
@@ -20,16 +20,13 @@ class TestValidation:
     def test_known_backends_accepted(self, backend):
         assert ExecutionConfig(backend=backend).backend == backend
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_known_kernels_accepted(self, kernel):
-        assert ExecutionConfig(kernel=kernel).kernel == kernel
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ParallelError):
             ExecutionConfig(backend="gpu")
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ParallelError):
+        # The per-chunk kernel is not configurable: chunks run vectorized.
+        with pytest.raises(TypeError):
             ExecutionConfig(kernel="simd")
 
     def test_negative_jobs_rejected(self):

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.core.aggregates import AVG, COUNT, MAX, MIN, SUM
-from repro.core.compute import compute, compute_pipelined
+from repro.core.compute import compute_pipelined
 from repro.core.window import cumulative, sliding
 from repro.errors import SequenceError
 from repro.parallel import ExecutionConfig, compute_grouped_parallel, compute_parallel
@@ -61,19 +61,10 @@ class TestBackendEquivalence:
             config = ExecutionConfig(jobs=2, backend="thread", chunk_size=chunk_size)
             assert compute_parallel(raw, window, agg, config) == expected
 
-    def test_pipelined_kernel_option(self):
-        raw = _integer_raw(301, seed=5)
-        config = ExecutionConfig(
-            jobs=2, backend="thread", chunk_size=40, kernel="pipelined"
-        )
-        for window in WINDOWS:
-            assert compute_parallel(raw, window, SUM, config) == compute_pipelined(
-                raw, window, SUM
-            )
-
     def test_compute_facade_parallel_strategy(self):
         raw = _integer_raw(200, seed=9)
-        assert compute(raw, sliding(2, 2), strategy="parallel") == compute_pipelined(
+        # The default (serial, single-chunk) configuration.
+        assert compute_parallel(raw, sliding(2, 2)) == compute_pipelined(
             raw, sliding(2, 2)
         )
 

@@ -68,26 +68,44 @@ def test_value_at_and_explain_route_through_snapshots(cw):
 
 def test_threaded_readers_during_refresh_storm(cw):
     """Readers on 4 threads must never block, tear, or mix epochs while a
-    writer thread commits refresh + maintenance traffic."""
+    writer thread commits refresh + maintenance traffic.
+
+    The writer is stepped, not raced: it starts its storm only after every
+    reader has answered once (at the initial epoch), and every reader
+    answers once more after the last commit — so each reader provably
+    completes a query in at least two epochs, whatever the scheduler does
+    in between.
+    """
+    n_readers = 4
     by_epoch = {}
+    seen = [set() for _ in range(n_readers)]
     lock = threading.Lock()
     errors = []
-    stop = threading.Event()
+    all_answered_once = threading.Barrier(n_readers + 1, timeout=60)
+    storm_over = threading.Event()
 
-    def reader() -> None:
+    def read(i: int) -> None:
+        result = cw.query(QUERY)
+        key = rows_of(result)
+        with lock:
+            prev = by_epoch.setdefault(result.epoch, key)
+        seen[i].add(result.epoch)
+        if prev != key:
+            errors.append(f"epoch {result.epoch} returned two answers")
+
+    def reader(i: int) -> None:
         try:
-            while not stop.is_set():
-                result = cw.query(QUERY)
-                key = rows_of(result)
-                with lock:
-                    prev = by_epoch.setdefault(result.epoch, key)
-                if prev != key:
-                    errors.append(f"epoch {result.epoch} returned two answers")
+            read(i)
+            all_answered_once.wait()
+            while not storm_over.is_set():
+                read(i)
+            read(i)  # at the final epoch
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(repr(exc))
 
     def writer() -> None:
         try:
+            all_answered_once.wait()
             for i in range(8):
                 cw.update_measure(
                     "seq", keys={"pos": 5 + i}, value_col="val",
@@ -97,16 +115,21 @@ def test_threaded_readers_during_refresh_storm(cw):
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(repr(exc))
         finally:
-            stop.set()
+            storm_over.set()
 
-    readers = [threading.Thread(target=reader) for _ in range(4)]
-    wt = threading.Thread(target=writer)
-    for t in readers + [wt]:
+    first_epoch = cw.epochs.latest_epoch
+    threads = [threading.Thread(target=reader, args=(i,)) for i in range(n_readers)]
+    threads.append(threading.Thread(target=writer))
+    for t in threads:
         t.start()
-    for t in readers + [wt]:
-        t.join()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
-    assert len(by_epoch) > 1  # readers actually observed multiple epochs
+    last_epoch = cw.epochs.latest_epoch
+    assert last_epoch == first_epoch + 16
+    # Every reader answered in at least two epochs: before and after the storm.
+    assert all({first_epoch, last_epoch} <= epochs for epochs in seen)
     assert cw.epochs.verify()["clean"]
 
 

@@ -96,6 +96,45 @@ def test_query_requires_sql(client):
         client.call("query")
 
 
+@pytest.mark.parametrize("options", [
+    {"mode": "bogus"},
+    {"variant": "bogus"},
+    {"algorithm": "bogus"},
+    {"window_strategy": "bogus"},
+    {"use_index": "bogus"},
+    {"planner": "cost"},      # removed keyword
+    {"config": {"jobs": 64}},  # the server's to set, not the client's
+    {"session": "someone-else"},
+])
+def test_bad_query_options_are_protocol_errors(server, client, options):
+    """Rejected at the door: typed on the client, named in the message, and
+    neither admitted, answered from base data nor logged as an incident."""
+    with pytest.raises(ProtocolError) as exc:
+        client.query(QUERY, **options)
+    (name,) = options
+    assert name in str(exc.value)
+    assert server.warehouse.incidents == []
+    assert client.query(QUERY)["rewrite"]  # the connection is still good
+
+
+def test_hold_ms_is_not_a_query_option(client):
+    with pytest.raises(ProtocolError, match="hold_ms"):
+        client.call("query", sql=QUERY, options={"hold_ms": 5})
+
+
+@pytest.mark.parametrize("options", [["mode", "memory"], "memory", 3, None])
+def test_non_object_options_are_protocol_errors(client, options):
+    with pytest.raises(ProtocolError, match="JSON object"):
+        client.call("query", sql=QUERY, options=options)
+
+
+def test_valid_query_options_reach_the_planner(client):
+    by_view = client.query(QUERY, mode="memory", algorithm="auto")
+    native = client.query(QUERY, use_views=False)
+    assert by_view["rewrite"] and native["rewrite"] is None
+    assert [r[0] for r in by_view["rows"]] == [r[0] for r in native["rows"]]
+
+
 def test_writes_publish_epochs(client):
     before = client.query(QUERY)
     e1 = client.update_measure(

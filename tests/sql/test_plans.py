@@ -1,12 +1,12 @@
-"""Golden-plan snapshots and cost-model properties for the two planner modes.
+"""Golden-plan snapshots and cost-model properties of the planner.
 
 The snapshots pin the *shape* of the plan plus the planner's recorded
-decisions on three fixtures spanning the decision space (tiny, uniform
-large, skewed partitioned).  The property tests state the contracts the
-cost model must keep: cost is monotonic in the row count, stale or absent
-statistics degrade every choice to the rule-based plan, and EXPLAIN
-ANALYZE estimates stay within the documented q-error bound on analyzed
-data.
+decisions on three fresh-statistics fixtures spanning the decision space
+(tiny, uniform large, skewed partitioned) and on the no-statistics
+default.  The property tests state the contracts the cost model must
+keep: cost is monotonic in the row count, stale or absent statistics
+degrade every choice to the no-statistics plan, and EXPLAIN ANALYZE
+estimates stay within the documented q-error bound on analyzed data.
 """
 
 import random
@@ -38,10 +38,19 @@ def make_db(n, groups=1, seed=7):
     return db
 
 
-def plan_for(db, *, planner, groups=1, sql=None):
+def make_db_without_stats(n):
+    db = Database()
+    db.create_table("seq", [("g", INTEGER), ("pos", INTEGER), ("val", FLOAT)])
+    # Direct table writes never collect statistics.
+    db.table("seq").insert_many([(1, i, float(i)) for i in range(n)])
+    assert db.stats.get("seq") is None
+    return db
+
+
+def plan_for(db, *, groups=1, sql=None):
     over = "PARTITION BY g ORDER BY pos" if groups > 1 else "ORDER BY pos"
     text = (sql or WINDOW_SQL).format(over=over)
-    return build_plan(db, parse_query(text), planner=planner)
+    return build_plan(db, parse_query(text))
 
 
 def window_op(plan):
@@ -64,12 +73,12 @@ class TestGoldenPlans:
         "  WindowOperator(MIN(val) ROWS BETWEEN 4 PRECEDING AND 4 FOLLOWING AS m)\n"
         "    TableScan(seq)"
     )
+    DEFAULT_NOTE = "window[m]: pipelined (default: statistics absent or stale)"
 
     def test_uniform_large_cost_plan(self):
         db = make_db(4000)
-        plan = plan_for(db, planner="cost")
+        plan = plan_for(db)
         assert plan.explain() == self.GOLDEN
-        assert plan.planner_mode == "cost"
         # Fresh statistics + large uniform input: the vectorized MIN/MAX
         # kernel amortizes its setup and wins.
         assert window_op(plan).kernel == "vectorized"
@@ -79,7 +88,7 @@ class TestGoldenPlans:
 
     def test_tiny_cost_plan_stays_pipelined(self):
         db = make_db(120)
-        plan = plan_for(db, planner="cost")
+        plan = plan_for(db)
         assert plan.explain() == self.GOLDEN
         # 120 rows cannot pay the vectorized setup cost.
         assert window_op(plan).kernel == "pipelined"
@@ -88,23 +97,24 @@ class TestGoldenPlans:
 
     def test_skewed_partitioned_cost_plan(self):
         db = make_db(3000, groups=6)
-        plan = plan_for(db, planner="cost", groups=6)
+        plan = plan_for(db, groups=6)
         assert plan.explain() == self.GOLDEN
         note = plan.planner_notes[0]
         # The NDV of the partition column feeds the group estimate.
         assert "est_groups=6" in note
 
     def test_rule_plan_never_annotates_decisions(self):
-        db = make_db(4000)
-        plan = plan_for(db, planner="rule")
+        # The no-statistics golden: same shape, every decision at its
+        # default, and the one note says so instead of listing estimates.
+        plan = plan_for(make_db_without_stats(4000))
         assert plan.explain() == self.GOLDEN
-        assert plan.planner_mode == "rule"
-        assert plan.planner_notes == []
+        assert plan.planner_notes == [self.DEFAULT_NOTE]
         assert window_op(plan).kernel == "pipelined"
+        assert window_op(plan).share_derivation is False
 
     def test_every_operator_carries_estimates(self):
         db = make_db(400)
-        plan = plan_for(db, planner="cost")
+        plan = plan_for(db)
         stack = [plan]
         while stack:
             node = stack.pop()
@@ -114,42 +124,39 @@ class TestGoldenPlans:
             stack.extend(node.children())
 
     def test_estimates_annotated_even_in_rule_mode(self):
-        db = make_db(400)
-        plan = plan_for(db, planner="rule")
+        # Without statistics the estimate is the table's length.
+        plan = plan_for(make_db_without_stats(400))
         assert plan.analyze_est["est_rows"] == 400
 
 
 class TestDegradation:
-    """Stale or absent statistics must reproduce the rule-based plan."""
+    """Stale or absent statistics must reproduce the no-statistics golden
+    (on fresh statistics this fixture picks the vectorized kernel)."""
 
-    def _assert_same_as_rule(self, db):
-        cost = plan_for(db, planner="cost")
-        rule = plan_for(db, planner="rule")
-        assert cost.explain() == rule.explain()
-        assert window_op(cost).kernel == window_op(rule).kernel == "pipelined"
-        assert window_op(cost).share_derivation is False
+    def _assert_default_plan(self, db):
+        plan = plan_for(db)
+        assert plan.explain() == TestGoldenPlans.GOLDEN
+        assert plan.planner_notes == [TestGoldenPlans.DEFAULT_NOTE]
+        assert window_op(plan).kernel == "pipelined"
+        assert window_op(plan).share_derivation is False
 
     def test_absent_stats_degrade_to_rule(self):
-        db = Database()
-        db.create_table("seq", [("g", INTEGER), ("pos", INTEGER), ("val", FLOAT)])
-        # Direct table writes never collect statistics.
-        db.table("seq").insert_many([(1, i, float(i)) for i in range(4000)])
-        assert db.stats.get("seq") is None
-        self._assert_same_as_rule(db)
-        (note,) = plan_for(db, planner="cost").planner_notes
-        assert "rule fallback" in note
+        db = make_db(4000)
+        assert window_op(plan_for(db)).kernel == "vectorized"
+        db.stats.clear()
+        self._assert_default_plan(db)
 
     def test_stale_stats_degrade_to_rule(self):
         db = make_db(4000)
         # Grow the table 50% behind the catalog's back: stats go stale.
         db.table("seq").insert_many([(1, 4000 + i, 1.0) for i in range(2000)])
         assert db.stats.is_stale(db.table("seq"))
-        self._assert_same_as_rule(db)
+        self._assert_default_plan(db)
 
     def test_stale_stats_still_annotate_estimates(self):
         db = make_db(4000)
         db.table("seq").insert_many([(1, 4000 + i, 1.0) for i in range(2000)])
-        plan = plan_for(db, planner="cost")
+        plan = plan_for(db)
         # Estimation uses what the catalog has (possibly off) — only
         # *decisions* require freshness.
         assert plan.analyze_est["est_rows"] == 4000
@@ -181,22 +188,25 @@ class TestCostProperties:
     @given(n_small=st.integers(min_value=10, max_value=300),
            factor=st.integers(min_value=2, max_value=20))
     def test_plan_cost_monotonic_in_table_size(self, n_small, factor):
-        small = plan_for(make_db(n_small), planner="cost")
-        large = plan_for(make_db(n_small * factor), planner="cost")
+        small = plan_for(make_db(n_small))
+        large = plan_for(make_db(n_small * factor))
         assert large.analyze_est["est_cost"] >= small.analyze_est["est_cost"]
         assert large.analyze_est["est_rows"] >= small.analyze_est["est_rows"]
 
     @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(min_value=0, max_value=3000))
-    def test_chosen_strategy_never_costlier_than_pipelined(self, n):
+    @given(n=st.integers(min_value=0, max_value=3000),
+           func=st.sampled_from(["MIN", "MAX", "COUNT"]))
+    def test_chosen_strategy_never_costlier_than_pipelined(self, n, func):
         cm = CostModel()
-        strategy, cost = cm.choose_window_strategy(
-            float(n), width=9.0, jobs=4, groups=2.0,
-            vector_ok=True, parallel_ok=True,
-        )
-        assert cost <= cm.window_cost("pipelined", float(n), width=9.0)
-        if strategy != "pipelined":
-            assert cost < cm.window_cost("pipelined", float(n), width=9.0)
+        kernel, candidates = cm.choose_window_kernel(float(n), [(func, 9.0)])
+        pipelined = cm.window_cost("pipelined", float(n))
+        assert candidates["pipelined"] == pipelined
+        assert candidates[kernel] <= pipelined
+        if kernel != "pipelined":
+            assert candidates[kernel] < pipelined
+        # The strided MIN/MAX kernel is charged rows x width.
+        strided = cm.window_cost("vectorized", float(n) * (1.0 if func == "COUNT" else 9.0))
+        assert candidates["vectorized"] == strided
 
 
 class TestEstimateAccuracy:
@@ -214,7 +224,7 @@ class TestEstimateAccuracy:
     def test_analyzed_fixture_within_bound(self, n, groups):
         db = make_db(n, groups=groups)
         over = "PARTITION BY g ORDER BY pos" if groups > 1 else "ORDER BY pos"
-        text = db.explain_analyze(WINDOW_SQL.format(over=over), planner="cost")
+        text = db.explain_analyze(WINDOW_SQL.format(over=over))
         pairs = self._est_actual_pairs(text)
         assert pairs, f"no est/actual annotations in:\n{text}"
         for est, actual in pairs:
@@ -224,7 +234,7 @@ class TestEstimateAccuracy:
     def test_filtered_query_within_bound(self):
         db = make_db(2000, groups=4)
         text = db.explain_analyze(
-            "SELECT pos FROM seq WHERE pos < 1000 AND g = 2", planner="cost"
+            "SELECT pos FROM seq WHERE pos < 1000 AND g = 2"
         )
         for est, actual in self._est_actual_pairs(text):
             q = max(max(est, 1) / max(actual, 1), max(actual, 1) / max(est, 1))
@@ -232,10 +242,8 @@ class TestEstimateAccuracy:
 
     def test_planner_section_rendered(self):
         db = make_db(4000)
-        text = db.explain_analyze(WINDOW_SQL.format(over="ORDER BY pos"),
-                                  planner="cost")
-        assert "Planner: cost" in text
-        assert "window[m]: vectorized" in text
+        text = db.explain_analyze(WINDOW_SQL.format(over="ORDER BY pos"))
+        assert "Planner:\n  window[m]: vectorized" in text
 
 
 class TestQErrorSlowLog:

@@ -120,6 +120,67 @@ class TestOneOperatorPlane:
         assert not hasattr(repro.columns, "Batch")
 
 
+class TestOnePlanner:
+    """There is one planner and one set of query options (PR 17): a
+    ``planner=``/``kernel=`` knob or a second copy of the rewrite decision
+    coming back should fail here, not in review."""
+
+    def test_no_callable_takes_a_planner_parameter(self):
+        offenders = []
+        for module in MODULES:
+            if not module.__name__.startswith(
+                ("repro.sql", "repro.warehouse", "repro.serve",
+                 "repro.relational.engine")
+            ):
+                continue
+            for owner in [module] + [
+                c for c in vars(module).values()
+                if inspect.isclass(c) and c.__module__ == module.__name__
+            ]:
+                for name, fn in vars(owner).items():
+                    fn = getattr(fn, "__func__", fn)  # class/static methods
+                    if inspect.isfunction(fn) and (
+                        "planner" in inspect.signature(fn).parameters
+                    ):
+                        offenders.append(f"{module.__name__}.{name}")
+        assert offenders == []
+
+    def test_no_planner_mode_or_kernel_knob(self):
+        import dataclasses
+
+        import repro.parallel
+        import repro.sql.planner
+        import repro.sql.rewriter
+        from repro.core import compute
+
+        fields = {f.name for f in dataclasses.fields(repro.parallel.ExecutionConfig)}
+        assert "kernel" not in fields
+        assert not hasattr(repro.parallel, "KERNELS")
+        assert not hasattr(repro.sql.planner, "PLANNER_MODES")
+        assert not hasattr(repro.sql.rewriter, "describe_rewrite")
+        assert not hasattr(compute, "compute")
+
+    def test_query_keywords_are_the_option_fields(self):
+        import dataclasses
+
+        from repro import DataWarehouse
+        from repro.errors import PlanError
+        from repro.sql.options import QueryOptions
+
+        kinds = [p.kind for p in inspect.signature(DataWarehouse.query).parameters.values()]
+        assert kinds[2:] == [inspect.Parameter.VAR_KEYWORD]
+        defaults = dataclasses.asdict(QueryOptions())
+        assert list(defaults) == [
+            "use_views", "require_rewrite", "algorithm", "variant", "mode",
+            "window_strategy", "use_index",
+        ]
+        wh = DataWarehouse()
+        wh.create_table("t", [("pos", "INTEGER")])
+        assert wh.query("SELECT pos FROM t", **defaults).rows == []
+        with pytest.raises(PlanError):
+            wh.query("SELECT pos FROM t", planner="cost")
+
+
 class TestErrorHierarchy:
     def test_all_errors_derive_from_repro_error(self):
         from repro import errors

@@ -1,10 +1,10 @@
-"""Multi-OVER case generation and the cost-based planner path (path 8).
+"""Multi-OVER case generation and both sides of the planner's one choice.
 
-The engine-cost path must agree with the SQLite oracle on every case the
-classic paths handle — the cost planner picks *how*, never *what*.  The
-multi-window case family exercises the window operator's sharing tiers
-(sort-cache, dedup, factor derivation) through the same differential
-harness.
+The engine path (fresh statistics: the estimates choose) and the
+engine-nostats path (the defaults) must both agree with the SQLite oracle
+on every case — the planner picks *how*, never *what*.  The multi-window
+case family exercises the window operator's sharing tiers (sort-cache,
+dedup, factor derivation) through the same differential harness.
 """
 
 import pytest
@@ -93,25 +93,56 @@ class TestMultiWindowGeneration:
 
 class TestEngineCostPath:
     def test_registered_as_path(self):
-        assert "engine-cost" in PATHS
+        assert "engine-nostats" in PATHS and "engine-cost" not in PATHS
+        assert len(PATHS) == 9
 
     def test_agrees_with_oracle(self):
         runner = FuzzRunner(
-            paths=["engine", "engine-cost"], relations=(), corpus_dir=None
+            paths=["engine", "engine-nostats"], relations=(), corpus_dir=None
         )
         report = runner.run(40)
         assert report.ok, report.to_dict()["failures"]
-        parity = report.path_agreements["engine-cost"]
-        assert parity["agree"] == 40
-        assert parity["disagree"] == 0
+        for path in ("engine", "engine-nostats"):
+            assert report.path_agreements[path] == {
+                "agree": 40, "disagree": 0, "skipped": 0,
+            }
+
+    def test_statistics_decide_between_the_two_paths(self, monkeypatch):
+        """engine plans from fresh statistics (factor-window sharing on),
+        engine-nostats from none (sharing off)."""
+        from repro.sql.window_exec import WindowOperator
+
+        seen = []
+        real = WindowOperator.execute
+
+        def spy(self, stats):
+            seen.append(self.share_derivation)
+            return real(self, stats)
+
+        monkeypatch.setattr(WindowOperator, "execute", spy)
+        case = first_multi_case()
+        run_path("engine", case)
+        run_path("engine-nostats", case)
+        assert seen == [True, False]
+
+    def test_parallel_path_requires_the_pool(self, monkeypatch):
+        """A plan that drops the configured pool fails engine-parallel."""
+        from repro.sql import planner
+
+        case = GEN.case(0)
+        assert run_path("engine-parallel", case)
+        monkeypatch.setattr(planner, "_route_exec_config", lambda config: None)
+        with pytest.raises(AssertionError, match="engine-parallel"):
+            run_path("engine-parallel", case)
 
     def test_multi_window_case_matches_oracle(self):
         from repro.testkit.differ import diff_results
         from repro.testkit.oracle import sqlite_oracle
 
         case = first_multi_case()
-        got = run_path("engine-cost", case)
-        assert diff_results("sqlite", sqlite_oracle(case), "engine-cost", got) == []
+        for path in ("engine", "engine-nostats"):
+            got = run_path(path, case)
+            assert diff_results("sqlite", sqlite_oracle(case), path, got) == []
 
     def test_result_keys_carry_column_name(self):
         case = first_multi_case()
@@ -131,8 +162,8 @@ class TestEngineCostPath:
         assert run_relation("shift", case) == []
 
     def test_report_agreements_serialized(self):
-        runner = FuzzRunner(paths=["engine-cost"], relations=(), corpus_dir=None)
+        runner = FuzzRunner(paths=["engine-nostats"], relations=(), corpus_dir=None)
         doc = runner.run(5).to_dict()
-        assert doc["path_agreements"]["engine-cost"] == {
+        assert doc["path_agreements"]["engine-nostats"] == {
             "agree": 5, "disagree": 0, "skipped": 0,
         }

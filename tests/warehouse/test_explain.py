@@ -1,5 +1,7 @@
 """EXPLAIN: cheap, non-executing, and consistent with actual execution."""
 
+import re
+
 import pytest
 
 from repro.warehouse import DataWarehouse, create_sequence_table
@@ -76,3 +78,112 @@ class TestExplainConsistency:
         text = wh.explain("SELECT pos, SUM(v) OVER (ORDER BY pos ROWS "
                           "BETWEEN 1 PRECEDING AND 1 FOLLOWING) w FROM s")
         assert "partition_reduction" in text
+
+
+def _frame(l, h):
+    return f"ROWS BETWEEN {l} PRECEDING AND {h} FOLLOWING"
+
+
+def _build(view_sql, *extra_views, table="seq"):
+    def build():
+        wh = DataWarehouse()
+        if table == "seq":
+            create_sequence_table(wh.db, "seq", 30, seed=3)
+        else:
+            wh.create_table("s", [("g", "TEXT"), ("pos", "INTEGER"), ("v", "FLOAT")])
+            wh.insert("s", [(g, i, float(i * i)) for g in "ab" for i in range(1, 9)])
+        for i, sql in enumerate((view_sql,) + extra_views):
+            wh.create_view(f"v{i}", sql)
+        return wh
+
+    return build
+
+
+_SUM_1_1 = _build(f"SELECT pos, SUM(val) OVER (ORDER BY pos {_frame(1, 1)}) s FROM seq")
+_CUMULATIVE = ("SELECT pos, SUM(val) OVER (ORDER BY pos ROWS UNBOUNDED PRECEDING) s "
+               "FROM seq")
+
+TRUTH_CASES = [
+    pytest.param(
+        _SUM_1_1,
+        f"SELECT pos, SUM(val) OVER (ORDER BY pos {_frame(l, h)}) s FROM seq",
+        {},
+        id=f"sum11-{l}-{h}",
+    )
+    for l in range(7)
+    for h in range(7)
+] + [
+    pytest.param(
+        _build(f"SELECT pos, MIN(val) OVER (ORDER BY pos {_frame(2, 1)}) m FROM seq"),
+        f"SELECT pos, MIN(val) OVER (ORDER BY pos {_frame(3, 2)}) m FROM seq",
+        {},
+        id="min-view",
+    ),
+    pytest.param(
+        _build(
+            f"SELECT g, pos, SUM(v) OVER (PARTITION BY g ORDER BY pos {_frame(1, 1)}) "
+            "w FROM s",
+            table="s",
+        ),
+        f"SELECT g, pos, SUM(v) OVER (PARTITION BY g ORDER BY pos {_frame(2, 1)}) "
+        "w FROM s",
+        {},
+        id="partitioned-view",
+    ),
+    # The estimate prefers base data for the cumulative target ...
+    pytest.param(_SUM_1_1, _CUMULATIVE, {}, id="cumulative-by-estimate"),
+    # ... and require_rewrite takes the view regardless.
+    pytest.param(
+        _SUM_1_1, _CUMULATIVE, {"require_rewrite": True}, id="cumulative-required"
+    ),
+    pytest.param(
+        _build(
+            f"SELECT pos, SUM(val) OVER (ORDER BY pos {_frame(2, 1)}) s FROM seq",
+            f"SELECT pos, COUNT(val) OVER (ORDER BY pos {_frame(2, 1)}) c FROM seq",
+        ),
+        f"SELECT pos, AVG(val) OVER (ORDER BY pos {_frame(3, 1)}) a FROM seq",
+        {},
+        id="avg-combination",
+    ),
+]
+
+
+class TestExplainTellsTheTruth:
+    """EXPLAIN prints the plan query() runs — not a second opinion."""
+
+    @pytest.mark.parametrize("build,sql,options", TRUTH_CASES)
+    def test_explain_equals_execution(self, build, sql, options):
+        wh = build()
+        text = wh.explain(sql, **options)
+        info = wh.query(sql, **options).rewrite
+        assert text.startswith("NATIVE PLAN") == (info is None), text
+        if info is None:
+            return
+        header = re.match(r"REWRITE using view '([^']+)' \[([^\]]+)\]", text)
+        assert header, text
+        kind, algorithm, route, *variant = header.group(2).split(", ")
+        assert header.group(1) == info.view
+        assert (kind, algorithm, route) == (info.kind, info.algorithm, info.mode)
+        assert (variant[0] if variant else None) == info.variant
+
+    def test_explain_analyze_runs_the_plan_it_prints(self, monkeypatch):
+        """One planning pass: the printed route is the executed one."""
+        import repro.warehouse.warehouse as warehouse_module
+
+        wh = _SUM_1_1()
+        planned = []
+        real = warehouse_module.plan_rewrite
+
+        def counting(*args, **kwargs):
+            planned.append(real(*args, **kwargs))
+            return planned[-1]
+
+        monkeypatch.setattr(warehouse_module, "plan_rewrite", counting)
+        # (2, 3) over SUM(1,1): MinOA's relational pattern has a residue
+        # collision, so the in-memory form runs.
+        text = wh.explain_analyze(
+            f"SELECT pos, SUM(val) OVER (ORDER BY pos {_frame(2, 3)}) s FROM seq"
+        )
+        assert len(planned) == 1
+        assert text.startswith(planned[0].info.render())
+        assert planned[0].info.mode == "memory" and "mode=memory" in text
