@@ -52,7 +52,7 @@ def test_rewrite_relational_minoa(benchmark):
     benchmark.group = f"rewrite ablation n={N}"
     wh = fresh_warehouse(with_view=True)
     result = benchmark.pedantic(
-        wh.query, args=(QUERY,), kwargs={"algorithm": "minoa"},
+        wh.query, args=(QUERY,), kwargs={"algorithm": "minoa", "mode": "relational"},
         rounds=1, iterations=1)
     assert result.rewrite is not None and result.rewrite.mode == "relational"
 

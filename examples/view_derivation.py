@@ -39,7 +39,8 @@ print()
 reference = None
 for algorithm in ("maxoa", "minoa"):
     for variant in ("disjunctive", "union"):
-        res = wh.query(q31, algorithm=algorithm, variant=variant)
+        res = wh.query(q31, algorithm=algorithm, variant=variant,
+                       mode="relational")
         stats = res.stats
         print(f"{algorithm}/{variant:12s}: pairs={stats.pairs_examined:>8}"
               f" index_lookups={stats.index_lookups}")

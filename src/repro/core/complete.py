@@ -22,12 +22,30 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.aggregates import SUM, Aggregate
 from repro.core.sequence import SequenceSpec
 from repro.core.window import WindowSpec
 from repro.errors import IncompleteSequenceError, SequenceError
 
-__all__ = ["CompleteSequence"]
+__all__ = ["CompleteSequence", "strided_cumsum"]
+
+
+def strided_cumsum(x: np.ndarray, period: int) -> np.ndarray:
+    """``out[i] = x[i] + out[i - period]``, with ``out`` zero before index 0.
+
+    The period-``Wx`` recurrences of sections 3-5 (``z̃ᴸ``/``z̃ᴴ``, MinOA's
+    ``P_j``, raw reconstruction) run independently per residue class
+    ``i mod period``.  Reshaped to ``(-1, period)`` a class is a column and
+    its recurrence one sequential ``cumsum``: the scalar loop's additions in
+    the scalar loop's order, hence bit-identical to it.
+    """
+    m = len(x)
+    rows = -(-m // period)
+    padded = np.zeros(rows * period)
+    padded[:m] = x
+    return np.cumsum(padded.reshape(rows, period), axis=0).reshape(-1)[:m]
 
 
 class CompleteSequence:
@@ -61,6 +79,7 @@ class CompleteSequence:
                 f"{self._first()}..{self._last()}, got {len(values)}"
             )
         self._values = values
+        self._array: Optional[np.ndarray] = None
 
     # -- constructors --------------------------------------------------------
 
@@ -181,6 +200,31 @@ class CompleteSequence:
             )
         return self._extrapolate(k)
 
+    def span(self, lo: int, hi: int) -> np.ndarray:
+        """``[x̃_lo .. x̃_hi]`` as float64 — :meth:`value` over a whole range,
+        which is what the whole-sequence derivation kernels read.
+
+        The stored values become one array on first use, kept until
+        maintenance replaces them; the result may be a read-only view of it.
+        Raises :class:`IncompleteSequenceError` exactly where ``value`` does.
+        """
+        first, last = self._first(), self._last()
+        if self._array is None:
+            self._array = np.array(self._values, dtype=np.float64)
+            self._array.flags.writeable = False
+        if first <= lo <= hi + 1 <= last + 1:
+            return self._array[lo - first : hi - first + 1]
+        if not self._complete:
+            # Rare (tests, refused rewrites): value() knows what is missing.
+            return np.array([self.value(k) for k in range(lo, hi + 1)])
+        out = np.zeros(max(hi - lo + 1, 0))
+        s, e = max(lo, first), min(hi, last)
+        if s <= e:
+            out[s - lo : e - lo + 1] = self._array[s - first : e - first + 1]
+        if self.window.is_cumulative and hi > last:
+            out[max(last + 1 - lo, 0) :] = self._extrapolate(last + 1)
+        return out
+
     def value_or_none(self, k: int) -> Optional[float]:
         """``x̃_k`` under MIN/MAX semantics: ``None`` where the window is empty.
 
@@ -216,6 +260,12 @@ class CompleteSequence:
                 f"maintenance produced {len(values)} values, expected {expected}"
             )
         self._values = values
+        self._array = None
+
+    def __getstate__(self) -> dict:
+        # Copies (a commit's clone of the view mirror) and pickles rebuild
+        # the array on first use instead of carrying it.
+        return {**self.__dict__, "_array": None}
 
     # -- comparison / debugging ------------------------------------------------
 

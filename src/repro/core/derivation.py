@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core import maxoa, minoa, reconstruct
-from repro.core.complete import CompleteSequence
+from repro.core.complete import CompleteSequence, strided_cumsum
 from repro.core.window import WindowSpec
 from repro.errors import DerivationError
 
@@ -76,9 +76,12 @@ class DerivationPlan:
             ``"prefix"``, ``"maxoa"`` or ``"minoa"``.
         view: window of the materialized sequence.
         target: requested window.
-        estimated_lookups: rough count of sequence-value accesses for a
-            length-``n`` derivation, as a function ``f(n)`` evaluated at
-            ``n=1000`` (used only for ranking strategies).
+        estimated_lookups: rough count of sequence-value accesses of the
+            *explicit* form for a length-``n`` derivation, as a function
+            ``f(n)`` evaluated at ``n=1000`` (used for ranking strategies).
+        recursive_lookups: sequence values the *recursive* form reads per
+            output position, compensation/prefix sequences included; it
+            does not grow with ``n``.
         notes: human-readable remarks (e.g. paper-precondition status).
     """
 
@@ -86,7 +89,17 @@ class DerivationPlan:
     view: WindowSpec
     target: WindowSpec
     estimated_lookups: float
+    recursive_lookups: float
     notes: tuple = field(default_factory=tuple)
+
+    def explicit_lookups(self, n: int) -> float:
+        """Explicit-form lookups per output position over ``n`` positions:
+        constant for identity and the fig. 4/5 differences, a chain of
+        ``n / Wx`` links for everything else derived from a sliding view."""
+        per_position = self.estimated_lookups / _RANKING_N
+        if self.view.is_sliding and self.algorithm != "identity":
+            per_position *= n / _RANKING_N
+        return per_position
 
     def describe(self) -> str:
         """One-line explanation, for EXPLAIN output."""
@@ -105,7 +118,7 @@ def _candidate_plans(
     n = _RANKING_N
     plans: List[DerivationPlan] = []
     if view == target:
-        return [DerivationPlan("identity", view, target, n)]
+        return [DerivationPlan("identity", view, target, n, 1)]
     if view.is_cumulative:
         if target.is_sliding:
             algo = "cumulative"
@@ -114,7 +127,7 @@ def _candidate_plans(
                     "sliding windows are not derivable from cumulative MIN/MAX "
                     "views (no subtraction for semi-algebraic aggregates)"
                 )
-            return [DerivationPlan(algo, view, target, 2 * n)]
+            return [DerivationPlan(algo, view, target, 2 * n, 2)]
         raise DerivationError(f"cannot derive {target} from cumulative view")
     # view is sliding
     wx = view.width
@@ -129,6 +142,7 @@ def _candidate_plans(
                 view,
                 target,
                 n * n / (2 * wx),
+                2,  # x̃_j and P_{j-Wx}
                 notes=("positive prefix tiling only (MinOA specialisation)",),
             )
         )
@@ -140,7 +154,8 @@ def _candidate_plans(
                 "raw data is not reconstructible from MIN/MAX views"
             )
         plans.append(
-            DerivationPlan("reconstruct", view, target, n * n / wx)
+            # x̃_{k-h}, x̃_{k-h-1} and x_{k-w}
+            DerivationPlan("reconstruct", view, target, n * n / wx, 3)
         )
         return plans
     delta_l = target.l - view.l
@@ -154,11 +169,17 @@ def _candidate_plans(
                 "outside the paper's stated bound ly<=hx-1+2lx (valid per the "
                 "telescoping argument, Δ<=Wx)",
             )
+        # MIN/MAX: the three shifted values.  SUM: three reads per element
+        # of z̃ᴸ and of z̃ᴴ, five to combine them.
+        recursive = 3 if minmax else 11
         plans.append(
-            DerivationPlan("maxoa", view, target, 2 * n * n / wx, notes=notes)
+            DerivationPlan(
+                "maxoa", view, target, 2 * n * n / wx, recursive, notes=notes
+            )
         )
     if not minmax:
-        plans.append(DerivationPlan("minoa", view, target, n * n / wx))
+        # Two reads per element of P, two elements of P per position.
+        plans.append(DerivationPlan("minoa", view, target, n * n / wx, 4))
     if not plans:
         raise DerivationError(
             f"{target} is not derivable from a MIN/MAX view of {view}: MaxOA "
@@ -235,8 +256,7 @@ def derive(
     if algo == "cumulative":
         return reconstruct.sliding_from_cumulative(seq, target)
     if algo == "reconstruct":
-        style = "explicit" if form == "explicit" else "recursive"
-        return reconstruct.raw_from_sliding(seq, form=style)
+        return reconstruct.raw_from_sliding(seq, form=form)
     if algo == "prefix":
         return _prefix_from_sliding(seq, form=form)
     if algo == "maxoa":
@@ -253,22 +273,8 @@ def _prefix_from_sliding(seq: CompleteSequence, *, form: str) -> List[float]:
     with its head right-justified at ``k``.
     """
     n = seq.n
-    hx = seq.window.h
-    period = seq.window.width
     if form == "recursive":
-        prefix = {}
-        out = []
-        for j in range(1 - hx, n + 1):
-            prefix[j] = seq.value(j) + prefix.get(j - period, 0.0)
-        for k in range(1, n + 1):
-            out.append(prefix.get(k - hx, 0.0))
-        return out
-    out = []
-    for k in range(1, n + 1):
-        total = 0.0
-        pos = k - hx
-        while pos >= 1 - hx:
-            total += seq.value(pos)
-            pos -= period
-        out.append(total)
-    return out
+        # P_j = x̃_j + P_{j-Wx} from the first stored position; ỹ_k = P_{k-hx}.
+        hx = seq.window.h
+        return strided_cumsum(seq.span(1 - hx, n - hx), seq.window.width).tolist()
+    return [prefix_up_to(seq, k) for k in range(1, n + 1)]

@@ -43,7 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.complete import CompleteSequence
+import numpy as np
+
+from repro.core.aggregates import MIN
+from repro.core.complete import CompleteSequence, strided_cumsum
 from repro.core.window import WindowSpec
 from repro.errors import DerivationError
 
@@ -155,6 +158,22 @@ def _derive_at_minmax(seq: CompleteSequence, params: MaxOAParameters, k: int) ->
     return result
 
 
+def _derive_minmax(seq: CompleteSequence, params: MaxOAParameters) -> List[float]:
+    """The MIN/MAX cover over all positions: three shifted slices of the
+    view, a shifted value taking part only where its window still
+    intersects ``1..n`` (:meth:`CompleteSequence.value_or_none`)."""
+    n = seq.n
+    combine = np.minimum if seq.aggregate is MIN else np.maximum
+    out = seq.span(1, n)
+    for shift in (-params.delta_l, params.delta_h):
+        if shift:
+            at = np.arange(1 + shift, n + shift + 1)
+            present = (at >= 1 - params.view.h) & (at <= n + params.view.l)
+            shifted = seq.span(1 + shift, n + shift)
+            out = np.where(present, combine(out, shifted), out)
+    return out.tolist()
+
+
 def derive_at(seq: CompleteSequence, target: WindowSpec, k: int) -> float:
     """``ỹ_k`` via MaxOA's explicit form (single position)."""
     params = check_preconditions(seq.window, target)
@@ -171,35 +190,30 @@ def _derive_recursive(seq: CompleteSequence, params: MaxOAParameters) -> List[fl
     """Recursive form: materialize the compensation sequences in one pass.
 
     This is the strategy an engine with internal caches would use (paper
-    section 4.1): O(1) sequence lookups per output position.
+    section 4.1): O(1) sequence lookups per output position.  Each
+    compensation sequence is one :func:`~repro.core.complete.strided_cumsum`
+    over the difference of two shifted slices of the view.
     """
     n = seq.n
     period = params.period
     delta_l, delta_h = params.delta_l, params.delta_h
-    out: List[float] = [0.0] * n
-
-    # z̃^L_k = x̃_{k-Δl} - x̃_{k-Wx} + z̃^L_{k-Wx}; base 0 for k <= Δl - hx.
-    zl: dict = {}
+    out = seq.span(1, n)
     if delta_l:
-        for k in range(delta_l - params.view.h + 1, n + 1):
-            prev = zl.get(k - period, 0.0)
-            zl[k] = seq.value(k - delta_l) - seq.value(k - period) + prev
-
-    # z̃^H_k = x̃_{k+Δh} - x̃_{k+Wx} + z̃^H_{k+Wx}; base 0 for k + Δh - lx > n.
-    zh: dict = {}
+        # z̃^L_k = x̃_{k-Δl} - x̃_{k-Wx} + z̃^L_{k-Wx}; every term is 0 for
+        # k <= Δl - hx, so starting at k = 1 or below covers the base case.
+        lo = min(delta_l - params.view.h + 1, 1)
+        shifted = seq.span(lo - delta_l, n - delta_l)
+        zl = strided_cumsum(shifted - seq.span(lo - period, n - period), period)
+        out = out + (shifted[1 - lo :] - zl[1 - lo :])
     if delta_h:
-        for k in range(n + params.view.l, 0, -1):
-            nxt = zh.get(k + period, 0.0)
-            zh[k] = seq.value(k + delta_h) - seq.value(k + period) + nxt
-
-    for k in range(1, n + 1):
-        total = seq.value(k)
-        if delta_l:
-            total += seq.value(k - delta_l) - zl.get(k, 0.0)
-        if delta_h:
-            total += seq.value(k + delta_h) - zh.get(k, 0.0)
-        out[k - 1] = total
-    return out
+        # z̃^H_k = x̃_{k+Δh} - x̃_{k+Wx} + z̃^H_{k+Wx} runs down from k = n + lx
+        # (beyond it every term is 0): the same recurrence, reversed.
+        hi = n + params.view.l
+        shifted = seq.span(1 + delta_h, hi + delta_h)
+        diff = shifted - seq.span(1 + period, hi + period)
+        zh = strided_cumsum(diff[::-1], period)[::-1]
+        out = out + (shifted[:n] - zh[:n])
+    return out.tolist()
 
 
 def derive(
@@ -225,6 +239,8 @@ def derive(
     if params is None:
         params = check_preconditions(seq.window, target)
     if seq.aggregate.duplicate_insensitive:
+        if form == "recursive":
+            return _derive_minmax(seq, params)
         return [_derive_at_minmax(seq, params, k) for k in range(1, seq.n + 1)]
     if not seq.aggregate.invertible:
         raise DerivationError(

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.complete import CompleteSequence
+from repro.core.complete import CompleteSequence, strided_cumsum
 from repro.core.window import WindowSpec
 from repro.errors import DerivationError
 
@@ -146,25 +146,15 @@ def derive(
     if form != "recursive":
         raise DerivationError(f"unknown MinOA form {form!r}")
 
+    # P_j = x̃_j + P_{j-Wx} over every position either tiling can reach
+    # (x̃ and hence P vanish below 1 - hx): one strided cumsum, read at the
+    # two shifted ranges.
     period = params.period
-    hx, lx = params.view.h, params.view.l
-    # P_j = Σ_{i>=0} x̃_{j - i·period}; needed for j in two shifted ranges.
-    lo = 1 - hx
-    hi = max(n + lx, n + params.delta_h, n - params.delta_l - period)
-    prefix = {}
-    for j in range(lo, hi + 1):
-        prefix[j] = seq.value(j) + prefix.get(j - period, 0.0)
-
-    def p(j: int) -> float:
-        if j < lo:
-            return 0.0
-        if j > hi:
-            # x̃_j = 0 beyond the trailer; fold back into the computed range.
-            back = j - ((j - hi + period - 1) // period) * period
-            return prefix.get(back, 0.0)
-        return prefix[j]
-
-    return [
-        p(k + params.delta_h) - p(k - params.delta_l - period)
-        for k in range(1, n + 1)
-    ]
+    pos_head = 1 + params.delta_h
+    neg_head = 1 - params.delta_l - period
+    lo = min(1 - params.view.h, pos_head, neg_head)
+    hi = n + max(params.view.l, params.delta_h, -params.delta_l - period)
+    prefix = strided_cumsum(seq.span(lo, hi), period)
+    positive = prefix[pos_head - lo : pos_head - lo + n]
+    negative = prefix[neg_head - lo : neg_head - lo + n]
+    return (positive - negative).tolist()

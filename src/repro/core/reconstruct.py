@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import List
 
-from repro.core.complete import CompleteSequence
+from repro.core.complete import CompleteSequence, strided_cumsum
 from repro.core.window import WindowSpec
 from repro.errors import DerivationError
 
@@ -59,8 +59,13 @@ def raw_at_from_cumulative(seq: CompleteSequence, k: int) -> float:
 
 
 def raw_from_cumulative(seq: CompleteSequence) -> List[float]:
-    """All raw values ``x_1 .. x_n`` from a cumulative sequence (fig. 4)."""
-    return [raw_at_from_cumulative(seq, k) for k in range(1, seq.n + 1)]
+    """All raw values ``x_1 .. x_n`` from a cumulative sequence (fig. 4):
+    the view minus itself shifted by one position."""
+    if not seq.window.is_cumulative:
+        raise DerivationError("raw_from_cumulative needs a cumulative sequence")
+    _require_sum_family(seq, "raw-data reconstruction")
+    n = seq.n
+    return (seq.span(1, n) - seq.span(0, n - 1)).tolist()
 
 
 def sliding_from_cumulative(seq: CompleteSequence, target: WindowSpec) -> List[float]:
@@ -74,8 +79,8 @@ def sliding_from_cumulative(seq: CompleteSequence, target: WindowSpec) -> List[f
     if not target.is_sliding:
         raise DerivationError("target window must be sliding")
     _require_sum_family(seq, "sliding-window derivation")
-    l, h = target.l, target.h
-    return [seq.value(k + h) - seq.value(k - l - 1) for k in range(1, seq.n + 1)]
+    l, h, n = target.l, target.h, seq.n
+    return (seq.span(1 + h, n + h) - seq.span(-l, n - l - 1)).tolist()
 
 
 def raw_at_from_sliding(seq: CompleteSequence, k: int, *, form: str = "explicit") -> float:
@@ -111,9 +116,9 @@ def raw_at_from_sliding(seq: CompleteSequence, k: int, *, form: str = "explicit"
 def raw_from_sliding(seq: CompleteSequence, *, form: str = "explicit") -> List[float]:
     """All raw values ``x_1 .. x_n`` from a complete sliding-window sequence.
 
-    The whole-sequence reconstruction runs the recursion forward in one pass
-    (O(n) total) regardless of ``form``'s per-value strategy when
-    ``form="recursive"``; ``form="explicit"`` evaluates the bounded sum at
+    ``form="recursive"`` runs the recursion ``x_k = x̃_{k-h} - x̃_{k-h-1} +
+    x_{k-w}`` forward over the whole sequence (O(n) total, one strided
+    cumsum); ``form="explicit"`` evaluates the bounded sum at
     every position (O(n²/w) total), matching the relational pattern's cost
     profile.
     """
@@ -123,10 +128,6 @@ def raw_from_sliding(seq: CompleteSequence, *, form: str = "explicit") -> List[f
     n = seq.n
     if form == "recursive":
         h = seq.window.h
-        w = seq.window.width
-        out = [0.0] * n
-        for k in range(1, n + 1):
-            prev = out[k - w - 1] if k - w >= 1 else 0.0
-            out[k - 1] = seq.value(k - h) - seq.value(k - h - 1) + prev
-        return out
+        steps = seq.span(1 - h, n - h) - seq.span(-h, n - h - 1)
+        return strided_cumsum(steps, seq.window.width).tolist()
     return [raw_at_from_sliding(seq, k, form=form) for k in range(1, n + 1)]

@@ -25,13 +25,16 @@ Two derivation lemmas are implemented:
   the coarse ordering, so — following the lemma's constructive argument —
   each fine partition's raw values are first reconstructed (possible
   exactly because the reporting function is *complete*), merged in order,
-  and the target window is recomputed.  The paper proves derivability but
-  gives no closed form; this is the construction its proof sketch implies.
+  and the target window is recomputed with the vectorized window kernel.
+  The paper proves derivability but gives no closed form; this is the
+  construction its proof sketch implies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.aggregates import SUM, Aggregate
@@ -41,6 +44,7 @@ from repro.core.derivation import prefix_up_to
 from repro.core.positions import PositionFunction
 from repro.core.reconstruct import raw_from_cumulative, raw_from_sliding
 from repro.core.sequence import CustomBoundsSequenceSpec, SequenceSpec
+from repro.core.vectorized import compute_vectorized
 from repro.core.window import WindowSpec
 from repro.errors import DerivationError, IncompleteSequenceError, SequenceError
 
@@ -131,7 +135,14 @@ class ReportingSequence:
             order_keys_by_key.append(order_keys)
             raws.append([float(r[value_col]) for r in part_rows])
         if exec_config is not None and exec_config.is_parallel and raws:
-            seqs = _sequences_parallel(raws, window, aggregate, complete, exec_config)
+            from repro.parallel.compute import compute_grouped_parallel
+
+            # Core positions of all partitions as one flat chunk list.
+            cores = compute_grouped_parallel(raws, window, aggregate, exec_config)
+            seqs = [
+                _sequence_around(raw, core, window, aggregate, complete)
+                for raw, core in zip(raws, cores)
+            ]
         else:
             seqs = [
                 CompleteSequence.from_raw(raw, window, aggregate, complete=complete)
@@ -206,39 +217,27 @@ class ReportingSequence:
         return out
 
 
-def _sequences_parallel(
-    raws: Sequence[List[float]],
+def _sequence_around(
+    raw: Sequence[float],
+    core: Sequence[float],
     window: WindowSpec,
     aggregate: Aggregate,
     complete: bool,
-    exec_config,
-) -> List[CompleteSequence]:
-    """Build one :class:`CompleteSequence` per partition through the pool.
-
-    Core positions ``1..n`` go through
-    :func:`~repro.parallel.compute.compute_grouped_parallel` (one flat chunk
-    list over all partitions); the ``l + h`` header/trailer positions per
-    partition are cheap and evaluated with the explicit form in-process.
-    """
-    from repro.parallel.compute import compute_grouped_parallel
-
-    core_lists = compute_grouped_parallel(raws, window, aggregate, exec_config)
-    spec = SequenceSpec(window, aggregate)
-    seqs: List[CompleteSequence] = []
-    for raw, core in zip(raws, core_lists):
-        n = len(raw)
-        pairs: List[Tuple[int, float]] = list(zip(range(1, n + 1), core))
-        if complete:
-            first = 1 - window.header_span()
-            last = n + window.trailer_span()
-            for k in range(first, 1):
-                pairs.append((k, spec.value_at(raw, k)))
-            for k in range(n + 1, last + 1):
-                pairs.append((k, spec.value_at(raw, k)))
-        seqs.append(
-            CompleteSequence.from_values(window, aggregate, n, pairs, complete=complete)
+) -> CompleteSequence:
+    """Wrap core values ``1..n`` that a bulk kernel computed; the ``l + h``
+    header/trailer positions are cheap and evaluated in the explicit form."""
+    n = len(raw)
+    values = list(core)
+    if complete:
+        spec = SequenceSpec(window, aggregate)
+        header = range(1 - window.header_span(), 1)
+        trailer = range(n + 1, n + window.trailer_span() + 1)
+        values = (
+            [spec.value_at(raw, k) for k in header]
+            + values
+            + [spec.value_at(raw, k) for k in trailer]
         )
-    return seqs
+    return CompleteSequence(window, aggregate, n, values, complete)
 
 
 def partitioning_reduction(
@@ -248,7 +247,13 @@ def partitioning_reduction(
     target_window: Optional[WindowSpec] = None,
     complete: bool = True,
 ) -> ReportingSequence:
-    """Derive a coarser-partitioned reporting sequence (section 6.2).
+    """Derive a coarser-partitioned reporting sequence (section 6.2):
+    reconstruct each fine partition's raw values, merge them per coarse
+    partition, and run the window kernel the native path uses over the
+    merged values.
+
+    The dropped partition values become one tie-breaking pseudo ordering
+    column ``__drop__``, so merged rows have a deterministic linear order.
 
     Args:
         view: the materialized reporting sequence; must be complete (the
@@ -276,27 +281,35 @@ def partitioning_reduction(
     keep_idx = [view.partition_by.index(c) for c in new_cols]
     drop_idx = [i for i in range(len(view.partition_by)) if i not in keep_idx]
 
+    def dropped(pkey: Key) -> Key:
+        return tuple(pkey[j] for j in drop_idx)
+
     raws = view.reconstruct_raw()
-    rows: List[dict] = []
-    for pkey, part in view.partitions.items():
-        raw = raws[pkey]
-        for i, okey in enumerate(part.order_keys):
-            row = {c: pkey[j] for j, c in zip(keep_idx, new_cols)}
-            # Dropped partition values become tie-breaking pseudo ordering
-            # columns so merged rows have a deterministic linear order.
-            row["__drop__"] = tuple(pkey[j] for j in drop_idx)
-            for c, v in zip(view.order_by, okey):
-                row[c] = v
-            row["__value__"] = raw[i]
-            rows.append(row)
-    return ReportingSequence.from_rows(
-        rows,
-        "__value__",
-        partition_by=new_cols,
-        order_by=tuple(view.order_by) + ("__drop__",),
-        window=target,
-        aggregate=view.aggregate,
-        complete=complete,
+    merged: Dict[Key, List[Tuple[Key, float, Key]]] = {}
+    # Fine partitions are visited in dropped-value order and the sort below
+    # is stable: ordering-key ties fall in that order without a comparison.
+    for pkey in sorted(view.partitions, key=dropped):
+        coarse = tuple(pkey[j] for j in keep_idx)
+        merged.setdefault(coarse, []).extend(
+            zip(view.partitions[pkey].order_keys, raws[pkey], repeat((dropped(pkey),)))
+        )
+    partitions: Dict[Key, PartitionData] = {}
+    for coarse in sorted(merged, key=repr):
+        rows = sorted(merged[coarse], key=itemgetter(0))
+        if not rows:
+            continue
+        order_keys, raw, tiebreaks = zip(*rows)
+        core = compute_vectorized(raw, target, view.aggregate)
+        partitions[coarse] = PartitionData(
+            list(map(add, order_keys, tiebreaks)),
+            _sequence_around(raw, core, target, view.aggregate, complete),
+        )
+    return ReportingSequence(
+        new_cols,
+        tuple(view.order_by) + ("__drop__",),
+        target,
+        view.aggregate,
+        partitions,
     )
 
 

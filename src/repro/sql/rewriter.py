@@ -13,17 +13,21 @@ derivation algorithm and (4) the route:
   in-memory mirror — needed for MIN/MAX, prefix derivations and the
   section-6 reductions.
 
-``mode="auto"`` takes the relational route when a pattern exists,
-mirroring a real engine that rewrites the SQL plan; the pattern is built
-at plan time, which is how the corner cases it cannot express (e.g. the
-MinOA residue collision) are found.  The resulting :class:`RewritePlan`
-is what :func:`try_rewrite` runs and what warehouse ``EXPLAIN`` prints,
-so the two cannot disagree.
+``mode="auto"`` decides by estimate: the relational pattern only when
+the storage rows it reads per output position do not exceed the sequence
+values the recursive in-memory form reads.  An identity match — a linear
+scan of the storage table — stays relational; a pattern that chains
+``n/Wx`` lookups per position runs only on sequences a few view windows
+long.  A pattern is built at plan time, which is how the corner cases it
+cannot express (e.g. the MinOA residue collision) are found.  The
+resulting :class:`RewritePlan` is what :func:`try_rewrite` runs and what
+warehouse ``EXPLAIN`` prints, so the two cannot disagree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import derivation as core_derivation
@@ -56,7 +60,9 @@ __all__ = [
 ]
 
 Key = Tuple[object, ...]
-LabelledRows = List[Dict[str, object]]
+# One partition of an answer: its key, then one ordering key and one derived
+# value per output position.  Pieces stay columns until the rows are zipped.
+Piece = Tuple[Key, Sequence[Key], Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -69,14 +75,24 @@ class RewriteInfo:
     mode: str
     variant: Optional[str]
     description: str
+    # Why ``mode``: estimated lookups per output position on either route
+    # (None for reductions and the AVG combination, which have no choice).
+    est_relational: Optional[float] = None
+    est_memory: Optional[float] = None
 
     def render(self) -> str:
         """The ``REWRITE using view ...`` line of warehouse EXPLAIN."""
+        estimates = ""
+        if self.est_relational is not None:
+            estimates = (
+                f" (lookups/position: relational {self.est_relational:.1f}, "
+                f"memory {self.est_memory:.1f})"
+            )
         return (
             f"REWRITE using view {self.view!r} [{self.kind}, "
             f"{self.algorithm}, {self.mode}"
             + (f", {self.variant}" if self.variant else "")
-            + f"]: {self.description}"
+            + f"]{estimates}: {self.description}"
         )
 
 
@@ -106,21 +122,27 @@ class RewritePlan:
     steps: Tuple[_Step, ...]
 
     def run(self, db: Database) -> Result:
-        rows, stats = _match_rows(db, self.steps[0])
+        pieces, stats = _step_pieces(db, self.steps[0])
         if len(self.steps) == 2:
             # Section 2.1: "AVG may be directly derived from SUM and
-            # COUNT"; the quotient is taken per output row.
-            count_rows, count_stats = _match_rows(db, self.steps[1])
-            key_cols = list(self.shape.partition_by) + list(self.shape.order_by)
-            counts = {
-                tuple(row[c] for c in key_cols): row["__window__"]
-                for row in count_rows
-            }
-            for row in rows:
-                count = counts.get(tuple(row[c] for c in key_cols))
-                row["__window__"] = row["__window__"] / count if count else None
+            # COUNT"; both components enumerate a partition's positions in
+            # the same order, so the quotient is element-wise.
+            count_pieces, count_stats = _step_pieces(db, self.steps[1])
+            counts = {pkey: values for pkey, _, values in count_pieces}
+            pieces = [
+                (pkey, order_keys, _quotient(sums, counts.get(pkey, ())))
+                for pkey, order_keys, sums in pieces
+            ]
             stats.merge(count_stats)
-        return _assemble(db, self.stmt, self.shape, rows, stats)
+        return _assemble(db, self.stmt, self.shape, pieces, stats)
+
+
+def _quotient(sums: Sequence[float], counts: Sequence[float]) -> List[Optional[float]]:
+    if len(sums) != len(counts):
+        raise DerivationError(
+            "the SUM and COUNT views of an AVG combination cover different rows"
+        )
+    return [s / c if c else None for s, c in zip(sums, counts)]
 
 
 def try_rewrite(
@@ -366,14 +388,25 @@ def _plan_step(
         and algo in ("maxoa", "minoa", "cumulative", "reconstruct")
         and not (view.is_partitioned and algo == "cumulative")
     )
-    pattern = None
     if options.mode == "relational" and not relational_ok:
         raise NoRewriteError(
             f"relational rewrite unavailable for {algo} over a "
             f"{'partitioned ' if view.is_partitioned else ''}"
             f"{d.aggregate_name} view"
         )
-    if options.mode != "memory" and relational_ok:
+    # Lookups per output position.  A pattern reads the storage row its
+    # scan drives from plus one row per lookup of the explicit form it
+    # evaluates; an identity match is that scan alone.
+    longest = max(view.partition_sizes().values(), default=0)
+    est_memory = float(dplan.recursive_lookups)
+    est_relational = 1.0 + (
+        0.0 if algo == "identity" else dplan.explicit_lookups(longest)
+    )
+    pattern = None
+    if relational_ok and (
+        options.mode == "relational"
+        or (options.mode == "auto" and est_relational <= est_memory)
+    ):
         n = 0 if view.is_partitioned else view.single_partition().seq.n
         try:
             pattern = _relational_plan(
@@ -398,70 +431,75 @@ def _plan_step(
         "relational" if pattern is not None else "memory",
         options.variant if pattern is not None else None,
         dplan.describe(),
+        est_relational,
+        est_memory,
     )
     return _Step(shape, match, info, dplan, pattern)
 
 
-def _match_rows(db: Database, step: _Step) -> Tuple[LabelledRows, ExecutionStats]:
-    """Derive the labelled output rows for one step (no final projection)."""
+def _step_pieces(db: Database, step: _Step) -> Tuple[List[Piece], ExecutionStats]:
+    """Derive one step's answer, partition by partition (no projection)."""
     from repro.obs import runtime
 
     view = step.match.view
     shape = step.shape
-    if step.match.kind == "partition_reduction":
-        derived = core_reporting.partitioning_reduction(
-            view.reporting, shape.partition_by, target_window=shape.window
-        )
-        return _rows_from_reporting(derived, drop_tiebreak=True), ExecutionStats()
-    if step.match.kind == "ordering_reduction":
-        drop = len(view.definition.order_by) - len(shape.order_by)
-        derived = core_reporting.ordering_reduction(
-            view.reporting, drop, target_window=shape.window
-        )
-        return _rows_from_reporting(derived), ExecutionStats()
+    if step.match.kind in _REDUCTIONS:
+        if step.match.kind == "partition_reduction":
+            derived = core_reporting.partitioning_reduction(
+                view.reporting, shape.partition_by,
+                target_window=shape.window, complete=False,
+            )
+        else:
+            drop = len(view.definition.order_by) - len(shape.order_by)
+            derived = core_reporting.ordering_reduction(
+                view.reporting, drop, target_window=shape.window
+            )
+        return [
+            (pkey, part.order_keys, part.seq.core_values())
+            for pkey, part in derived.partitions.items()
+        ], ExecutionStats()
 
     dplan, info = step.dplan, step.info
-    if step.pattern is not None:
-        with runtime.get_tracer().span(
-            "view.derive",
-            view=view.name, algorithm=dplan.algorithm,
-            mode="relational", variant=info.variant,
-        ):
-            exec_result = db.run(step.pattern)
-        _count_derivation(dplan.algorithm, "relational")
-        n_part = len(view.definition.partition_by)
-        rows: LabelledRows = []
-        for row in exec_result.rows:
-            rows.extend(
-                _label_values(
-                    view, tuple(row[:n_part]), [row[-1]], start_pos=row[n_part]
-                )
-            )
-        return rows, exec_result.stats
-
-    # In-memory derivation, partition-wise.
+    partitions = view.reporting.partitions
     with runtime.get_tracer().span(
         "view.derive",
-        view=view.name, algorithm=dplan.algorithm, mode="memory",
+        view=view.name, algorithm=dplan.algorithm,
+        mode=info.mode, variant=info.variant,
+        est_relational=info.est_relational, est_memory=info.est_memory,
     ):
-        rows = []
-        for pkey, part in view.reporting.partitions.items():
-            values = core_derivation.derive(
-                part.seq, shape.window, chosen=dplan, form="recursive"
-            )
-            rows.extend(_label_values(view, pkey, values))
-    _count_derivation(dplan.algorithm, "memory")
-    return rows, ExecutionStats()
-
-
-def _count_derivation(algorithm: str, mode: str) -> None:
-    from repro.obs import runtime
-
+        if step.pattern is None:
+            pieces: List[Piece] = [
+                (
+                    pkey,
+                    part.order_keys,
+                    core_derivation.derive(
+                        part.seq, shape.window, chosen=dplan, form="recursive"
+                    ),
+                )
+                for pkey, part in partitions.items()
+            ]
+            stats = ExecutionStats()
+        else:
+            # Pattern rows are (partition..., pos, value), sorted; label
+            # each with the ordering key of its position.
+            exec_result = db.run(step.pattern)
+            stats = exec_result.stats
+            n_part = len(view.definition.partition_by)
+            pieces = []
+            for pkey, rows in groupby(exec_result.rows, key=lambda r: r[:n_part]):
+                order_keys = partitions[pkey].order_keys
+                rows = list(rows)
+                pieces.append((
+                    pkey,
+                    [order_keys[r[n_part] - 1] for r in rows],
+                    [r[-1] for r in rows],
+                ))
     runtime.get_registry().counter(
         "repro_views_derivations_total",
-        {"algorithm": algorithm, "mode": mode},
+        {"algorithm": dplan.algorithm, "mode": info.mode},
         help="Queries answered by deriving from a materialized view",
     ).inc()
+    return pieces, stats
 
 
 def _relational_plan(
@@ -507,55 +545,25 @@ def _relational_plan(
     raise NoRewriteError(f"no relational pattern for algorithm {algo!r}")
 
 
-def _label_values(
-    view: MaterializedSequenceView,
-    pkey: Key,
-    values: Sequence[float],
-    start_pos: int = 1,
-) -> LabelledRows:
-    """Attach partition/order keys to derived per-position values."""
-    d = view.definition
-    part = view.reporting.partition(pkey)
-    rows = []
-    for i, value in enumerate(values):
-        row: Dict[str, object] = {}
-        for c, v in zip(d.partition_by, pkey):
-            row[c] = v
-        for c, v in zip(d.order_by, part.order_keys[start_pos - 1 + i]):
-            row[c] = v
-        row["__window__"] = value
-        rows.append(row)
-    return rows
-
-
-def _rows_from_reporting(
-    derived: core_reporting.ReportingSequence,
-    *,
-    drop_tiebreak: bool = False,
-) -> LabelledRows:
-    rows = []
-    order_cols = list(derived.order_by)
-    if drop_tiebreak and order_cols and order_cols[-1] == "__drop__":
-        order_cols = order_cols[:-1]
-    for pkey, okey, value in derived.values():
-        row: Dict[str, object] = {}
-        for c, v in zip(derived.partition_by, pkey):
-            row[c] = v
-        for c, v in zip(order_cols, okey):
-            row[c] = v
-        row["__window__"] = value
-        rows.append(row)
-    return rows
-
-
 def _assemble(
     db: Database,
     stmt: SelectStmt,
     shape: QueryShape,
-    rows: LabelledRows,
+    pieces: Sequence[Piece],
     stats: ExecutionStats,
 ) -> Result:
-    """Project the labelled rows into the statement's select-item order."""
+    """Concatenate the pieces column by column and project them into the
+    statement's select-item order."""
+    by_name: Dict[str, List[object]] = {
+        name: [] for name in (*shape.partition_by, *shape.order_by, "__window__")
+    }
+    for pkey, order_keys, values in pieces:
+        for name, value in zip(shape.partition_by, pkey):
+            by_name[name].extend([value] * len(values))
+        for i, name in enumerate(shape.order_by):
+            by_name[name].extend([key[i] for key in order_keys])
+        by_name["__window__"].extend(values)
+
     base = db.table(shape.base_table)
     columns: List[Column] = []
     pickers = []
@@ -571,7 +579,7 @@ def _assemble(
             columns.append(Column(name, base.schema.column(col_name).type))
             pickers.append(col_name)
     out_schema = Schema(columns)
-    out_rows = [tuple(row[p] for p in pickers) for row in rows]
+    out_rows = list(zip(*(by_name[p] for p in pickers)))
     result = Result(out_schema, out_rows, stats)
 
     if stmt.order_by:

@@ -8,7 +8,7 @@ Paths:
 
 ``naive``            explicit form, O(W) per position (§2.2)
 ``pipelined``        recursive form, O(1) amortised per position (§2.2)
-``vectorized``       numpy kernels (skipped when numpy is unavailable)
+``vectorized``       numpy kernels
 ``engine``           full SQL stack: parse -> plan -> WindowOperator, planned
                      from the fresh statistics ``insert`` collected
 ``engine-nostats``   same, with the statistics cleared first (the planner's
@@ -19,17 +19,21 @@ Paths:
                      buffer-pool budget (out-of-core reads + spilling)
 ``view-maxoa``       materialized view one step *narrower*, MaxOA (§4)
 ``view-minoa``       materialized view one step *wider*, MinOA (§5)
+``view-default``     a view answered with default options: the algorithm
+                     and route the planner picks for served traffic
 
 Multi-window cases (``case.extra_windows``) run on the core and engine
 paths with result keys ``(g, pos, column)``; the view paths return None
 for them (the rewriter targets single reporting-function shapes).
 
-The view paths execute in ``mode="relational"`` wherever the engine has a
-relational pattern (invertible aggregates, identity matches) — the
-relational patterns read the view's *storage table*, so corruption injected
+``view-maxoa`` and ``view-minoa`` execute in ``mode="relational"`` wherever
+the engine has a relational pattern (invertible aggregates, identity
+matches) — the relational patterns read the view's *storage table*, so corruption injected
 into storage (the ``bitflip`` fault) is visible to the differ, not just to
 ``verify_view``; MIN/MAX derivations and prefix tiling fall back to the
-in-memory form the engine provides.  They call
+in-memory form the engine provides.  ``view-default`` passes no option,
+so the SUM-family derivations run the in-memory recursive kernels unless
+the route estimate prefers the pattern.  All three call
 :func:`repro.faults.injector.verify_hook` on the freshly materialized view
 first: that is the testkit's storage fault point, reusing the ``verify``
 site so existing fault plans work unchanged.
@@ -45,6 +49,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.aggregates import Aggregate
 from repro.core.compute import compute_naive, compute_pipelined
+from repro.core.vectorized import compute_vectorized
 from repro.core.window import WindowSpec, cumulative, sliding
 from repro.testkit.generator import FuzzCase
 
@@ -90,12 +95,8 @@ def path_pipelined(case: FuzzCase) -> ResultMap:
     return _core_path(case, compute_pipelined)
 
 
-def path_vectorized(case: FuzzCase) -> Optional[ResultMap]:
-    """The numpy kernels; None (skipped) when numpy is unavailable."""
-    try:
-        from repro.core.vectorized import compute_vectorized
-    except Exception:
-        return None
+def path_vectorized(case: FuzzCase) -> ResultMap:
+    """The numpy kernels."""
     return _core_path(case, compute_vectorized)
 
 
@@ -223,26 +224,15 @@ def _minoa_source(window: WindowSpec, aggregate: Aggregate) -> Optional[WindowSp
     return sliding(window.l + 1, window.h + 1)
 
 
-def _rewrite_mode(case: FuzzCase, source: WindowSpec) -> str:
-    """Choose the rewrite execution mode the engine supports for this combo.
-
-    The relational patterns (which read view *storage*) exist for invertible
-    aggregates — SUM/COUNT, and AVG through its SUM+COUNT combination — and
-    for identity matches; MIN/MAX derivations and the sliding-to-cumulative
-    prefix tiling only have the in-memory form.
-    """
-    if source == case.window or (source.is_cumulative and case.window.is_cumulative):
-        return "relational"  # identity always has a relational form
-    if case.aggregate_name in ("MIN", "MAX"):
-        return "memory"
-    if case.window.is_cumulative and source.is_sliding:
-        return "memory"  # prefix tiling
-    return "relational"
-
-
-def _view_path(case: FuzzCase, source: WindowSpec, algorithm: str) -> Optional[ResultMap]:
-    if case.extra_windows:
+def _view_path(
+    case: FuzzCase, source: Optional[WindowSpec], algorithm: Optional[str]
+) -> Optional[ResultMap]:
+    """Materialize ``source`` views over the dataset and answer the case's
+    query from them: ``algorithm`` forced, on the relational route where one
+    exists — or, with None, no query option at all."""
+    if source is None or case.extra_windows:
         return None  # the rewriter answers single reporting-function shapes
+    from repro.errors import NoRewriteError
     from repro.faults import injector
     from repro.relational import FLOAT, INTEGER
     from repro.warehouse import DataWarehouse
@@ -267,12 +257,23 @@ def _view_path(case: FuzzCase, source: WindowSpec, algorithm: str) -> Optional[R
         f"SELECT {select}, {case.aggregate_name}(val) "
         f"OVER ({over} {case.window.to_frame_sql()}) AS w FROM t"
     )
-    result = wh.query(
-        sql,
-        require_rewrite=True,
-        algorithm=algorithm,
-        mode=_rewrite_mode(case, source),
-    )
+    if algorithm is None:
+        # Served reads plan without statistics, so no estimate declines the
+        # view for the base route.
+        wh.db.stats.clear()
+        options = {}
+    else:
+        if case.window.is_cumulative or case.aggregate_name == "AVG":
+            algorithm = "auto"  # the AVG combination picks per-component plans
+        options = dict(require_rewrite=True, algorithm=algorithm, mode="relational")
+    try:
+        result = wh.query(sql, **options)
+    except NoRewriteError:
+        # No relational pattern for this combination (MIN/MAX derivations,
+        # prefix tiling): the in-memory form is all the engine has.
+        result = wh.query(sql, **{**options, "mode": "memory"})
+    if result.rewrite is None:
+        raise AssertionError(f"view path answered from base data: {sql}")
     pos_i = result.schema.resolve("pos")
     w_i = result.schema.resolve("w")
     if case.partitioned:
@@ -287,24 +288,26 @@ def _view_path(case: FuzzCase, source: WindowSpec, algorithm: str) -> Optional[R
 
 def path_view_maxoa(case: FuzzCase) -> Optional[ResultMap]:
     """Answer from a materialized view one step *narrower* (MaxOA, §4)."""
-    source = _maxoa_source(case.window)
-    if source is None:
-        return None
-    algorithm = "auto" if case.window.is_cumulative else "maxoa"
-    if case.aggregate_name == "AVG":
-        algorithm = "auto"  # the AVG combination picks per-component plans
-    return _view_path(case, source, algorithm)
+    return _view_path(case, _maxoa_source(case.window), "maxoa")
 
 
 def path_view_minoa(case: FuzzCase) -> Optional[ResultMap]:
     """Answer from a materialized view one step *wider* (MinOA, §5)."""
-    source = _minoa_source(case.window, case.aggregate)
-    if source is None:
-        return None
-    algorithm = "auto" if case.window.is_cumulative else "minoa"
-    if case.aggregate_name == "AVG":
-        algorithm = "auto"
-    return _view_path(case, source, algorithm)
+    return _view_path(case, _minoa_source(case.window, case.aggregate), "minoa")
+
+
+def path_view_default(case: FuzzCase) -> Optional[ResultMap]:
+    """Answer from a view with default options, as served traffic does.
+
+    The view is one the planner's own choices derive the target from: for
+    the invertible aggregates a cumulative view (fig. 5, odd seeds) or one
+    step wider (MinOA, prefix tiling for cumulative targets), for MIN/MAX
+    one step narrower (MaxOA).
+    """
+    if case.window.is_sliding and case.aggregate_name not in ("MIN", "MAX") and case.seed % 2:
+        return _view_path(case, cumulative(), None)
+    source = _minoa_source(case.window, case.aggregate) or _maxoa_source(case.window)
+    return _view_path(case, source, None)
 
 
 PATHS: Dict[str, PathFn] = {
@@ -317,6 +320,7 @@ PATHS: Dict[str, PathFn] = {
     "engine-paged": path_engine_paged,
     "view-maxoa": path_view_maxoa,
     "view-minoa": path_view_minoa,
+    "view-default": path_view_default,
 }
 
 DEFAULT_PATHS = tuple(PATHS)

@@ -120,31 +120,6 @@ def candidate_windows(workload: Sequence[WorkloadQuery]) -> List[WindowSpec]:
     return seen
 
 
-def _lookups_at(dplan, n: float) -> float:
-    """Re-evaluate a plan's lookup formula at a *real* sequence length.
-
-    ``DerivationPlan.estimated_lookups`` is the per-algorithm formula
-    evaluated at the normalised n=1000 (good enough for ranking
-    strategies against each other); when table statistics supply the
-    actual row count, this evaluates the *same* formulas at that length
-    so candidate views are compared at the workload's true scale.
-    """
-    wx = float(dplan.view.width) if dplan.view.is_sliding else 1.0
-    algo = dplan.algorithm
-    if algo == "identity":
-        return n
-    if algo == "cumulative":
-        return 2.0 * n
-    if algo == "prefix":
-        return n * n / (2.0 * wx)
-    if algo == "maxoa":
-        return 2.0 * n * n / wx
-    if algo == "minoa":
-        return n * n / wx
-    # reconstruct
-    return n * n / wx
-
-
 def _query_cost(
     candidate: WindowSpec,
     query: WorkloadQuery,
@@ -153,8 +128,10 @@ def _query_cost(
 ) -> Optional[QueryPlanCost]:
     try:
         dplan = derivation_plan(candidate, query.window, minmax=query.minmax)
+        # With statistics, the explicit form's formula at the real length
+        # instead of the normalised n=1000 ranking number.
         lookups = (
-            _lookups_at(dplan, float(row_count))
+            dplan.explicit_lookups(row_count) * row_count
             if row_count is not None
             else dplan.estimated_lookups
         )

@@ -143,19 +143,7 @@ class MaterializedSequenceView:
         )
         # Raw mirrors come from the base table — base rows round-trip the
         # dump exactly, so these are the same floats maintenance last saw.
-        base_groups: Dict[Key, List[dict]] = {}
-        for row in view._base_rows():
-            key = tuple(row[c] for c in d.partition_by)
-            base_groups.setdefault(key, []).append(row)
-        view.raw = {
-            key: [
-                float(r[d.value_col])
-                for r in sorted(
-                    rows, key=lambda r: tuple(r[c] for c in d.order_by)
-                )
-            ]
-            for key, rows in base_groups.items()
-        }
+        view.raw = view._raw_mirror(view._base_rows())
         return view
 
     # -- storage ------------------------------------------------------------------
@@ -225,16 +213,7 @@ class MaterializedSequenceView:
             complete=self.complete,
             exec_config=self.exec_config,
         )
-        # Per-partition raw mirror (the slice of base data the view covers);
-        # incremental maintenance reads old raw values from here.
-        raw: Dict[Key, List[float]] = {}
-        groups: Dict[Key, List[dict]] = {}
-        for row in rows:
-            key = tuple(row[c] for c in d.partition_by)
-            groups.setdefault(key, []).append(row)
-        for key, part_rows in groups.items():
-            part_rows.sort(key=lambda r: tuple(r[c] for c in d.order_by))
-            raw[key] = [float(r[d.value_col]) for r in part_rows]
+        raw = self._raw_mirror(rows)
 
         shadow_name = f"{d.storage_table}__e{self.epoch + 1}"
         self.db.drop_table(shadow_name, if_exists=True)  # stale failed shadow
@@ -273,6 +252,17 @@ class MaterializedSequenceView:
                     okey = (None,) * order_arity  # header/trailer rows
                 rows.append(tuple(pkey) + okey + (pos, value, core))
         return rows
+
+    def _raw_mirror(self, rows: List[dict]) -> Dict[Key, List[float]]:
+        """Per-partition raw values in sequence order (the slice of base
+        data the view covers); incremental maintenance reads old raw values
+        from here."""
+        d = self.definition
+        raw: Dict[Key, List[float]] = {}
+        for row in sorted(rows, key=lambda r: tuple(r[c] for c in d.order_by)):
+            key = tuple(row[c] for c in d.partition_by)
+            raw.setdefault(key, []).append(float(row[d.value_col]))
+        return raw
 
     def _base_rows(self) -> List[dict]:
         d = self.definition

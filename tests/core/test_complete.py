@@ -146,3 +146,55 @@ class TestAccessors:
         seq = CompleteSequence.from_raw([], sliding(1, 1))
         assert seq.n == 0
         assert seq.core_values() == []
+
+
+class TestSpan:
+    """``span`` is ``value`` over a range; ``strided_cumsum`` the one
+    recurrence the derivation kernels run on it."""
+
+    @pytest.mark.parametrize("window", [sliding(2, 3), sliding(0, 2), cumulative()])
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_equals_value_position_by_position(self, window, n):
+        seq = CompleteSequence.from_raw([float(i * i) for i in range(1, n + 1)], window)
+        for lo, hi in [(1, n), (-6, n + 6), (-9, -4), (n + 3, n + 8), (3, 2), (5, 1)]:
+            assert seq.span(lo, hi).tolist() == [
+                seq.value(k) for k in range(lo, hi + 1)
+            ]
+
+    def test_incomplete_raises_where_value_does(self, raw40):
+        seq = CompleteSequence.from_raw(raw40, sliding(2, 1), complete=False)
+        assert seq.span(1, 40).tolist() == seq.core_values()
+        assert seq.span(-5, -1).tolist() == [0.0] * 5  # left of the header
+        for lo, hi in [(0, 5), (30, 41), (-3, 50)]:
+            with pytest.raises(IncompleteSequenceError, match="header/trailer"):
+                seq.span(lo, hi)
+
+    def test_array_is_read_only_dropped_by_maintenance_and_not_copied(self, raw40):
+        import copy
+
+        from repro.core.maintenance import apply_update
+
+        raw = list(raw40)
+        seq = CompleteSequence.from_raw(raw, sliding(2, 1))
+        view = seq.span(1, 40)
+        with pytest.raises(ValueError):
+            view[0] = 0.0
+        assert copy.deepcopy(seq)._array is None and seq._array is not None
+        clone = copy.deepcopy(seq)
+        apply_update(raw, seq, 5, 123.0)
+        assert seq._array is None
+        assert seq.span(1, 40).tolist() == seq.core_values() != clone.core_values()
+        assert clone == CompleteSequence.from_raw(raw40, sliding(2, 1))
+
+    def test_strided_cumsum_is_the_scalar_recurrence(self):
+        import numpy as np
+
+        from repro.core.complete import strided_cumsum
+
+        x = [0.1 * (i % 7) - 0.3 for i in range(23)]
+        for period in (1, 2, 5, 23, 40):
+            out = [0.0] * len(x)
+            for i, v in enumerate(x):
+                out[i] = v + (out[i - period] if i >= period else 0.0)
+            assert strided_cumsum(np.array(x), period).tolist() == out
+        assert strided_cumsum(np.zeros(0), 3).tolist() == []

@@ -86,7 +86,7 @@ class TestWarehousePartitionedRewrite:
              "ORDER BY g, pos")
 
     def test_relational_mode_used(self, wh):
-        res = wh.query(self.QUERY)
+        res = wh.query(self.QUERY, mode="relational")
         assert res.rewrite is not None
         assert res.rewrite.mode == "relational"
         for g in GROUPS:
@@ -96,14 +96,16 @@ class TestWarehousePartitionedRewrite:
     @pytest.mark.parametrize("algorithm", ["maxoa", "minoa"])
     @pytest.mark.parametrize("variant", ["disjunctive", "union"])
     def test_all_strategies(self, wh, algorithm, variant):
-        res = wh.query(self.QUERY, algorithm=algorithm, variant=variant)
+        res = wh.query(self.QUERY, algorithm=algorithm, variant=variant,
+                       mode="relational")
         assert res.rewrite.algorithm == algorithm
+        assert res.rewrite.variant == variant
         for g in GROUPS:
             got = [r[2] for r in res.rows if r[0] == g]
             assert_close(got, brute_window(wh.data[g], sliding(3, 2)))
 
     def test_relational_equals_memory(self, wh):
-        rel = wh.query(self.QUERY)
+        rel = wh.query(self.QUERY, mode="relational")
         mem = wh.query(self.QUERY, mode="memory")
         assert rel.rewrite.mode == "relational" and mem.rewrite.mode == "memory"
         assert [round(r[2], 6) for r in rel.rows] == \
@@ -124,7 +126,7 @@ class TestWarehousePartitionedRewrite:
         wh.update_measure("s", keys={"g": "b", "pos": 5}, value_col="v",
                           new_value=777.0)
         wh.data["b"][4] = 777.0
-        res = wh.query(self.QUERY)
+        res = wh.query(self.QUERY, mode="relational")
         for g in GROUPS:
             got = [r[2] for r in res.rows if r[0] == g]
             assert_close(got, brute_window(wh.data[g], sliding(3, 2)))

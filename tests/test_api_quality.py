@@ -181,6 +181,62 @@ class TestOnePlanner:
             wh.query("SELECT pos FROM t", planner="cost")
 
 
+class TestViewAnswersAreColumnar:
+    """A view answer is whole-sequence work (PR 18): per-position calls into
+    the sequence or per-row labelling coming back should fail here."""
+
+    def test_default_view_answer_makes_no_per_position_value_calls(self, monkeypatch):
+        from repro import DataWarehouse
+        from repro.core.complete import CompleteSequence
+        from repro.warehouse import create_sequence_table
+
+        n, partitions = 10_000, 1
+        wh = DataWarehouse()
+        create_sequence_table(wh.db, "seq", n, seed=5)
+        frame = "ROWS BETWEEN {} PRECEDING AND {} FOLLOWING"
+        for func in ("SUM", "COUNT", "MAX"):
+            wh.create_view(
+                f"mv_{func.lower()}",
+                f"SELECT pos, {func}(val) OVER (ORDER BY pos {frame.format(4, 2)}) "
+                "w FROM seq")
+        wh.db.stats.clear()
+
+        calls = []
+        for name in ("value", "value_or_none"):
+            real = getattr(CompleteSequence, name)
+
+            def counted(self, k, _real=real):
+                calls.append(k)
+                return _real(self, k)
+
+            monkeypatch.setattr(CompleteSequence, name, counted)
+
+        answered = {}
+        for func, l, h in (("SUM", 3, 2), ("SUM", 6, 3), ("COUNT", 1, 1),
+                           ("MAX", 6, 3), ("AVG", 6, 3), ("SUM", 0, 0)):
+            result = wh.query(
+                f"SELECT pos, {func}(val) OVER (ORDER BY pos {frame.format(l, h)}) "
+                "w FROM seq")
+            assert result.rewrite is not None and len(result.rows) == n
+            answered[(func, l, h)] = result.rewrite.algorithm
+        cumulative = wh.query("SELECT pos, SUM(val) OVER (ORDER BY pos ROWS "
+                              "UNBOUNDED PRECEDING) w FROM seq")
+        assert cumulative.rewrite.algorithm == "prefix"
+        assert answered == {
+            ("SUM", 3, 2): "minoa", ("SUM", 6, 3): "minoa",
+            ("COUNT", 1, 1): "minoa", ("MAX", 6, 3): "maxoa",
+            ("AVG", 6, 3): "minoa+minoa", ("SUM", 0, 0): "reconstruct",
+        }
+        # O(partitions), not O(n): seven answers over one partition.
+        assert len(calls) <= 8 * partitions
+
+    def test_rewriter_has_no_row_labelling(self):
+        import repro.sql.rewriter as rewriter
+
+        for name in ("_label_values", "_rows_from_reporting", "LabelledRows"):
+            assert not hasattr(rewriter, name), name
+
+
 class TestErrorHierarchy:
     def test_all_errors_derive_from_repro_error(self):
         from repro import errors

@@ -94,7 +94,7 @@ class TestMultiWindowGeneration:
 class TestEngineCostPath:
     def test_registered_as_path(self):
         assert "engine-nostats" in PATHS and "engine-cost" not in PATHS
-        assert len(PATHS) == 9
+        assert len(PATHS) == 10
 
     def test_agrees_with_oracle(self):
         runner = FuzzRunner(

@@ -64,7 +64,7 @@ class TestExplainConsistency:
         def boom(*args, **kwargs):  # pragma: no cover - should never run
             raise AssertionError("EXPLAIN executed the rewrite")
 
-        monkeypatch.setattr(rewriter_module, "_match_rows", boom)
+        monkeypatch.setattr(rewriter_module, "_step_pieces", boom)
         text = wh.explain("SELECT pos, SUM(val) OVER (ORDER BY pos ROWS "
                           "BETWEEN 3 PRECEDING AND 1 FOLLOWING) s FROM seq")
         assert text.startswith("REWRITE")
@@ -187,3 +187,53 @@ class TestExplainTellsTheTruth:
         assert len(planned) == 1
         assert text.startswith(planned[0].info.render())
         assert planned[0].info.mode == "memory" and "mode=memory" in text
+
+
+class TestDecisionProvenance:
+    """The REWRITE line says why the route was taken: the two estimates
+    the planner compared (ROADMAP item 7)."""
+
+    SQL = "SELECT pos, SUM(val) OVER (ORDER BY pos {}) s FROM seq"
+
+    @pytest.fixture
+    def wh(self):
+        wh = DataWarehouse()
+        create_sequence_table(wh.db, "seq", 400, seed=3)
+        wh.create_view("mv", self.SQL.format(_frame(4, 2)))
+        return wh
+
+    def test_identity_hit_stays_relational(self, wh):
+        sql = self.SQL.format(_frame(4, 2))
+        assert wh.explain(sql) == (
+            "REWRITE using view 'mv' [direct, identity, relational, disjunctive] "
+            "(lookups/position: relational 1.0, memory 1.0): "
+            "identity: derive sliding(4, 2) from materialized sliding(4, 2)"
+        )
+        info = wh.query(sql).rewrite
+        assert (info.mode, info.est_relational, info.est_memory) == (
+            "relational", 1.0, 1.0)
+
+    def test_minoa_hit_goes_to_memory(self, wh):
+        sql = self.SQL.format(_frame(3, 2))
+        # 400 positions over a width-7 view: a chain of 400/7 lookups.
+        assert wh.explain(sql) == (
+            "REWRITE using view 'mv' [direct, minoa, memory] "
+            "(lookups/position: relational 58.1, memory 4.0): "
+            "minoa: derive sliding(3, 2) from materialized sliding(4, 2)"
+        )
+        info = wh.query(sql).rewrite
+        assert info.mode == "memory"
+        assert info.est_relational == pytest.approx(1 + 400 / 7)
+        assert info.est_memory == 4.0
+
+    def test_the_derive_span_carries_the_estimates(self, wh):
+        from repro.obs import runtime
+        from repro.obs.trace import Tracer
+
+        tracer = Tracer()
+        with runtime.use(tracer=tracer):
+            wh.query(self.SQL.format(_frame(3, 2)))
+        (derive,) = tracer.spans("view.derive")
+        assert derive.attributes["mode"] == "memory"
+        assert derive.attributes["est_relational"] == pytest.approx(1 + 400 / 7)
+        assert derive.attributes["est_memory"] == 4.0

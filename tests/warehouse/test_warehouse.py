@@ -35,7 +35,8 @@ class TestRewriting:
     @pytest.mark.parametrize("algorithm", ["maxoa", "minoa"])
     @pytest.mark.parametrize("variant", ["disjunctive", "union"])
     def test_all_strategies_agree(self, wh, algorithm, variant):
-        res = wh.query(QUERY, algorithm=algorithm, variant=variant)
+        res = wh.query(QUERY, algorithm=algorithm, variant=variant,
+                       mode="relational")
         assert res.rewrite.algorithm == algorithm
         assert res.rewrite.variant == variant
         assert_close(res.column("s"), brute_window(wh.raw, sliding(3, 1)))
