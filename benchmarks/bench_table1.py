@@ -158,114 +158,6 @@ def run_suite(sizes):
     }
 
 
-# -- planner scenario: the chosen plan vs the no-statistics default -----------
-
-# (label, rows, groups, skew) — fixtures spanning the cost model's decision
-# space: large uniform data (vectorized MIN/MAX kernel wins), a tiny table
-# (kernel setup cost must not be paid), and a skewed partitioned one.
-_PLANNER_WORKLOADS = [
-    ("uniform_large", 4000, 1, False),
-    ("tiny", 120, 1, False),
-    ("skewed", 3000, 6, True),
-]
-
-
-def _planner_rows(n, groups, skew, seed=7):
-    import random
-
-    rng = random.Random(seed)
-    rows = []
-    for i in range(n):
-        if skew:
-            # Zipf-flavoured: most rows land in group 1.
-            g = 1 if rng.random() < 0.7 else rng.randint(2, groups)
-        else:
-            g = 1 + i % groups
-        rows.append((g, i, rng.uniform(-100.0, 100.0)))
-    return rows
-
-
-def run_planner_scenario():
-    """Best-of-5 timings per seed workload: the plan chosen from fresh
-    statistics ("planned") against the same query once the statistics are
-    cleared ("default").
-
-    Each entry records the window strategy of either plan, so the report
-    shows *where* the cost model diverged from the default (e.g. picking
-    the vectorized kernel on the large uniform fixture) — not just that it
-    was no slower.
-    """
-    import time
-
-    from repro.relational import FLOAT, INTEGER
-    from repro.warehouse import DataWarehouse
-
-    entries = []
-    for label, n, groups, skew in _PLANNER_WORKLOADS:
-        wh = DataWarehouse()
-        wh.create_table(
-            "seq", [("g", INTEGER), ("pos", INTEGER), ("val", FLOAT)]
-        )
-        wh.insert("seq", _planner_rows(n, groups, skew))  # auto-ANALYZEd
-        over = (
-            "PARTITION BY g ORDER BY pos" if groups > 1 else "ORDER BY pos"
-        )
-        sql = (
-            f"SELECT pos, MIN(val) OVER ({over} ROWS BETWEEN 4 PRECEDING "
-            "AND 4 FOLLOWING) AS m FROM seq"
-        )
-        entry = {"workload": label, "n": n}
-        for side in ("planned", "default"):
-            if side == "default":
-                wh.db.stats.clear()
-            # Reset adaptive calibration so the planned side is costed with
-            # the static constants, as a first query would be.
-            wh.db.stats.adaptive.clear()
-            best = float("inf")
-            strategy = None
-            for _ in range(5):
-                start = time.perf_counter()
-                result = wh.query(sql, use_views=False)
-                best = min(best, time.perf_counter() - start)
-                feedback = getattr(result, "window_feedback", ())
-                strategy = feedback[0][0] if feedback else None
-            assert len(result.rows) == n
-            entry[f"{side}_seconds"] = best
-            entry[f"{side}_strategy"] = strategy
-        entry["ratio"] = entry["planned_seconds"] / entry["default_seconds"]
-        entries.append(entry)
-    return entries
-
-
-def check_planner(entries, *, tolerance=0.05, min_delta=0.001):
-    """The chosen plan must never be measurably slower than the default.
-
-    Fails a workload when the planned side is more than ``tolerance``
-    slower AND the absolute gap exceeds ``min_delta`` seconds
-    (sub-millisecond jitter on a fast fixture is not a regression), and
-    fails ``uniform_large`` unless the vectorized kernel was picked and won.
-    """
-    failures = []
-    for entry in entries:
-        delta = entry["planned_seconds"] - entry["default_seconds"]
-        if entry["ratio"] > 1.0 + tolerance and delta > min_delta:
-            failures.append(
-                f"planner workload {entry['workload']} (n={entry['n']}): "
-                f"planned {entry['planned_seconds'] * 1000:.1f} ms vs "
-                f"default {entry['default_seconds'] * 1000:.1f} ms "
-                f"({entry['ratio']:.2f}x, allowed 1.{int(tolerance * 100):02d}x)"
-            )
-        if entry["workload"] == "uniform_large" and not (
-            entry["planned_strategy"] == "vectorized" and entry["ratio"] < 1.0
-        ):
-            failures.append(
-                "planner workload uniform_large: expected the vectorized "
-                f"kernel to be chosen and to win, got "
-                f"{entry['planned_strategy']} at {entry['ratio']:.2f}x"
-            )
-    return failures
-
-
 def noop_tracer_overhead(report, baseline):
     """Per-(method, n) fractional change of normalized timing vs baseline.
 
@@ -331,22 +223,6 @@ def main(argv=None) -> int:
     print(f"  memory (n={mem['table_rows']}): columnar heap "
           f"{mem['columnar_bytes']} B vs ~{mem['row_tuple_bytes']} B as "
           f"row tuples")
-    report["planner"] = run_planner_scenario()
-    for entry in report["planner"]:
-        print(f"  planner {entry['workload']:<14} n={entry['n']:<6} "
-              f"default {entry['default_seconds'] * 1000:7.1f} ms "
-              f"({entry['default_strategy']})  planned "
-              f"{entry['planned_seconds'] * 1000:7.1f} ms "
-              f"({entry['planned_strategy']})  ratio {entry['ratio']:.2f}")
-    if args.check:
-        planner_failures = check_planner(report["planner"])
-        if planner_failures:
-            print("PERFORMANCE REGRESSION:")
-            for failure in planner_failures:
-                print(f"  {failure}")
-            return 1
-        print("  chosen plan within 5% of the no-statistics default on "
-              "every workload")
     if args.check:
         with open(args.check, encoding="utf-8") as fh:
             baseline = json.load(fh)

@@ -18,6 +18,11 @@ of elementary aggregate operations in an :class:`OpCounter`, which the
 ablation benchmark uses to demonstrate the O(w)-vs-O(1) claim independent of
 wall clocks.
 
+Neither is what the engine runs: :func:`compute_naive` is the oracle, and
+:func:`compute_pipelined` the scalar reference that the engine's kernel,
+:func:`~repro.core.vectorized.compute_vectorized`, reproduces bit for bit
+(same additions, same order) as whole-sequence NumPy.
+
 Every strategy shares one empty-input contract: the paper's sequence model
 starts at position 1, so there is no sequence over zero raw values, and all
 of :func:`compute_naive`, :func:`compute_pipelined`,
@@ -122,8 +127,12 @@ def _pipelined_sum(
     """Sliding-window SUM via ``x̃_k = x̃_{k-1} + x_{k+h} - x_{k-l-1}``."""
     n = len(raw)
     out: List[float] = []
-    # Seed x̃_1 explicitly (window 1-l .. 1+h clipped to data).
-    acc = sum(raw[0 : min(1 + h, n)])
+    # Seed x̃_1 explicitly (window 1-l .. 1+h clipped to data), left to
+    # right: the builtin sum() is compensated from CPython 3.12 on, so its
+    # last ulp depends on the interpreter.
+    acc = raw[0]
+    for value in raw[1 : min(1 + h, n)]:
+        acc = acc + value
     if counter is not None:
         counter.add(min(1 + h, n))
     out.append(acc)

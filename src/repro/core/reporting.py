@@ -25,7 +25,7 @@ Two derivation lemmas are implemented:
   the coarse ordering, so — following the lemma's constructive argument —
   each fine partition's raw values are first reconstructed (possible
   exactly because the reporting function is *complete*), merged in order,
-  and the target window is recomputed with the vectorized window kernel.
+  and the target window is recomputed with the window kernel.
   The paper proves derivability but gives no closed form; this is the
   construction its proof sketch implies.
 """

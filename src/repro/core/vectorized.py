@@ -1,16 +1,21 @@
-"""Vectorized (NumPy) sequence computation.
+"""The window kernel: section 2.2's recurrence as whole-sequence NumPy.
 
-A third computation strategy next to section 2.2's *naive* and *pipelined*
-forms: whole-sequence evaluation with NumPy primitives.  Algorithmically it
-is the pipelined idea in bulk — prefix sums for SUM/COUNT/AVG (the window
-sum over ``[k-l, k+h]`` is a difference of two prefix values, exactly the
-fig. 5 identity), and a padded strided view for MIN/MAX.
+:func:`compute_vectorized` is what the engine's window operator, the
+parallel chunks and the partitioning reduction run.  It is O(n) for every
+aggregate and bit-identical to the scalar reference
+:func:`~repro.core.compute.compute_pipelined` (signed zeros aside), so
+nothing above it has a kernel to choose (DESIGN.md §5m):
 
-This backend exists for scale: the pure-Python pipeline processes ~5M
-rows/s; the vectorized path is one to two orders of magnitude faster on
-large sequences, making warehouse-sized refreshes practical.  Results are
-bit-compatible with the scalar strategies up to floating-point summation
-order (verified by property tests).
+* SUM/AVG run the recurrence ``x̃_k = x̃_{k-1} + x_{k+h} - x_{k-l-1}`` with
+  its own additions in its own order: one sequential ``np.cumsum`` over
+  ``[x_1 .. x_{1+h}, +x_{2+h}, -x_{1-l}, +x_{3+h}, -x_{2-l}, ...]``, of
+  which every second element from the seed on is an ``x̃_k``
+  (``a - b`` and ``a + (-b)`` are the same IEEE-754 operation);
+* MIN/MAX use van Herk's block decomposition: prefix and suffix extrema
+  within blocks of one window width, two lookups per position —
+  comparisons only, hence exact;
+* COUNT is the clipped window size and the cumulative frames are single
+  accumulations.
 """
 
 from __future__ import annotations
@@ -24,6 +29,44 @@ from repro.core.window import WindowSpec
 from repro.errors import SequenceError
 
 __all__ = ["compute_vectorized"]
+
+
+def _sliding_sums(values: np.ndarray, l: int, h: int) -> np.ndarray:
+    """The sliding-SUM recurrence as one sequential cumulative sum."""
+    n = len(values)
+    seed = min(1 + h, n)  # x̃_1 = x_1 + ... + x_{1+h}, left to right
+    steps = np.zeros(seed + 2 * (n - 1))
+    steps[:seed] = values[:seed]
+    # Step k adds the entering x_{k+h} (0.0 past the data) ...
+    steps[seed : seed + 2 * max(n - 1 - h, 0) : 2] = values[h + 1 :]
+    # ... then subtracts the leaving x_{k-l-1} (-0.0 before the data, which
+    # like the recurrence's "- 0.0" leaves every accumulator unchanged).
+    leaving = steps[seed + 1 :: 2]
+    leaving[l:] = values[: max(n - 1 - l, 0)]
+    np.negative(leaving, out=leaving)
+    return np.cumsum(steps)[seed - 1 :: 2]
+
+
+def _sliding_extrema(values: np.ndarray, l: int, h: int, ufunc) -> np.ndarray:
+    """Sliding MIN/MAX in O(n): van Herk's block prefix/suffix scans.
+
+    Padded with the neutral extreme, position ``i``'s window is
+    ``padded[i : i + w]``.  It spans at most two blocks of ``w``: the
+    suffix of the block holding ``i`` and the prefix of the next one up to
+    ``i + w - 1``.
+    """
+    n = len(values)
+    # Frames reach no further than the data; clipping keeps this O(n) for
+    # frames wider than the sequence.
+    l, h = min(l, n - 1), min(h, n - 1)
+    w = l + h + 1
+    blocks = -(-(n + w - 1) // w)
+    padded = np.full(blocks * w, np.inf if ufunc is np.minimum else -np.inf)
+    padded[l : l + n] = values
+    grid = padded.reshape(blocks, w)
+    prefix = ufunc.accumulate(grid, axis=1).reshape(-1)
+    suffix = ufunc.accumulate(grid[:, ::-1], axis=1)[:, ::-1].reshape(-1)
+    return ufunc(suffix[:n], prefix[w - 1 : w - 1 + n])
 
 
 def compute_vectorized(
@@ -65,30 +108,16 @@ def compute_vectorized(
         return out.tolist()
 
     l, h = window.l, window.h
-    positions = np.arange(1, n + 1)
-    lo = np.maximum(positions - l, 1)
-    hi = np.minimum(positions + h, n)
-
-    if aggregate in (SUM, AVG, COUNT):
-        prefix = np.concatenate(([0.0], np.cumsum(values)))
-        sums = prefix[hi] - prefix[lo - 1]
-        if aggregate is SUM:
-            out = sums
-        elif aggregate is COUNT:
-            out = (hi - lo + 1).astype(np.float64)
-        else:
-            out = sums / (hi - lo + 1)
-        return out.tolist()
-
-    if aggregate in (MIN, MAX):
-        # Pad with the aggregate's neutral extreme so clipped edge windows
-        # are unaffected, then take the extremum over a strided window view.
-        pad = np.inf if aggregate is MIN else -np.inf
-        padded = np.concatenate(
-            (np.full(l, pad), values, np.full(h, pad))
-        )
-        strided = np.lib.stride_tricks.sliding_window_view(padded, l + h + 1)
-        fn = np.min if aggregate is MIN else np.max
-        return fn(strided, axis=1).tolist()
-
+    if aggregate is MIN:
+        return _sliding_extrema(values, l, h, np.minimum).tolist()
+    if aggregate is MAX:
+        return _sliding_extrema(values, l, h, np.maximum).tolist()
+    if aggregate is SUM:
+        return _sliding_sums(values, l, h).tolist()
+    if aggregate in (AVG, COUNT):
+        positions = np.arange(1.0, n + 1)
+        counts = np.minimum(positions + h, n) - np.maximum(positions - l, 1) + 1
+        if aggregate is COUNT:
+            return counts.tolist()
+        return (_sliding_sums(values, l, h) / counts).tolist()
     raise SequenceError(f"no vectorized form for {aggregate.name}")

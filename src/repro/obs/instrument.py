@@ -8,8 +8,9 @@ block carries a :class:`~repro.relational.stats.Probe`.
 
 ``render_annotated`` prints the ``EXPLAIN``-style tree with those actual
 rows and wall times, plus any strategy attributes the operator published
-via its ``analyze_extra`` dict (the window operator records the chosen
-strategy there, the rewriter records MaxOA/MinOA on the result instead).
+via its ``analyze_extra`` dict (the window operator records where it ran
+— serial or on the pool — there, the rewriter records MaxOA/MinOA on the
+result instead).
 """
 
 from __future__ import annotations

@@ -8,17 +8,19 @@ evaluated as independent chunks on an
 1. the :class:`~repro.parallel.partitioner.Partitioner` cuts the sequence
    into chunks whose payloads carry the ``l``-row header / ``h``-row
    trailer overlap (sliding windows) or plain raw slices (cumulative);
-2. every chunk is evaluated independently by a worker running the NumPy
-   vectorized kernel over its padded payload;
+2. every chunk is evaluated independently by a worker running the window
+   kernel (:func:`~repro.core.vectorized.compute_vectorized`) over its
+   padded payload;
 3. the merge concatenates core slices **in chunk order** — and, for
    cumulative windows, folds the carry-in prefix state (running SUM /
    COUNT offset / extremum of all earlier chunks) into each chunk's local
    values.
 
-Results agree with the serial strategies: bit-identical for integer-valued
-data (every intermediate is exactly representable), and equal up to
-floating-point summation order otherwise — the same caveat that already
-distinguishes the vectorized from the pipelined serial kernel.
+Results agree with the serial run: bit-identical for MIN/MAX/COUNT and
+for integer-valued data (every intermediate is exactly representable),
+and equal up to floating-point summation order otherwise — a chunk seeds
+its running sum at the chunk start instead of carrying the serial
+accumulator across it.
 
 :func:`compute_grouped_parallel` schedules many partitions' chunks through
 one pool (parallelism *across* PARTITION BY groups and *within* long

@@ -267,7 +267,7 @@ class ExecutorPool:
         pending = list(range(n))
         try:
             executor = self._ensure_executor()
-            futures = {i: executor.submit(tasks[i], items[i]) for i in pending}
+            futures = {i: self._submit(executor, tasks[i], items[i]) for i in pending}
             last_error: Optional[BaseException] = None
             for attempt in range(self.config.max_retries + 1):
                 pending, last_error = self._collect(futures, pending, results)
@@ -289,7 +289,7 @@ class ExecutorPool:
                             if (spec := retry_faults.get(slot)) is not None
                             else fn
                         )
-                        futures[i] = executor.submit(task, items[i])
+                        futures[i] = self._submit(executor, task, items[i])
             # Retry budget exhausted.
             if not self.config.fallback:
                 raise ParallelError(
@@ -319,6 +319,21 @@ class ExecutorPool:
         for i in pending:
             results[i] = self._absorb(fn(items[i]))
         return results
+
+    def _submit(self, executor, task: Callable[[Any], Any], item: Any):
+        """``executor.submit``; a pool found dead at submission (a worker
+        crashed while the caller was still handing tasks over) is reported
+        the way :meth:`_collect` reports one found dead at collection."""
+        try:
+            return executor.submit(task, item)
+        except concurrent.futures.BrokenExecutor as exc:
+            self._pool_broke(exc)
+            raise _PoolBroken from exc
+
+    def _pool_broke(self, exc: BaseException) -> None:
+        self.stats.bump(worker_failures=1)
+        health.mark_broken(self.config.backend, repr(exc))
+        self._release_executor(wait=False)
 
     def _absorb(self, value: Any) -> Any:
         """Unwrap a :class:`_TaskSpans` envelope, folding the child-process
@@ -351,9 +366,7 @@ class ExecutorPool:
                 task_seconds.observe(time.perf_counter() - started)
             except concurrent.futures.BrokenExecutor as exc:
                 # The pool is gone; every remaining future is doomed.
-                self.stats.bump(worker_failures=1)
-                health.mark_broken(self.config.backend, repr(exc))
-                self._release_executor(wait=False)
+                self._pool_broke(exc)
                 rest = pending[pending.index(i):]
                 failed.extend(j for j in rest if j not in failed)
                 pending[:] = failed

@@ -60,7 +60,7 @@ class Catalog:
             if if_exists:
                 return
             raise CatalogError(f"no table {name!r}")
-        del self._tables[name]
+        self._tables.pop(name).close()
 
     def rename_table(self, old: str, new: str, *, replace: bool = False) -> Table:
         """Rename ``old`` to ``new``; with ``replace`` an existing ``new``
@@ -77,7 +77,10 @@ class Catalog:
             raise CatalogError(f"table {new!r} already exists")
         table = self._tables.pop(old)
         table.name = new
+        displaced = self._tables.get(new)
         self._tables[new] = table
+        if displaced is not None:
+            displaced.close()
         return table
 
     def replace(self, table: Table) -> None:

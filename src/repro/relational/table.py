@@ -156,6 +156,11 @@ class Table:
         i = column if isinstance(column, int) else self.schema.resolve(column)
         return self._columns[i].snapshot()
 
+    def close(self) -> None:
+        """Release what the table holds outside the heap: nothing here, a
+        page file and pool frames for a paged table.  The catalog calls it
+        on every table it lets go of."""
+
     def memory_bytes(self) -> int:
         """Bytes held by the columnar heap (buffers + validity masks)."""
         return sum(b.memory_bytes() for b in self._columns)

@@ -7,7 +7,7 @@ ConcurrentWarehouse`.  Design points:
 * **Per-connection sessions.**  Each connection is a :class:`Session`
   carrying its own :class:`~repro.parallel.config.ExecutionConfig`
   (mutable via the ``set`` op), so one client can run parallel
-  vectorized reads while another stays strictly serial.
+  reads while another stays strictly serial.
 * **Admission control.**  At most ``max_queue`` queries may be in flight
   (executing or waiting for a worker thread) across all sessions; the
   next query is rejected immediately with ``BackpressureError`` rather

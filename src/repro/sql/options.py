@@ -41,8 +41,9 @@ class QueryOptions:
             :class:`~repro.errors.NoRewriteError` when none does.
         algorithm: derivation algorithm (``"auto"`` = cheapest valid).
         variant: relational pattern variant (figs. 10/13).
-        mode: derivation route; ``"auto"`` runs the relational pattern
-            when one exists and the in-memory form otherwise.
+        mode: derivation route; ``"auto"`` picks by estimated lookups per
+            position: the relational pattern only when it reads no more
+            than the in-memory recursive form (DESIGN.md §5l).
         window_strategy: native window operator, or the fig. 2 self join.
         use_index: ``"auto"`` (use a sorted position index if present),
             ``True`` (require one) or ``False`` (never).

@@ -17,13 +17,11 @@ logical→physical split:
    :class:`~repro.stats.catalog.StatsCatalog` (annotated as
    ``analyze_est`` so EXPLAIN ANALYZE can show estimated vs. actual).
 
-There is one planner.  The serial window kernel (pipelined vs.
-vectorized, for the bit-identical MIN/MAX/COUNT kernels only) and the
-multi-window factor-derivation sharing follow the estimates when every
-contributing base table has *fresh* statistics and take their defaults
-(pipelined, no sharing) otherwise: never a wrong answer.  A parallel
-``ExecutionConfig`` runs exactly as configured — the partitioner and the
-pool already keep small inputs inline where their size can be observed.
+There is one planner and, for a window operator, nothing to decide: one
+kernel serves every frame and aggregate (DESIGN.md §5m), so statistics
+only feed the estimates.  A parallel ``ExecutionConfig`` runs exactly as
+configured — the partitioner and the pool already keep small inputs
+inline where their size can be observed.
 
 Join planning is deliberately modest (the queries at hand join at most a
 few tables): WHERE conjuncts are pushed to single-table filters where
@@ -541,14 +539,12 @@ class _LogicalBuilder:
 
 @dataclass
 class _Est:
-    """Running estimate while lowering: output rows, cumulative cost,
-    whether every contributing base table had *fresh* statistics (the
-    cost planner only acts when True), and — for single-table subtrees —
-    the base table's statistics for selectivity/NDV lookups."""
+    """Running estimate while lowering: output rows, cumulative cost and —
+    for single-table subtrees — the base table's statistics for
+    selectivity/NDV lookups."""
 
     rows: float
     cost: float
-    fresh: bool
     table: Optional[TableStats] = None
 
 
@@ -557,15 +553,14 @@ class PhysicalPlanner:
 
     Every lowered operator gets an ``analyze_est`` dict
     (``{"est_rows": int, "est_cost": float}``) that EXPLAIN ANALYZE
-    renders next to the probe's actuals.  Strategy decisions (recorded in
-    ``planner_notes`` on the root) deviate from the defaults only where
-    the statistics under them are fresh.
+    renders next to the probe's actuals; ``planner_notes`` on the root
+    holds one line per window operator.
     """
 
     def __init__(self, db: Database, exec_config: Any = None) -> None:
         self.db = db
         self.exec_config = exec_config
-        self.cost_model = CostModel(db.stats.adaptive)
+        self.cost_model = CostModel()
         self.notes: List[str] = []
 
     def lower_root(self, node: LogicalNode) -> Operator:
@@ -589,7 +584,6 @@ class PhysicalPlanner:
     def _lower_LScan(self, node: LScan) -> Tuple[Operator, _Est]:
         stats = self.db.stats.get(node.table.name)
         rows = float(stats.row_count) if stats is not None else float(len(node.table))
-        fresh = self.db.stats.fresh(node.table) is not None
         op = TableScan(node.table, node.binding)
         # Paged (v4) tables pay per-page fault-in on top of the per-row
         # cost, so the planner prefers plans touching fewer pages.
@@ -598,15 +592,12 @@ class PhysicalPlanner:
             if getattr(node.table, "is_paged", False)
             else 0.0
         )
-        return op, _Est(
-            rows, self.cost_model.scan_cost(rows, pages=pages), fresh, stats
-        )
+        return op, _Est(rows, self.cost_model.scan_cost(rows, pages=pages), stats)
 
     def _lower_LPhysical(self, node: LPhysical) -> Tuple[Operator, _Est]:
         rows = float(_pattern_rows(node.plan))
-        # Pattern subtrees are opaque to the cost model: nominal cost,
-        # never fresh (no cost-based decision applies inside them).
-        return node.plan, _Est(rows, self.cost_model.scan_cost(rows), False)
+        # Pattern subtrees are opaque to the cost model: nominal cost.
+        return node.plan, _Est(rows, self.cost_model.scan_cost(rows))
 
     # -- unary relational nodes ----------------------------------------------
 
@@ -619,30 +610,30 @@ class PhysicalPlanner:
         sel = predicate_selectivity(node.predicate, est.table)
         rows = est.rows * sel
         cost = est.cost + self.cost_model.filter_cost(est.rows)
-        return Filter(child, node.predicate), _Est(rows, cost, est.fresh, est.table)
+        return Filter(child, node.predicate), _Est(rows, cost, est.table)
 
     def _lower_LProject(self, node: LProject) -> Tuple[Operator, _Est]:
         child, est = self._lower(node.child)
         cost = est.cost + self.cost_model.project_cost(est.rows)
         # Projection renames break the column->stats mapping.
-        return Project(child, node.outputs), _Est(est.rows, cost, est.fresh)
+        return Project(child, node.outputs), _Est(est.rows, cost)
 
     def _lower_LDistinct(self, node: LDistinct) -> Tuple[Operator, _Est]:
         child, est = self._lower(node.child)
         cost = est.cost + self.cost_model.distinct_cost(est.rows)
-        return Distinct(child), _Est(est.rows, cost, est.fresh)
+        return Distinct(child), _Est(est.rows, cost)
 
     def _lower_LSort(self, node: LSort) -> Tuple[Operator, _Est]:
         child, est = self._lower(node.child)
         cost = est.cost + self.cost_model.sort_cost(est.rows)
-        return Sort(child, node.keys), _Est(est.rows, cost, est.fresh, est.table)
+        return Sort(child, node.keys), _Est(est.rows, cost, est.table)
 
     def _lower_LLimit(self, node: LLimit) -> Tuple[Operator, _Est]:
         child, est = self._lower(node.child)
         rows = min(est.rows, float(node.limit))
         return (
             Limit(child, node.limit, node.offset),
-            _Est(rows, est.cost, est.fresh, est.table),
+            _Est(rows, est.cost, est.table),
         )
 
     def _lower_LAggregate(self, node: LAggregate) -> Tuple[Operator, _Est]:
@@ -659,14 +650,13 @@ class PhysicalPlanner:
             groups = min(groups, max(est.rows, 1.0))
         cost = est.cost + self.cost_model.aggregate_cost(est.rows)
         op = HashAggregate(child, node.group_outputs, node.agg_specs)
-        return op, _Est(groups, cost, est.fresh)
+        return op, _Est(groups, cost)
 
     # -- joins / unions ------------------------------------------------------
 
     def _lower_LJoin(self, node: LJoin) -> Tuple[Operator, _Est]:
         left, lest = self._lower(node.left)
         right, rest = self._lower(node.right)
-        fresh = lest.fresh and rest.fresh
         product = lest.rows * rest.rows
         if node.algorithm == "hash":
             ndv_l = _ndv_product(node.eq_left, lest.table)
@@ -691,21 +681,19 @@ class PhysicalPlanner:
                 + self.cost_model.nested_join_cost(lest.rows, rest.rows)
             )
             op = NestedLoopJoin(left, right, node.residual)
-        return op, _Est(rows, cost, fresh)
+        return op, _Est(rows, cost)
 
     def _lower_LUnionAll(self, node: LUnionAll) -> Tuple[Operator, _Est]:
         branches = []
         rows = cost = 0.0
-        fresh = True
         for branch in node.branches:
             op, est = self._lower(branch)
             branches.append(op)
             rows += est.rows
             cost += est.cost
-            fresh = fresh and est.fresh
-        return UnionAll(branches), _Est(rows, cost, fresh)
+        return UnionAll(branches), _Est(rows, cost)
 
-    # -- the window operator: where the cost model earns its keep -------------
+    # -- the window operator -------------------------------------------------
 
     def _lower_LWindow(self, node: LWindow) -> Tuple[Operator, _Est]:
         child, est = self._lower(node.child)
@@ -713,49 +701,23 @@ class PhysicalPlanner:
         specs = node.specs
         cm = self.cost_model
         groups = self._estimate_groups(specs, est)
-        label = f"window[{','.join(s.name for s in specs)}]"
-        kernel = "pipelined"
         config = self.exec_config
+        # Parallelism is the caller's configuration, not a plan choice.
         if config is not None and getattr(config, "is_parallel", False):
-            # Parallelism is the caller's configuration, not a plan choice.
-            wcost = sum(
-                cm.window_cost(
-                    "parallel", rows, jobs=config.resolved_jobs, groups=groups
-                )
-                for _ in specs
-            )
-            self.notes.append(f"{label}: parallel (as configured: {config.describe()})")
-        elif est.fresh:
-            # The vectorized route is admissible only when it is
-            # bit-identical to the pipelined kernel: MIN/MAX (comparisons
-            # only) and COUNT (integer-exact).  SUM/AVG would reorder float
-            # summation, and a plan choice must never change results.
-            vector_ok = all(
-                not s.is_ranking
-                and not s.is_range
-                and s.window is not None
-                and s.func in ("MIN", "MAX", "COUNT")
-                for s in specs
-            )
-            kernel, candidates = cm.choose_window_kernel(
-                rows, [(s.func, _spec_width(s)) for s in specs], vector_ok=vector_ok
-            )
-            wcost = candidates[kernel]
-            self.notes.append(
-                f"{label}: {kernel} "
-                f"(est_rows={int(rows)}, est_groups={int(groups)}, "
-                f"est_cost={wcost:.1f}, "
-                f"alternatives={ {k: round(v, 1) for k, v in candidates.items()} })"
+            where = "parallel"
+            wcost = len(specs) * cm.parallel_window_cost(
+                rows, jobs=config.resolved_jobs, groups=groups
             )
         else:
-            wcost = sum(cm.window_cost("pipelined", rows) for _ in specs)
-            self.notes.append(
-                f"{label}: pipelined (default: statistics absent or stale)"
-            )
-        op = WindowOperator(
-            child, specs, config, kernel=kernel, share_derivation=est.fresh
+            where = "serial"
+            wcost = len(specs) * cm.window_cost(rows)
+        self.notes.append(
+            f"window[{','.join(s.name for s in specs)}]: {where} "
+            f"(est_rows={int(rows)}, est_groups={int(groups)}, "
+            f"est_cost={wcost:.1f})"
         )
-        return op, _Est(rows, est.cost + wcost, est.fresh, est.table)
+        op = WindowOperator(child, specs, config)
+        return op, _Est(rows, est.cost + wcost, est.table)
 
     def _estimate_groups(self, specs, est: _Est) -> float:
         """Estimated PARTITION BY group count (max over the window specs)."""
@@ -768,12 +730,6 @@ class PhysicalPlanner:
                 ndv = max(1.0, est.rows**0.5)
             worst = max(worst, min(ndv, max(est.rows, 1.0)))
         return worst
-
-
-def _spec_width(spec: WindowColumnSpec) -> float:
-    if spec.window is not None and spec.window.is_sliding:
-        return float(spec.window.width)
-    return 1.0
 
 
 def _ndv_product(exprs, table_stats: Optional[TableStats]) -> Optional[float]:

@@ -219,7 +219,7 @@ def estimate_route_costs(
     """``(view_cost, base_cost)`` in cost-model units, or None without
     fresh statistics for the base table.
 
-    The base route is scan + partition sort + pipelined window; the view
+    The base route is scan + partition sort + window kernel; the view
     route is a storage scan plus the derivation's per-position lookups
     (MaxOA touches at most 3 shifted values per position, MinOA one
     sub-window tiling, reconstruction/prefix a whole O(n/Wx) chain).
@@ -234,7 +234,7 @@ def estimate_route_costs(
     if stats is None:
         return None
     n = float(stats.row_count)
-    cm = CostModel(db.stats.adaptive)
+    cm = CostModel()
 
     def _pages(table) -> float:
         # v4 (paged) tables pay per-page fault-in; in-memory tables don't.
@@ -245,7 +245,7 @@ def estimate_route_costs(
     base_cost = (
         cm.scan_cost(n, pages=_pages(base_table))
         + cm.sort_cost(n)
-        + cm.window_cost("pipelined", n)
+        + cm.window_cost(n)
     )
     try:
         storage = db.table(match.view.definition.storage_table)

@@ -6,8 +6,10 @@ engine" column of the paper's Table 1: each window column is evaluated by
 1. hashing rows into partitions (``PARTITION BY``),
 2. sorting each partition by the window's local ``ORDER BY`` (independent of
    the query's global ORDER BY — fig. 1's semantics), and
-3. computing the frame aggregate with the *pipelined* algorithm of section
-   2.2 (O(1) amortised per row for SUM/COUNT/AVG and deque-based MIN/MAX).
+3. computing the frame aggregate with the one window kernel,
+   :func:`~repro.core.vectorized.compute_vectorized`: section 2.2's
+   pipelined recurrence as whole-sequence NumPy, O(1) per row for every
+   aggregate and bit-identical to the scalar recurrence (DESIGN.md §5m).
 
 Reporting functions do not shrink the data volume: one output value is
 produced per input row, appended as extra columns to the child's rows.
@@ -20,19 +22,16 @@ within long groups — is evaluated on a shared
 back in deterministic order.  Ranking functions and RANGE frames keep the
 serial path (their kernels are not chunkable yet).
 
-Queries with several OVER clauses share work across the clauses in three
-tiers:
+Queries with several OVER clauses share work across the clauses in two
+tiers, both always on:
 
-1. *partition/sort sharing* (always on) — clauses with the same
-   PARTITION BY / ORDER BY signature group and sort the input once;
-2. *result dedup* (always on) — textually identical clauses are computed
-   once;
-3. *factor-window derivation* (``share_derivation=True``, set by the cost
-   planner) — a MIN/MAX clause whose frame widens a sibling clause's frame
-   is *derived* from the sibling's computed sequence with the paper's
-   MaxOA algorithm (section 4), exactly the way sequence views derive one
-   another.  MIN/MAX derivation is comparisons-only, so the derived column
-   is bit-identical to direct evaluation.
+1. *partition/sort sharing* — clauses with the same PARTITION BY /
+   ORDER BY signature group and sort the input once;
+2. *result dedup* — textually identical clauses are computed once.
+
+Every other clause is computed directly: deriving a frame from a sibling's
+sequence only pays while it is cheaper than the kernel, and the kernel is
+O(n) whatever the frame width.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 from repro.columns import Column as DataColumn
 from repro.columns import kind_for_type
 from repro.core.aggregates import by_name
-from repro.core.compute import compute_pipelined
 from repro.core.vectorized import compute_vectorized
 from repro.core.window import WindowSpec
 from repro.errors import ParallelError, PlanError, SchemaError
@@ -127,15 +125,9 @@ class WindowOperator(Operator):
     Args:
         exec_config: when parallel, frame aggregates are computed through
             the partition-parallel subsystem (chunked across and within
-            PARTITION BY groups); ``None`` keeps the serial pipelined path.
-        kernel: serial frame kernel — ``"pipelined"`` (section 2.2,
-            amortised O(1) per row) or ``"vectorized"`` (NumPy bulk
-            kernels; chosen by the cost planner for large inputs).
-            Ranking functions and RANGE frames always use their dedicated
-            serial kernels.
-        share_derivation: enable the MaxOA factor-window sharing tier
-            between MIN/MAX clauses (see the module docstring).  Off by
-            default; the cost planner turns it on.
+            PARTITION BY groups); ``None`` keeps the serial path.  Ranking
+            functions and RANGE frames always use their dedicated serial
+            kernels.
     """
 
     def __init__(
@@ -143,21 +135,14 @@ class WindowOperator(Operator):
         child: Operator,
         specs: Sequence[WindowColumnSpec],
         exec_config=None,
-        *,
-        kernel: str = "pipelined",
-        share_derivation: bool = False,
     ) -> None:
         if not specs:
             raise PlanError("window operator needs at least one column spec")
-        if kernel not in ("pipelined", "vectorized"):
-            raise PlanError(f"unknown window kernel {kernel!r}")
         self.child = child
         self.exec_config = exec_config
-        self.kernel = kernel
-        self.share_derivation = share_derivation
         self.specs = list(specs)
-        # What the last execution decided (strategy, rows, sharing hits):
-        # read by EXPLAIN ANALYZE and the adaptive cost table.
+        # What the last execution did (strategy, rows, sharing hits): read
+        # by EXPLAIN ANALYZE.
         self.analyze_extra: dict = {}
         columns = list(child.schema.columns)
         for spec in self.specs:
@@ -188,26 +173,10 @@ class WindowOperator(Operator):
             # Sharing the stats block surfaces retry/fallback counters in
             # the query result.
             pool = ExecutorPool(self.exec_config, stats=stats)
-        # cost_units mirrors the planner's charging basis for the strategy
-        # (rows x width for the vectorized kernel, rows otherwise) so the
-        # adaptive table calibrates seconds-per-unit against the same
-        # quantity the cost model multiplies.
-        units = len(rows)
-        if pool is None and self.kernel == "vectorized":
-            width = 1.0
-            for spec in self.specs:
-                if spec.window is not None and spec.window.is_sliding:
-                    width = max(width, float(spec.window.width))
-            units = int(len(rows) * width)
         self.analyze_extra = {
-            "strategy": "parallel" if pool is not None else self.kernel,
+            "strategy": "parallel" if pool is not None else "serial",
             "rows": len(rows),
-            "cost_units": units,
         }
-        sharing = (
-            self._sharing_plan() if self.share_derivation and pool is None else {}
-        )
-        share_sources: dict = {}
         # Run-state spilling ("Support Aggregate Analytic Window Function
         # over Large Data by Spilling"): under an ambient memory budget,
         # computed window columns past the in-memory allowance are written
@@ -224,9 +193,7 @@ class WindowOperator(Operator):
             measure_cache: dict = {}
             sort_cache: dict = {}
             result_cache: dict = {}
-            for i, (spec, (arg, partition, order)) in enumerate(
-                zip(self.specs, self._bound)
-            ):
+            for spec, (arg, partition, order) in zip(self.specs, self._bound):
                 sig = _signature(spec)
                 dedup_key = (
                     sig,
@@ -246,8 +213,7 @@ class WindowOperator(Operator):
                 )
                 measure = self._measure_column(spec, rows, measure_cache)
                 values = self._evaluate(
-                    spec, arg, order, groups, rows, stats, pool, measure,
-                    share_sources, sharing.get(i),
+                    spec, arg, order, groups, rows, stats, pool, measure
                 )
                 if budget is not None:
                     run_bytes = 8 * len(values)
@@ -366,40 +332,6 @@ class WindowOperator(Operator):
         cache[sig] = groups
         return groups
 
-    def _sharing_plan(self) -> dict:
-        """Which clauses take part in factor-window sharing, and how.
-
-        Maps a spec's position to ``(share_key, is_source)`` for every
-        sliding MIN/MAX clause.  ``is_source`` is set only when a *later*
-        clause has the same key and another frame: wrapping a clause's
-        values as a :class:`CompleteSequence` costs O(n·w) for the header
-        and trailer, so it is done only for a clause somebody can derive
-        from.
-        """
-        keys = {}
-        for i, spec in enumerate(self.specs):
-            if (
-                spec.func in ("MIN", "MAX")
-                and spec.window is not None
-                and spec.window.is_sliding
-            ):
-                keys[i] = (
-                    _signature(spec),
-                    spec.func,
-                    str(spec.arg) if spec.arg is not None else None,
-                )
-        return {
-            i: (
-                key,
-                any(
-                    keys[j] == key and self.specs[j].window != self.specs[i].window
-                    for j in keys
-                    if j > i
-                ),
-            )
-            for i, key in keys.items()
-        }
-
     def _evaluate(
         self,
         spec: WindowColumnSpec,
@@ -410,8 +342,6 @@ class WindowOperator(Operator):
         stats: ExecutionStats,
         pool=None,
         measure: Optional[DataColumn] = None,
-        sources: Optional[dict] = None,
-        sharing: Optional[Tuple[tuple, bool]] = None,
     ) -> List[float]:
         from repro.obs import runtime
 
@@ -432,18 +362,10 @@ class WindowOperator(Operator):
                 # exhausted, ...) — recompute this column serially rather
                 # than failing the query.
                 stats.bump(serial_fallbacks=1)
-                self.analyze_extra["strategy"] = "pipelined-fallback"
+                self.analyze_extra["strategy"] = "serial-fallback"
                 runtime.event("window.serial_fallback", spec=spec.name)
-        share_key, is_source = sharing or (None, False)
-        if share_key is not None:
-            derived = self._derive_from_sibling(
-                sources.get(share_key, ()), spec, groups, rows, stats
-            )
-            if derived is not None:
-                return derived
-        seqs: dict = {}
         out = [0.0] * len(rows)
-        for gkey, indexes in groups.items():
+        for indexes in groups.values():
             stats.rows_sorted += len(indexes)
             if spec.is_ranking:
                 values = self._rank(spec.func, indexes, rows, order)
@@ -461,59 +383,10 @@ class WindowOperator(Operator):
                         float(v) if (v := arg(rows[i])) is not None else 0.0
                         for i in indexes
                     ]
-                if self.kernel == "vectorized" and spec.window is not None:
-                    values = compute_vectorized(raw, spec.window, aggregate)
-                else:
-                    values = compute_pipelined(
-                        raw.tolist() if hasattr(raw, "tolist") else raw,
-                        spec.window,
-                        aggregate,
-                    )
-                if is_source:
-                    seqs[gkey] = _as_complete_sequence(
-                        raw, values, spec.window, aggregate
-                    )
+                values = compute_vectorized(raw, spec.window, aggregate)
             for i, value in zip(indexes, values):
                 out[i] = value
-        if is_source:
-            # Register this clause as a derivation source for later siblings.
-            sources.setdefault(share_key, []).append((spec.window, seqs))
         return out
-
-    def _derive_from_sibling(
-        self, candidates, spec: WindowColumnSpec, groups: dict, rows, stats
-    ) -> Optional[List[float]]:
-        """Factor-window sharing: derive this clause from a sibling's sequence.
-
-        Looks among ``candidates`` — the already-computed MIN/MAX clauses
-        over the same partition/order/measure, as ``(window, sequences)`` —
-        for one whose (narrower) frame MaxOA-derives this clause's frame,
-        and evaluates the derivation per group — exactly the paper's
-        view-derivation step, applied between the OVER clauses of one query.
-        """
-        from repro.core import derivation
-        from repro.errors import DerivationError
-        from repro.obs import runtime
-
-        for view_window, seqs in candidates:
-            try:
-                chosen = derivation.plan(view_window, spec.window, minmax=True)
-            except DerivationError:
-                continue
-            out = [0.0] * len(rows)
-            for gkey, indexes in groups.items():
-                stats.rows_sorted += len(indexes)
-                values = derivation.derive(seqs[gkey], spec.window, chosen=chosen)
-                for i, value in zip(indexes, values):
-                    out[i] = value
-            runtime.get_registry().counter(
-                "repro_window_shared_derivations_total",
-                help="Window columns derived from a sibling OVER clause's "
-                "sequence (factor-window sharing)",
-            ).inc()
-            self.analyze_extra["derived"] = self.analyze_extra.get("derived", 0) + 1
-            return out
-        return None
 
     @staticmethod
     def _raw_sequence(arg, measure: DataColumn, indexes, rows):
@@ -667,24 +540,3 @@ def _signature(spec: WindowColumnSpec) -> tuple:
         tuple(str(e) for e in spec.partition_by),
         tuple((str(o.expr), o.ascending) for o in spec.order_by),
     )
-
-
-def _as_complete_sequence(raw, values, window, aggregate):
-    """Wrap one group's computed core values as a :class:`CompleteSequence`.
-
-    The clause already computed positions ``1..n``; only the header and
-    trailer (``l + h`` extra positions) are evaluated naively — cheap for
-    the bounded frames MaxOA applies to.
-    """
-    from repro.core.complete import CompleteSequence
-    from repro.core.sequence import SequenceSpec
-
-    raw_list = raw.tolist() if hasattr(raw, "tolist") else list(raw)
-    n = len(raw_list)
-    sspec = SequenceSpec(window, aggregate)
-    pairs = list(zip(range(1, n + 1), values))
-    for k in range(1 - window.header_span(), 1):
-        pairs.append((k, sspec.value_at(raw_list, k)))
-    for k in range(n + 1, n + window.trailer_span() + 1):
-        pairs.append((k, sspec.value_at(raw_list, k)))
-    return CompleteSequence.from_values(window, aggregate, n, pairs, complete=True)

@@ -4,17 +4,14 @@ The optimizer's data layer (DESIGN.md §5i): per-table row counts and
 per-column NDV / null fractions / equi-depth histograms collected by
 :func:`collect_table_stats`, held per database in a :class:`StatsCatalog`
 (with staleness tracking against the live table), persisted in the storage
-catalog alongside format v3, and consumed by :class:`CostModel` — which is
-re-calibrated from observed runtimes through :class:`AdaptiveCostTable`.
+catalog alongside format v3, and consumed by :class:`CostModel`.
 """
 
-from repro.stats.adaptive import AdaptiveCostTable
 from repro.stats.catalog import StatsCatalog
 from repro.stats.collect import ColumnStats, TableStats, collect_table_stats
 from repro.stats.cost import CostEstimate, CostModel, DEFAULT_SELECTIVITY
 
 __all__ = [
-    "AdaptiveCostTable",
     "ColumnStats",
     "CostEstimate",
     "CostModel",

@@ -4,11 +4,8 @@ One :class:`StatsCatalog` hangs off every
 :class:`~repro.relational.engine.Database`.  ``ANALYZE`` results are keyed
 by table name; staleness is judged *live* against the current table row
 count (no mutation hooks needed — the warehouse mutates tables directly),
-so the cost planner can cheaply ask for :meth:`fresh` statistics and fall
-back to rule-based choices when they are absent or drifted.
-
-The catalog also owns the database's :class:`AdaptiveCostTable`, so
-observed runtimes and collected statistics travel together.
+so the view-route estimate can cheaply ask for :meth:`fresh` statistics
+and fall back to its default when they are absent or drifted.
 """
 
 from __future__ import annotations
@@ -16,7 +13,6 @@ from __future__ import annotations
 import threading
 from typing import Dict, Optional
 
-from repro.stats.adaptive import AdaptiveCostTable
 from repro.stats.collect import (
     DEFAULT_BUCKETS,
     DEFAULT_SAMPLE_LIMIT,
@@ -31,7 +27,7 @@ DEFAULT_STALENESS = 0.2
 
 
 class StatsCatalog:
-    """Collected table statistics plus the adaptive cost-feedback table."""
+    """Collected table statistics, keyed by table name."""
 
     def __init__(
         self,
@@ -43,7 +39,6 @@ class StatsCatalog:
         self.staleness = staleness
         self.buckets = buckets
         self.sample_limit = sample_limit
-        self.adaptive = AdaptiveCostTable()
         self._tables: Dict[str, TableStats] = {}
         self._lock = threading.Lock()
 

@@ -1,12 +1,7 @@
 """The cost model: cardinality and cost estimation from statistics.
 
-Costs are in abstract *row-operation* units, normalized so one pipelined
-window position (or one scanned row) costs ~1.0.  The constants encode
-the measured relative speed of the kernels (see bench_table1 / DESIGN.md
-§5i); when an :class:`~repro.stats.adaptive.AdaptiveCostTable` has enough
-runtime observations for a strategy, the observed seconds-per-row ratio
-against the pipelined baseline replaces the static per-row constant —
-adaptive re-costing.
+Costs are in abstract *row-operation* units, normalized so one window
+position (or one scanned row) costs 1.0 (DESIGN.md §5i).
 
 Cardinality estimation uses the textbook rules: histogram interpolation
 for range predicates, ``1/NDV`` for equalities, independence for AND,
@@ -18,9 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Optional, Tuple
 
-from repro.stats.adaptive import AdaptiveCostTable
 from repro.stats.collect import ColumnStats, TableStats
 
 __all__ = [
@@ -46,9 +40,9 @@ class CostEstimate:
 
 
 class CostModel:
-    """Cost formulas for scans, joins, sorts and the window strategies."""
+    """Cost formulas for scans, joins, sorts and the window operator."""
 
-    # Per-row unit costs, relative to one pipelined window position = 1.0.
+    # Per-row unit costs, relative to one window position = 1.0.
     SCAN_ROW = 1.0
     FILTER_ROW = 0.5
     JOIN_BUILD_ROW = 1.5
@@ -64,85 +58,25 @@ class CostModel:
     # matches) once data lives out of core.
     PAGE_IO = 40.0
 
-    # Window strategies (per position unless noted).
-    NAIVE_POSITION = 1.0  # x window width
-    PIPELINED_ROW = 1.0
-    VECTORIZED_ROW = 0.05
-    VECTORIZED_SETUP = 500.0  # per spec: array staging + kernel dispatch
-    PARALLEL_ROW = 1.0  # divided by the worker count
+    WINDOW_ROW = 1.0  # one position of one window column
     PARALLEL_SETUP = 30_000.0  # pool spin-up + chunk shipping
     PARALLEL_GROUP = 4.0  # per-group merge bookkeeping
 
-    def __init__(self, adaptive: Optional[AdaptiveCostTable] = None) -> None:
-        self.adaptive = adaptive
+    # -- the window operator -------------------------------------------------
 
-    # -- calibrated per-row units -------------------------------------------
-
-    def _unit(self, strategy: str, static: float) -> float:
-        if self.adaptive is not None:
-            observed = self.adaptive.unit_factor(strategy)
-            if observed is not None and observed > 0:
-                return observed * self.PIPELINED_ROW
-        return static
-
-    # -- window strategies ---------------------------------------------------
-
-    def window_cost(
-        self,
-        strategy: str,
-        rows: float,
-        *,
-        width: float = 1.0,
-        jobs: int = 1,
-        groups: float = 1.0,
-    ) -> float:
+    def window_cost(self, rows: float) -> float:
         """Cost of evaluating one window column over ``rows`` positions."""
-        rows = max(rows, 0.0)
-        if strategy == "naive":
-            return rows * max(width, 1.0) * self.NAIVE_POSITION
-        if strategy == "pipelined":
-            return rows * self._unit("pipelined", self.PIPELINED_ROW)
-        if strategy == "vectorized":
-            return rows * self._unit("vectorized", self.VECTORIZED_ROW) + (
-                self.VECTORIZED_SETUP
-            )
-        if strategy == "parallel":
-            per_row = self._unit("parallel", self.PARALLEL_ROW) / max(jobs, 1)
-            return (
-                rows * per_row
-                + self.PARALLEL_SETUP
-                + max(groups, 1.0) * self.PARALLEL_GROUP
-            )
-        raise ValueError(f"unknown window strategy {strategy!r}")
+        return max(rows, 0.0) * self.WINDOW_ROW
 
-    def choose_window_kernel(
-        self,
-        rows: float,
-        clauses: Sequence[Tuple[str, float]],
-        *,
-        vector_ok: bool = True,
-    ) -> Tuple[str, Dict[str, float]]:
-        """Cheapest admissible serial kernel for one window operator.
-
-        ``clauses`` holds one ``(func, width)`` pair per window column
-        (``width`` = frame width for sliding frames, 1 otherwise).  The
-        strided MIN/MAX kernel does O(n·w) comparisons, so the vectorized
-        candidate charges those clauses at ``rows × width``.  Returns the
-        chosen kernel and every candidate's cost; ties break toward
-        ``pipelined``, so the kernel never changes without a predicted win.
-        """
-        candidates = {
-            "pipelined": sum(self.window_cost("pipelined", rows) for _ in clauses)
-        }
-        if vector_ok:
-            candidates["vectorized"] = sum(
-                self.window_cost(
-                    "vectorized", rows * width if func in ("MIN", "MAX") else rows
-                )
-                for func, width in clauses
-            )
-        best = min(candidates, key=lambda k: (candidates[k], k != "pipelined"))
-        return best, candidates
+    def parallel_window_cost(
+        self, rows: float, *, jobs: int, groups: float = 1.0
+    ) -> float:
+        """The same column on a pool of ``jobs`` workers."""
+        return (
+            self.window_cost(rows) / max(jobs, 1)
+            + self.PARALLEL_SETUP
+            + max(groups, 1.0) * self.PARALLEL_GROUP
+        )
 
     # -- relational operators ------------------------------------------------
 

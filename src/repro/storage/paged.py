@@ -289,9 +289,11 @@ class PagedTable(Table):
             file.close()
 
     def close(self) -> None:
-        """Close the page files under the paged columns (idempotent)."""
+        """Close the page files under the paged columns and give their
+        frames back to the pool (idempotent)."""
         for store in self._columns:
             if isinstance(store, PagedColumnStore):
+                self.buffer_pool.drop_file(store.file)
                 store.file.close()
 
     # -- Table overrides ------------------------------------------------------

@@ -8,11 +8,11 @@ Paths:
 
 ``naive``            explicit form, O(W) per position (§2.2)
 ``pipelined``        recursive form, O(1) amortised per position (§2.2)
-``vectorized``       numpy kernels
+``vectorized``       the NumPy window kernel (the one the engine runs)
 ``engine``           full SQL stack: parse -> plan -> WindowOperator, planned
                      from the fresh statistics ``insert`` collected
-``engine-nostats``   same, with the statistics cleared first (the planner's
-                     fallback decisions; results must match)
+``engine-nostats``   same, with the statistics cleared first (as a served
+                     snapshot plans; plan and results must match)
 ``engine-parallel``  same, through the partition-parallel subsystem (every
                      window operator must report ``strategy=parallel``)
 ``engine-paged``     same, on a v4 paged store loaded behind a small
@@ -105,8 +105,8 @@ def _engine_path(
 ) -> ResultMap:
     """The full SQL stack against the in-process relational engine.
 
-    The dataset is auto-ANALYZEd on insert, so the planner's choices
-    follow fresh statistics unless ``stats=False`` clears them first.
+    The dataset is auto-ANALYZEd on insert, so the planner estimates from
+    fresh statistics unless ``stats=False`` clears them first.
     With ``paged=True`` the dataset takes a detour through the v4 paged
     dump format: saved with a small page size, reloaded behind a buffer
     pool with a deliberately tiny memory budget, and queried out of core
@@ -127,10 +127,23 @@ def _engine_path(
             wh.save(tmp, storage_format=4, page_size=512)
             wh = DataWarehouse.load(tmp, memory_budget_bytes=4096)
             result = wh.query(case.sql, use_views=False)
+    elif exec_config is not None and exec_config.is_parallel:
+        # Planned here rather than inside ``wh.query`` to keep hold of the
+        # operators: each window operator reports where it ran.
+        from repro.sql.options import QueryOptions
+        from repro.sql.parser import parse_query
+        from repro.sql.planner import build_plan
+
+        plan = build_plan(
+            wh.db,
+            parse_query(case.sql),
+            QueryOptions(use_views=False),
+            exec_config=wh.execution,
+        )
+        result = wh.db.run(plan)
+        _require_parallel(plan)
     else:
         result = wh.query(case.sql, use_views=False)
-    if exec_config is not None and exec_config.is_parallel:
-        _require_parallel(result.window_feedback)
     g_i = result.schema.resolve("g")
     pos_i = result.schema.resolve("pos")
     if not case.extra_windows:
@@ -144,8 +157,8 @@ def _engine_path(
     return out
 
 
-def _require_parallel(window_feedback) -> None:
-    """Every window operator must have run on the configured pool.
+def _require_parallel(plan) -> None:
+    """Every window operator of an executed plan must have run on the pool.
 
     A planner that quietly drops the pool would keep every answer right
     and shrink this path to a copy of ``engine``; the serial fallback is
@@ -155,8 +168,15 @@ def _require_parallel(window_feedback) -> None:
 
     allowed = {"parallel"}
     if injector.active_plan() is not None:
-        allowed.add("pipelined-fallback")
-    strategies = [strategy for strategy, _units in window_feedback]
+        allowed.add("serial-fallback")
+    strategies = []
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        extra = getattr(node, "analyze_extra", None)
+        if extra and "strategy" in extra:
+            strategies.append(extra["strategy"])
+        stack.extend(node.children())
     if not strategies or set(strategies) - allowed:
         raise AssertionError(
             f"engine-parallel ran window strategies {strategies}; "
@@ -167,14 +187,14 @@ def _require_parallel(window_feedback) -> None:
 def path_engine(case: FuzzCase) -> ResultMap:
     """The full SQL stack, serial: parse -> plan -> WindowOperator.
 
-    Statistics are fresh, so the cost model drives the kernel and sharing
-    choices; the planner contract says those never change results.
+    Statistics are fresh, so every estimate comes from the catalog.
     """
     return _engine_path(case)
 
 
 def path_engine_nostats(case: FuzzCase) -> ResultMap:
-    """The full SQL stack with no statistics: the planner's defaults."""
+    """The full SQL stack with no statistics, as a served snapshot plans:
+    same plan and same rows as ``engine``, estimates from table lengths."""
     return _engine_path(case, stats=False)
 
 

@@ -141,13 +141,13 @@ def _query_cost(
             return None
         if row_count is not None:
             # Statistics-informed fallback: recomputing from base data costs
-            # one scan + sort + pipelined window pass over the real table.
+            # one scan + sort + window pass over the real table.
             from repro.stats.cost import CostModel
 
             cm = CostModel()
             n = float(row_count)
             fallback_cost = (
-                cm.scan_cost(n) + cm.sort_cost(n) + cm.window_cost("pipelined", n)
+                cm.scan_cost(n) + cm.sort_cost(n) + cm.window_cost(n)
             )
         return QueryPlanCost(query, "fallback", fallback_cost * query.weight)
 

@@ -348,12 +348,6 @@ class DataWarehouse:
             "repro_engine_query_seconds",
             help="Warehouse query() wall time",
         ).observe(elapsed)
-        # Adaptive re-costing: each executed window operator reports its
-        # strategy and size in the cost model's charging basis (rows, or
-        # rows x width for the vectorized kernel) so calibration compares
-        # seconds-per-unit against the same quantity the planner multiplies.
-        for strategy, units in getattr(result, "window_feedback", ()) or ():
-            self.db.stats.adaptive.record(strategy, units, elapsed)
         if self.slow_queries is not None:
             info = result.rewrite
             self.slow_queries.record(
@@ -411,32 +405,14 @@ class DataWarehouse:
         return build_plan(self.db, stmt, options, exec_config=self.execution)
 
     def _run_native(self, plan) -> "QueryResult":
-        """Run a native plan, capturing planner feedback.
-
-        Attaches the root-operator cardinality q-error (estimated vs
-        returned rows) and, for every executed window operator, a
-        ``(strategy, rows)`` sample destined for the adaptive cost table.
-        """
+        """Run a native plan and attach the root operator's cardinality
+        q-error (estimated vs returned rows)."""
         result = QueryResult.wrap(self.db.run(plan), None)
         est = getattr(plan, "analyze_est", None)
         if est is not None:
             est_rows = max(float(est["est_rows"]), 1.0)
             actual = max(float(len(result.rows)), 1.0)
             result.q_error = max(est_rows / actual, actual / est_rows)
-        feedback = []
-        stack = [plan]
-        while stack:
-            node = stack.pop()
-            extra = getattr(node, "analyze_extra", None)
-            if extra is not None and "strategy" in extra:
-                feedback.append(
-                    (
-                        extra["strategy"],
-                        extra.get("cost_units", extra.get("rows", 0)),
-                    )
-                )
-            stack.extend(node.children())
-        result.window_feedback = feedback
         return result
 
     def _plan_rewrite(self, stmt, options: QueryOptions):
@@ -711,8 +687,7 @@ class DataWarehouse:
         matter, and do not query the warehouse afterwards.
         """
         for table in self.db.catalog.tables():
-            if getattr(table, "is_paged", False):
-                table.close()
+            table.close()
         if self.db.buffer_pool is not None:
             self.db.buffer_pool.close()
 

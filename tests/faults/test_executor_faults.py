@@ -43,6 +43,39 @@ class TestCrashRecovery:
         assert health.is_broken("process")
         assert health.incidents("process") >= 1
 
+    def test_process_crash_seen_at_submission_falls_back_too(self, monkeypatch):
+        # The worker can die while the caller is still handing tasks over;
+        # ``submit`` then raises BrokenProcessPool itself.  Force that order
+        # by waiting for the pool to notice the death before the second
+        # submit.
+        import time
+
+        ensure = ExecutorPool._ensure_executor
+
+        def slow_hand_over(self):
+            executor = ensure(self)
+            submit = executor.submit
+
+            def submit_then_wait(*args):
+                future = submit(*args)
+                deadline = time.monotonic() + 10.0
+                while not executor._broken and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                return future
+
+            executor.submit = submit_then_wait
+            return executor
+
+        monkeypatch.setattr(ExecutorPool, "_ensure_executor", slow_hand_over)
+        config = ExecutionConfig(jobs=2, backend="process", retry_backoff=0.0)
+        plan = FaultPlan([FaultSpec("worker_crash", at=0)])
+        with injector.active(plan), ExecutorPool(config) as pool:
+            assert pool.map(_square, range(8)) == EXPECTED
+        assert pool.stats.serial_fallbacks == 1
+        assert pool.stats.worker_failures == 1
+        assert health.is_broken("process")
+        assert health.incidents("process") >= 1
+
     def test_stats_summary_surfaces_counters(self):
         config = ExecutionConfig(jobs=2, backend="thread", retry_backoff=0.0)
         plan = FaultPlan([FaultSpec("worker_crash", at=0)])

@@ -304,6 +304,34 @@ class TestWarehouseClose:
         loaded.close()  # a second close is a no-op
         assert self._open_under(dump) == []
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs procfs")
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    def test_dropped_and_displaced_paged_tables_are_closed(self, tmp_path):
+        import gc
+
+        from repro.warehouse import DataWarehouse, create_sequence_table
+
+        wh = DataWarehouse()
+        for name in ("t", "u", "v"):
+            create_sequence_table(wh.db, name, 400, seed=2)
+        dump = str(tmp_path / "dump")
+        wh.save(dump, storage_format=4, page_size=512)
+
+        loaded = DataWarehouse.load(dump, memory_budget_bytes=2048)
+        pool = loaded.db.buffer_pool
+        for name in ("t", "u", "v"):
+            loaded.query(f"SELECT pos, val FROM {name}")
+        assert len(self._open_under(dump)) == 3
+        loaded.db.drop_table("t")
+        loaded.db.rename_table("u", "v", replace=True)  # displaces v
+        gc.collect()  # an unclosed file would warn here
+        assert self._open_under(dump) == [os.path.join(dump, "data", "u.pages")]
+        assert {os.path.basename(path) for path, _ in pool.resident_keys()} <= {
+            "u.pages"
+        }
+        loaded.close()
+        assert self._open_under(dump) == []
+
     def test_in_memory_warehouse_closes_trivially(self):
         from repro.warehouse import DataWarehouse
 

@@ -1,12 +1,11 @@
 """Golden-plan snapshots and cost-model properties of the planner.
 
-The snapshots pin the *shape* of the plan plus the planner's recorded
-decisions on three fresh-statistics fixtures spanning the decision space
-(tiny, uniform large, skewed partitioned) and on the no-statistics
-default.  The property tests state the contracts the cost model must
-keep: cost is monotonic in the row count, stale or absent statistics
-degrade every choice to the no-statistics plan, and EXPLAIN ANALYZE
-estimates stay within the documented q-error bound on analyzed data.
+The snapshots pin the *shape* of the plan plus the planner's note on three
+fresh-statistics fixtures (tiny, uniform large, skewed partitioned) and
+without statistics.  The property tests state the contracts the cost model
+must keep: cost is monotonic in the row count, a window plan and its rows
+do not depend on the statistics' state, and EXPLAIN ANALYZE estimates stay
+within the documented q-error bound on analyzed data.
 """
 
 import random
@@ -66,34 +65,28 @@ def window_op(plan):
 
 
 class TestGoldenPlans:
-    """Plan-shape snapshots: operator tree, kernel choice, recorded notes."""
+    """Plan-shape snapshots: operator tree and the planner's note."""
 
     GOLDEN = (
         "Project(pos AS pos, m AS m)\n"
         "  WindowOperator(MIN(val) ROWS BETWEEN 4 PRECEDING AND 4 FOLLOWING AS m)\n"
         "    TableScan(seq)"
     )
-    DEFAULT_NOTE = "window[m]: pipelined (default: statistics absent or stale)"
 
     def test_uniform_large_cost_plan(self):
-        db = make_db(4000)
-        plan = plan_for(db)
+        plan = plan_for(make_db(4000))
         assert plan.explain() == self.GOLDEN
-        # Fresh statistics + large uniform input: the vectorized MIN/MAX
-        # kernel amortizes its setup and wins.
-        assert window_op(plan).kernel == "vectorized"
-        (note,) = plan.planner_notes
-        assert note.startswith("window[m]: vectorized ")
-        assert "alternatives={'pipelined'" in note
+        assert plan.planner_notes == [
+            "window[m]: serial (est_rows=4000, est_groups=1, est_cost=4000.0)"
+        ]
 
     def test_tiny_cost_plan_stays_pipelined(self):
-        db = make_db(120)
-        plan = plan_for(db)
+        # One kernel at every size: 120 rows plan exactly like 4000.
+        plan = plan_for(make_db(120))
         assert plan.explain() == self.GOLDEN
-        # 120 rows cannot pay the vectorized setup cost.
-        assert window_op(plan).kernel == "pipelined"
-        (note,) = plan.planner_notes
-        assert note.startswith("window[m]: pipelined ")
+        assert plan.planner_notes == [
+            "window[m]: serial (est_rows=120, est_groups=1, est_cost=120.0)"
+        ]
 
     def test_skewed_partitioned_cost_plan(self):
         db = make_db(3000, groups=6)
@@ -104,13 +97,24 @@ class TestGoldenPlans:
         assert "est_groups=6" in note
 
     def test_rule_plan_never_annotates_decisions(self):
-        # The no-statistics golden: same shape, every decision at its
-        # default, and the one note says so instead of listing estimates.
+        # The no-statistics golden: same shape, the estimate is the
+        # table's length, and there is no decision for the note to list.
         plan = plan_for(make_db_without_stats(4000))
         assert plan.explain() == self.GOLDEN
-        assert plan.planner_notes == [self.DEFAULT_NOTE]
-        assert window_op(plan).kernel == "pipelined"
-        assert window_op(plan).share_derivation is False
+        assert plan.planner_notes == [
+            "window[m]: serial (est_rows=4000, est_groups=1, est_cost=4000.0)"
+        ]
+
+    def test_parallel_config_is_reported_not_chosen(self):
+        from repro.parallel import ExecutionConfig
+
+        config = ExecutionConfig(jobs=2, backend="thread")
+        plan = build_plan(
+            make_db(120), parse_query(WINDOW_SQL.format(over="ORDER BY pos")),
+            exec_config=config,
+        )
+        assert plan.explain() == self.GOLDEN
+        assert plan.planner_notes[0].startswith("window[m]: parallel (est_rows=120,")
 
     def test_every_operator_carries_estimates(self):
         db = make_db(400)
@@ -130,35 +134,42 @@ class TestGoldenPlans:
 
 
 class TestDegradation:
-    """Stale or absent statistics must reproduce the no-statistics golden
-    (on fresh statistics this fixture picks the vectorized kernel)."""
+    """The state of the statistics moves estimates, never the plan or its
+    rows: there is one kernel, so there is nothing for them to decide."""
 
-    def _assert_default_plan(self, db):
-        plan = plan_for(db)
-        assert plan.explain() == TestGoldenPlans.GOLDEN
-        assert plan.planner_notes == [TestGoldenPlans.DEFAULT_NOTE]
-        assert window_op(plan).kernel == "pipelined"
-        assert window_op(plan).share_derivation is False
+    SQL = WINDOW_SQL.format(over="ORDER BY pos")
+
+    def _assert_same_as_fresh(self, db):
+        """``db``'s window plan and rows against the same data re-analyzed."""
+        plan, rows = plan_for(db), db.sql(self.SQL).rows
+        db.stats.analyze(db.table("seq"))
+        assert db.stats.fresh(db.table("seq")) is not None
+        fresh = plan_for(db)
+        assert plan.explain() == fresh.explain() == TestGoldenPlans.GOLDEN
+        assert plan.planner_notes[0].startswith("window[m]: serial (")
+        assert window_op(plan).specs == window_op(fresh).specs
+        assert rows == db.sql(self.SQL).rows
+        assert len(rows) == len(db.table("seq"))
 
     def test_absent_stats_degrade_to_rule(self):
         db = make_db(4000)
-        assert window_op(plan_for(db)).kernel == "vectorized"
         db.stats.clear()
-        self._assert_default_plan(db)
+        self._assert_same_as_fresh(db)
 
     def test_stale_stats_degrade_to_rule(self):
         db = make_db(4000)
         # Grow the table 50% behind the catalog's back: stats go stale.
-        db.table("seq").insert_many([(1, 4000 + i, 1.0) for i in range(2000)])
+        db.table("seq").insert_many(
+            [(1, 4000 + i, float(i % 7)) for i in range(2000)]
+        )
         assert db.stats.is_stale(db.table("seq"))
-        self._assert_default_plan(db)
+        self._assert_same_as_fresh(db)
 
     def test_stale_stats_still_annotate_estimates(self):
         db = make_db(4000)
         db.table("seq").insert_many([(1, 4000 + i, 1.0) for i in range(2000)])
         plan = plan_for(db)
-        # Estimation uses what the catalog has (possibly off) — only
-        # *decisions* require freshness.
+        # Estimation uses what the catalog has (possibly off).
         assert plan.analyze_est["est_rows"] == 4000
 
 
@@ -167,13 +178,13 @@ class TestCostProperties:
     @given(
         rows=st.integers(min_value=0, max_value=10**6),
         extra=st.integers(min_value=1, max_value=10**5),
-        strategy=st.sampled_from(["naive", "pipelined", "vectorized", "parallel"]),
     )
-    def test_window_cost_monotonic_in_rows(self, rows, extra, strategy):
+    def test_window_cost_monotonic_in_rows(self, rows, extra):
         cm = CostModel()
-        small = cm.window_cost(strategy, rows, width=9.0, jobs=4, groups=3.0)
-        large = cm.window_cost(strategy, rows + extra, width=9.0, jobs=4, groups=3.0)
-        assert large >= small
+        assert cm.window_cost(rows + extra) >= cm.window_cost(rows)
+        assert cm.parallel_window_cost(
+            rows + extra, jobs=4, groups=3.0
+        ) >= cm.parallel_window_cost(rows, jobs=4, groups=3.0)
 
     @settings(max_examples=40, deadline=None)
     @given(rows=st.integers(min_value=0, max_value=10**6),
@@ -192,21 +203,6 @@ class TestCostProperties:
         large = plan_for(make_db(n_small * factor))
         assert large.analyze_est["est_cost"] >= small.analyze_est["est_cost"]
         assert large.analyze_est["est_rows"] >= small.analyze_est["est_rows"]
-
-    @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(min_value=0, max_value=3000),
-           func=st.sampled_from(["MIN", "MAX", "COUNT"]))
-    def test_chosen_strategy_never_costlier_than_pipelined(self, n, func):
-        cm = CostModel()
-        kernel, candidates = cm.choose_window_kernel(float(n), [(func, 9.0)])
-        pipelined = cm.window_cost("pipelined", float(n))
-        assert candidates["pipelined"] == pipelined
-        assert candidates[kernel] <= pipelined
-        if kernel != "pipelined":
-            assert candidates[kernel] < pipelined
-        # The strided MIN/MAX kernel is charged rows x width.
-        strided = cm.window_cost("vectorized", float(n) * (1.0 if func == "COUNT" else 9.0))
-        assert candidates["vectorized"] == strided
 
 
 class TestEstimateAccuracy:
@@ -243,7 +239,7 @@ class TestEstimateAccuracy:
     def test_planner_section_rendered(self):
         db = make_db(4000)
         text = db.explain_analyze(WINDOW_SQL.format(over="ORDER BY pos"))
-        assert "Planner:\n  window[m]: vectorized" in text
+        assert "Planner:\n  window[m]: serial (est_rows=4000," in text
 
 
 class TestQErrorSlowLog:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.aggregates import MAX
 from repro.core.window import cumulative, sliding
 from repro.errors import PlanError
 from repro.relational import Database, FLOAT, INTEGER, TEXT, col
@@ -101,60 +102,44 @@ class TestWindowOperator:
 
 
 class TestFactorWindowSharing:
-    """share_derivation: a MIN/MAX clause is derived from a narrower
-    sibling; a clause nobody derives from pays nothing for the option."""
+    """What is left of multi-OVER sharing now that no clause is derived
+    from a sibling: every frame is computed directly by the one kernel,
+    textually identical clauses once."""
 
-    @pytest.fixture
-    def wrapped(self, monkeypatch):
-        from repro.sql import window_exec
-
-        calls = []
-        real = window_exec._as_complete_sequence
-
-        def counting(*args):
-            calls.append(args[2])
-            return real(*args)
-
-        monkeypatch.setattr(window_exec, "_as_complete_sequence", counting)
-        return calls
-
-    def test_lone_clause_is_never_wrapped_as_a_source(self, db, wrapped):
+    def test_lone_clause_is_never_wrapped_as_a_source(self, db, raw40):
         wide = spec("MAX", sliding(15, 15))
-        shared = WindowOperator(db.scan("t"), [wide], share_derivation=True)
-        plain = WindowOperator(db.scan("t"), [wide])
-        assert db.run(shared).rows == db.run(plain).rows
-        assert wrapped == []
-        assert "derived" not in shared.analyze_extra
+        op = WindowOperator(db.scan("t"), [wide])
+        rows = sorted(db.run(op).rows)
+        assert [r[-1] for r in rows] == brute_window(raw40, sliding(15, 15), MAX)
+        assert "derived" not in op.analyze_extra
 
-    def test_single_wide_max_under_cost_planner(self, wrapped):
+    def test_single_wide_max_under_cost_planner(self):
         db = Database()
         db.create_table("seq", [("pos", INTEGER), ("val", FLOAT)],
                         primary_key=["pos"])
         db.insert("seq", [(i, float((i * 37) % 101)) for i in range(1, 2001)])
         sql = ("SELECT pos, MAX(val) OVER (ORDER BY pos ROWS BETWEEN 300 "
                "PRECEDING AND 300 FOLLOWING) AS m FROM seq ORDER BY pos")
-        # Fresh statistics turn the sharing tier on; the lone clause still
-        # pays nothing for it and answers as the no-statistics plan does.
         planned = db.sql(sql).rows
-        assert wrapped == []
+        vals = [float((i * 37) % 101) for i in range(1, 2001)]
+        assert [r[1] for r in planned] == brute_window(vals, sliding(300, 300), MAX)
         db.stats.clear()
         assert db.sql(sql).rows == planned
 
-    def test_wider_sibling_is_still_derived(self, db, wrapped):
+    def test_siblings_share_one_sort_and_are_computed_directly(self, db, raw40):
         narrow = spec("MAX", sliding(2, 1), name="a")
         wide = spec("MAX", sliding(4, 2), name="b")
-        shared = WindowOperator(db.scan("t"), [narrow, wide], share_derivation=True)
-        plain = WindowOperator(db.scan("t"), [narrow, wide])
-        assert db.run(shared).rows == db.run(plain).rows
-        assert shared.analyze_extra["derived"] == 1
-        # Only the clause with a later sibling became a source.
-        assert wrapped == [sliding(2, 1)]
+        op = WindowOperator(db.scan("t"), [narrow, wide])
+        rows = sorted(db.run(op).rows)
+        assert [r[-2] for r in rows] == brute_window(raw40, sliding(2, 1), MAX)
+        assert [r[-1] for r in rows] == brute_window(raw40, sliding(4, 2), MAX)
+        assert op.analyze_extra["shared_sorts"] == 1
+        assert "derived" not in op.analyze_extra
 
-    def test_identical_sibling_is_deduped_not_a_reason_to_wrap(self, db, wrapped):
+    def test_identical_sibling_is_deduped_not_a_reason_to_wrap(self, db):
         twice = [spec("MIN", sliding(3, 3), name="a"),
                  spec("MIN", sliding(3, 3), name="b")]
-        shared = WindowOperator(db.scan("t"), twice, share_derivation=True)
-        rows = db.run(shared).rows
+        op = WindowOperator(db.scan("t"), twice)
+        rows = db.run(op).rows
         assert all(r[-1] == r[-2] for r in rows)
-        assert shared.analyze_extra["deduped"] == 1
-        assert wrapped == []
+        assert op.analyze_extra["deduped"] == 1

@@ -1,14 +1,13 @@
-"""The statistics subsystem: collection, selectivity, staleness, adaptive
-re-costing, and persistence of ANALYZE results through the storage catalog."""
+"""The statistics subsystem: collection, selectivity, staleness, and
+persistence of ANALYZE results through the storage catalog."""
 
 import pytest
 
 from repro.relational import Database, FLOAT, INTEGER, TEXT
 from repro.relational.expr import And, Comparison, Not, Or, col, lit
-from repro.stats.adaptive import AdaptiveCostTable, MIN_OBSERVATIONS
 from repro.stats.catalog import StatsCatalog
 from repro.stats.collect import ColumnStats, TableStats, collect_table_stats
-from repro.stats.cost import CostModel, DEFAULT_SELECTIVITY, predicate_selectivity
+from repro.stats.cost import DEFAULT_SELECTIVITY, predicate_selectivity
 
 
 @pytest.fixture
@@ -159,49 +158,6 @@ class TestStaleness:
         assert db.stats.get("t2").table == "t2"
         db.drop_table("t2")
         assert db.stats.get("t2") is None
-
-
-class TestAdaptive:
-    def test_below_floor_reports_nothing(self):
-        table = AdaptiveCostTable()
-        for _ in range(MIN_OBSERVATIONS - 1):
-            table.record("pipelined", 1000, 0.001)
-        assert table.seconds_per_row("pipelined") is None
-        assert table.unit_factor("pipelined") is None
-
-    def test_unit_factor_is_relative_to_baseline(self):
-        table = AdaptiveCostTable()
-        for _ in range(MIN_OBSERVATIONS):
-            table.record("pipelined", 1000, 0.001)  # 1e-6 s/unit
-            table.record("vectorized", 1000, 0.0005)  # 5e-7 s/unit
-        assert table.unit_factor("vectorized") == pytest.approx(0.5)
-
-    def test_trivial_samples_ignored(self):
-        table = AdaptiveCostTable()
-        table.record("pipelined", 0, 1.0)
-        table.record("pipelined", -5, 1.0)
-        assert table.observations("pipelined") == 0
-
-    def test_bounded_capacity_tracks_drift(self):
-        table = AdaptiveCostTable(capacity=4)
-        for _ in range(10):
-            table.record("pipelined", 100, 1.0)
-        for _ in range(4):
-            table.record("pipelined", 100, 2.0)  # newest 4 evict the rest
-        assert table.observations("pipelined") == 4
-        assert table.seconds_per_row("pipelined") == pytest.approx(0.02)
-
-    def test_cost_model_recalibrates_from_observations(self):
-        table = AdaptiveCostTable()
-        cm = CostModel(table)
-        static = cm.window_cost("vectorized", 1000)
-        for _ in range(MIN_OBSERVATIONS):
-            table.record("pipelined", 1000, 0.001)
-            table.record("vectorized", 1000, 0.002)  # observed 2x SLOWER
-        observed = cm.window_cost("vectorized", 1000)
-        # The static 0.05/row constant is replaced by the observed 2.0x.
-        assert observed > static
-        assert observed == pytest.approx(1000 * 2.0 + cm.VECTORIZED_SETUP)
 
 
 class TestPersistence:

@@ -181,6 +181,35 @@ class TestOnePlanner:
             wh.query("SELECT pos FROM t", planner="cost")
 
 
+class TestOneWindowKernel:
+    """One kernel computes every frame and aggregate (PR 19): a kernel
+    switch, a sibling-derivation tier or runtime feedback steering either
+    coming back should fail here."""
+
+    def test_no_kernel_choice_or_feedback_surface(self):
+        import repro.sql.window_exec as window_exec
+        import repro.stats
+        from repro.sql.window_exec import WindowOperator
+        from repro import DataWarehouse
+        from repro.stats import CostModel
+
+        parameters = inspect.signature(WindowOperator.__init__).parameters
+        assert "kernel" not in parameters
+        assert "share_derivation" not in parameters
+        assert not hasattr(repro.stats, "AdaptiveCostTable")
+        assert not hasattr(CostModel, "choose_window_kernel")
+        wh = DataWarehouse()
+        wh.create_table("t", [("pos", "INTEGER"), ("val", "FLOAT")])
+        wh.insert("t", [(1, 1.0), (2, 2.0)])
+        result = wh.query(
+            "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING "
+            "AND 1 FOLLOWING) AS s FROM t")
+        assert not hasattr(result, "window_feedback")
+        # benchmarks/e2e/tracing.py patches this binding to time the kernel.
+        assert hasattr(window_exec, "compute_vectorized")
+        assert not hasattr(window_exec, "compute_pipelined")
+
+
 class TestViewAnswersAreColumnar:
     """A view answer is whole-sequence work (PR 18): per-position calls into
     the sequence or per-row labelling coming back should fail here."""

@@ -108,22 +108,26 @@ class TestEngineCostPath:
             }
 
     def test_statistics_decide_between_the_two_paths(self, monkeypatch):
-        """engine plans from fresh statistics (factor-window sharing on),
-        engine-nostats from none (sharing off)."""
-        from repro.sql.window_exec import WindowOperator
+        """engine plans with fresh statistics, engine-nostats with none:
+        the one thing that tells the paths apart, and it changes neither
+        the plan nor a bit of the answer."""
+        from repro.sql.planner import PhysicalPlanner
 
         seen = []
-        real = WindowOperator.execute
+        real = PhysicalPlanner.lower_root
 
-        def spy(self, stats):
-            seen.append(self.share_derivation)
-            return real(self, stats)
+        def spy(self, node):
+            plan = real(self, node)
+            seen.append((self.db.stats.get("t") is not None, plan.explain()))
+            return plan
 
-        monkeypatch.setattr(WindowOperator, "execute", spy)
+        monkeypatch.setattr(PhysicalPlanner, "lower_root", spy)
         case = first_multi_case()
-        run_path("engine", case)
-        run_path("engine-nostats", case)
-        assert seen == [True, False]
+        with_stats = run_path("engine", case)
+        without = run_path("engine-nostats", case)
+        assert [had for had, _ in seen] == [True, False]
+        assert seen[0][1] == seen[1][1]
+        assert with_stats == without
 
     def test_parallel_path_requires_the_pool(self, monkeypatch):
         """A plan that drops the configured pool fails engine-parallel."""
