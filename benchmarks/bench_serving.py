@@ -65,8 +65,9 @@ def build_warehouse(rows: int) -> ConcurrentWarehouse:
 
 
 def row_hash(rows) -> str:
-    """Bit-exact digest of a result (JSON float round-trip is exact)."""
-    encoded = json.dumps(rows, separators=(",", ":")).encode()
+    """Bit-exact digest of a result's rows — a served reply's row sequence
+    or an embedded result's list (shortest-repr float text is exact)."""
+    encoded = json.dumps(list(rows), separators=(",", ":")).encode()
     return hashlib.sha256(encoded).hexdigest()
 
 

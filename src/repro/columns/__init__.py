@@ -3,15 +3,25 @@
 :class:`Column` (typed array + validity mask) and :class:`ColumnBuilder`
 underlie table storage (:mod:`repro.relational.table`), the window
 strategies' measure extraction, the parallel partitioner's chunk payloads,
-and the v3/v4 storage formats.  Columns are what tables keep and what
-kernels read; operators exchange rows.  See DESIGN.md §5e.
+and the v3/v4 storage formats.  Columns are what tables keep, what kernels
+read, what a :class:`~repro.relational.engine.Result` holds and — through
+:mod:`repro.columns.codec` — what a served answer is on the wire.
+Operators exchange rows; :class:`ColumnRows` is the row sequence that also
+shows its columns, so an operator that can stay on NumPy does.  See
+DESIGN.md §5e.
 """
 
+from repro.columns.codec import decode_column, encode_column
 from repro.columns.column import Column, ColumnBuilder, KINDS, kind_for_type
+from repro.columns.rows import ColumnRows, sort_order
 
 __all__ = [
     "Column",
     "ColumnBuilder",
+    "ColumnRows",
     "KINDS",
+    "decode_column",
+    "encode_column",
     "kind_for_type",
+    "sort_order",
 ]

@@ -50,6 +50,18 @@ _DTYPES = {
 
 _FILL = {"int64": 0, "float64": 0.0, "bool": False, "object": None}
 
+_NONE_TYPE = type(None)
+
+# Python types that belong in a fixed-width kind as they are (``bool`` is
+# its own type, so it never passes for a number here); anything else —
+# NumPy scalars, subclasses — takes the per-value check of ``_fits_kind``.
+# An int beyond int64 still overflows in ``np.asarray`` and falls back.
+_EXACT_TYPES = {
+    "int64": {int, _NONE_TYPE},
+    "float64": {float, int, _NONE_TYPE},
+    "bool": {bool, _NONE_TYPE},
+}
+
 # Engine DataType.name -> physical kind.
 _KIND_BY_TYPE_NAME = {
     "INTEGER": "int64",
@@ -103,8 +115,12 @@ class Column:
         float) — never silently truncates.
         """
         n = len(values)
+        # One C-speed pass over the value types answers both questions the
+        # per-value scans below would: is there a NULL, and do the exact
+        # Python types present belong in ``kind``.
+        types = set(map(type, values))
         validity: Optional[np.ndarray] = None
-        if any(v is None for v in values):
+        if _NONE_TYPE in types:
             validity = np.fromiter(
                 (v is not None for v in values), dtype=np.bool_, count=n
             )
@@ -113,7 +129,7 @@ class Column:
             for i, v in enumerate(values):
                 data[i] = v
             return cls(data, validity)
-        if not _fits_kind(values, kind):
+        if not types <= _EXACT_TYPES[kind] and not _fits_kind(values, kind):
             return cls.from_values(values, "object")
         fill = _FILL[kind]
         try:
@@ -170,6 +186,19 @@ class Column:
             self.data[idx],
             None if self.validity is None else self.validity[idx],
         )
+
+    def detached(self) -> "Column":
+        """This column if its buffers are its own, else a copy of it.
+
+        A :meth:`ColumnBuilder.snapshot` is a view of a live heap buffer
+        (``ndarray.base`` set); whoever keeps a column beyond the execution
+        that read it detaches it first, so a later in-place write to the
+        heap cannot change it.
+        """
+        data, validity = self.data, self.validity
+        if data.base is None and (validity is None or validity.base is None):
+            return self
+        return Column(data.copy(), None if validity is None else validity.copy())
 
     def as_float64(self, null_fill: float = 0.0) -> np.ndarray:
         """The values as a float64 array, NULLs replaced by ``null_fill``.

@@ -20,7 +20,7 @@ nothing above it has a kernel to choose (DESIGN.md §5m):
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -73,12 +73,21 @@ def compute_vectorized(
     raw: Sequence[float],
     window: WindowSpec,
     aggregate: Aggregate = SUM,
-) -> List[float]:
+) -> Union[List[float], np.ndarray]:
     """Compute ``[x̃_1 .. x̃_n]`` with NumPy bulk operations.
+
+    A caller that hands in an ``ndarray`` gets one back (the window
+    operator scatters it into its output column); any other sequence comes
+    back as a list of Python floats.
 
     Raises:
         SequenceError: on empty input (the strategies' shared contract).
     """
+    out = _kernel(raw, window, aggregate)
+    return out if isinstance(raw, np.ndarray) else out.tolist()
+
+
+def _kernel(raw: Sequence[float], window: WindowSpec, aggregate: Aggregate) -> np.ndarray:
     n = len(raw)
     if n == 0:
         raise SequenceError(
@@ -94,30 +103,28 @@ def compute_vectorized(
 
     if window.is_cumulative:
         if aggregate is SUM:
-            out = np.cumsum(values)
-        elif aggregate is COUNT:
-            out = np.arange(1, n + 1, dtype=np.float64)
-        elif aggregate is AVG:
-            out = np.cumsum(values) / np.arange(1, n + 1)
-        elif aggregate is MIN:
-            out = np.minimum.accumulate(values)
-        elif aggregate is MAX:
-            out = np.maximum.accumulate(values)
-        else:
-            raise SequenceError(f"no vectorized form for {aggregate.name}")
-        return out.tolist()
+            return np.cumsum(values)
+        if aggregate is COUNT:
+            return np.arange(1, n + 1, dtype=np.float64)
+        if aggregate is AVG:
+            return np.cumsum(values) / np.arange(1, n + 1)
+        if aggregate is MIN:
+            return np.minimum.accumulate(values)
+        if aggregate is MAX:
+            return np.maximum.accumulate(values)
+        raise SequenceError(f"no vectorized form for {aggregate.name}")
 
     l, h = window.l, window.h
     if aggregate is MIN:
-        return _sliding_extrema(values, l, h, np.minimum).tolist()
+        return _sliding_extrema(values, l, h, np.minimum)
     if aggregate is MAX:
-        return _sliding_extrema(values, l, h, np.maximum).tolist()
+        return _sliding_extrema(values, l, h, np.maximum)
     if aggregate is SUM:
-        return _sliding_sums(values, l, h).tolist()
+        return _sliding_sums(values, l, h)
     if aggregate in (AVG, COUNT):
         positions = np.arange(1.0, n + 1)
         counts = np.minimum(positions + h, n) - np.maximum(positions - l, 1) + 1
         if aggregate is COUNT:
-            return counts.tolist()
-        return (_sliding_sums(values, l, h) / counts).tolist()
+            return counts
+        return _sliding_sums(values, l, h) / counts
     raise SequenceError(f"no vectorized form for {aggregate.name}")

@@ -8,9 +8,10 @@ programmatic plans built from the operator classes execute via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.columns import Column as DataColumn
+from repro.columns import ColumnRows, kind_for_type
 from repro.relational.catalog import Catalog, ColumnSpec
 from repro.relational.operators import Operator, TableScan
 from repro.relational.schema import Schema
@@ -22,20 +23,80 @@ __all__ = ["Database", "Result"]
 Row = Tuple[Any, ...]
 
 
-@dataclass
 class Result:
-    """Materialized result of one plan execution."""
+    """Materialized result of one plan execution.
 
-    schema: Schema
-    rows: List[Row]
-    stats: ExecutionStats = field(default_factory=ExecutionStats)
+    A result holds either rows or columns.  Built by
+    :meth:`from_columns` — what :meth:`Database.run` does when the plan
+    stayed columnar, and what the rewriter does — it keeps
+    :class:`~repro.columns.Column` objects: ``len``, :meth:`column`,
+    :meth:`to_dicts`, :meth:`to_csv`, :meth:`pretty` and
+    :meth:`as_columns` read them directly, and :attr:`rows` is a real list
+    of tuples built on first access and cached.  That list is the caller's
+    to sort or slice — later reads of ``rows`` see it, the column accessors
+    do not; assigning ``result.rows`` replaces the result's content and
+    drops the columns.  The columns are the result's own: none of them is
+    a view of a table's live heap buffer.
+    """
+
+    def __init__(
+        self,
+        schema: Schema,
+        rows: List[Row],
+        stats: Optional[ExecutionStats] = None,
+    ) -> None:
+        self.schema = schema
+        self.stats = stats if stats is not None else ExecutionStats()
+        self._rows: Optional[List[Row]] = rows
+        self._columns: Optional[ColumnRows] = None
+
+    @classmethod
+    def from_columns(
+        cls,
+        schema: Schema,
+        columns: Sequence[DataColumn],
+        stats: Optional[ExecutionStats] = None,
+        nrows: Optional[int] = None,
+    ) -> "Result":
+        """A column-backed result (one column per schema field)."""
+        out = cls(schema, None, stats)  # type: ignore[arg-type]
+        out._columns = ColumnRows(columns, nrows)
+        return out
+
+    @property
+    def rows(self) -> List[Row]:
+        if self._rows is None:
+            self._rows = list(self._columns)
+        return self._rows
+
+    @rows.setter
+    def rows(self, rows: List[Row]) -> None:
+        self._rows = rows
+        self._columns = None
+
+    def as_columns(self) -> ColumnRows:
+        """The answer column-wise: the held columns, or — for a result
+        that was built from rows — one column per field, typed by the
+        schema (values that do not fit the type's kind keep their exact
+        Python values in an ``object`` column)."""
+        if self._columns is not None:
+            return self._columns
+        return ColumnRows(
+            [
+                DataColumn.from_values(
+                    [row[i] for row in self._rows], kind_for_type(field.type.name)
+                )
+                for i, field in enumerate(self.schema)
+            ],
+            len(self._rows),
+        )
 
     @property
     def columns(self) -> List[str]:
         return self.schema.names()
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._columns if self._columns is not None else self._rows)
 
     def __iter__(self):
         return iter(self.rows)
@@ -46,11 +107,17 @@ class Result:
     def column(self, name: str) -> List[Any]:
         """All values of one output column."""
         i = self.schema.resolve(name)
-        return [row[i] for row in self.rows]
+        if self._columns is not None:
+            return self._columns.columns[i].to_pylist()
+        return [row[i] for row in self._rows]
+
+    def _row_source(self):
+        """Rows to read once without caching a list of them."""
+        return self._columns if self._columns is not None else self._rows
 
     def to_dicts(self) -> List[Dict[str, Any]]:
         names = self.columns
-        return [dict(zip(names, row)) for row in self.rows]
+        return [dict(zip(names, row)) for row in self._row_source()]
 
     def to_csv(self, path: str, *, header: bool = True) -> int:
         """Write the rows as CSV; returns the number of data rows written.
@@ -71,14 +138,14 @@ class Result:
             writer = csv.writer(fh)
             if header:
                 writer.writerow(self.columns)
-            for row in self.rows:
+            for row in self._row_source():
                 writer.writerow([cell(v) for v in row])
-        return len(self.rows)
+        return len(self)
 
     def pretty(self, limit: int = 20) -> str:
         """Fixed-width text rendering (for examples and EXPERIMENTS logs)."""
         names = self.columns
-        shown = self.rows[:limit]
+        shown = self._row_source()[:limit]
         cells = [[_fmt(v) for v in row] for row in shown]
         widths = [
             max(len(names[i]), *(len(r[i]) for r in cells)) if cells else len(names[i])
@@ -87,7 +154,7 @@ class Result:
         header = " | ".join(n.ljust(w) for n, w in zip(names, widths))
         sep = "-+-".join("-" * w for w in widths)
         body = [" | ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells]
-        suffix = [] if len(self.rows) <= limit else [f"... ({len(self.rows)} rows)"]
+        suffix = [] if len(self) <= limit else [f"... ({len(self)} rows)"]
         return "\n".join([header, sep] + body + suffix)
 
 
@@ -207,14 +274,26 @@ class Database:
                 stats.probe = Probe(plan, tracer)
                 try:
                     with tracer.span("query.run"):
-                        rows = list(plan.run(stats))
+                        result = self._materialize(plan, stats)
                 finally:
                     stats.probe = None
             else:
-                rows = list(plan.run(stats))
+                result = self._materialize(plan, stats)
         if owns_stats:
             self.publish(stats)
-        return Result(plan.schema, rows, stats)
+        return result
+
+    @staticmethod
+    def _materialize(plan: Operator, stats: ExecutionStats) -> Result:
+        out = plan.run(stats)
+        if isinstance(out, ColumnRows):
+            # A column that came through untouched is still a view of the
+            # table's heap: the result gets its own copy, so a write made
+            # after this returns cannot change the answer.
+            return Result.from_columns(
+                plan.schema, [c.detached() for c in out.columns], stats, len(out)
+            )
+        return Result(plan.schema, list(out), stats)
 
     def _budget_scope(self):
         """Ambient spill budget for one plan execution (no-op when unset)."""

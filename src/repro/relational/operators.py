@@ -3,11 +3,15 @@
 Every operator exposes:
 
 * ``schema`` — the output row shape (bound at construction time);
-* ``execute(stats)`` — an iterator of tuples, threading an
+* ``execute(stats)`` — an iterable of tuples, threading an
   :class:`~repro.relational.stats.ExecutionStats` block.  This is the one
-  method a subclass implements;
+  method a subclass implements.  What it returns may be a
+  :class:`~repro.columns.ColumnRows` — rows that also show their columns —
+  and a parent that can work on columns checks for exactly that and stays
+  on NumPy (scan, alias, filter, project and sort here; the window
+  operator); every other parent iterates it as rows and never knows;
 * ``run(stats)`` — how a parent (or the engine) pulls a node: the same
-  iterator, measured when the stats block carries a probe;
+  iterable, measured when the stats block carries a probe;
 * ``explain(indent)`` — a plan-tree pretty print used by ``EXPLAIN``.
 
 Join and aggregation operators live in :mod:`repro.relational.join` and
@@ -17,11 +21,14 @@ Join and aggregation operators live in :mod:`repro.relational.join` and
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.columns import ColumnRows, sort_order
 from repro.errors import PlanError
 from repro.obs.instrument import span_name_for
-from repro.relational.expr import Expr
+from repro.relational.expr import And, ColumnRef, Comparison, Expr, Literal
 from repro.relational.schema import Column, Schema
 from repro.relational.stats import ExecutionStats, Probe
 from repro.relational.table import Table
@@ -37,6 +44,7 @@ __all__ = [
     "Limit",
     "UnionAll",
     "Distinct",
+    "plain_column_indexes",
 ]
 
 Row = Tuple[Any, ...]
@@ -47,12 +55,13 @@ class Operator:
 
     schema: Schema
 
-    def execute(self, stats: ExecutionStats) -> Iterator[Row]:
-        """The node's row stream.  Subclasses implement this and pull their
-        children through :meth:`run`, never through ``execute``."""
+    def execute(self, stats: ExecutionStats) -> Iterable[Row]:
+        """The node's rows (possibly a :class:`ColumnRows`).  Subclasses
+        implement this and pull their children through :meth:`run`, never
+        through ``execute``."""
         raise NotImplementedError
 
-    def run(self, stats: ExecutionStats) -> Iterator[Row]:
+    def run(self, stats: ExecutionStats) -> Iterable[Row]:
         """Pull this node: ``execute``, measured if ``stats`` has a probe.
 
         Not for subclasses to override — it is what makes every node report
@@ -64,9 +73,10 @@ class Operator:
             return self.execute(stats)
         return self._measured(stats, probe)
 
-    def _measured(self, stats: ExecutionStats, probe: Probe) -> Iterator[Row]:
-        # Spans nest by themselves: in a pull pipeline a child's body first
-        # runs inside its parent's iteration, which is when its span opens.
+    def _measured(self, stats: ExecutionStats, probe: Probe) -> Iterable[Row]:
+        # Spans nest by themselves: every parent pulls a child the moment
+        # it calls run(), inside its own execution, which is when the
+        # child's span opens.
         measure = probe.measures[id(self)]
         tracer = probe.tracer
         span = (
@@ -76,17 +86,34 @@ class Operator:
         )
         measure.calls += 1
         start = time.perf_counter()
-        n = 0
-        try:
-            for row in self.execute(stats):
-                n += 1
-                yield row
-        finally:
+
+        def finish(n: int) -> None:
             measure.rows_out += n
             measure.wall += time.perf_counter() - start
             if span is not None:
                 span.set(rows_out=n)
                 span.finish()
+
+        try:
+            out = self.execute(stats)
+        except BaseException:
+            finish(0)
+            raise
+        if isinstance(out, ColumnRows):
+            # The work is done; the sequence passes through as it is.
+            finish(len(out))
+            return out
+
+        def counted() -> Iterator[Row]:
+            n = 0
+            try:
+                for row in out:
+                    n += 1
+                    yield row
+            finally:
+                finish(n)
+
+        return counted()
 
     def children(self) -> Sequence["Operator"]:
         return ()
@@ -110,6 +137,69 @@ def _span_attrs(node: Operator, ordinal: int) -> Dict[str, Any]:
     return attrs
 
 
+def plain_column_indexes(exprs: Sequence[Expr], schema: Schema) -> Optional[List[int]]:
+    """Schema positions of ``exprs`` when every one is a plain column
+    reference, else ``None`` (something is computed: rows it is)."""
+    if not all(isinstance(e, ColumnRef) for e in exprs):
+        return None
+    return [schema.resolve(e.name, e.qualifier) for e in exprs]
+
+
+_MIRRORED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+_NUMPY_CMP = {
+    "=": np.equal, "<>": np.not_equal, "<": np.less,
+    "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal,
+}
+_INT64_RANGE = range(-(2**63), 2**63)
+# Integers that float64 represents exactly: what an int literal must be for
+# NumPy's float comparison to agree with Python's exact int/float one.
+_EXACT_IN_FLOAT = range(-(2**53), 2**53 + 1)
+
+
+def _mask_terms(predicate: Expr, schema: Schema) -> Optional[List[Tuple[int, str, Any]]]:
+    """``[(column index, op, literal)]`` when ``predicate`` is a comparison
+    of a column against a literal, or an AND of such (BETWEEN is one);
+    ``None`` for anything else.  Such a predicate is TRUE exactly where
+    every term is, so NULL logic needs no third value here."""
+    if isinstance(predicate, And):
+        terms: List[Tuple[int, str, Any]] = []
+        for item in predicate.items:
+            inner = _mask_terms(item, schema)
+            if inner is None:
+                return None
+            terms.extend(inner)
+        return terms
+    if not isinstance(predicate, Comparison):
+        return None
+    left, right, op = predicate.left, predicate.right, predicate.op
+    if isinstance(left, Literal) and isinstance(right, ColumnRef):
+        left, right, op = right, left, _MIRRORED[op]
+    if not (isinstance(left, ColumnRef) and isinstance(right, Literal)):
+        return None
+    return [(schema.resolve(left.name, left.qualifier), op, right.value)]
+
+
+def _mask(terms: Sequence[Tuple[int, str, Any]], rows: ColumnRows) -> Optional[np.ndarray]:
+    """The rows where every term is TRUE, or ``None`` when a term pairs a
+    column kind with a literal that NumPy would compare differently from
+    Python (then the row loop decides)."""
+    mask = np.ones(len(rows), dtype=np.bool_)
+    for index, op, value in terms:
+        column = rows.columns[index]
+        kind, literal = column.kind, type(value)
+        if not (
+            (kind == "int64" and literal is int and value in _INT64_RANGE)
+            or (kind == "float64" and literal is float)
+            or (kind == "float64" and literal is int and value in _EXACT_IN_FLOAT)
+            or (kind == "bool" and literal is bool)
+        ):
+            return None
+        mask &= _NUMPY_CMP[op](column.data, value)
+        if column.validity is not None:
+            mask &= column.validity  # NULL compares to NULL, which is not TRUE
+    return mask
+
+
 class TableScan(Operator):
     """Full scan of a base table, optionally under an alias."""
 
@@ -118,7 +208,18 @@ class TableScan(Operator):
         self.alias = alias or table.name
         self.schema = table.schema.qualify(self.alias)
 
-    def execute(self, stats: ExecutionStats) -> Iterator[Row]:
+    def execute(self, stats: ExecutionStats) -> Iterable[Row]:
+        table = self.table
+        if getattr(table, "is_paged", False):
+            # A paged table keeps streaming: its pages fault in as the
+            # rows are pulled, and never all at once.
+            return self._stream(stats)
+        stats.rows_scanned += len(table)
+        return ColumnRows(
+            [table.column_values(i) for i in range(len(table.schema))], len(table)
+        )
+
+    def _stream(self, stats: ExecutionStats) -> Iterator[Row]:
         # Accumulate locally and flush once: cheaper than a per-row
         # attribute += in the engine's hottest loop, and the flush also
         # covers early teardown by a LIMIT upstream.
@@ -150,7 +251,7 @@ class Alias(Operator):
             Column(c.name, c.type, alias) for c in child.schema
         )
 
-    def execute(self, stats: ExecutionStats) -> Iterator[Row]:
+    def execute(self, stats: ExecutionStats) -> Iterable[Row]:
         return self.child.run(stats)
 
     def children(self) -> Sequence[Operator]:
@@ -168,12 +269,18 @@ class Filter(Operator):
         self.predicate = predicate
         self.schema = child.schema
         self._compiled = predicate.bind(child.schema)
+        self._terms = _mask_terms(predicate, child.schema)
 
-    def execute(self, stats: ExecutionStats) -> Iterator[Row]:
+    def execute(self, stats: ExecutionStats) -> Iterable[Row]:
+        rows = self.child.run(stats)
+        if isinstance(rows, ColumnRows) and self._terms is not None:
+            mask = _mask(self._terms, rows)
+            if mask is not None:
+                if mask.all():
+                    return rows
+                return rows.take(np.flatnonzero(mask))
         compiled = self._compiled
-        for row in self.child.run(stats):
-            if compiled(row) is True:
-                yield row
+        return (row for row in rows if compiled(row) is True)
 
     def children(self) -> Sequence[Operator]:
         return (self.child,)
@@ -207,11 +314,15 @@ class Project(Operator):
             columns.append(Column(name, declared or _infer_type(expr, child.schema)))
         self.schema = Schema(columns)
         self._compiled = [expr.bind(child.schema) for expr, _ in self.outputs]
+        # Plain column references select (and rename) the child's columns.
+        self._picks = plain_column_indexes([expr for expr, _ in self.outputs], child.schema)
 
-    def execute(self, stats: ExecutionStats) -> Iterator[Row]:
+    def execute(self, stats: ExecutionStats) -> Iterable[Row]:
+        rows = self.child.run(stats)
+        if isinstance(rows, ColumnRows) and self._picks is not None:
+            return ColumnRows([rows.columns[i] for i in self._picks])
         compiled = self._compiled
-        for row in self.child.run(stats):
-            yield tuple(c(row) for c in compiled)
+        return (tuple(c(row) for c in compiled) for row in rows)
 
     def children(self) -> Sequence[Operator]:
         return (self.child,)
@@ -222,8 +333,6 @@ class Project(Operator):
 
 
 def _infer_type(expr: Expr, schema: Schema) -> DataType:
-    from repro.relational.expr import ColumnRef
-
     if isinstance(expr, ColumnRef):
         return schema.column(expr.name, expr.qualifier).type
     return FLOAT
@@ -239,9 +348,19 @@ class Sort(Operator):
         self.keys = list(keys)
         self.schema = child.schema
         self._compiled = [(expr.bind(child.schema), asc) for expr, asc in self.keys]
+        self._picks = plain_column_indexes([expr for expr, _ in self.keys], child.schema)
 
-    def execute(self, stats: ExecutionStats) -> Iterator[Row]:
-        rows = list(self.child.run(stats))
+    def execute(self, stats: ExecutionStats) -> Iterable[Row]:
+        rows = self.child.run(stats)
+        if isinstance(rows, ColumnRows) and self._picks is not None:
+            order = sort_order(
+                [(rows.columns[i], asc) for i, (_, asc) in zip(self._picks, self.keys)],
+                len(rows),
+            )
+            if order is not None:
+                stats.rows_sorted += len(rows)
+                return rows.take(order)
+        rows = list(rows)
         stats.rows_sorted += len(rows)
         # Stable multi-key sort: apply keys right-to-left.
         for compiled, asc in reversed(self._compiled):

@@ -20,10 +20,11 @@ per worker instead).
 
 from __future__ import annotations
 
+import json
 import socket
-from typing import Any, Dict, Iterator, Optional, Sequence
+from typing import Any, Dict, Sequence
 
-from repro.errors import ServeConnectionError
+from repro.errors import ProtocolError, ServeConnectionError
 from repro.serve import protocol
 
 __all__ = ["ServeClient"]
@@ -95,11 +96,20 @@ class ServeClient:
                 f"{self._next_id}",
                 request_id=self._next_id,
             )
-        import json
-
-        response = json.loads(line.decode("utf-8"))
+        try:
+            response = json.loads(line.decode("utf-8"))
+        except ValueError as exc:
+            raise ProtocolError(f"malformed response line: {exc}") from None
+        if not isinstance(response, dict):
+            raise ProtocolError(
+                f"response must be a JSON object, got {type(response).__name__}"
+            )
         if not response.get("ok"):
             raise protocol.exception_for(response.get("error", {}))
+        if op == "query":
+            # Inside the call, so the caller's clock (and the benchmark's
+            # protocol span) sees what reading an answer really costs.
+            protocol.decode_result(response)
         return response
 
     # -- operations ----------------------------------------------------------
@@ -116,7 +126,17 @@ class ServeClient:
     def query(
         self, sql: str, *, hold_ms: float = 0.0, **options: Any
     ) -> Dict[str, Any]:
-        """Run a SELECT; returns ``{columns, rows, epoch, rewrite, ...}``."""
+        """Run a SELECT; returns ``{columns, types, nrows, data, rows,
+        epoch, rewrite, ...}``.
+
+        ``data`` maps each column name to its decoded
+        :class:`~repro.columns.Column`; ``rows`` is a sequence over the
+        same columns (``len``, iteration as lists, ``==``,
+        ``numpy.asarray``) that builds rows only when asked to.
+
+        Raises:
+            ProtocolError: the reply is not a well-formed query reply.
+        """
         return self.call("query", sql=sql, hold_ms=hold_ms, options=options)
 
     def refresh(self, view: str) -> int:

@@ -12,7 +12,8 @@ Operations::
     {"op": "ping"}                                   -> {"ok": true, "pong": true}
     {"op": "query", "sql": ..., "options": {...},
      "hold_ms": 0}                                   -> {"ok": true, "columns": [...],
-                                                         "rows": [[...], ...],
+                                                         "types": [...], "nrows": n,
+                                                         "data": [<column>, ...],
                                                          "epoch": N, "rewrite": ...}
     {"op": "set", "config": {"jobs": 4, ...}}        -> per-session ExecutionConfig
     {"op": "refresh", "view": name}
@@ -26,6 +27,27 @@ Operations::
     {"op": "promote"}                                -> replica accepts the primary role
     {"op": "status"}                                 -> {replica, applied, primary, diverged}
     {"op": "close"}                                  -> server closes the connection
+
+Query replies carry the answer as typed columns, one ``data`` entry per
+name in ``columns`` (``types`` are the engine type names), in the one
+encoding of :mod:`repro.columns.codec`::
+
+    <column> := {"kind": "int64" | "float64" | "bool",
+                 "b64": <base64 of the little-endian buffer>,
+                 "valid": <base64 packed validity bitmap, bit set = present;
+                           omitted when no value is NULL>}
+              | {"kind": "object", "values": [...]}   # TEXT, DATE ({"$date": iso}),
+                                                      # INTEGERs beyond int64
+
+Floats are bit-exact because they are not text: NaN, ±inf, −0.0 and
+subnormals arrive as the eight bytes they are.  There is no row-array
+form and nothing to negotiate; :class:`~repro.serve.client.ServeClient`
+decodes the columns with ``numpy.frombuffer`` and offers rows as a
+sequence over them.
+
+A request line may be up to :data:`MAX_LINE_BYTES` long; a longer one is
+discarded up to its newline and answered with a ``ProtocolError`` response
+(``id`` null), and the connection stays usable.
 
 Replication: a server hosting a replica role answers ``ship`` (apply one
 :class:`~repro.replicate.wal.EpochRecord`), ``promote`` and ``status``;
@@ -55,11 +77,14 @@ import json
 from typing import Any, Dict, Optional
 
 from repro import errors as _errors
+from repro.columns import ColumnRows, decode_column, encode_column
 from repro.errors import ProtocolError, ReproError
 
 __all__ = [
+    "MAX_LINE_BYTES",
     "OPS",
     "decode_line",
+    "decode_result",
     "encode_line",
     "error_response",
     "exception_for",
@@ -84,7 +109,8 @@ OPS = (
 )
 
 # Maximum accepted request line (1 MiB) — a defensive bound so a broken
-# client cannot balloon server memory with an unterminated line.
+# client cannot balloon server memory with an unterminated line.  The
+# server hands it to asyncio as its stream limit.
 MAX_LINE_BYTES = 1 << 20
 
 
@@ -135,18 +161,51 @@ def exception_for(error: Dict[str, Any]) -> ReproError:
 def result_payload(result) -> Dict[str, Any]:
     """Encode a :class:`~repro.warehouse.warehouse.QueryResult` for the wire.
 
-    Row values are engine scalars (int/float/str/None) — JSON round-trips
-    floats exactly (shortest-repr), so two clients comparing encoded rows
-    compare bit-identical results.
+    The answer travels column by column (see the module doc); a result
+    that holds columns is encoded from them without building a row.
     """
     info = getattr(result, "rewrite", None)
+    data = result.as_columns()
     return {
         "columns": result.schema.names(),
-        "rows": [list(row) for row in result.rows],
+        "types": [column.type.name for column in result.schema],
+        "nrows": len(data),
+        "data": [encode_column(column) for column in data.columns],
         "epoch": getattr(result, "epoch", None),
         "rewrite": info.description if info is not None else None,
         "trace_id": getattr(result, "trace_id", None),
     }
+
+
+def decode_result(response: Dict[str, Any]) -> None:
+    """Client side: decode a query reply's columns in place.
+
+    ``data`` becomes ``{name: Column}`` and ``rows`` a
+    :class:`~repro.columns.ColumnRows` over the same columns that yields
+    lists.  The reply is input from outside the client, so anything that
+    is not what :func:`result_payload` writes is a :class:`ProtocolError`.
+    """
+    names, entries, nrows = (
+        response.get("columns"), response.get("data"), response.get("nrows")
+    )
+    if (
+        not isinstance(names, list)
+        or not isinstance(entries, list)
+        or len(names) != len(entries)
+        or not isinstance(nrows, int)
+        or isinstance(nrows, bool)
+        or nrows < 0
+    ):
+        raise ProtocolError(
+            "malformed query reply: needs 'columns' and 'data' of one length "
+            "and a row count 'nrows'"
+        )
+    try:
+        columns = [decode_column(entry, nrows) for entry in entries]
+    except ValueError as exc:
+        raise ProtocolError(f"malformed query reply: {exc}") from None
+    response["data"] = dict(zip(map(str, names), columns))
+    response["rows"] = ColumnRows(columns, nrows, row_type=list)
 
 
 def trace_context(request: Dict[str, Any]):

@@ -172,16 +172,21 @@ class ServeServer:
         try:
             while not self.crashed:
                 try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError):
+                    line = await self._read_line(reader)
+                except ConnectionError:
                     break
-                if not line:
+                if line == b"":
                     break
-                if line.strip() == b"":
+                if line is not None and line.strip() == b"":
                     continue
                 request_id = None
                 try:
                     from repro.faults import injector
+
+                    if line is None:
+                        raise ProtocolError(
+                            f"request line exceeds {protocol.MAX_LINE_BYTES} bytes"
+                        )
 
                     # The primary_crash fault site: the process "dies"
                     # mid-dispatch — every connection is aborted with no
@@ -192,13 +197,17 @@ class ServeServer:
                     request = protocol.decode_line(line)
                     request_id = request.get("id")
                     response = await self._dispatch(session, request)
+                    response.setdefault("id", request_id)
+                    # Encoded inside the try: a payload the encoder rejects
+                    # is one more failure to report, not the handler's end.
+                    encoded = protocol.encode_line(response)
                 except InjectedFault:
                     self._crash()
                     return
                 except Exception as exc:  # every failure -> error response
                     response = protocol.error_response(exc, request_id)
-                response.setdefault("id", request_id)
-                writer.write(protocol.encode_line(response))
+                    encoded = protocol.encode_line(response)
+                writer.write(encoded)
                 try:
                     await writer.drain()
                 except ConnectionError:
@@ -214,6 +223,29 @@ class ServeServer:
                 await writer.wait_closed()
             except ConnectionError:
                 pass
+
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+        """The next request line; ``b""`` at end of stream, ``None`` for a
+        line longer than the reader's limit (``protocol.MAX_LINE_BYTES``).
+
+        An over-long line is read off the stream and dropped, piece by
+        piece, up to its newline, so the caller can answer it with one
+        ``ProtocolError`` and the next line starts where it should.
+        (``StreamReader.readline`` would raise ``ValueError`` and leave the
+        rest of the line to be read as further requests.)
+        """
+        too_long = False
+        while True:
+            try:
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:
+                return b"" if too_long else exc.partial
+            except asyncio.LimitOverrunError as exc:
+                too_long = True
+                await reader.readexactly(exc.consumed)
+                continue
+            return None if too_long else line
 
     def _crash(self) -> None:
         """Hard-stop serving: abort every connection, close the listener.
@@ -494,7 +526,8 @@ class ServeServer:
         before this returns.
         """
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port,
+            limit=protocol.MAX_LINE_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self._server

@@ -30,13 +30,17 @@ from dataclasses import dataclass, replace
 from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.columns import Column as DataColumn
+from repro.columns import ColumnRows, kind_for_type, sort_order
 from repro.core import derivation as core_derivation
 from repro.core import reporting as core_reporting
 from repro.core.window import WindowSpec
 from repro.errors import DerivationError, NoRewriteError
 from repro.relational.engine import Database, Result
 from repro.relational.expr import ColumnRef
-from repro.relational.operators import Operator
+from repro.relational.operators import Operator, plain_column_indexes
 from repro.relational.schema import Column, Schema
 from repro.relational.stats import ExecutionStats
 from repro.relational.types import FLOAT
@@ -579,16 +583,35 @@ def _assemble(
             columns.append(Column(name, base.schema.column(col_name).type))
             pickers.append(col_name)
     out_schema = Schema(columns)
-    out_rows = list(zip(*(by_name[p] for p in pickers)))
-    result = Result(out_schema, out_rows, stats)
+    built = {
+        name: DataColumn.from_values(
+            by_name[name],
+            "float64"
+            if name == "__window__"
+            else kind_for_type(base.schema.column(name).type.name),
+        )
+        for name in set(pickers)
+    }
+    answer = ColumnRows(
+        [built[name] for name in pickers], len(by_name["__window__"])
+    )
 
     if stmt.order_by:
-        keyed = []
-        for o in stmt.order_by:
-            compiled = o.expr.bind(out_schema)
-            keyed.append((compiled, o.ascending))
-        for compiled, asc in reversed(keyed):
-            result.rows.sort(key=compiled, reverse=not asc)
-    if stmt.limit is not None:
-        result.rows = result.rows[: stmt.limit]
-    return result
+        keys = [(o.expr, o.ascending) for o in stmt.order_by]
+        picks = plain_column_indexes([expr for expr, _ in keys], out_schema)
+        order = None
+        if picks is not None:
+            order = sort_order(
+                [(answer.columns[i], asc) for i, (_, asc) in zip(picks, keys)],
+                len(answer),
+            )
+        if order is None:
+            # Computed, TEXT/DATE or NULL keys: sort rows as Python does.
+            rows = list(answer)
+            for expr, asc in reversed(keys):
+                rows.sort(key=expr.bind(out_schema), reverse=not asc)
+            return Result(out_schema, rows[: stmt.limit], stats)
+        answer = answer.take(order)
+    if stmt.limit is not None and stmt.limit < len(answer):
+        answer = answer.take(np.arange(stmt.limit))
+    return Result.from_columns(out_schema, answer.columns, stats, len(answer))

@@ -14,6 +14,16 @@ engine" column of the paper's Table 1: each window column is evaluated by
 Reporting functions do not shrink the data volume: one output value is
 produced per input row, appended as extra columns to the child's rows.
 
+When the child hands over a :class:`~repro.columns.ColumnRows` and every
+clause partitions, orders and aggregates plain columns, steps 1 and 2 are
+one stable ``np.lexsort`` over the key columns cut at partition-key
+changes, and the output is the child's columns plus one float64 column per
+clause — no row is built.  NumPy orders ``int64``/``float64``/``bool`` keys
+without NULLs or NaNs exactly as Python's stable sort does; anything else
+(TEXT/DATE/NULL keys, computed arguments or keys, ranking functions, RANGE
+frames, a parallel configuration, an ambient spill budget) runs the row
+loop, which computes the same values.
+
 When constructed with a parallel
 :class:`~repro.parallel.config.ExecutionConfig`, step 3 runs through the
 partition-parallel subsystem: every PARTITION BY group's sequence — chunked
@@ -37,16 +47,23 @@ O(n) whatever the frame width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.columns import Column as DataColumn
-from repro.columns import kind_for_type
+from repro.columns import ColumnRows, kind_for_type, sort_order
 from repro.core.aggregates import by_name
 from repro.core.vectorized import compute_vectorized
 from repro.core.window import WindowSpec
 from repro.errors import ParallelError, PlanError, SchemaError
 from repro.relational.expr import ColumnRef, Expr
-from repro.relational.operators import Alias, Operator, TableScan
+from repro.relational.operators import (
+    Alias,
+    Operator,
+    TableScan,
+    plain_column_indexes,
+)
 from repro.relational.schema import Column, Schema
 from repro.relational.stats import ExecutionStats
 from repro.relational.types import FLOAT
@@ -141,8 +158,8 @@ class WindowOperator(Operator):
         self.child = child
         self.exec_config = exec_config
         self.specs = list(specs)
-        # What the last execution did (strategy, rows, sharing hits): read
-        # by EXPLAIN ANALYZE.
+        # What the last execution did (strategy, columnar or row input,
+        # rows, sharing hits): read by EXPLAIN ANALYZE.
         self.analyze_extra: dict = {}
         columns = list(child.schema.columns)
         for spec in self.specs:
@@ -157,17 +174,61 @@ class WindowOperator(Operator):
                     [(o.expr.bind(child.schema), o.ascending) for o in spec.order_by],
                 )
             )
+        # Per signature, the child-schema positions of its PARTITION BY
+        # columns and (position, ascending) ORDER BY keys — or None when
+        # some clause is not plain columns under a ROWS frame.
+        self._key_columns = self._plain_key_columns()
 
-    def execute(self, stats: ExecutionStats) -> Iterator[Row]:
+    def _plain_key_columns(self) -> Optional[dict]:
+        schema = self.child.schema
+        keys: dict = {}
+        for spec in self.specs:
+            partition = plain_column_indexes(spec.partition_by, schema)
+            order = plain_column_indexes([o.expr for o in spec.order_by], schema)
+            if (
+                spec.is_ranking
+                or spec.is_range
+                or partition is None
+                or order is None
+                or not (spec.arg is None or isinstance(spec.arg, ColumnRef))
+            ):
+                return None
+            ascending = [o.ascending for o in spec.order_by]
+            keys[_signature(spec)] = (partition, list(zip(order, ascending)))
+        return keys
+
+    def _sort_orders(self, columns: Sequence[DataColumn], nrows: int) -> Optional[dict]:
+        """Per signature ``(sort order, partition columns)`` of a columnar
+        input, or None when some key needs Python's sort (see module doc)."""
+        if self._key_columns is None:
+            return None
+        orders = {}
+        for sig, (partition, order) in self._key_columns.items():
+            keys = [(columns[i], True) for i in partition]
+            keys += [(columns[i], ascending) for i, ascending in order]
+            sorted_indexes = sort_order(keys, nrows)
+            if sorted_indexes is None:
+                return None
+            orders[sig] = (sorted_indexes, [columns[i] for i in partition])
+        return orders
+
+    def execute(self, stats: ExecutionStats) -> Iterable[Row]:
         from repro.obs import runtime
+        from repro.storage.spill import SpilledFloatRun, SpillStore, active_budget
 
-        rows: List[Row] = list(self.child.run(stats))
+        rows = self.child.run(stats)
+        parallel = self.exec_config is not None and self.exec_config.is_parallel
+        budget = active_budget()
+        # Columnar when the child is, nothing asks for the pool or the
+        # spill store, and NumPy can order every clause's keys; ``orders``
+        # then replaces partitioning and sorting rows.
+        orders = None
+        if isinstance(rows, ColumnRows) and not parallel and budget is None:
+            orders = self._sort_orders(rows.columns, len(rows))
+        if orders is None:
+            rows = list(rows)
         pool = None
-        if (
-            self.exec_config is not None
-            and self.exec_config.is_parallel
-            and rows
-        ):
+        if parallel and rows:
             from repro.parallel.executor import ExecutorPool
 
             # Sharing the stats block surfaces retry/fallback counters in
@@ -175,6 +236,7 @@ class WindowOperator(Operator):
             pool = ExecutorPool(self.exec_config, stats=stats)
         self.analyze_extra = {
             "strategy": "parallel" if pool is not None else "serial",
+            "input": "columns" if orders is not None else "rows",
             "rows": len(rows),
         }
         # Run-state spilling ("Support Aggregate Analytic Window Function
@@ -183,13 +245,10 @@ class WindowOperator(Operator):
         # to the spill store as chunked float64 runs and read back
         # sequentially at emit — values are bit-identical (float64 round-
         # trips exactly), only residency changes.
-        from repro.storage.spill import SpilledFloatRun, SpillStore, active_budget
-
-        budget = active_budget()
         spill_store: Optional[SpillStore] = None
         held_bytes = 0
         try:
-            extras: List[List[float]] = []
+            extras: list = []
             measure_cache: dict = {}
             sort_cache: dict = {}
             result_cache: dict = {}
@@ -209,24 +268,18 @@ class WindowOperator(Operator):
                     extras.append(result_cache[dedup_key])
                     continue
                 groups = self._partition_and_sort(
-                    sig, partition, order, rows, sort_cache
+                    sig, partition, order, rows, sort_cache, orders
                 )
                 measure = self._measure_column(spec, rows, measure_cache)
                 values = self._evaluate(
                     spec, arg, order, groups, rows, stats, pool, measure
                 )
                 if budget is not None:
-                    run_bytes = 8 * len(values)
-                    if held_bytes + run_bytes > max(budget // 2, 1) and all(
-                        isinstance(v, float) for v in values
-                    ):
-                        import numpy as np
-
+                    run_bytes = values.nbytes
+                    if held_bytes + run_bytes > max(budget // 2, 1):
                         if spill_store is None:
                             spill_store = SpillStore()
-                        values = SpilledFloatRun(
-                            spill_store, np.asarray(values, dtype=np.float64)
-                        )
+                        values = SpilledFloatRun(spill_store, values)
                         self.analyze_extra["spilled_runs"] = (
                             self.analyze_extra.get("spilled_runs", 0) + 1
                         )
@@ -248,6 +301,16 @@ class WindowOperator(Operator):
             if span is not None:
                 span.set(positions=len(rows) * len(self.specs),
                          **self.analyze_extra)
+        if orders is not None:
+            return ColumnRows(
+                [*rows.columns, *(DataColumn(values) for values in extras)]
+            )
+        return self._emit(rows, extras, spill_store)
+
+    @staticmethod
+    def _emit(rows: List[Row], extras: list, spill_store) -> Iterator[Row]:
+        """The child's rows, each extended by its window values."""
+        extras = [e.tolist() if isinstance(e, np.ndarray) else e for e in extras]
         try:
             for i, row in enumerate(rows):
                 yield row + tuple(extra[i] for extra in extras)
@@ -258,18 +321,19 @@ class WindowOperator(Operator):
     # -- columnar measure extraction ------------------------------------------
 
     def _measure_column(
-        self, spec: WindowColumnSpec, rows: List[Row], cache: dict
+        self, spec: WindowColumnSpec, rows, cache: dict
     ) -> Optional[DataColumn]:
         """The measure as a :class:`~repro.columns.Column`, when gatherable.
 
         Plain column-reference arguments take the columnar fast path: the
         per-group raw sequences become C-speed gathers (``take`` +
         ``as_float64``) over one measure buffer instead of per-row closure
-        calls.  When the child is a bare (possibly aliased) table scan the
-        buffer is the table heap itself, zero-copy; otherwise the column is
-        built once from the materialized rows and shared by all specs that
-        reference it.  Returns ``None`` for computed arguments (CASE
-        arithmetic, ...) — callers then evaluate row-at-a-time.
+        calls.  A columnar input already has the column; for rows, when the
+        child is a bare (possibly aliased) table scan the buffer is the
+        table heap itself, zero-copy; otherwise the column is built once
+        from the materialized rows and shared by all specs that reference
+        it.  Returns ``None`` for computed arguments (CASE arithmetic, ...)
+        — callers then evaluate row-at-a-time.
         """
         if spec.is_ranking or not isinstance(spec.arg, ColumnRef):
             return None
@@ -285,7 +349,10 @@ class WindowOperator(Operator):
                 help="Measure-column gathers served from the per-query cache",
             ).inc()
             return cache[idx]
-        column = self._heap_column(idx)
+        if isinstance(rows, ColumnRows):
+            column = rows.columns[idx]
+        else:
+            column = self._heap_column(idx)
         if column is None or len(column) != len(rows):
             kind = kind_for_type(self.child.schema.columns[idx].type.name)
             column = DataColumn.from_values([row[idx] for row in rows], kind)
@@ -302,13 +369,16 @@ class WindowOperator(Operator):
         return None
 
     def _partition_and_sort(
-        self, sig, partition, order, rows: List[Row], cache: dict
-    ) -> dict:
-        """Partition + locally sort the input once per distinct signature.
+        self, sig, partition, order, rows, cache: dict, orders: Optional[dict] = None
+    ) -> list:
+        """Partition + locally sort the input once per distinct signature:
+        one sequence of row indexes per PARTITION BY group.
 
         Clauses sharing a (PARTITION BY, ORDER BY) signature reuse the
         sorted index lists — the always-on sharing tier.  The lists are
-        never re-sorted afterwards, so sharing is safe.
+        never re-sorted afterwards, so sharing is safe.  With ``orders``
+        (a columnar input) a group is a run of the signature's sort order
+        between two changes of the partition key.
         """
         from repro.obs import runtime
 
@@ -321,14 +391,18 @@ class WindowOperator(Operator):
                 self.analyze_extra.get("shared_sorts", 0) + 1
             )
             return cache[sig]
-        groups: dict = {}
-        for i, row in enumerate(rows):
-            key = tuple(p(row) for p in partition)
-            groups.setdefault(key, []).append(i)
-        for indexes in groups.values():
-            # Local sort order per reporting function (stable multi-key).
-            for key_fn, asc in reversed(order):
-                indexes.sort(key=lambda i: key_fn(rows[i]), reverse=not asc)
+        if orders is not None:
+            groups = _cut_groups(*orders[sig])
+        else:
+            by_key: dict = {}
+            for i, row in enumerate(rows):
+                key = tuple(p(row) for p in partition)
+                by_key.setdefault(key, []).append(i)
+            groups = list(by_key.values())
+            for indexes in groups:
+                # Local sort order per reporting function (stable multi-key).
+                for key_fn, asc in reversed(order):
+                    indexes.sort(key=lambda i: key_fn(rows[i]), reverse=not asc)
         cache[sig] = groups
         return groups
 
@@ -337,12 +411,12 @@ class WindowOperator(Operator):
         spec: WindowColumnSpec,
         arg,
         order,
-        groups: dict,
-        rows: List[Row],
+        groups: list,
+        rows,
         stats: ExecutionStats,
         pool=None,
         measure: Optional[DataColumn] = None,
-    ) -> List[float]:
+    ) -> np.ndarray:
         from repro.obs import runtime
 
         aggregate = None if spec.is_ranking else by_name(spec.func)
@@ -364,8 +438,8 @@ class WindowOperator(Operator):
                 stats.bump(serial_fallbacks=1)
                 self.analyze_extra["strategy"] = "serial-fallback"
                 runtime.event("window.serial_fallback", spec=spec.name)
-        out = [0.0] * len(rows)
-        for indexes in groups.values():
+        out = np.zeros(len(rows))
+        for indexes in groups:
             stats.rows_sorted += len(indexes)
             if spec.is_ranking:
                 values = self._rank(spec.func, indexes, rows, order)
@@ -384,8 +458,7 @@ class WindowOperator(Operator):
                         for i in indexes
                     ]
                 values = compute_vectorized(raw, spec.window, aggregate)
-            for i, value in zip(indexes, values):
-                out[i] = value
+            out[indexes] = values
         return out
 
     @staticmethod
@@ -403,12 +476,12 @@ class WindowOperator(Operator):
         spec: WindowColumnSpec,
         arg,
         aggregate,
-        groups: dict,
+        groups: list,
         rows: List[Row],
         stats: ExecutionStats,
         pool,
         measure: Optional[DataColumn] = None,
-    ) -> List[float]:
+    ) -> np.ndarray:
         """Pool-backed frame evaluation over all PARTITION BY groups at once.
 
         One flat chunk list covers every group (long groups split within
@@ -421,9 +494,8 @@ class WindowOperator(Operator):
         """
         from repro.parallel.compute import compute_grouped_parallel
 
-        group_indexes = list(groups.values())
         raws: List[Sequence[float]] = []
-        for indexes in group_indexes:
+        for indexes in groups:
             if arg is None:
                 raws.append([1.0] * len(indexes))
             elif measure is not None:
@@ -438,11 +510,10 @@ class WindowOperator(Operator):
         value_lists = compute_grouped_parallel(
             raws, spec.window, aggregate, self.exec_config, pool=pool
         )
-        stats.bump(rows_sorted=sum(len(ix) for ix in group_indexes))
-        out = [0.0] * len(rows)
-        for indexes, values in zip(group_indexes, value_lists):
-            for i, value in zip(indexes, values):
-                out[i] = value
+        stats.bump(rows_sorted=sum(len(ix) for ix in groups))
+        out = np.zeros(len(rows))
+        for indexes, values in zip(groups, value_lists):
+            out[indexes] = values
         return out
 
     @staticmethod
@@ -540,3 +611,16 @@ def _signature(spec: WindowColumnSpec) -> tuple:
         tuple(str(e) for e in spec.partition_by),
         tuple((str(o.expr), o.ascending) for o in spec.order_by),
     )
+
+
+def _cut_groups(order: np.ndarray, partition_columns: Sequence[DataColumn]) -> list:
+    """Split a sort order (partition keys first) at partition-key changes."""
+    if len(order) == 0:
+        return []
+    if not partition_columns:
+        return [order]
+    change = np.zeros(len(order) - 1, dtype=np.bool_)
+    for column in partition_columns:
+        keys = column.data[order]
+        change |= keys[1:] != keys[:-1]
+    return np.split(order, np.flatnonzero(change) + 1)

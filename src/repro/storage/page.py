@@ -32,12 +32,12 @@ well-formed.
 from __future__ import annotations
 
 import base64
-import datetime
 import json
 import struct
 import zlib
 from typing import Any, List, Optional, Sequence, Tuple
 
+from repro.columns.codec import decode_value, encode_value
 from repro.errors import CatalogError, PageCorruptError
 
 __all__ = [
@@ -58,20 +58,6 @@ PAGE_MAGIC = b"RPG4"
 HEADER = struct.Struct("<4sIII")  # magic, page_no, payload_len, crc32
 HEADER_SIZE = HEADER.size
 DEFAULT_PAGE_SIZE = 4096
-
-
-def encode_value(value: Any) -> Any:
-    """JSON-encode one storage value (dates -> ``{"$date": ...}``)."""
-    if isinstance(value, datetime.date):
-        return {"$date": value.isoformat()}
-    return value
-
-
-def decode_value(value: Any) -> Any:
-    """Invert :func:`encode_value` (``{"$date": ...}`` -> ``datetime.date``)."""
-    if isinstance(value, dict) and "$date" in value:
-        return datetime.date.fromisoformat(value["$date"])
-    return value
 
 
 def _pack_validity(values: Sequence[Any]) -> Optional[str]:

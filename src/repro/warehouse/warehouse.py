@@ -70,7 +70,10 @@ class QueryResult(Result):
 
     @classmethod
     def wrap(cls, result: Result, rewrite: Optional[RewriteInfo]) -> "QueryResult":
-        out = cls(result.schema, result.rows, result.stats)
+        # Rows or columns, whichever the result holds, carried across as
+        # they are (no row list is built here).
+        out = cls(result.schema, result._rows, result.stats)
+        out._columns = result._columns
         out.rewrite = rewrite
         return out
 
@@ -411,7 +414,7 @@ class DataWarehouse:
         est = getattr(plan, "analyze_est", None)
         if est is not None:
             est_rows = max(float(est["est_rows"]), 1.0)
-            actual = max(float(len(result.rows)), 1.0)
+            actual = max(float(len(result)), 1.0)
             result.q_error = max(est_rows / actual, actual / est_rows)
         return result
 

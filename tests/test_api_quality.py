@@ -266,6 +266,79 @@ class TestViewAnswersAreColumnar:
             assert not hasattr(rewriter, name), name
 
 
+class TestColumnsToTheWire:
+    """A served answer stays columns from the scan to the client (PR 20):
+    a row list built on the way, a second result encoding or a knob that
+    selects one coming back should fail here."""
+
+    FRAME = "ROWS BETWEEN 3 PRECEDING AND 2 FOLLOWING"
+
+    def _served(self, sql, *, view=None):
+        from repro.serve import ConcurrentWarehouse, protocol
+
+        cw = ConcurrentWarehouse()
+        cw.create_table("seq", [("pos", "INTEGER"), ("val", "FLOAT")],
+                        primary_key=["pos"])
+        cw.insert("seq", [(i, i * 0.5) for i in range(1, 201)])
+        if view is not None:
+            cw.create_view("mv", view)
+        result = cw.query(sql)
+        return result, protocol.result_payload(result)
+
+    def test_served_read_path_builds_no_row_list(self):
+        native = ("SELECT pos, SUM(val) OVER (ORDER BY pos " + self.FRAME
+                  + ") AS w FROM seq")
+        ranged = native + " WHERE pos BETWEEN 20 AND 119"
+        view = ("SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 4 "
+                "PRECEDING AND 2 FOLLOWING) AS w FROM seq")
+        derived = ("SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 5 "
+                   "PRECEDING AND 3 FOLLOWING) AS w FROM seq")
+        for sql, view_sql, rows in ((native, None, 200), (ranged, None, 100),
+                                    (derived, view, 200), (view, view, 200)):
+            result, payload = self._served(sql, view=view_sql)
+            assert (result.rewrite is not None) == (view_sql is not None)
+            # The cache slot, not a timing: nothing asked for tuples.
+            assert result._rows is None, sql
+            assert len(result) == payload["nrows"] == rows
+            assert "rows" not in payload
+            assert [entry["kind"] for entry in payload["data"]] == ["int64", "float64"]
+
+    def test_one_result_encoding_and_nothing_to_select_it(self):
+        import repro.serve
+        from repro.serve.client import ServeClient
+
+        parameters = inspect.signature(ServeClient.query).parameters
+        assert [(p.name, p.kind) for p in parameters.values()] == [
+            ("self", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+            ("sql", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+            ("hold_ms", inspect.Parameter.KEYWORD_ONLY),
+            ("options", inspect.Parameter.VAR_KEYWORD),
+        ]
+        offenders = []
+        for module in MODULES:
+            if not module.__name__.startswith("repro.serve"):
+                continue
+            for owner in [module] + [
+                c for c in vars(module).values()
+                if inspect.isclass(c) and c.__module__ == module.__name__
+            ]:
+                for name, fn in vars(owner).items():
+                    fn = getattr(fn, "__func__", fn)
+                    if inspect.isfunction(fn) and (
+                        {"encoding", "format", "columnar"}
+                        & set(inspect.signature(fn).parameters)
+                    ):
+                        offenders.append(f"{module.__name__}.{name}")
+        assert offenders == []
+        # The column codec exists once, beside Column.
+        import repro.columns.codec as codec
+        from repro.serve import protocol
+        from repro.storage import page
+
+        assert protocol.encode_column is codec.encode_column
+        assert page.encode_value is codec.encode_value
+
+
 class TestErrorHierarchy:
     def test_all_errors_derive_from_repro_error(self):
         from repro import errors
