@@ -28,16 +28,10 @@ from typing import Any, Dict
 
 import numpy as np
 
+from repro.columns.column import WIRE_DTYPES as _WIRE_DTYPES
 from repro.columns.column import Column
 
 __all__ = ["decode_column", "decode_value", "encode_column", "encode_value"]
-
-# kind -> little-endian wire dtype.
-_WIRE_DTYPES = {
-    "int64": np.dtype("<i8"),
-    "float64": np.dtype("<f8"),
-    "bool": np.dtype(np.bool_),
-}
 
 
 def encode_value(value: Any) -> Any:

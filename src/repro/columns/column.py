@@ -32,12 +32,15 @@ of the live buffer.
 
 from __future__ import annotations
 
+import datetime
+import hashlib
+import struct
 import sys
 from typing import Any, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["Column", "ColumnBuilder", "KINDS", "kind_for_type"]
+__all__ = ["CHUNK_SLOTS", "Column", "ColumnBuilder", "KINDS", "hash_chunks", "kind_for_type"]
 
 KINDS = ("int64", "float64", "bool", "object")
 
@@ -49,6 +52,18 @@ _DTYPES = {
 }
 
 _FILL = {"int64": 0, "float64": 0.0, "bool": False, "object": None}
+
+# The content digest (DESIGN 5h) hashes a column in chunks of this many
+# slots: 8 KB of an int64/float64 buffer, so a point write rehashes 8 KB.
+CHUNK_SLOTS = 1024
+
+# kind -> little-endian dtype of a fixed-width buffer's bytes, on the wire
+# (columns/codec.py) and under the digest.
+WIRE_DTYPES = {
+    "int64": np.dtype("<i8"),
+    "float64": np.dtype("<f8"),
+    "bool": np.dtype(np.bool_),
+}
 
 _NONE_TYPE = type(None)
 
@@ -255,6 +270,66 @@ def _fits_kind(values: Sequence[Any], kind: str) -> bool:
     return True
 
 
+def _canonical(value: Any) -> bytes:
+    """Length-prefixed, type-tagged bytes of one ``object`` column value."""
+    if value is None:
+        body = b"N"
+    elif isinstance(value, bool):
+        body = b"b1" if value else b"b0"
+    elif isinstance(value, int):
+        body = b"i%d" % value
+    elif isinstance(value, float):
+        body = b"f" + struct.pack("<d", value)
+    elif isinstance(value, str):
+        body = b"s" + value.encode("utf-8")
+    elif isinstance(value, datetime.date):
+        body = b"d" + value.isoformat().encode("ascii")
+    else:
+        body = b"r" + repr(value).encode("utf-8")
+    return struct.pack("<I", len(body)) + body
+
+
+def _chunk_payload(data: np.ndarray, validity: np.ndarray, declared: str) -> bytes:
+    """The bytes one chunk is hashed as, a function of values and NULLs
+    only: an ``object`` chunk whose values fit the ``declared`` kind hashes
+    as that kind's buffer would (a promoted column that need not be)."""
+    if data.dtype == object:
+        fixed = None if declared == "object" else Column.from_values(data.tolist(), declared)
+        if fixed is None or fixed.kind != declared:
+            return b"object" + b"".join(map(_canonical, data.tolist()))
+        data = fixed.data
+    return (
+        declared.encode("ascii")
+        + data.astype(WIRE_DTYPES[declared], copy=False).tobytes()
+        + np.packbits(validity, bitorder="little").tobytes()
+    )
+
+
+def hash_chunks(
+    data: np.ndarray,
+    validity: np.ndarray,
+    declared: str,
+    known: Sequence[Optional[bytes]] = (),
+    tally: Optional[List[int]] = None,
+) -> List[Optional[bytes]]:
+    """SHA-256 of every ``CHUNK_SLOTS``-slot chunk of a column's slots.
+
+    ``known[c]``, where present and not None, is chunk ``c``'s hash and is
+    reused; ``tally`` (``[chunks, bytes]``) counts what was hashed.
+    """
+    chunks = -(-len(data) // CHUNK_SLOTS)
+    hashes = list(known[:chunks]) + [None] * (chunks - len(known))
+    for c, known_hash in enumerate(hashes):
+        if known_hash is None:
+            lo, hi = c * CHUNK_SLOTS, (c + 1) * CHUNK_SLOTS
+            payload = _chunk_payload(data[lo:hi], validity[lo:hi], declared)
+            hashes[c] = hashlib.sha256(payload).digest()
+            if tally is not None:
+                tally[0] += 1
+                tally[1] += len(payload)
+    return hashes
+
+
 class ColumnBuilder:
     """Mutable, amortised-append column storage (capacity doubling).
 
@@ -263,9 +338,12 @@ class ColumnBuilder:
     spare capacity does not move the buffer, so existing snapshots stay
     valid; a capacity grow reallocates, leaving old snapshots on the old
     buffer (a consistent frozen copy).
+
+    ``_hashes`` caches :meth:`chunk_hashes` (None until a digest is first
+    asked for); every mutator drops the entries of the chunks it writes.
     """
 
-    __slots__ = ("kind", "_data", "_validity", "_size")
+    __slots__ = ("kind", "_data", "_validity", "_size", "_hashes")
 
     _INITIAL_CAPACITY = 16
 
@@ -276,6 +354,7 @@ class ColumnBuilder:
         self._data = np.empty(self._INITIAL_CAPACITY, dtype=_DTYPES[kind])
         self._validity = np.ones(self._INITIAL_CAPACITY, dtype=np.bool_)
         self._size = 0
+        self._hashes: Optional[List[Optional[bytes]]] = None
 
     @classmethod
     def for_type(cls, type_name: str) -> "ColumnBuilder":
@@ -301,6 +380,8 @@ class ColumnBuilder:
         self.kind = "object"
 
     def _store(self, slot: int, value: Any) -> None:
+        if self._hashes is not None and slot // CHUNK_SLOTS < len(self._hashes):
+            self._hashes[slot // CHUNK_SLOTS] = None
         if value is None:
             self._data[slot] = _FILL[self.kind]
             self._validity[slot] = False
@@ -333,11 +414,33 @@ class ColumnBuilder:
         self._data = np.empty(self._INITIAL_CAPACITY, dtype=_DTYPES[self.kind])
         self._validity = np.ones(self._INITIAL_CAPACITY, dtype=np.bool_)
         self._size = 0
+        self._hashes = None
         for value in values:
             self.append(value)
 
     def clear(self) -> None:
         self._size = 0
+        self._hashes = None
+
+    def move(self, src: Sequence[int], dst: Sequence[int]) -> None:
+        """Copy the values and NULL bits at slots ``src`` over slots ``dst``
+        (one array assignment; the two may overlap)."""
+        dst = np.asarray(dst, dtype=np.intp)
+        self._data[dst] = self._data[src]
+        self._validity[dst] = self._validity[src]
+        if self._hashes is not None and len(dst):
+            written = np.zeros(int(dst.max()) // CHUNK_SLOTS + 1, dtype=np.bool_)
+            written[dst // CHUNK_SLOTS] = True
+            for c in np.flatnonzero(written[: len(self._hashes)]).tolist():
+                self._hashes[c] = None
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the slots where ``mask`` is False; later slots move down."""
+        self._data = self._data[: self._size][mask]
+        self._validity = self._validity[: self._size][mask]
+        self._size = len(self._data)
+        if self._hashes is not None:
+            del self._hashes[int(np.argmin(mask)) // CHUNK_SLOTS:]
 
     def copy(self) -> "ColumnBuilder":
         """An independent builder with the same contents.
@@ -352,6 +455,7 @@ class ColumnBuilder:
         out._data = self._data[: self._size].copy()
         out._validity = self._validity[: self._size].copy()
         out._size = self._size
+        out._hashes = None if self._hashes is None else list(self._hashes)
         return out
 
     # -- reads ----------------------------------------------------------------
@@ -376,6 +480,19 @@ class ColumnBuilder:
             self._data[: self._size],
             None if bool(validity.all()) else validity,
         )
+
+    def chunk_hashes(
+        self, declared: str, tally: Optional[List[int]] = None, *, cached: bool = True
+    ) -> List[bytes]:
+        """The column's chunk hashes (see :func:`hash_chunks`); ``declared``
+        is the kind of the column's schema type.  ``cached=False`` rehashes
+        every chunk and leaves the cache alone — the audit."""
+        n = self._size
+        known = (self._hashes or ()) if cached else ()
+        hashes = hash_chunks(self._data[:n], self._validity[:n], declared, known, tally)
+        if cached:
+            self._hashes = hashes
+        return hashes
 
     def memory_bytes(self) -> int:
         total = self._data.nbytes + self._validity.nbytes

@@ -198,20 +198,22 @@ def apply_insert(
     l, h = window.l, window.h
     first = 1 - window.header_span()
     last_new = n_new + window.trailer_span()
-    new_values: List[float] = []
-    adjusted = recomputed = shifted = 0
+    old_value(first), old_value(last_new - 1)  # an incomplete sequence raises here
+    old = seq.to_list()
+    # Positions before the band keep their values, positions after it take
+    # their left neighbour's: two list slices, whatever the sequence length.
+    band = range(max(k - h, first), min(k + l, last_new) + 1)
+    new_values: List[float] = old[: band.start - first]
+    suffix = old[band.stop - 1 - first :]
+    adjusted = recomputed = 0
+    shifted = len(suffix)
     minmax = _is_minmax(agg)
     spec = SequenceSpec(window, agg)
     raw_new = raw[: k - 1] + [v] + raw[k - 1 :]
 
     stale: List[int] = []
-    for i in range(first, last_new + 1):
-        if i < k - h:
-            new_values.append(old_value(i))
-        elif i > k + l:
-            new_values.append(old_value(i - 1))
-            shifted += 1
-        elif minmax:
+    for i in band:
+        if minmax:
             new_values.append(0.0)  # placeholder; batch-filled below
             stale.append(i)
             recomputed += 1
@@ -221,6 +223,7 @@ def apply_insert(
         else:  # k <= i <= k + l
             new_values.append(old_value(i - 1) + v - raw_value(raw, i - l - 1))
             adjusted += 1
+    new_values += suffix
 
     for i, value in zip(stale, _evaluate_band(spec, raw_new, stale, evaluator)):
         new_values[i - first] = value
@@ -255,20 +258,22 @@ def apply_delete(
     l, h = window.l, window.h
     first = 1 - window.header_span()
     last_new = n_new + window.trailer_span()
-    new_values = []
-    adjusted = recomputed = shifted = 0
+    old_value(first), old_value(last_new + 1)  # an incomplete sequence raises here
+    old = seq.to_list()
+    # As in apply_insert: a prefix slice, the band, and a slice of the
+    # values that move one position left.
+    band = range(max(k - h, first), min(k + l - 1, last_new) + 1)
+    new_values: List[float] = old[: band.start - first]
+    suffix = old[band.stop + 1 - first :]
+    adjusted = recomputed = 0
+    shifted = len(suffix)
     minmax = _is_minmax(agg)
     spec = SequenceSpec(window, agg)
     raw_new = raw[: k - 1] + raw[k:]
 
     stale: List[int] = []
-    for i in range(first, last_new + 1):
-        if i < k - h:
-            new_values.append(old_value(i))
-        elif i >= k + l:
-            new_values.append(old_value(i + 1))
-            shifted += 1
-        elif minmax:
+    for i in band:
+        if minmax:
             new_values.append(0.0)  # placeholder; batch-filled below
             stale.append(i)
             recomputed += 1
@@ -278,6 +283,7 @@ def apply_delete(
         else:  # k <= i < k + l
             new_values.append(old_value(i + 1) - xk + raw_value(raw, i - l))
             adjusted += 1
+    new_values += suffix
 
     for i, value in zip(stale, _evaluate_band(spec, raw_new, stale, evaluator)):
         new_values[i - first] = value

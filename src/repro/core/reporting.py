@@ -32,6 +32,7 @@ Two derivation lemmas are implemented:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, itemgetter
@@ -172,6 +173,18 @@ class ReportingSequence:
             return self.partitions[key]
         except KeyError:
             raise SequenceError(f"no partition {key!r}") from None
+
+    def owning(self, key: Key) -> "ReportingSequence":
+        """A copy for a writer about to change partition ``key``: that
+        partition is copied (its ``order_keys`` list; its sequence object,
+        whose value list maintenance replaces rather than edits), every
+        other :class:`PartitionData` is shared with this one."""
+        part = self.partition(key)
+        mine = PartitionData(list(part.order_keys), copy.copy(part.seq))
+        return ReportingSequence(
+            self.partition_by, self.order_by, self.window, self.aggregate,
+            {**self.partitions, key: mine},
+        )
 
     # -- window derivation (same partitioning/ordering) --------------------------
 

@@ -6,15 +6,18 @@ the sequence position instead of scanning the whole table per outer row
 ("query execution time is then roughly cut down by 95%").  Both index kinds
 map key tuples to *row slots* inside their table's row list.
 
-Indexes are maintained incrementally on insert/point-update and rebuilt on
-positional deletes (slot renumbering), which matches this engine's
-append-mostly warehouse workloads.
+Indexes are maintained incrementally on insert/point-update; a positional
+delete drops the entries of the deleted slots and renumbers the rest
+(``drop_slots``) without reading a row.
 """
 
 from __future__ import annotations
 
 import bisect
+from itertools import compress
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ConstraintError
 
@@ -68,6 +71,21 @@ class HashIndex:
         self._map.clear()
         for slot, row in enumerate(rows):
             self.add(row, slot)
+
+    def copy(self) -> "HashIndex":
+        out = HashIndex(self.name, self.column_indexes, self.unique)
+        out._map = {key: list(slots) for key, slots in self._map.items()}
+        return out
+
+    def drop_slots(self, doomed: np.ndarray) -> None:
+        """Forget the (sorted) slots ``doomed``; later slots move down."""
+        ordered = doomed.tolist()
+        gone = set(ordered)
+        kept = {
+            key: [s - bisect.bisect_left(ordered, s) for s in slots if s not in gone]
+            for key, slots in self._map.items()
+        }
+        self._map = {key: slots for key, slots in kept.items() if slots}
 
     def __len__(self) -> int:
         return sum(len(slots) for slots in self._map.values())
@@ -137,6 +155,19 @@ class SortedIndex:
                     )
         self._keys = [k for k, _ in pairs]
         self._slots = [s for _, s in pairs]
+
+    def copy(self) -> "SortedIndex":
+        out = SortedIndex(self.name, self.column_indexes, self.unique)
+        out._keys, out._slots = list(self._keys), list(self._slots)
+        return out
+
+    def drop_slots(self, doomed: np.ndarray) -> None:
+        """Forget the (sorted) slots ``doomed``; later slots move down."""
+        slots = np.asarray(self._slots, dtype=np.intp)
+        keep = ~np.isin(slots, doomed)
+        self._keys = list(compress(self._keys, keep.tolist()))
+        slots = slots[keep]
+        self._slots = (slots - np.searchsorted(doomed, slots)).tolist()
 
     def __len__(self) -> int:
         return len(self._keys)

@@ -11,9 +11,13 @@ still identify rows for index maintenance.
 
 from __future__ import annotations
 
+import hashlib
+import struct
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.columns import Column, ColumnBuilder
+import numpy as np
+
+from repro.columns import Column, ColumnBuilder, kind_for_type
 from repro.errors import CatalogError, ConstraintError, SchemaError
 from repro.relational.index import HashIndex, SortedIndex
 from repro.relational.schema import Schema
@@ -245,23 +249,42 @@ class Table:
         for builder, value in zip(self._columns, new_row):
             builder.set(slot, value)
 
+    def set_column(self, column: str, slots: Sequence[int], values: Sequence[Any]) -> None:
+        """Overwrite one column at ``slots``, leaving the rest of each row."""
+        builder = self._columns[self._unindexed(column)]
+        for slot, value in zip(slots, values):
+            builder.set(slot, value)
+
+    def move_rows(self, columns: Sequence[str], src: Sequence[int], dst: Sequence[int]) -> None:
+        """Copy ``columns`` of the rows at slots ``src`` over the rows at
+        ``dst``, one array assignment per column."""
+        src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
+        for column in columns:
+            self._columns[self._unindexed(column)].move(src, dst)
+
+    def _unindexed(self, column: str) -> int:
+        i = self.schema.resolve(column)
+        if any(i in index.column_indexes for index in self.indexes.values()):
+            raise SchemaError(
+                f"column {column!r} of {self.name!r} is indexed; use update_slot"
+            )
+        return i
+
     def delete_slots(self, slots: Iterable[int]) -> int:
-        """Delete rows by slot; remaining slots are renumbered and all
-        indexes rebuilt (documented O(n))."""
-        doomed = set(slots)
-        if not doomed:
+        """Delete rows by slot.  Remaining slots are renumbered: one mask
+        per column buffer, and each index drops and renumbers its entries
+        without reading a row."""
+        doomed = np.unique(np.fromiter(slots, dtype=np.intp))
+        if not len(doomed):
             return 0
-        kept = [
-            [b.get(i) for b in self._columns]
-            for i in range(self._nrows)
-            if i not in doomed
-        ]
-        for j, builder in enumerate(self._columns):
-            builder.rebuild(row[j] for row in kept)
-        self._nrows = len(kept)
+        mask = np.ones(self._nrows, dtype=np.bool_)
+        mask[doomed] = False
+        for builder in self._columns:
+            builder.keep(mask)
+        self._nrows -= len(doomed)
         self._structure_version += 1
         for index in self.indexes.values():
-            index.rebuild([tuple(row) for row in kept])
+            index.drop_slots(doomed)
         return len(doomed)
 
     def truncate(self) -> None:
@@ -289,17 +312,20 @@ class Table:
         out._nrows = self._nrows
         out._structure_version = 0
         out.primary_key = self.primary_key
-        out.indexes = {}
-        for name, index in self.indexes.items():
-            if index.kind == "sorted":
-                fresh: Index = SortedIndex(name, list(index.column_indexes),
-                                           unique=index.unique)
-            else:
-                fresh = HashIndex(name, list(index.column_indexes),
-                                  unique=index.unique)
-            fresh.rebuild(self.rows)
-            out.indexes[name] = fresh
+        out.indexes = {name: index.copy() for name, index in self.indexes.items()}
         return out
+
+    def digest(self, tally: Optional[List[int]] = None, *, cached: bool = True) -> bytes:
+        """SHA-256 of name, schema, row count and every column's chunk
+        hashes (:func:`repro.columns.column.hash_chunks`), in heap order."""
+        h = hashlib.sha256(self.name.encode("utf-8") + b"\x00")
+        for column in self.schema:
+            h.update(f"{column.name}:{column.type.name};".encode("utf-8"))
+        h.update(struct.pack("<Q", self._nrows))
+        for column, builder in zip(self.schema, self._columns):
+            kind = kind_for_type(column.type.name)
+            h.update(b"".join(builder.chunk_hashes(kind, tally, cached=cached)))
+        return h.digest()
 
     # -- index management -----------------------------------------------------------
 

@@ -10,9 +10,12 @@
    against an empty warehouse);
 3. re-execute every logged epoch after the checkpoint through
    :meth:`ConcurrentWarehouse.apply_record` — each replayed epoch's
-   content digest is checked against what the primary recorded at commit
-   time, so silent replay divergence cannot slip through;
-4. re-verify every materialized view against its definition with the
+   content digest (kept current by the storage, so O(band) per record) is
+   checked against what the primary recorded at commit time, so silent
+   replay divergence cannot slip through; records of an older digest
+   scheme are replayed uncompared and counted;
+4. audit the kept digest against a from-scratch recomputation, and
+   re-verify every materialized view against its definition with the
    existing :mod:`repro.views.verify` machinery;
 5. attach the log so new writes continue appending where the old primary
    stopped.
@@ -46,6 +49,7 @@ class RecoveryReport:
     directory: str
     base_epoch: int                 # snapshot epoch replay started from (0 = none)
     replayed: List[int] = field(default_factory=list)
+    unverified_records: int = 0     # replayed without a digest comparison
     truncated_bytes: int = 0        # torn tail removed from the log
     last_epoch: int = 0             # epoch the recovered warehouse serves
     verified: Dict[str, Any] = field(default_factory=dict)
@@ -57,6 +61,7 @@ class RecoveryReport:
             "directory": self.directory,
             "base_epoch": self.base_epoch,
             "replayed": list(self.replayed),
+            "unverified_records": self.unverified_records,
             "truncated_bytes": self.truncated_bytes,
             "last_epoch": self.last_epoch,
             "verified": {k: bool(v) for k, v in self.verified.items()},
@@ -82,7 +87,8 @@ def recover(directory: str, *, execution=None, verify: bool = True,
         WalCorruptionError: corruption *before* the log's tail — the log
             cannot be trusted and recovery refuses to guess.
         DivergenceError: a replayed epoch's content digest disagrees with
-            what the primary recorded when it committed.
+            what the primary recorded when it committed, or the final
+            audit of the kept digest failed.
     """
     from repro.obs import runtime
 
@@ -107,17 +113,19 @@ def recover(directory: str, *, execution=None, verify: bool = True,
             truncated_bytes=wal.truncated_bytes,
         )
         for record in wal.records(since=cw.epochs.latest_epoch):
-            cw.apply_record(record)
+            report.unverified_records += not cw.apply_record(record)
             report.replayed.append(record.epoch)
         cw.attach_wal(wal)
         report.last_epoch = cw.epochs.latest_epoch
         report.warehouse = cw
         if verify:
-            reports = cw.verify(quarantine=False)
+            reports = cw.verify(quarantine=False)  # audits the digest first
             report.verified = {
                 name: not r.discrepancies for name, r in reports.items()
             }
             report.clean = all(report.verified.values())
+        else:
+            cw.audit_digest()
         runtime.event(
             "recover.done", base_epoch=report.base_epoch,
             replayed=len(report.replayed),

@@ -50,12 +50,11 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from repro.errors import ReplicationError, WalCorruptionError
 
 __all__ = [
+    "DIGEST_SCHEME",
     "EpochRecord",
     "WriteAheadLog",
     "decode_args",
-    "decode_view_definition",
     "encode_args",
-    "encode_view_definition",
     "state_digest",
 ]
 
@@ -99,53 +98,24 @@ def decode_args(value: Any) -> Any:
     return value
 
 
-def encode_view_definition(definition) -> Dict[str, Any]:
-    """Serialize a SequenceViewDefinition for the replication log (the
-    same shape ``DataWarehouse.save`` writes to views.json)."""
-    d = definition
-    return {
-        "name": d.name,
-        "base_table": d.base_table,
-        "value_col": d.value_col,
-        "order_by": list(d.order_by),
-        "partition_by": list(d.partition_by),
-        "window": {"kind": d.window.kind, "l": d.window.l, "h": d.window.h},
-        "aggregate": d.aggregate_name,
-        "where": d.where_text,
-    }
-
-
-def decode_view_definition(doc: Dict[str, Any]):
-    """Rebuild a SequenceViewDefinition from its logged form."""
-    from repro.core.window import WindowSpec
-    from repro.sql.parser import parse_expression
-    from repro.views.definition import SequenceViewDefinition
-
-    w = doc["window"]
-    window = (
-        WindowSpec.cumulative()
-        if w["kind"] == "cumulative"
-        else WindowSpec.sliding(w["l"], w["h"], allow_point=True)
-    )
-    return SequenceViewDefinition(
-        name=doc["name"],
-        base_table=doc["base_table"],
-        value_col=doc["value_col"],
-        order_by=tuple(doc["order_by"]),
-        partition_by=tuple(doc["partition_by"]),
-        window=window,
-        aggregate_name=doc["aggregate"],
-        where=parse_expression(doc["where"]) if doc["where"] else None,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Content digest: the bit-identity contract between primary and replica
 # ---------------------------------------------------------------------------
 
 
-def state_digest(warehouse) -> str:
-    """SHA-256 over every table's schema and rows, in catalog-name order.
+#: Tag of the digest definition below, prefixed to every digest string.  A
+#: record whose digest carries another tag (or none: logs written before
+#: the chunk digest) is replayed without a per-record comparison.
+DIGEST_SCHEME = "c1:"
+
+
+def state_digest(warehouse, *, cached: bool = True) -> str:
+    """SHA-256 over every table's digest, in catalog-name order.
+
+    A table's digest (:meth:`repro.relational.table.Table.digest`) covers
+    name, schema, row count and every column's values and NULL bits in
+    heap order, chunk by chunk; the storage keeps the chunk hashes, so a
+    commit rehashes what it wrote.  ``cached=False`` rehashes everything.
 
     Covers base tables *and* view storage tables (the in-memory reporting
     mirrors are derived from storage, so hashing storage suffices).  Two
@@ -154,20 +124,21 @@ def state_digest(warehouse) -> str:
     epoch counters are deliberately excluded — they are advisory routing
     state, not data.
     """
-    h = hashlib.sha256()
-    for table in sorted(warehouse.db.catalog.tables(), key=lambda t: t.name):
-        h.update(table.name.encode("utf-8"))
-        h.update(b"\x00")
-        for column in table.schema:
-            h.update(f"{column.name}:{column.type.name};".encode("utf-8"))
-        h.update(b"\x01")
-        for row in table.rows:
-            h.update(
-                json.dumps(encode_args(list(row)), separators=(",", ":"))
-                .encode("utf-8")
-            )
-            h.update(b"\x02")
-    return h.hexdigest()
+    from repro.obs import runtime
+
+    tables = sorted(warehouse.db.catalog.tables(), key=lambda t: t.name)
+    tally = [0, 0]
+    with runtime.get_tracer().span("replicate.digest", tables=len(tables)) as span:
+        h = hashlib.sha256()
+        for table in tables:
+            h.update(table.digest(tally, cached=cached))
+        span.set(chunks_hashed=tally[0], bytes_hashed=tally[1])
+    for what, count in zip(("chunks", "bytes"), tally):
+        runtime.get_registry().counter(
+            f"repro_replicate_digest_{what}_hashed_total",
+            help=f"Column {what} hashed for content digests",
+        ).inc(count)
+    return DIGEST_SCHEME + h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

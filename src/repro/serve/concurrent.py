@@ -13,10 +13,13 @@ serialized-writer system:
 * **Copy-on-write discipline:** refresh already builds brand-new objects
   (the epoch-versioned shadow table + atomic catalog swap from the
   crash-consistency work), so it is naturally snapshot-safe.  Operations
-  that historically mutated state *in place* — incremental maintenance,
-  base inserts, index builds, verify-time corruption hooks — first install
-  clones of every table (and view mirror) they are about to touch, so
-  published epochs stay frozen forever.
+  that mutate tables *in place* — incremental maintenance, base inserts,
+  index builds, verify-time corruption hooks — first install clones of
+  every table they are about to touch (buffers and indexes copied flat,
+  no row is read), so published epochs stay frozen forever.  A view's
+  in-memory mirror is never written in place: maintenance rebinds it to a
+  copy that owns the one partition it changes
+  (:meth:`~repro.core.reporting.ReportingSequence.owning`).
 
 Reads are answered by a *snapshot warehouse*: a throwaway
 ``DataWarehouse`` assembled over the pinned epoch's frozen objects (no
@@ -33,7 +36,6 @@ clean (no pinned, no orphaned epochs).
 
 from __future__ import annotations
 
-import copy
 import threading
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
@@ -203,13 +205,12 @@ class ConcurrentWarehouse:
 
     def _write(self, fn, *, op: Optional[str] = None,
                args: Optional[Dict[str, Any]] = None,
-               cow_tables: Iterable[str] = (),
-               cow_views: Iterable[str] = ()):
+               cow_tables: Iterable[str] = ()):
         """Run one mutation serialized, copy-on-write, logged, published.
 
-        The clone step installs fresh table objects (and view mirrors) in
-        the *live* catalog for everything ``fn`` will mutate in place;
-        epochs published earlier keep the originals.
+        The clone step installs fresh table objects in the *live* catalog
+        for everything ``fn`` will mutate in place; epochs published
+        earlier keep the originals.
 
         Write-ahead discipline (when a WAL is attached and ``op`` names a
         logical operation): after ``fn`` succeeds, the op — with its
@@ -241,11 +242,6 @@ class ConcurrentWarehouse:
                         self._wh.db.catalog.replace(
                             self._wh.db.table(name).clone()
                         )
-                for name in cow_views:
-                    view = self._wh.views.get(name)
-                    if view is not None:
-                        view.reporting = copy.deepcopy(view.reporting)
-                        view.raw = {k: list(v) for k, v in view.raw.items()}
                 try:
                     result = fn()
                 except BaseException:
@@ -296,17 +292,13 @@ class ConcurrentWarehouse:
         }
         return self.epochs.publish(tables, views, epoch=self._epoch_override)
 
-    def _maintenance_cow(self, table: str) -> Dict[str, List[str]]:
+    def _maintenance_cow(self, table: str) -> List[str]:
         """COW targets of one base-data change: the table, plus every
-        dependent view's storage table and in-memory mirror."""
-        dependents = [
-            v for v in self._wh.views.values()
+        dependent view's storage table."""
+        return [table] + [
+            v.definition.storage_table for v in self._wh.views.values()
             if v.definition.base_table == table
         ]
-        return {
-            "tables": [table] + [v.definition.storage_table for v in dependents],
-            "views": [v.name for v in dependents],
-        }
 
     # -- mutations (all serialized, all logged, all publish) -----------------
 
@@ -342,12 +334,10 @@ class ConcurrentWarehouse:
         )
 
     def create_view(self, name: str, definition, *, complete: bool = True):
-        from repro.replicate.wal import encode_view_definition
-
         if isinstance(definition, str):
             logged = {"sql": definition}
         else:
-            logged = encode_view_definition(definition)
+            logged = definition.to_doc()
         return self._write(
             lambda: self._wh.create_view(name, definition, complete=complete),
             op="create_view",
@@ -369,27 +359,24 @@ class ConcurrentWarehouse:
         )
 
     def update_measure(self, table: str, **kwargs) -> List[Any]:
-        cow = self._maintenance_cow(table)
         return self._write(
             lambda: self._wh.update_measure(table, **kwargs),
-            cow_tables=cow["tables"], cow_views=cow["views"],
+            cow_tables=self._maintenance_cow(table),
             op="update_measure", args={"table": table, "kwargs": kwargs},
         )
 
     def insert_row(self, table: str, values: Sequence[Any]) -> List[Any]:
-        cow = self._maintenance_cow(table)
         values = list(values)
         return self._write(
             lambda: self._wh.insert_row(table, values),
-            cow_tables=cow["tables"], cow_views=cow["views"],
+            cow_tables=self._maintenance_cow(table),
             op="insert_row", args={"table": table, "values": values},
         )
 
     def delete_row(self, table: str, *, keys: Dict[str, Any]) -> List[Any]:
-        cow = self._maintenance_cow(table)
         return self._write(
             lambda: self._wh.delete_row(table, keys=keys),
-            cow_tables=cow["tables"], cow_views=cow["views"],
+            cow_tables=self._maintenance_cow(table),
             op="delete_row", args={"table": table, "keys": dict(keys)},
         )
 
@@ -406,29 +393,56 @@ class ConcurrentWarehouse:
         )
 
     def verify(self, *, quarantine: bool = True):
+        """:meth:`audit_digest`, then cross-check every view against base data."""
         # The verify-time bitflip fault hook corrupts storage in place;
         # COW every storage table so pinned epochs stay pristine.
         storages = [
             v.definition.storage_table for v in self._wh.views.values()
         ]
+        self.audit_digest()
         return self._write(
             lambda: self._wh.verify(quarantine=quarantine),
             cow_tables=storages,
         )
 
+    def audit_digest(self) -> str:
+        """Recompute the content digest from every buffer, caches bypassed,
+        and compare it with the one the storage keeps current.
+
+        Raises:
+            DivergenceError: they differ — a buffer changed behind the
+                storage mutators, or a mutator kept a stale chunk hash.
+        """
+        from repro.obs import runtime
+        from repro.replicate.wal import state_digest
+
+        with self._write_lock:
+            kept, fresh = state_digest(self._wh), state_digest(self._wh, cached=False)
+        if kept != fresh:
+            runtime.get_registry().counter(
+                "repro_replicate_digest_audit_failures_total",
+                help="Audits where the kept digest disagreed with a recomputation",
+            ).inc()
+            raise DivergenceError(
+                f"digest audit failed: kept {kept[:15]} != recomputed {fresh[:15]}"
+            )
+        return kept
+
     def save(self, directory: str, **kwargs) -> None:
         """Persist under the write lock (exclusive with writers; readers
         keep serving their pinned epochs meanwhile).
 
-        With a WAL attached, a successful save checkpoints the log at the
-        saved epoch: segments fully covered by the dump are deleted, so
-        recovery replays only what the snapshot does not already contain.
+        With a WAL attached, a successful save audits the content digest
+        and checkpoints the log at the saved epoch: segments fully covered
+        by the dump are deleted, so recovery replays only what the
+        snapshot does not already contain.
         """
         with self._write_lock:
             self._mark_write()
             try:
                 self._wh.save(directory, **kwargs)
                 if self._wal is not None:
+                    self.audit_digest()
                     self._wal.checkpoint(self.epochs.latest_epoch)
             finally:
                 self._unmark_write()
@@ -470,13 +484,18 @@ class ConcurrentWarehouse:
             if listener in self._commit_listeners:
                 self._commit_listeners.remove(listener)
 
-    def apply_record(self, record) -> None:
+    def apply_record(self, record) -> bool:
         """Re-execute one shipped/replayed logical op at the primary's epoch.
 
         The record's op is dispatched through the normal mutator path —
         same COW discipline, same WAL append (a replica with its own log
         is durable too), same publish — but the published epoch is forced
         to ``record.epoch`` so both sides agree on what each epoch means.
+
+        Returns whether the post-apply digest was compared: False (and
+        counted) for a record whose digest is of another scheme, e.g. from
+        a log written before the chunk digest; recovery's final audit and
+        view verification cover those.
 
         Raises:
             ReplicationError: the record does not advance the epoch (the
@@ -486,7 +505,8 @@ class ConcurrentWarehouse:
                 the digest the primary recorded — the replica has diverged
                 and must not be promoted.
         """
-        from repro.replicate.wal import decode_args, state_digest
+        from repro.obs import runtime
+        from repro.replicate.wal import DIGEST_SCHEME, decode_args, state_digest
 
         with self._write_lock:
             latest = self.epochs.latest_epoch
@@ -499,13 +519,20 @@ class ConcurrentWarehouse:
                 self._dispatch_op(record.op, decode_args(record.args))
             finally:
                 self._epoch_override = None
+            if not record.digest.startswith(DIGEST_SCHEME):
+                runtime.get_registry().counter(
+                    "repro_replicate_unverified_records_total",
+                    help="Records applied without a digest comparison",
+                ).inc()
+                return False
             digest = state_digest(self._wh)
-            if record.digest and digest != record.digest:
+            if digest != record.digest:
                 raise DivergenceError(
                     f"replica diverged at epoch {record.epoch} "
-                    f"({record.op}): digest {digest[:12]} != primary "
-                    f"{record.digest[:12]}"
+                    f"({record.op}): digest {digest[:15]} != primary "
+                    f"{record.digest[:15]}"
                 )
+            return True
 
     def _dispatch_op(self, op: str, args: Dict[str, Any]) -> None:
         """Replay one decoded logical op against the owned warehouse."""
@@ -524,11 +551,11 @@ class ConcurrentWarehouse:
                 **args.get("kwargs", {}),
             )
         elif op == "create_view":
-            from repro.replicate.wal import decode_view_definition
+            from repro.views.definition import SequenceViewDefinition
 
             doc = args["definition"]
             definition = (
-                doc["sql"] if "sql" in doc else decode_view_definition(doc)
+                doc["sql"] if "sql" in doc else SequenceViewDefinition.from_doc(doc)
             )
             self.create_view(
                 args["name"], definition, complete=args.get("complete", True)

@@ -150,12 +150,16 @@ def exception_for(error: Dict[str, Any]) -> ReproError:
     """Client side: rebuild the exception named by an error response.
 
     Unknown type names degrade to the base :class:`ReproError` so a newer
-    server never crashes an older client.
+    server never crashes an older client — with the remote name kept, as
+    a message prefix and as ``remote_type`` (set on every rebuilt error).
     """
-    cls = getattr(_errors, str(error.get("type")), None)
+    name, message = str(error.get("type")), error.get("message", "server error")
+    cls = getattr(_errors, name, None)
     if not (isinstance(cls, type) and issubclass(cls, ReproError)):
-        cls = ReproError
-    return cls(error.get("message", "server error"))
+        cls, message = ReproError, f"{name}: {message}"
+    exc = cls(message)
+    exc.remote_type = name
+    return exc
 
 
 def result_payload(result) -> Dict[str, Any]:

@@ -27,7 +27,7 @@ from repro.sql.patterns import (
     self_join_window,
     sliding_from_cumulative_pattern,
 )
-from repro.sql.planner import build_plan, execute_sql, explain_sql
+from repro.sql.planner import build_plan, explain_sql
 from repro.sql.window_exec import WindowColumnSpec, WindowOperator
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "WindowColumnSpec",
     "WindowOperator",
     "build_plan",
-    "execute_sql",
     "explain_sql",
     "maxoa_pattern",
     "minoa_pattern",

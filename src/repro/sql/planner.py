@@ -45,7 +45,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import BindError, PlanError, SchemaError, UnsupportedSqlError
 from repro.relational.aggregate import AggSpec, HashAggregate
-from repro.relational.engine import Database, Result
+from repro.relational.engine import Database
 from repro.relational.expr import And, ColumnRef, Comparison, Expr, col
 from repro.relational.join import HashJoin, NestedLoopJoin
 from repro.relational.operators import (
@@ -95,15 +95,9 @@ from repro.stats.cost import (
 __all__ = [
     "build_plan",
     "build_logical",
-    "execute_sql",
     "explain_sql",
     "PhysicalPlanner",
 ]
-
-
-def execute_sql(db: Database, text: str, **options: Any) -> Result:
-    """Parse, plan and run a SELECT statement (or UNION ALL compound)."""
-    return db.run(build_plan(db, parse_query(text), QueryOptions.build(options)))
 
 
 def explain_sql(db: Database, text: str, **options: Any) -> str:

@@ -598,11 +598,21 @@ class WindowOperator(Operator):
             if s.is_ranking:
                 parts.append(f"{s.func}() AS {s.name}")
             else:
+                frame = _range_frame_sql(*s.range_frame) if s.is_range else s.window.to_frame_sql()
                 parts.append(
-                    f"{s.func}({s.arg if s.arg is not None else '*'}) "
-                    f"{s.window.to_frame_sql()} AS {s.name}"
+                    f"{s.func}({s.arg if s.arg is not None else '*'}) {frame} AS {s.name}"
                 )
         return f"WindowOperator({', '.join(parts)})"
+
+
+def _range_frame_sql(low: Optional[float], high: Optional[float]) -> str:
+    """Render a RANGE frame's ``(low, high)`` distances (None = unbounded)."""
+    def bound(distance, word):
+        if distance is None:
+            return f"UNBOUNDED {word}"
+        return "CURRENT ROW" if distance == 0 else f"{distance:g} {word}"
+
+    return f"RANGE BETWEEN {bound(low, 'PRECEDING')} AND {bound(high, 'FOLLOWING')}"
 
 
 def _signature(spec: WindowColumnSpec) -> tuple:

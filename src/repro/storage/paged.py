@@ -2,8 +2,8 @@
 
 :class:`PagedColumnStore` implements the
 :class:`~repro.columns.column.ColumnBuilder` protocol (``append``,
-``set``, ``get``, ``pylist``, ``snapshot``, ``rebuild``, ``clear``,
-``copy``, ``memory_bytes``) with values living in fixed-size pages behind
+``set``, ``get``, ``pylist``, ``snapshot``, ``keep``, ``clear``, ``copy``,
+``chunk_hashes``, ``memory_bytes``) with values living in fixed-size pages behind
 the database's :class:`~repro.storage.buffer_pool.BufferPool` instead of
 an unbounded numpy heap.  :class:`PagedTable` swaps these stores into a
 regular :class:`~repro.relational.table.Table`, so every existing
@@ -20,7 +20,7 @@ rebuilds, persistence — streams pages without knowing it:
   is cached **only when the materialized column fits the pool budget**;
   under a tight budget every snapshot consumer streams instead.
 
-Structural mutations (``delete_slots``, ``truncate``, ``rebuild``) and
+Structural mutations (``delete_slots``, ``truncate``, ``move_rows``) and
 ``clone()`` de-page the affected columns into plain in-memory builders:
 they rewrite every slot anyway, and the dump on disk stays the immutable
 snapshot the atomic-swap commit promised.  Serve-tier epoch pinning works
@@ -31,9 +31,13 @@ alive while writers mutate a hydrated clone.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Iterable, Iterator, List, Optional
+from itertools import compress
+from typing import Any, Iterator, List, Optional
+
+import numpy as np
 
 from repro.columns import Column, ColumnBuilder
+from repro.columns.column import hash_chunks
 from repro.errors import PageCapacityError
 from repro.relational.table import Table, _ITER_CHUNK
 from repro.storage.buffer_pool import BufferPool, PageRef
@@ -118,8 +122,10 @@ class PagedColumnStore:
         payload = chunk_payload(ref.table, ref.column, ref.start, values)
         return HEADER_SIZE + len(payload) <= self.pool.page_size
 
-    def rebuild(self, values: Iterable[Any]) -> None:
-        """Replace all contents; the store de-pages (tail holds everything)."""
+    def keep(self, mask) -> None:
+        """Drop the slots where ``mask`` is False; the store de-pages (the
+        tail holds everything that is left)."""
+        values = list(compress(self._iter_all(), mask.tolist()))
         self._depage()
         self._tail.rebuild(values)
         self._invalidate()
@@ -202,6 +208,15 @@ class PagedColumnStore:
         if column.memory_bytes() <= self.pool.memory_budget_bytes:
             self._cached = column
         return column
+
+    def chunk_hashes(self, declared: str, tally=None, *, cached: bool = True) -> List[bytes]:
+        """The digest's chunk hashes, as ``ColumnBuilder.chunk_hashes``
+        defines them; computed from the pages each time, never cached."""
+        column = self.snapshot()
+        validity = column.validity
+        if validity is None:
+            validity = np.ones(len(column), dtype=np.bool_)
+        return hash_chunks(column.data, validity, declared, (), tally)
 
     # -- accounting -----------------------------------------------------------
 
@@ -311,6 +326,10 @@ class PagedTable(Table):
         except PageCapacityError:  # pragma: no cover - can_set front-runs this
             self.hydrate()
             super().update_slot(slot, new_row)
+
+    def move_rows(self, columns, src, dst) -> None:
+        self.hydrate()
+        super().move_rows(columns, src, dst)
 
     def memory_bytes(self) -> int:
         """Resident bytes only (pooled frames + caches + tails) — the

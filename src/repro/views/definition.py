@@ -18,14 +18,14 @@ in the paper's setting).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.aggregates import Aggregate, by_name
 from repro.core.window import WindowSpec
 from repro.errors import ViewDefinitionError
 from repro.relational.expr import ColumnRef, Expr
 from repro.sql.ast_nodes import SelectStmt, WindowCall
-from repro.sql.parser import parse_select
+from repro.sql.parser import parse_expression, parse_select
 
 __all__ = ["SequenceViewDefinition"]
 
@@ -138,6 +138,40 @@ class SequenceViewDefinition:
             window=call.over.window(),
             aggregate_name=call.func,
             where=stmt.where,
+        )
+
+    # -- JSON form (views.json of a dump, create_view records of the WAL) ----------
+
+    def to_doc(self) -> Dict[str, Any]:
+        w = self.window
+        return {
+            "name": self.name,
+            "base_table": self.base_table,
+            "value_col": self.value_col,
+            "order_by": list(self.order_by),
+            "partition_by": list(self.partition_by),
+            "window": {"kind": w.kind, "l": w.l, "h": w.h},
+            "aggregate": self.aggregate_name,
+            "where": self.where_text,
+        }
+
+    @classmethod
+    def from_doc(cls, doc: Dict[str, Any]) -> "SequenceViewDefinition":
+        w = doc["window"]
+        window = (
+            WindowSpec.cumulative()
+            if w["kind"] == "cumulative"
+            else WindowSpec.sliding(w["l"], w["h"], allow_point=True)
+        )
+        return cls(
+            name=doc["name"],
+            base_table=doc["base_table"],
+            value_col=doc["value_col"],
+            order_by=tuple(doc["order_by"]),
+            partition_by=tuple(doc["partition_by"]),
+            window=window,
+            aggregate_name=doc["aggregate"],
+            where=parse_expression(doc["where"]) if doc["where"] else None,
         )
 
     def describe(self) -> str:

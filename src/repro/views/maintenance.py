@@ -7,11 +7,17 @@ values whose windows contain the modified position.
 
 Synchronisation strategy for the two representations:
 
-* the in-memory mirror is updated via the core rules (O(w) adjusted values);
-* the storage table is patched in place for the affected band on *update*;
-  for *insert*/*delete* the partition's rows are rewritten because dense
-  positions shift — the sequence *values* still change only locally, which
-  is what :class:`~repro.core.maintenance.MaintenanceResult` accounts.
+* the in-memory mirror is updated via the core rules (O(w) adjusted values)
+  on a copy that owns the touched partition and shares every other one
+  (:meth:`~repro.core.reporting.ReportingSequence.owning`), so a mirror
+  someone else still reads — a pinned epoch — is never written;
+* the storage table's ``__val`` is patched in place for the affected band;
+  for *insert*/*delete* dense positions shift, so the rows from ``k`` on
+  first hand their ordering key, value and core flag to their neighbour —
+  one array assignment per column over slots read off the position index —
+  and one row is appended or removed at the partition's end.  No index key
+  changes; the sequence *values* still change only locally, which is what
+  :class:`~repro.core.maintenance.MaintenanceResult` accounts.
 
 All functions mutate the view only; updating the base table itself is the
 caller's (warehouse's) job.
@@ -23,11 +29,13 @@ through :func:`~repro.parallel.compute.evaluate_positions`.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core import maintenance as core_maintenance
 from repro.core.maintenance import BandEvaluator, MaintenanceResult
 from repro.errors import MaintenanceError
+from repro.core.reporting import PartitionData
 from repro.views.materialized import MaterializedSequenceView
 
 __all__ = ["propagate_update", "propagate_insert", "propagate_delete", "position_of"]
@@ -64,7 +72,8 @@ def _band_evaluator(view: MaterializedSequenceView) -> Optional[BandEvaluator]:
 def position_of(
     view: MaterializedSequenceView, partition_key: Key, order_key: Key
 ) -> int:
-    """1-based sequence position of the row with the given ordering key.
+    """1-based sequence position of the row with the given ordering key
+    (a bisection of the partition's sorted ordering keys).
 
     Raises:
         MaintenanceError: unknown partition or ordering key.
@@ -76,13 +85,14 @@ def position_of(
         raise MaintenanceError(
             f"view {view.name!r} has no partition {tuple(partition_key)!r}"
         ) from exc
-    try:
-        return part.order_keys.index(tuple(order_key)) + 1
-    except ValueError:
+    okey = tuple(order_key)
+    i = bisect_left(part.order_keys, okey)
+    if i == len(part.order_keys) or part.order_keys[i] != okey:
         raise MaintenanceError(
             f"view {view.name!r}: no row with ordering key "
-            f"{tuple(order_key)!r} in partition {tuple(partition_key)!r}"
-        ) from None
+            f"{okey!r} in partition {tuple(partition_key)!r}"
+        )
+    return i + 1
 
 
 def insertion_position(
@@ -97,15 +107,19 @@ def insertion_position(
             f"{tuple(partition_key)!r} requires refresh()"
         )
     okey = tuple(order_key)
-    if okey in part.order_keys:
+    i = bisect_left(part.order_keys, okey)
+    if i < len(part.order_keys) and part.order_keys[i] == okey:
         raise MaintenanceError(
             f"view {view.name!r}: ordering key {okey!r} already exists"
         )
-    position = 1
-    for existing in part.order_keys:
-        if existing < okey:
-            position += 1
-    return position
+    return i + 1
+
+
+def _own_partition(view: MaterializedSequenceView, pkey: Key) -> PartitionData:
+    """Rebind the view's mirror to a copy owning partition ``pkey``."""
+    view.reporting = view.reporting.owning(pkey)
+    view.raw = {**view.raw, pkey: list(view.raw[pkey])}
+    return view.reporting.partitions[pkey]
 
 
 def propagate_update(
@@ -121,7 +135,7 @@ def propagate_update(
     injector.check("maintenance", view.name)
     pkey = tuple(partition_key)
     k = position_of(view, pkey, tuple(order_key))
-    part = view.reporting.partition(pkey)
+    part = _own_partition(view, pkey)
     with _maintain_span(view, "update", position=k):
         result = core_maintenance.apply_update(
             view.raw[pkey], part.seq, k, float(new_value),
@@ -145,14 +159,15 @@ def propagate_insert(
     pkey = tuple(partition_key)
     okey = tuple(order_key)
     k = insertion_position(view, pkey, okey)
-    part = view.reporting.partition(pkey)
+    part = _own_partition(view, pkey)
     with _maintain_span(view, "insert", position=k):
         result = core_maintenance.apply_insert(
             view.raw[pkey], part.seq, k, float(value),
             evaluator=_band_evaluator(view),
         )
         part.order_keys.insert(k - 1, okey)
-        _rewrite_partition_storage(view, pkey)
+        _shift_storage(view, pkey, k, okey)
+        _patch_storage_band(view, pkey, result)
     return result
 
 
@@ -169,84 +184,81 @@ def propagate_delete(
     pkey = tuple(partition_key)
     okey = tuple(order_key)
     k = position_of(view, pkey, okey)
-    part = view.reporting.partition(pkey)
+    part = _own_partition(view, pkey)
     with _maintain_span(view, "delete", position=k):
         result = core_maintenance.apply_delete(
             view.raw[pkey], part.seq, k, evaluator=_band_evaluator(view)
         )
         del part.order_keys[k - 1]
-        _rewrite_partition_storage(view, pkey)
+        _shift_storage(view, pkey, k, None)
+        _patch_storage_band(view, pkey, result)
     return result
 
 
 # -- storage synchronisation ----------------------------------------------------
 
 
-def _patch_storage_band(
-    view: MaterializedSequenceView, pkey: Key, result: MaintenanceResult
-) -> None:
-    """In-place update of the storage rows in the affected band."""
+def _position_slots(view: MaterializedSequenceView, pkey: Key, lo: int, hi: int):
+    """The storage table and the slots of positions ``lo..hi`` of one
+    partition, in position order, read off the ``(partition, __pos)`` index."""
     d = view.definition
     table = view.db.table(d.storage_table)
     index = table.find_index(list(d.partition_by) + ["__pos"], sorted_only=True)
-    part = view.reporting.partition(pkey)
-    window = d.window
-    first, last = part.seq.stored_range
-    if window.is_cumulative:
-        band = range(max(result.position, first), last + 1)
-    else:
-        band = range(
-            max(result.position - window.h, first),
-            min(result.position + window.l, last) + 1,
+    if index is None:
+        raise MaintenanceError(
+            f"view {view.name!r}: storage table has lost its position index"
         )
+    slots: List[int] = list(index.range(pkey + (lo,), pkey + (hi,)))
+    if len(slots) != max(hi - lo + 1, 0):
+        raise MaintenanceError(
+            f"view {view.name!r}: storage rows missing in positions {lo}..{hi}"
+        )
+    return table, slots
+
+
+def _patch_storage_band(
+    view: MaterializedSequenceView, pkey: Key, result: MaintenanceResult
+) -> None:
+    """In-place update of the stored values in the affected band."""
+    window = view.definition.window
+    seq = view.reporting.partition(pkey).seq
+    first, last = seq.stored_range
+    lo = max(result.position - (0 if window.is_cumulative else window.h), first)
+    hi = last if window.is_cumulative else min(result.position + window.l, last)
     from repro.obs import runtime
 
     span = runtime.get_tracer().current_span()
     if span is not None:
         # Interior point updates patch exactly w = l + h + 1 values
         # (paper section 2.3); edge positions clamp to the stored range.
-        span.set(band_width=len(band))
-    pos_slot = table.schema.resolve("__pos")
-    val_slot = table.schema.resolve("__val")
-    for pos in band:
-        slots = index.lookup(pkey + (pos,)) if index is not None else _scan_slots(
-            table, pkey, pos, len(d.partition_by), pos_slot
-        )
-        if not slots:
-            raise MaintenanceError(
-                f"storage row for position {pos} missing in view {view.name!r}"
-            )
-        slot = slots[0]
-        row = list(table.row(slot))
-        row[val_slot] = part.seq.value(pos)
-        table.update_slot(slot, row)
+        span.set(band_width=max(hi - lo + 1, 0))
+    table, slots = _position_slots(view, pkey, lo, hi)
+    table.set_column("__val", slots, [seq.value(p) for p in range(lo, hi + 1)])
 
 
-def _scan_slots(table, pkey: Key, pos: int, n_part: int, pos_slot: int):
-    return [
-        i
-        for i, row in enumerate(table.rows)
-        if row[pos_slot] == pos and tuple(row[:n_part]) == pkey
-    ]
+def _shift_storage(
+    view: MaterializedSequenceView, pkey: Key, k: int, inserted: Optional[Key]
+) -> None:
+    """Open (``inserted`` = the new row's ordering key) or close (None) a
+    gap at position ``k`` of one partition's storage rows.
 
-
-def _rewrite_partition_storage(view: MaterializedSequenceView, pkey: Key) -> None:
-    """Replace all storage rows of one partition (positions shifted)."""
+    Positions are dense, so the rows keep their ``(partition, __pos)`` keys
+    and pass their *content* — ordering key, value, core flag — along: to
+    the next position when a row arrives, from it when one leaves.  What
+    is O(rows after k) is one array assignment per content column; the
+    band's values are patched afterwards by :func:`_patch_storage_band`.
+    """
     d = view.definition
-    table = view.db.table(d.storage_table)
-    n_part = len(d.partition_by)
-    doomed = [
-        i for i, row in enumerate(table.rows) if tuple(row[:n_part]) == pkey
-    ]
-    table.delete_slots(doomed)
-    part = view.reporting.partition(pkey)
-    order_arity = len(d.order_by)
-    rows = []
-    for pos, value in part.seq.items():
-        core = 1 <= pos <= part.seq.n
-        if core:
-            okey = part.order_keys[pos - 1]
-        else:
-            okey = (None,) * order_arity
-        rows.append(pkey + okey + (pos, value, core))
-    table.insert_many(rows)
+    content = list(d.order_by) + ["__val", "__core"]
+    seq = view.reporting.partition(pkey).seq
+    last = seq.stored_range[1]  # already the new last position
+    if inserted is not None:
+        table, slots = _position_slots(view, pkey, k, last - 1)
+        blank = (None,) * len(d.order_by)
+        slots.append(table.insert(pkey + blank + (last, 0.0, False)))
+        table.move_rows(content, slots[:-1], slots[1:])
+        table.update_slot(slots[0], pkey + inserted + (k, 0.0, True))
+    else:
+        table, slots = _position_slots(view, pkey, k, last + 1)
+        table.move_rows(content, slots[1:], slots[:-1])
+        table.delete_slots(slots[-1:])

@@ -115,6 +115,7 @@ class MaterializedSequenceView:
         view.quarantined = False
         view.quarantine_reason = None
         view.epoch = 1
+        view._index_storage(db.table(d.storage_table))
 
         part_arity = len(d.partition_by)
         order_arity = len(d.order_by)
@@ -167,15 +168,21 @@ class MaterializedSequenceView:
         # relational patterns filter on it (per-partition n varies).
         columns.append(("__core", BOOLEAN))
         table = self.db.create_table(table_name, columns)
+        self._index_storage(table)
+        return table
+
+    def _index_storage(self, table) -> None:
+        """Create the storage indexes ``table`` lacks (a dump does not
+        carry the ``_pk`` one; maintenance finds its rows through it)."""
+        d = self.definition
         # The paper's Table 2 setting: primary-key index over the position.
-        key_cols = list(d.partition_by) + ["__pos"]
-        table.create_index(
-            f"{d.storage_table}_pk", key_cols, kind="sorted", unique=True
-        )
+        wanted = {f"{d.storage_table}_pk": (list(d.partition_by) + ["__pos"], True)}
         if d.partition_by:
             # A plain position index serves single-partition probes too.
-            table.create_index(f"{d.storage_table}_pos", ["__pos"], kind="sorted")
-        return table
+            wanted[f"{d.storage_table}_pos"] = (["__pos"], False)
+        for name, (columns, unique) in wanted.items():
+            if name not in table.indexes:
+                table.create_index(name, columns, kind="sorted", unique=unique)
 
     def refresh(self) -> None:
         """Full recomputation from the base table (section 2.3's baseline).

@@ -592,25 +592,10 @@ class DataWarehouse:
         if page_size is not None:
             kwargs["page_size"] = page_size
         save_database(self.db, directory, **kwargs)
-        views = []
-        for view in self.views.values():
-            d = view.definition
-            entry = {
-                "name": d.name,
-                "base_table": d.base_table,
-                "value_col": d.value_col,
-                "order_by": list(d.order_by),
-                "partition_by": list(d.partition_by),
-                "window": {
-                    "kind": d.window.kind,
-                    "l": d.window.l,
-                    "h": d.window.h,
-                },
-                "aggregate": d.aggregate_name,
-                "where": d.where_text,
-                "complete": view.complete,
-            }
-            views.append(entry)
+        views = [
+            {**view.definition.to_doc(), "complete": view.complete}
+            for view in self.views.values()
+        ]
         # Atomic publish: never leave a torn views.json next to a good dump.
         durable_write(
             os.path.join(directory, "views.json"),
@@ -642,9 +627,7 @@ class DataWarehouse:
         import json
         import os
 
-        from repro.core.window import WindowSpec
         from repro.relational.persist import load_database
-        from repro.sql.parser import parse_expression
 
         wh = cls()
         wh.db = load_database(directory, memory_budget_bytes=memory_budget_bytes)
@@ -654,22 +637,7 @@ class DataWarehouse:
             with open(views_path, encoding="utf-8") as fh:
                 entries = json.load(fh).get("views", [])
         for entry in entries:
-            w = entry["window"]
-            window = (
-                WindowSpec.cumulative()
-                if w["kind"] == "cumulative"
-                else WindowSpec.sliding(w["l"], w["h"], allow_point=True)
-            )
-            definition = SequenceViewDefinition(
-                name=entry["name"],
-                base_table=entry["base_table"],
-                value_col=entry["value_col"],
-                order_by=tuple(entry["order_by"]),
-                partition_by=tuple(entry["partition_by"]),
-                window=window,
-                aggregate_name=entry["aggregate"],
-                where=parse_expression(entry["where"]) if entry["where"] else None,
-            )
+            definition = SequenceViewDefinition.from_doc(entry)
             if rehydrate:
                 wh.views[entry["name"]] = MaterializedSequenceView.from_storage(
                     wh.db, definition, complete=entry["complete"]
@@ -778,12 +746,16 @@ class DataWarehouse:
 
     def _locate_base_slot(self, table: str, match: Dict[str, Any]) -> int:
         tbl = self.db.table(table)
-        idx = {c: tbl.schema.resolve(c) for c in match}
-        slots = [
-            i
-            for i, row in enumerate(tbl.rows)
-            if all(row[idx[c]] == v for c, v in match.items())
-        ]
+        index = tbl.find_index(list(match))
+        if index is not None:  # e.g. the primary key: no scan
+            slots = index.lookup(tuple(match.values()))
+        else:
+            idx = {c: tbl.schema.resolve(c) for c in match}
+            slots = [
+                i
+                for i, row in enumerate(tbl.rows)
+                if all(row[idx[c]] == v for c, v in match.items())
+            ]
         if len(slots) != 1:
             raise ViewError(
                 f"expected exactly one row in {table!r} matching {match!r}, "

@@ -35,6 +35,24 @@ class TestEngineExplainAnalyze:
                 assert "time=" in line
 
 
+    def test_range_frame_renders(self):
+        """A RANGE clause has no ROWS window to print; it used to raise
+        AttributeError from WindowOperator.label()."""
+        db = _seq_db()
+        for frame, shown in [
+            ("RANGE BETWEEN 2 PRECEDING AND 2 FOLLOWING",
+             "RANGE BETWEEN 2 PRECEDING AND 2 FOLLOWING"),
+            ("RANGE BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW",
+             "RANGE BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW"),
+            ("RANGE BETWEEN 1.5 PRECEDING AND UNBOUNDED FOLLOWING",
+             "RANGE BETWEEN 1.5 PRECEDING AND UNBOUNDED FOLLOWING"),
+        ]:
+            sql = f"SELECT pos, SUM(val) OVER (ORDER BY pos {frame}) AS s FROM seq"
+            text = db.explain_analyze(sql)
+            assert f"WindowOperator(SUM(val) {shown} AS s)" in text
+            assert "actual rows=40" in text
+
+
 class TestWarehouseExplainAnalyze:
     def _warehouse(self, n=40):
         wh = DataWarehouse()

@@ -58,8 +58,22 @@ def test_exception_mapping_round_trip():
         {"type": "BackpressureError", "message": "full"}
     )
     assert isinstance(exc, BackpressureError)
+    assert exc.remote_type == "BackpressureError" and str(exc) == "full"
     fallback = protocol.exception_for({"type": "NoSuchClass", "message": "x"})
     assert type(fallback) is ReproError
+
+
+def test_unknown_remote_error_type_keeps_its_name():
+    """A newer server's error class must stay recognisable on an older
+    client, e.g. in a shipper's ``last_error``."""
+    exc = protocol.exception_for(
+        {"type": "FutureDivergenceError", "message": "replica diverged at epoch 9"}
+    )
+    assert type(exc) is ReproError
+    assert exc.remote_type == "FutureDivergenceError"
+    assert str(exc) == "FutureDivergenceError: replica diverged at epoch 9"
+    # What Shipper records for a failed link.
+    assert "FutureDivergenceError" in f"{type(exc).__name__}: {exc}"
 
 
 # -- basic ops over the wire --------------------------------------------------
