@@ -57,8 +57,7 @@ _FILL = {"int64": 0, "float64": 0.0, "bool": False, "object": None}
 # slots: 8 KB of an int64/float64 buffer, so a point write rehashes 8 KB.
 CHUNK_SLOTS = 1024
 
-# kind -> little-endian dtype of a fixed-width buffer's bytes, on the wire
-# (columns/codec.py) and under the digest.
+# kind -> little-endian dtype of a buffer's bytes on the wire and under the digest.
 WIRE_DTYPES = {
     "int64": np.dtype("<i8"),
     "float64": np.dtype("<f8"),
@@ -339,8 +338,8 @@ class ColumnBuilder:
     valid; a capacity grow reallocates, leaving old snapshots on the old
     buffer (a consistent frozen copy).
 
-    ``_hashes`` caches :meth:`chunk_hashes` (None until a digest is first
-    asked for); every mutator drops the entries of the chunks it writes.
+    ``_hashes`` caches :meth:`chunk_hashes` (None until first asked for);
+    every mutator drops the entries of the chunks it writes.
     """
 
     __slots__ = ("kind", "_data", "_validity", "_size", "_hashes")
@@ -422,10 +421,9 @@ class ColumnBuilder:
         self._size = 0
         self._hashes = None
 
-    def move(self, src: Sequence[int], dst: Sequence[int]) -> None:
+    def move(self, src: np.ndarray, dst: np.ndarray) -> None:
         """Copy the values and NULL bits at slots ``src`` over slots ``dst``
-        (one array assignment; the two may overlap)."""
-        dst = np.asarray(dst, dtype=np.intp)
+        (index arrays; one array assignment; the two may overlap)."""
         self._data[dst] = self._data[src]
         self._validity[dst] = self._validity[src]
         if self._hashes is not None and len(dst):

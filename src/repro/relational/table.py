@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from contextlib import contextmanager
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -251,29 +252,44 @@ class Table:
 
     def set_column(self, column: str, slots: Sequence[int], values: Sequence[Any]) -> None:
         """Overwrite one column at ``slots``, leaving the rest of each row."""
-        builder = self._columns[self._unindexed(column)]
-        for slot, value in zip(slots, values):
-            builder.set(slot, value)
+        i = self.schema.resolve(column)
+        validate, builder = self.schema.columns[i].type.validate, self._columns[i]
+        with self._reindexing([i], slots):
+            for slot, value in zip(slots, values):
+                builder.set(slot, validate(value))
 
     def move_rows(self, columns: Sequence[str], src: Sequence[int], dst: Sequence[int]) -> None:
-        """Copy ``columns`` of the rows at slots ``src`` over the rows at
-        ``dst``, one array assignment per column."""
-        src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
-        for column in columns:
-            self._columns[self._unindexed(column)].move(src, dst)
+        """Copy ``columns`` of rows ``src`` over rows ``dst`` (one array assignment each)."""
+        cols = [self.schema.resolve(c) for c in columns]
+        src_a, dst_a = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
+        with self._reindexing(cols, dst):
+            for i in cols:
+                self._columns[i].move(src_a, dst_a)
 
-    def _unindexed(self, column: str) -> int:
-        i = self.schema.resolve(column)
-        if any(i in index.column_indexes for index in self.indexes.values()):
-            raise SchemaError(
-                f"column {column!r} of {self.name!r} is indexed; use update_slot"
-            )
-        return i
+    @contextmanager
+    def _reindexing(self, cols: Sequence[int], slots: Sequence[int]) -> Iterator[None]:
+        """Keep the indexes over any of ``cols`` right across an in-place
+        write of ``slots``: their entries leave before it and come back
+        after it (also when it fails).  No such index, no row is read."""
+        touched = [
+            index for index in self.indexes.values()
+            if not set(cols).isdisjoint(index.column_indexes)
+        ]
+        for slot in slots if touched else ():
+            row = self.row(slot)
+            for index in touched:
+                index.remove(row, slot)
+        try:
+            yield
+        finally:
+            for slot in slots if touched else ():
+                row = self.row(slot)
+                for index in touched:
+                    index.add(row, slot)
 
     def delete_slots(self, slots: Iterable[int]) -> int:
-        """Delete rows by slot.  Remaining slots are renumbered: one mask
-        per column buffer, and each index drops and renumbers its entries
-        without reading a row."""
+        """Delete rows by slot and renumber the rest: one mask per column
+        buffer; each index drops and renumbers entries, no row is read."""
         doomed = np.unique(np.fromiter(slots, dtype=np.intp))
         if not len(doomed):
             return 0

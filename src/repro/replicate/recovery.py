@@ -10,10 +10,9 @@
    against an empty warehouse);
 3. re-execute every logged epoch after the checkpoint through
    :meth:`ConcurrentWarehouse.apply_record` — each replayed epoch's
-   content digest (kept current by the storage, so O(band) per record) is
-   checked against what the primary recorded at commit time, so silent
-   replay divergence cannot slip through; records of an older digest
-   scheme are replayed uncompared and counted;
+   content digest is checked against what the primary recorded at commit
+   time, so silent replay divergence cannot slip through (records of an
+   older digest scheme are replayed uncompared and counted);
 4. audit the kept digest against a from-scratch recomputation, and
    re-verify every materialized view against its definition with the
    existing :mod:`repro.views.verify` machinery;

@@ -103,19 +103,17 @@ def decode_args(value: Any) -> Any:
 # ---------------------------------------------------------------------------
 
 
-#: Tag of the digest definition below, prefixed to every digest string.  A
-#: record whose digest carries another tag (or none: logs written before
-#: the chunk digest) is replayed without a per-record comparison.
+#: Tag of the digest definition below, prefixed to every digest string; a
+#: record with another tag (or none: older logs) is replayed uncompared.
 DIGEST_SCHEME = "c1:"
 
 
 def state_digest(warehouse, *, cached: bool = True) -> str:
     """SHA-256 over every table's digest, in catalog-name order.
 
-    A table's digest (:meth:`repro.relational.table.Table.digest`) covers
-    name, schema, row count and every column's values and NULL bits in
-    heap order, chunk by chunk; the storage keeps the chunk hashes, so a
-    commit rehashes what it wrote.  ``cached=False`` rehashes everything.
+    A table's digest (``Table.digest``) covers name, schema, row count and
+    every column's values and NULL bits in heap order; the storage keeps the
+    chunk hashes, so a commit rehashes what it wrote (``cached=False``: all).
 
     Covers base tables *and* view storage tables (the in-memory reporting
     mirrors are derived from storage, so hashing storage suffices).  Two

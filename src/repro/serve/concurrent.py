@@ -14,12 +14,10 @@ serialized-writer system:
   (the epoch-versioned shadow table + atomic catalog swap from the
   crash-consistency work), so it is naturally snapshot-safe.  Operations
   that mutate tables *in place* — incremental maintenance, base inserts,
-  index builds, verify-time corruption hooks — first install clones of
-  every table they are about to touch (buffers and indexes copied flat,
-  no row is read), so published epochs stay frozen forever.  A view's
-  in-memory mirror is never written in place: maintenance rebinds it to a
-  copy that owns the one partition it changes
-  (:meth:`~repro.core.reporting.ReportingSequence.owning`).
+  index builds, verify-time corruption hooks — first install flat clones
+  of every table they are about to touch, so published epochs stay frozen
+  forever.  A view's mirror is never written in place: maintenance rebinds
+  it to a copy owning the one partition it changes (``ReportingSequence.owning``).
 
 Reads are answered by a *snapshot warehouse*: a throwaway
 ``DataWarehouse`` assembled over the pinned epoch's frozen objects (no
@@ -406,13 +404,9 @@ class ConcurrentWarehouse:
         )
 
     def audit_digest(self) -> str:
-        """Recompute the content digest from every buffer, caches bypassed,
-        and compare it with the one the storage keeps current.
-
-        Raises:
-            DivergenceError: they differ — a buffer changed behind the
-                storage mutators, or a mutator kept a stale chunk hash.
-        """
+        """Recompute the content digest from every buffer and compare it
+        with the one the storage keeps current; ``DivergenceError`` when a
+        buffer changed behind the mutators or a chunk hash went stale."""
         from repro.obs import runtime
         from repro.replicate.wal import state_digest
 
@@ -432,17 +426,18 @@ class ConcurrentWarehouse:
         """Persist under the write lock (exclusive with writers; readers
         keep serving their pinned epochs meanwhile).
 
-        With a WAL attached, a successful save audits the content digest
-        and checkpoints the log at the saved epoch: segments fully covered
-        by the dump are deleted, so recovery replays only what the
-        snapshot does not already contain.
+        With a WAL attached, the digest is audited first (a failed audit
+        leaves the previous dump and the log alone) and a successful save
+        checkpoints the log at the saved epoch: segments fully covered by
+        the dump are deleted, so recovery replays only what is not in it.
         """
         with self._write_lock:
             self._mark_write()
             try:
-                self._wh.save(directory, **kwargs)
                 if self._wal is not None:
                     self.audit_digest()
+                self._wh.save(directory, **kwargs)
+                if self._wal is not None:
                     self._wal.checkpoint(self.epochs.latest_epoch)
             finally:
                 self._unmark_write()
@@ -492,10 +487,8 @@ class ConcurrentWarehouse:
         is durable too), same publish — but the published epoch is forced
         to ``record.epoch`` so both sides agree on what each epoch means.
 
-        Returns whether the post-apply digest was compared: False (and
-        counted) for a record whose digest is of another scheme, e.g. from
-        a log written before the chunk digest; recovery's final audit and
-        view verification cover those.
+        Returns whether the post-apply digest was compared: not (and
+        counted) for a record of another digest scheme, e.g. an older log.
 
         Raises:
             ReplicationError: the record does not advance the epoch (the

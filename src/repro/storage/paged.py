@@ -213,10 +213,8 @@ class PagedColumnStore:
         """The digest's chunk hashes, as ``ColumnBuilder.chunk_hashes``
         defines them; computed from the pages each time, never cached."""
         column = self.snapshot()
-        validity = column.validity
-        if validity is None:
-            validity = np.ones(len(column), dtype=np.bool_)
-        return hash_chunks(column.data, validity, declared, (), tally)
+        valid = np.ones(len(column), np.bool_) if column.validity is None else column.validity
+        return hash_chunks(column.data, valid, declared, (), tally)
 
     # -- accounting -----------------------------------------------------------
 
@@ -326,6 +324,13 @@ class PagedTable(Table):
         except PageCapacityError:  # pragma: no cover - can_set front-runs this
             self.hydrate()
             super().update_slot(slot, new_row)
+
+    def set_column(self, column, slots, values) -> None:
+        try:
+            super().set_column(column, slots, values)
+        except PageCapacityError:  # the page is unchanged: hydrate, redo
+            self.hydrate()
+            super().set_column(column, slots, values)
 
     def move_rows(self, columns, src, dst) -> None:
         self.hydrate()

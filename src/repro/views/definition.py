@@ -143,14 +143,13 @@ class SequenceViewDefinition:
     # -- JSON form (views.json of a dump, create_view records of the WAL) ----------
 
     def to_doc(self) -> Dict[str, Any]:
-        w = self.window
         return {
             "name": self.name,
             "base_table": self.base_table,
             "value_col": self.value_col,
             "order_by": list(self.order_by),
             "partition_by": list(self.partition_by),
-            "window": {"kind": w.kind, "l": w.l, "h": w.h},
+            "window": {"kind": self.window.kind, "l": self.window.l, "h": self.window.h},
             "aggregate": self.aggregate_name,
             "where": self.where_text,
         }
@@ -164,13 +163,9 @@ class SequenceViewDefinition:
             else WindowSpec.sliding(w["l"], w["h"], allow_point=True)
         )
         return cls(
-            name=doc["name"],
-            base_table=doc["base_table"],
-            value_col=doc["value_col"],
-            order_by=tuple(doc["order_by"]),
-            partition_by=tuple(doc["partition_by"]),
-            window=window,
-            aggregate_name=doc["aggregate"],
+            name=doc["name"], base_table=doc["base_table"], value_col=doc["value_col"],
+            order_by=tuple(doc["order_by"]), partition_by=tuple(doc["partition_by"]),
+            window=window, aggregate_name=doc["aggregate"],
             where=parse_expression(doc["where"]) if doc["where"] else None,
         )
 

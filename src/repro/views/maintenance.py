@@ -13,10 +13,8 @@ Synchronisation strategy for the two representations:
   someone else still reads — a pinned epoch — is never written;
 * the storage table's ``__val`` is patched in place for the affected band;
   for *insert*/*delete* dense positions shift, so the rows from ``k`` on
-  first hand their ordering key, value and core flag to their neighbour —
-  one array assignment per column over slots read off the position index —
-  and one row is appended or removed at the partition's end.  No index key
-  changes; the sequence *values* still change only locally, which is what
+  first hand their content to their neighbour (:func:`_shift_storage`) —
+  the sequence *values* still change only locally, which is what
   :class:`~repro.core.maintenance.MaintenanceResult` accounts.
 
 All functions mutate the view only; updating the base table itself is the
@@ -200,15 +198,19 @@ def propagate_delete(
 
 def _position_slots(view: MaterializedSequenceView, pkey: Key, lo: int, hi: int):
     """The storage table and the slots of positions ``lo..hi`` of one
-    partition, in position order, read off the ``(partition, __pos)`` index."""
+    partition, in position order, read off the ``(partition, __pos)`` index
+    (a scan when that index has been dropped)."""
     d = view.definition
     table = view.db.table(d.storage_table)
     index = table.find_index(list(d.partition_by) + ["__pos"], sorted_only=True)
-    if index is None:
-        raise MaintenanceError(
-            f"view {view.name!r}: storage table has lost its position index"
-        )
-    slots: List[int] = list(index.range(pkey + (lo,), pkey + (hi,)))
+    if index is not None:
+        slots: List[int] = list(index.range(pkey + (lo,), pkey + (hi,)))
+    else:
+        n_part, at = len(pkey), table.schema.resolve("__pos")
+        slots = [slot for _, slot in sorted(
+            (row[at], slot) for slot, row in enumerate(table.rows)
+            if row[:n_part] == pkey and lo <= row[at] <= hi
+        )]
     if len(slots) != max(hi - lo + 1, 0):
         raise MaintenanceError(
             f"view {view.name!r}: storage rows missing in positions {lo}..{hi}"
@@ -244,9 +246,9 @@ def _shift_storage(
 
     Positions are dense, so the rows keep their ``(partition, __pos)`` keys
     and pass their *content* — ordering key, value, core flag — along: to
-    the next position when a row arrives, from it when one leaves.  What
-    is O(rows after k) is one array assignment per content column; the
-    band's values are patched afterwards by :func:`_patch_storage_band`.
+    the next position when a row arrives, from it when one leaves: one
+    array assignment per content column, and one row appended or removed
+    at the partition's end.  :func:`_patch_storage_band` runs afterwards.
     """
     d = view.definition
     content = list(d.order_by) + ["__val", "__core"]

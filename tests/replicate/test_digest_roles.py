@@ -203,6 +203,29 @@ def test_audit_catches_a_buffer_poked_behind_the_mutators(tmp_path):
     primary.wal.close()
 
 
+def test_a_failed_audit_at_save_leaves_the_previous_dump_and_the_log(tmp_path):
+    home = str(tmp_path)
+    primary, _replica = durable_set(home, 60, fsync=False)
+    primary.save(home)
+    good, checkpoint = packed_answers(primary), primary.wal.checkpoint_epoch()
+    primary.update_measure("seq", keys={"pos": 100}, value_col="val", new_value=1.0)
+    after_update = packed_answers(primary)
+    primary.warehouse.db.table("seq")._columns[1]._data[3] = -1.0
+    with pytest.raises(DivergenceError, match="audit"):
+        primary.save(home)
+    assert primary.wal.checkpoint_epoch() == checkpoint
+    primary.wal.close()
+    # The dump on disk is still the audited one; the log still holds the
+    # update, so recovery ends where the primary was before the poke.
+    from repro.warehouse import DataWarehouse
+
+    with DataWarehouse.load(home, rehydrate=True) as dumped:
+        assert packed_answers(dumped) == good
+    report = recover(home, fsync=False)
+    assert packed_answers(report.warehouse) == after_update
+    report.warehouse.wal.close()
+
+
 def test_commit_digest_work_does_not_grow_with_the_table(tmp_path, monkeypatch):
     """Count-based O(band) guard: an interior ``update_measure`` hashes the
     same number of chunks and reads/inserts the same number of rows on a

@@ -136,6 +136,48 @@ class TestMutation:
         assert table.row(5)[2] == "x" * 2000
         assert len(table) == ROWS
 
+    def test_set_column_writes_through_then_hydrates_when_oversized(self, paged):
+        _ref, loaded = paged
+        table = loaded.table("t")
+        table.set_column("val", [5, 6], [-1.5, -2.5])
+        assert table.is_paged
+        assert [table.row(s)[1] for s in (5, 6)] == [-1.5, -2.5]
+        # The second value cannot fit its page: the first is already
+        # written when the page refuses, and the redo after hydration
+        # must leave both (and the primary-key index) right.
+        table.set_column("tag", [7, 8], ["y", "x" * 2000])
+        assert not table.is_paged
+        assert [table.row(s)[2] for s in (7, 8)] == ["y", "x" * 2000]
+        assert len(table) == ROWS
+        assert table.indexes["t_pk"].lookup((8,)) == [8]
+
+    def test_paged_view_storage_survives_a_longer_value(self, tmp_path):
+        """A paged storage table (``rehydrate=True`` keeps the dumped one)
+        whose patched ``__val`` text outgrows its page hydrates; the view
+        is maintained, not quarantined."""
+        from repro.warehouse import DataWarehouse
+
+        wh = DataWarehouse()
+        wh.db.create_table("seq", [("pos", INTEGER), ("val", FLOAT)],
+                           primary_key=["pos"])
+        wh.db.insert("seq", [(i, float(i % 7)) for i in range(1, 401)])
+        sql = ("SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 "
+               "PRECEDING AND 1 FOLLOWING) s FROM seq")
+        wh.create_view("mv", sql)
+        wh.save(str(tmp_path), storage_format=4, page_size=512)
+        with DataWarehouse.load(str(tmp_path), memory_budget_bytes=4096,
+                                rehydrate=True) as loaded:
+            view = loaded.views["mv"]
+            storage = loaded.db.table(view.definition.storage_table)
+            assert storage.is_paged
+            for k in range(100, 140):  # 1/3 + k prints 16-18 digits, not 3
+                loaded.update_measure("seq", keys={"pos": k}, value_col="val",
+                                      new_value=1 / 3 + k)
+            assert not storage.is_paged
+            assert not view.quarantined
+            assert loaded.verify()["mv"].ok
+            assert loaded.query(sql + " ORDER BY pos").rewrite.view == "mv"
+
     def test_appends_go_to_the_tail(self, paged):
         _ref, loaded = paged
         table = loaded.table("t")

@@ -104,6 +104,48 @@ class TestPropagation:
         assert_close(core, brute_window(raw, sliding(2, 1)))
 
 
+class TestStorageTableIndexes:
+    """What a user does to the storage table's indexes must not cost the
+    view its maintenance: indexes over the columns the sync writes are
+    kept right, and a dropped position index falls back to a scan."""
+
+    def _exercise(self, view, raw40):
+        propagate_update(view, (10,), 777.0)
+        propagate_insert(view, (10.5,), 5.0)
+        propagate_delete(view, (3,))
+        propagate_insert(view, (0.5,), -2.0)  # first position
+        propagate_delete(view, (40,))  # last position
+        raw = list(raw40)
+        raw[9] = 777.0
+        raw = [-2.0] + raw[:2] + raw[3:10] + [5.0] + raw[10:39]
+        expected = brute_window(raw, sliding(2, 1))
+        assert_close(view.sequence().core_values(), expected)
+        assert_close(storage_values(view)[1:1 + len(raw)], expected)
+        return raw
+
+    def test_user_indexes_over_written_columns_are_maintained(self, view, raw40):
+        table = view.db.table(view.definition.storage_table)
+        # (header/trailer rows have a NULL ordering key: hash, not sorted)
+        table.create_index("by_key", ["pos"], kind="hash")
+        table.create_index("by_val", ["__val"], kind="sorted")
+        raw = self._exercise(view, raw40)
+        for name in ("by_key", "by_val"):
+            kept = table.indexes[name]
+            fresh = type(kept)(name, kept.column_indexes)
+            fresh.rebuild(table.rows)
+            for row in table.rows:
+                key = kept.key_of(row)
+                assert sorted(kept.lookup(key)) == sorted(fresh.lookup(key))
+        assert len(table.indexes["by_key"].lookup((10.5,))) == 1
+        assert table.indexes["by_key"].lookup((3.0,)) == []
+        assert len(table) == len(raw) + 3  # header + two trailer rows
+
+    def test_dropped_position_index_falls_back_to_a_scan(self, view, raw40):
+        table = view.db.table(view.definition.storage_table)
+        table.drop_index(f"{table.name}_pk")
+        self._exercise(view, raw40)
+
+
 class TestCumulativeView:
     def test_update(self, db, raw40):
         d = SequenceViewDefinition("cmv", "seq", "val", order_by=("pos",),
