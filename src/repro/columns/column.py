@@ -193,6 +193,13 @@ class Column:
 
     # -- bulk transforms -------------------------------------------------------
 
+    def slice(self, start: int, stop: int) -> "Column":
+        """Slots ``[start, stop)`` as views of this column's buffers."""
+        validity = self.validity
+        return Column(
+            self.data[start:stop], None if validity is None else validity[start:stop]
+        )
+
     def take(self, indices) -> "Column":
         """Gather rows by position (this one copies, by construction)."""
         idx = np.asarray(indices, dtype=np.intp)

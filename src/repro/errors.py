@@ -104,11 +104,11 @@ class PageCorruptError(CatalogError):
 
 
 class PageCapacityError(RelationalError):
-    """An updated value no longer fits its fixed-size storage page.
+    """An updated value is not of its page's kind or over-fills the page.
 
     Internal control flow: :class:`~repro.storage.paged.PagedTable`
-    catches it and falls back to hydrating the column into memory before
-    retrying the update.
+    catches it and falls back to hydrating the table into memory before
+    finishing the update.
     """
 
 

@@ -201,35 +201,36 @@ def _mask(terms: Sequence[Tuple[int, str, Any]], rows: ColumnRows) -> Optional[n
 
 
 class TableScan(Operator):
-    """Full scan of a base table, optionally under an alias."""
+    """Full scan of a base table, optionally under an alias.
+
+    The planner may narrow the scan of a paged table, which reads only what
+    it is asked for: ``zone_terms`` are ``column <op> literal`` conjuncts
+    that filters directly above re-check exactly (pages whose zone rules
+    them out are skipped), ``row_bound`` the rows a bare LIMIT above needs.
+    """
 
     def __init__(self, table: Table, alias: Optional[str] = None) -> None:
         self.table = table
         self.alias = alias or table.name
         self.schema = table.schema.qualify(self.alias)
+        self.zone_terms: List[Tuple[int, str, Any]] = []
+        self.row_bound: Optional[int] = None
 
     def execute(self, stats: ExecutionStats) -> Iterable[Row]:
         table = self.table
         if getattr(table, "is_paged", False):
-            # A paged table keeps streaming: its pages fault in as the
-            # rows are pulled, and never all at once.
-            return self._stream(stats)
-        stats.rows_scanned += len(table)
-        return ColumnRows(
-            [table.column_values(i) for i in range(len(table.schema))], len(table)
-        )
-
-    def _stream(self, stats: ExecutionStats) -> Iterator[Row]:
-        # Accumulate locally and flush once: cheaper than a per-row
-        # attribute += in the engine's hottest loop, and the flush also
-        # covers early teardown by a LIMIT upstream.
-        scanned = 0
-        try:
-            for row in self.table.rows:
-                scanned += 1
-                yield row
-        finally:
-            stats.rows_scanned += scanned
+            if self.row_bound is None:
+                ranges = table.candidate_ranges(self.zone_terms)
+            else:
+                ranges = [(0, min(self.row_bound, len(table)))]
+            rows, pages = table.scan(ranges)
+            self.analyze_extra = {"input": "columns", "pages": f"{pages}/{table.pages_total}"}
+        else:
+            rows = ColumnRows(
+                [table.column_values(i) for i in range(len(table.schema))], len(table)
+            )
+        stats.rows_scanned += len(rows)
+        return rows
 
     def label(self) -> str:
         if self.alias != self.table.name:
@@ -269,12 +270,12 @@ class Filter(Operator):
         self.predicate = predicate
         self.schema = child.schema
         self._compiled = predicate.bind(child.schema)
-        self._terms = _mask_terms(predicate, child.schema)
+        self.mask_terms = _mask_terms(predicate, child.schema)
 
     def execute(self, stats: ExecutionStats) -> Iterable[Row]:
         rows = self.child.run(stats)
-        if isinstance(rows, ColumnRows) and self._terms is not None:
-            mask = _mask(self._terms, rows)
+        if isinstance(rows, ColumnRows) and self.mask_terms is not None:
+            mask = _mask(self.mask_terms, rows)
             if mask is not None:
                 if mask.all():
                     return rows

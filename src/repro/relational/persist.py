@@ -5,7 +5,7 @@ Layout::
     <dir>/catalog.json              tables, schemas, primary keys, indexes,
                                     CRCs, page directories, format version
     <dir>/data/<table>.pages        format v4: fixed-size CRC32 pages of
-                                    column chunks (out-of-core)
+                                    binary column chunks (out-of-core)
     <dir>/data/<table>.cols.json    format v3: one JSON array per column
     <dir>/data/<table>.jsonl        formats v1/v2: one JSON array per row
 
@@ -17,9 +17,11 @@ Versions 1 (no checksums) and 2 (row JSON-lines + CRC32) remain loadable;
 interoperability, and ``repro migrate`` upgrades old dumps in place.
 
 Format v4 (``format_version=4``) is the *out-of-core* format: each
-column is packed into fixed-size pages (:mod:`repro.storage.page`) with a
-per-page CRC32 recorded in the catalog's page directory, and loading
-builds :class:`~repro.storage.paged.PagedTable`s behind a shared
+column is packed into fixed-size pages (:mod:`repro.storage.page`; the
+``RPG5`` binary payload is the only one written, ``RPG4`` JSON pages of
+older v4 dumps still load) with a per-page CRC32, kind and min/max zone
+recorded in the catalog's page directory, and loading builds
+:class:`~repro.storage.paged.PagedTable`s behind a shared
 :class:`~repro.storage.buffer_pool.BufferPool` (``memory_budget_bytes``)
 instead of ingesting rows eagerly — only the index rebuild streams the
 data once; afterwards residency is bounded by the pool budget.
@@ -135,18 +137,15 @@ def _columnar_payload(table) -> bytes:
 def _paged_payload(table, page_size: int):
     """Format v4 data payload + page directory.
 
-    Each column's values are packed into fixed-size pages; the directory
-    records ``{column: [{page, start, rows, crc32}, ...]}`` so the loader
-    can seek straight to the band of pages a read needs.
+    Each column's buffers are packed into fixed-size pages; the directory
+    records ``{column: [{page, start, rows, crc32, kind, min, max}, ...]}``
+    so a read seeks straight to the pages that cover — and can match — it.
     """
     blobs: List[bytes] = []
     directory: Dict[str, Any] = {}
     page_no = 0
     for i, column in enumerate(table.schema):
-        values = table.column_values(i).to_pylist()
-        raw_pages, entries = paginate_values(
-            table.name, column.name, values, page_size, page_no
-        )
+        raw_pages, entries = paginate_values(table.column_values(i), page_size, page_no)
         blobs.extend(raw_pages)
         directory[column.name] = entries
         page_no += len(raw_pages)
@@ -218,7 +217,8 @@ def save_database(
                     "unique": index.unique,
                 }
                 for index in table.indexes.values()
-                if not index.name.endswith("_pk")  # recreated from primary_key
+                # The primary key's own index is recreated from primary_key.
+                if not (table.primary_key and index.name == f"{table.name}_pk")
             ],
             "data_file": data_file,
             "crc32": zlib.crc32(payload),
@@ -298,6 +298,7 @@ def _attach_paged(db: Database, table, entry: Dict[str, Any], path: str):
     file = PageFile(path, pages["page_size"])
     stores = []
     for column in table.schema:
+        declared = kind_for_type(column.type.name)
         refs = [
             PageRef(
                 file,
@@ -307,12 +308,14 @@ def _attach_paged(db: Database, table, entry: Dict[str, Any], path: str):
                 e["start"],
                 e["rows"],
                 e.get("crc32"),
+                e.get("kind", declared),  # absent in a dump of JSON pages
+                (e["min"], e["max"]) if "min" in e else None,
             )
             for e in pages["columns"].get(column.name, [])
         ]
         stores.append(
             PagedColumnStore(
-                kind_for_type(column.type.name),
+                refs[0].kind if refs else declared,
                 db.buffer_pool,
                 file,
                 table.name,

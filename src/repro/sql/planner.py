@@ -540,6 +540,8 @@ class _Est:
     rows: float
     cost: float
     table: Optional[TableStats] = None
+    # Under a chain of filters: its input rows and the predicates so far.
+    filtered: Optional[Tuple[float, Tuple[Expr, ...]]] = None
 
 
 class PhysicalPlanner:
@@ -601,10 +603,20 @@ class PhysicalPlanner:
 
     def _lower_LFilter(self, node: LFilter) -> Tuple[Operator, _Est]:
         child, est = self._lower(node.child)
-        sel = predicate_selectivity(node.predicate, est.table)
-        rows = est.rows * sel
+        # Stacked filters are one conjunction: estimated together (two
+        # bounds on a column are a range, not independent predicates) ...
+        base, conjuncts = est.filtered or (est.rows, ())
+        conjuncts += (node.predicate,)
+        rows = base * predicate_selectivity(And(*conjuncts), est.table)
         cost = est.cost + self.cost_model.filter_cost(est.rows)
-        return Filter(child, node.predicate), _Est(rows, cost, est.table)
+        op = Filter(child, node.predicate)
+        # ... and, directly over a scan, all tested against its page zones.
+        scan = child
+        while isinstance(scan, Filter):
+            scan = scan.child
+        if isinstance(scan, TableScan) and op.mask_terms is not None:
+            scan.zone_terms.extend(op.mask_terms)
+        return op, _Est(rows, cost, est.table, (base, conjuncts))
 
     def _lower_LProject(self, node: LProject) -> Tuple[Operator, _Est]:
         child, est = self._lower(node.child)
@@ -624,6 +636,11 @@ class PhysicalPlanner:
 
     def _lower_LLimit(self, node: LLimit) -> Tuple[Operator, _Est]:
         child, est = self._lower(node.child)
+        scan = child
+        while isinstance(scan, (Project, Alias)):  # one row out per row in
+            scan = scan.child
+        if isinstance(scan, TableScan):
+            scan.row_bound = node.limit + node.offset
         rows = min(est.rows, float(node.limit))
         return (
             Limit(child, node.limit, node.offset),

@@ -218,15 +218,20 @@ class WindowOperator(Operator):
 
         rows = self.child.run(stats)
         parallel = self.exec_config is not None and self.exec_config.is_parallel
-        budget = active_budget()
-        # Columnar when the child is, nothing asks for the pool or the
-        # spill store, and NumPy can order every clause's keys; ``orders``
-        # then replaces partitioning and sorting rows.
+        # Columnar when the child is, nothing asks for the pool and NumPy can
+        # order every clause's keys; ``orders`` then replaces partitioning
+        # and sorting rows.
         orders = None
-        if isinstance(rows, ColumnRows) and not parallel and budget is None:
+        if isinstance(rows, ColumnRows) and not parallel:
             orders = self._sort_orders(rows.columns, len(rows))
+        # The row loop still gathers measures from a columnar child's columns.
+        columns = rows if isinstance(rows, ColumnRows) else None
         if orders is None:
             rows = list(rows)
+        # The spill budget bounds what the row loop builds (row tuples, then
+        # window runs beside them); the column path holds its input and
+        # output columns, which the result keeps in memory either way.
+        budget = active_budget() if orders is None else None
         pool = None
         if parallel and rows:
             from repro.parallel.executor import ExecutorPool
@@ -270,7 +275,7 @@ class WindowOperator(Operator):
                 groups = self._partition_and_sort(
                     sig, partition, order, rows, sort_cache, orders
                 )
-                measure = self._measure_column(spec, rows, measure_cache)
+                measure = self._measure_column(spec, columns or rows, measure_cache)
                 values = self._evaluate(
                     spec, arg, order, groups, rows, stats, pool, measure
                 )

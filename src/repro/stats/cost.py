@@ -124,19 +124,57 @@ def _column_stats_for(expr: Any, stats: Optional[TableStats]) -> Optional[Column
     return stats.column(expr.name)
 
 
+def _conjuncts(pred: Any) -> list:
+    from repro.relational.expr import And
+
+    if not isinstance(pred, And):
+        return [pred]
+    return [c for item in pred.items for c in _conjuncts(item)]
+
+
+def _comparison_parts(pred: Any, stats: Optional[TableStats]):
+    """``(column stats, op, literal)`` of a ``column <op> literal``
+    comparison written either way round; the stats are None otherwise."""
+    from repro.relational.expr import Comparison
+
+    if not isinstance(pred, Comparison):
+        return None, "", None
+    col_stats = _column_stats_for(pred.left, stats)
+    if col_stats is not None:
+        return col_stats, pred.op, _literal_value(pred.right)
+    # Mirror `literal <op> column`.
+    op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(pred.op, pred.op)
+    return _column_stats_for(pred.right, stats), op, _literal_value(pred.left)
+
+
 def predicate_selectivity(pred: Any, stats: Optional[TableStats]) -> float:
     """Estimated selectivity of a predicate over one table's rows.
 
     Histogram/NDV-backed for ``column <op> literal`` comparisons; AND
-    multiplies (independence), OR applies inclusion-exclusion, NOT
+    multiplies (independence) except that a lower and an upper bound on
+    one column are one range, OR applies inclusion-exclusion, NOT
     complements.  Anything else gets :data:`DEFAULT_SELECTIVITY`.
     """
     from repro.relational.expr import And, Comparison, InList, IsNull, Not, Or
 
     if isinstance(pred, And):
         sel = 1.0
-        for item in pred.items:
-            sel *= predicate_selectivity(item, stats)
+        bounds: dict = {}  # column name -> {"<": tightest upper, ">": tightest lower}
+        for item in _conjuncts(pred):
+            col_stats, op, value = _comparison_parts(item, stats)
+            s = predicate_selectivity(item, stats)
+            if col_stats is not None and type(value) in (int, float) and op in ("<", "<=", ">", ">="):
+                sides = bounds.setdefault(col_stats.name, {"stats": col_stats})
+                sides[op[0]] = min(s, sides.get(op[0], 1.0))
+            else:
+                sel *= s
+        for sides in bounds.values():
+            if "<" in sides and ">" in sides:
+                # F(hi) - F(lo) over the non-NULL rows, at least one row.
+                both = sides["<"] + sides[">"] - (1.0 - sides["stats"].null_fraction)
+                sel *= max(both, 1.0 / max(stats.row_count, 1))
+            else:
+                sel *= sides.get("<", sides.get(">"))
         return sel
     if isinstance(pred, Or):
         sel = 0.0
@@ -160,14 +198,7 @@ def predicate_selectivity(pred: Any, stats: Optional[TableStats]) -> float:
                 return min(1.0, sum(col_stats.selectivity_eq(v) for v in values))
         return DEFAULT_SELECTIVITY
     if isinstance(pred, Comparison):
-        col_stats = _column_stats_for(pred.left, stats)
-        value = _literal_value(pred.right)
-        op = pred.op
-        if col_stats is None:
-            # Mirror `literal <op> column`.
-            col_stats = _column_stats_for(pred.right, stats)
-            value = _literal_value(pred.left)
-            op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
+        col_stats, op, value = _comparison_parts(pred, stats)
         if col_stats is not None and value is not None:
             return min(1.0, max(0.0, col_stats.selectivity_cmp(op, value)))
         return DEFAULT_SELECTIVITY

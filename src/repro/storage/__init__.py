@@ -2,11 +2,12 @@
 
 The v4 storage format (``repro migrate --to 4`` /
 ``DataWarehouse.save(dir, storage_format=4)``) stores each table as
-fixed-size CRC32-checked pages of column chunks behind a
+fixed-size CRC32-checked pages of binary column chunks behind a
 :class:`~repro.storage.buffer_pool.BufferPool` with a configurable
-``memory_budget_bytes`` — data ≫ memory becomes queryable, with
-pin/unpin, LRU eviction, dirty write-back to a session overlay, and
-spill-to-disk execution state for hash aggregation and window runs.
+``memory_budget_bytes`` — data ≫ memory becomes queryable, with scans
+that hand over columns and skip pages by their min/max zones, pin/unpin,
+LRU eviction, dirty write-back to a session overlay, and spill-to-disk
+execution state for hash aggregation and window runs.
 
 See DESIGN.md §5j for the page layout, buffer-pool lifecycle, spill
 format and eviction policy.

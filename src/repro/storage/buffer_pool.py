@@ -1,24 +1,30 @@
 """The buffer pool: bounded page cache with pin/unpin and LRU eviction.
 
-One :class:`BufferPool` fronts every page file of a loaded v4 database.
-Frames hold *decoded* column chunks (Python value lists) but are
-accounted at their on-disk ``page_size`` — the budget bounds how much of
-the dump may be resident at once, which is what makes a dataset ≫
-``memory_budget_bytes`` queryable.
+One :class:`BufferPool` fronts every page file of a loaded paged database.
+Frames hold *decoded* column chunks — a :class:`~repro.columns.Column`
+whose fixed-width buffers are ``numpy.frombuffer`` views of the page
+bytes — and are accounted at their on-disk ``page_size``: the budget
+bounds how much of the dump may be resident at once, which is what makes
+a dataset ≫ ``memory_budget_bytes`` queryable.
 
 Lifecycle of a page:
 
 * **fault-in** — a miss reads the raw page (overlay slot if the page was
   ever written back, else the immutable base file), runs the
   ``page_read`` fault hook (the ``page_read_corrupt`` kind flips payload
-  bytes *before* the CRC check), verifies the header CRC and the catalog
-  directory CRC, and decodes the chunk;
-* **pin/unpin** — readers pin the frame while extracting values; pinned
+  bytes *before* the CRC check), verifies magic, page number, the header
+  CRC and the catalog directory CRC, decodes the chunk, and checks its
+  header (first row, rows, kind) against the directory;
+* **pin/unpin** — readers pin the frame while slicing its column; pinned
   frames are never evicted;
+* **write** — :meth:`BufferPool.set_value` replaces the frame's column by
+  a copy with one slot changed (slices handed out earlier keep what they
+  read), marks it dirty and widens the page's zone;
 * **evict** — when occupancy exceeds the budget the least-recently-used
   unpinned frame is dropped; dirty frames are written back to the
-  overlay first (``writebacks`` metric);
-* **quarantine** — a CRC failure quarantines the page: every later read
+  overlay first, as ``RPG5`` pages with a CRC of their own
+  (``writebacks`` metric);
+* **quarantine** — a failed check quarantines the page: every later read
   fails fast with :class:`~repro.errors.PageCorruptError` instead of
   re-reading bytes already known bad.  :meth:`repair` lifts the
   quarantine (used after the fault plan is cleared — the *dump* is never
@@ -36,8 +42,13 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.columns import Column
 from repro.errors import PageCapacityError, PageCorruptError
-from repro.storage.page import HEADER_SIZE, chunk_payload, decode_chunk, decode_page, encode_page
+from repro.storage.page import (
+    HEADER_SIZE, JSON_PAGE_MAGIC, chunk_payload, decode_chunk, decode_page, encode_page,
+)
 from repro.storage.pager import OverlayFile, PageFile
 
 __all__ = ["BufferPool", "Frame", "PageRef"]
@@ -48,13 +59,16 @@ DEFAULT_MEMORY_BUDGET = 64 * 1024 * 1024
 class PageRef:
     """Identity + codec context of one logical page.
 
-    ``overlay_slot`` migrates the page from the immutable base file to
-    the session overlay the first time a dirty frame is written back.
+    ``kind`` and ``zone`` come from the page directory: the column kind
+    the payload must name, and ``(min, max)`` of the page's non-NULL,
+    non-NaN values (``None``: unknown, never prune).  ``overlay_slot``
+    migrates the page from the immutable base file to the session overlay
+    the first time a dirty frame is written back.
     """
 
     __slots__ = (
         "file", "page_no", "table", "column", "start", "rows", "crc32",
-        "overlay_slot",
+        "kind", "zone", "overlay_slot",
     )
 
     def __init__(
@@ -66,6 +80,8 @@ class PageRef:
         start: int,
         rows: int,
         crc32: Optional[int],
+        kind: str,
+        zone: Optional[Tuple[Any, Any]] = None,
     ) -> None:
         self.file = file
         self.page_no = page_no
@@ -74,6 +90,8 @@ class PageRef:
         self.start = start
         self.rows = rows
         self.crc32 = crc32
+        self.kind = kind
+        self.zone = zone
         self.overlay_slot: Optional[int] = None
 
     @property
@@ -90,11 +108,11 @@ class PageRef:
 class Frame:
     """One resident decoded page."""
 
-    __slots__ = ("ref", "values", "dirty", "pins")
+    __slots__ = ("ref", "column", "dirty", "pins")
 
-    def __init__(self, ref: PageRef, values: List[Any]) -> None:
+    def __init__(self, ref: PageRef, column: Column) -> None:
         self.ref = ref
-        self.values = values
+        self.column = column
         self.dirty = False
         self.pins = 0
 
@@ -138,8 +156,7 @@ class BufferPool:
                 frame.pins += 1
                 return frame
             self.misses += 1
-            values = self._fault_in(ref)
-            frame = Frame(ref, values)
+            frame = Frame(ref, self._fault_in(ref))
             frame.pins = 1
             self._frames[key] = frame
             self._evict_to_budget()
@@ -150,47 +167,57 @@ class BufferPool:
             if frame.pins > 0:
                 frame.pins -= 1
 
-    def get_values(self, ref: PageRef) -> List[Any]:
-        """Pin, grab the decoded values list, unpin.  The list must be
-        treated as read-only (writes go through :meth:`set_value`)."""
+    def get_values(self, ref: PageRef) -> Column:
+        """Pin, grab the decoded column, unpin.  Its buffers are read-only
+        (writes go through :meth:`set_value`)."""
         frame = self.pin(ref)
         try:
-            return frame.values
+            return frame.column
         finally:
             self.unpin(frame)
 
     def set_value(self, ref: PageRef, offset: int, value: Any) -> None:
-        """Write-through one value of a resident page (marks it dirty).
-
-        Validates that the re-encoded chunk still fits the fixed page
-        before mutating anything.
+        """Write-through one value of a resident page (marks it dirty
+        unless the page's bytes stay what they are).
 
         Raises:
-            PageCapacityError: the new value over-fills the page; the
-                frame is left unchanged (callers hydrate and retry).
+            PageCapacityError: the value is not of the page's kind, or the
+                re-encoded chunk over-fills the page (an ``object`` page,
+                or one loaded from a denser JSON page); nothing is changed
+                (callers hydrate and retry).
         """
         frame = self.pin(ref)
         try:
             with self._lock:
-                values = list(frame.values)
-                values[offset] = value
-                payload = chunk_payload(ref.table, ref.column, ref.start, values)
-                if HEADER_SIZE + len(payload) > self.page_size:
+                column, where = frame.column, f"row {ref.start + offset} of {ref.table}.{ref.column}"
+                probe = Column.from_values([value], column.kind)
+                if probe.kind != column.kind:
+                    raise PageCapacityError(f"value at {where} is not {column.kind}")
+                data, valid = column.data.copy(), np.ones(len(column), dtype=np.bool_)
+                if column.validity is not None:
+                    valid &= column.validity
+                data[offset], valid[offset] = probe.data[0], value is not None
+                old, column = column, Column(data, valid)
+                payload = chunk_payload(ref.start, column)
+                if payload == chunk_payload(ref.start, old):
+                    return  # the same page bytes: nothing to write back
+                size = HEADER_SIZE + len(payload)
+                if size > self.page_size:
                     raise PageCapacityError(
-                        f"updated value at row {ref.start + offset} of "
-                        f"{ref.table}.{ref.column} over-fills page "
-                        f"{ref.page_no} ({HEADER_SIZE + len(payload)} > "
-                        f"{self.page_size} bytes)"
+                        f"updated value at {where} over-fills page {ref.page_no} "
+                        f"({size} > {self.page_size} bytes)"
                     )
-                frame.values = values
-                frame.dirty = True
+                frame.column, frame.dirty = column, True
+                if ref.zone is not None and value is not None and value == value:
+                    ref.zone = (min(ref.zone[0], value), max(ref.zone[1], value))
         finally:
             self.unpin(frame)
 
     # -- internals -----------------------------------------------------------
 
-    def _fault_in(self, ref: PageRef) -> List[Any]:
+    def _fault_in(self, ref: PageRef) -> Column:
         from repro.faults import injector
+        from repro.obs import runtime
 
         if ref.overlay_slot is not None:
             raw = self._overlay.read_slot(ref.overlay_slot)
@@ -211,18 +238,22 @@ class BufferPool:
                 raw, ref.page_no, self.page_size,
                 expect_crc=expect, context=context,
             )
+            is_json = raw[:4] == JSON_PAGE_MAGIC
+            doc, column = decode_chunk(payload, ref.kind if is_json else None)
+            if (doc["r"], doc["n"]) != (ref.start, ref.rows) or doc["kind"] not in (None, ref.kind):
+                raise PageCorruptError(
+                    f"page {ref.page_no} of {ref.table}.{ref.column} chunk "
+                    f"header {doc['kind']} [{doc['r']},+{doc['n']}) disagrees with "
+                    f"directory {ref.kind} [{ref.start},+{ref.rows})"
+                )
         except PageCorruptError as exc:
             self._quarantined[ref.key] = str(exc)
+            runtime.get_registry().counter(
+                "repro_storage_decode_errors_total",
+                help="Page fault-ins that failed a check and quarantined the page",
+            ).inc()
             raise
-        doc, values = decode_chunk(payload)
-        if doc.get("n") != ref.rows or doc.get("r") != ref.start:
-            self._quarantined[ref.key] = "chunk header disagrees with directory"
-            raise PageCorruptError(
-                f"page {ref.page_no} of {ref.table}.{ref.column} chunk "
-                f"header [{doc.get('r')},+{doc.get('n')}) disagrees with "
-                f"directory [{ref.start},+{ref.rows})"
-            )
-        return values
+        return column
 
     def _evict_to_budget(self) -> None:
         budget_frames = max(1, self.memory_budget_bytes // self.page_size)
@@ -241,7 +272,7 @@ class BufferPool:
 
     def _write_back(self, frame: Frame) -> None:
         ref = frame.ref
-        payload = chunk_payload(ref.table, ref.column, ref.start, frame.values)
+        payload = chunk_payload(ref.start, frame.column)
         raw = encode_page(ref.page_no, payload, self.page_size)
         if ref.overlay_slot is None:
             ref.overlay_slot = self._overlay.allocate()

@@ -1,32 +1,39 @@
-"""Fixed-size page codec for storage format v4.
+"""Fixed-size page codec for the paged storage format (catalog version 4).
 
-A v4 data file (``data/<table>.pages``) is a flat array of fixed-size
+A paged data file (``data/<table>.pages``) is a flat array of fixed-size
 pages.  Each page holds one *column chunk* — a contiguous run of values
 of a single column — encoded as::
 
     +----------------------------- page_size bytes ----------------------------+
     | header (16B)                  | payload (payload_len B)  | zero padding  |
-    | magic  page_no  len  crc32    | JSON column chunk        | 0x00 ...      |
+    | magic  page_no  len  crc32    | column chunk             | 0x00 ...      |
     +---------------------------------------------------------------------------+
 
-The header is ``struct "<4sIII"``: magic ``b"RPG4"``, the page number
-(its own index in the file — a seek landing on the wrong page is caught,
-not just a flipped bit), the payload length, and the CRC32 of the
-payload.  The payload is a compact JSON document::
+The header is ``struct "<4sIII"``: the magic, the page number (its own
+index in the file — a seek landing on the wrong page is caught, not just
+a flipped bit), the payload length, and the CRC32 of the payload.  The
+magic versions the payload.  ``RPG5``, the only one written, is the bytes
+of :mod:`repro.columns.codec` without the base64::
 
-    {"t": table, "c": column, "r": first_row, "n": rows,
-     "values": [...], "validity": "<base64 bitmap>" | null}
+    chunk header (16B, "<BBxxIQ"): kind, validity flag, rows, first row
+    fixed-width kinds: the little-endian value buffer (rows * itemsize),
+                       then, if flagged, the packed little-endian validity
+                       bitmap (bit set = value present)
+    object kind:       a JSON value list (NULL is null, dates {"$date": ..})
 
-``values`` carries NULLs as JSON ``null``; ``validity`` is the packed
-little-endian bitmap (bit set = value present) that the decoder treats as
-authoritative, mirroring the in-memory :class:`~repro.columns.Column`
-validity mask.  Dates use the same ``{"$date": ...}`` codec as every
-other storage format version.
+so a fixed-width page decodes by ``numpy.frombuffer`` with no per-value
+work, and a float is its eight bytes.  ``RPG4`` pages (a JSON document
+``{"r", "n", "values", "validity"}``) are still decoded, never written.
+The catalog version did not change with the magic: the catalog's shape is
+the same, a reader tells the payloads apart page by page, and every write
+(save, overlay write-back, ``repro migrate --to 4``) produces ``RPG5``.
 
 Pages are self-validating (header CRC) *and* cross-checked against the
 per-page CRC recorded in the catalog's page directory at save time, so a
 catalog/data mismatch is detected even when both files are individually
-well-formed.
+well-formed.  A directory entry also records the page's kind and, for
+numeric kinds, the ``min``/``max`` of its non-NULL, non-NaN values — the
+zone a scan tests before it reads the page (:mod:`repro.storage.paged`).
 """
 
 from __future__ import annotations
@@ -35,15 +42,19 @@ import base64
 import json
 import struct
 import zlib
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
+
+import numpy as np
 
 from repro.columns.codec import decode_value, encode_value
+from repro.columns.column import KINDS, WIRE_DTYPES, Column
 from repro.errors import CatalogError, PageCorruptError
 
 __all__ = [
     "DEFAULT_PAGE_SIZE",
     "HEADER",
     "HEADER_SIZE",
+    "JSON_PAGE_MAGIC",
     "PAGE_MAGIC",
     "chunk_payload",
     "decode_chunk",
@@ -54,44 +65,31 @@ __all__ = [
     "paginate_values",
 ]
 
-PAGE_MAGIC = b"RPG4"
+PAGE_MAGIC = b"RPG5"
+JSON_PAGE_MAGIC = b"RPG4"  # read-only
 HEADER = struct.Struct("<4sIII")  # magic, page_no, payload_len, crc32
 HEADER_SIZE = HEADER.size
+CHUNK = struct.Struct("<BBxxIQ")  # kind, has a validity bitmap, rows, first row
 DEFAULT_PAGE_SIZE = 4096
 
 
-def _pack_validity(values: Sequence[Any]) -> Optional[str]:
-    """Packed little-endian validity bitmap, or None when all valid."""
-    if not any(v is None for v in values):
-        return None
-    bits = bytearray((len(values) + 7) // 8)
-    for i, v in enumerate(values):
-        if v is not None:
-            bits[i >> 3] |= 1 << (i & 7)
-    return base64.b64encode(bytes(bits)).decode("ascii")
+def chunk_payload(start: int, column: Column) -> bytes:
+    """Encode one column chunk as an ``RPG5`` page payload (see module doc)."""
+    kind, valid = column.kind, column.validity
+    if kind == "object":
+        body = json.dumps(
+            [encode_value(v) for v in column.to_pylist()], separators=(",", ":")
+        ).encode("utf-8")
+        valid = None
+    else:
+        body = column.data.astype(WIRE_DTYPES[kind], copy=False).tobytes()
+        if valid is not None:
+            body += np.packbits(valid, bitorder="little").tobytes()
+    return CHUNK.pack(KINDS.index(kind), valid is not None, len(column), start) + body
 
 
-def chunk_payload(
-    table: str, column: str, start: int, values: Sequence[Any]
-) -> bytes:
-    """Encode one column chunk as a page payload (see module doc)."""
-    doc = {
-        "t": table,
-        "c": column,
-        "r": start,
-        "n": len(values),
-        "values": [encode_value(v) for v in values],
-        "validity": _pack_validity(values),
-    }
-    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
-
-
-def decode_chunk(payload: bytes) -> Tuple[dict, List[Any]]:
-    """Decode a page payload back to ``(header_doc, values)``.
-
-    The validity bitmap is authoritative: any position whose bit is clear
-    decodes to ``None`` regardless of the stored value.
-    """
+def _decode_json_chunk(payload: bytes, kind: str) -> Tuple[dict, Column]:
+    """An ``RPG4`` payload; its validity bitmap is authoritative."""
     doc = json.loads(payload.decode("utf-8"))
     values = [decode_value(v) for v in doc["values"]]
     packed = doc.get("validity")
@@ -100,7 +98,45 @@ def decode_chunk(payload: bytes) -> Tuple[dict, List[Any]]:
         for i in range(len(values)):
             if not (bits[i >> 3] >> (i & 7)) & 1:
                 values[i] = None
-    return doc, values
+    return {"r": doc["r"], "n": doc["n"], "kind": None}, Column.from_values(values, kind)
+
+
+def decode_chunk(payload: bytes, json_kind: Optional[str] = None) -> Tuple[dict, Column]:
+    """Decode a page payload back to ``(header_doc, column)``.
+
+    ``json_kind`` is given for the payload of an ``RPG4`` page: the kind to
+    build its values as.  ``header_doc`` is ``{"r": first row, "n": rows,
+    "kind": kind}`` (kind ``None`` for a JSON page, which names none).  The
+    buffers of a fixed-width column are read-only views of ``payload``.
+
+    Raises:
+        PageCorruptError: the payload is not what :func:`chunk_payload`
+            writes — unknown kind, a buffer, bitmap or value list whose
+            length disagrees with the row count.
+    """
+    try:
+        if json_kind is not None:
+            return _decode_json_chunk(payload, json_kind)
+        code, has_valid, rows, start = CHUNK.unpack_from(payload)
+        kind = KINDS[code]
+        doc = {"r": start, "n": rows, "kind": kind}
+        if kind == "object":
+            values = [decode_value(v) for v in json.loads(payload[CHUNK.size:])]
+            if len(values) != rows:
+                raise ValueError(f"{len(values)} values for {rows} rows")
+            return doc, Column.from_values(values)
+        dtype = WIRE_DTYPES[kind]
+        nbytes = rows * dtype.itemsize
+        if len(payload) != CHUNK.size + nbytes + ((rows + 7) // 8 if has_valid else 0):
+            raise ValueError(f"{len(payload)} payload bytes for {rows} {kind} rows")
+        data = np.frombuffer(payload, dtype, rows, CHUNK.size)
+        if not has_valid:
+            return doc, Column(data)
+        bits = np.frombuffer(payload, np.uint8, offset=CHUNK.size + nbytes)
+        validity = np.unpackbits(bits, count=rows, bitorder="little").view(np.bool_)
+        return doc, Column(data, validity)
+    except (ValueError, KeyError, IndexError, TypeError, struct.error) as exc:
+        raise PageCorruptError(f"page payload does not decode: {exc}") from None
 
 
 def encode_page(page_no: int, payload: bytes, page_size: int) -> bytes:
@@ -135,7 +171,7 @@ def decode_page(
             f"page {page_no} is truncated: {len(raw)} bytes{where}"
         )
     magic, stored_no, length, crc = HEADER.unpack_from(raw)
-    if magic != PAGE_MAGIC:
+    if magic not in (PAGE_MAGIC, JSON_PAGE_MAGIC):
         raise PageCorruptError(f"page {page_no} has bad magic {magic!r}{where}")
     if stored_no != page_no:
         raise PageCorruptError(
@@ -161,19 +197,29 @@ def decode_page(
     return payload
 
 
-def paginate_values(
-    table: str,
-    column: str,
-    values: Sequence[Any],
-    page_size: int,
-    first_page_no: int,
-) -> Tuple[List[bytes], List[dict]]:
-    """Pack one column's values into fixed-size pages.
+def zone_of(column: Column) -> Optional[Tuple[Any, Any]]:
+    """``(min, max)`` over the non-NULL, non-NaN values of a numeric
+    column; ``None`` (never prune) for other kinds or when there are none."""
+    if column.kind not in ("int64", "float64"):
+        return None
+    data = column.data if column.validity is None else column.data[column.validity]
+    if column.kind == "float64":
+        data = data[~np.isnan(data)]
+    return (data.min().item(), data.max().item()) if len(data) else None
 
-    Packing is adaptive: a chunk that over-fills its page is halved until
-    it fits, so wide TEXT values simply get fewer rows per page.  Returns
-    ``(raw_pages, directory_entries)`` where each directory entry is
-    ``{"page": no, "start": row, "rows": n, "crc32": payload_crc}``.
+
+def paginate_values(
+    column: Column, page_size: int, first_page_no: int
+) -> Tuple[List[bytes], List[dict]]:
+    """Pack one column into fixed-size pages.
+
+    A fixed-width chunk takes as many rows as fit beside a validity bitmap
+    (so a later in-place write of any value of the kind, NULL included,
+    still fits); an ``object`` chunk that over-fills its page is halved
+    until it fits, so wide TEXT values simply get fewer rows per page.
+    Returns ``(raw_pages, directory_entries)``; an entry is ``{"page",
+    "start", "rows", "crc32", "kind"}`` plus ``"min"``/``"max"`` when the
+    chunk has a zone (:func:`zone_of`).
 
     Raises:
         CatalogError: a single value is too large for one page.
@@ -181,39 +227,34 @@ def paginate_values(
     budget = page_size - HEADER_SIZE
     raw_pages: List[bytes] = []
     entries: List[dict] = []
-    page_no = first_page_no
-    start = 0
-    n = len(values)
-    # Initial guess from an empty-chunk overhead + ~8 bytes per value;
-    # refined by the halving loop below whenever the guess is wrong.
-    guess = max(1, (budget - 96) // 9)
+    start, n, kind = 0, len(column), column.kind
+    if kind == "object":
+        # ~8 bytes per value to begin with; refined by the loop below.
+        guess = max(1, budget // 9)
+    else:
+        guess = max(1, (budget - CHUNK.size) * 8 // (8 * WIRE_DTYPES[kind].itemsize + 1))
     while start < n:
         take = min(guess, n - start)
-        payload = chunk_payload(table, column, start, values[start:start + take])
+        payload = chunk_payload(start, column.slice(start, start + take))
         while len(payload) > budget and take > 1:
             take //= 2
-            payload = chunk_payload(
-                table, column, start, values[start:start + take]
-            )
+            payload = chunk_payload(start, column.slice(start, start + take))
         if len(payload) > budget:
             raise CatalogError(
-                f"value at row {start} of {table}.{column} needs "
-                f"{len(payload)} payload bytes; page size {page_size} is "
-                f"too small"
+                f"value at row {start} needs {len(payload)} payload bytes; "
+                f"page size {page_size} is too small"
             )
-        if take == guess and len(payload) <= budget // 2 and take < n - start:
-            guess *= 2  # narrow values: fill pages tighter next time
-        elif take < guess:
-            guess = take  # wide values: stop over-encoding every chunk
-        raw_pages.append(encode_page(page_no, payload, page_size))
-        entries.append(
-            {
-                "page": page_no,
-                "start": start,
-                "rows": take,
-                "crc32": zlib.crc32(payload),
-            }
-        )
-        page_no += 1
+        if kind == "object":
+            if take == guess and len(payload) <= budget // 2 and take < n - start:
+                guess *= 2  # narrow values: fill pages tighter next time
+            elif take < guess:
+                guess = take  # wide values: stop over-encoding every chunk
+        entry = {"page": first_page_no + len(entries), "start": start, "rows": take,
+                 "crc32": zlib.crc32(payload), "kind": kind}
+        zone = zone_of(column.slice(start, start + take))
+        if zone is not None:
+            entry["min"], entry["max"] = zone
+        raw_pages.append(encode_page(entry["page"], payload, page_size))
+        entries.append(entry)
         start += take
     return raw_pages, entries

@@ -7,21 +7,30 @@
 the database's :class:`~repro.storage.buffer_pool.BufferPool` instead of
 an unbounded numpy heap.  :class:`PagedTable` swaps these stores into a
 regular :class:`~repro.relational.table.Table`, so every existing
-consumer — ``TableScan``, ``window_exec``'s measure gather, index
-rebuilds, persistence — streams pages without knowing it:
+consumer — ``window_exec``'s measure gather, index rebuilds,
+persistence — reads pages without knowing it:
 
-* ``iter_rows`` already materializes in ``_ITER_CHUNK`` chunks through
-  ``pylist``, which gathers page by page (pin → extend → unpin);
+* every read is :meth:`PagedColumnStore.gather`: the slots of some
+  ascending ranges as one :class:`~repro.columns.Column`, page by page
+  (pin → slice → unpin), one ``concatenate`` at the end — so what a reader
+  holds is a copy no later in-place write can change, and never a row
+  tuple.  ``snapshot()`` gathers everything and keeps nothing;
+  ``iter_rows`` gathers ``_ITER_CHUNK`` slots at a time;
+* ``TableScan`` asks :meth:`PagedTable.candidate_ranges` which slot ranges
+  *can* hold a row matching the ``column <op> literal`` conjuncts of the
+  filters above it — a page is skipped only when its directory zone
+  (min/max over non-NULL, non-NaN values) proves no row of it matches;
+  a page without a zone, and the tail, are always read, and the exact
+  filter still runs over what was read.  The other columns then fetch
+  only the pages covering those ranges (bisect on ``start``);
 * appends go to an in-memory *tail* builder (new rows are hot by
-  definition); in-place ``set`` writes through to the page, or hydrates
-  the whole table into memory when the new value no longer fits its page
-  (:class:`~repro.errors.PageCapacityError`);
-* ``snapshot()`` — the whole-column materialization some kernels want —
-  is cached **only when the materialized column fits the pool budget**;
-  under a tight budget every snapshot consumer streams instead.
+  definition); an in-place ``set`` writes through to the page and widens
+  its zone.  What still hydrates the whole table into memory: a value
+  that is not of its page's kind or over-fills an ``object`` page
+  (:class:`~repro.errors.PageCapacityError`), and ``move_rows``.
 
-Structural mutations (``delete_slots``, ``truncate``, ``move_rows``) and
-``clone()`` de-page the affected columns into plain in-memory builders:
+Structural mutations (``delete_slots``, ``truncate``) and ``clone()``
+de-page the affected columns into plain in-memory builders:
 they rewrite every slot anyway, and the dump on disk stays the immutable
 snapshot the atomic-swap commit promised.  Serve-tier epoch pinning works
 unchanged — a pinned snapshot keeps the `PagedTable` (and its page refs)
@@ -31,19 +40,28 @@ alive while writers mutate a hydrated clone.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import compress
-from typing import Any, Iterator, List, Optional
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.columns import Column, ColumnBuilder
+from repro.columns import Column, ColumnBuilder, ColumnRows
 from repro.columns.column import hash_chunks
 from repro.errors import PageCapacityError
-from repro.relational.table import Table, _ITER_CHUNK
+from repro.relational.table import Table
 from repro.storage.buffer_pool import BufferPool, PageRef
 from repro.storage.pager import PageFile
 
 __all__ = ["PagedColumnStore", "PagedTable"]
+
+Ranges = List[Tuple[int, int]]  # ascending, disjoint ``[lo, hi)`` slot ranges
+
+_ZONE_TESTS = {  # can a page whose values span [lo, hi] hold one that is <op> v
+    "=": lambda lo, hi, v: lo <= v <= hi,
+    "<": lambda lo, hi, v: lo < v,
+    "<=": lambda lo, hi, v: lo <= v,
+    ">": lambda lo, hi, v: hi > v,
+    ">=": lambda lo, hi, v: hi >= v,
+}
 
 
 class PagedColumnStore:
@@ -52,7 +70,7 @@ class PagedColumnStore:
 
     __slots__ = (
         "kind", "pool", "file", "table_name", "name", "entries", "_starts",
-        "_paged_rows", "_tail", "_cached", "_epoch",
+        "_paged_rows", "_tail",
     )
 
     def __init__(
@@ -75,30 +93,19 @@ class PagedColumnStore:
             entries[-1].start + entries[-1].rows if entries else 0
         )
         self._tail = ColumnBuilder(kind)
-        self._cached: Optional[Column] = None
-        self._epoch = 0
 
     # -- shape ----------------------------------------------------------------
 
     def __len__(self) -> int:
         return self._paged_rows + len(self._tail)
 
-    @property
-    def pages_total(self) -> int:
-        return len(self.entries)
-
     def _ref_for(self, slot: int) -> PageRef:
         return self.entries[bisect_right(self._starts, slot) - 1]
-
-    def _invalidate(self) -> None:
-        self._cached = None
-        self._epoch += 1
 
     # -- mutation (ColumnBuilder protocol) ------------------------------------
 
     def append(self, value: Any) -> None:
         self._tail.append(value)
-        self._invalidate()
 
     def set(self, slot: int, value: Any) -> None:
         if not 0 <= slot < len(self):
@@ -108,48 +115,27 @@ class PagedColumnStore:
         else:
             ref = self._ref_for(slot)
             self.pool.set_value(ref, slot - ref.start, value)
-        self._invalidate()
-
-    def can_set(self, slot: int, value: Any) -> bool:
-        """Whether :meth:`set` would succeed without hydration."""
-        if slot >= self._paged_rows:
-            return True
-        from repro.storage.page import HEADER_SIZE, chunk_payload
-
-        ref = self._ref_for(slot)
-        values = list(self.pool.get_values(ref))
-        values[slot - ref.start] = value
-        payload = chunk_payload(ref.table, ref.column, ref.start, values)
-        return HEADER_SIZE + len(payload) <= self.pool.page_size
 
     def keep(self, mask) -> None:
         """Drop the slots where ``mask`` is False; the store de-pages (the
         tail holds everything that is left)."""
-        values = list(compress(self._iter_all(), mask.tolist()))
-        self._depage()
+        values = self.snapshot().take(np.flatnonzero(mask)).to_pylist()
+        self.clear()
         self._tail.rebuild(values)
-        self._invalidate()
 
     def clear(self) -> None:
-        self._depage()
+        self.entries, self._starts, self._paged_rows = [], [], 0
         self._tail.clear()
-        self._invalidate()
-
-    def _depage(self) -> None:
-        if self.entries:
-            self.entries = []
-            self._starts = []
-            self._paged_rows = 0
 
     def copy(self) -> ColumnBuilder:
         """An independent *in-memory* builder with the same contents.
 
         Used by ``Table.clone()`` (serve-tier copy-on-write): the writer's
-        clone is hydrated, readers pinned to older epochs keep streaming
+        clone is hydrated, readers pinned to older epochs keep reading
         the original pages.
         """
         out = ColumnBuilder(self.kind)
-        out.rebuild(self._iter_all())
+        out.rebuild(self.snapshot().to_pylist())
         return out
 
     # -- reads (ColumnBuilder protocol) ---------------------------------------
@@ -159,55 +145,65 @@ class PagedColumnStore:
             raise IndexError(f"slot {slot} out of range (size {len(self)})")
         if slot >= self._paged_rows:
             return self._tail.get(slot - self._paged_rows)
-        if self._cached is not None:
-            return self._cached.value(slot)
         ref = self._ref_for(slot)
-        return self.pool.get_values(ref)[slot - ref.start]
+        return self.pool.get_values(ref).value(slot - ref.start)
+
+    def prune(self, ranges: Ranges, op: str, value: Any) -> Ranges:
+        """The parts of ``ranges`` (paged slots) that lie on pages whose
+        zone does not rule out ``<op> value``."""
+        test, out = _ZONE_TESTS.get(op), []
+        for lo, hi in ranges if test else ():
+            while lo < hi:
+                ref = self._ref_for(lo)
+                stop = min(hi, ref.start + ref.rows)
+                if ref.zone is None or test(*ref.zone, value):
+                    if out and out[-1][1] == lo:
+                        out[-1] = (out[-1][0], stop)
+                    else:
+                        out.append((lo, stop))
+                lo = stop
+        return out if test else ranges
+
+    def gather(self, ranges: Ranges) -> Tuple[Column, int]:
+        """The slots of ``ranges`` as one column that shares no buffer with
+        a frame or the tail, and the number of pages it was read from."""
+        parts: List[Column] = []
+        pages, paged = 0, self._paged_rows
+        for lo, hi in ranges:
+            while lo < min(hi, paged):
+                ref = self._ref_for(lo)
+                frame = self.pool.pin(ref)
+                try:
+                    stop = min(ref.rows, hi - ref.start)
+                    parts.append(frame.column.slice(lo - ref.start, stop))
+                finally:
+                    self.pool.unpin(frame)
+                pages += 1
+                lo = ref.start + stop
+            if hi > paged:
+                parts.append(self._tail.snapshot().slice(max(lo, paged) - paged, hi - paged))
+        if not parts:
+            return Column.from_values([], self.kind), pages
+        if len({part.kind for part in parts}) > 1:  # e.g. a tail promoted to object
+            values = [v for part in parts for v in part.to_pylist()]
+            return Column.from_values(values), pages
+        data = np.concatenate([part.data for part in parts])
+        if all(part.validity is None for part in parts):
+            return Column(data), pages
+        masks = [
+            np.ones(len(part), dtype=np.bool_) if part.validity is None else part.validity
+            for part in parts
+        ]
+        return Column(data, np.concatenate(masks)), pages
 
     def pylist(self, start: int = 0, stop: Optional[int] = None) -> List[Any]:
-        n = len(self)
-        if stop is None or stop > n:
-            stop = n
-        if start < 0:
-            start = 0
-        if start >= stop:
-            return []
-        if self._cached is not None:
-            return self._cached.to_pylist(start, stop)
-        out: List[Any] = []
-        pos = start
-        paged_stop = min(stop, self._paged_rows)
-        while pos < paged_stop:
-            ref = self._ref_for(pos)
-            frame = self.pool.pin(ref)
-            try:
-                lo = pos - ref.start
-                hi = min(ref.rows, paged_stop - ref.start)
-                out.extend(frame.values[lo:hi])
-            finally:
-                self.pool.unpin(frame)
-            pos = ref.start + hi
-        if stop > self._paged_rows:
-            out.extend(
-                self._tail.pylist(
-                    max(0, start - self._paged_rows), stop - self._paged_rows
-                )
-            )
-        return out
-
-    def _iter_all(self) -> Iterator[Any]:
-        for start in range(0, len(self), _ITER_CHUNK):
-            yield from self.pylist(start, start + _ITER_CHUNK)
+        stop = len(self) if stop is None else min(stop, len(self))
+        start = max(start, 0)
+        return self.gather([(start, stop)])[0].to_pylist() if start < stop else []
 
     def snapshot(self) -> Column:
-        """Whole-column materialization (cached only if it fits the pool
-        budget — under a tight budget consumers stream page by page)."""
-        if self._cached is not None:
-            return self._cached
-        column = Column.from_values(self.pylist(0, len(self)), self.kind)
-        if column.memory_bytes() <= self.pool.memory_budget_bytes:
-            self._cached = column
-        return column
+        """Whole-column materialization: gathered each time, never kept."""
+        return self.gather([(0, len(self))])[0]
 
     def chunk_hashes(self, declared: str, tally=None, *, cached: bool = True) -> List[bytes]:
         """The digest's chunk hashes, as ``ColumnBuilder.chunk_hashes``
@@ -219,16 +215,10 @@ class PagedColumnStore:
     # -- accounting -----------------------------------------------------------
 
     def memory_bytes(self) -> int:
-        """Resident bytes only: pooled frames of this column's pages, the
-        cached snapshot (if admitted), and the in-memory tail."""
-        total = self._tail.memory_bytes()
-        if self._cached is not None:
-            total += self._cached.memory_bytes()
-        resident = 0
-        for ref in self.entries:
-            if self.pool.contains(ref.key):
-                resident += self.pool.page_size
-        return total + resident
+        """Resident bytes only: pooled frames of this column's pages and
+        the in-memory tail."""
+        resident = sum(self.pool.contains(ref.key) for ref in self.entries)
+        return self._tail.memory_bytes() + resident * self.pool.page_size
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -276,10 +266,35 @@ class PagedTable(Table):
     @property
     def pages_total(self) -> int:
         return sum(
-            s.pages_total
-            for s in self._columns
-            if isinstance(s, PagedColumnStore)
+            len(s.entries) for s in self._columns if isinstance(s, PagedColumnStore)
         )
+
+    def candidate_ranges(self, terms: Sequence[Tuple[int, str, Any]]) -> Ranges:
+        """The slot ranges that can hold a row on which every ``(column
+        index, op, literal)`` term is TRUE: all of them minus the pages a
+        zone rules out.  Only a plain number is tested against a zone."""
+        paged = self._columns[0]._paged_rows  # the same in every column
+        ranges: Ranges = [(0, paged)] if paged else []
+        for index, op, value in terms:
+            if type(value) in (int, float):
+                ranges = self._columns[index].prune(ranges, op, value)
+        return ranges + ([(paged, len(self))] if paged < len(self) else [])
+
+    def scan(self, ranges: Ranges) -> Tuple[ColumnRows, int]:
+        """The rows of ``ranges`` as columns, and the pages read for them."""
+        from repro.obs import runtime
+
+        gathered = [store.gather(ranges) for store in self._columns]
+        pages = sum(n for _, n in gathered)
+        registry = runtime.get_registry()
+        registry.counter(
+            "repro_storage_pages_scanned_total", help="Pages read by paged table scans"
+        ).inc(pages)
+        registry.counter(
+            "repro_storage_pages_pruned_total",
+            help="Pages paged table scans did not read (zone tests, row bounds)",
+        ).inc(self.pages_total - pages)
+        return ColumnRows([c for c, _ in gathered], sum(hi - lo for lo, hi in ranges)), pages
 
     def hydrate(self) -> None:
         """Replace every paged store with a plain in-memory builder.
@@ -313,17 +328,14 @@ class PagedTable(Table):
 
     def update_slot(self, slot: int, values) -> None:
         new_row = self._coerce(values)
-        for store, value in zip(self._columns, new_row):
-            if isinstance(store, PagedColumnStore) and not store.can_set(
-                slot, value
-            ):
-                self.hydrate()
-                break
         try:
             super().update_slot(slot, new_row)
-        except PageCapacityError:  # pragma: no cover - can_set front-runs this
+        except PageCapacityError:
+            # A page refused one value after the indexes took the new row
+            # and earlier columns their values: hydrate, finish the writes.
             self.hydrate()
-            super().update_slot(slot, new_row)
+            for builder, value in zip(self._columns, new_row):
+                builder.set(slot, value)
 
     def set_column(self, column, slots, values) -> None:
         try:
@@ -335,8 +347,3 @@ class PagedTable(Table):
     def move_rows(self, columns, src, dst) -> None:
         self.hydrate()
         super().move_rows(columns, src, dst)
-
-    def memory_bytes(self) -> int:
-        """Resident bytes only (pooled frames + caches + tails) — the
-        point of the exercise: ≪ the dataset under a tight budget."""
-        return super().memory_bytes()

@@ -172,8 +172,8 @@ class MaterializedSequenceView:
         return table
 
     def _index_storage(self, table) -> None:
-        """Create the storage indexes ``table`` lacks (a dump does not
-        carry the ``_pk`` one; maintenance finds its rows through it)."""
+        """Create the storage indexes ``table`` lacks (none after a load:
+        they travel with a dump; maintenance finds its rows through them)."""
         d = self.definition
         # The paper's Table 2 setting: primary-key index over the position.
         wanted = {f"{d.storage_table}_pk": (list(d.partition_by) + ["__pos"], True)}

@@ -9,7 +9,7 @@ on every value (floats by their eight bytes), every value's type, every
 ``ExecutionStats`` counter, what the window operator reports about itself
 and what ``EXPLAIN ANALYZE`` would print per node.  The cases NumPy cannot
 order or evaluate the way Python does (NULL, NaN, TEXT keys, computed
-arguments, ranking, RANGE, a spill budget, a parallel configuration) must
+arguments, ranking, RANGE, a parallel configuration) must
 observably take the row loop.
 """
 
@@ -267,10 +267,18 @@ def test_fallback_triggers_take_the_row_loop(rows, sql):
     assert inputs == (["columns"] if "FROM (" in sql else ["rows"])
 
 
-def test_spill_budget_takes_the_row_loop():
+def test_spill_budget_leaves_the_column_path_alone():
+    """The budget bounds what the row loop builds; a plan that never builds
+    rows has nothing to spill, and one that does spills as before — to the
+    same values."""
     db = make_db(ROWS)
-    db.memory_budget_bytes = 1 << 20
-    assert assert_paths_agree(db, f"SELECT k, SUM(v) OVER (ORDER BY k {OVER}) AS w FROM t") == ["rows"]
+    db.memory_budget_bytes = 8 * len(ROWS)  # half a window column
+    sql = f"SELECT k, SUM(v) OVER (ORDER BY k {OVER}) AS w FROM t"
+    got = execute(db, sql, rows_only=False)
+    want = execute(db, sql, rows_only=True)
+    assert (got[0], got[1], got[3]) == (want[0], want[1], want[3])
+    assert got[2][0]["input"] == "columns" and "spilled_runs" not in got[2][0]
+    assert want[2][0]["input"] == "rows" and want[2][0]["spilled_runs"] == 1
 
 
 def test_parallel_config_takes_the_row_loop():

@@ -47,6 +47,17 @@ class TestRoundTrip:
         assert idx is not None and idx.kind == "hash"
         assert len(idx.lookup(("a",))) == 1
 
+    @pytest.mark.parametrize("version", [2, 3, 4])
+    def test_only_the_primary_keys_own_index_is_left_out(self, db, tmp_path, version):
+        # A user index may be called anything, `*_pk` included.
+        db.create_index("t", "by_val_pk", ["val"], kind="hash")
+        db.create_index("empty", "empty_pk", ["x"])  # no primary key to rebuild it from
+        save_database(db, str(tmp_path), format_version=version)
+        loaded = load_database(str(tmp_path))
+        assert sorted(loaded.table("t").indexes) == ["by_tag", "by_val_pk", "t_pk"]
+        assert loaded.table("t").indexes["by_val_pk"].column_indexes == (1,)
+        assert sorted(loaded.table("empty").indexes) == ["empty_pk"]
+
     def test_empty_table(self, db, tmp_path):
         save_database(db, str(tmp_path))
         loaded = load_database(str(tmp_path))
@@ -203,6 +214,26 @@ class TestWarehousePersistence:
         assert d.partition_by == ("g",)
         assert d.where_text == "(pos <= 8)"
         assert loaded.view("mv").partition_sizes() == {("a",): 8, ("b",): 8}
+
+
+    def test_view_storage_indexes_travel_with_the_dump(self, tmp_path):
+        from repro.warehouse import DataWarehouse
+
+        wh = DataWarehouse()
+        wh.create_table("seq", [("g", INTEGER), ("pos", INTEGER), ("val", FLOAT)])
+        wh.insert("seq", [(i % 2, i, float(i)) for i in range(20)])
+        wh.create_view("mv", "SELECT g, pos, SUM(val) OVER (PARTITION BY g ORDER BY pos "
+                             "ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS s FROM seq")
+        storage = wh.view("mv").definition.storage_table
+        wh.save(str(tmp_path))
+        catalog = json.loads((tmp_path / "catalog.json").read_text())
+        entry = next(t for t in catalog["tables"] if t["name"] == storage)
+        assert {i["name"]: (i["columns"], i["unique"]) for i in entry["indexes"]} == {
+            f"{storage}_pk": (["g", "__pos"], True), f"{storage}_pos": (["__pos"], False)}
+        loaded = DataWarehouse.load(str(tmp_path), rehydrate=True)
+        assert sorted(loaded.db.table(storage).indexes) == sorted(wh.db.table(storage).indexes)
+        loaded.update_measure("seq", keys={"g": 1, "pos": 5}, value_col="val", new_value=-3.0)
+        assert loaded.verify()["mv"].ok
 
 
 class TestDurability:

@@ -111,6 +111,26 @@ class TestSelectivity:
         )
         assert predicate_selectivity(Not(eq), stats) == pytest.approx(1.0 - s_eq)
 
+    def test_two_bounds_on_one_column_are_one_range(self, db):
+        """``BETWEEN`` over a uniform key estimates within 2x of the rows it
+        returns — as one AND, as the planner's stacked filters, written
+        either way round, with NULLs in the column — not as a product."""
+        stats = db.stats.get("t")
+        ge, le = Comparison(">=", col("pos"), lit(100)), Comparison("<=", col("pos"), lit(119))
+        rows = predicate_selectivity(And(ge, le), stats) * 400
+        assert 10 <= rows <= 40  # 20 match
+        mirrored = And(Comparison("<=", lit(100), col("pos")), And(le, Comparison("=", col("g"), lit(2))))
+        assert predicate_selectivity(mirrored, stats) * 400 == pytest.approx(rows / 4, rel=0.05)
+        val = And(Comparison(">", col("val"), lit(99.5)), Comparison("<", col("val"), lit(139.5)))
+        assert 18 <= predicate_selectivity(val, stats) * 400 <= 72  # 36 match, 4 are NULL
+        empty = And(Comparison(">=", col("pos"), lit(300)), le)
+        assert predicate_selectivity(empty, stats) * 400 == pytest.approx(1.0)  # floored at a row
+        out = db.explain_analyze("SELECT pos FROM t WHERE pos BETWEEN 100 AND 119")
+        filters = [line for line in out.splitlines() if "Filter" in line]
+        assert len(filters) == 2  # stacked, estimated as one conjunction
+        est = int(filters[0].split("est rows=")[1].split(",")[0])
+        assert 10 <= est <= 40 and "actual rows=20" in filters[0]
+
     def test_is_null_uses_null_fraction(self, db):
         stats = db.stats.get("t")
         assert predicate_selectivity(col("val").is_null(), stats) == pytest.approx(0.1)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.columns import Column
 from repro.errors import PageCapacityError, PageCorruptError
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.buffer_pool import BufferPool, PageRef
@@ -13,14 +14,15 @@ PAGE_SIZE = 256
 
 @pytest.fixture
 def page_file(tmp_path):
-    """A 6-page file: column v rows 0..n, ~10 values per page."""
+    """A 3-page file: column v rows 0..n, 27 values per page."""
     values = [float(i) for i in range(60)]
-    pages, entries = paginate_values("t", "v", values, PAGE_SIZE, 0)
+    pages, entries = paginate_values(Column.from_values(values, "float64"), PAGE_SIZE, 0)
     path = tmp_path / "t.pages"
     path.write_bytes(b"".join(pages))
     file = PageFile(str(path), PAGE_SIZE)
     refs = [
-        PageRef(file, e["page"], "t", "v", e["start"], e["rows"], e["crc32"])
+        PageRef(file, e["page"], "t", "v", e["start"], e["rows"], e["crc32"],
+                e["kind"], (e["min"], e["max"]))
         for e in entries
     ]
     yield file, refs, values
@@ -36,7 +38,8 @@ class TestFaultInAndHits:
         _file, refs, values = page_file
         pool = make_pool(4)
         got = pool.get_values(refs[0])
-        assert got == values[refs[0].start:refs[0].start + refs[0].rows]
+        assert got.kind == "float64" and not got.data.flags.writeable
+        assert got.to_pylist() == values[refs[0].start:refs[0].start + refs[0].rows]
 
     def test_second_read_is_a_hit(self, page_file):
         _file, refs, _values = page_file
@@ -50,7 +53,7 @@ class TestFaultInAndHits:
         pool = make_pool(1)
         out = []
         for ref in refs:
-            out.extend(pool.get_values(ref))
+            out.extend(pool.get_values(ref).to_pylist())
         assert out == values
         assert pool.evictions >= len(refs) - 1
 
@@ -94,7 +97,7 @@ class TestWriteBack:
             pool.get_values(ref)  # cycle the dirty frame out
         assert pool.writebacks >= 1
         assert refs[0].overlay_slot is not None
-        got = pool.get_values(refs[0])
+        got = pool.get_values(refs[0]).to_pylist()
         assert got[0] == -99.5
         assert got[1:] == values[1:refs[0].rows]
 
@@ -120,21 +123,33 @@ class TestWriteBack:
         pool = make_pool(4)
         with pytest.raises(PageCapacityError):
             pool.set_value(refs[0], 0, "z" * PAGE_SIZE)
-        got = pool.get_values(refs[0])
-        assert got == values[:refs[0].rows]  # unchanged
+        assert pool.get_values(refs[0]).to_pylist() == values[:refs[0].rows]  # unchanged
+        assert refs[0].zone == (0.0, refs[0].rows - 1.0)
+
+    def test_write_widens_the_zone_and_a_null_fits(self, page_file):
+        _file, refs, values = page_file
+        pool = make_pool(1)
+        pool.set_value(refs[0], 1, 1e9)
+        pool.set_value(refs[0], 2, None)  # an all-valid page has room for a bitmap
+        pool.set_value(refs[0], 3, float("nan"))
+        assert refs[0].zone == (0.0, 1e9)
+        pool.get_values(refs[1])  # evict: the page comes back from the overlay
+        got = pool.get_values(refs[0]).to_pylist()
+        assert got[:3] == [0.0, 1e9, None] and got[3] != got[3]
+        assert got[4:] == values[4:refs[0].rows]
 
 
 class TestQuarantine:
     def _corrupt_ref(self, tmp_path):
-        payload = chunk_payload("t", "v", 0, [1.0, 2.0])
+        payload = chunk_payload(0, Column.from_values([1.0, 2.0], "float64"))
         raw = bytearray(encode_page(0, payload, PAGE_SIZE))
-        raw[20] ^= 0xFF  # flip a payload byte after framing
+        raw[40] ^= 0xFF  # flip a byte of the value buffer after framing
         path = tmp_path / "bad.pages"
         path.write_bytes(bytes(raw))
         file = PageFile(str(path), PAGE_SIZE)
         import zlib
 
-        return file, PageRef(file, 0, "t", "v", 0, 2, zlib.crc32(payload))
+        return file, PageRef(file, 0, "t", "v", 0, 2, zlib.crc32(payload), "float64")
 
     def test_crc_failure_quarantines(self, tmp_path):
         _file, ref = self._corrupt_ref(tmp_path)
@@ -159,10 +174,26 @@ class TestQuarantine:
         pool = make_pool(4)
         wrong = PageRef(
             file, refs[0].page_no, "t", "v",
-            refs[0].start + 1, refs[0].rows, refs[0].crc32,
+            refs[0].start + 1, refs[0].rows, refs[0].crc32, "float64",
         )
         with pytest.raises(PageCorruptError, match="disagrees"):
             pool.get_values(wrong)
+
+    def test_directory_kind_disagreement_detected(self, page_file):
+        file, refs, _values = page_file
+        pool = make_pool(4)
+        registry = MetricsRegistry()
+        wrong = PageRef(
+            file, refs[0].page_no, "t", "v",
+            refs[0].start, refs[0].rows, refs[0].crc32, "int64",
+        )
+        from repro.obs import runtime
+
+        with runtime.use(registry=registry):
+            with pytest.raises(PageCorruptError, match="disagrees"):
+                pool.get_values(wrong)
+        assert pool.quarantined_pages() == [wrong.key]
+        assert registry.value("repro_storage_decode_errors_total") == 1
 
 
 class TestObservability:

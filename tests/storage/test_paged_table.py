@@ -88,12 +88,14 @@ class TestOutOfCoreReads:
         catalog_path = tmp_path / "catalog.json"
         catalog = json.loads(catalog_path.read_text())
         entry = catalog["tables"][0]
+        from repro.columns import Column
         from repro.storage.page import paginate_values
 
         values = [r[0] for r in db.table("t").rows]
         values[1] = values[0]  # duplicate primary key
         pages, dir_entries = paginate_values(
-            "t", "pos", values, 512, entry["pages"]["columns"]["pos"][0]["page"]
+            Column.from_values(values, "int64"), 512,
+            entry["pages"]["columns"]["pos"][0]["page"],
         )
         data_path = tmp_path / "data" / entry["data_file"]
         raw = bytearray(data_path.read_bytes())
@@ -153,8 +155,8 @@ class TestMutation:
 
     def test_paged_view_storage_survives_a_longer_value(self, tmp_path):
         """A paged storage table (``rehydrate=True`` keeps the dumped one)
-        whose patched ``__val`` text outgrows its page hydrates; the view
-        is maintained, not quarantined."""
+        takes a patched ``__val`` of any length in place — a float is its
+        eight bytes — and the view is maintained, not quarantined."""
         from repro.warehouse import DataWarehouse
 
         wh = DataWarehouse()
@@ -173,7 +175,7 @@ class TestMutation:
             for k in range(100, 140):  # 1/3 + k prints 16-18 digits, not 3
                 loaded.update_measure("seq", keys={"pos": k}, value_col="val",
                                       new_value=1 / 3 + k)
-            assert not storage.is_paged
+            assert storage.is_paged
             assert not view.quarantined
             assert loaded.verify()["mv"].ok
             assert loaded.query(sql + " ORDER BY pos").rewrite.view == "mv"
@@ -209,17 +211,144 @@ class TestScans:
         assert loaded.buffer_pool.evictions > 0
         assert loaded.table("t").is_paged  # streamed, not hydrated
 
-    def test_snapshot_not_cached_under_tight_budget(self, paged):
-        _ref, loaded = paged
-        store = loaded.table("t")._columns[1]
-        store.snapshot()
-        assert store._cached is None  # column exceeds the 2 KiB budget
+    def test_snapshot_is_gathered_each_time_and_shares_no_frame(self, paged):
+        ref, loaded = paged
+        table = loaded.table("t")
+        before = table.column_values("val")
+        assert before.to_pylist() == ref.table("t").column_values("val").to_pylist()
+        assert before.data.base is None  # its own buffer, not a frame's
+        table.set_column("val", [5], [-1.5])
+        assert before.value(5) == 5 / 7.0
+        assert table.column_values("val").value(5) == -1.5
 
-    def test_snapshot_cached_under_ample_budget(self, tmp_path):
-        db = build_db()
-        save_database(db, str(tmp_path), format_version=4, page_size=512)
-        loaded = load_database(str(tmp_path), memory_budget_bytes=2**24)
-        store = loaded.table("t")._columns[1]
-        first = store.snapshot()
-        assert store._cached is first
-        assert store.snapshot() is first
+    def test_kind_changing_and_over_long_values_hydrate_and_lose_nothing(self, paged):
+        ref, loaded = paged
+        table, want = loaded.table("t"), [list(r) for r in ref.table("t").rows]
+        table.update_slot(5, [2**70, want[5][1], want[5][2], want[5][3]])  # beyond int64
+        want[5][0] = 2**70
+        assert not table.is_paged and [list(r) for r in table.rows] == want
+        assert table.indexes["t_pk"].lookup((2**70,)) == [5]
+        assert table.indexes["t_pk"].lookup((5,)) == []
+
+    def test_an_unchanged_value_leaves_its_page_clean(self, paged):
+        _ref, loaded = paged
+        table = loaded.table("t")
+        table.update_slot(5, table.row(5))
+        assert loaded.buffer_pool.flush() == 0
+        table.update_slot(5, [5, -0.0 if table.row(5)[1] == 0.0 else 0.5, "tag0", table.row(5)[3]])
+        assert loaded.buffer_pool.flush() == 1  # only the val page changed
+
+
+def window_read(lo, hi):
+    return ("SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 1 "
+            f"FOLLOWING) AS w FROM seq WHERE pos BETWEEN {lo} AND {hi} ORDER BY pos")
+
+
+def seq_pair(tmp_path, rows, *, page_size=4096, budget=1 << 16):
+    """An in-memory warehouse over ``seq`` and a paged load of its dump."""
+    from repro.warehouse import DataWarehouse, create_sequence_table
+
+    wh = DataWarehouse()
+    create_sequence_table(wh.db, "seq", rows, seed=29, primary_key=False)
+    wh.save(str(tmp_path / f"d{rows}"), storage_format=4, page_size=page_size)
+    return wh, DataWarehouse.load(str(tmp_path / f"d{rows}"), memory_budget_bytes=budget)
+
+
+class TestPrunedScans:
+    """Counts, not clocks: what a range read faults in does not grow with
+    the table, and a full scan faults each page once."""
+
+    def faults(self, loaded, sql):
+        before = loaded.db.buffer_pool.snapshot()["misses"]
+        result = loaded.query(sql, use_views=False)
+        return loaded.db.buffer_pool.snapshot()["misses"] - before, result
+
+    def test_range_read_faults_the_same_pages_at_2k_and_64k_rows(self, tmp_path):
+        counts = []
+        for rows in (2_000, 64_000):
+            ref, loaded = seq_pair(tmp_path, rows, budget=8 * 4096)
+            with loaded:
+                lo = rows // 2 - 100  # straddles a page edge at both sizes
+                faulted, got = self.faults(loaded, window_read(lo, lo + 199))
+                assert got.rows == ref.query(window_read(lo, lo + 199)).rows
+                assert len(got.rows) == 200
+                assert faulted <= 2 * 2  # two pages of each referenced column
+                assert got.stats.rows_scanned <= 3 * 500
+                counts.append((faulted, got.stats.rows_scanned))
+        assert counts[0] == counts[1]
+
+    def test_full_scan_faults_each_page_exactly_once(self, tmp_path):
+        ref, loaded = seq_pair(tmp_path, 5_000, page_size=512, budget=4 * 512)
+        with loaded:
+            sql = window_read(1, 5_000).replace("WHERE pos BETWEEN 1 AND 5000 ", "")
+            faulted, got = self.faults(loaded, sql)
+            assert got.rows == ref.query(sql).rows
+            assert faulted == loaded.db.table("seq").pages_total
+            assert got.stats.rows_scanned == 5_000
+
+    def test_explain_analyze_and_counters_show_the_pruning(self, tmp_path):
+        from repro.obs import runtime
+        from repro.obs.metrics import MetricsRegistry
+
+        _ref, loaded = seq_pair(tmp_path, 5_000, page_size=512)
+        registry = MetricsRegistry()
+        with loaded, runtime.use(registry=registry):
+            out = loaded.db.explain_analyze(window_read(1000, 1199))
+            total = loaded.db.table("seq").pages_total
+        scan_line = next(line for line in out.splitlines() if "TableScan" in line)
+        read = int(scan_line.split("pages=")[1].split("/")[0])
+        assert "input=columns" in scan_line and f"pages={read}/{total}" in scan_line
+        assert 0 < read <= 2 * 5  # 200 rows at 60 rows a page, two columns
+        assert "input=columns" in next(l for l in out.splitlines() if "WindowOperator" in l)
+        assert registry.value("repro_storage_pages_scanned_total") == read
+        assert registry.value("repro_storage_pages_pruned_total") == total - read
+
+    def test_bare_limit_stops_faulting_pages(self, tmp_path):
+        ref, loaded = seq_pair(tmp_path, 5_000, page_size=512)
+        with loaded:
+            faulted, got = self.faults(loaded, "SELECT pos, val FROM seq LIMIT 7")
+            assert got.rows == ref.query("SELECT pos, val FROM seq LIMIT 7").rows
+            assert faulted == 2 and got.stats.rows_scanned == 7
+            filtered = "SELECT pos FROM seq WHERE val > 3 LIMIT 7"  # not bare: no bound
+            assert loaded.query(filtered).rows == ref.query(filtered).rows
+
+    def test_tail_rows_and_widened_zones_are_never_pruned(self, tmp_path):
+        ref, loaded = seq_pair(tmp_path, 2_000, page_size=512)
+        with loaded:
+            for wh in (ref, loaded):
+                wh.db.table("seq").insert([1_000_000, 1.5])  # lands in the tail
+                wh.db.table("seq").update_slot(10, [999_999, 2.5])  # widens a zone
+            sql = "SELECT pos, val FROM seq WHERE pos >= 999999 ORDER BY pos"
+            assert loaded.query(sql).rows == ref.query(sql).rows == [(999_999, 2.5), (1_000_000, 1.5)]
+            assert loaded.db.table("seq").is_paged
+
+
+class TestOutOfCoreVerdicts:
+    """What ``benchmarks/bench_outofcore.py --check`` used to gate: answers
+    bit-identical to the in-memory warehouse with the page files at least
+    four times the budget, and evictions to show the run was out of core."""
+
+    def test_query_update_and_refresh_match_in_memory_at_4x_the_budget(self, tmp_path):
+        import os
+
+        from repro.warehouse import DataWarehouse, create_sequence_table
+
+        rows, budget = 4_000, 16_384
+        view = ("SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND "
+                "1 FOLLOWING) AS s FROM seq")
+        query = window_read(1, rows).replace(f"WHERE pos BETWEEN 1 AND {rows} ", "")
+        ref = DataWarehouse()
+        create_sequence_table(ref.db, "seq", rows, seed=29)
+        ref.create_view("mv", view)
+        ref.save(str(tmp_path), storage_format=4, page_size=512)
+        data = tmp_path / "data"
+        assert sum(os.path.getsize(data / f) for f in os.listdir(data)) >= 4 * budget
+        with DataWarehouse.load(str(tmp_path), memory_budget_bytes=budget) as cold:
+            assert cold.query(query, use_views=False).rows == ref.query(query, use_views=False).rows
+            for wh in (ref, cold):
+                wh.update_measure("seq", keys={"pos": rows // 2}, value_col="val", new_value=2.5)
+                wh.refresh_view("mv")
+            assert cold.query(query, use_views=False).rows == ref.query(query, use_views=False).rows
+            assert cold.query(view + " ORDER BY pos").rows == ref.query(view + " ORDER BY pos").rows
+            pool = cold.db.buffer_pool.snapshot()
+            assert pool["evictions"] > 0 and pool["occupancy_bytes"] <= budget

@@ -103,9 +103,11 @@ def build_db(rows: int) -> Database:
     return db
 
 
+# A computed argument keeps the window operator on its row loop, which is
+# what builds the state the budget bounds; on columns nothing spills.
 WINDOW_SQL = (
     "SELECT g, pos, "
-    "SUM(val) OVER (PARTITION BY g ORDER BY pos ROWS BETWEEN 3 PRECEDING "
+    "SUM(val + 0) OVER (PARTITION BY g ORDER BY pos ROWS BETWEEN 3 PRECEDING "
     "AND 2 FOLLOWING) AS s, "
     "AVG(val) OVER (PARTITION BY g ORDER BY pos ROWS BETWEEN 5 PRECEDING "
     "AND CURRENT ROW) AS a "
