@@ -151,8 +151,11 @@ class PagedColumnStore:
     def prune(self, ranges: Ranges, op: str, value: Any) -> Ranges:
         """The parts of ``ranges`` (paged slots) that lie on pages whose
         zone does not rule out ``<op> value``."""
-        test, out = _ZONE_TESTS.get(op), []
-        for lo, hi in ranges if test else ():
+        test = _ZONE_TESTS.get(op)
+        if test is None:
+            return ranges
+        out: Ranges = []
+        for lo, hi in ranges:
             while lo < hi:
                 ref = self._ref_for(lo)
                 stop = min(hi, ref.start + ref.rows)
@@ -162,7 +165,7 @@ class PagedColumnStore:
                     else:
                         out.append((lo, stop))
                 lo = stop
-        return out if test else ranges
+        return out
 
     def gather(self, ranges: Ranges) -> Tuple[Column, int]:
         """The slots of ``ranges`` as one column that shares no buffer with
