@@ -411,7 +411,7 @@ def run_page_read_corrupt(rows):
     rows = rows * 25
     reference = build_wh(rows, view=False).query(QUERY, use_views=False).rows
     with tempfile.TemporaryDirectory() as tmp:
-        build_wh(rows, view=False).save(tmp, storage_format=4, page_size=512)
+        build_wh(rows, view=False).save(tmp, page_size=512)
         wh = DataWarehouse.load(tmp, memory_budget_bytes=4096)
         pool = wh.db.buffer_pool
         plan = FaultPlan([FaultSpec("page_read_corrupt", target="seq")])

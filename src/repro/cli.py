@@ -20,7 +20,7 @@ Usage::
     python -m repro verify --dir DIR [--repair] [--json PATH]
     python -m repro fuzz [--seeds N] [--oracle sqlite|none] [--json PATH]
                          [--trace]
-    python -m repro migrate --dir DIR [--to 2|3|4]
+    python -m repro migrate --dir DIR
 
 The ``table1``/``table2`` subcommands rerun the paper's evaluation sweeps
 with simple wall-clock timing and print rows in the papers' table layout
@@ -107,25 +107,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
     print()
     print(result.pretty(limit=8))
     print(f"\nengine stats: {result.stats.summary()}")
-    if args.storage_format is not None:
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as tmp:
-            wh.save(tmp, storage_format=args.storage_format)
-            reloaded = DataWarehouse.load(tmp)
-            again = reloaded.query(query)
-        same = [tuple(round(v, 9) for v in row) for row in again.rows] == [
-            tuple(round(v, 9) for v in row) for row in result.rows
-        ]
-        table = wh.db.table("seq")
-        print(
-            f"\nstorage round trip (format v{args.storage_format}): "
-            f"{'ok' if same else 'MISMATCH'}; "
-            f"seq heap {table.memory_bytes()} columnar bytes "
-            f"(~{table.row_memory_bytes()} as row tuples)"
-        )
-        if not same:
-            return 1
     return 0
 
 
@@ -241,7 +222,7 @@ def _stats_workload(rows: int) -> None:
         "seq", keys={"pos": rows // 2}, value_col="val", new_value=1.0
     )
     # Storage gauges: per-table heap residency, plus the buffer pool of a
-    # v4 (paged) reload of the same warehouse queried under a small
+    # paged reload of the same warehouse queried under a small
     # budget — so occupancy/hit/miss/eviction gauges are non-trivial.
     import tempfile
 
@@ -255,11 +236,10 @@ def _stats_workload(rows: int) -> None:
             help="Resident bytes of one table's column heaps",
         ).set(float(table.memory_bytes()))
     with tempfile.TemporaryDirectory() as tmp:
-        wh.save(tmp, storage_format=4, page_size=1024)
+        wh.save(tmp, page_size=1024)
         paged = DataWarehouse.load(tmp, memory_budget_bytes=8 * 1024)
         paged.query(derivable, use_views=False)
-        if paged.db.buffer_pool is not None:
-            paged.db.buffer_pool.publish(registry)
+        paged.db.buffer_pool.publish(registry)
 
 
 def _demo_fault(wh: DataWarehouse, kind: str, query: str) -> int:
@@ -796,12 +776,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_migrate(args: argparse.Namespace) -> int:
-    """Convert a saved database dump to another storage format version.
+    """Rewrite a saved database dump of any supported version as pages.
 
-    Loads the dump (any supported version), rewrites it in the requested
-    format (v3 columnar by default), and removes data files the new
-    catalog no longer references.  A ``views.json`` beside the catalog is
-    untouched — view definitions are format-independent.
+    The save removes the data files the new catalog no longer references.
+    A ``views.json`` beside the catalog is untouched — view definitions
+    are format-independent.
     """
     import json
     import os
@@ -809,32 +788,21 @@ def cmd_migrate(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
     from repro.relational.persist import load_database, save_database
 
-    catalog_path = os.path.join(args.dir, "catalog.json")
+    data_dir = os.path.join(args.dir, "data")
     try:
-        with open(catalog_path, encoding="utf-8") as fh:
+        with open(os.path.join(args.dir, "catalog.json"), encoding="utf-8") as fh:
             old_version = json.load(fh).get("version")
+        before = set(os.listdir(data_dir)) if os.path.isdir(data_dir) else set()
         db = load_database(args.dir)
-        save_database(db, args.dir, format_version=args.to)
+        save_database(db, args.dir)
     except (OSError, ReproError) as exc:
         print(f"migration failed: {type(exc).__name__}: {exc}")
         return 2
-    with open(catalog_path, encoding="utf-8") as fh:
-        referenced = {e["data_file"] for e in json.load(fh)["tables"]}
-    data_dir = os.path.join(args.dir, "data")
-    removed = 0
-    for name in os.listdir(data_dir):
-        if name not in referenced and (
-            name.endswith(".jsonl")
-            or name.endswith(".cols.json")
-            or name.endswith(".pages")
-        ):
-            os.remove(os.path.join(data_dir, name))
-            removed += 1
     tables = list(db.catalog.tables())
     print(
-        f"migrated {args.dir}: v{old_version} -> v{args.to}, "
+        f"migrated {args.dir}: v{old_version} -> v4, "
         f"{len(tables)} tables ({sum(len(t) for t in tables)} rows), "
-        f"{removed} superseded data files removed"
+        f"{len(before - set(os.listdir(data_dir)))} superseded data files removed"
     )
     return 0
 
@@ -953,10 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "and show detection -> degradation -> repair "
                            "(replication faults: `repro replicate "
                            "--inject-fault`)")
-    demo.add_argument("--storage-format", dest="storage_format", type=int,
-                      choices=[2, 3, 4], default=None,
-                      help="also save/reload the warehouse in this dump format "
-                           "and verify the query answer round-trips")
     demo.add_argument("--profile", action="store_true",
                       help="run the query under a tracer and print the span "
                            "tree plus the top-5 slowest spans")
@@ -1049,13 +1013,10 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.set_defaults(func=cmd_fuzz)
 
     mig = sub.add_parser(
-        "migrate", help="convert a saved database dump to another storage format"
+        "migrate", help="rewrite a saved database dump of any version as pages"
     )
     mig.add_argument("--dir", required=True,
                      help="directory written by save_database()/DataWarehouse.save()")
-    mig.add_argument("--to", type=int, choices=[2, 3, 4], default=3,
-                     help="target format version (3 = columnar, default; "
-                          "4 = paged columnar for out-of-core loads)")
     mig.set_defaults(func=cmd_migrate)
 
     serve = sub.add_parser(

@@ -154,6 +154,24 @@ class Column:
             return cls.from_values(values, "object")
         return cls(data, validity)
 
+    @classmethod
+    def concat(cls, parts: Sequence["Column"], kind: str) -> "Column":
+        """One column of ``parts`` in order, in buffers of its own (an
+        empty list is an empty ``kind`` column; parts of differing kinds —
+        e.g. a tail promoted to ``object`` — join as ``object``)."""
+        if not parts:
+            return cls.from_values([], kind)
+        if len({part.kind for part in parts}) > 1:
+            return cls.from_values([v for part in parts for v in part.to_pylist()])
+        data = np.concatenate([part.data for part in parts])
+        if all(part.validity is None for part in parts):
+            return cls(data)
+        masks = [
+            np.ones(len(part), dtype=np.bool_) if part.validity is None else part.validity
+            for part in parts
+        ]
+        return cls(data, np.concatenate(masks))
+
     # -- shape / kind ---------------------------------------------------------
 
     def __len__(self) -> int:
@@ -365,6 +383,20 @@ class ColumnBuilder:
     @classmethod
     def for_type(cls, type_name: str) -> "ColumnBuilder":
         return cls(kind_for_type(type_name))
+
+    @classmethod
+    def from_column(cls, column: Column) -> "ColumnBuilder":
+        """A builder over ``column``'s values (copied unless the buffers
+        are the column's own, see :meth:`Column.detached`)."""
+        column = column.detached()
+        out = cls(column.kind)
+        out._data = column.data
+        out._validity = (
+            np.ones(len(column), dtype=np.bool_) if column.validity is None
+            else column.validity
+        )
+        out._size = len(column)
+        return out
 
     def __len__(self) -> int:
         return self._size

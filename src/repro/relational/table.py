@@ -161,6 +161,16 @@ class Table:
         i = column if isinstance(column, int) else self.schema.resolve(column)
         return self._columns[i].snapshot()
 
+    def adopt_columns(self, columns: Sequence[Any], num_rows: int) -> None:
+        """Install ``columns`` (ColumnBuilder-protocol stores of ``num_rows``
+        slots each) as the heap, then rebuild every index from them — so a
+        duplicate primary key in what was adopted is a ConstraintError."""
+        self._columns = list(columns)
+        self._nrows = num_rows
+        self._structure_version += 1
+        for index in self.indexes.values():
+            index.rebuild(self.rows)
+
     def close(self) -> None:
         """Release what the table holds outside the heap: nothing here, a
         page file and pool frames for a paged table.  The catalog calls it

@@ -444,7 +444,9 @@ class ConcurrentWarehouse:
 
     @classmethod
     def load(cls, directory: str, *, execution=None) -> "ConcurrentWarehouse":
-        """Load a saved warehouse and wrap it for concurrent serving."""
+        """Load a saved warehouse into memory and wrap it for concurrent
+        serving (residency follows the budget, and this load passes none:
+        see :meth:`DataWarehouse.load`)."""
         wh = DataWarehouse.load(directory)
         wh.execution = execution
         return cls(wh)

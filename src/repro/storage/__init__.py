@@ -1,10 +1,9 @@
 """Out-of-core storage: pages, buffer pool, paged tables, spilling.
 
-The v4 storage format (``repro migrate --to 4`` /
-``DataWarehouse.save(dir, storage_format=4)``) stores each table as
-fixed-size CRC32-checked pages of binary column chunks behind a
-:class:`~repro.storage.buffer_pool.BufferPool` with a configurable
-``memory_budget_bytes`` — data ≫ memory becomes queryable, with scans
+Every save stores each table as fixed-size CRC32-checked pages of binary
+column chunks; a load with ``memory_budget_bytes`` keeps them behind a
+:class:`~repro.storage.buffer_pool.BufferPool` of that size — data ≫
+memory becomes queryable, with scans
 that hand over columns and skip pages by their min/max zones, pin/unpin,
 LRU eviction, dirty write-back to a session overlay, and spill-to-disk
 execution state for hash aggregation and window runs.

@@ -98,6 +98,28 @@ class PageRef:
     def key(self) -> Tuple[str, int]:
         return (self.file.path, self.page_no)
 
+    def decode(self, raw: bytes, expect_crc: Optional[int]) -> Column:
+        """The column chunk of this page's ``raw`` bytes, after every check:
+        magic, page number, header CRC, ``expect_crc`` (the directory's, when
+        given) and the chunk header against the directory entry.
+
+        Raises:
+            PageCorruptError: a check failed.
+        """
+        context = f"{self.table}.{self.column} in {self.file.path}"
+        payload = decode_page(
+            raw, self.page_no, self.file.page_size, expect_crc=expect_crc, context=context,
+        )
+        is_json = raw[:4] == JSON_PAGE_MAGIC
+        doc, column = decode_chunk(payload, self.kind if is_json else None)
+        if (doc["r"], doc["n"]) != (self.start, self.rows) or doc["kind"] not in (None, self.kind):
+            raise PageCorruptError(
+                f"page {self.page_no} of {self.table}.{self.column} chunk "
+                f"header {doc['kind']} [{doc['r']},+{doc['n']}) disagrees with "
+                f"directory {self.kind} [{self.start},+{self.rows})"
+            )
+        return column
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"PageRef({self.table}.{self.column} page={self.page_no} "
@@ -232,20 +254,8 @@ class BufferPool:
                     raw[i] ^= 0xFF
                 raw = bytes(raw)
             expect = ref.crc32
-        context = f"{ref.table}.{ref.column} in {ref.file.path}"
         try:
-            payload = decode_page(
-                raw, ref.page_no, self.page_size,
-                expect_crc=expect, context=context,
-            )
-            is_json = raw[:4] == JSON_PAGE_MAGIC
-            doc, column = decode_chunk(payload, ref.kind if is_json else None)
-            if (doc["r"], doc["n"]) != (ref.start, ref.rows) or doc["kind"] not in (None, ref.kind):
-                raise PageCorruptError(
-                    f"page {ref.page_no} of {ref.table}.{ref.column} chunk "
-                    f"header {doc['kind']} [{doc['r']},+{doc['n']}) disagrees with "
-                    f"directory {ref.kind} [{ref.start},+{ref.rows})"
-                )
+            return ref.decode(raw, expect)
         except PageCorruptError as exc:
             self._quarantined[ref.key] = str(exc)
             runtime.get_registry().counter(
@@ -253,7 +263,6 @@ class BufferPool:
                 help="Page fault-ins that failed a check and quarantined the page",
             ).inc()
             raise
-        return column
 
     def _evict_to_budget(self) -> None:
         budget_frames = max(1, self.memory_budget_bytes // self.page_size)

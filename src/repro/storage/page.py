@@ -26,7 +26,7 @@ work, and a float is its eight bytes.  ``RPG4`` pages (a JSON document
 ``{"r", "n", "values", "validity"}``) are still decoded, never written.
 The catalog version did not change with the magic: the catalog's shape is
 the same, a reader tells the payloads apart page by page, and every write
-(save, overlay write-back, ``repro migrate --to 4``) produces ``RPG5``.
+(save, overlay write-back, ``repro migrate``) produces ``RPG5``.
 
 Pages are self-validating (header CRC) *and* cross-checked against the
 per-page CRC recorded in the catalog's page directory at save time, so a
@@ -62,6 +62,7 @@ __all__ = [
     "decode_value",
     "encode_page",
     "encode_value",
+    "paginate_table",
     "paginate_values",
 ]
 
@@ -71,6 +72,14 @@ HEADER = struct.Struct("<4sIII")  # magic, page_no, payload_len, crc32
 HEADER_SIZE = HEADER.size
 CHUNK = struct.Struct("<BBxxIQ")  # kind, has a validity bitmap, rows, first row
 DEFAULT_PAGE_SIZE = 4096
+
+
+class _ValueTooWide(CatalogError):
+    """One value's chunk needs ``payload_bytes`` and does not fit a page."""
+
+    def __init__(self, message: str, payload_bytes: int) -> None:
+        super().__init__(message)
+        self.payload_bytes = payload_bytes
 
 
 def chunk_payload(start: int, column: Column) -> bytes:
@@ -240,9 +249,10 @@ def paginate_values(
             take //= 2
             payload = chunk_payload(start, column.slice(start, start + take))
         if len(payload) > budget:
-            raise CatalogError(
+            raise _ValueTooWide(
                 f"value at row {start} needs {len(payload)} payload bytes; "
-                f"page size {page_size} is too small"
+                f"page size {page_size} is too small",
+                len(payload),
             )
         if kind == "object":
             if take == guess and len(payload) <= budget // 2 and take < n - start:
@@ -258,3 +268,27 @@ def paginate_values(
         entries.append(entry)
         start += take
     return raw_pages, entries
+
+
+def paginate_table(
+    columns: List[Column], page_size: int
+) -> Tuple[List[bytes], List[List[dict]], int]:
+    """Pack a table's columns, one after another, into one file of pages.
+
+    The pages are ``page_size`` bytes unless a single value does not fit
+    one: then they are the smallest power of two at least ``page_size``
+    that holds the widest single-value chunk, so a value of any length
+    saves.  Returns ``(raw_pages, directory entries per column, page
+    size)``.
+    """
+    while True:
+        raw_pages: List[bytes] = []
+        directories: List[List[dict]] = []
+        try:
+            for column in columns:
+                pages, entries = paginate_values(column, page_size, len(raw_pages))
+                raw_pages += pages
+                directories.append(entries)
+            return raw_pages, directories, page_size
+        except _ValueTooWide as exc:
+            page_size = 1 << max(page_size - 1, HEADER_SIZE + exc.payload_bytes - 1).bit_length()

@@ -45,7 +45,6 @@ from typing import Any, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.columns import Column, ColumnBuilder, ColumnRows
-from repro.columns.column import hash_chunks
 from repro.errors import PageCapacityError
 from repro.relational.table import Table
 from repro.storage.buffer_pool import BufferPool, PageRef
@@ -134,9 +133,7 @@ class PagedColumnStore:
         clone is hydrated, readers pinned to older epochs keep reading
         the original pages.
         """
-        out = ColumnBuilder(self.kind)
-        out.rebuild(self.snapshot().to_pylist())
-        return out
+        return ColumnBuilder.from_column(self.snapshot())
 
     # -- reads (ColumnBuilder protocol) ---------------------------------------
 
@@ -185,19 +182,7 @@ class PagedColumnStore:
                 lo = ref.start + stop
             if hi > paged:
                 parts.append(self._tail.snapshot().slice(max(lo, paged) - paged, hi - paged))
-        if not parts:
-            return Column.from_values([], self.kind), pages
-        if len({part.kind for part in parts}) > 1:  # e.g. a tail promoted to object
-            values = [v for part in parts for v in part.to_pylist()]
-            return Column.from_values(values), pages
-        data = np.concatenate([part.data for part in parts])
-        if all(part.validity is None for part in parts):
-            return Column(data), pages
-        masks = [
-            np.ones(len(part), dtype=np.bool_) if part.validity is None else part.validity
-            for part in parts
-        ]
-        return Column(data, np.concatenate(masks)), pages
+        return Column.concat(parts, self.kind), pages
 
     def pylist(self, start: int = 0, stop: Optional[int] = None) -> List[Any]:
         stop = len(self) if stop is None else min(stop, len(self))
@@ -211,9 +196,7 @@ class PagedColumnStore:
     def chunk_hashes(self, declared: str, tally=None, *, cached: bool = True) -> List[bytes]:
         """The digest's chunk hashes, as ``ColumnBuilder.chunk_hashes``
         defines them; computed from the pages each time, never cached."""
-        column = self.snapshot()
-        valid = np.ones(len(column), np.bool_) if column.validity is None else column.validity
-        return hash_chunks(column.data, valid, declared, (), tally)
+        return ColumnBuilder.from_column(self.snapshot()).chunk_hashes(declared, tally, cached=False)
 
     # -- accounting -----------------------------------------------------------
 
@@ -256,12 +239,8 @@ class PagedTable(Table):
         either.
         """
         table.__class__ = cls
-        table._columns = list(stores)
-        table._nrows = num_rows
-        table._structure_version += 1
         table.buffer_pool = pool
-        for index in table.indexes.values():
-            index.rebuild(table.rows)
+        table.adopt_columns(stores, num_rows)
         return table  # type: ignore[return-value]
 
     # -- paged-specific surface ----------------------------------------------

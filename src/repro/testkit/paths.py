@@ -124,7 +124,7 @@ def _engine_path(
         import tempfile
 
         with tempfile.TemporaryDirectory() as tmp:
-            wh.save(tmp, storage_format=4, page_size=512)
+            wh.save(tmp, page_size=512)
             wh = DataWarehouse.load(tmp, memory_budget_bytes=4096)
             result = wh.query(case.sql, use_views=False)
     elif exec_config is not None and exec_config.is_parallel:

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.complete import CompleteSequence
 from repro.core.reporting import PartitionData, ReportingSequence
-from repro.errors import ViewError
+from repro.errors import ViewDefinitionError, ViewError
 from repro.relational.engine import Database
 from repro.relational.schema import Column
 from repro.relational.types import BOOLEAN, FLOAT, INTEGER
@@ -210,6 +210,12 @@ class MaterializedSequenceView:
         d = self.definition
         injector.check("refresh_begin", self.name)
         rows = self._base_rows()
+        if any(row[d.value_col] is None for row in rows):
+            raise ViewDefinitionError(
+                f"view {self.name!r}: measure column {d.base_table}.{d.value_col} "
+                "holds a NULL in a row the view selects; a reporting sequence "
+                "has no NULL position"
+            )
         reporting = ReportingSequence.from_rows(
             rows,
             d.value_col,

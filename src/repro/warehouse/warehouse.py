@@ -28,6 +28,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import (
     CatalogError,
+    MaintenanceError,
     NoRewriteError,
     QuarantinedViewError,
     ReproError,
@@ -569,11 +570,10 @@ class DataWarehouse:
         """Persist base tables, indexes and view definitions to a directory.
 
         Args:
-            storage_format: dump format version (3 = columnar, the
-                default; 4 = paged columnar for out-of-core loads;
-                2 = row JSON-lines for older readers).
-            page_size: fixed page size in bytes for v4 dumps (ignored for
-                other formats; default 4096).
+            storage_format: ``None`` or 4, the one format written (pages;
+                see :mod:`repro.relational.persist`).  Any other value is a
+                :class:`~repro.errors.CatalogError`.
+            page_size: page size in bytes (default 4096).
 
         Views are stored as definitions and re-materialized on load (the
         dump also contains their storage tables, which load() replaces with
@@ -585,12 +585,12 @@ class DataWarehouse:
         from repro.relational.persist import durable_write, save_database
 
         self._assert_exclusive("save")
-
-        kwargs = {}
-        if storage_format is not None:
-            kwargs["format_version"] = storage_format
-        if page_size is not None:
-            kwargs["page_size"] = page_size
+        if storage_format not in (None, 4):
+            raise CatalogError(
+                f"cannot write storage format {storage_format!r}: format 4 "
+                "(pages) is the only one written"
+            )
+        kwargs = {} if page_size is None else {"page_size": page_size}
         save_database(self.db, directory, **kwargs)
         views = [
             {**view.definition.to_doc(), "complete": view.complete}
@@ -620,9 +620,11 @@ class DataWarehouse:
                 maintained values differ from a recompute in the last
                 ulp), which is what WAL recovery needs before it replays
                 digest-checked records on top.
-            memory_budget_bytes: buffer-pool + operator memory budget for
-                v4 (paged) dumps; ignored for in-memory formats.  ``None``
-                uses the storage layer's default budget.
+            memory_budget_bytes: where the tables live.  ``None`` (the
+                default) reads every page into memory — no buffer pool, no
+                spill budget.  A budget keeps the tables of a paged dump
+                on disk behind a buffer pool that holds at most that many
+                bytes of pages, and makes it the operators' spill budget.
         """
         import json
         import os
@@ -783,8 +785,11 @@ class DataWarehouse:
         self._assert_exclusive("update_measure")
         tbl = self.db.table(table)
         slot = self._locate_base_slot(table, keys)
-        row = list(tbl.row(slot))
-        row[tbl.schema.resolve(value_col)] = float(new_value)
+        old = tbl.row(slot)
+        row = list(old)
+        row[tbl.schema.resolve(value_col)] = None if new_value is None else float(new_value)
+        names = tbl.schema.names()
+        self._refuse_null_measures(table, dict(zip(names, row)), dict(zip(names, old)))
         tbl.update_slot(slot, row)
         results = []
         for view in self._dependent_views(table):
@@ -807,8 +812,9 @@ class DataWarehouse:
         """Insert one base row and incrementally maintain dependent views."""
         self._assert_exclusive("insert_row")
         tbl = self.db.table(table)
-        tbl.insert(values)
         row = dict(zip(tbl.schema.names(), values))
+        self._refuse_null_measures(table, row)
+        tbl.insert(values)
         results = []
         for view in self._dependent_views(table):
             if not self._row_in_view(view, row):
@@ -844,6 +850,24 @@ class DataWarehouse:
                 )
             )
         return results
+
+    def _refuse_null_measures(self, table: str, row: Dict[str, Any], *before: Dict[str, Any]) -> None:
+        """Refuse a write of ``row`` (replacing ``before``, for an update)
+        before it mutates anything when a view over ``table`` would have to
+        aggregate a NULL: a reporting sequence has no NULL position.
+
+        Raises:
+            MaintenanceError: naming the view and the column.
+        """
+        for view in self._dependent_views(table):
+            col = view.definition.value_col
+            if row.get(col, 0) is None and any(
+                self._row_in_view(view, r) for r in (row, *before)
+            ):
+                raise MaintenanceError(
+                    f"view {view.name!r} cannot take a NULL in its measure "
+                    f"column {table}.{col}: a reporting sequence has no NULL position"
+                )
 
     def _propagate(self, view: MaterializedSequenceView, rule, *args, **kwargs):
         """Run one maintenance rule; on failure quarantine the view and

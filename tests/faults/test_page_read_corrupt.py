@@ -32,7 +32,7 @@ def build_db() -> Database:
 @pytest.fixture
 def dump(tmp_path):
     db = build_db()
-    save_database(db, str(tmp_path), format_version=4, page_size=512)
+    save_database(db, str(tmp_path), page_size=512)
     return str(tmp_path), db.sql(QUERY).rows
 
 

@@ -7,6 +7,11 @@ scans and window queries must then agree with the in-memory table on every
 value (floats by their eight bytes), every value's type and on what raises,
 before and after the same interleaved writes went to all three tables and
 the dirty pages went out to the overlay and came back.
+
+A load without a budget reads the same pages into memory: it must give
+back every value of every kind (TEXT wider than a page included) and the
+same ``c1:`` state digest, with views rehydrated from the dump or
+recomputed, and after a logged warehouse is cut by a crash and recovered.
 """
 
 import base64
@@ -21,6 +26,8 @@ from hypothesis import strategies as st
 
 from repro.relational import BOOLEAN, DATE, Database, FLOAT, INTEGER, TEXT
 from repro.relational.persist import load_database, save_database
+from repro.replicate import state_digest
+from repro.warehouse import DataWarehouse
 
 COLUMNS = [("k", INTEGER), ("f", FLOAT), ("b", BOOLEAN), ("t", TEXT), ("d", DATE),
            ("v", FLOAT)]
@@ -30,6 +37,7 @@ ints = st.one_of(st.integers(-5, 40), st.sampled_from(
 big_ints = st.sampled_from([2**63, -(2**63) - 1, 2**70])  # the column turns object
 floats = st.one_of(st.integers(-3, 30).map(lambda i: i / 4), st.sampled_from(
     [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, -2.5e-320, 1e300, 0.1]))
+wide_texts = st.sampled_from(["w" * 300, "\u2603" * 700, "x" * 5000])  # wider than a page
 dates = st.integers(0, 400).map(lambda i: datetime.date(2001, 1, 1) + datetime.timedelta(i))
 
 
@@ -38,11 +46,14 @@ def nullable(values):
 
 
 @st.composite
-def row_lists(draw, min_size=0, max_size=60):
+def row_lists(draw, min_size=0, max_size=60, wide=False):
     key = st.one_of(ints, big_ints) if draw(st.integers(0, 5)) == 0 else ints
+    text = st.text("ab☃'", max_size=6)
+    if wide:
+        text = st.one_of(text, wide_texts)
     return draw(st.lists(st.tuples(
         nullable(key), nullable(floats), nullable(st.booleans()),
-        nullable(st.text("ab☃'", max_size=6)), nullable(dates), nullable(floats),
+        nullable(text), nullable(dates), nullable(floats),
     ), min_size=min_size, max_size=max_size))
 
 
@@ -66,7 +77,7 @@ def literal(value):
 
 def load_pair(db, directory, page_size, budget):
     """``db``'s dump loaded as saved, and with its zones stripped."""
-    save_database(db, directory, format_version=4, page_size=page_size)
+    save_database(db, directory, page_size=page_size)
     pruned = load_database(directory, memory_budget_bytes=budget)
     unpruned = load_database(directory, memory_budget_bytes=budget)
     for store in unpruned.table("t")._columns:
@@ -155,6 +166,69 @@ def test_paged_equals_in_memory(tmp_path_factory, rows, page_size, frames, data)
             db.buffer_pool.close()
 
 
+# -- a load without a budget reads the pages into memory ------------------------------
+
+VIEW = ("SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING "
+        "AND 1 FOLLOWING) AS s FROM seq")
+
+
+def assert_in_memory(wh):
+    assert wh.db.buffer_pool is None and wh.db.memory_budget_bytes is None
+    assert not any(getattr(t, "is_paged", False) for t in wh.db.catalog.tables())
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=row_lists(wide=True), page_size=st.sampled_from([256, 1024, 4096]))
+def test_a_budgetless_load_gives_back_every_value(tmp_path_factory, rows, page_size):
+    wh = DataWarehouse()
+    wh.create_table("t", COLUMNS)
+    wh.insert("t", rows)
+    wh.create_table("seq", [("pos", INTEGER), ("val", FLOAT)], primary_key=["pos"])
+    wh.insert("seq", [(i, i / 7) for i in range(1, 40)])
+    wh.create_view("mv", VIEW)
+    directory = str(tmp_path_factory.mktemp("dump"))
+    wh.save(directory, page_size=page_size)
+    want = outcome(wh.db, "SELECT * FROM t")
+    for rehydrate in (True, False):
+        with DataWarehouse.load(directory, rehydrate=rehydrate) as loaded:
+            assert_in_memory(loaded)
+            assert outcome(loaded.db, "SELECT * FROM t") == want
+            assert state_digest(loaded) == state_digest(wh)
+
+
+def test_a_logged_warehouse_cut_by_a_crash_recovers_its_acked_state(tmp_path):
+    from repro.errors import InjectedFault
+    from repro.faults import FaultPlan, FaultSpec, injector
+    from repro.replicate import WriteAheadLog, recover, wal_path
+    from repro.serve import ConcurrentWarehouse
+
+    home = str(tmp_path)
+    cw = ConcurrentWarehouse(wal=WriteAheadLog(wal_path(home)))
+    cw.create_table("seq", [("pos", "INTEGER"), ("val", "FLOAT")], primary_key=["pos"])
+    cw.insert("seq", [(i, i / 7) for i in range(1, 80)])
+    cw.create_view("mv", VIEW)
+    cw.create_table("t", COLUMNS)
+    cw.insert("t", [(2**70, -0.0, True, "x" * 5000, datetime.date(2002, 3, 4), float("inf")),
+                    (2**53 + 1, None, None, None, None, None)])
+    cw.save(home, page_size=256)  # a checkpoint of pages
+    cw.insert_row("seq", (80, 2.5))
+    cw.update_measure("seq", keys={"pos": 3}, value_col="val", new_value=9.75)
+    acked, answer = state_digest(cw.warehouse), cw.query(VIEW).rows
+    with injector.active(FaultPlan([FaultSpec("wal_torn_write", at=0)])):
+        with pytest.raises(InjectedFault):
+            cw.insert_row("seq", (81, 1.0))  # the crash tears this record
+    cw.wal.close()
+
+    report = recover(home)
+    try:
+        assert report.clean
+        assert_in_memory(report.warehouse.warehouse)
+        assert state_digest(report.warehouse.warehouse) == acked
+        assert report.warehouse.query(VIEW).rows == answer
+    finally:
+        report.warehouse.wal.close()
+
+
 # -- a dump of JSON pages still loads -------------------------------------------------
 
 # `save_database(db, d, format_version=4, page_size=256)` at the commit before
@@ -220,7 +294,7 @@ def test_json_page_dump_loads_answers_and_migrates_to_binary_pages(tmp_path, cap
         loaded.buffer_pool.close()
     assert (tmp_path / "data" / "t.pages").read_bytes() == pages  # the base file never changes
 
-    assert main(["migrate", "--dir", str(tmp_path), "--to", "4"]) == 0
+    assert main(["migrate", "--dir", str(tmp_path)]) == 0
     assert "v4 -> v4" in capsys.readouterr().out
     migrated = (tmp_path / "data" / "t.pages").read_bytes()
     directory = json.loads((tmp_path / "catalog.json").read_text())["tables"][0]["pages"]

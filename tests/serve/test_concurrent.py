@@ -186,6 +186,9 @@ def test_save_load_roundtrip_under_wrapper(cw, tmp_path):
     loaded = ConcurrentWarehouse.load(str(tmp_path))
     assert rows_of(loaded.query(QUERY)) == live
     assert loaded.epochs.latest_epoch == 1
+    # The dump is pages; a load without a budget reads them into memory.
+    assert all(p.suffix == ".pages" for p in (tmp_path / "data").iterdir())
+    assert loaded.warehouse.db.buffer_pool is None
 
 
 def test_save_runs_while_reader_holds_a_pin(cw, tmp_path):

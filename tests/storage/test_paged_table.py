@@ -33,7 +33,7 @@ def build_db() -> Database:
 @pytest.fixture
 def paged(tmp_path):
     db = build_db()
-    save_database(db, str(tmp_path), format_version=4, page_size=512)
+    save_database(db, str(tmp_path), page_size=512)
     loaded = load_database(str(tmp_path), memory_budget_bytes=2048)
     return db, loaded
 
@@ -82,7 +82,7 @@ class TestOutOfCoreReads:
         from repro.errors import ConstraintError
 
         db = build_db()
-        save_database(db, str(tmp_path), format_version=4, page_size=512)
+        save_database(db, str(tmp_path), page_size=512)
         # Corrupt the dump *consistently* (pages re-encoded with valid
         # CRCs) so only the constraint check can catch the duplicate.
         catalog_path = tmp_path / "catalog.json"
@@ -166,7 +166,7 @@ class TestMutation:
         sql = ("SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 "
                "PRECEDING AND 1 FOLLOWING) s FROM seq")
         wh.create_view("mv", sql)
-        wh.save(str(tmp_path), storage_format=4, page_size=512)
+        wh.save(str(tmp_path), page_size=512)
         with DataWarehouse.load(str(tmp_path), memory_budget_bytes=4096,
                                 rehydrate=True) as loaded:
             view = loaded.views["mv"]

@@ -14,6 +14,26 @@ class TestDemo:
         assert "REWRITE using view 'mv'" in out
         assert "engine stats" in out
 
+    def test_storage_format_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["demo", "--rows", "50", "--storage-format", "4"])
+
+
+class TestMigrate:
+    def test_rewrites_a_dump_as_pages(self, capsys, tmp_path):
+        from tests.relational.legacy_dumps import write_legacy_dump
+
+        write_legacy_dump(str(tmp_path), 3)
+        assert main(["migrate", "--dir", str(tmp_path)]) == 0
+        assert "v3 -> v4, 2 tables (40 rows), 2 superseded data files removed" in (
+            capsys.readouterr().out)
+        assert sorted(p.name for p in (tmp_path / "data").iterdir()) == [
+            "empty.pages", "t.pages"]
+
+    def test_missing_dump_fails(self, capsys, tmp_path):
+        assert main(["migrate", "--dir", str(tmp_path / "nowhere")]) == 2
+        assert "migration failed" in capsys.readouterr().out
+
 
 class TestInjectFault:
     @pytest.fixture(autouse=True)
