@@ -1,14 +1,12 @@
-"""Irregular time series: RANGE frames, densification, and streaming.
+"""Irregular time series: RANGE frames and densification.
 
 Real warehouse data rarely has the dense positions the paper's sequence
-model assumes.  This example shows the three tools the library offers:
+model assumes.  This example shows the two tools the library offers:
 
 1. **RANGE frames** — value-distance windows evaluated natively over the
    irregular timestamps (extension beyond the paper's ROWS model);
 2. **densification** — `densify_daily` fills calendar gaps so that ROWS
-   frames (and hence view derivation!) regain their day-window meaning;
-3. **streaming** — section 2.2's bounded-cache operator consuming a live
-   feed one measurement at a time.
+   frames (and hence view derivation!) regain their day-window meaning.
 
 Run:  python examples/irregular_timeseries.py
 """
@@ -17,7 +15,6 @@ import datetime
 import random
 
 from repro import DataWarehouse
-from repro.core import SlidingWindowStream, sliding
 from repro.warehouse import densify_daily
 
 rng = random.Random(31)
@@ -58,18 +55,3 @@ derived = wh.query(
     "CURRENT ROW) AS weekly FROM power_daily ORDER BY day")
 print(f"\nafter densification ({len(dense)} dense days), a 7-day trailing "
       f"sum is\nanswered from the materialized view: {derived.rewrite}\n")
-
-# --- 3. stream the dense series through the bounded cache --------------------
-stream = SlidingWindowStream(sliding(6, 0))
-live = []
-peak_cache = 0
-for row in dense:
-    value = stream.push(row["kwh"])
-    peak_cache = max(peak_cache, stream.cache_size)
-    if value is not None:
-        live.append(value)
-live.extend(stream.finish())
-assert [round(v, 6) for v in live] == [round(r[1], 6) for r in derived.rows]
-print(f"streaming evaluation matches the derived view result ✓")
-print(f"peak stream cache: {peak_cache} numbers (paper's bound: w + 2 = "
-      f"{sliding(6, 0).width + 2})")

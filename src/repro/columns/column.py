@@ -2,11 +2,7 @@
 
 A :class:`Column` is the unit of columnar storage: an immutable
 *view* of a 1-D NumPy array together with an optional boolean validity
-mask (``True`` = value present, ``False`` = SQL NULL).  A table's
-:meth:`~ColumnBuilder.snapshot` is zero-copy — both the value buffer and
-the mask are NumPy views — which is what lets the window strategies and
-the parallel partitioner read the heap's measure buffer without
-re-marshalling.
+mask (``True`` = value present, ``False`` = SQL NULL).
 
 Four physical *kinds* cover the engine's type system:
 
@@ -24,10 +20,16 @@ NULLs in the fixed-width kinds are stored as a sentinel (0 / 0.0 / False)
 with the validity bit cleared; ``object`` columns store ``None`` directly
 *and* clear the bit, so every kind answers NULL questions the same way.
 
-:class:`ColumnBuilder` is the mutable, amortised-append companion used by
-:class:`~repro.relational.table.Table` for its heap storage; its
-:meth:`~ColumnBuilder.snapshot` hands out zero-copy :class:`Column` views
-of the live buffer.
+:class:`ColumnBuilder` is a table column as it is stored: a list of
+chunks on one grid — chunk ``c`` always holds slots ``[c·S, (c+1)·S)``,
+``S = CHUNK_SLOTS`` — each either resident (a :class:`Chunk`: value
+buffer + validity mask) or not (a :class:`~repro.storage.buffer_pool.PageChunk`:
+the page slices that hold its slots).  The grid is the unit of everything
+that copies or checks: a clone shares every chunk and a write copies only
+the chunk it lands in, a page that refuses a value makes only its chunk
+resident, and the content digest hashes chunk by chunk and keeps each hash
+with its chunk.  A :meth:`~ColumnBuilder.snapshot` of a one-chunk column
+is a zero-copy view; one of several chunks concatenates them.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ from typing import Any, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["CHUNK_SLOTS", "Column", "ColumnBuilder", "KINDS", "hash_chunks", "kind_for_type"]
+from repro.errors import PageCapacityError
+
+__all__ = ["CHUNK_SLOTS", "Chunk", "Column", "ColumnBuilder", "KINDS", "kind_for_type"]
 
 KINDS = ("int64", "float64", "bool", "object")
 
@@ -53,9 +57,10 @@ _DTYPES = {
 
 _FILL = {"int64": 0, "float64": 0.0, "bool": False, "object": None}
 
-# The content digest (DESIGN 5h) hashes a column in chunks of this many
-# slots: 8 KB of an int64/float64 buffer, so a point write rehashes 8 KB.
-CHUNK_SLOTS = 1024
+# Slots per column chunk: 500 int64/float64 values and their validity
+# bitmap are one 4 KiB page, and the content digest (DESIGN 5h) hashes a
+# column chunk by chunk.
+CHUNK_SLOTS = 500
 
 # kind -> little-endian dtype of a buffer's bytes on the wire and under the digest.
 WIRE_DTYPES = {
@@ -313,72 +318,151 @@ def _canonical(value: Any) -> bytes:
     return struct.pack("<I", len(body)) + body
 
 
-def _chunk_payload(data: np.ndarray, validity: np.ndarray, declared: str) -> bytes:
+def _chunk_payload(data: np.ndarray, validity: Optional[np.ndarray], declared: str) -> bytes:
     """The bytes one chunk is hashed as, a function of values and NULLs
-    only: an ``object`` chunk whose values fit the ``declared`` kind hashes
-    as that kind's buffer would (a promoted column that need not be)."""
+    only (``validity`` None: no NULL): an ``object`` chunk whose values fit
+    the ``declared`` kind hashes as that kind's buffer would (a promoted
+    chunk that need not be)."""
     if data.dtype == object:
-        fixed = None if declared == "object" else Column.from_values(data.tolist(), declared)
+        values = data.tolist()  # NULL is None in an object buffer
+        fixed = None if declared == "object" else Column.from_values(values, declared)
         if fixed is None or fixed.kind != declared:
-            return b"object" + b"".join(map(_canonical, data.tolist()))
-        data = fixed.data
+            return b"object" + b"".join(map(_canonical, values))
+        data, validity = fixed.data, fixed.validity
+    n = len(data)
+    if validity is None:  # what packbits makes of n True bits
+        bits = b"\xff" * (n // 8) + (bytes([(1 << n % 8) - 1]) if n % 8 else b"")
+    else:
+        bits = np.packbits(validity, bitorder="little").tobytes()
     return (
         declared.encode("ascii")
         + data.astype(WIRE_DTYPES[declared], copy=False).tobytes()
-        + np.packbits(validity, bitorder="little").tobytes()
+        + bits
     )
 
 
-def hash_chunks(
-    data: np.ndarray,
-    validity: np.ndarray,
-    declared: str,
-    known: Sequence[Optional[bytes]] = (),
-    tally: Optional[List[int]] = None,
-) -> List[Optional[bytes]]:
-    """SHA-256 of every ``CHUNK_SLOTS``-slot chunk of a column's slots.
+def keep_range(out: List[tuple], lo: int, hi: int) -> None:
+    """Add slots ``[lo, hi)`` to the ascending ranges ``out``, joined to the
+    last one when they touch (what zone pruning does with what it keeps)."""
+    if out and out[-1][1] == lo:
+        out[-1] = (out[-1][0], hi)
+    else:
+        out.append((lo, hi))
 
-    ``known[c]``, where present and not None, is chunk ``c``'s hash and is
-    reused; ``tally`` (``[chunks, bytes]``) counts what was hashed.
+
+class Chunk:
+    """A resident column chunk: the first ``rows`` slots of a value buffer
+    and a validity mask (capacity grows by doubling up to ``CHUNK_SLOTS``).
+
+    ``hash`` is the chunk's digest hash once asked for, ``None`` again after
+    any write.  ``shared`` marks a chunk a clone shares: it is never written
+    again, a builder copies it first (:meth:`ColumnBuilder.copy`).
     """
-    chunks = -(-len(data) // CHUNK_SLOTS)
-    hashes = list(known[:chunks]) + [None] * (chunks - len(known))
-    for c, known_hash in enumerate(hashes):
-        if known_hash is None:
-            lo, hi = c * CHUNK_SLOTS, (c + 1) * CHUNK_SLOTS
-            payload = _chunk_payload(data[lo:hi], validity[lo:hi], declared)
-            hashes[c] = hashlib.sha256(payload).digest()
-            if tally is not None:
-                tally[0] += 1
-                tally[1] += len(payload)
-    return hashes
+
+    __slots__ = ("data", "validity", "rows", "hash", "shared")
+
+    resident = True
+    pages: Sequence[Any] = ()  # no page holds a resident chunk
+
+    def __init__(self, data: np.ndarray, validity: Optional[np.ndarray], rows: int) -> None:
+        self.data = data
+        self.validity = np.ones(len(data), dtype=np.bool_) if validity is None else validity
+        self.rows = rows
+        self.hash: Optional[bytes] = None
+        self.shared = False
+
+    @property
+    def kind(self) -> str:
+        return _kind_of_dtype(self.data.dtype)
+
+    # -- reads ----------------------------------------------------------------
+
+    def column(self) -> Column:
+        """The chunk's slots as views of its buffers."""
+        return Column(self.data[: self.rows], self.validity[: self.rows])
+
+    def get(self, i: int) -> Any:
+        if not self.validity[i]:
+            return None
+        v = self.data[i]
+        return v if self.data.dtype == object else v.item()
+
+    # -- writes (only by the builder that owns the chunk) ----------------------
+
+    # The writers return True when the chunk had to turn ``object`` (e.g.
+    # for an INTEGER beyond int64: exact values, no fixed width).
+
+    def set(self, i: int, value: Any) -> bool:
+        self.hash = None
+        self.validity[i] = value is not None
+        if value is None:
+            self.data[i] = _FILL[self.kind]
+            return False
+        try:
+            self.data[i] = value
+            return False
+        except (OverflowError, ValueError, TypeError):
+            self._promote_to_object()
+            self.data[i] = value
+            return True
+
+    def append(self, value: Any) -> bool:
+        if self.rows == len(self.data):
+            capacity = min(max(16, 2 * self.rows), CHUNK_SLOTS)
+            self.data, self.validity = self._resized(capacity)
+        self.rows += 1
+        return self.set(self.rows - 1, value)
+
+    def assign(self, at: slice, data: np.ndarray, validity: np.ndarray) -> bool:
+        """Write values and NULL bits over the slots ``at``."""
+        self.hash = None
+        promote = data.dtype == object and self.data.dtype != object
+        if promote:
+            self._promote_to_object()
+        self.data[at] = data
+        self.validity[at] = validity
+        return promote
+
+    def copy(self) -> "Chunk":
+        """A chunk of its own with the same slots and capacity."""
+        return Chunk(self.data.copy(), self.validity.copy(), self.rows)
+
+    def _resized(self, capacity: int) -> tuple:
+        data = np.empty(capacity, dtype=self.data.dtype)
+        data[: self.rows] = self.data[: self.rows]
+        validity = np.empty(capacity, dtype=np.bool_)
+        validity[: self.rows] = self.validity[: self.rows]
+        return data, validity
+
+    def _promote_to_object(self) -> None:
+        data = np.empty(len(self.data), dtype=object)
+        data[: self.rows] = self.column().to_pylist()
+        self.data = data
 
 
 class ColumnBuilder:
-    """Mutable, amortised-append column storage (capacity doubling).
+    """One table column as a list of chunks (see module doc).
 
-    The table's heap uses one builder per column; :meth:`snapshot` exposes
-    the live prefix as a zero-copy :class:`Column` view.  Appending within
-    spare capacity does not move the buffer, so existing snapshots stay
-    valid; a capacity grow reallocates, leaving old snapshots on the old
-    buffer (a consistent frozen copy).
-
-    ``_hashes`` caches :meth:`chunk_hashes` (None until first asked for);
-    every mutator drops the entries of the chunks it writes.
+    ``chunks[c]`` holds slots ``[c·CHUNK_SLOTS, (c+1)·CHUNK_SLOTS)``, so
+    every chunk but the last is full (read them; write through the
+    builder).  A chunk is a resident :class:`Chunk` or a
+    :class:`~repro.storage.buffer_pool.PageChunk`, whose reads pin pages
+    (``parts``, ``prune``); both answer ``column``, ``get``, ``set`` and
+    ``copy``.  A write goes to the chunk it lands in:
+    a shared chunk is copied first, a page chunk writes through to its
+    page, and one whose page refuses the value (``PageCapacityError``, the
+    page unchanged) is copied into memory and written there.
     """
 
-    __slots__ = ("kind", "_data", "_validity", "_size", "_hashes")
-
-    _INITIAL_CAPACITY = 16
+    __slots__ = ("kind", "chunks", "_size", "_pages")
 
     def __init__(self, kind: str) -> None:
         if kind not in KINDS:
             raise ValueError(f"unknown column kind {kind!r}")
-        self.kind = kind
-        self._data = np.empty(self._INITIAL_CAPACITY, dtype=_DTYPES[kind])
-        self._validity = np.ones(self._INITIAL_CAPACITY, dtype=np.bool_)
+        self.kind = kind  # and that of new chunks: object once any chunk was
+        self.chunks: List[Any] = []
         self._size = 0
-        self._hashes: Optional[List[Optional[bytes]]] = None
+        self._pages: Optional[int] = 0  # see pages; None: to be counted
 
     @classmethod
     def for_type(cls, type_name: str) -> "ColumnBuilder":
@@ -388,111 +472,131 @@ class ColumnBuilder:
     def from_column(cls, column: Column) -> "ColumnBuilder":
         """A builder over ``column``'s values (copied unless the buffers
         are the column's own, see :meth:`Column.detached`)."""
-        column = column.detached()
         out = cls(column.kind)
-        out._data = column.data
-        out._validity = (
-            np.ones(len(column), dtype=np.bool_) if column.validity is None
-            else column.validity
-        )
-        out._size = len(column)
+        out._extend(column.detached())
+        return out
+
+    @classmethod
+    def from_chunks(cls, kind: str, rows: int, chunk_at) -> "ColumnBuilder":
+        """A builder of ``rows`` slots whose chunk over slots ``[lo, hi)``
+        is ``chunk_at(lo, hi)``."""
+        out = cls(kind)
+        out.chunks = [
+            chunk_at(lo, min(lo + CHUNK_SLOTS, rows)) for lo in range(0, rows, CHUNK_SLOTS)
+        ]
+        out._size, out._pages = rows, None
         return out
 
     def __len__(self) -> int:
         return self._size
 
+    @property
+    def pages(self) -> int:
+        """How many pages hold the non-resident chunks (0 in memory);
+        counted once per change of residency."""
+        if self._pages is None:
+            self._pages = len({page for chunk in self.chunks for page in chunk.pages})
+        return self._pages
+
     # -- mutation -------------------------------------------------------------
 
-    def _grow_to(self, capacity: int) -> None:
-        new_data = np.empty(capacity, dtype=self._data.dtype)
-        new_data[: self._size] = self._data[: self._size]
-        new_validity = np.ones(capacity, dtype=np.bool_)
-        new_validity[: self._size] = self._validity[: self._size]
-        self._data, self._validity = new_data, new_validity
+    def _own(self, c: int) -> Chunk:
+        """Chunk ``c`` as a resident chunk no one else holds: a shared or a
+        page chunk is replaced by a copy first."""
+        chunk = self.chunks[c]
+        if not chunk.resident:
+            self._pages = None
+        if chunk.shared or not chunk.resident:
+            chunk = self.chunks[c] = chunk.copy()
+        return chunk
 
-    def _promote_to_object(self) -> None:
-        data = np.empty(len(self._data), dtype=object)
-        for i in range(self._size):
-            data[i] = self._data[i].item() if self._validity[i] else None
-        self._data = data
-        self.kind = "object"
-
-    def _store(self, slot: int, value: Any) -> None:
-        if self._hashes is not None and slot // CHUNK_SLOTS < len(self._hashes):
-            self._hashes[slot // CHUNK_SLOTS] = None
-        if value is None:
-            self._data[slot] = _FILL[self.kind]
-            self._validity[slot] = False
-            return
-        if self.kind != "object":
-            try:
-                self._data[slot] = value
-            except (OverflowError, ValueError, TypeError):
-                # e.g. an INTEGER beyond int64: keep exact values, lose the
-                # fixed-width representation for this column only.
-                self._promote_to_object()
-                self._data[slot] = value
-        else:
-            self._data[slot] = value
-        self._validity[slot] = True
+    def _extend(self, column: Column) -> None:
+        """Append ``column``, whose buffers are its own, as new chunks (the
+        builder ends on a chunk boundary)."""
+        for lo in range(0, len(column), CHUNK_SLOTS):
+            part = column.data[lo:lo + CHUNK_SLOTS]
+            valid = None if column.validity is None else column.validity[lo:lo + CHUNK_SLOTS]
+            self.chunks.append(Chunk(part, valid, len(part)))
+        self._size += len(column)
 
     def append(self, value: Any) -> None:
-        if self._size == len(self._data):
-            self._grow_to(max(self._INITIAL_CAPACITY, 2 * self._size))
-        self._store(self._size, value)
+        if self._size % CHUNK_SLOTS == 0:
+            self.chunks.append(Chunk(np.empty(0, dtype=_DTYPES[self.kind]), None, 0))
+        chunk = self.chunks[-1]
+        if chunk.shared or not chunk.resident:
+            chunk = self._own(len(self.chunks) - 1)
+        if chunk.append(value):
+            self.kind = "object"
         self._size += 1
 
     def set(self, slot: int, value: Any) -> None:
         if not 0 <= slot < self._size:
             raise IndexError(f"slot {slot} out of range (size {self._size})")
-        self._store(slot, value)
+        c, i = divmod(slot, CHUNK_SLOTS)
+        chunk = self.chunks[c]
+        if chunk.shared:
+            chunk = self._own(c)
+        try:
+            promoted = chunk.set(i, value)
+        except PageCapacityError:
+            promoted = self._own(c).set(i, value)
+        if promoted:
+            self.kind = "object"
 
     def rebuild(self, values: Iterable[Any]) -> None:
-        """Replace all contents (positional deletes renumber slots)."""
-        self._data = np.empty(self._INITIAL_CAPACITY, dtype=_DTYPES[self.kind])
-        self._validity = np.ones(self._INITIAL_CAPACITY, dtype=np.bool_)
-        self._size = 0
-        self._hashes = None
+        """Replace all contents."""
+        self.clear()
         for value in values:
             self.append(value)
 
     def clear(self) -> None:
-        self._size = 0
-        self._hashes = None
+        self.chunks = []
+        self._size = self._pages = 0
 
     def move(self, src: np.ndarray, dst: np.ndarray) -> None:
         """Copy the values and NULL bits at slots ``src`` over slots ``dst``
-        (index arrays; one array assignment; the two may overlap)."""
-        self._data[dst] = self._data[src]
-        self._validity[dst] = self._validity[src]
-        if self._hashes is not None and len(dst):
-            written = np.zeros(int(dst.max()) // CHUNK_SLOTS + 1, dtype=np.bool_)
-            written[dst // CHUNK_SLOTS] = True
-            for c in np.flatnonzero(written[: len(self._hashes)]).tolist():
-                self._hashes[c] = None
+        (index arrays; the two may overlap): one fancy assignment inside a
+        gathered copy of the slots both span, then every chunk that holds a
+        destination takes its part of the copy back."""
+        if not len(dst):
+            return
+        both = np.concatenate((src, dst))
+        lo, hi = int(both.min()), int(both.max()) + 1
+        span = self.gather([(lo, hi)])[0]
+        data = np.array(span.data)
+        valid = np.ones(hi - lo, np.bool_) if span.validity is None else np.array(span.validity)
+        at, of = dst - lo, src - lo
+        data[at], valid[at] = data[of], valid[of]
+        for c in np.flatnonzero(np.bincount(dst // CHUNK_SLOTS)).tolist():
+            base = c * CHUNK_SLOTS
+            a, b = max(lo, base), min(hi, base + CHUNK_SLOTS)
+            part = slice(a - lo, b - lo)
+            if self._own(c).assign(slice(a - base, b - base), data[part], valid[part]):
+                self.kind = "object"
 
     def keep(self, mask: np.ndarray) -> None:
-        """Drop the slots where ``mask`` is False; later slots move down."""
-        self._data = self._data[: self._size][mask]
-        self._validity = self._validity[: self._size][mask]
-        self._size = len(self._data)
-        if self._hashes is not None:
-            del self._hashes[int(np.argmin(mask)) // CHUNK_SLOTS:]
+        """Drop the slots where ``mask`` is False; later slots move down.
+        The chunks from the first dropped slot's on are rebuilt, so a
+        chunk's slots stay a function of its number."""
+        start = int(np.argmin(mask)) // CHUNK_SLOTS * CHUNK_SLOTS
+        tail = self.gather([(start, self._size)])[0].take(np.flatnonzero(mask[start:]))
+        del self.chunks[start // CHUNK_SLOTS:]
+        self._size, self._pages = start, None
+        self._extend(tail)
 
     def copy(self) -> "ColumnBuilder":
-        """An independent builder with the same contents.
+        """A builder sharing every chunk: a pointer copy per chunk.
 
-        The copy-on-write primitive of the concurrent serving tier: a
-        writer clones the builders of a table it is about to mutate so
-        that readers pinned to an older epoch keep seeing the original
-        buffers untouched.
+        The copy-on-write primitive of the concurrent serving tier: both
+        builders mark the chunks shared, so whichever writes a chunk first
+        copies that one chunk, and readers pinned to an older epoch keep
+        seeing the original untouched.
         """
-        out = ColumnBuilder.__new__(ColumnBuilder)
-        out.kind = self.kind
-        out._data = self._data[: self._size].copy()
-        out._validity = self._validity[: self._size].copy()
-        out._size = self._size
-        out._hashes = None if self._hashes is None else list(self._hashes)
+        for chunk in self.chunks:
+            chunk.shared = True
+        out = ColumnBuilder(self.kind)
+        out.chunks = list(self.chunks)
+        out._size, out._pages = self._size, self._pages
         return out
 
     # -- reads ----------------------------------------------------------------
@@ -500,43 +604,98 @@ class ColumnBuilder:
     def get(self, slot: int) -> Any:
         if not 0 <= slot < self._size:
             raise IndexError(f"slot {slot} out of range (size {self._size})")
-        if not self._validity[slot]:
-            return None
-        v = self._data[slot]
-        return v if self._data.dtype == object else v.item()
+        c, i = divmod(slot, CHUNK_SLOTS)
+        return self.chunks[c].get(i)
+
+    def gather(self, ranges: Iterable[tuple]) -> tuple:
+        """The slots of the ascending ``ranges`` as one column, and the
+        number of pages it was read from.  A range inside one resident
+        chunk is a view of it; anything else is a copy sharing no buffer
+        with a chunk or a pool frame."""
+        datas: List[np.ndarray] = []
+        masks: List[np.ndarray] = []
+        pages, last = 0, None
+        for lo, hi in ranges:
+            while lo < hi:  # chunk by chunk, [off, stop) relative to the chunk
+                c, off = divmod(lo, CHUNK_SLOTS)
+                stop = min(hi - lo + off, CHUNK_SLOTS)
+                lo += stop - off
+                chunk = self.chunks[c]
+                if chunk.resident:
+                    datas.append(chunk.data[off:stop])
+                    masks.append(chunk.validity[off:stop])
+                    last = None
+                    continue
+                for page, part in chunk.parts(off, stop):
+                    datas.append(part.data)
+                    masks.append(part.validity)  # None: all valid
+                    if page is not last:
+                        pages += 1
+                    last = page
+        if len(datas) == 1 and not pages:
+            return Column(datas[0], masks[0]), 0
+        if not datas or len({data.dtype for data in datas}) > 1:  # empty, or a promoted chunk
+            parts = [Column(data, mask) for data, mask in zip(datas, masks)]
+            return Column.concat(parts, self.kind), pages
+        if all(mask is None for mask in masks):
+            return Column(np.concatenate(datas)), pages
+        masks = [np.ones(len(d), np.bool_) if m is None else m for d, m in zip(datas, masks)]
+        return Column(np.concatenate(datas), np.concatenate(masks)), pages
 
     def pylist(self, start: int = 0, stop: Optional[int] = None) -> List[Any]:
-        if stop is None or stop > self._size:
-            stop = self._size
-        return self.snapshot().to_pylist(start, stop)
+        stop = self._size if stop is None else min(stop, self._size)
+        return self.gather([(start, stop)])[0].to_pylist() if start < stop else []
 
     def snapshot(self) -> Column:
-        """A zero-copy :class:`Column` view of the current contents."""
-        validity = self._validity[: self._size]
-        return Column(
-            self._data[: self._size],
-            None if bool(validity.all()) else validity,
-        )
+        """The whole column: a zero-copy view when it is one resident
+        chunk, else the chunks concatenated."""
+        return self.gather([(0, self._size)])[0]
+
+    def prune(self, ranges: List[tuple], op: str, value: Any) -> List[tuple]:
+        """The parts of ``ranges`` whose chunks cannot rule out ``<op>
+        value``: a page chunk tests its pages' zones, a resident chunk
+        keeps its slots."""
+        if not self.pages:
+            return ranges
+        out: List[tuple] = []
+        for lo, hi in ranges:
+            c = lo // CHUNK_SLOTS
+            while lo < hi:
+                stop, chunk = min(hi, (c + 1) * CHUNK_SLOTS), self.chunks[c]
+                if chunk.resident:  # no zone: any of its slots may match
+                    keep_range(out, lo, stop)
+                else:
+                    chunk.prune(lo, stop, op, value, out)
+                lo, c = stop, c + 1
+        return out
 
     def chunk_hashes(
         self, declared: str, tally: Optional[List[int]] = None, *, cached: bool = True
     ) -> List[bytes]:
-        """The column's chunk hashes (see :func:`hash_chunks`); ``declared``
-        is the kind of the column's schema type.  ``cached=False`` rehashes
-        every chunk and leaves the cache alone — the audit."""
-        n = self._size
-        known = (self._hashes or ()) if cached else ()
-        hashes = hash_chunks(self._data[:n], self._validity[:n], declared, known, tally)
-        if cached:
-            self._hashes = hashes
+        """SHA-256 of each chunk's values and NULLs; ``declared`` is the kind
+        of the column's schema type, ``tally`` (``[chunks, bytes]``) counts
+        what was hashed.  A chunk keeps its hash until written;
+        ``cached=False`` rehashes every chunk and keeps nothing — the audit."""
+        hashes = []
+        for chunk in self.chunks:
+            digest = chunk.hash if cached else None
+            if digest is None:
+                if chunk.resident:
+                    data, validity = chunk.data[: chunk.rows], chunk.validity[: chunk.rows]
+                else:
+                    column = chunk.column()
+                    data, validity = column.data, column.validity
+                payload = _chunk_payload(data, validity, declared)
+                digest = hashlib.sha256(payload).digest()
+                if tally is not None:
+                    tally[0] += 1
+                    tally[1] += len(payload)
+                if cached:
+                    chunk.hash = digest
+            hashes.append(digest)
         return hashes
 
     def memory_bytes(self) -> int:
-        total = self._data.nbytes + self._validity.nbytes
-        if self._data.dtype == object and self._size:
-            sample = self._data[: min(self._size, 256)]
-            per = sum(
-                0 if v is None else sys.getsizeof(v) for v in sample
-            ) / len(sample)
-            total += int(per * self._size)
-        return total
+        """Bytes of the resident chunks (a page chunk holds none: its
+        frames are the buffer pool's)."""
+        return sum(c.column().memory_bytes() for c in self.chunks if c.resident)

@@ -35,7 +35,6 @@ from repro.core.reporting import (
     partitioning_reduction,
 )
 from repro.core.sequence import CustomBoundsSequenceSpec, SequenceSpec, raw_value
-from repro.core.streaming import CumulativeStream, SlidingWindowStream
 from repro.core.vectorized import compute_vectorized
 from repro.core.window import WindowSpec, cumulative, sliding
 
@@ -45,7 +44,6 @@ __all__ = [
     "Aggregate",
     "COUNT",
     "CompleteSequence",
-    "CumulativeStream",
     "CustomBoundsSequenceSpec",
     "DerivationPlan",
     "MAX",
@@ -57,7 +55,6 @@ __all__ = [
     "ReportingSequence",
     "SUM",
     "SequenceSpec",
-    "SlidingWindowStream",
     "WindowSpec",
     "apply_delete",
     "apply_insert",

@@ -26,8 +26,8 @@ Neither is what the engine runs: :func:`compute_naive` is the oracle, and
 Every strategy shares one empty-input contract: the paper's sequence model
 starts at position 1, so there is no sequence over zero raw values, and all
 of :func:`compute_naive`, :func:`compute_pipelined`,
-:func:`~repro.core.vectorized.compute_vectorized`, the streaming operators,
-and the parallel subsystem raise :class:`~repro.errors.SequenceError` for
+:func:`~repro.core.vectorized.compute_vectorized` and the parallel
+subsystem raise :class:`~repro.errors.SequenceError` for
 ``raw == []`` instead of each picking its own degenerate behaviour.
 
 MIN/MAX have no subtraction, so the sliding-window pipeline falls back to a

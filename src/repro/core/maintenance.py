@@ -51,6 +51,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.aggregates import MAX, MIN, SUM, Aggregate
 from repro.core.complete import CompleteSequence
 from repro.core.sequence import SequenceSpec, raw_value
@@ -166,8 +168,8 @@ def apply_update(
 
     delta = v - old
     raw[k - 1] = v
-    for i in band:
-        values[i - first] += delta
+    lo, hi = band.start - first, band.stop - first
+    values[lo:hi] = (np.asarray(values[lo:hi]) + delta).tolist()
     seq._replace_values(seq.n, values)
     return MaintenanceResult("update", k, len(band), 0, 0)
 
@@ -187,10 +189,11 @@ def apply_insert(
     old_value = seq.value  # total function over old positions
 
     if window.is_cumulative:
-        new_values = [
-            old_value(i) if i < k else old_value(i - 1) + v
-            for i in range(1, n_new + 1)
-        ]
+        # Positions 1..k-1 keep their totals, k..n+1 take their left
+        # neighbour's plus v (x̃_0 = 0): a slice and one array add.
+        old = seq.to_list()
+        shifted = np.asarray([0.0] + old if k == 1 else old[k - 2:])
+        new_values = old[: k - 1] + (shifted + v).tolist()
         raw.insert(k - 1, v)
         seq._replace_values(n_new, new_values)
         return MaintenanceResult("insert", k, n_new - k + 1, 0, 0)
@@ -247,10 +250,10 @@ def apply_delete(
     xk = raw[k - 1]
 
     if window.is_cumulative:
-        new_values = [
-            old_value(i) if i < k else old_value(i + 1) - xk
-            for i in range(1, n_new + 1)
-        ]
+        # Positions 1..k-1 keep their totals, k..n-1 take their right
+        # neighbour's minus x_k: a slice and one array subtraction.
+        old = seq.to_list()
+        new_values = old[: k - 1] + (np.asarray(old[k:]) - xk).tolist()
         del raw[k - 1]
         seq._replace_values(n_new, new_values)
         return MaintenanceResult("delete", k, max(n_new - k + 1, 0), 0, 0)

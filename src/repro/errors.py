@@ -106,9 +106,9 @@ class PageCorruptError(CatalogError):
 class PageCapacityError(RelationalError):
     """An updated value is not of its page's kind or over-fills the page.
 
-    Internal control flow: :class:`~repro.storage.paged.PagedTable`
-    catches it and falls back to hydrating the table into memory before
-    finishing the update.
+    Internal control flow: :class:`~repro.columns.column.ColumnBuilder`
+    catches it and copies the one chunk the page held into memory before
+    finishing the write there.
     """
 
 

@@ -218,17 +218,24 @@ class TableScan(Operator):
 
     def execute(self, stats: ExecutionStats) -> Iterable[Row]:
         table = self.table
-        if getattr(table, "is_paged", False):
-            if self.row_bound is None:
-                ranges = table.candidate_ranges(self.zone_terms)
-            else:
-                ranges = [(0, min(self.row_bound, len(table)))]
-            rows, pages = table.scan(ranges)
-            self.analyze_extra = {"input": "columns", "pages": f"{pages}/{table.pages_total}"}
+        if self.row_bound is None:
+            ranges = table.candidate_ranges(self.zone_terms)
         else:
-            rows = ColumnRows(
-                [table.column_values(i) for i in range(len(table.schema))], len(table)
-            )
+            ranges = [(0, min(self.row_bound, len(table)))]
+        rows, pages = table.scan(ranges)
+        total = table.pages_total
+        if total:
+            from repro.obs import runtime
+
+            self.analyze_extra = {"input": "columns", "pages": f"{pages}/{total}"}
+            registry = runtime.get_registry()
+            registry.counter(
+                "repro_storage_pages_scanned_total", help="Pages read by paged table scans"
+            ).inc(pages)
+            registry.counter(
+                "repro_storage_pages_pruned_total",
+                help="Pages paged table scans did not read (zone tests, row bounds)",
+            ).inc(total - pages)
         stats.rows_scanned += len(rows)
         return rows
 

@@ -13,15 +13,17 @@ page (first row, rows, CRC32, kind, min/max zone) in the catalog.  A
 table's pages are ``page_size`` bytes, or the smallest power of two above
 that fits its widest single value, so a TEXT value of any length saves.
 
-Loading follows the memory budget, not the file:
+Loading follows the memory budget, not the file.  One builder fills
+every table, chunk by 500-slot chunk:
 
-* without ``memory_budget_bytes`` every page is read, checked and decoded
-  straight into in-memory column builders — no buffer pool, no overlay,
-  no paged table, and ``db.memory_budget_bytes`` stays ``None``;
-* with a budget each table becomes a
-  :class:`~repro.storage.paged.PagedTable` behind one shared
-  :class:`~repro.storage.buffer_pool.BufferPool`: only the index rebuild
-  streams the data once, afterwards residency is bounded by the pool.
+* without ``memory_budget_bytes`` it reads, checks and decodes every page
+  now, into resident chunks — no buffer pool, no overlay, and
+  ``db.memory_budget_bytes`` stays ``None``;
+* with a budget each chunk stays on its pages
+  (:class:`~repro.storage.buffer_pool.PageChunk`) and pins them later
+  through one shared :class:`~repro.storage.buffer_pool.BufferPool`: only
+  the index rebuild streams the data once, afterwards residency is
+  bounded by the pool.
 
 Older dumps still load, read-only: version 1 (row JSON lines), 2 (the same
 plus a CRC32 per file), 3 (one JSON value array per column, CRC32) and
@@ -212,7 +214,7 @@ def _decode_columnar(
 
 def _page_refs(table, entry: Dict[str, Any], path: str):
     """The table's page file, and per column the :class:`PageRef` of each
-    of its pages."""
+    of its pages (checked to cover the table's rows in order)."""
     from repro.columns import kind_for_type
     from repro.storage.buffer_pool import PageRef
     from repro.storage.pager import PageFile
@@ -223,8 +225,18 @@ def _page_refs(table, entry: Dict[str, Any], path: str):
             f"data file for table {entry['name']!r} is missing: {path}"
         )
     file = PageFile(path, pages["page_size"])
-    return file, [
-        [
+    refs_by_column = []
+    for column in table.schema:
+        entries = pages["columns"].get(column.name, [])
+        ends = [0]
+        for e in entries:
+            ends.append(ends[-1] + e["rows"])
+        if [e["start"] for e in entries] != ends[:-1] or ends[-1] != pages["num_rows"]:
+            raise CatalogError(
+                f"table {entry['name']!r}: page directory for column "
+                f"{column.name!r} does not cover its {pages['num_rows']} rows in order"
+            )
+        refs_by_column.append([
             PageRef(
                 file,
                 e["page"],
@@ -236,45 +248,36 @@ def _page_refs(table, entry: Dict[str, Any], path: str):
                 e.get("kind", kind_for_type(column.type.name)),  # absent for JSON pages
                 (e["min"], e["max"]) if "min" in e else None,
             )
-            for e in pages["columns"].get(column.name, [])
-        ]
-        for column in table.schema
-    ]
+            for e in entries
+        ])
+    return file, refs_by_column
 
 
 def _load_pages(db: Database, table, entry: Dict[str, Any], path: str):
-    """Fill a freshly created empty table from its pages: decoded into
-    in-memory builders, or — when ``db`` has a buffer pool — attached as a
-    :class:`~repro.storage.paged.PagedTable` over ``path``."""
+    """Fill a freshly created empty table from its pages, chunk by chunk:
+    decoded now into resident chunks, or — when ``db`` has a buffer pool —
+    left on the pages of ``path`` to be pinned when read."""
     from repro.columns import Column, ColumnBuilder, kind_for_type
-    from repro.storage.paged import PagedColumnStore, PagedTable
+    from repro.storage.buffer_pool import PageChunk
 
     file, refs_by_column = _page_refs(table, entry, path)
-    num_rows = entry["pages"]["num_rows"]
-    stores: List[Any] = []
+    num_rows, pool = entry["pages"]["num_rows"], db.buffer_pool
+    builders = []
     try:
         for column, refs in zip(table.schema, refs_by_column):
             kind = refs[0].kind if refs else kind_for_type(column.type.name)
-            if db.buffer_pool is None:
-                chunks = [ref.decode(file.read_page(ref.page_no), ref.crc32) for ref in refs]
-                stores.append(ColumnBuilder.from_column(Column.concat(chunks, kind)))
+            if pool is None:
+                pages = [ref.decode(file.read_page(ref.page_no), ref.crc32) for ref in refs]
+                builders.append(ColumnBuilder.from_column(Column.concat(pages, kind)))
             else:
-                stores.append(
-                    PagedColumnStore(kind, db.buffer_pool, file, table.name, column.name, refs)
-                )
-            if len(stores[-1]) != num_rows:
-                raise CatalogError(
-                    f"table {entry['name']!r}: page directory for column "
-                    f"{column.name!r} covers {len(stores[-1])} rows "
-                    f"for {num_rows} rows"
-                )
-        if db.buffer_pool is not None:
-            return PagedTable.attach(table, stores, db.buffer_pool, num_rows)
+                chunk_at = PageChunk.over(pool, refs)
+                builders.append(ColumnBuilder.from_chunks(kind, num_rows, chunk_at))
+        table.adopt_columns(builders, num_rows)
     except BaseException:
         file.close()  # a page that failed its checks must not leak the fd
         raise
-    file.close()
-    table.adopt_columns(stores, num_rows)
+    if pool is None:
+        file.close()
     return table
 
 
@@ -286,8 +289,8 @@ def load_database(
 
     Args:
         memory_budget_bytes: the cap on resident page bytes.  ``None``
-            loads every table into memory; a budget loads the tables of a
-            paged dump as paged tables behind a buffer pool of that size
+            loads every table into memory; a budget leaves the chunks of a
+            paged dump on their pages behind a buffer pool of that size
             and sets it as the database's operator spill budget (a legacy
             dump loads into memory either way).
 
@@ -295,8 +298,8 @@ def load_database(
         CatalogError: missing or version-incompatible dump, or a data file
             that fails its checks (the error names the table).  A page that
             fails its checks is a :class:`~repro.errors.PageCorruptError`:
-            raised by the load itself in memory, on first fault-in when
-            paged.
+            raised by the load itself in memory, on first fault-in with a
+            budget.
     """
     catalog_path = os.path.join(directory, "catalog.json")
     if not os.path.exists(catalog_path):

@@ -1,10 +1,12 @@
 """Heap tables with optional primary key and secondary indexes.
 
-Since the columnar-data-plane refactor, a table's heap is *column-major*:
-one :class:`~repro.columns.column.ColumnBuilder` per schema column, so
+A table's heap is *column-major*: one
+:class:`~repro.columns.column.ColumnBuilder` per schema column, each a list
+of 500-slot chunks that are resident or on pages behind a buffer pool, so
 scans, window measure extraction, and persistence all read typed arrays
-instead of Python tuple lists.  The historical row-major contract is
-preserved through :class:`RowsView` — ``table.rows`` still supports
+instead of Python tuple lists — and every table, paged or not, is this one
+class with one scan path.  The historical row-major contract is preserved
+through :class:`RowsView` — ``table.rows`` still supports
 ``len``/iteration/slot indexing/equality — and *slots* (column positions)
 still identify rows for index maintenance.
 """
@@ -18,7 +20,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from repro.columns import Column, ColumnBuilder, kind_for_type
+from repro.columns import Column, ColumnBuilder, ColumnRows, kind_for_type
 from repro.errors import CatalogError, ConstraintError, SchemaError
 from repro.relational.index import HashIndex, SortedIndex
 from repro.relational.schema import Schema
@@ -27,6 +29,7 @@ __all__ = ["Table", "RowsView"]
 
 Row = Tuple[Any, ...]
 Index = Union[HashIndex, SortedIndex]
+Ranges = List[Tuple[int, int]]  # ascending, disjoint ``[lo, hi)`` slot ranges
 
 # Rows handed out per materialization step while iterating (bounds the
 # transient row-tuple memory of a scan; see Table.iter_rows).
@@ -79,7 +82,10 @@ class Table:
     """A named columnar heap plus its indexes.
 
     Values live in one :class:`ColumnBuilder` per column; *slots* (column
-    positions) identify rows for index maintenance.  Primary keys are
+    positions) identify rows for index maintenance.  A table loaded with a
+    memory budget is this class too: some chunks are on pages
+    (:attr:`is_paged`), and every mutator writes whichever chunk it lands
+    in.  Primary keys are
     backed by a unique sorted index named ``<table>_pk`` — sorted rather
     than hash so that the engine can exploit it for the paper's
     band-predicate joins.
@@ -161,20 +167,52 @@ class Table:
         i = column if isinstance(column, int) else self.schema.resolve(column)
         return self._columns[i].snapshot()
 
-    def adopt_columns(self, columns: Sequence[Any], num_rows: int) -> None:
-        """Install ``columns`` (ColumnBuilder-protocol stores of ``num_rows``
-        slots each) as the heap, then rebuild every index from them — so a
-        duplicate primary key in what was adopted is a ConstraintError."""
+    def adopt_columns(self, columns: Sequence[ColumnBuilder], num_rows: int) -> None:
+        """Install ``columns`` (builders of ``num_rows`` slots each) as the
+        heap, then rebuild every index from them — so a duplicate primary
+        key in what was adopted is a ConstraintError."""
         self._columns = list(columns)
         self._nrows = num_rows
         self._structure_version += 1
         for index in self.indexes.values():
             index.rebuild(self.rows)
 
+    @property
+    def is_paged(self) -> bool:
+        """Whether any chunk of any column is on pages, not resident."""
+        return any(builder.pages for builder in self._columns)
+
+    @property
+    def pages_total(self) -> int:
+        """The pages under the table's non-resident chunks (0 in memory)."""
+        return sum(builder.pages for builder in self._columns)  # a page holds one column
+
+    def candidate_ranges(self, terms: Sequence[Tuple[int, str, Any]]) -> Ranges:
+        """The slot ranges that can hold a row on which every ``(column
+        index, op, literal)`` term is TRUE: all of them minus the pages a
+        zone rules out.  Only a plain number is tested against a zone."""
+        ranges: Ranges = [(0, self._nrows)] if self._nrows else []
+        for index, op, value in terms:
+            if type(value) in (int, float):
+                ranges = self._columns[index].prune(ranges, op, value)
+        return ranges
+
+    def scan(self, ranges: Ranges) -> Tuple[ColumnRows, int]:
+        """The rows of ``ranges`` as columns, and the pages read for them."""
+        gathered = [builder.gather(ranges) for builder in self._columns]
+        rows = sum(hi - lo for lo, hi in ranges)
+        return ColumnRows([c for c, _ in gathered], rows), sum(n for _, n in gathered)
+
     def close(self) -> None:
-        """Release what the table holds outside the heap: nothing here, a
-        page file and pool frames for a paged table.  The catalog calls it
-        on every table it lets go of."""
+        """Give back the page files under the table's chunks, when no
+        clone shares them: their frames leave the pool and their
+        descriptors close (a shared file stays open for the clone until
+        the pool closes).  The catalog calls it on every table it lets go
+        of."""
+        paged = [c for b in self._columns for c in b.chunks if not c.resident]
+        if paged and not any(chunk.shared for chunk in paged):
+            for file in {page.file for chunk in paged for page in chunk.pages}:
+                paged[0].pool.close_file(file)
 
     def memory_bytes(self) -> int:
         """Bytes held by the columnar heap (buffers + validity masks)."""
@@ -328,8 +366,9 @@ class Table:
         serialized writer mutates a table in place, it installs a clone in
         the live catalog so every snapshot pinned to an older epoch keeps
         reading the original, never-again-mutated object.  The schema
-        object is shared (immutable); column buffers and indexes are
-        copied.
+        object is shared (immutable), so is every column chunk — a write
+        copies the one chunk it lands in (:meth:`ColumnBuilder.copy`) —
+        and the indexes are copied.
         """
         out = Table.__new__(Table)
         out.name = self.name
@@ -343,7 +382,7 @@ class Table:
 
     def digest(self, tally: Optional[List[int]] = None, *, cached: bool = True) -> bytes:
         """SHA-256 of name, schema, row count and every column's chunk
-        hashes (:func:`repro.columns.column.hash_chunks`), in heap order."""
+        hashes (:meth:`ColumnBuilder.chunk_hashes`), in heap order."""
         h = hashlib.sha256(self.name.encode("utf-8") + b"\x00")
         for column in self.schema:
             h.update(f"{column.name}:{column.type.name};".encode("utf-8"))

@@ -105,7 +105,7 @@ def decode_args(value: Any) -> Any:
 
 #: Tag of the digest definition below, prefixed to every digest string; a
 #: record with another tag (or none: older logs) is replayed uncompared.
-DIGEST_SCHEME = "c1:"
+DIGEST_SCHEME = "c2:"
 
 
 def state_digest(warehouse, *, cached: bool = True) -> str:

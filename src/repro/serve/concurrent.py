@@ -35,6 +35,7 @@ clean (no pinned, no orphaned epochs).
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import (
@@ -156,7 +157,8 @@ class ConcurrentWarehouse:
                  execution=None, wal=None,
                  initial_epoch: Optional[int] = None) -> None:
         wh = warehouse if warehouse is not None else DataWarehouse(execution=execution)
-        if getattr(wh, "_concurrent_owner", None) is not None:
+        owner = getattr(wh, "_concurrent_owner", None)
+        if owner is not None and owner() is not None:
             raise ConcurrencyError(
                 "warehouse is already owned by another ConcurrentWarehouse"
             )
@@ -168,7 +170,7 @@ class ConcurrentWarehouse:
         self._commit_listeners: List[Any] = []
         self._epoch_override: Optional[int] = None
         self._poisoned: Optional[str] = None
-        wh._concurrent_owner = self
+        wh._concurrent_owner = weakref.ref(self)
         with self._write_lock:
             self._mark_write()
             try:

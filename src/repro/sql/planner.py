@@ -581,13 +581,9 @@ class PhysicalPlanner:
         stats = self.db.stats.get(node.table.name)
         rows = float(stats.row_count) if stats is not None else float(len(node.table))
         op = TableScan(node.table, node.binding)
-        # Paged (v4) tables pay per-page fault-in on top of the per-row
-        # cost, so the planner prefers plans touching fewer pages.
-        pages = (
-            float(getattr(node.table, "pages_total", 0))
-            if getattr(node.table, "is_paged", False)
-            else 0.0
-        )
+        # Chunks on pages pay per-page fault-in on top of the per-row cost,
+        # so the planner prefers plans touching fewer pages.
+        pages = float(node.table.pages_total)
         return op, _Est(rows, self.cost_model.scan_cost(rows, pages=pages), stats)
 
     def _lower_LPhysical(self, node: LPhysical) -> Tuple[Operator, _Est]:

@@ -240,20 +240,15 @@ def estimate_route_costs(
     n = float(stats.row_count)
     cm = CostModel()
 
-    def _pages(table) -> float:
-        # v4 (paged) tables pay per-page fault-in; in-memory tables don't.
-        if getattr(table, "is_paged", False):
-            return float(getattr(table, "pages_total", 0))
-        return 0.0
-
+    # Chunks on pages pay per-page fault-in; resident ones don't.
     base_cost = (
-        cm.scan_cost(n, pages=_pages(base_table))
+        cm.scan_cost(n, pages=float(base_table.pages_total))
         + cm.sort_cost(n)
         + cm.window_cost(n)
     )
     try:
         storage = db.table(match.view.definition.storage_table)
-        storage_pages = _pages(storage)
+        storage_pages = float(storage.pages_total)
     except Exception:
         storage_pages = 0.0
     view_cost = (

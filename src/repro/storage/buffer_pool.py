@@ -1,11 +1,18 @@
-"""The buffer pool: bounded page cache with pin/unpin and LRU eviction.
+"""The buffer pool and the chunks that live behind it.
 
-One :class:`BufferPool` fronts every page file of a loaded paged database.
-Frames hold *decoded* column chunks — a :class:`~repro.columns.Column`
+One :class:`BufferPool` fronts every page file of a database loaded with a
+memory budget.  Frames hold *decoded* pages — a :class:`~repro.columns.Column`
 whose fixed-width buffers are ``numpy.frombuffer`` views of the page
 bytes — and are accounted at their on-disk ``page_size``: the budget
 bounds how much of the dump may be resident at once, which is what makes
 a dataset ≫ ``memory_budget_bytes`` queryable.
+
+A :class:`PageChunk` is a column chunk
+(:class:`~repro.columns.column.ColumnBuilder`) that is not resident: the
+slices of the pages under its slots, pinned on every read and written
+through :meth:`BufferPool.set_value`.  A 4 KiB int64/float64 page *is* one
+chunk; a denser page (``bool``, a smaller page size, ``RPG4``) is sliced
+by the chunks it spans.
 
 Lifecycle of a page:
 
@@ -13,8 +20,8 @@ Lifecycle of a page:
   ever written back, else the immutable base file), runs the
   ``page_read`` fault hook (the ``page_read_corrupt`` kind flips payload
   bytes *before* the CRC check), verifies magic, page number, the header
-  CRC and the catalog directory CRC, decodes the chunk, and checks its
-  header (first row, rows, kind) against the directory;
+  CRC and the catalog directory CRC, decodes the page, and checks its
+  chunk header (first row, rows, kind) against the directory;
 * **pin/unpin** — readers pin the frame while slicing its column; pinned
   frames are never evicted;
 * **write** — :meth:`BufferPool.set_value` replaces the frame's column by
@@ -28,7 +35,10 @@ Lifecycle of a page:
   fails fast with :class:`~repro.errors.PageCorruptError` instead of
   re-reading bytes already known bad.  :meth:`repair` lifts the
   quarantine (used after the fault plan is cleared — the *dump* is never
-  mutated by a read fault, so a clean re-read recovers).
+  mutated by a read fault, so a clean re-read recovers);
+* **close** — the pool closes every page file it has read from
+  (:meth:`close`), or one of them when the table over it is let go of
+  (:meth:`close_file`).
 
 Hit/miss/eviction/write-back counters and occupancy/budget gauges are
 exported through :mod:`repro.obs` by :meth:`publish` (called from
@@ -39,21 +49,31 @@ plain ints on the hot path).
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.columns import Column
+from repro.columns.column import Chunk, keep_range
 from repro.errors import PageCapacityError, PageCorruptError
 from repro.storage.page import (
     HEADER_SIZE, JSON_PAGE_MAGIC, chunk_payload, decode_chunk, decode_page, encode_page,
 )
 from repro.storage.pager import OverlayFile, PageFile
 
-__all__ = ["BufferPool", "Frame", "PageRef"]
+__all__ = ["BufferPool", "Frame", "PageChunk", "PageRef"]
 
 DEFAULT_MEMORY_BUDGET = 64 * 1024 * 1024
+
+_ZONE_TESTS = {  # can a page whose values span [lo, hi] hold one that is <op> v
+    "=": lambda lo, hi, v: lo <= v <= hi,
+    "<": lambda lo, hi, v: lo < v,
+    "<=": lambda lo, hi, v: lo <= v,
+    ">": lambda lo, hi, v: hi > v,
+    ">=": lambda lo, hi, v: hi >= v,
+}
 
 
 class PageRef:
@@ -127,6 +147,98 @@ class PageRef:
         )
 
 
+class PageChunk:
+    """A column chunk that is not resident (see module doc).
+
+    ``slices`` are ``(page, lo, hi)``: page offsets ``[lo, hi)`` in slot
+    order, together the chunk's ``rows`` slots; ``pages`` are their pages.
+    ``hash`` and ``shared`` mean what they mean on a resident
+    :class:`~repro.columns.column.Chunk`: a builder never writes a shared
+    page chunk, it copies it into memory.
+    """
+
+    __slots__ = ("pool", "slices", "pages", "rows", "kind", "hash", "shared")
+
+    resident = False
+
+    def __init__(self, pool: "BufferPool", slices: List[Tuple[PageRef, int, int]]) -> None:
+        self.pool = pool
+        self.slices = slices
+        self.pages = [ref for ref, _, _ in slices]
+        self.rows = sum(hi - lo for _, lo, hi in slices)
+        self.kind = slices[0][0].kind
+        self.hash: Optional[bytes] = None
+        self.shared = False
+
+    @classmethod
+    def over(cls, pool: "BufferPool", refs: List[PageRef]):
+        """``chunk_at(lo, hi)`` for :meth:`ColumnBuilder.from_chunks`: the
+        chunk of slots ``[lo, hi)`` of a column whose pages are ``refs``
+        (contiguous, in slot order)."""
+        starts = [ref.start for ref in refs]
+
+        def chunk_at(lo: int, hi: int) -> "PageChunk":
+            slices, i = [], bisect_right(starts, lo) - 1
+            while i < len(refs) and refs[i].start < hi:
+                ref, i = refs[i], i + 1
+                end = min(hi, ref.start + ref.rows)
+                slices.append((ref, max(lo, ref.start) - ref.start, end - ref.start))
+            return cls(pool, slices)
+
+        return chunk_at
+
+    def _spans(self, lo: int, hi: int):
+        """``(page, page lo, page hi, chunk lo)`` of each slice that
+        chunk slots ``[lo, hi)`` overlap."""
+        at = 0
+        for ref, a, b in self.slices:
+            s, e = max(lo, at), min(hi, at + b - a)
+            if s < e:
+                yield ref, a + s - at, a + e - at, s
+            at += b - a
+
+    def parts(self, lo: int, hi: int) -> List[Tuple[PageRef, Column]]:
+        """Slots ``[lo, hi)`` as ``(page, column)`` pieces: per page pin,
+        slice, unpin (a piece is a view of the frame's read-only column)."""
+        out = []
+        for ref, a, b, _ in self._spans(lo, hi):
+            frame = self.pool.pin(ref)
+            try:
+                out.append((ref, frame.column.slice(a, b)))
+            finally:
+                self.pool.unpin(frame)
+        return out
+
+    def column(self) -> Column:
+        """The chunk's slots, gathered into buffers of their own."""
+        return Column.concat([part for _, part in self.parts(0, self.rows)], self.kind)
+
+    def get(self, i: int) -> Any:
+        ((ref, offset, _, _),) = self._spans(i, i + 1)
+        return self.pool.get_values(ref).value(offset)
+
+    def set(self, i: int, value: Any) -> None:
+        """Write through to the page (``PageCapacityError``: it refused)."""
+        ((ref, offset, _, _),) = self._spans(i, i + 1)
+        self.pool.set_value(ref, offset, value)
+        self.hash = None
+
+    def prune(self, lo: int, hi: int, op: str, value: Any, out: List[Tuple[int, int]]) -> None:
+        """Keep in ``out`` the parts of slots ``[lo, hi)`` (of the table, not
+        the chunk) on pages whose zone does not rule out ``<op> value`` (a
+        page without a zone: never ruled out)."""
+        test = _ZONE_TESTS.get(op)
+        for ref, a, b in self.slices:  # a page's first row is its slot
+            s, e = max(lo, ref.start + a), min(hi, ref.start + b)
+            if s < e and (test is None or ref.zone is None or test(*ref.zone, value)):
+                keep_range(out, s, e)
+
+    def copy(self) -> Chunk:
+        """This chunk made resident: its slots in buffers of its own."""
+        column = self.column()
+        return Chunk(column.data, column.validity, self.rows)
+
+
 class Frame:
     """One resident decoded page."""
 
@@ -152,6 +264,7 @@ class BufferPool:
         self.page_size = page_size
         self._frames: "OrderedDict[Tuple[str, int], Frame]" = OrderedDict()
         self._quarantined: Dict[Tuple[str, int], str] = {}
+        self._files: Set[PageFile] = set()
         self._overlay = OverlayFile(page_size)
         self._lock = threading.RLock()
         self.hits = 0
@@ -206,7 +319,7 @@ class BufferPool:
             PageCapacityError: the value is not of the page's kind, or the
                 re-encoded chunk over-fills the page (an ``object`` page,
                 or one loaded from a denser JSON page); nothing is changed
-                (callers hydrate and retry).
+                (the column builder then copies the chunk into memory).
         """
         frame = self.pin(ref)
         try:
@@ -245,6 +358,7 @@ class BufferPool:
             raw = self._overlay.read_slot(ref.overlay_slot)
             expect = None  # overlaid pages carry their own header CRC
         else:
+            self._files.add(ref.file)
             raw = ref.file.read_page(ref.page_no)
             if injector.page_read_hook(ref.table):
                 # Flip payload bytes *before* the CRC check — the model of
@@ -302,14 +416,16 @@ class BufferPool:
                     count += 1
             return count
 
-    def drop_file(self, file: PageFile) -> None:
-        """Invalidate every frame of one page file without write-back
-        (the owning store was rebuilt/truncated/hydrated)."""
+    def close_file(self, file: PageFile) -> None:
+        """Drop every frame of one page file without write-back and close
+        it (the table over it was let go of)."""
         with self._lock:
             for key in [k for k in self._frames if k[0] == file.path]:
                 del self._frames[key]
             for key in [k for k in self._quarantined if k[0] == file.path]:
                 del self._quarantined[key]
+            self._files.discard(file)
+        file.close()
 
     def repair(self) -> int:
         """Lift every quarantine (after the corruption source is gone);
@@ -324,10 +440,15 @@ class BufferPool:
             return sorted(self._quarantined)
 
     def close(self) -> None:
+        """Drop every frame and close the overlay and every page file read
+        through the pool (idempotent)."""
         with self._lock:
             self._frames.clear()
             self._quarantined.clear()
             self._overlay.close()
+            files, self._files = self._files, set()
+        for file in files:
+            file.close()
 
     # -- accounting / observability ------------------------------------------
 

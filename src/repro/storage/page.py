@@ -33,7 +33,8 @@ per-page CRC recorded in the catalog's page directory at save time, so a
 catalog/data mismatch is detected even when both files are individually
 well-formed.  A directory entry also records the page's kind and, for
 numeric kinds, the ``min``/``max`` of its non-NULL, non-NaN values — the
-zone a scan tests before it reads the page (:mod:`repro.storage.paged`).
+zone a scan tests before it reads the page
+(:class:`~repro.storage.buffer_pool.PageChunk`).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 
 from repro.columns.codec import decode_value, encode_value
-from repro.columns.column import KINDS, WIRE_DTYPES, Column
+from repro.columns.column import CHUNK_SLOTS, KINDS, WIRE_DTYPES, Column
 from repro.errors import CatalogError, PageCorruptError
 
 __all__ = [
@@ -224,8 +225,11 @@ def paginate_values(
 
     A fixed-width chunk takes as many rows as fit beside a validity bitmap
     (so a later in-place write of any value of the kind, NULL included,
-    still fits); an ``object`` chunk that over-fills its page is halved
-    until it fits, so wide TEXT values simply get fewer rows per page.
+    still fits): at 4 KiB, 500 int64/float64 rows, one column chunk of
+    :data:`~repro.columns.column.CHUNK_SLOTS`.  An ``object`` chunk never
+    crosses a column chunk's boundary, and one that over-fills its page is
+    halved until it fits, so wide TEXT values simply get fewer rows per
+    page.
     Returns ``(raw_pages, directory_entries)``; an entry is ``{"page",
     "start", "rows", "crc32", "kind"}`` plus ``"min"``/``"max"`` when the
     chunk has a zone (:func:`zone_of`).
@@ -243,7 +247,10 @@ def paginate_values(
     else:
         guess = max(1, (budget - CHUNK.size) * 8 // (8 * WIRE_DTYPES[kind].itemsize + 1))
     while start < n:
-        take = min(guess, n - start)
+        limit = n - start
+        if kind == "object":  # never across a column chunk's boundary
+            limit = min(limit, CHUNK_SLOTS - start % CHUNK_SLOTS)
+        take = fitted = min(guess, limit)
         payload = chunk_payload(start, column.slice(start, start + take))
         while len(payload) > budget and take > 1:
             take //= 2
@@ -255,10 +262,10 @@ def paginate_values(
                 len(payload),
             )
         if kind == "object":
-            if take == guess and len(payload) <= budget // 2 and take < n - start:
-                guess *= 2  # narrow values: fill pages tighter next time
-            elif take < guess:
+            if take < fitted:
                 guess = take  # wide values: stop over-encoding every chunk
+            elif take == guess and len(payload) <= budget // 2 and take < n - start:
+                guess *= 2  # narrow values: fill pages tighter next time
         entry = {"page": first_page_no + len(entries), "start": start, "rows": take,
                  "crc32": zlib.crc32(payload), "kind": kind}
         zone = zone_of(column.slice(start, start + take))

@@ -99,8 +99,10 @@ class DataWarehouse:
         # Human-readable degradation log: quarantines, rewrite failures
         # routed back to base data, repairs.  Surfaced by the CLI.
         self.incidents: List[str] = []
-        # Set by repro.serve.ConcurrentWarehouse when it takes ownership;
-        # direct mutation of an owned warehouse raises ConcurrencyError.
+        # A weak reference to the repro.serve.ConcurrentWarehouse that took
+        # ownership (weak: the owner holds this warehouse, and a cycle would
+        # outlive the owner until a full GC); direct mutation of an owned
+        # warehouse raises ConcurrencyError.
         self._concurrent_owner = None
 
     def _assert_exclusive(self, op: str) -> None:
@@ -112,7 +114,7 @@ class DataWarehouse:
         *through* the wrapper (its thread is inside the write section)
         pass.
         """
-        owner = self._concurrent_owner
+        owner = self._concurrent_owner and self._concurrent_owner()
         if owner is not None and not owner.in_write_section:
             from repro.errors import ConcurrencyError
 
@@ -653,14 +655,12 @@ class DataWarehouse:
     def close(self) -> None:
         """Release the files a paged load holds open.
 
-        Closes every paged table's page file, then the buffer pool (its
-        frames and overlay file).  Nothing to release for an in-memory
+        Closes the buffer pool: its frames, its overlay file and every
+        page file read through it.  Nothing to release for an in-memory
         warehouse, and calling it again is a no-op.  Unsaved updates to
-        paged tables live in the pool, so :meth:`save` first if they
+        chunks on pages live in the pool, so :meth:`save` first if they
         matter, and do not query the warehouse afterwards.
         """
-        for table in self.db.catalog.tables():
-            table.close()
         if self.db.buffer_pool is not None:
             self.db.buffer_pool.close()
 

@@ -1,5 +1,7 @@
 """Incremental maintenance rules (paper section 2.3)."""
 
+import struct
+
 import pytest
 
 from repro.core.aggregates import MAX, MIN, SUM
@@ -162,3 +164,49 @@ class TestSequencesOfOperations:
                 apply_delete(raw, seq, rng.randint(1, len(raw)))
         ref = reference(raw, window)
         assert seq.to_list() == pytest.approx(ref.to_list())
+
+
+class TestCumulativeMaintenanceIsArrayWork:
+    """A cumulative write rewrites the suffix as one array operation, not a
+    ``CompleteSequence.value`` call per position, and yields exactly the
+    values of the per-position rule."""
+
+    N = 10_000
+
+    @staticmethod
+    def packed(values):
+        return b"".join(struct.pack("<d", v) for v in values)
+
+    def sequence(self):
+        raw = [((i * 37) % 101) / 7 for i in range(self.N)]
+        return raw, CompleteSequence.from_raw(raw, cumulative())
+
+    def test_insert_and_delete_make_no_per_position_value_calls(self, monkeypatch):
+        raw, seq = self.sequence()
+        calls = []
+        real = CompleteSequence.value
+        monkeypatch.setattr(
+            CompleteSequence, "value", lambda self, k: calls.append(k) or real(self, k)
+        )
+        apply_insert(raw, seq, 17, 2.5)
+        apply_delete(raw, seq, self.N // 2)
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("k", [1, 17, N])
+    def test_suffix_is_bit_identical_to_the_per_position_rule(self, k):
+        raw, seq = self.sequence()
+        old = seq.to_list()
+        want = [old[i - 1] if i < k else (old[i - 2] if i > 1 else 0.0) + 0.1
+                for i in range(1, len(old) + 2)]
+        apply_insert(raw, seq, k, 0.1)
+        assert self.packed(seq.to_list()) == self.packed(want)
+
+        old, xk = seq.to_list(), raw[k - 1]
+        want = [old[i - 1] if i < k else old[i] - xk for i in range(1, len(old))]
+        apply_delete(raw, seq, k)
+        assert self.packed(seq.to_list()) == self.packed(want)
+
+        old, delta = seq.to_list(), 0.3 - raw[k - 1]
+        want = [x + delta if i >= k - 1 else x for i, x in enumerate(old)]
+        apply_update(raw, seq, k, 0.3)
+        assert self.packed(seq.to_list()) == self.packed(want)

@@ -164,16 +164,6 @@ def test_cumulative_maintenance(raw, ops):
     assert_close(seq.to_list(), ref.to_list(), tol=1e-4)
 
 
-@settings(max_examples=80, deadline=None)
-@given(raw=nonempty_values, window=window_strategy())
-def test_streaming_equals_batch(raw, window):
-    from repro.core.streaming import SlidingWindowStream
-
-    stream = SlidingWindowStream(window)
-    got = stream.process(raw)
-    assert_close(got, compute_pipelined(raw, window), tol=1e-4)
-
-
 @settings(max_examples=60, deadline=None)
 @given(raw=nonempty_values, window=window_strategy())
 def test_vectorized_equals_pipelined(raw, window):

@@ -249,7 +249,7 @@ def test_a_buffer_poked_behind_the_mutators_is_stale_until_audited():
     wh.create_table("t", COLUMNS)
     wh.insert("t", BASE[:10])
     kept = state_digest(wh)
-    wh.db.table("t")._columns[1]._data[3] += 1.0
+    wh.db.table("t")._columns[1].chunks[0].data[3] += 1.0
     assert state_digest(wh) == kept
     assert state_digest(wh, cached=False) != kept
     # Through a mutator the same write is seen at once.

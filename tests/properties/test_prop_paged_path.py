@@ -81,7 +81,7 @@ def load_pair(db, directory, page_size, budget):
     pruned = load_database(directory, memory_budget_bytes=budget)
     unpruned = load_database(directory, memory_budget_bytes=budget)
     for store in unpruned.table("t")._columns:
-        for ref in store.entries:
+        for ref in (page for chunk in store.chunks for page in chunk.pages):
             ref.zone = None
     return pruned, unpruned
 

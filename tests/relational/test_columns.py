@@ -180,7 +180,7 @@ class TestTableColumnar:
     def test_column_values_zero_copy(self, table):
         col = table.column_values(1)
         assert col.to_pylist()[:3] == [1.0, 2.0, None]
-        raw = table._columns[1]._data  # noqa: SLF001 - asserting zero-copy
+        raw = table._columns[1].chunks[0].data  # noqa: SLF001 - asserting zero-copy
         assert np.shares_memory(col.data, raw)
 
     def test_memory_bytes_row_vs_columnar(self, table):

@@ -193,7 +193,7 @@ def test_audit_catches_a_buffer_poked_behind_the_mutators(tmp_path):
     assert primary.audit_digest() == state_digest(primary.warehouse)
     # Not through Table/ColumnBuilder: no mutator sees it, so the kept
     # chunk hash is stale and only a recomputation can tell.
-    replica.warehouse.warehouse.db.table("seq")._columns[1]._data[3] = -1.0
+    replica.warehouse.warehouse.db.table("seq")._columns[1].chunks[0].data[3] = -1.0
     with pytest.raises(DivergenceError, match="audit"):
         replica.warehouse.verify()
     with pytest.raises(DivergenceError, match="audit"):
@@ -210,7 +210,7 @@ def test_a_failed_audit_at_save_leaves_the_previous_dump_and_the_log(tmp_path):
     good, checkpoint = packed_answers(primary), primary.wal.checkpoint_epoch()
     primary.update_measure("seq", keys={"pos": 100}, value_col="val", new_value=1.0)
     after_update = packed_answers(primary)
-    primary.warehouse.db.table("seq")._columns[1]._data[3] = -1.0
+    primary.warehouse.db.table("seq")._columns[1].chunks[0].data[3] = -1.0
     with pytest.raises(DivergenceError, match="audit"):
         primary.save(home)
     assert primary.wal.checkpoint_epoch() == checkpoint

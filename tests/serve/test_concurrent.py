@@ -180,6 +180,25 @@ def test_release_restores_direct_access(cw):
     assert isinstance(wh, DataWarehouse)
 
 
+def test_dropping_the_wrapper_frees_its_warehouse_without_a_collection():
+    """The warehouse links back to its owner weakly: no reference cycle
+    keeps either alive until the cyclic GC runs."""
+    import gc
+    import weakref
+
+    cw = build_concurrent()
+    cw.update_measure("seq", keys={"pos": 3}, value_col="val", new_value=1.0)
+    cw.query(QUERY)
+    warehouse, owner = weakref.ref(cw.warehouse), weakref.ref(cw)
+    gc.collect()
+    gc.disable()
+    try:
+        del cw
+        assert owner() is None and warehouse() is None
+    finally:
+        gc.enable()
+
+
 def test_save_load_roundtrip_under_wrapper(cw, tmp_path):
     live = rows_of(cw.query(QUERY))
     cw.save(str(tmp_path))

@@ -48,9 +48,10 @@ def frozen_copy(snapshot) -> dict:
     for name, table in snapshot.tables.items():
         tables[name] = {
             "rows": list(table.rows),
-            "buffers": [(b._data[: len(b)].tobytes() if b.kind != "object"
-                         else list(b._data[: len(b)]),
-                         b._validity[: len(b)].tobytes()) for b in table._columns],
+            "buffers": [(c.data[: c.rows].tobytes() if c.kind != "object"
+                         else list(c.data[: c.rows]),
+                         c.validity[: c.rows].tobytes())
+                        for b in table._columns for c in b.chunks],
             "indexes": {
                 n: ((list(i._keys), list(i._slots)) if i.kind == "sorted"
                     else {k: list(v) for k, v in i._map.items()})

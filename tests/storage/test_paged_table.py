@@ -1,4 +1,4 @@
-"""PagedTable end to end: out-of-core reads, write-through, clone, scans."""
+"""Tables on pages end to end: out-of-core reads, write-through, clone, scans."""
 
 import datetime
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.relational import DATE, Database, FLOAT, INTEGER, TEXT
 from repro.relational.persist import load_database, save_database
-from repro.storage.paged import PagedColumnStore, PagedTable
 
 ROWS = 600  # at page_size=512 / budget=2048 the dataset is far over budget
 
@@ -42,7 +41,7 @@ class TestOutOfCoreReads:
     def test_loaded_table_is_paged(self, paged):
         _ref, loaded = paged
         table = loaded.table("t")
-        assert isinstance(table, PagedTable)
+        assert not any(c.resident for b in table._columns for c in b.chunks)
         assert table.is_paged and table.pages_total > 4
 
     def test_rows_bit_identical_with_evictions(self, paged):
@@ -129,12 +128,15 @@ class TestMutation:
         assert table.row(5)[1] == -123.5
 
     def test_oversized_update_hydrates(self, paged):
+        """A value no page can hold makes only its chunk resident."""
         _ref, loaded = paged
         table = loaded.table("t")
+        before, pages = table.pages_total, len(table._columns[2].chunks[0].pages)
         row = list(table.row(5))
         row[2] = "x" * 2000  # cannot fit any 512B page
         table.update_slot(5, row)
-        assert not table.is_paged  # hydrated
+        assert table.is_paged and table.pages_total == before - pages
+        assert [c.resident for c in table._columns[2].chunks] == [True, False]
         assert table.row(5)[2] == "x" * 2000
         assert len(table) == ROWS
 
@@ -145,10 +147,11 @@ class TestMutation:
         assert table.is_paged
         assert [table.row(s)[1] for s in (5, 6)] == [-1.5, -2.5]
         # The second value cannot fit its page: the first is already
-        # written when the page refuses, and the redo after hydration
-        # must leave both (and the primary-key index) right.
+        # written when the page refuses, and only that chunk moves into
+        # memory to take it; both values and the primary-key index are right.
+        before, pages = table.pages_total, len(table._columns[2].chunks[0].pages)
         table.set_column("tag", [7, 8], ["y", "x" * 2000])
-        assert not table.is_paged
+        assert table.is_paged and table.pages_total == before - pages
         assert [table.row(s)[2] for s in (7, 8)] == ["y", "x" * 2000]
         assert len(table) == ROWS
         assert table.indexes["t_pk"].lookup((8,)) == [8]
@@ -191,14 +194,18 @@ class TestMutation:
         assert table.is_paged
 
     def test_clone_is_independent_and_in_memory(self, paged):
+        """A clone shares every chunk, pages included; a write copies the
+        chunk it lands in into memory and leaves the shared pages alone."""
         ref, loaded = paged
         clone = loaded.table("t").clone()
-        assert not isinstance(clone._columns[0], PagedColumnStore)
+        assert clone.is_paged and clone.pages_total == loaded.table("t").pages_total
         assert clone.rows == ref.table("t").rows
         row = list(clone.row(0))
         row[1] = 555.0
         clone.update_slot(0, row)
+        assert clone._columns[1].chunks[0].resident and clone.row(0)[1] == 555.0
         assert loaded.table("t").row(0)[1] != 555.0
+        assert loaded.buffer_pool.flush() == 0  # no page was written
 
 
 class TestScans:
@@ -222,11 +229,16 @@ class TestScans:
         assert table.column_values("val").value(5) == -1.5
 
     def test_kind_changing_and_over_long_values_hydrate_and_lose_nothing(self, paged):
+        """A value of another kind makes only its chunk resident: the
+        pages it shares with the next chunk stay."""
         ref, loaded = paged
         table, want = loaded.table("t"), [list(r) for r in ref.table("t").rows]
+        first, second = table._columns[0].chunks
+        before, only_its = table.pages_total, set(first.pages) - set(second.pages)
         table.update_slot(5, [2**70, want[5][1], want[5][2], want[5][3]])  # beyond int64
         want[5][0] = 2**70
-        assert not table.is_paged and [list(r) for r in table.rows] == want
+        assert table.is_paged and table.pages_total == before - len(only_its)
+        assert [list(r) for r in table.rows] == want
         assert table.indexes["t_pk"].lookup((2**70,)) == [5]
         assert table.indexes["t_pk"].lookup((5,)) == []
 
