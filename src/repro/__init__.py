@@ -58,17 +58,10 @@ from repro.errors import (
     IncompleteSequenceError,
     MaintenanceError,
     NoRewriteError,
-    ParallelError,
     ReproError,
     SequenceError,
     ViewError,
     WindowError,
-)
-from repro.parallel import (
-    ExecutionConfig,
-    ExecutorPool,
-    Partitioner,
-    compute_parallel,
 )
 from repro.relational import Database, Result
 from repro.views import MaterializedSequenceView, SequenceViewDefinition
@@ -85,8 +78,6 @@ __all__ = [
     "DataWarehouse",
     "DerivationError",
     "DerivationPlan",
-    "ExecutionConfig",
-    "ExecutorPool",
     "IncompleteSequenceError",
     "MAX",
     "MIN",
@@ -94,8 +85,6 @@ __all__ = [
     "MaintenanceResult",
     "MaterializedSequenceView",
     "NoRewriteError",
-    "ParallelError",
-    "Partitioner",
     "PositionFunction",
     "QueryResult",
     "ReportingSequence",
@@ -112,7 +101,6 @@ __all__ = [
     "apply_insert",
     "apply_update",
     "compute_naive",
-    "compute_parallel",
     "compute_pipelined",
     "cumulative",
     "derivable",

@@ -2,15 +2,13 @@
 
 Usage::
 
-    python -m repro demo [--rows N] [--jobs J --backend thread|process]
-                         [--inject-fault KIND] [--profile]
+    python -m repro demo [--rows N] [--inject-fault KIND] [--profile]
     python -m repro explain [--analyze] [--query "SELECT ..."] [--rows N]
     python -m repro stats [--format json|prom] [--out PATH]
                           [--addr HOST:PORT ...]
     python -m repro table1 [--sizes 500,1000,2000]
     python -m repro table2 [--sizes 100,500,1000]
     python -m repro advise --query "SELECT ..." [--query "..."]
-    python -m repro parallel [--rows N] [--jobs 1,2,4] [--backend thread]
     python -m repro serve [--rows N] [--port P] [--max-queue Q]
                           [--ops-port P] [--trace-sample R]
     python -m repro ops [--rows N] [--port P] [--latency-target S]
@@ -38,27 +36,11 @@ from typing import List, Optional, Sequence
 
 from repro.core.complete import CompleteSequence
 from repro.core.window import sliding
-from repro.parallel import BACKENDS, ExecutionConfig
 from repro.relational import Database, FLOAT, INTEGER
 from repro.sql.patterns import maxoa_pattern, minoa_pattern
 from repro.warehouse import DataWarehouse, create_sequence_table, sequence_values
 
 __all__ = ["main"]
-
-
-def _exec_config(args: argparse.Namespace) -> Optional[ExecutionConfig]:
-    """Build an ExecutionConfig from --jobs/--backend/--chunk-size flags.
-
-    ``--jobs`` left at its default (``None``) means serial execution; ``0``
-    asks for one worker per CPU.
-    """
-    if args.jobs is None:
-        return None
-    return ExecutionConfig(
-        jobs=args.jobs,
-        backend=args.backend,
-        chunk_size=args.chunk_size,
-    )
 
 
 def _sizes(text: str) -> List[int]:
@@ -76,18 +58,7 @@ def _timed(fn, *args, **kwargs) -> float:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     """End-to-end demo: build a table, materialize a view, derive a query."""
-    config = _exec_config(args)
-    if args.inject_fault in ("worker_crash", "worker_hang") and (
-        config is None or not config.is_parallel
-    ):
-        # Task faults need a pool to hit; give the demo a small one.
-        config = ExecutionConfig(
-            jobs=2, backend="thread", chunk_size=max(args.rows // 8, 1),
-            task_timeout=0.5, retry_backoff=0.0,
-        )
-    wh = DataWarehouse(execution=config)
-    if config is not None:
-        print(f"execution: {config.describe()}")
+    wh = DataWarehouse()
     create_sequence_table(wh.db, "seq", args.rows, seed=1, distribution="walk")
     wh.create_view(
         "mv",
@@ -196,11 +167,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _stats_workload(rows: int) -> None:
-    """Touch every instrumented layer: engine, window, parallel, views, cache."""
-    config = ExecutionConfig(
-        jobs=2, backend="thread", chunk_size=max(rows // 4, 1)
-    )
-    wh = DataWarehouse(execution=config)
+    """Touch every instrumented layer: engine, window, views, cache."""
+    wh = DataWarehouse()
     wh.enable_query_cache(max_views=2)
     wh.enable_slow_query_log(threshold_ms=0.0)
     create_sequence_table(wh.db, "seq", rows, seed=1, distribution="walk")
@@ -212,7 +180,7 @@ def _stats_workload(rows: int) -> None:
         "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 "
         "PRECEDING AND 1 FOLLOWING) AS s FROM seq ORDER BY pos")
     wh.query(derivable)                    # views: MaxOA/MinOA derivation
-    wh.query(derivable, use_views=False)   # engine + window + parallel
+    wh.query(derivable, use_views=False)   # engine + window
     cacheable = (
         "SELECT pos, MIN(val) OVER (ORDER BY pos ROWS BETWEEN 2 "
         "PRECEDING AND 2 FOLLOWING) AS m FROM seq")
@@ -250,8 +218,6 @@ def _demo_fault(wh: DataWarehouse, kind: str, query: str) -> int:
     from repro.faults import FaultPlan, FaultSpec, injector
 
     spec_kwargs = {
-        "worker_crash": dict(at=0),
-        "worker_hang": dict(at=0, seconds=0.8),
         "storage_write_fail": dict(target="seq"),
         "refresh_interrupt": dict(target="mv", point="commit"),
         "bitflip": dict(target="mv"),
@@ -278,13 +244,9 @@ def _demo_fault(wh: DataWarehouse, kind: str, query: str) -> int:
             elif kind == "maintenance_fail":
                 wh.update_measure("seq", keys={"pos": 1}, value_col="val",
                                   new_value=1.0)
-            # Task faults fire inside the query below.
         except ReproError as exc:
             print(f"fault surfaced: {type(exc).__name__}: {exc}")
-        # Task faults fire inside the pooled native window operator, so
-        # route around the view for them; the others exercise view routing.
-        task_fault = kind in ("worker_crash", "worker_hang")
-        result = wh.query(query, use_views=not task_fault)
+        result = wh.query(query)
     for event in plan.events:
         print(f"fired: {event.kind} at {event.site} ({event.detail})")
     if cw is not None:
@@ -326,7 +288,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         from repro.obs import Tracer, runtime
 
         runtime.set_tracer(Tracer(sample_rate=args.trace_sample))
-    cw = ConcurrentWarehouse(execution=_exec_config(args))
+    cw = ConcurrentWarehouse()
     cw.create_table("seq", [("pos", INTEGER), ("val", FLOAT)],
                     primary_key=["pos"])
     cw.insert(
@@ -853,30 +815,6 @@ def cmd_table2(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_parallel(args: argparse.Namespace) -> int:
-    """Scaling table: chunked parallel window computation vs the serial kernel."""
-    from repro.core.compute import compute_pipelined
-    from repro.parallel import compute_parallel
-
-    window = sliding(args.preceding, args.following)
-    raw = sequence_values(args.rows, seed=7)
-    print(
-        f"parallel scaling: SUM over {window}, {args.rows} rows, "
-        f"backend={args.backend}, chunk_size={args.chunk_size}"
-    )
-    baseline = _timed(compute_pipelined, raw, window)
-    print(f"{'jobs':>6} | {'seconds':>9} | {'speedup':>8}")
-    print(f"{'serial':>6} | {baseline:>9.3f} | {1.0:>8.2f}")
-    for jobs in args.jobs_list:
-        config = ExecutionConfig(
-            jobs=jobs, backend=args.backend, chunk_size=args.chunk_size
-        )
-        elapsed = _timed(compute_parallel, raw, window, config=config)
-        speedup = baseline / elapsed if elapsed > 0 else float("inf")
-        print(f"{jobs:>6} | {elapsed:>9.3f} | {speedup:>8.2f}")
-    return 0
-
-
 def cmd_advise(args: argparse.Namespace) -> int:
     """Recommend view windows for a workload of reporting-function SQL."""
     wh = DataWarehouse()
@@ -906,7 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = sub.add_parser("demo", help="end-to-end view derivation demo")
     demo.add_argument("--rows", type=int, default=200)
-    _add_parallel_flags(demo)
     from repro.faults import KINDS
 
     # page_read_corrupt needs a v4 paged load; it is exercised by the
@@ -971,17 +908,6 @@ def build_parser() -> argparse.ArgumentParser:
     advise.add_argument("--top", type=int, default=3)
     advise.set_defaults(func=cmd_advise)
 
-    par = sub.add_parser("parallel", help="parallel window-computation scaling table")
-    par.add_argument("--rows", type=int, default=500_000)
-    par.add_argument("--jobs", dest="jobs_list", type=_sizes, default=[1, 2, 4],
-                     help="comma-separated worker counts, e.g. 1,2,4")
-    par.add_argument("--backend", choices=[b for b in BACKENDS if b != "serial"],
-                     default="thread")
-    par.add_argument("--chunk-size", type=int, default=65536)
-    par.add_argument("--preceding", type=int, default=5)
-    par.add_argument("--following", type=int, default=5)
-    par.set_defaults(func=cmd_parallel)
-
     fuzz = sub.add_parser(
         "fuzz", help="differential fuzzing against the SQLite oracle"
     )
@@ -1039,7 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=0.0,
                        help="install a tracer sampling this fraction of "
                             "traces (0 disables tracing, 1.0 records all)")
-    _add_parallel_flags(serve)
     serve.set_defaults(func=cmd_serve)
 
     ops = sub.add_parser(
@@ -1099,14 +1024,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write a machine-readable report to this path")
     ver.set_defaults(func=cmd_verify)
     return parser
-
-
-def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared --jobs/--backend/--chunk-size execution flags."""
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="parallel workers (0 = one per CPU; omit for serial)")
-    parser.add_argument("--backend", choices=list(BACKENDS), default="thread")
-    parser.add_argument("--chunk-size", type=int, default=65536)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

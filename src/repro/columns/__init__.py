@@ -2,9 +2,9 @@
 
 :class:`Column` (typed array + validity mask) and :class:`ColumnBuilder`
 underlie table storage (:mod:`repro.relational.table`), the window
-strategies' measure extraction, the parallel partitioner's chunk payloads,
-and the v3/v4 storage formats.  Columns are what tables keep, what kernels
-read, what a :class:`~repro.relational.engine.Result` holds and — through
+operator's measure extraction and the v3/v4 storage formats.  Columns
+are what tables keep, what kernels read, what a
+:class:`~repro.relational.engine.Result` holds and — through
 :mod:`repro.columns.codec` — what a served answer is on the wire.
 Operators exchange rows; :class:`ColumnRows` is the row sequence that also
 shows its columns, so an operator that can stay on NumPy does.  See

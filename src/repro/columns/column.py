@@ -248,7 +248,7 @@ class Column:
         """The values as a float64 array, NULLs replaced by ``null_fill``.
 
         Zero-copy when the column is already float64 with no NULLs — the
-        path the window kernels and the parallel partitioner ride.
+        path the window kernel rides.
         """
         if self.data.dtype == np.float64 and self.validity is None:
             return self.data

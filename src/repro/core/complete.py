@@ -171,6 +171,12 @@ class CompleteSequence:
         first = self._first()
         return ((first + i, v) for i, v in enumerate(self._values))
 
+    def stored(self, lo: int, hi: int) -> List[float]:
+        """The stored values at positions ``lo .. hi``, a range inside
+        :attr:`stored_range` (one list slice, no per-position call)."""
+        first = self._first()
+        return self._values[lo - first : hi - first + 1]
+
     def core_values(self) -> List[float]:
         """The values at positions ``1 .. n`` (the query-visible part)."""
         first = self._first()

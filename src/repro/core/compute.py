@@ -25,9 +25,9 @@ Neither is what the engine runs: :func:`compute_naive` is the oracle, and
 
 Every strategy shares one empty-input contract: the paper's sequence model
 starts at position 1, so there is no sequence over zero raw values, and all
-of :func:`compute_naive`, :func:`compute_pipelined`,
-:func:`~repro.core.vectorized.compute_vectorized` and the parallel
-subsystem raise :class:`~repro.errors.SequenceError` for
+of :func:`compute_naive`, :func:`compute_pipelined` and
+:func:`~repro.core.vectorized.compute_vectorized` raise
+:class:`~repro.errors.SequenceError` for
 ``raw == []`` instead of each picking its own degenerate behaviour.
 
 MIN/MAX have no subtraction, so the sliding-window pipeline falls back to a
@@ -38,7 +38,7 @@ mentions MIN/MAX "whenever the application is permitted".
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -67,8 +67,8 @@ def _as_raw(raw) -> Sequence[float]:
     measure-extraction convention).  Array-backed inputs are converted to
     Python floats once up front — the scalar kernels accumulate in Python
     arithmetic, and ``np.float64`` elements would leak into the output.
-    The vectorized and parallel strategies instead consume the underlying
-    buffer zero-copy.
+    The vectorized kernel instead consumes the underlying buffer
+    zero-copy.
     """
     if hasattr(raw, "as_float64"):
         raw = raw.as_float64(0.0)

@@ -38,18 +38,13 @@ Each function mutates the raw list and the :class:`CompleteSequence` in
 place and returns a :class:`MaintenanceResult` with locality statistics.
 
 The MIN/MAX fallback recomputes up to ``w`` windows explicitly — O(w²) raw
-touches for wide windows.  All three rules therefore gather the positions
-to recompute first and evaluate them as one batch through an *evaluator*
-callable ``(raw, positions) -> values``; the default evaluates serially,
-and the view layer passes
-:func:`repro.parallel.compute.evaluate_positions` to spread wide bands
-over the executor pool (the §2.3 band recomputation's parallel hook).
+touches for wide windows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
@@ -59,32 +54,11 @@ from repro.core.sequence import SequenceSpec, raw_value
 from repro.errors import MaintenanceError
 
 __all__ = [
-    "BandEvaluator",
     "MaintenanceResult",
     "apply_update",
     "apply_insert",
     "apply_delete",
 ]
-
-#: Batch evaluator for MIN/MAX band recomputation: given the (new) raw data
-#: and the sequence positions whose windows must be rebuilt, return one value
-#: per position, in order.  ``None`` means evaluate serially in-process.
-BandEvaluator = Callable[[SequenceSpec, Sequence[float], Sequence[int]], List[float]]
-
-
-def _evaluate_band(
-    spec: SequenceSpec,
-    raw: Sequence[float],
-    positions: Sequence[int],
-    evaluator: Optional[BandEvaluator],
-) -> List[float]:
-    """Recompute the given positions' windows, serially or via ``evaluator``."""
-    if not positions:
-        return []
-    if evaluator is None:
-        return [spec.value_at(raw, i) for i in positions]
-    return evaluator(spec, raw, positions)
-
 
 @dataclass(frozen=True)
 class MaintenanceResult:
@@ -137,8 +111,6 @@ def apply_update(
     seq: CompleteSequence,
     k: int,
     v: float,
-    *,
-    evaluator: Optional[BandEvaluator] = None,
 ) -> MaintenanceResult:
     """Apply ``x_k := v`` to the raw data and the materialized sequence."""
     _check_position(seq, k)
@@ -150,7 +122,7 @@ def apply_update(
     if _is_minmax(seq.aggregate):
         spec = SequenceSpec(seq.window, seq.aggregate)
         raw[k - 1] = v
-        stale: List[int] = []
+        recomputed = 0
         for i in band:
             cur = values[i - first]
             improves = v <= cur if seq.aggregate is MIN else v >= cur
@@ -159,12 +131,11 @@ def apply_update(
                 values[i - first] = v
             elif old == cur:
                 # The old extremum may have been x_k itself: recompute window.
-                stale.append(i)
+                values[i - first] = spec.value_at(raw, i)
+                recomputed += 1
             # else: extremum determined by other window members; unchanged.
-        for i, value in zip(stale, _evaluate_band(spec, raw, stale, evaluator)):
-            values[i - first] = value
         seq._replace_values(seq.n, values)
-        return MaintenanceResult("update", k, len(band) - len(stale), len(stale), 0)
+        return MaintenanceResult("update", k, len(band) - recomputed, recomputed, 0)
 
     delta = v - old
     raw[k - 1] = v
@@ -179,8 +150,6 @@ def apply_insert(
     seq: CompleteSequence,
     k: int,
     v: float,
-    *,
-    evaluator: Optional[BandEvaluator] = None,
 ) -> MaintenanceResult:
     """Insert raw value ``v`` at position ``k``; old positions ``>= k`` shift right."""
     _check_position(seq, k, insert=True)
@@ -214,11 +183,9 @@ def apply_insert(
     spec = SequenceSpec(window, agg)
     raw_new = raw[: k - 1] + [v] + raw[k - 1 :]
 
-    stale: List[int] = []
     for i in band:
         if minmax:
-            new_values.append(0.0)  # placeholder; batch-filled below
-            stale.append(i)
+            new_values.append(spec.value_at(raw_new, i))
             recomputed += 1
         elif i < k:
             new_values.append(old_value(i) + v - raw_value(raw, i + h))
@@ -227,9 +194,6 @@ def apply_insert(
             new_values.append(old_value(i - 1) + v - raw_value(raw, i - l - 1))
             adjusted += 1
     new_values += suffix
-
-    for i, value in zip(stale, _evaluate_band(spec, raw_new, stale, evaluator)):
-        new_values[i - first] = value
     raw.insert(k - 1, v)
     seq._replace_values(n_new, new_values)
     return MaintenanceResult("insert", k, adjusted, recomputed, shifted)
@@ -239,8 +203,6 @@ def apply_delete(
     raw: List[float],
     seq: CompleteSequence,
     k: int,
-    *,
-    evaluator: Optional[BandEvaluator] = None,
 ) -> MaintenanceResult:
     """Delete raw position ``k``; old positions ``> k`` shift left."""
     _check_position(seq, k)
@@ -274,11 +236,9 @@ def apply_delete(
     spec = SequenceSpec(window, agg)
     raw_new = raw[: k - 1] + raw[k:]
 
-    stale: List[int] = []
     for i in band:
         if minmax:
-            new_values.append(0.0)  # placeholder; batch-filled below
-            stale.append(i)
+            new_values.append(spec.value_at(raw_new, i))
             recomputed += 1
         elif i < k:
             new_values.append(old_value(i) - xk + raw_value(raw, i + h + 1))
@@ -287,9 +247,6 @@ def apply_delete(
             new_values.append(old_value(i + 1) - xk + raw_value(raw, i - l))
             adjusted += 1
     new_values += suffix
-
-    for i, value in zip(stale, _evaluate_band(spec, raw_new, stale, evaluator)):
-        new_values[i - first] = value
     del raw[k - 1]
     seq._replace_values(n_new, new_values)
     return MaintenanceResult("delete", k, adjusted, recomputed, shifted)

@@ -98,21 +98,11 @@ class ReportingSequence:
         window: WindowSpec,
         aggregate: Aggregate = SUM,
         complete: bool = True,
-        exec_config=None,
     ) -> "ReportingSequence":
         """Materialize a reporting sequence from raw warehouse rows.
 
         Rows are dicts; within a partition they are sorted by the ordering
         columns (the reporting function's local ORDER BY).
-
-        Args:
-            exec_config: a parallel
-                :class:`~repro.parallel.config.ExecutionConfig` routes the
-                core-position computation of all partitions through one
-                executor pool (view refresh is the paper's §2.3 full
-                recomputation baseline — the expensive path); header and
-                trailer values (``l + h`` per partition) are evaluated
-                in-process.  ``None`` keeps the serial explicit form.
         """
         if not order_by:
             raise SequenceError("a reporting sequence needs ordering columns")
@@ -135,20 +125,10 @@ class ReportingSequence:
                 )
             order_keys_by_key.append(order_keys)
             raws.append([float(r[value_col]) for r in part_rows])
-        if exec_config is not None and exec_config.is_parallel and raws:
-            from repro.parallel.compute import compute_grouped_parallel
-
-            # Core positions of all partitions as one flat chunk list.
-            cores = compute_grouped_parallel(raws, window, aggregate, exec_config)
-            seqs = [
-                _sequence_around(raw, core, window, aggregate, complete)
-                for raw, core in zip(raws, cores)
-            ]
-        else:
-            seqs = [
-                CompleteSequence.from_raw(raw, window, aggregate, complete=complete)
-                for raw in raws
-            ]
+        seqs = [
+            CompleteSequence.from_raw(raw, window, aggregate, complete=complete)
+            for raw in raws
+        ]
         partitions: Dict[Key, PartitionData] = {
             key: PartitionData(order_keys, seq)
             for key, order_keys, seq in zip(keys, order_keys_by_key, seqs)

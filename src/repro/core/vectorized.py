@@ -1,7 +1,7 @@
 """The window kernel: section 2.2's recurrence as whole-sequence NumPy.
 
-:func:`compute_vectorized` is what the engine's window operator, the
-parallel chunks and the partitioning reduction run.  It is O(n) for every
+:func:`compute_vectorized` is what the engine's window operator and the
+partitioning reduction run.  It is O(n) for every
 aggregate and bit-identical to the scalar reference
 :func:`~repro.core.compute.compute_pipelined` (signed zeros aside), so
 nothing above it has a kernel to choose (DESIGN.md §5m):

@@ -42,18 +42,6 @@ class MaintenanceError(ReproError):
 
 
 # ---------------------------------------------------------------------------
-# Parallel execution (repro.parallel)
-# ---------------------------------------------------------------------------
-
-class ParallelError(ReproError):
-    """Invalid parallel-execution configuration or a failed worker task."""
-
-
-class TaskTimeoutError(ParallelError):
-    """A pool task exceeded the configured per-task timeout."""
-
-
-# ---------------------------------------------------------------------------
 # Fault injection (repro.faults)
 # ---------------------------------------------------------------------------
 

@@ -5,20 +5,20 @@ this package supplies the controlled failures that prove the stack
 degrades gracefully instead of corrupting answers:
 
 * :class:`FaultPlan` / :class:`FaultSpec` — seeded, deterministic triggers
-  (worker crash, worker hang, storage-write failure, refresh interruption
-  at a chosen row, verify-time bit-flip, maintenance failure);
+  (storage-write failure, refresh interruption at a chosen row,
+  verify-time bit-flip, maintenance failure, and the serving, WAL,
+  replication and page-read faults of :data:`KINDS`);
 * :mod:`repro.faults.injector` — the process-global installation point and
-  the hook functions called from the executor, persistence, refresh,
-  verification and maintenance fault sites.
+  the hook functions called from the persistence, refresh, verification,
+  maintenance, serving, WAL, shipping and buffer-pool fault sites.
 
 The contract the fault-matrix tests enforce: under every injected fault
-the warehouse still returns bit-identical query answers — via bounded
-retry, serial fallback, atomic-swap rollback, or quarantine plus
-base-data routing — and ``repair()`` restores a clean ``verify()``.
+the warehouse still returns bit-identical query answers — via atomic-swap
+rollback, quarantine plus base-data routing, WAL truncation or replica
+catch-up — and ``repair()`` restores a clean ``verify()``.
 """
 
 from repro.faults.injector import (
-    FaultedTask,
     active,
     active_plan,
     check,
@@ -35,7 +35,6 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "FaultSpec",
-    "FaultedTask",
     "active",
     "active_plan",
     "check",

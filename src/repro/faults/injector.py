@@ -8,8 +8,6 @@ nothing in normal operation.
 
 Sites:
 
-* ``task`` — consumed by :class:`~repro.parallel.executor.ExecutorPool`,
-  which wraps doomed tasks in the picklable :class:`FaultedTask`;
 * ``storage_write`` — :func:`repro.relational.persist.save_database`, one
   eligible event per table;
 * ``refresh_begin`` / ``refresh_write`` / ``refresh_commit`` — the
@@ -21,17 +19,14 @@ Sites:
 
 from __future__ import annotations
 
-import os
 import struct
-import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.errors import FaultError, InjectedFault
-from repro.faults.plan import FaultPlan, FaultSpec
+from repro.faults.plan import FaultPlan
 
 __all__ = [
-    "FaultedTask",
     "active",
     "active_plan",
     "check",
@@ -40,7 +35,6 @@ __all__ = [
     "page_read_hook",
     "refresh_write_hook",
     "ship_hook",
-    "take_task_faults",
     "verify_hook",
     "wal_torn_hook",
 ]
@@ -227,46 +221,3 @@ def ship_hook(target: str):
     for spec in fired:
         plan.record(spec.kind, "ship", target, f"shipment to {target!r} disrupted")
     return fired
-
-
-# ---------------------------------------------------------------------------
-# Executor task faults
-# ---------------------------------------------------------------------------
-
-
-def take_task_faults(n_tasks: int) -> Dict[int, FaultSpec]:
-    """Consume task-site faults for one pool map (see FaultPlan)."""
-    plan = _ACTIVE
-    if plan is None:
-        return {}
-    faults = plan.take_task_faults(n_tasks)
-    for index, spec in faults.items():
-        plan.record(spec.kind, "task", spec.target, f"armed on task {index}")
-    return faults
-
-
-class FaultedTask:
-    """Picklable wrapper executing one injected task fault, then the task.
-
-    ``worker_crash`` inside a *process* worker hard-exits (the parent sees
-    ``BrokenProcessPool``, the realistic crash signature); on a thread or
-    the calling thread it raises :class:`InjectedFault`.  ``worker_hang``
-    sleeps past the configured per-task timeout, then completes normally —
-    modelling a slow straggler rather than a lost result.
-    """
-
-    def __init__(self, fn: Callable, kind: str, seconds: float) -> None:
-        self.fn = fn
-        self.kind = kind
-        self.seconds = seconds
-
-    def __call__(self, item):
-        if self.kind == "worker_crash":
-            import multiprocessing
-
-            if multiprocessing.parent_process() is not None:
-                os._exit(37)  # hard worker death, no unwinding
-            raise InjectedFault("injected worker crash")
-        if self.kind == "worker_hang":
-            time.sleep(self.seconds)
-        return self.fn(item)

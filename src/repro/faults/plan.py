@@ -4,8 +4,8 @@ A :class:`FaultPlan` is a seeded, fully deterministic description of *what
 goes wrong where*: each :class:`FaultSpec` names a fault kind, an optional
 target (view or table name), and the index of the eligible event at which
 it fires.  The plan is installed via :mod:`repro.faults.injector`; the
-hooked sites (executor tasks, storage writes, refresh checkpoints,
-verification, maintenance rules) then consult it.
+hooked sites (storage writes, refresh checkpoints, verification,
+maintenance rules, the serving and replication tiers) then consult it.
 
 Determinism is the whole point: the same plan against the same workload
 fires at exactly the same event, so every fault-matrix test is a plain
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FaultError
@@ -25,8 +25,6 @@ from repro.errors import FaultError
 __all__ = ["KINDS", "REFRESH_POINTS", "FaultSpec", "FaultEvent", "FaultPlan"]
 
 KINDS = (
-    "worker_crash",        # pool task dies (process: hard exit -> BrokenProcessPool)
-    "worker_hang",         # pool task sleeps past the per-task timeout
     "storage_write_fail",  # save_database aborts before writing a table
     "refresh_interrupt",   # view refresh killed at a chosen checkpoint/row
     "bitflip",             # one storage value corrupted at verify time
@@ -43,11 +41,8 @@ KINDS = (
 # refresh_interrupt spec may target via its ``point`` field.
 REFRESH_POINTS = ("begin", "write", "commit")
 
-# Which injection site each kind listens on ("task" faults are consumed by
-# the executor through FaultPlan.take_task_faults, not through fire()).
+# Which injection site each kind listens on.
 _SITE_OF_KIND = {
-    "worker_crash": "task",
-    "worker_hang": "task",
     "storage_write_fail": "storage_write",
     "bitflip": "verify",
     "maintenance_fail": "maintenance",
@@ -68,14 +63,11 @@ class FaultSpec:
         kind: one of :data:`KINDS`.
         target: restrict to a named view/table (empty = any target).
         at: 0-based index of the eligible event at which to fire (for
-            task faults the task index within a pool ``map``; for
             ``refresh_interrupt`` with ``point="write"`` the storage-row
             write index; for ``storage_write_fail`` the table index).
         times: how many consecutive eligible events fire before the spec
-            is exhausted (``times > 1`` models a persistent fault that
-            defeats bounded retry and forces the serial fallback).
+            is exhausted (``times > 1`` models a persistent fault).
         point: refresh checkpoint for ``refresh_interrupt`` specs.
-        seconds: sleep duration injected by ``worker_hang``.
     """
 
     kind: str
@@ -83,7 +75,6 @@ class FaultSpec:
     at: int = 0
     times: int = 1
     point: str = "write"
-    seconds: float = 0.25
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -96,8 +87,6 @@ class FaultSpec:
             raise FaultError(
                 f"unknown refresh point {self.point!r}; expected one of {REFRESH_POINTS}"
             )
-        if self.seconds < 0:
-            raise FaultError(f"seconds must be >= 0, got {self.seconds}")
 
     @property
     def site(self) -> str:
@@ -150,27 +139,6 @@ class FaultPlan:
                     self._fired[i] += 1
                     fired.append(spec)
         return fired
-
-    def take_task_faults(self, n_tasks: int) -> Dict[int, FaultSpec]:
-        """Consume task-site faults for a pool ``map`` over ``n_tasks`` items.
-
-        Returns ``{task_index: spec}`` for this map call.  Consumption is
-        eager (the parent marks the fault fired when it wraps the task) so
-        a *retry* of a crashed/hung task runs clean — process workers
-        cannot report exhaustion back after dying.
-        """
-        out: Dict[int, FaultSpec] = {}
-        with self._lock:
-            for i, spec in enumerate(self.specs):
-                if spec.site != "task":
-                    continue
-                base = self._seen[i]  # task events seen in earlier maps
-                for local in range(n_tasks):
-                    if spec.at <= base + local < spec.at + spec.times:
-                        self._fired[i] += 1
-                        out[local] = spec
-                self._seen[i] = base + n_tasks
-        return out
 
     def record(self, kind: str, site: str, target: str, detail: str) -> None:
         """Append to the audit log (thread-safe) and surface the fired fault

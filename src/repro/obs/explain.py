@@ -13,7 +13,7 @@ Output format (one plan node per line, postgres-flavoured)::
 
     Sort(pos ASC)  (actual rows=40, time=0.210 ms)
       Project(...)  (actual rows=40, time=0.180 ms)
-        WindowOperator(...)  (actual rows=40, time=0.150 ms, strategy=serial)
+        WindowOperator(...)  (actual rows=40, time=0.150 ms, input=columns)
           TableScan(seq)  (actual rows=40, time=0.020 ms)
     Execution time: 0.412 ms
     Stats: scanned=40 pairs=0 ...

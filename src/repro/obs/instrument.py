@@ -7,10 +7,10 @@ node's :class:`~repro.relational.stats.NodeMeasure` whenever the stats
 block carries a :class:`~repro.relational.stats.Probe`.
 
 ``render_annotated`` prints the ``EXPLAIN``-style tree with those actual
-rows and wall times, plus any strategy attributes the operator published
-via its ``analyze_extra`` dict (the window operator records where it ran
-— serial or on the pool — there, the rewriter records MaxOA/MinOA on the
-result instead).
+rows and wall times, plus any attributes the operator published via its
+``analyze_extra`` dict (the window operator records its input shape and
+sharing hits there; the rewriter records MaxOA/MinOA on the result
+instead).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ _SPAN_NAMES = {
     "NestedLoopJoin": "join.nested",
     "IndexNestedLoopJoin": "join.index",
     "HashJoin": "join.hash",
-    "SortMergeJoin": "join.sortmerge",
     "HashAggregate": "op.aggregate",
     "WindowOperator": "window.evaluate",
 }

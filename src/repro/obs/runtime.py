@@ -103,9 +103,8 @@ def current_context():
 def publish_stats(stats, registry: Optional[MetricsRegistry] = None) -> None:
     """Add one owned ExecutionStats block's counters to the global registry.
 
-    Every counter is touched, zeros included, so the full
-    ``repro_engine_*`` / ``repro_parallel_*`` name set is exposed from the
-    first query on.
+    Every counter is touched, zeros included, so the full ``repro_engine_*``
+    name set is exposed from the first query on.
     """
     target = registry if registry is not None else _registry
     for metric, value in stats.metric_values():

@@ -10,11 +10,9 @@ the same convention ``EXPLAIN ANALYZE`` uses in mainstream engines.
 Distributed traces (DESIGN.md §5k): every span carries a ``trace_id``
 (inherited from its parent; a fresh one per root span) and a globally
 unique random ``span_id``, so spans recorded by *different* tracers — a
-client process, a serve worker thread, a process-pool child — stitch into
-one tree.  A remote parent is adopted by passing a
-:class:`~repro.obs.context.TraceContext` as ``parent_context``; spans
-recorded in a worker process come back as dicts and are folded in with
-:meth:`Tracer.ingest`.  Sampling is decided once per root span
+client process, a serve worker thread — stitch into one tree.  A remote
+parent is adopted by passing a :class:`~repro.obs.context.TraceContext` as
+``parent_context``.  Sampling is decided once per root span
 (``sample_rate``) and propagates with the context; unsampled spans keep
 the stack honest but are never recorded.
 
@@ -123,36 +121,6 @@ class Span:
                 for n, t, a in self.events
             ],
         }
-
-    @classmethod
-    def from_dict(cls, tracer: "Tracer", doc: Dict[str, Any]) -> "Span":
-        """Rebuild a finished span from its exported dict (never touches the
-        tracer's stack — used to fold worker-process spans into a parent).
-
-        Cross-process ``start`` values are each process's own
-        ``perf_counter`` epoch; durations and parent links are exact, the
-        absolute placement on a shared timeline is not.
-        """
-        span = cls.__new__(cls)
-        span.tracer = tracer
-        span.name = str(doc.get("name", ""))
-        span.span_id = doc.get("span_id")
-        span.parent_id = doc.get("parent_id")
-        span.trace_id = doc.get("trace_id")
-        span.sampled = bool(doc.get("sampled", True))
-        span.thread_id = int(doc.get("thread_id", 0))
-        span.start = float(doc.get("start", 0.0))
-        span.end = span.start + float(doc.get("duration", 0.0))
-        span.attributes = dict(doc.get("attributes") or {})
-        span.events = [
-            (
-                str(e.get("name", "")),
-                float(e.get("at", span.start)),
-                dict(e.get("attributes") or {}),
-            )
-            for e in (doc.get("events") or [])
-        ]
-        return span
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Span({self.name!r}, id={self.span_id}, dur={self.duration:.6f})"
@@ -264,20 +232,6 @@ class Tracer:
             return  # unsampled traces keep the stack honest, nothing else
         with self._lock:
             self.finished.append(span)
-
-    def ingest(self, span_docs: List[Dict[str, Any]]) -> int:
-        """Fold spans exported by another tracer (a worker process) into
-        this one; returns how many were added.  Span/trace ids are globally
-        unique random values, so no remapping is needed."""
-        added = [
-            Span.from_dict(self, doc)
-            for doc in span_docs
-            if isinstance(doc, dict)
-        ]
-        if added:
-            with self._lock:
-                self.finished.extend(added)
-        return len(added)
 
     # -- queries -------------------------------------------------------------
 
@@ -465,9 +419,6 @@ class NullTracer:
 
     def event(self, name: str, **attributes: Any) -> None:
         return None
-
-    def ingest(self, span_docs: List[Dict[str, Any]]) -> int:
-        return 0
 
     def spans(self, name: Optional[str] = None) -> List[Span]:
         return []

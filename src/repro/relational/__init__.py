@@ -33,7 +33,7 @@ from repro.relational.expr import (
     lit,
 )
 from repro.relational.index import HashIndex, SortedIndex
-from repro.relational.join import HashJoin, IndexNestedLoopJoin, NestedLoopJoin, SortMergeJoin
+from repro.relational.join import HashJoin, IndexNestedLoopJoin, NestedLoopJoin
 from repro.relational.operators import (
     Alias,
     Distinct,
@@ -89,7 +89,6 @@ __all__ = [
     "Result",
     "Schema",
     "Sort",
-    "SortMergeJoin",
     "SortedIndex",
     "Table",
     "TableScan",

@@ -30,7 +30,7 @@ from repro.relational.operators import Operator
 from repro.relational.stats import ExecutionStats
 from repro.relational.table import Table
 
-__all__ = ["NestedLoopJoin", "IndexNestedLoopJoin", "HashJoin", "SortMergeJoin"]
+__all__ = ["NestedLoopJoin", "IndexNestedLoopJoin", "HashJoin"]
 
 Row = Tuple[Any, ...]
 
@@ -256,116 +256,3 @@ class HashJoin(Operator):
         )
         res = f", residual={self.residual}" if self.residual is not None else ""
         return f"HashJoin[{self.join_type}]({keys}{res})"
-
-
-class SortMergeJoin(Operator):
-    """Equi-join by sorting both inputs on their keys and merging.
-
-    Complements :class:`HashJoin` with deterministic memory behaviour and
-    sorted output (useful when a downstream Sort on the join key can then
-    be elided).  NULL keys never join, matching SQL semantics.  Duplicate
-    keys on both sides produce the full cross product of the matching
-    groups.
-    """
-
-    def __init__(
-        self,
-        left: Operator,
-        right: Operator,
-        left_keys: Sequence[Expr],
-        right_keys: Sequence[Expr],
-        residual: Optional[Expr] = None,
-        join_type: str = "inner",
-    ) -> None:
-        _check_join_type(join_type)
-        if len(left_keys) != len(right_keys) or not left_keys:
-            raise PlanError("sort-merge join needs matching, non-empty key lists")
-        self.left = left
-        self.right = right
-        self.left_keys = list(left_keys)
-        self.right_keys = list(right_keys)
-        self.join_type = join_type
-        self.schema = left.schema.concat(right.schema)
-        self._lk = [e.bind(left.schema) for e in self.left_keys]
-        self._rk = [e.bind(right.schema) for e in self.right_keys]
-        self.residual = residual
-        self._residual = residual.bind(self.schema) if residual is not None else None
-
-    def _keyed(self, rows, compiled, stats: ExecutionStats):
-        keyed = []
-        for row in rows:
-            key = tuple(k(row) for k in compiled)
-            if any(v is None for v in key):
-                keyed.append((None, row))  # NULL keys sort out of the merge
-            else:
-                keyed.append((key, row))
-        non_null = [(k, r) for k, r in keyed if k is not None]
-        non_null.sort(key=lambda kr: kr[0])
-        stats.rows_sorted += len(non_null)
-        null_rows = [r for k, r in keyed if k is None]
-        return non_null, null_rows
-
-    def execute(self, stats: ExecutionStats) -> Iterator[Row]:
-        left_sorted, left_nulls = self._keyed(
-            list(self.left.run(stats)), self._lk, stats
-        )
-        right_sorted, _ = self._keyed(
-            list(self.right.run(stats)), self._rk, stats
-        )
-        residual = self._residual
-        null_row = (None,) * len(self.right.schema)
-
-        i = j = 0
-        nl, nr = len(left_sorted), len(right_sorted)
-        pairs = joined = 0
-        try:
-            while i < nl and j < nr:
-                lkey = left_sorted[i][0]
-                rkey = right_sorted[j][0]
-                if lkey < rkey:
-                    if self.join_type == "left":
-                        joined += 1
-                        yield left_sorted[i][1] + null_row
-                    i += 1
-                elif lkey > rkey:
-                    j += 1
-                else:
-                    # Collect both equal-key groups, emit their cross product.
-                    i_end = i
-                    while i_end < nl and left_sorted[i_end][0] == lkey:
-                        i_end += 1
-                    j_end = j
-                    while j_end < nr and right_sorted[j_end][0] == rkey:
-                        j_end += 1
-                    for li in range(i, i_end):
-                        matched = False
-                        for rj in range(j, j_end):
-                            pairs += 1
-                            combined = left_sorted[li][1] + right_sorted[rj][1]
-                            if residual is None or residual(combined) is True:
-                                matched = True
-                                joined += 1
-                                yield combined
-                        if not matched and self.join_type == "left":
-                            joined += 1
-                            yield left_sorted[li][1] + null_row
-                    i, j = i_end, j_end
-            if self.join_type == "left":
-                for li in range(i, nl):
-                    joined += 1
-                    yield left_sorted[li][1] + null_row
-                for row in left_nulls:
-                    joined += 1
-                    yield row + null_row
-        finally:
-            stats.bump(pairs_examined=pairs, rows_joined=joined)
-
-    def children(self) -> Sequence[Operator]:
-        return (self.left, self.right)
-
-    def label(self) -> str:
-        keys = ", ".join(
-            f"{l}={r}" for l, r in zip(self.left_keys, self.right_keys)
-        )
-        res = f", residual={self.residual}" if self.residual is not None else ""
-        return f"SortMergeJoin[{self.join_type}]({keys}{res})"

@@ -7,7 +7,7 @@ self-join pattern without an index examines O(n²) row pairs while the
 indexed variant touches O(n·w) (Table 1), and that the derivation patterns'
 join work grows superlinearly (Table 2).
 
-The block is ten plain ints.  Whoever created it publishes it once, when
+The block is seven plain ints.  Whoever created it publishes it once, when
 the execution is over, with :func:`repro.obs.runtime.publish_stats`, which
 adds each counter to the process registry under the name
 :meth:`ExecutionStats.metric_values` gives it.
@@ -35,22 +35,11 @@ _COUNTERS = (
     "rows_aggregated",
     "groups_emitted",
     "rows_sorted",
-    "tasks_retried",
-    "worker_failures",
-    "serial_fallbacks",
 )
 
-# Global metric name per counter.  Scan/join/aggregate/sort counters
-# belong to the engine layer; the robustness counters to the parallel layer
+# Global metric name per counter: every counter belongs to the engine layer
 # (DESIGN.md §5f naming scheme: repro_<layer>_<name>).
-_METRIC_OF = {
-    name: (
-        f"repro_parallel_{name}_total"
-        if name in ("tasks_retried", "worker_failures", "serial_fallbacks")
-        else f"repro_engine_{name}_total"
-    )
-    for name in _COUNTERS
-}
+_METRIC_OF = {name: f"repro_engine_{name}_total" for name in _COUNTERS}
 
 
 class NodeMeasure:
@@ -102,11 +91,6 @@ class ExecutionStats:
         rows_aggregated: input rows consumed by aggregation.
         groups_emitted: groups produced by aggregation.
         rows_sorted: rows passing through sort operators.
-        tasks_retried: pool tasks re-submitted after a failure/timeout.
-        worker_failures: task failures observed (exceptions, timeouts,
-            broken pools) before any retry succeeded.
-        serial_fallbacks: times a pool degraded to in-process serial
-            execution (broken pool or retry exhaustion).
         probe: the :class:`Probe` measuring this execution, or ``None``.
 
     Serial operators own the block exclusively and use attribute ``+=``;
@@ -127,7 +111,8 @@ class ExecutionStats:
             setattr(self, name, value)
 
     def bump(self, **counters: int) -> None:
-        """Atomically add to named counters (parallel operators' entry point).
+        """Atomically add to named counters (the entry point for anything
+        that may run beside another thread).
 
         Raises:
             AttributeError: for names outside the known counter set.
@@ -140,9 +125,8 @@ class ExecutionStats:
                 setattr(self, name, getattr(self, name) + delta)
 
     def merge(self, other: "ExecutionStats") -> None:
-        """Fold another stats block into this one (sub-plan or per-worker
-        accumulation); atomic with respect to concurrent merges/bumps on
-        ``self``."""
+        """Fold another stats block into this one (sub-plan accumulation);
+        atomic with respect to concurrent merges/bumps on ``self``."""
         self.bump(**other.counters())
 
     def counters(self) -> Dict[str, int]:
@@ -155,25 +139,13 @@ class ExecutionStats:
             yield _METRIC_OF[name], value
 
     def summary(self) -> str:
-        """Render the counters as a one-line report.
-
-        The robustness counters (retries, worker failures, serial
-        fallbacks) appear only when nonzero — a clean run reads exactly as
-        it always did.
-        """
-        text = (
+        """Render the counters as a one-line report."""
+        return (
             f"scanned={self.rows_scanned} pairs={self.pairs_examined} "
             f"index_lookups={self.index_lookups} joined={self.rows_joined} "
             f"aggregated={self.rows_aggregated} groups={self.groups_emitted} "
             f"sorted={self.rows_sorted}"
         )
-        if self.tasks_retried or self.worker_failures or self.serial_fallbacks:
-            text += (
-                f" retried={self.tasks_retried} "
-                f"worker_failures={self.worker_failures} "
-                f"serial_fallbacks={self.serial_fallbacks}"
-            )
-        return text
 
     def __repr__(self) -> str:
         parts = ", ".join(

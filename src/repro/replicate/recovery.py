@@ -68,13 +68,12 @@ class RecoveryReport:
         }
 
 
-def recover(directory: str, *, execution=None, verify: bool = True,
+def recover(directory: str, *, verify: bool = True,
             fsync: bool = True) -> RecoveryReport:
     """Rebuild a :class:`ConcurrentWarehouse` from ``directory`` + its WAL.
 
     Args:
         directory: warehouse home; the log lives at ``<directory>/wal``.
-        execution: ExecutionConfig for the recovered warehouse's writes.
         verify: re-check every view against its definition after replay.
         fsync: durability mode for the re-attached log.
 
@@ -101,12 +100,11 @@ def recover(directory: str, *, execution=None, verify: bool = True,
             # maintained) state, which a fresh recompute would miss by an
             # ulp.
             inner = DataWarehouse.load(directory, rehydrate=True)
-            inner.execution = execution
             cw = ConcurrentWarehouse(inner, initial_epoch=base_epoch)
         else:
             # No checkpointed snapshot: the log is the full history.
             base_epoch = 0
-            cw = ConcurrentWarehouse(execution=execution)
+            cw = ConcurrentWarehouse()
         report = RecoveryReport(
             directory=directory, base_epoch=base_epoch,
             truncated_bytes=wal.truncated_bytes,

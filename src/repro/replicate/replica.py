@@ -38,11 +38,10 @@ class Replica:
     """
 
     def __init__(self, warehouse: Optional[ConcurrentWarehouse] = None, *,
-                 name: str = "replica", execution=None) -> None:
+                 name: str = "replica") -> None:
         self.name = name
         self.warehouse = (
-            warehouse if warehouse is not None
-            else ConcurrentWarehouse(execution=execution)
+            warehouse if warehouse is not None else ConcurrentWarehouse()
         )
         self._lock = threading.Lock()
         self._promoted = False

@@ -9,7 +9,7 @@ Layers (bottom-up):
   every reader a pinned snapshot.
 * :mod:`repro.serve.protocol` / :mod:`repro.serve.server` /
   :mod:`repro.serve.client` — newline-delimited-JSON asyncio front end
-  with per-session execution configs and bounded admission.
+  with bounded admission.
 """
 
 from repro.serve.concurrent import ConcurrentWarehouse, SnapshotHandle

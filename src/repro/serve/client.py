@@ -118,11 +118,6 @@ class ServeClient:
         """Round-trip; returns the server-assigned session name."""
         return self.call("ping")["session"]
 
-    def set_config(self, **fields: Any) -> str:
-        """Update this session's ExecutionConfig (e.g. ``jobs=4,
-        backend="thread"``); returns the resulting config description."""
-        return self.call("set", config=fields)["config"]
-
     def query(
         self, sql: str, *, hold_ms: float = 0.0, **options: Any
     ) -> Dict[str, Any]:

@@ -21,9 +21,8 @@ serialized-writer system:
 
 Reads are answered by a *snapshot warehouse*: a throwaway
 ``DataWarehouse`` assembled over the pinned epoch's frozen objects (no
-data copied), carrying the session's own
-:class:`~repro.parallel.config.ExecutionConfig`.  Because snapshot tables
-are immutable, any number of readers may share them across threads.
+data copied).  Because snapshot tables are immutable, any number of
+readers may share them across threads.
 
 Fault injection: the ``session_kill`` fault kind fires at the
 ``serve_query`` site — after the epoch is pinned, before execution — and
@@ -54,7 +53,7 @@ from repro.warehouse.warehouse import DataWarehouse, QueryResult
 __all__ = ["ConcurrentWarehouse", "SnapshotHandle"]
 
 
-def _warehouse_at(snapshot: Snapshot, execution) -> DataWarehouse:
+def _warehouse_at(snapshot: Snapshot) -> DataWarehouse:
     """Assemble a read-only DataWarehouse over one epoch's frozen objects.
 
     Nothing is copied: the catalog maps names to the snapshot's table
@@ -67,7 +66,6 @@ def _warehouse_at(snapshot: Snapshot, execution) -> DataWarehouse:
     db.catalog = Catalog(dict(snapshot.tables))
     wh.db = db
     wh.cache = None
-    wh.execution = execution
     wh.slow_queries = None
     wh.incidents = []
     wh._concurrent_owner = None
@@ -77,7 +75,6 @@ def _warehouse_at(snapshot: Snapshot, execution) -> DataWarehouse:
         view.db = db
         view.definition = state.definition
         view.complete = state.complete
-        view.exec_config = execution
         view.reporting = state.reporting
         view.raw = state.raw
         view.epoch = state.view_epoch
@@ -103,9 +100,9 @@ class SnapshotHandle:
     def snapshot(self) -> Snapshot:
         return self._pin.snapshot
 
-    def query(self, sql: str, *, config=None, **options: Any) -> QueryResult:
+    def query(self, sql: str, **options: Any) -> QueryResult:
         """Run a SELECT at this epoch (bit-identical until released)."""
-        wh = _warehouse_at(self._pin.snapshot, config)
+        wh = _warehouse_at(self._pin.snapshot)
         # Served reads report into the owner's slow-query log (the log is
         # lock-protected), so slow snapshot queries — trace ids included —
         # show up in one place instead of dying with the throwaway wrapper.
@@ -117,12 +114,12 @@ class SnapshotHandle:
 
     def value_at(self, view_name: str, order_key, **kwargs: Any):
         """Point lookup at this epoch (see ``DataWarehouse.value_at``)."""
-        return _warehouse_at(self._pin.snapshot, None).value_at(
+        return _warehouse_at(self._pin.snapshot).value_at(
             view_name, order_key, **kwargs
         )
 
     def explain(self, sql: str, **options: Any) -> str:
-        return _warehouse_at(self._pin.snapshot, None).explain(sql, **options)
+        return _warehouse_at(self._pin.snapshot).explain(sql, **options)
 
     def release(self) -> None:
         self._pin.release()
@@ -141,9 +138,6 @@ class ConcurrentWarehouse:
         warehouse: an existing warehouse to take ownership of (it must no
             longer be mutated directly — the ownership guard enforces
             this), or ``None`` to create a fresh one.
-        execution: default ExecutionConfig for *writes* (refresh &
-            maintenance band recomputation); readers carry their own
-            per-session config.
         wal: a :class:`~repro.replicate.wal.WriteAheadLog`; when set,
             every mutation appends its logical op to the log — fsync'd —
             *before* the epoch is published (write-ahead discipline).
@@ -154,9 +148,8 @@ class ConcurrentWarehouse:
     """
 
     def __init__(self, warehouse: Optional[DataWarehouse] = None, *,
-                 execution=None, wal=None,
-                 initial_epoch: Optional[int] = None) -> None:
-        wh = warehouse if warehouse is not None else DataWarehouse(execution=execution)
+                 wal=None, initial_epoch: Optional[int] = None) -> None:
+        wh = warehouse if warehouse is not None else DataWarehouse()
         owner = getattr(wh, "_concurrent_owner", None)
         if owner is not None and owner() is not None:
             raise ConcurrencyError(
@@ -445,13 +438,11 @@ class ConcurrentWarehouse:
                 self._unmark_write()
 
     @classmethod
-    def load(cls, directory: str, *, execution=None) -> "ConcurrentWarehouse":
+    def load(cls, directory: str) -> "ConcurrentWarehouse":
         """Load a saved warehouse into memory and wrap it for concurrent
         serving (residency follows the budget, and this load passes none:
         see :meth:`DataWarehouse.load`)."""
-        wh = DataWarehouse.load(directory)
-        wh.execution = execution
-        return cls(wh)
+        return cls(DataWarehouse.load(directory))
 
     # -- replication ---------------------------------------------------------
 
@@ -591,12 +582,11 @@ class ConcurrentWarehouse:
         """Pin the current epoch; release via context manager or .release()."""
         return SnapshotHandle(self, self.epochs.pin())
 
-    def query(self, sql: str, *, config=None, session: str = "",
+    def query(self, sql: str, *, session: str = "",
               hold_ms: float = 0.0, **options: Any) -> QueryResult:
         """Run one SELECT at the epoch current when the call started.
 
         Args:
-            config: the session's ExecutionConfig (``None`` = serial).
             session: session id, used as the fault-injection target for
                 ``session_kill`` specs.
             hold_ms: artificially hold the pin for this long before
@@ -622,7 +612,7 @@ class ConcurrentWarehouse:
                 ) from exc
             if hold_ms > 0:
                 time.sleep(hold_ms / 1000.0)
-            return snap.query(sql, config=config, **options)
+            return snap.query(sql, **options)
 
     def value_at(self, view_name: str, order_key, **kwargs: Any):
         with self.pin() as snap:

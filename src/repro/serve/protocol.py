@@ -15,7 +15,6 @@ Operations::
                                                          "types": [...], "nrows": n,
                                                          "data": [<column>, ...],
                                                          "epoch": N, "rewrite": ...}
-    {"op": "set", "config": {"jobs": 4, ...}}        -> per-session ExecutionConfig
     {"op": "refresh", "view": name}
     {"op": "update", "table": ..., "keys": {...},
      "value_col": ..., "new_value": ...}
@@ -95,7 +94,6 @@ __all__ = [
 OPS = (
     "ping",
     "query",
-    "set",
     "refresh",
     "update",
     "insert_row",

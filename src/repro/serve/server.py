@@ -1,13 +1,11 @@
-"""Asyncio serving front end with per-session configs and admission control.
+"""Asyncio serving front end with per-connection sessions and admission control.
 
 :class:`ServeServer` accepts newline-delimited-JSON connections (see
 :mod:`repro.serve.protocol`) over a :class:`~repro.serve.concurrent.
 ConcurrentWarehouse`.  Design points:
 
-* **Per-connection sessions.**  Each connection is a :class:`Session`
-  carrying its own :class:`~repro.parallel.config.ExecutionConfig`
-  (mutable via the ``set`` op), so one client can run parallel
-  reads while another stays strictly serial.
+* **Per-connection sessions.**  Each connection is a :class:`Session`,
+  whose name tags its queries' spans and pins.
 * **Admission control.**  At most ``max_queue`` queries may be in flight
   (executing or waiting for a worker thread) across all sessions; the
   next query is rejected immediately with ``BackpressureError`` rather
@@ -31,7 +29,6 @@ a ``serve.query`` span per query (session, epoch, sql attributes).
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import functools
 import threading
 import time
@@ -47,7 +44,6 @@ from repro.errors import (
     ReplicationError,
     ServeError,
 )
-from repro.parallel.config import ExecutionConfig
 from repro.serve import protocol
 from repro.serve.concurrent import ConcurrentWarehouse
 from repro.sql.options import QueryOptions
@@ -56,7 +52,7 @@ __all__ = ["ServeServer", "Session"]
 
 
 class Session:
-    """Per-connection state: identity plus the session's execution config."""
+    """Per-connection state: the session's identity."""
 
     _counter = 0
     _counter_lock = threading.Lock()
@@ -66,25 +62,6 @@ class Session:
             Session._counter += 1
             number = Session._counter
         self.name = f"session-{number}"
-        self.config: Optional[ExecutionConfig] = None
-
-    def configure(self, fields: Dict[str, Any]) -> ExecutionConfig:
-        """Apply ``set`` op fields on top of the current config.
-
-        Raises:
-            ProtocolError: unknown field name (config validation errors —
-                bad backend, negative jobs — surface as ParallelError).
-        """
-        base = self.config if self.config is not None else ExecutionConfig()
-        known = {f.name for f in dataclasses.fields(ExecutionConfig)}
-        unknown = sorted(set(fields) - known)
-        if unknown:
-            raise ProtocolError(
-                f"unknown config field(s) {unknown}; expected subset of "
-                f"{sorted(known)}"
-            )
-        self.config = dataclasses.replace(base, **fields)
-        return self.config
 
 
 class ServeServer:
@@ -275,9 +252,6 @@ class ServeServer:
             return {**ok, "pong": True, "session": session.name}
         if op == "close":
             return {**ok, "closing": True}
-        if op == "set":
-            config = session.configure(dict(request.get("config", {})))
-            return {**ok, "config": config.describe()}
         if op == "query":
             return {**ok, **await self._run_query(session, request)}
         if op == "epochs":
@@ -425,8 +399,8 @@ class ServeServer:
         """Check a request's ``options`` before the query is admitted.
 
         Anything but an object of known query options with values inside
-        their domains is a protocol error — including ``config``,
-        ``session`` and ``hold_ms``, which are the server's to set.
+        their domains is a protocol error — including ``session`` and
+        ``hold_ms``, which are the server's to set.
         """
         if not isinstance(raw, dict):
             raise ProtocolError(
@@ -446,7 +420,6 @@ class ServeServer:
         ) as span:
             result = self.warehouse.query(
                 sql,
-                config=session.config,
                 session=session.name,
                 hold_ms=hold_ms,
                 **options,

@@ -19,9 +19,7 @@ logical→physical split:
 
 There is one planner and, for a window operator, nothing to decide: one
 kernel serves every frame and aggregate (DESIGN.md §5m), so statistics
-only feed the estimates.  A parallel ``ExecutionConfig`` runs exactly as
-configured — the partitioner and the pool already keep small inputs
-inline where their size can be observed.
+only feed the estimates.
 
 Join planning is deliberately modest (the queries at hand join at most a
 few tables): WHERE conjuncts are pushed to single-table filters where
@@ -61,8 +59,6 @@ from repro.relational.operators import (
 )
 from repro.sql.ast_nodes import (
     AggregateCall,
-    OrderItem,
-    SelectItem,
     SelectStmt,
     WindowCall,
 )
@@ -106,35 +102,20 @@ def explain_sql(db: Database, text: str, **options: Any) -> str:
 
 
 def build_plan(
-    db: Database,
-    stmt,
-    options: QueryOptions = QueryOptions(),
-    *,
-    exec_config: Any = None,
+    db: Database, stmt, options: QueryOptions = QueryOptions()
 ) -> Operator:
     """Lower a SELECT (or UNION ALL compound) AST to an operator tree.
 
     Args:
         options: the query's :class:`~repro.sql.options.QueryOptions`
             (``window_strategy`` and ``use_index`` matter here).
-        exec_config: optional
-            :class:`~repro.parallel.config.ExecutionConfig`; when parallel,
-            native window operators evaluate their frames through the
-            partition-parallel subsystem.  A backend that the health
-            registry (:mod:`repro.parallel.health`) has recorded as broken
-            — e.g. a process pool that crashed earlier in this process —
-            is downgraded to serial execution at plan time, so queries
-            self-heal instead of re-triggering the crash path.
     """
     from repro.obs import runtime
 
     with runtime.get_tracer().span(
         "query.plan", window_strategy=options.window_strategy
     ):
-        logical = build_logical(db, stmt, options)
-        return PhysicalPlanner(db, _route_exec_config(exec_config)).lower_root(
-            logical
-        )
+        return PhysicalPlanner(db).lower_root(build_logical(db, stmt, options))
 
 
 def build_logical(
@@ -160,21 +141,6 @@ def build_logical(
             node = LLimit(node, stmt.limit)
         return node
     return _LogicalBuilder(db, stmt, options).build()
-
-
-def _route_exec_config(exec_config: Any) -> Any:
-    """Self-healing backend routing: avoid pool backends known to be broken.
-
-    Keeps the rest of the configuration (chunking, retries) intact — only
-    the placement changes, so results stay identical.
-    """
-    if exec_config is None or not getattr(exec_config, "is_parallel", False):
-        return exec_config
-    from repro.parallel import health
-
-    if health.is_broken(exec_config.backend):
-        return replace(exec_config, backend="serial")
-    return exec_config
 
 
 def _binds(expr: Expr, schema) -> bool:
@@ -553,9 +519,8 @@ class PhysicalPlanner:
     holds one line per window operator.
     """
 
-    def __init__(self, db: Database, exec_config: Any = None) -> None:
+    def __init__(self, db: Database) -> None:
         self.db = db
-        self.exec_config = exec_config
         self.cost_model = CostModel()
         self.notes: List[str] = []
 
@@ -706,24 +671,14 @@ class PhysicalPlanner:
         child, est = self._lower(node.child)
         rows = est.rows
         specs = node.specs
-        cm = self.cost_model
         groups = self._estimate_groups(specs, est)
-        config = self.exec_config
-        # Parallelism is the caller's configuration, not a plan choice.
-        if config is not None and getattr(config, "is_parallel", False):
-            where = "parallel"
-            wcost = len(specs) * cm.parallel_window_cost(
-                rows, jobs=config.resolved_jobs, groups=groups
-            )
-        else:
-            where = "serial"
-            wcost = len(specs) * cm.window_cost(rows)
+        wcost = len(specs) * self.cost_model.window_cost(rows)
         self.notes.append(
-            f"window[{','.join(s.name for s in specs)}]: {where} "
+            f"window[{','.join(s.name for s in specs)}]: serial "
             f"(est_rows={int(rows)}, est_groups={int(groups)}, "
             f"est_cost={wcost:.1f})"
         )
-        op = WindowOperator(child, specs, config)
+        op = WindowOperator(child, specs)
         return op, _Est(rows, est.cost + wcost, est.table)
 
     def _estimate_groups(self, specs, est: _Est) -> float:

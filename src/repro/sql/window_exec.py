@@ -21,16 +21,8 @@ changes, and the output is the child's columns plus one float64 column per
 clause — no row is built.  NumPy orders ``int64``/``float64``/``bool`` keys
 without NULLs or NaNs exactly as Python's stable sort does; anything else
 (TEXT/DATE/NULL keys, computed arguments or keys, ranking functions, RANGE
-frames, a parallel configuration, an ambient spill budget) runs the row
-loop, which computes the same values.
-
-When constructed with a parallel
-:class:`~repro.parallel.config.ExecutionConfig`, step 3 runs through the
-partition-parallel subsystem: every PARTITION BY group's sequence — chunked
-within long groups — is evaluated on a shared
-:class:`~repro.parallel.executor.ExecutorPool`, and per-group results merge
-back in deterministic order.  Ranking functions and RANGE frames keep the
-serial path (their kernels are not chunkable yet).
+frames, an ambient spill budget) runs the row loop, which computes the same
+values.
 
 Queries with several OVER clauses share work across the clauses in two
 tiers, both always on:
@@ -56,7 +48,7 @@ from repro.columns import ColumnRows, kind_for_type, sort_order
 from repro.core.aggregates import by_name
 from repro.core.vectorized import compute_vectorized
 from repro.core.window import WindowSpec
-from repro.errors import ParallelError, PlanError, SchemaError
+from repro.errors import PlanError, SchemaError
 from repro.relational.expr import ColumnRef, Expr
 from repro.relational.operators import (
     Alias,
@@ -137,29 +129,15 @@ class WindowColumnSpec:
 
 
 class WindowOperator(Operator):
-    """Append reporting-function columns to the child's rows.
+    """Append reporting-function columns to the child's rows."""
 
-    Args:
-        exec_config: when parallel, frame aggregates are computed through
-            the partition-parallel subsystem (chunked across and within
-            PARTITION BY groups); ``None`` keeps the serial path.  Ranking
-            functions and RANGE frames always use their dedicated serial
-            kernels.
-    """
-
-    def __init__(
-        self,
-        child: Operator,
-        specs: Sequence[WindowColumnSpec],
-        exec_config=None,
-    ) -> None:
+    def __init__(self, child: Operator, specs: Sequence[WindowColumnSpec]) -> None:
         if not specs:
             raise PlanError("window operator needs at least one column spec")
         self.child = child
-        self.exec_config = exec_config
         self.specs = list(specs)
-        # What the last execution did (strategy, columnar or row input,
-        # rows, sharing hits): read by EXPLAIN ANALYZE.
+        # What the last execution did (columnar or row input, rows, sharing
+        # hits): read by EXPLAIN ANALYZE.
         self.analyze_extra: dict = {}
         columns = list(child.schema.columns)
         for spec in self.specs:
@@ -217,12 +195,10 @@ class WindowOperator(Operator):
         from repro.storage.spill import SpilledFloatRun, SpillStore, active_budget
 
         rows = self.child.run(stats)
-        parallel = self.exec_config is not None and self.exec_config.is_parallel
-        # Columnar when the child is, nothing asks for the pool and NumPy can
-        # order every clause's keys; ``orders`` then replaces partitioning
-        # and sorting rows.
+        # Columnar when the child is and NumPy can order every clause's
+        # keys; ``orders`` then replaces partitioning and sorting rows.
         orders = None
-        if isinstance(rows, ColumnRows) and not parallel:
+        if isinstance(rows, ColumnRows):
             orders = self._sort_orders(rows.columns, len(rows))
         # The row loop still gathers measures from a columnar child's columns.
         columns = rows if isinstance(rows, ColumnRows) else None
@@ -232,15 +208,7 @@ class WindowOperator(Operator):
         # window runs beside them); the column path holds its input and
         # output columns, which the result keeps in memory either way.
         budget = active_budget() if orders is None else None
-        pool = None
-        if parallel and rows:
-            from repro.parallel.executor import ExecutorPool
-
-            # Sharing the stats block surfaces retry/fallback counters in
-            # the query result.
-            pool = ExecutorPool(self.exec_config, stats=stats)
         self.analyze_extra = {
-            "strategy": "parallel" if pool is not None else "serial",
             "input": "columns" if orders is not None else "rows",
             "rows": len(rows),
         }
@@ -252,49 +220,43 @@ class WindowOperator(Operator):
         # trips exactly), only residency changes.
         spill_store: Optional[SpillStore] = None
         held_bytes = 0
-        try:
-            extras: list = []
-            measure_cache: dict = {}
-            sort_cache: dict = {}
-            result_cache: dict = {}
-            for spec, (arg, partition, order) in zip(self.specs, self._bound):
-                sig = _signature(spec)
-                dedup_key = (
-                    sig,
-                    spec.func,
-                    str(spec.arg) if spec.arg is not None else None,
-                    spec.window,
-                    spec.range_frame,
+        extras: list = []
+        measure_cache: dict = {}
+        sort_cache: dict = {}
+        result_cache: dict = {}
+        for spec, (arg, partition, order) in zip(self.specs, self._bound):
+            sig = _signature(spec)
+            dedup_key = (
+                sig,
+                spec.func,
+                str(spec.arg) if spec.arg is not None else None,
+                spec.window,
+                spec.range_frame,
+            )
+            if dedup_key in result_cache:
+                self.analyze_extra["deduped"] = (
+                    self.analyze_extra.get("deduped", 0) + 1
                 )
-                if dedup_key in result_cache:
-                    self.analyze_extra["deduped"] = (
-                        self.analyze_extra.get("deduped", 0) + 1
+                extras.append(result_cache[dedup_key])
+                continue
+            groups = self._partition_and_sort(
+                sig, partition, order, rows, sort_cache, orders
+            )
+            measure = self._measure_column(spec, columns or rows, measure_cache)
+            values = self._evaluate(spec, arg, order, groups, rows, stats, measure)
+            if budget is not None:
+                run_bytes = values.nbytes
+                if held_bytes + run_bytes > max(budget // 2, 1):
+                    if spill_store is None:
+                        spill_store = SpillStore()
+                    values = SpilledFloatRun(spill_store, values)
+                    self.analyze_extra["spilled_runs"] = (
+                        self.analyze_extra.get("spilled_runs", 0) + 1
                     )
-                    extras.append(result_cache[dedup_key])
-                    continue
-                groups = self._partition_and_sort(
-                    sig, partition, order, rows, sort_cache, orders
-                )
-                measure = self._measure_column(spec, columns or rows, measure_cache)
-                values = self._evaluate(
-                    spec, arg, order, groups, rows, stats, pool, measure
-                )
-                if budget is not None:
-                    run_bytes = values.nbytes
-                    if held_bytes + run_bytes > max(budget // 2, 1):
-                        if spill_store is None:
-                            spill_store = SpillStore()
-                        values = SpilledFloatRun(spill_store, values)
-                        self.analyze_extra["spilled_runs"] = (
-                            self.analyze_extra.get("spilled_runs", 0) + 1
-                        )
-                    else:
-                        held_bytes += run_bytes
-                result_cache[dedup_key] = values
-                extras.append(values)
-        finally:
-            if pool is not None:
-                pool.close()
+                else:
+                    held_bytes += run_bytes
+            result_cache[dedup_key] = values
+            extras.append(values)
         registry = runtime.get_registry()
         registry.counter(
             "repro_window_positions_total",
@@ -419,7 +381,6 @@ class WindowOperator(Operator):
         groups: list,
         rows,
         stats: ExecutionStats,
-        pool=None,
         measure: Optional[DataColumn] = None,
     ) -> np.ndarray:
         from repro.obs import runtime
@@ -430,19 +391,6 @@ class WindowOperator(Operator):
             help="PARTITION BY groups evaluated by the window operator",
         ).inc(len(groups))
         self.analyze_extra["groups"] = len(groups)
-        if pool is not None and not spec.is_ranking and not spec.is_range:
-            try:
-                return self._evaluate_parallel(
-                    spec, arg, aggregate, groups, rows, stats, pool, measure
-                )
-            except ParallelError:
-                # Last-ditch degradation: the whole parallel subsystem is
-                # unusable (pool broke with fallback disabled, retries
-                # exhausted, ...) — recompute this column serially rather
-                # than failing the query.
-                stats.bump(serial_fallbacks=1)
-                self.analyze_extra["strategy"] = "serial-fallback"
-                runtime.event("window.serial_fallback", spec=spec.name)
         out = np.zeros(len(rows))
         for indexes in groups:
             stats.rows_sorted += len(indexes)
@@ -454,7 +402,9 @@ class WindowOperator(Operator):
                 if arg is None:
                     raw: Sequence[float] = [1.0] * len(indexes)
                 elif measure is not None:
-                    raw = self._raw_sequence(arg, measure, indexes, rows)
+                    # Exactly the floats the row loop would make (NULL ->
+                    # 0.0, ints promoted losslessly), as one float64 array.
+                    raw = measure.take(indexes).as_float64(0.0)
                 else:
                     # The sequence model has no NULLs; absent measures
                     # count as 0 (row fallback for computed arguments).
@@ -463,61 +413,6 @@ class WindowOperator(Operator):
                         for i in indexes
                     ]
                 values = compute_vectorized(raw, spec.window, aggregate)
-            out[indexes] = values
-        return out
-
-    @staticmethod
-    def _raw_sequence(arg, measure: DataColumn, indexes, rows):
-        """Gather one group's raw sequence from the measure column.
-
-        ``take`` + ``as_float64(0.0)`` produces exactly the floats the
-        row loop would (NULL -> 0.0, ints promoted losslessly), as a
-        float64 array ready for the kernels.
-        """
-        return measure.take(indexes).as_float64(0.0)
-
-    def _evaluate_parallel(
-        self,
-        spec: WindowColumnSpec,
-        arg,
-        aggregate,
-        groups: list,
-        rows: List[Row],
-        stats: ExecutionStats,
-        pool,
-        measure: Optional[DataColumn] = None,
-    ) -> np.ndarray:
-        """Pool-backed frame evaluation over all PARTITION BY groups at once.
-
-        One flat chunk list covers every group (long groups split within
-        themselves), so the workers stay busy regardless of the partition
-        size distribution; the merge is ordered, keeping results identical
-        to the serial loop.  Column-reference measures are handed over as
-        float64 arrays, which the partitioner slices into chunk payloads
-        without copying.  Counters go through the thread-safe
-        :meth:`~repro.relational.stats.ExecutionStats.bump`.
-        """
-        from repro.parallel.compute import compute_grouped_parallel
-
-        raws: List[Sequence[float]] = []
-        for indexes in groups:
-            if arg is None:
-                raws.append([1.0] * len(indexes))
-            elif measure is not None:
-                raws.append(self._raw_sequence(arg, measure, indexes, rows))
-            else:
-                raws.append(
-                    [
-                        float(v) if (v := arg(rows[i])) is not None else 0.0
-                        for i in indexes
-                    ]
-                )
-        value_lists = compute_grouped_parallel(
-            raws, spec.window, aggregate, self.exec_config, pool=pool
-        )
-        stats.bump(rows_sorted=sum(len(ix) for ix in groups))
-        out = np.zeros(len(rows))
-        for indexes, values in zip(groups, value_lists):
             out[indexes] = values
         return out
 

@@ -59,24 +59,12 @@ class CostModel:
     PAGE_IO = 40.0
 
     WINDOW_ROW = 1.0  # one position of one window column
-    PARALLEL_SETUP = 30_000.0  # pool spin-up + chunk shipping
-    PARALLEL_GROUP = 4.0  # per-group merge bookkeeping
 
     # -- the window operator -------------------------------------------------
 
     def window_cost(self, rows: float) -> float:
         """Cost of evaluating one window column over ``rows`` positions."""
         return max(rows, 0.0) * self.WINDOW_ROW
-
-    def parallel_window_cost(
-        self, rows: float, *, jobs: int, groups: float = 1.0
-    ) -> float:
-        """The same column on a pool of ``jobs`` workers."""
-        return (
-            self.window_cost(rows) / max(jobs, 1)
-            + self.PARALLEL_SETUP
-            + max(groups, 1.0) * self.PARALLEL_GROUP
-        )
 
     # -- relational operators ------------------------------------------------
 

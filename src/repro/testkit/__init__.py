@@ -2,7 +2,7 @@
 
 The paper's value proposition is that every evaluation strategy — the
 explicit (naive) form, the pipelined form (§2.2), the relational mapping
-(fig. 2), parallel execution, and view-derived plans via MaxOA/MinOA
+(fig. 2), paged execution, and view-derived plans via MaxOA/MinOA
 (§4-§5) — returns the *same* answer.  This package turns that claim into a
 standing harness:
 

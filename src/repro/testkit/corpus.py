@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.window import WindowSpec, cumulative, sliding
 from repro.testkit.differ import PathDiscrepancy
@@ -131,7 +131,6 @@ def _active_fault_state() -> Tuple[Tuple[dict, ...], int]:
             "at": s.at,
             "times": s.times,
             "point": s.point,
-            "seconds": s.seconds,
         }
         for s in plan.specs
     )

@@ -13,8 +13,6 @@ Paths:
                      from the fresh statistics ``insert`` collected
 ``engine-nostats``   same, with the statistics cleared first (as a served
                      snapshot plans; plan and results must match)
-``engine-parallel``  same, through the partition-parallel subsystem (every
-                     window operator must report ``strategy=parallel``)
 ``engine-paged``     same, on a v4 paged store loaded behind a small
                      buffer-pool budget (out-of-core reads + spilling)
 ``view-maxoa``       materialized view one step *narrower*, MaxOA (§4)
@@ -100,9 +98,7 @@ def path_vectorized(case: FuzzCase) -> ResultMap:
     return _core_path(case, compute_vectorized)
 
 
-def _engine_path(
-    case: FuzzCase, exec_config=None, stats: bool = True, paged: bool = False
-) -> ResultMap:
+def _engine_path(case: FuzzCase, stats: bool = True, paged: bool = False) -> ResultMap:
     """The full SQL stack against the in-process relational engine.
 
     The dataset is auto-ANALYZEd on insert, so the planner estimates from
@@ -115,7 +111,7 @@ def _engine_path(
     from repro.relational import FLOAT, INTEGER
     from repro.warehouse import DataWarehouse
 
-    wh = DataWarehouse(execution=exec_config)
+    wh = DataWarehouse()
     wh.create_table("t", [("g", INTEGER), ("pos", INTEGER), ("val", FLOAT)])
     wh.insert("t", list(case.rows))
     if not stats:
@@ -127,21 +123,6 @@ def _engine_path(
             wh.save(tmp, page_size=512)
             wh = DataWarehouse.load(tmp, memory_budget_bytes=4096)
             result = wh.query(case.sql, use_views=False)
-    elif exec_config is not None and exec_config.is_parallel:
-        # Planned here rather than inside ``wh.query`` to keep hold of the
-        # operators: each window operator reports where it ran.
-        from repro.sql.options import QueryOptions
-        from repro.sql.parser import parse_query
-        from repro.sql.planner import build_plan
-
-        plan = build_plan(
-            wh.db,
-            parse_query(case.sql),
-            QueryOptions(use_views=False),
-            exec_config=wh.execution,
-        )
-        result = wh.db.run(plan)
-        _require_parallel(plan)
     else:
         result = wh.query(case.sql, use_views=False)
     g_i = result.schema.resolve("g")
@@ -157,33 +138,6 @@ def _engine_path(
     return out
 
 
-def _require_parallel(plan) -> None:
-    """Every window operator of an executed plan must have run on the pool.
-
-    A planner that quietly drops the pool would keep every answer right
-    and shrink this path to a copy of ``engine``; the serial fallback is
-    legitimate only while a fault plan is breaking the pool on purpose.
-    """
-    from repro.faults import injector
-
-    allowed = {"parallel"}
-    if injector.active_plan() is not None:
-        allowed.add("serial-fallback")
-    strategies = []
-    stack = [plan]
-    while stack:
-        node = stack.pop()
-        extra = getattr(node, "analyze_extra", None)
-        if extra and "strategy" in extra:
-            strategies.append(extra["strategy"])
-        stack.extend(node.children())
-    if not strategies or set(strategies) - allowed:
-        raise AssertionError(
-            f"engine-parallel ran window strategies {strategies}; "
-            f"expected only {sorted(allowed)}"
-        )
-
-
 def path_engine(case: FuzzCase) -> ResultMap:
     """The full SQL stack, serial: parse -> plan -> WindowOperator.
 
@@ -196,14 +150,6 @@ def path_engine_nostats(case: FuzzCase) -> ResultMap:
     """The full SQL stack with no statistics, as a served snapshot plans:
     same plan and same rows as ``engine``, estimates from table lengths."""
     return _engine_path(case, stats=False)
-
-
-def path_engine_parallel(case: FuzzCase) -> ResultMap:
-    """The full SQL stack through the partition-parallel subsystem."""
-    from repro.parallel import ExecutionConfig
-
-    config = ExecutionConfig(jobs=2, backend="thread", chunk_size=8)
-    return _engine_path(case, exec_config=config)
 
 
 def path_engine_paged(case: FuzzCase) -> ResultMap:
@@ -336,7 +282,6 @@ PATHS: Dict[str, PathFn] = {
     "vectorized": path_vectorized,
     "engine": path_engine,
     "engine-nostats": path_engine_nostats,
-    "engine-parallel": path_engine_parallel,
     "engine-paged": path_engine_paged,
     "view-maxoa": path_view_maxoa,
     "view-minoa": path_view_minoa,

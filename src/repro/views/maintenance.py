@@ -19,10 +19,6 @@ Synchronisation strategy for the two representations:
 
 All functions mutate the view only; updating the base table itself is the
 caller's (warehouse's) job.
-
-Views carrying a parallel :class:`~repro.parallel.config.ExecutionConfig`
-route the MIN/MAX band recomputation (the only non-O(1) part of the rules)
-through :func:`~repro.parallel.compute.evaluate_positions`.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core import maintenance as core_maintenance
-from repro.core.maintenance import BandEvaluator, MaintenanceResult
+from repro.core.maintenance import MaintenanceResult
 from repro.errors import MaintenanceError
 from repro.core.reporting import PartitionData
 from repro.views.materialized import MaterializedSequenceView
@@ -52,19 +48,6 @@ def _maintain_span(view: MaterializedSequenceView, op: str, **attrs):
     return runtime.get_tracer().span(
         "view.maintain", view=view.name, op=op, **attrs
     )
-
-
-def _band_evaluator(view: MaterializedSequenceView) -> Optional[BandEvaluator]:
-    """Pool-backed evaluator for MIN/MAX band recomputes, or None (serial)."""
-    cfg = view.exec_config
-    if cfg is None or not cfg.is_parallel:
-        return None
-    from repro.parallel.compute import evaluate_positions
-
-    def evaluator(spec, raw, positions):
-        return evaluate_positions(raw, spec.window, spec.aggregate, positions, cfg)
-
-    return evaluator
 
 
 def position_of(
@@ -136,8 +119,7 @@ def propagate_update(
     part = _own_partition(view, pkey)
     with _maintain_span(view, "update", position=k):
         result = core_maintenance.apply_update(
-            view.raw[pkey], part.seq, k, float(new_value),
-            evaluator=_band_evaluator(view),
+            view.raw[pkey], part.seq, k, float(new_value)
         )
         _patch_storage_band(view, pkey, result)
     return result
@@ -160,8 +142,7 @@ def propagate_insert(
     part = _own_partition(view, pkey)
     with _maintain_span(view, "insert", position=k):
         result = core_maintenance.apply_insert(
-            view.raw[pkey], part.seq, k, float(value),
-            evaluator=_band_evaluator(view),
+            view.raw[pkey], part.seq, k, float(value)
         )
         part.order_keys.insert(k - 1, okey)
         _shift_storage(view, pkey, k, okey)
@@ -184,9 +165,7 @@ def propagate_delete(
     k = position_of(view, pkey, okey)
     part = _own_partition(view, pkey)
     with _maintain_span(view, "delete", position=k):
-        result = core_maintenance.apply_delete(
-            view.raw[pkey], part.seq, k, evaluator=_band_evaluator(view)
-        )
+        result = core_maintenance.apply_delete(view.raw[pkey], part.seq, k)
         del part.order_keys[k - 1]
         _shift_storage(view, pkey, k, None)
         _patch_storage_band(view, pkey, result)
@@ -221,7 +200,8 @@ def _position_slots(view: MaterializedSequenceView, pkey: Key, lo: int, hi: int)
 def _patch_storage_band(
     view: MaterializedSequenceView, pkey: Key, result: MaintenanceResult
 ) -> None:
-    """In-place update of the stored values in the affected band."""
+    """In-place update of the stored values in the affected band (one
+    slice of the sequence's stored values: the band lies inside them)."""
     window = view.definition.window
     seq = view.reporting.partition(pkey).seq
     first, last = seq.stored_range
@@ -235,7 +215,7 @@ def _patch_storage_band(
         # (paper section 2.3); edge positions clamp to the stored range.
         span.set(band_width=max(hi - lo + 1, 0))
     table, slots = _position_slots(view, pkey, lo, hi)
-    table.set_column("__val", slots, [seq.value(p) for p in range(lo, hi + 1)])
+    table.set_column("__val", slots, seq.stored(lo, hi))
 
 
 def _shift_storage(

@@ -40,7 +40,6 @@ from repro.core.complete import CompleteSequence
 from repro.core.reporting import PartitionData, ReportingSequence
 from repro.errors import ViewDefinitionError, ViewError
 from repro.relational.engine import Database
-from repro.relational.schema import Column
 from repro.relational.types import BOOLEAN, FLOAT, INTEGER
 from repro.views.definition import SequenceViewDefinition
 
@@ -58,14 +57,10 @@ class MaterializedSequenceView:
         definition: SequenceViewDefinition,
         *,
         complete: bool = True,
-        exec_config=None,
     ) -> None:
         self.db = db
         self.definition = definition
         self.complete = complete
-        # Parallel ExecutionConfig (or None): used by refresh() and by the
-        # MIN/MAX band recomputation in repro.views.maintenance.
-        self.exec_config = exec_config
         self.reporting: Optional[ReportingSequence] = None
         self.raw: Dict[Key, List[float]] = {}
         # Epoch counter: bumped by every committed refresh.  Epoch 0 means
@@ -84,7 +79,6 @@ class MaterializedSequenceView:
         definition: SequenceViewDefinition,
         *,
         complete: bool = True,
-        exec_config=None,
     ) -> "MaterializedSequenceView":
         """Rehydrate a view from its dumped storage table, *without* a
         refresh.
@@ -111,7 +105,6 @@ class MaterializedSequenceView:
         view.db = db
         view.definition = definition
         view.complete = complete
-        view.exec_config = exec_config
         view.quarantined = False
         view.quarantine_reason = None
         view.epoch = 1
@@ -190,7 +183,7 @@ class MaterializedSequenceView:
         Crash-consistent: the new state is staged completely — mirror, raw
         slices, and an epoch-versioned shadow storage table — before a
         single atomic commit swaps it in.  Any exception before the commit
-        (worker failure, injected interruption, ...) drops the shadow and
+        (an injected interruption, a NULL measure, ...) drops the shadow and
         leaves every representation at the old epoch.
         """
         from repro.obs import runtime
@@ -224,7 +217,6 @@ class MaterializedSequenceView:
             window=d.window,
             aggregate=d.aggregate,
             complete=self.complete,
-            exec_config=self.exec_config,
         )
         raw = self._raw_mirror(rows)
 

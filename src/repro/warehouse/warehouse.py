@@ -80,21 +80,12 @@ class QueryResult(Result):
 
 
 class DataWarehouse:
-    """Facade over the engine, the view registry and the rewriter.
+    """Facade over the engine, the view registry and the rewriter."""
 
-    Args:
-        execution: an :class:`~repro.parallel.config.ExecutionConfig`
-            governing window-operator evaluation, view refresh and MIN/MAX
-            maintenance-band recomputation.  ``None`` (the default) runs
-            everything serially; a parallel configuration routes those paths
-            through the partition-parallel subsystem (:mod:`repro.parallel`).
-    """
-
-    def __init__(self, execution=None) -> None:
+    def __init__(self) -> None:
         self.db = Database()
         self.views: Dict[str, MaterializedSequenceView] = {}
         self.cache = None  # set by enable_query_cache()
-        self.execution = execution
         self.slow_queries = None  # set by enable_slow_query_log()
         # Human-readable degradation log: quarantines, rewrite failures
         # routed back to base data, repairs.  Surfaced by the CLI.
@@ -190,9 +181,7 @@ class DataWarehouse:
             raise ViewError(
                 f"definition is named {definition.name!r}, expected {name!r}"
             )
-        view = MaterializedSequenceView(
-            self.db, definition, complete=complete, exec_config=self.execution
-        )
+        view = MaterializedSequenceView(self.db, definition, complete=complete)
         self.views[name] = view
         # Views materialize through direct table writes (bypassing the
         # insert() auto-ANALYZE), so collect storage-table stats here.
@@ -408,7 +397,7 @@ class DataWarehouse:
         return self._run_native(self._native_plan(stmt, options))
 
     def _native_plan(self, stmt, options: QueryOptions):
-        return build_plan(self.db, stmt, options, exec_config=self.execution)
+        return build_plan(self.db, stmt, options)
 
     def _run_native(self, plan) -> "QueryResult":
         """Run a native plan and attach the root operator's cardinality

@@ -5,7 +5,6 @@ import pytest
 from repro.core.aggregates import AVG, COUNT, MAX, MIN, SUM
 from repro.core.compute import OpCounter, compute_naive, compute_pipelined
 from repro.core.vectorized import compute_vectorized
-from repro.parallel.compute import compute_parallel
 from repro.core.window import cumulative, sliding
 from repro.errors import SequenceError
 from tests.conftest import assert_close, brute_window
@@ -48,8 +47,6 @@ class TestEdgeCases:
             compute_naive([], sliding(2, 1))
         with pytest.raises(SequenceError):
             compute_vectorized([], sliding(2, 1))
-        with pytest.raises(SequenceError):
-            compute_parallel([], cumulative())
 
     def test_single_value(self):
         assert compute_pipelined([7.0], sliding(3, 3)) == [7.0]

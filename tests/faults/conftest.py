@@ -3,13 +3,10 @@
 import pytest
 
 from repro.faults import injector
-from repro.parallel import health
 
 
 @pytest.fixture(autouse=True)
 def _clean_fault_state():
     injector.clear()
-    health.reset()
     yield
     injector.clear()
-    health.reset()

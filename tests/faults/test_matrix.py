@@ -1,14 +1,11 @@
-"""The fault matrix (ISSUE acceptance): every injected fault kind still
-yields the unfaulted run's answers — via retry, serial fallback, or
-quarantine + base-data routing — and the warehouse verifies clean after
-``repair()``."""
+"""The fault matrix: every injected fault kind still yields the unfaulted
+run's answers — via atomic-swap rollback or quarantine + base-data routing
+— and the warehouse verifies clean after ``repair()``."""
 
 import pytest
 
 from repro.errors import InjectedFault
 from repro.faults import FaultPlan, FaultSpec, injector
-from repro.parallel import ExecutionConfig
-from repro.relational.persist import load_database, save_database
 from repro.warehouse import DataWarehouse, create_sequence_table
 
 pytestmark = pytest.mark.faults
@@ -21,49 +18,12 @@ QUERY = ("SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING "
          "AND 2 FOLLOWING) s FROM seq ORDER BY pos")
 
 
-def build_wh(execution=None, *, view=True):
-    wh = DataWarehouse(execution=execution)
+def build_wh(*, view=True):
+    wh = DataWarehouse()
     create_sequence_table(wh.db, "seq", N, seed=SEED)
     if view:
         wh.create_view("mv", VIEW_SQL)
     return wh
-
-
-class TestExecutorFaultMatrix:
-    """Task faults recover inside the pool: answers are bit-identical to an
-    unfaulted run of the *same* configuration (identical chunking)."""
-
-    CONFIG = ExecutionConfig(
-        jobs=2, backend="thread", chunk_size=4,
-        task_timeout=0.25, retry_backoff=0.0,
-    )
-
-    @pytest.mark.parametrize("spec", [
-        pytest.param(FaultSpec("worker_crash", at=1), id="crash-transient"),
-        pytest.param(FaultSpec("worker_hang", at=2, seconds=0.6), id="hang-transient"),
-        pytest.param(FaultSpec("worker_hang", at=0, times=60, seconds=0.5),
-                     id="hang-persistent"),
-    ])
-    def test_thread_faults_bit_identical(self, spec):
-        reference = build_wh(self.CONFIG, view=False).query(QUERY).rows
-        wh = build_wh(self.CONFIG, view=False)
-        plan = FaultPlan([spec])
-        with injector.active(plan):
-            rows = wh.query(QUERY).rows
-        assert plan.fired_count() > 0
-        assert rows == reference
-
-    def test_process_crash_bit_identical(self):
-        config = ExecutionConfig(jobs=2, backend="process", chunk_size=4,
-                                 retry_backoff=0.0)
-        reference = build_wh(config, view=False).query(QUERY).rows
-        wh = build_wh(config, view=False)
-        plan = FaultPlan([FaultSpec("worker_crash", at=0, times=60)])
-        with injector.active(plan):
-            res = wh.query(QUERY)
-        assert plan.fired_count("worker_crash") > 0
-        assert res.rows == reference
-        assert res.stats.serial_fallbacks >= 1
 
 
 class TestQuarantineFaultMatrix:

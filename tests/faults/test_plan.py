@@ -28,8 +28,6 @@ class TestSpecValidation:
             FaultSpec("refresh_interrupt", point="teardown")
 
     def test_site_mapping(self):
-        assert FaultSpec("worker_crash").site == "task"
-        assert FaultSpec("worker_hang").site == "task"
         assert FaultSpec("storage_write_fail").site == "storage_write"
         assert FaultSpec("bitflip").site == "verify"
         assert FaultSpec("maintenance_fail").site == "maintenance"
@@ -81,28 +79,6 @@ class TestFiring:
         plan = FaultPlan([FaultSpec("bitflip", target="mv", at=3)], seed=7)
         text = plan.describe()
         assert "bitflip" in text and "mv" in text and "seed=7" in text
-
-
-class TestTaskFaults:
-    def test_maps_global_events_to_local_indexes(self):
-        plan = FaultPlan([FaultSpec("worker_crash", at=5)])
-        assert plan.take_task_faults(4) == {}        # events 0-3
-        out = plan.take_task_faults(4)               # events 4-7
-        assert list(out) == [1]                      # 5 - 4
-        assert plan.take_task_faults(4) == {}
-        assert plan.fired_count("worker_crash") == 1
-
-    def test_times_arms_consecutive_tasks(self):
-        plan = FaultPlan([FaultSpec("worker_hang", at=1, times=2)])
-        out = plan.take_task_faults(4)
-        assert sorted(out) == [1, 2]
-
-    def test_retry_rounds_consume_fresh_events(self):
-        # A times=1 spec fires on the first submission only: the retry
-        # round's take() comes back empty, so the retry runs clean.
-        plan = FaultPlan([FaultSpec("worker_hang", at=0)])
-        assert sorted(plan.take_task_faults(3)) == [0]
-        assert plan.take_task_faults(1) == {}
 
 
 class TestInjector:

@@ -24,7 +24,7 @@ class TestEngineExplainAnalyze:
         assert "actual rows=40" in text
         assert "TableScan(seq)" in text
         assert "WindowOperator" in text
-        assert "strategy=" in text  # window operator publishes its choice
+        assert "input=columns" in text  # window operator publishes its input
         assert "Execution time:" in text
         assert text.rstrip().splitlines()[-1].startswith("Stats: scanned=")
 
@@ -106,7 +106,7 @@ class TestCliSmoke:
     def test_stats_prom_covers_five_layers(self, capsys):
         assert main(["stats", "--format", "prom", "--rows", "60"]) == 0
         out = capsys.readouterr().out
-        for layer in ("engine", "parallel", "views", "window", "cache"):
+        for layer in ("engine", "storage", "views", "window", "cache"):
             assert f"repro_{layer}_" in out, layer
         assert "# TYPE repro_engine_query_seconds histogram" in out
 

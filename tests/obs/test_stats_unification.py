@@ -7,12 +7,8 @@ import threading
 import pytest
 
 from repro.core.window import sliding
-from repro.faults import FaultPlan, FaultSpec, injector
 from repro.obs import runtime
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel import health
-from repro.parallel.config import ExecutionConfig
-from repro.parallel.executor import ExecutorPool
 from repro.relational.engine import Database
 from repro.relational.operators import TableScan
 from repro.relational.stats import ExecutionStats
@@ -48,10 +44,10 @@ class TestCounterBlock:
 
     def test_summary_format(self):
         stats = ExecutionStats(rows_scanned=1, pairs_examined=2)
-        assert stats.summary().startswith("scanned=1 pairs=2")
-        assert "retried" not in stats.summary()
-        stats.bump(tasks_retried=1)
-        assert "retried=1 worker_failures=0 serial_fallbacks=0" in stats.summary()
+        assert stats.summary() == (
+            "scanned=1 pairs=2 index_lookups=0 joined=0 aggregated=0 "
+            "groups=0 sorted=0"
+        )
 
     def test_merge_adds_counters(self):
         a = ExecutionStats(rows_scanned=1)
@@ -61,9 +57,9 @@ class TestCounterBlock:
         assert a.rows_joined == 5
 
     def test_pickle_round_trip(self):
-        stats = ExecutionStats(rows_scanned=9, serial_fallbacks=1)
+        stats = ExecutionStats(rows_scanned=9, rows_sorted=1)
         clone = pickle.loads(pickle.dumps(stats))
-        assert clone.rows_scanned == 9 and clone.serial_fallbacks == 1
+        assert clone.rows_scanned == 9 and clone.rows_sorted == 1
         clone.bump(rows_scanned=1)  # the lock was rebuilt
         assert clone.rows_scanned == 10
 
@@ -107,11 +103,10 @@ class TestPublishedOncePerOwnedExecution:
     def test_publish_uses_the_layer_metric_names(self):
         target = MetricsRegistry()
         runtime.publish_stats(
-            ExecutionStats(rows_scanned=4, serial_fallbacks=2), target
+            ExecutionStats(rows_scanned=4, rows_sorted=2), target
         )
         assert target.value("repro_engine_rows_scanned_total") == 4
-        # Parallel-layer counters get the parallel namespace.
-        assert target.value("repro_parallel_serial_fallbacks_total") == 2
+        assert target.value("repro_engine_rows_sorted_total") == 2
         # Untouched counters are exposed too, at zero.
         assert target.get("repro_engine_rows_joined_total") is not None
 
@@ -142,46 +137,6 @@ class TestPublishedOncePerOwnedExecution:
         assert registry.value("repro_engine_rows_scanned_total") == 10
         assert registry.value("repro_engine_queries_total") == 1
 
-    def test_standalone_pool_publishes_on_close(self):
-        registry = MetricsRegistry()
-        with runtime.use(registry=registry):
-            pool = ExecutorPool(ExecutionConfig(jobs=2, backend="thread"))
-            pool.stats.bump(tasks_retried=3)
-            pool.close()
-        assert registry.value("repro_parallel_tasks_retried_total") == 3
-
-    def test_double_close_publishes_once(self):
-        # close() runs twice on the finally + context-exit path; the
-        # counters must not double.
-        registry = MetricsRegistry()
-        with runtime.use(registry=registry):
-            pool = ExecutorPool(ExecutionConfig(jobs=2, backend="thread"))
-            pool.stats.bump(serial_fallbacks=1)
-            pool.close()
-            pool.close()
-        assert registry.value("repro_parallel_serial_fallbacks_total") == 1
-
-    def test_shared_stats_pool_never_publishes(self):
-        registry = MetricsRegistry()
-        shared = ExecutionStats()
-        with runtime.use(registry=registry):
-            pool = ExecutorPool(
-                ExecutionConfig(jobs=2, backend="thread"), stats=shared
-            )
-            shared.bump(worker_failures=2)
-            pool.close()
-        # Whoever created `shared` owns publication; the pool must not.
-        assert registry.value("repro_parallel_worker_failures_total") == 0
-
-    def test_pooled_map_still_counts_into_shared_stats(self):
-        shared = ExecutionStats()
-        with ExecutorPool(
-            ExecutionConfig(jobs=2, backend="thread"), stats=shared
-        ) as pool:
-            out = pool.map(lambda x: x * 2, [1, 2, 3, 4])
-        assert out == [2, 4, 6, 8]
-        assert shared.tasks_retried == 0
-
 
 WINDOW = (
     "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING "
@@ -190,7 +145,8 @@ WINDOW = (
 
 # What the parent of the plain-stats change (commit aaa01b4) exposed after
 # _fixed_query_list(), when ExecutionStats was a view over a private
-# registry that was merged into the global one.
+# registry that was merged into the global one (the last two window
+# queries then ran on a thread pool; its three counters have since gone).
 SEED_METRICS = {
     "repro_engine_groups_emitted_total": 184,
     "repro_engine_index_lookups_total": 60,
@@ -200,16 +156,13 @@ SEED_METRICS = {
     "repro_engine_rows_joined_total": 1331,
     "repro_engine_rows_scanned_total": 849,
     "repro_engine_rows_sorted_total": 800,
-    "repro_parallel_serial_fallbacks_total": 1,
-    "repro_parallel_tasks_retried_total": 1,
-    "repro_parallel_worker_failures_total": 8,
 }
 
 
 def _fixed_query_list():
     """Scan/filter/sort, aggregate, both join kinds, window, EXPLAIN
-    ANALYZE, a relational view derivation, then a parallel window query
-    whose pool retries one task and one whose pool degrades to serial."""
+    ANALYZE, a relational view derivation, then three native window
+    queries."""
     wh = DataWarehouse()
     create_sequence_table(wh.db, "seq", 60, seed=3)
     db = wh.db
@@ -236,56 +189,23 @@ def _fixed_query_list():
         "PRECEDING AND 1 FOLLOWING) AS s FROM seq ORDER BY pos",
         mode="relational",
     )
-    wh.query(WINDOW, use_views=False)
-    results = []
-    wh.execution = ExecutionConfig(
-        jobs=2, backend="thread", chunk_size=8, retry_backoff=0.0
-    )
-    with injector.active(FaultPlan([FaultSpec("worker_crash", at=1)])):
-        results.append(wh.query(WINDOW, use_views=False))
-    wh.execution = ExecutionConfig(
-        jobs=2, backend="thread", chunk_size=8, max_retries=0, retry_backoff=0.0
-    )
-    with injector.active(FaultPlan([FaultSpec("worker_crash", at=0, times=50)])):
-        results.append(wh.query(WINDOW, use_views=False))
-    return results
+    for _ in range(3):
+        wh.query(WINDOW, use_views=False)
 
 
-@pytest.mark.faults
 class TestSameMetricsAsTheSeed:
-    @pytest.fixture
-    def published(self):
+    def test_names_and_values_equal_the_seed(self):
         registry = MetricsRegistry()
-        try:
-            with runtime.use(registry=registry):
-                retried, degraded = _fixed_query_list()
-        finally:
-            injector.clear()
-            health.reset()
-        return registry, retried, degraded
-
-    def test_names_and_values_equal_the_seed(self, published):
-        registry, _retried, _degraded = published
+        with runtime.use(registry=registry):
+            _fixed_query_list()
         got = {
             inst.name: inst.value
             for inst in registry.instruments()
-            if inst.name.startswith(("repro_engine_", "repro_parallel_"))
+            if inst.name.startswith("repro_engine_")
             and inst.name.endswith("_total")
             and not inst.labels
         }
         assert got == SEED_METRICS
-
-    def test_retry_and_serial_fallback_are_counted_once(self, published):
-        # The window operator's pool shares the query's stats block, so the
-        # pool must not publish what the engine publishes.
-        registry, retried, degraded = published
-        assert retried.stats.tasks_retried == 1
-        assert degraded.stats.serial_fallbacks == 1
-        assert registry.value("repro_parallel_tasks_retried_total") == 1
-        assert registry.value("repro_parallel_serial_fallbacks_total") == 1
-        assert registry.value("repro_parallel_worker_failures_total") == (
-            retried.stats.worker_failures + degraded.stats.worker_failures
-        )
 
 
 class TestRuntimeScoping:

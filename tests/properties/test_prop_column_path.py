@@ -9,8 +9,7 @@ on every value (floats by their eight bytes), every value's type, every
 ``ExecutionStats`` counter, what the window operator reports about itself
 and what ``EXPLAIN ANALYZE`` would print per node.  The cases NumPy cannot
 order or evaluate the way Python does (NULL, NaN, TEXT keys, computed
-arguments, ranking, RANGE, a parallel configuration) must
-observably take the row loop.
+arguments, ranking, RANGE) must observably take the row loop.
 """
 
 import struct
@@ -21,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro import DataWarehouse
 from repro.columns import ColumnRows
-from repro.parallel.config import ExecutionConfig
 from repro.relational.engine import Database
 from repro.relational.operators import Operator, TableScan
 from repro.relational.stats import ExecutionStats, Probe
@@ -74,10 +72,10 @@ def cell(value):
     return (type(value), struct.pack("<d", value) if isinstance(value, float) else value)
 
 
-def execute(db, sql, *, rows_only, exec_config=None):
+def execute(db, sql, *, rows_only):
     """``(outcome, counters, window analyze_extra, rows_out per node)``;
     an exception is an outcome too (a NULL sort key raises on both paths)."""
-    plan = build_plan(db, parse_query(sql), QueryOptions(), exec_config=exec_config)
+    plan = build_plan(db, parse_query(sql), QueryOptions())
     if rows_only:
         plan = force_rows(plan)
     stats = ExecutionStats()
@@ -98,9 +96,9 @@ def execute(db, sql, *, rows_only, exec_config=None):
     return outcome, stats.counters(), extras, rows_out
 
 
-def assert_paths_agree(db, sql, **kwargs):
-    got = execute(db, sql, rows_only=False, **kwargs)
-    want = execute(db, sql, rows_only=True, **kwargs)
+def assert_paths_agree(db, sql):
+    got = execute(db, sql, rows_only=False)
+    want = execute(db, sql, rows_only=True)
     inputs = [extra.pop("input", None) for extra in got[2]]
     assert all(extra.pop("input") == "rows" for extra in want[2])
     assert got == want, sql
@@ -279,16 +277,6 @@ def test_spill_budget_leaves_the_column_path_alone():
     assert (got[0], got[1], got[3]) == (want[0], want[1], want[3])
     assert got[2][0]["input"] == "columns" and "spilled_runs" not in got[2][0]
     assert want[2][0]["input"] == "rows" and want[2][0]["spilled_runs"] == 1
-
-
-def test_parallel_config_takes_the_row_loop():
-    db = make_db(ROWS)
-    config = ExecutionConfig(jobs=2, backend="thread")
-    sql = f"SELECT k, MAX(v) OVER (PARTITION BY g ORDER BY k {OVER}) AS w FROM t"
-    assert assert_paths_agree(db, sql, exec_config=config) == ["rows"]
-    plan = build_plan(db, parse_query(sql), QueryOptions(), exec_config=config)
-    db.run(plan)
-    assert window_extra(plan)[0]["strategy"] == "parallel"
 
 
 # -- a result owns its values ---------------------------------------------------------

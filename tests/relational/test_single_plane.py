@@ -31,7 +31,6 @@ from repro.relational import (
     NestedLoopJoin,
     Project,
     Sort,
-    SortMergeJoin,
     UnionAll,
     col,
     lit,
@@ -80,11 +79,8 @@ def _plan(db: Database) -> Operator:
     hashed = HashJoin(
         derived, db.scan("t", alias="h"), [col("pos", "d")], [col("pos", "h")]
     )
-    merged = SortMergeJoin(
-        hashed, db.scan("t", alias="m"), [col("pos", "d")], [col("pos", "m")]
-    )
     nested = NestedLoopJoin(
-        merged,
+        hashed,
         Limit(db.scan("t", alias="n"), 2),
         col("pos", "n").le(col("pos", "d")),
     )

@@ -1,11 +1,10 @@
-"""Distributed tracing acceptance: one trace across client, server, engine,
-process-pool workers, and replica shipping.
+"""Distributed tracing acceptance: one trace across client, server, engine
+and replica shipping.
 
-This is the PR's end-to-end gate: a query issued through ``ServeClient``
-against a primary with one replica and process-backend parallelism must
-yield ONE trace id whose exported span tree connects the client send to
-the engine spans and worker tasks; a write's trace must additionally
-cover the ship → replica-apply hop over a real socket.
+A query issued through ``ServeClient`` against a primary with one replica
+must yield ONE trace id whose exported span tree connects the client send
+to the engine spans; a write's trace must additionally cover the ship →
+replica-apply hop over a real socket.
 """
 
 from __future__ import annotations
@@ -81,7 +80,6 @@ class TestQueryTrace:
     ):
         primary_server, _replica, _shipper = cluster
         with ServeClient(port=primary_server.port) as client:
-            client.set_config(jobs=2, backend="process", chunk_size=16)
             response = client.query(QUERY)
         trace_id = response["trace_id"]
         assert trace_id, "response must carry the trace id"
@@ -90,9 +88,9 @@ class TestQueryTrace:
         tree = assert_connected(tracer, trace_id)
         assert tree["roots"][0]["name"] == "client.request"
         names = span_names(tracer, trace_id)
-        # Client send -> serve dispatch -> engine -> parallel workers.
+        # Client send -> serve dispatch -> engine.
         for expected in ("client.request", "serve.query", "warehouse.query",
-                         "parallel.map", "parallel.task"):
+                         "window.evaluate"):
             assert expected in names, f"missing span {expected!r} in {names}"
         # Every span in the tree shares the one trace id.
         assert {s.trace_id for s in tracer.spans_for(trace_id)} == {trace_id}

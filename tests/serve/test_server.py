@@ -92,17 +92,15 @@ def test_query_round_trip(client):
     assert result["rewrite"]  # answered via the materialized view
 
 
-def test_per_session_config(server):
-    with ServeClient(port=server.port) as a, ServeClient(port=server.port) as b:
-        assert "jobs=2" in a.set_config(jobs=2, backend="thread")
-        # b's config is untouched by a's set; both still answer identically
-        ra, rb = a.query(QUERY), b.query(QUERY)
-        assert ra["rows"] == rb["rows"]
-
-
-def test_set_config_rejects_unknown_field(client):
-    with pytest.raises(ProtocolError):
-        client.set_config(velocity=11)
+def test_set_op_is_unknown_and_the_session_keeps_serving(client):
+    """There is no per-session config: an old client's ``set`` gets the
+    unknown-op ``ProtocolError`` reply, and its session keeps serving."""
+    session = client.ping()
+    with pytest.raises(ProtocolError, match="unknown op 'set'"):
+        client.call("set", config={"jobs": 2})
+    assert client.ping() == session
+    result = client.query(QUERY)
+    assert len(result["rows"]) == 50 and result["rewrite"]
 
 
 def test_query_requires_sql(client):
@@ -117,7 +115,7 @@ def test_query_requires_sql(client):
     {"window_strategy": "bogus"},
     {"use_index": "bogus"},
     {"planner": "cost"},      # removed keyword
-    {"config": {"jobs": 64}},  # the server's to set, not the client's
+    {"config": {"jobs": 64}},  # removed keyword
     {"session": "someone-else"},
 ])
 def test_bad_query_options_are_protocol_errors(server, client, options):

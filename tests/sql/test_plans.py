@@ -105,17 +105,6 @@ class TestGoldenPlans:
             "window[m]: serial (est_rows=4000, est_groups=1, est_cost=4000.0)"
         ]
 
-    def test_parallel_config_is_reported_not_chosen(self):
-        from repro.parallel import ExecutionConfig
-
-        config = ExecutionConfig(jobs=2, backend="thread")
-        plan = build_plan(
-            make_db(120), parse_query(WINDOW_SQL.format(over="ORDER BY pos")),
-            exec_config=config,
-        )
-        assert plan.explain() == self.GOLDEN
-        assert plan.planner_notes[0].startswith("window[m]: parallel (est_rows=120,")
-
     def test_every_operator_carries_estimates(self):
         db = make_db(400)
         plan = plan_for(db)
@@ -182,9 +171,6 @@ class TestCostProperties:
     def test_window_cost_monotonic_in_rows(self, rows, extra):
         cm = CostModel()
         assert cm.window_cost(rows + extra) >= cm.window_cost(rows)
-        assert cm.parallel_window_cost(
-            rows + extra, jobs=4, groups=3.0
-        ) >= cm.parallel_window_cost(rows, jobs=4, groups=3.0)
 
     @settings(max_examples=40, deadline=None)
     @given(rows=st.integers(min_value=0, max_value=10**6),

@@ -87,7 +87,7 @@ class TestOneOperatorPlane:
             and obj is not Operator
             and obj.__module__ == module.__name__
         ]
-        assert len(found) >= 14
+        assert len(found) >= 13
         return Operator, found
 
     def test_base_class_has_one_overridable_execution_method(self):
@@ -146,16 +146,10 @@ class TestOnePlanner:
         assert offenders == []
 
     def test_no_planner_mode_or_kernel_knob(self):
-        import dataclasses
-
-        import repro.parallel
         import repro.sql.planner
         import repro.sql.rewriter
         from repro.core import compute
 
-        fields = {f.name for f in dataclasses.fields(repro.parallel.ExecutionConfig)}
-        assert "kernel" not in fields
-        assert not hasattr(repro.parallel, "KERNELS")
         assert not hasattr(repro.sql.planner, "PLANNER_MODES")
         assert not hasattr(repro.sql.rewriter, "describe_rewrite")
         assert not hasattr(compute, "compute")

@@ -18,6 +18,16 @@ class TestDemo:
         with pytest.raises(SystemExit):
             main(["demo", "--rows", "50", "--storage-format", "4"])
 
+    @pytest.mark.parametrize("argv", [
+        ["demo", "--jobs", "2"],
+        ["demo", "--backend", "thread"],
+        ["serve", "--chunk-size", "8"],
+        ["parallel"],
+    ])
+    def test_parallel_flags_and_subcommand_are_gone(self, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+
 
 class TestMigrate:
     def test_rewrites_a_dump_as_pages(self, capsys, tmp_path):
@@ -39,16 +49,13 @@ class TestInjectFault:
     @pytest.fixture(autouse=True)
     def _clean(self):
         from repro.faults import injector
-        from repro.parallel import health
 
         injector.clear()
-        health.reset()
         yield
         injector.clear()
-        health.reset()
 
     @pytest.mark.parametrize("kind", [
-        "worker_crash", "bitflip", "refresh_interrupt",
+        "bitflip", "refresh_interrupt",
         "maintenance_fail", "storage_write_fail",
     ])
     def test_fault_demo_recovers(self, capsys, kind):

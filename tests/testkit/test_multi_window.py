@@ -94,7 +94,7 @@ class TestMultiWindowGeneration:
 class TestEngineCostPath:
     def test_registered_as_path(self):
         assert "engine-nostats" in PATHS and "engine-cost" not in PATHS
-        assert len(PATHS) == 10
+        assert len(PATHS) == 9
 
     def test_agrees_with_oracle(self):
         runner = FuzzRunner(
@@ -128,16 +128,6 @@ class TestEngineCostPath:
         assert [had for had, _ in seen] == [True, False]
         assert seen[0][1] == seen[1][1]
         assert with_stats == without
-
-    def test_parallel_path_requires_the_pool(self, monkeypatch):
-        """A plan that drops the configured pool fails engine-parallel."""
-        from repro.sql import planner
-
-        case = GEN.case(0)
-        assert run_path("engine-parallel", case)
-        monkeypatch.setattr(planner, "_route_exec_config", lambda config: None)
-        with pytest.raises(AssertionError, match="engine-parallel"):
-            run_path("engine-parallel", case)
 
     def test_multi_window_case_matches_oracle(self):
         from repro.testkit.differ import diff_results

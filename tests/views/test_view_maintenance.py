@@ -1,7 +1,10 @@
 """Incremental maintenance of materialized views (storage + mirror sync)."""
 
+import struct
+
 import pytest
 
+from repro.core.complete import CompleteSequence
 from repro.core.window import cumulative, sliding
 from repro.errors import MaintenanceError
 from repro.relational import Database, FLOAT, INTEGER, TEXT
@@ -156,6 +159,34 @@ class TestCumulativeView:
         raw[4] = 0.0
         assert_close(view.sequence().core_values(), brute_window(raw, cumulative()))
         assert_close(storage_values(view), brute_window(raw, cumulative()))
+
+    def test_update_reads_the_band_as_one_slice(self, monkeypatch):
+        """A point update near the start changes ~n stored values; the
+        storage patch takes them as one slice of the mirror, not one
+        ``CompleteSequence.value`` call per position, and stores its bits."""
+        n = 10_000
+        db = Database()
+        db.create_table("seq", [("pos", INTEGER), ("val", FLOAT)],
+                        primary_key=["pos"])
+        db.insert("seq", [(i, (i % 7) * 0.1 - 0.25) for i in range(1, n + 1)])
+        d = SequenceViewDefinition("cmv", "seq", "val", order_by=("pos",),
+                                   window=cumulative())
+        view = MaterializedSequenceView(db, d)
+        calls = []
+        value = CompleteSequence.value
+
+        def counted(seq, k):
+            calls.append(k)
+            return value(seq, k)
+
+        monkeypatch.setattr(CompleteSequence, "value", counted)
+        result = propagate_update(view, (3,), 0.7)
+        assert result.values_touched == n - 2
+        assert len(calls) == 0
+        stored = [v for _, v in sorted((r[1], r[2]) for r in
+                                       db.table(d.storage_table).rows)]
+        bits = [struct.pack("<d", v) for v in view.sequence().to_list()]
+        assert [struct.pack("<d", v) for v in stored] == bits
 
 
 class TestPartitionedView:
