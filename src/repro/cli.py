@@ -11,7 +11,6 @@ Usage::
     python -m repro advise --query "SELECT ..." [--query "..."]
     python -m repro serve [--rows N] [--port P] [--max-queue Q]
                           [--ops-port P] [--trace-sample R]
-    python -m repro ops [--rows N] [--port P] [--latency-target S]
     python -m repro replicate [--rows N] [--replicas R] [--min-insync K]
                               [--inject-fault KIND] [--dir DIR]
     python -m repro recover --dir DIR [--query "SELECT ..."] [--json PATH]
@@ -23,7 +22,9 @@ Usage::
 The ``table1``/``table2`` subcommands rerun the paper's evaluation sweeps
 with simple wall-clock timing and print rows in the papers' table layout
 (see ``benchmarks/`` for the statistically careful pytest-benchmark
-version, and EXPERIMENTS.md for recorded results).
+version, and EXPERIMENTS.md for recorded results).  ``serve --ops-port``
+also starts the ops HTTP endpoint (``/metrics``, ``/healthz``,
+``/trace/<id>``) beside the serving tier.
 """
 
 from __future__ import annotations
@@ -309,34 +310,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     server.start()
     ops_server = None
-    timeseries = None
     if args.ops_port is not None:
-        from repro.obs import OpsServer, Slo, SloEvaluator, TimeSeriesRegistry
+        from repro.obs import OpsServer
 
-        from repro.obs import runtime as obs_runtime
-
-        slowlog = cw.warehouse.slow_queries
-        if slowlog is None:
-            slowlog = cw.warehouse.enable_slow_query_log(threshold_ms=100.0)
-        timeseries = TimeSeriesRegistry(interval=1.0).start()
-        evaluator = SloEvaluator(
-            timeseries,
-            registry=obs_runtime.get_registry(),
-            slowlog=slowlog,
-        )
-        evaluator.add(Slo(
-            name="serve-availability", kind="availability", target=0.999,
-            total_metric="repro_serve_queries_total",
-            error_metric="repro_serve_query_errors_total",
-        ))
-        evaluator.add(Slo(
-            name="serve-latency-p99", kind="latency", target=0.99,
-            histogram_metric="repro_serve_query_seconds",
-            latency_target_s=0.25,
-        ))
         ops_server = OpsServer(
             host=args.host, port=args.ops_port, health=server._status,
-            slo=evaluator,
         ).start()
     # Flushed eagerly: supervisors scrape the ephemeral port from stdout.
     print(
@@ -360,54 +338,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     finally:
         if ops_server is not None:
             ops_server.stop()
-        if timeseries is not None:
-            timeseries.stop()
         server.stop()
-    return 0
-
-
-def cmd_ops(args: argparse.Namespace) -> int:
-    """Run the ops endpoint standalone over a demo workload.
-
-    Populates the global registry with the same multi-layer workload as
-    ``repro stats`` (under a 100%-sampled tracer so ``/trace/<id>`` has
-    trees to show), wires default availability/latency SLOs over a
-    background time-series sampler, then serves until interrupted.
-    """
-    import threading
-
-    from repro.obs import (
-        OpsServer, Slo, SloEvaluator, TimeSeriesRegistry, Tracer, runtime,
-    )
-
-    runtime.set_tracer(Tracer())
-    _stats_workload(args.rows)
-    timeseries = TimeSeriesRegistry(interval=args.interval).start()
-    evaluator = SloEvaluator(timeseries, registry=runtime.get_registry())
-    evaluator.add(Slo(
-        name="query-availability", kind="availability", target=0.999,
-        total_metric="repro_engine_queries_total",
-        error_metric="repro_engine_query_errors_total",
-    ))
-    evaluator.add(Slo(
-        name="query-latency-p99", kind="latency", target=0.99,
-        histogram_metric="repro_engine_query_seconds",
-        latency_target_s=args.latency_target,
-    ))
-    ops_server = OpsServer(host=args.host, port=args.port, slo=evaluator)
-    ops_server.start()
-    print(
-        f"ops endpoint on http://{ops_server.address} "
-        f"(/metrics /healthz /trace/<id> /traces /slo)",
-        flush=True,
-    )
-    try:
-        threading.Event().wait()
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    finally:
-        ops_server.stop()
-        timeseries.stop()
     return 0
 
 
@@ -966,22 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="install a tracer sampling this fraction of "
                             "traces (0 disables tracing, 1.0 records all)")
     serve.set_defaults(func=cmd_serve)
-
-    ops = sub.add_parser(
-        "ops",
-        help="standalone ops endpoint over a demo workload "
-             "(/metrics /healthz /trace/<id> /slo)",
-    )
-    ops.add_argument("--rows", type=int, default=400)
-    ops.add_argument("--host", default="127.0.0.1")
-    ops.add_argument("--port", type=int, default=0,
-                     help="bind port (0 picks an ephemeral port)")
-    ops.add_argument("--interval", type=float, default=1.0,
-                     help="time-series sampling interval in seconds")
-    ops.add_argument("--latency-target", dest="latency_target", type=float,
-                     default=0.25,
-                     help="latency SLO target in seconds (p99)")
-    ops.set_defaults(func=cmd_ops)
 
     rep = sub.add_parser(
         "replicate",

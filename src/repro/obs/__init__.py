@@ -13,11 +13,8 @@ Zero-dependency building blocks:
 * :mod:`repro.obs.explain` — ``EXPLAIN ANALYZE`` rendering;
 * :mod:`repro.obs.slowlog` — the warehouse slow-query ring buffer;
 * :mod:`repro.obs.context` — W3C-traceparent-style context propagation;
-* :mod:`repro.obs.timeseries` — ring-buffer sampling of the registry with
-  windowed rate/percentile queries;
-* :mod:`repro.obs.slo` — multi-window burn-rate SLO evaluation;
-* :mod:`repro.obs.httpd` — the ``/metrics`` · ``/healthz`` · ``/trace/<id>``
-  ops endpoint.
+* :mod:`repro.obs.httpd` — the ops endpoint, exactly ``/metrics`` ·
+  ``/healthz`` · ``/trace/<id>``.
 """
 
 from repro.obs.metrics import (
@@ -31,16 +28,10 @@ from repro.obs.context import TraceContext
 from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer
 from repro.obs import runtime
 from repro.obs.slowlog import SlowQueryLog
-from repro.obs.timeseries import TimeSeriesRegistry
-from repro.obs.slo import Slo, SloEvaluator, SloStatus
 from repro.obs.httpd import OpsServer
 
 __all__ = [
     "TraceContext",
-    "TimeSeriesRegistry",
-    "Slo",
-    "SloEvaluator",
-    "SloStatus",
     "OpsServer",
     "Counter",
     "Gauge",

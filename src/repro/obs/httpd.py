@@ -1,20 +1,17 @@
 """Ops endpoint: a stdlib HTTP server exposing metrics, health and traces.
 
 :class:`OpsServer` wraps :class:`http.server.ThreadingHTTPServer` and
-serves:
+serves exactly three routes:
 
 * ``GET /metrics``   — Prometheus text exposition of the registry;
 * ``GET /healthz``   — JSON health: serve role, per-replica lag,
-  quarantine/divergence, buffer-pool pressure and SLO status, with 200
-  when healthy and 503 when degraded;
+  quarantine/divergence and buffer-pool pressure, with 200 when healthy
+  and 503 when degraded;
 * ``GET /trace/<id>`` — the exported span tree for one trace id (404
-  when the tracer has no spans for it);
-* ``GET /traces``    — the known trace ids;
-* ``GET /slo``       — the SLO evaluator's current statuses;
-* ``GET /``          — an index of the above.
+  when the tracer has no spans for it).
 
-Runnable standalone (``repro ops``) or alongside ``repro serve
---ops-port``.  Everything is read-only and stdlib-only; the request
+Every other path is a 404.  ``repro serve --ops-port`` runs it beside
+the serving tier.  Everything is read-only and stdlib-only; the request
 threads only take snapshots (``registry.to_prometheus()``,
 ``tracer.trace_tree()``) so they never block the serve path.
 """
@@ -38,8 +35,7 @@ class OpsServer:
     at *request* time, so an OpsServer started before ``runtime.use(...)``
     still sees whatever is installed when the scrape arrives.  ``health``
     is an optional callable returning extra health fields (the serve tier
-    passes its ``_status`` payload); ``slo`` an optional
-    :class:`~repro.obs.slo.SloEvaluator`.
+    passes its ``_status`` payload).
     """
 
     def __init__(
@@ -49,14 +45,12 @@ class OpsServer:
         port: int = 0,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Any] = None,
-        slo: Optional[Any] = None,
         health: Optional[Callable[[], Dict[str, Any]]] = None,
     ) -> None:
         self.host = host
         self._port = port
         self._registry = registry
         self._tracer = tracer
-        self.slo = slo
         self.health = health
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
@@ -121,8 +115,8 @@ class OpsServer:
     def healthz(self) -> Dict[str, Any]:
         """The health document; ``status`` is ``"ok"`` or ``"degraded"``.
 
-        Degraded when the role payload reports divergence/quarantine, the
-        buffer pool is past its budget, or any SLO is in breach — the
+        Degraded when the health probe fails, the role payload reports
+        divergence/quarantine, or the buffer pool is past its budget — the
         conditions an operator must act on, as opposed to load signals
         (lag, queue depth) which are reported but do not flip the status.
         """
@@ -160,13 +154,6 @@ class OpsServer:
         }
         if pressure > 1.0:
             degraded.append("buffer_pool_over_budget")
-
-        if self.slo is not None:
-            statuses = self.slo.evaluate()
-            doc["slo"] = [s.to_dict() for s in statuses]
-            for s in statuses:
-                if not s.healthy:
-                    degraded.append(f"slo:{s.slo}")
 
         if degraded:
             doc["status"] = "degraded"
@@ -221,26 +208,6 @@ def _make_handler(ops: OpsServer):
                     )
                 else:
                     self._send_json(doc)
-            elif path == "/traces":
-                tracer = ops.tracer()
-                ids = (
-                    tracer.trace_ids()
-                    if getattr(tracer, "enabled", False)
-                    else []
-                )
-                self._send_json({"trace_ids": ids})
-            elif path == "/slo":
-                if ops.slo is None:
-                    self._send_json({"slos": []})
-                else:
-                    self._send_json(ops.slo.to_dict())
-            elif path == "/":
-                self._send_json({
-                    "endpoints": [
-                        "/metrics", "/healthz", "/trace/<id>",
-                        "/traces", "/slo",
-                    ],
-                })
             else:
                 self._send_json(
                     {"error": f"no such endpoint {path!r}"}, status=404

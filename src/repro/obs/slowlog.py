@@ -76,19 +76,6 @@ class SlowQueryLog:
             self._entries.append(entry)
             return True
 
-    def note(self, kind: str, /, **detail: Any) -> Dict[str, Any]:
-        """Append a structured non-query event (always kept).
-
-        The SLO evaluator files its alerts here — ``kind`` like
-        ``"slo_alert"`` plus arbitrary JSON-safe detail — so one ring
-        buffer tells the whole latency story: the slow queries and the
-        burn-rate alarms they tripped.
-        """
-        entry = {"event": kind, "when": time.time(), **detail}
-        with self._lock:
-            self._entries.append(entry)
-        return entry
-
     def entries(self) -> List[Dict[str, Any]]:
         """Oldest-to-newest snapshot of the retained slow queries."""
         with self._lock:

@@ -263,12 +263,7 @@ class Tracer:
         trace; a *connected* trace has exactly one.
         """
         spans = self.spans_for(trace_id)
-        children: Dict[Optional[str], List[Span]] = {}
-        for span in spans:
-            children.setdefault(span.parent_id, []).append(span)
-        for kids in children.values():
-            kids.sort(key=lambda s: s.start)
-        by_id = {s.span_id: s for s in spans}
+        roots, children = _forest(spans)
 
         def node(span: Span) -> Dict[str, Any]:
             doc = span.to_dict()
@@ -277,19 +272,12 @@ class Tracer:
             ]
             return doc
 
-        roots = [s for s in spans if s.parent_id not in by_id]
-        roots.sort(key=lambda s: s.start)
         return {
             "trace_id": trace_id,
             "span_count": len(spans),
             "connected": len(roots) == 1 if spans else False,
             "roots": [node(r) for r in roots],
         }
-
-    def is_connected(self, trace_id: str) -> bool:
-        """True when the trace has spans and they form a single-root tree."""
-        tree = self.trace_tree(trace_id)
-        return bool(tree["span_count"]) and tree["connected"]
 
     # -- exporters -----------------------------------------------------------
 
@@ -330,15 +318,7 @@ class Tracer:
 
     def render_tree(self, *, min_duration: float = 0.0) -> str:
         """Indented text rendering of the span forest (for ``--profile``)."""
-        spans = self.spans()
-        children: Dict[Optional[str], List[Span]] = {}
-        for span in spans:
-            children.setdefault(span.parent_id, []).append(span)
-        for kids in children.values():
-            kids.sort(key=lambda s: s.start)
-        by_id = {s.span_id: s for s in spans}
-        roots = [s for s in spans if s.parent_id not in by_id]
-        roots.sort(key=lambda s: s.start)
+        roots, children = _forest(self.spans())
         lines: List[str] = []
 
         def walk(span: Span, depth: int) -> None:
@@ -360,6 +340,24 @@ class Tracer:
         for root in roots:
             walk(root, 0)
         return "\n".join(lines)
+
+
+def _forest(
+    spans: List[Span],
+) -> Tuple[List[Span], Dict[Optional[str], List[Span]]]:
+    """Roots (spans whose parent is not among ``spans``) and children by
+    parent id, each list in start order."""
+    children: Dict[Optional[str], List[Span]] = {}
+    for span in spans:
+        children.setdefault(span.parent_id, []).append(span)
+    for kids in children.values():
+        kids.sort(key=lambda s: s.start)
+    span_ids = {s.span_id for s in spans}
+    roots = sorted(
+        (s for s in spans if s.parent_id not in span_ids),
+        key=lambda s: s.start,
+    )
+    return roots, children
 
 
 class _NullSpan:
@@ -437,9 +435,6 @@ class NullTracer:
             "trace_id": trace_id, "span_count": 0,
             "connected": False, "roots": [],
         }
-
-    def is_connected(self, trace_id: str) -> bool:
-        return False
 
 
 NULL_TRACER = NullTracer()

@@ -376,8 +376,8 @@ class ServeServer:
                 "repro_serve_query_seconds",
                 help="Serving-tier query wall time (admission to response)",
             ).observe(time.perf_counter() - started)
-            # The availability SLO's request stream: total and errors as
-            # counters so the time-series layer can window burn rates.
+            # Total and failed queries as counters: a scraper of /metrics
+            # derives the error rate over whatever window it keeps.
             registry.counter(
                 "repro_serve_queries_total",
                 help="Queries admitted by the serving tier",

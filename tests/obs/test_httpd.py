@@ -1,4 +1,5 @@
-"""Ops endpoint: /metrics, /healthz, /trace/<id>, /slo over real HTTP."""
+"""Ops endpoint: /metrics, /healthz, /trace/<id> over real HTTP, and 404
+for every other path."""
 
 import json
 import urllib.error
@@ -8,9 +9,9 @@ import pytest
 
 from repro.obs.httpd import OpsServer
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import Slo, SloEvaluator
-from repro.obs.timeseries import TimeSeriesRegistry
 from repro.obs.trace import Tracer
+from repro.serve.server import ServeServer
+from tests.serve.conftest import build_concurrent
 
 pytestmark = pytest.mark.serve
 
@@ -53,14 +54,15 @@ class TestMetrics:
         assert "# TYPE repro_test_total counter" in body
         assert "repro_test_total 3" in body
 
-    def test_index_lists_endpoints(self, base):
-        status, body, _ = get(base, "/")
-        assert status == 200
-        assert "/metrics" in json.loads(body)["endpoints"]
-
     def test_unknown_path_is_404(self, base):
         status, _, _ = get(base, "/nope")
         assert status == 404
+
+    @pytest.mark.parametrize("path", ["/slo", "/traces", "/"])
+    def test_only_three_routes_are_served(self, base, path):
+        status, body, _ = get(base, path)
+        assert status == 404
+        assert json.loads(body)["error"].startswith("no such endpoint")
 
 
 class TestHealthz:
@@ -106,25 +108,18 @@ class TestHealthz:
         assert status == 503
         assert "health_probe" in json.loads(body)["degraded"]
 
-    def test_slo_breach_degrades(self, registry, tracer):
-        ts = TimeSeriesRegistry(registry)
-        total = registry.counter("t")
-        errors = registry.counter("e")
-        for i in range(301):
-            total.inc(10)
-            errors.inc(1)
-            ts.sample(now=float(i))
-        evaluator = SloEvaluator(ts).add(Slo(
-            name="avail", kind="availability", target=0.999,
-            total_metric="t", error_metric="e",
-        ))
-        with OpsServer(registry=registry, tracer=tracer, slo=evaluator) as ops:
+    def test_serve_tier_status_is_the_role(self, registry, tracer):
+        # The wiring of ``repro serve --ops-port``.
+        with ServeServer(build_concurrent()) as server, OpsServer(
+            registry=registry, tracer=tracer, health=server._status
+        ) as ops:
             status, body, _ = get(f"http://{ops.address}", "/healthz")
-            slo_status, slo_body, _ = get(f"http://{ops.address}", "/slo")
-        assert status == 503
-        assert "slo:avail" in json.loads(body)["degraded"]
-        assert slo_status == 200
-        assert not json.loads(slo_body)["slos"][0]["healthy"]
+        doc = json.loads(body)
+        assert status == 200
+        assert doc["status"] == "ok"
+        assert doc["role"]["primary"] is True
+        assert doc["role"]["applied"] == server.warehouse.epochs.latest_epoch
+        assert "slo" not in doc
 
 
 class TestTrace:
@@ -144,12 +139,6 @@ class TestTrace:
     def test_unknown_trace_is_404(self, base):
         status, _, _ = get(base, "/trace/deadbeef")
         assert status == 404
-
-    def test_traces_lists_known_ids(self, tracer, base):
-        with tracer.span("a") as span:
-            trace_id = span.trace_id
-        _, body, _ = get(base, "/traces")
-        assert trace_id in json.loads(body)["trace_ids"]
 
 
 class TestLifecycle:

@@ -74,7 +74,8 @@ def test_threaded_readers_during_refresh_storm(cw):
     reader has answered once (at the initial epoch), and every reader
     answers once more after the last commit — so each reader provably
     completes a query in at least two epochs, whatever the scheduler does
-    in between.
+    in between.  Each observed answer must also equal a serial replay of
+    the writer's commits at its epoch.
     """
     n_readers = 4
     by_epoch = {}
@@ -131,6 +132,20 @@ def test_threaded_readers_during_refresh_storm(cw):
     # Every reader answered in at least two epochs: before and after the storm.
     assert all({first_epoch, last_epoch} <= epochs for epochs in seen)
     assert cw.epochs.verify()["clean"]
+
+    # Every concurrently observed (epoch, answer) equals a serial replay of
+    # the writer's commits on a fresh warehouse, stopped at that epoch.
+    replay = build_concurrent()
+    assert replay.epochs.latest_epoch == first_epoch
+    replayed = {first_epoch: rows_of(replay.query(QUERY))}
+    for i in range(8):
+        replay.update_measure(
+            "seq", keys={"pos": 5 + i}, value_col="val", new_value=1000.0 + i,
+        )
+        replayed[replay.epochs.latest_epoch] = rows_of(replay.query(QUERY))
+        replay.refresh_view("mv")
+        replayed[replay.epochs.latest_epoch] = rows_of(replay.query(QUERY))
+    assert {epoch: replayed[epoch] for epoch in by_epoch} == by_epoch
 
 
 def test_epoch_results_replay_serially(cw):

@@ -23,6 +23,7 @@ class TestDemo:
         ["demo", "--backend", "thread"],
         ["serve", "--chunk-size", "8"],
         ["parallel"],
+        ["ops"],
     ])
     def test_parallel_flags_and_subcommand_are_gone(self, argv):
         with pytest.raises(SystemExit):
