@@ -24,8 +24,9 @@ Two derivation lemmas are implemented:
   (``P_query ⊆ P_view``).  Rows of different fine partitions interleave in
   the coarse ordering, so — following the lemma's constructive argument —
   each fine partition's raw values are first reconstructed (possible
-  exactly because the reporting function is *complete*), merged in order,
-  and the target window is recomputed with the window kernel.
+  exactly because the reporting function is *complete*), merged in order
+  by one stable sort over the ordering-key columns, and the target window
+  is recomputed with the window kernel.
   The paper proves derivability but gives no closed form; this is the
   construction its proof sketch implies.
 """
@@ -33,11 +34,12 @@ Two derivation lemmas are implemented:
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
-from itertools import repeat
-from operator import add, itemgetter
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.columns import Column, sort_order
 from repro.core.aggregates import SUM, Aggregate
 from repro.core.complete import CompleteSequence
 from repro.core.derivation import derive as derive_window_values
@@ -66,6 +68,24 @@ class PartitionData:
 
     order_keys: List[Key]
     seq: CompleteSequence
+    _key_columns: Optional[Tuple[Tuple[str, ...], Tuple[Column, ...]]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def key_columns(self, kinds: Sequence[str]) -> Tuple[Column, ...]:
+        """``order_keys`` as one column per ordering column, of ``kinds``
+        (see :meth:`Column.from_values`).  Built on the first read and
+        kept: a writer edits ``order_keys`` only of a fresh partition
+        (:meth:`ReportingSequence.owning`), and two readers racing to fill
+        a frozen one build equal columns.  Readers copy, never hand out,
+        these columns."""
+        kinds = tuple(kinds)
+        if self._key_columns is None or self._key_columns[0] != kinds:
+            by_column = list(zip(*self.order_keys)) or [()] * len(kinds)
+            self._key_columns = (kinds, tuple(
+                Column.from_values(values, kind) for values, kind in zip(by_column, kinds)
+            ))
+        return self._key_columns[1]
 
 
 class ReportingSequence:
@@ -243,7 +263,7 @@ def partitioning_reduction(
     """Derive a coarser-partitioned reporting sequence (section 6.2):
     reconstruct each fine partition's raw values, merge them per coarse
     partition, and run the window kernel the native path uses over the
-    merged values.
+    merged values (:func:`merged_partitions`).
 
     The dropped partition values become one tie-breaking pseudo ordering
     column ``__drop__``, so merged rows have a deterministic linear order.
@@ -259,6 +279,37 @@ def partitioning_reduction(
         DerivationError: if the new partitioning is not a subset of the old.
         IncompleteSequenceError: if any partition lacks header/trailer.
     """
+    target = target_window or view.window
+    every_key = (okey for part in view.partitions.values() for okey in part.order_keys)
+    kinds = [_kind_of(values) for values in zip(*every_key)]
+    partitions: Dict[Key, PartitionData] = {}
+    for coarse, fine, order, _, raw, core in merged_partitions(
+        view, new_partition_by, target, kinds
+    ):
+        flat = [okey + (drop,) for drop, pkey in fine for okey in view.partitions[pkey].order_keys]
+        partitions[coarse] = PartitionData(
+            [flat[i] for i in order.tolist()],
+            _sequence_around(raw.tolist(), core.tolist(), target, view.aggregate, complete),
+        )
+    return ReportingSequence(
+        tuple(new_partition_by), tuple(view.order_by) + ("__drop__",), target,
+        view.aggregate, partitions,
+    )
+
+
+def merged_partitions(
+    view: ReportingSequence,
+    new_partition_by: Sequence[str],
+    target: WindowSpec,
+    kinds: Sequence[str],
+) -> List[tuple]:
+    """The section-6.2 merge :func:`partitioning_reduction` and the rewriter
+    share: per non-empty coarse partition (``repr`` order), ``(key, fine,
+    order, key columns, raw, values)``.  ``fine`` is its ``(dropped values,
+    key)`` pairs in dropped-value order; ``order`` one stable sort of their
+    concatenated ordering keys (ties keep that order); the key columns (of
+    ``kinds``) and raw values sorted by it; ``values`` the kernel's ``target``
+    over ``raw``."""
     new_cols = tuple(new_partition_by)
     if not set(new_cols) <= set(view.partition_by):
         raise DerivationError(
@@ -270,40 +321,42 @@ def partitioning_reduction(
             "partitioning reduction requires a complete reporting function "
             "(header/trailer per partition)"
         )
-    target = target_window or view.window
     keep_idx = [view.partition_by.index(c) for c in new_cols]
     drop_idx = [i for i in range(len(view.partition_by)) if i not in keep_idx]
-
-    def dropped(pkey: Key) -> Key:
-        return tuple(pkey[j] for j in drop_idx)
-
     raws = view.reconstruct_raw()
-    merged: Dict[Key, List[Tuple[Key, float, Key]]] = {}
-    # Fine partitions are visited in dropped-value order and the sort below
-    # is stable: ordering-key ties fall in that order without a comparison.
-    for pkey in sorted(view.partitions, key=dropped):
-        coarse = tuple(pkey[j] for j in keep_idx)
-        merged.setdefault(coarse, []).extend(
-            zip(view.partitions[pkey].order_keys, raws[pkey], repeat((dropped(pkey),)))
+    by_coarse: Dict[Key, List[Tuple[Key, Key]]] = {}
+    for pkey in view.partitions:
+        by_coarse.setdefault(tuple(pkey[j] for j in keep_idx), []).append(
+            (tuple(pkey[j] for j in drop_idx), pkey)
         )
-    partitions: Dict[Key, PartitionData] = {}
-    for coarse in sorted(merged, key=repr):
-        rows = sorted(merged[coarse], key=itemgetter(0))
-        if not rows:
+    merged = []
+    for coarse in sorted(by_coarse, key=repr):
+        fine = sorted(by_coarse[coarse], key=lambda drop_and_key: drop_and_key[0])
+        parts = [view.partitions[pkey] for _, pkey in fine]
+        keys = [
+            Column.concat([part.key_columns(kinds)[i] for part in parts], kind)
+            for i, kind in enumerate(kinds)
+        ]
+        raw = np.concatenate([np.empty(0)] + [raws[pkey] for _, pkey in fine])
+        if not len(raw):
             continue
-        order_keys, raw, tiebreaks = zip(*rows)
-        core = compute_vectorized(raw, target, view.aggregate)
-        partitions[coarse] = PartitionData(
-            list(map(add, order_keys, tiebreaks)),
-            _sequence_around(raw, core, target, view.aggregate, complete),
-        )
-    return ReportingSequence(
-        new_cols,
-        tuple(view.order_by) + ("__drop__",),
-        target,
-        view.aggregate,
-        partitions,
-    )
+        order = sort_order([(column, True) for column in keys], len(raw))
+        if order is None:  # TEXT, DATE or NULL keys: sort as Python does
+            flat = [okey for part in parts for okey in part.order_keys]
+            order = np.array(sorted(range(len(flat)), key=flat.__getitem__), dtype=np.intp)
+        raw = raw[order]
+        merged.append((
+            coarse, fine, order, [column.take(order) for column in keys], raw,
+            compute_vectorized(raw, target, view.aggregate),
+        ))
+    return merged
+
+
+def _kind_of(values: Sequence[object]) -> str:
+    """The column kind that holds these Python values exactly."""
+    types = set(map(type, values)) - {type(None)}
+    kinds = {int: "int64", float: "float64", bool: "bool"}
+    return kinds.get(types.pop(), "object") if len(types) == 1 else "object"
 
 
 def ordering_reduction(

@@ -27,8 +27,7 @@ warehouse ``EXPLAIN`` prints, so the two cannot disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import groupby
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,9 +63,9 @@ __all__ = [
 ]
 
 Key = Tuple[object, ...]
-# One partition of an answer: its key, then one ordering key and one derived
-# value per output position.  Pieces stay columns until the rows are zipped.
-Piece = Tuple[Key, Sequence[Key], Sequence[float]]
+# One partition of an answer: its key, one column per ordering column and
+# the derived values (float64), one entry per output position.
+Piece = Tuple[Key, Sequence[DataColumn], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -134,19 +133,21 @@ class RewritePlan:
             count_pieces, count_stats = _step_pieces(db, self.steps[1])
             counts = {pkey: values for pkey, _, values in count_pieces}
             pieces = [
-                (pkey, order_keys, _quotient(sums, counts.get(pkey, ())))
-                for pkey, order_keys, sums in pieces
+                (pkey, keys, _quotient(sums, counts.get(pkey, np.empty(0))))
+                for pkey, keys, sums in pieces
             ]
             stats.merge(count_stats)
         return _assemble(db, self.stmt, self.shape, pieces, stats)
 
 
-def _quotient(sums: Sequence[float], counts: Sequence[float]) -> List[Optional[float]]:
+def _quotient(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    # A COUNT view's frame at a core position holds that position, and a
+    # view refuses NULL measures, so every count is at least 1.
     if len(sums) != len(counts):
         raise DerivationError(
             "the SUM and COUNT views of an AVG combination cover different rows"
         )
-    return [s / c if c else None for s, c in zip(sums, counts)]
+    return sums / counts
 
 
 def try_rewrite(
@@ -320,7 +321,8 @@ def _plan_avg_combination(
 
 
 def _rewritable_shape(stmt: SelectStmt) -> Optional[QueryShape]:
-    if len(stmt.tables) != 1 or stmt.group_by or stmt.having is not None:
+    # A view answers one row per position; DISTINCT is the native plan's.
+    if stmt.distinct or len(stmt.tables) != 1 or stmt.group_by or stmt.having is not None:
         return None
     if stmt.tables[0].is_subquery:
         return None
@@ -442,19 +444,21 @@ def _step_pieces(db: Database, step: _Step) -> Tuple[List[Piece], ExecutionStats
 
     view = step.match.view
     shape = step.shape
-    if step.match.kind in _REDUCTIONS:
-        if step.match.kind == "partition_reduction":
-            derived = core_reporting.partitioning_reduction(
-                view.reporting, shape.partition_by,
-                target_window=shape.window, complete=False,
-            )
-        else:
-            drop = len(view.definition.order_by) - len(shape.order_by)
-            derived = core_reporting.ordering_reduction(
-                view.reporting, drop, target_window=shape.window
-            )
+    schema = db.table(shape.base_table).schema
+    kinds = [kind_for_type(schema.column(c).type.name) for c in view.definition.order_by]
+    if step.match.kind == "partition_reduction":
+        merged = core_reporting.merged_partitions(
+            view.reporting, shape.partition_by, shape.window, kinds
+        )
+        return [(coarse, keys, values) for coarse, _, _, keys, _, values in merged], ExecutionStats()
+    if step.match.kind == "ordering_reduction":
+        drop = len(view.definition.order_by) - len(shape.order_by)
+        derived = core_reporting.ordering_reduction(
+            view.reporting, drop, target_window=shape.window
+        )
         return [
-            (pkey, part.order_keys, part.seq.core_values())
+            (pkey, part.key_columns(kinds[:len(shape.order_by)]),
+             np.array(part.seq.core_values(), dtype=np.float64))
             for pkey, part in derived.partitions.items()
         ], ExecutionStats()
 
@@ -470,35 +474,46 @@ def _step_pieces(db: Database, step: _Step) -> Tuple[List[Piece], ExecutionStats
             pieces: List[Piece] = [
                 (
                     pkey,
-                    part.order_keys,
-                    core_derivation.derive(
+                    part.key_columns(kinds),
+                    np.array(core_derivation.derive(
                         part.seq, shape.window, chosen=dplan, form="recursive"
-                    ),
+                    ), dtype=np.float64),
                 )
                 for pkey, part in partitions.items()
             ]
             stats = ExecutionStats()
         else:
-            # Pattern rows are (partition..., pos, value), sorted; label
-            # each with the ordering key of its position.
+            # Pattern rows are (partition..., pos, value), sorted: each run
+            # of one partition takes its ordering keys at its positions.
             exec_result = db.run(step.pattern)
             stats = exec_result.stats
+            answer = exec_result.as_columns()
             n_part = len(view.definition.partition_by)
+            positions = answer.columns[n_part].data.astype(np.intp) - 1
+            values = answer.columns[-1].as_float64(np.nan)
+            starts = _run_starts(answer.columns[:n_part], len(answer))
             pieces = []
-            for pkey, rows in groupby(exec_result.rows, key=lambda r: r[:n_part]):
-                order_keys = partitions[pkey].order_keys
-                rows = list(rows)
-                pieces.append((
-                    pkey,
-                    [order_keys[r[n_part] - 1] for r in rows],
-                    [r[-1] for r in rows],
-                ))
+            for lo, hi in zip(starts, starts[1:] + [len(answer)]):
+                pkey = tuple(column.value(lo) for column in answer.columns[:n_part])
+                keys = partitions[pkey].key_columns(kinds)
+                pieces.append((pkey, [k.take(positions[lo:hi]) for k in keys], values[lo:hi]))
     runtime.get_registry().counter(
         "repro_views_derivations_total",
         {"algorithm": dplan.algorithm, "mode": info.mode},
         help="Queries answered by deriving from a materialized view",
     ).inc()
     return pieces, stats
+
+
+def _run_starts(columns: Sequence[DataColumn], nrows: int) -> List[int]:
+    """The rows where a run of equal values of ``columns`` starts."""
+    change = np.zeros(nrows, dtype=np.bool_)
+    change[:1] = True
+    for column in columns:
+        change[1:] |= column.data[1:] != column.data[:-1]
+        if column.validity is not None:
+            change[1:] |= column.validity[1:] != column.validity[:-1]
+    return np.flatnonzero(change).tolist()
 
 
 def _relational_plan(
@@ -553,16 +568,6 @@ def _assemble(
 ) -> Result:
     """Concatenate the pieces column by column and project them into the
     statement's select-item order."""
-    by_name: Dict[str, List[object]] = {
-        name: [] for name in (*shape.partition_by, *shape.order_by, "__window__")
-    }
-    for pkey, order_keys, values in pieces:
-        for name, value in zip(shape.partition_by, pkey):
-            by_name[name].extend([value] * len(values))
-        for i, name in enumerate(shape.order_by):
-            by_name[name].extend([key[i] for key in order_keys])
-        by_name["__window__"].extend(values)
-
     base = db.table(shape.base_table)
     columns: List[Column] = []
     pickers = []
@@ -578,18 +583,18 @@ def _assemble(
             columns.append(Column(name, base.schema.column(col_name).type))
             pickers.append(col_name)
     out_schema = Schema(columns)
-    built = {
-        name: DataColumn.from_values(
-            by_name[name],
-            "float64"
-            if name == "__window__"
-            else kind_for_type(base.schema.column(name).type.name),
-        )
-        for name in set(pickers)
-    }
-    answer = ColumnRows(
-        [built[name] for name in pickers], len(by_name["__window__"])
-    )
+    values = np.concatenate([np.empty(0)] + [piece[2] for piece in pieces])
+    built = {"__window__": DataColumn(values)}
+    for name in set(pickers) - {"__window__"}:
+        kind = kind_for_type(base.schema.column(name).type.name)
+        if name in shape.order_by:
+            i = shape.order_by.index(name)
+            built[name] = DataColumn.concat([piece[1][i] for piece in pieces], kind)
+        else:  # a partition column: each piece's key value, repeated
+            i = shape.partition_by.index(name)
+            owner = np.repeat(np.arange(len(pieces)), [len(piece[2]) for piece in pieces])
+            built[name] = DataColumn.from_values([piece[0][i] for piece in pieces], kind).take(owner)
+    answer = ColumnRows([built[name] for name in pickers], len(values))
 
     if stmt.order_by:
         keys = [(o.expr, o.ascending) for o in stmt.order_by]
