@@ -119,6 +119,35 @@ def test_pinned_epoch_is_bit_identical_across_a_commit(what):
     assert all(r.ok for r in cw.verify(quarantine=False).values())
 
 
+def test_key_columns_a_read_fills_stay_with_its_epoch():
+    """A derived read labels positions with ordering-key columns it builds
+    on the partition and keeps there; an insert and a delete in the middle
+    of that partition must not reach them, nor they the new epoch."""
+    cw = build()
+    sql = ("SELECT cust, day, SUM(amt) OVER (PARTITION BY cust ORDER BY day ROWS "
+           "BETWEEN {} PRECEDING AND {} FOLLOWING) AS w FROM tx ORDER BY cust, day")
+    # A cumulative-view derivation in memory, v_cust's identity as a pattern.
+    routes = {"memory": sql.format(3, 2), "relational": sql.format(2, 1)}
+    with cw.pin() as snap:
+        pinned = {mode: snap.query(q, mode=mode, require_rewrite=True)
+                  for mode, q in routes.items()}
+        assert all(pinned[mode].rewrite.mode == mode for mode in routes)
+        cw.insert_row("tx", [2, 55, 2.5])
+        cw.delete_row("tx", keys={"cust": 2, "day": 90})
+        for mode, q in routes.items():
+            again = snap.query(q, mode=mode, require_rewrite=True)
+            assert again.rows == pinned[mode].rows
+        for mode, q in routes.items():
+            fresh = cw.query(q, mode=mode, require_rewrite=True).rows
+            native = cw.query(q, use_views=False).rows
+            assert [r[:2] for r in fresh] == [r[:2] for r in native]
+            assert [r[2] for r in fresh] == pytest.approx([r[2] for r in native])
+            assert fresh != pinned[mode].rows
+            days = [day for cust, day, _ in fresh if cust == 2]
+            assert 55 in days and 90 not in days
+    assert cw.epochs.verify()["clean"]
+
+
 def test_many_commits_under_one_pin_then_clean():
     cw = build()
     with cw.pin() as snap:

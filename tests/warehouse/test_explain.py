@@ -49,6 +49,22 @@ class TestExplainConsistency:
         assert text.startswith("NATIVE PLAN:")
         assert "WindowOperator" in text
 
+    @pytest.mark.parametrize("select", ["", "g, "])
+    def test_distinct_takes_the_native_route(self, select):
+        """A view answers one row per position; DISTINCT is not rewritten."""
+        wh = DataWarehouse()
+        wh.create_table("t", [("g", "INTEGER"), ("pos", "INTEGER"), ("val", "FLOAT")])
+        wh.insert("t", [(g, pos, float(pos)) for g in range(3) for pos in range(1, 6)])
+        over = ("COUNT(val) OVER (PARTITION BY g ORDER BY pos ROWS BETWEEN 1 "
+                "PRECEDING AND 1 FOLLOWING)")
+        wh.create_view("mv_cnt", f"SELECT g, pos, {over} w FROM t")
+        sql = f"SELECT DISTINCT {select}{over} AS w FROM t"
+        assert wh.explain(sql).startswith("NATIVE PLAN:")
+        got = wh.query(sql)
+        assert got.rewrite is None
+        assert sorted(got.rows) == sorted(wh.query(sql, use_views=False).rows)
+        assert len(got) == (6 if select else 2)
+
     def test_explain_avg_combination(self, wh):
         wh.create_view("mc", "SELECT pos, COUNT(val) OVER (ORDER BY pos ROWS "
                        "BETWEEN 2 PRECEDING AND 1 FOLLOWING) c FROM seq")
