@@ -3,7 +3,7 @@
 Shows the three modification types — update, insert, delete — propagating
 through a materialized moving-sum view with *local* effort: only the
 ``w = l + h + 1`` sequence values whose windows contain the modified
-position are adjusted, never the whole sequence.
+position are recomputed, never the whole sequence.
 
 Run:  python examples/incremental_maintenance.py
 """
@@ -27,17 +27,17 @@ print(f"view over {N} rows, window (3, 3), w = 7\n")
 # --- update -------------------------------------------------------------------
 result = wh.update_measure("metrics", keys={"pos": 2500},
                            value_col="val", new_value=123.0)[0]
-print(f"update  pos=2500: {result.values_adjusted} values adjusted, "
+print(f"update  pos=2500: {result.values_touched} values recomputed, "
       f"{result.values_shifted} shifted  (w = 7)")
 
 # --- insert -------------------------------------------------------------------
 result = wh.insert_row("metrics", (N + 1, 55.0))[0]
-print(f"insert  pos={N + 1}: {result.values_adjusted} values adjusted, "
+print(f"insert  pos={N + 1}: {result.values_touched} values recomputed, "
       f"{result.values_shifted} shifted")
 
 # --- delete -------------------------------------------------------------------
 result = wh.delete_row("metrics", keys={"pos": 100})[0]
-print(f"delete  pos=100: {result.values_adjusted} values adjusted, "
+print(f"delete  pos=100: {result.values_touched} values recomputed, "
       f"{result.values_shifted} shifted")
 
 # The view still answers queries exactly:

@@ -100,8 +100,7 @@ class CompleteSequence:
             last = n + window.trailer_span()
         else:
             first, last = 1, n
-        values = [spec.value_at(raw, k) for k in range(first, last + 1)]
-        return cls(window, aggregate, n, values, complete)
+        return cls(window, aggregate, n, spec.values(raw, first, last).tolist(), complete)
 
     @classmethod
     def from_values(

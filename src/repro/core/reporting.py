@@ -243,13 +243,9 @@ def _sequence_around(
     values = list(core)
     if complete:
         spec = SequenceSpec(window, aggregate)
-        header = range(1 - window.header_span(), 1)
-        trailer = range(n + 1, n + window.trailer_span() + 1)
-        values = (
-            [spec.value_at(raw, k) for k in header]
-            + values
-            + [spec.value_at(raw, k) for k in trailer]
-        )
+        header = spec.values(raw, 1 - window.header_span(), 0).tolist()
+        trailer = spec.values(raw, n + 1, n + window.trailer_span()).tolist()
+        values = header + values + trailer
     return CompleteSequence(window, aggregate, n, values, complete)
 
 
@@ -289,7 +285,7 @@ def partitioning_reduction(
         flat = [okey + (drop,) for drop, pkey in fine for okey in view.partitions[pkey].order_keys]
         partitions[coarse] = PartitionData(
             [flat[i] for i in order.tolist()],
-            _sequence_around(raw.tolist(), core.tolist(), target, view.aggregate, complete),
+            _sequence_around(raw, core.tolist(), target, view.aggregate, complete),
         )
     return ReportingSequence(
         tuple(new_partition_by), tuple(view.order_by) + ("__drop__",), target,

@@ -95,10 +95,10 @@ def recover(directory: str, *, verify: bool = True,
         base_epoch = wal.checkpoint_epoch()
         has_snapshot = os.path.exists(os.path.join(directory, "catalog.json"))
         if base_epoch > 0 and has_snapshot:
-            # Rehydrate views from their dumped storage bits: the WAL's
-            # digests describe the primary's live (incrementally
-            # maintained) state, which a fresh recompute would miss by an
-            # ulp.
+            # Rehydrate views from their dumped storage tables: the WAL's
+            # digests hash the primary's live tables in slot order, and an
+            # insert into a partitioned view leaves its storage rows in
+            # another order than a refresh would (the values are the same).
             inner = DataWarehouse.load(directory, rehydrate=True)
             cw = ConcurrentWarehouse(inner, initial_epoch=base_epoch)
         else:

@@ -84,13 +84,15 @@ class MaterializedSequenceView:
         refresh.
 
         ``DataWarehouse.load`` normally replaces dumped storage with a
-        fresh recomputation, which guarantees base/view consistency but is
-        not bit-identical to incrementally-maintained values (float
-        addition is non-associative, so ``old - x + x'`` can differ from a
-        recompute in the last ulp).  Recovery replays a WAL whose records
-        carry digests of the *primary's live* state, so it must preserve
-        the dumped bits exactly; this constructor wraps the stored values
-        via :meth:`CompleteSequence.from_values` instead of recomputing.
+        fresh recomputation, which guarantees base/view consistency.
+        Maintained values equal a recompute's bit for bit, but not the
+        storage table's slot order: an insert into a partitioned view
+        appends the partition's new last row at the end of the table.
+        Recovery replays a WAL whose records carry digests of the
+        *primary's live* tables, and ``repro verify`` checks the dump's own
+        values, so both keep the dumped table; this constructor wraps the
+        stored values via :meth:`CompleteSequence.from_values` instead of
+        recomputing.
 
         Raises:
             ViewError: the storage table is missing (never refreshed).

@@ -606,11 +606,12 @@ class DataWarehouse:
         Args:
             rehydrate: wrap each view's *dumped* storage table instead of
                 refreshing it.  The default refresh guarantees base/view
-                consistency; rehydration guarantees **bit-identity** with
-                the warehouse that called ``save`` (incrementally
-                maintained values differ from a recompute in the last
-                ulp), which is what WAL recovery needs before it replays
-                digest-checked records on top.
+                consistency; rehydration keeps the dump's own view values
+                (what ``repro verify`` checks) and its storage slot order,
+                which a refresh does not reproduce after inserts into a
+                partitioned view: that is what WAL recovery needs before
+                it replays digest-checked records on top.  (Maintained
+                values equal a refresh's, bit for bit.)
             memory_budget_bytes: where the tables live.  ``None`` (the
                 default) reads every page into memory — no buffer pool, no
                 spill budget.  A budget keeps the tables of a paged dump

@@ -198,3 +198,20 @@ class TestSpan:
                 out[i] = v + (out[i - period] if i >= period else 0.0)
             assert strided_cumsum(np.array(x), period).tolist() == out
         assert strided_cumsum(np.zeros(0), 3).tolist() == []
+
+
+class TestFromRaw:
+    def test_is_the_vectorized_evaluator_not_a_per_position_loop(self, monkeypatch):
+        from repro.core.sequence import SequenceSpec
+
+        calls = []
+        value_at = SequenceSpec.value_at
+        monkeypatch.setattr(
+            SequenceSpec, "value_at",
+            lambda self, raw, k: calls.append(k) or value_at(self, raw, k),
+        )
+        raw = [float(i % 13) - 6.5 for i in range(100_000)]
+        seq = CompleteSequence.from_raw(raw, cumulative())
+        assert calls == []
+        assert seq.value(100_000) == sum(raw)
+

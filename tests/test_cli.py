@@ -97,6 +97,20 @@ class TestVerify:
     def test_repair_flag_accepted(self, capsys, dump):
         assert main(["verify", "--dir", str(dump), "--repair"]) == 0
 
+    def test_looks_at_the_dumps_view_values(self, capsys, tmp_path):
+        from repro.warehouse import DataWarehouse, create_sequence_table
+
+        wh = DataWarehouse()
+        create_sequence_table(wh.db, "seq", 25, seed=4)
+        wh.create_view("mv", "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS "
+                       "BETWEEN 2 PRECEDING AND 1 FOLLOWING) s FROM seq")
+        storage = wh.db.table(wh.view("mv").definition.storage_table)
+        storage.set_column("__val", [5], [1e6])
+        wh.save(str(tmp_path))
+        assert main(["verify", "--dir", str(tmp_path)]) == 1
+        assert "'mv'" in capsys.readouterr().out
+        assert main(["verify", "--dir", str(tmp_path), "--repair"]) == 0
+
 
 class TestTableSweeps:
     def test_table1(self, capsys):
