@@ -132,6 +132,14 @@ class WindowSpec:
             return (0, k)
         return (k - self.l, k + self.h)
 
+    def band(self, k: int, first: int, last: int) -> Tuple[int, int]:
+        """The positions of ``first .. last`` whose windows hold raw position
+        ``k``, the values a write at ``k`` changes (paper section 2.3):
+        ``k - h .. k + l`` sliding, ``k .. last`` cumulative."""
+        if self.kind == _CUMULATIVE:
+            return (max(first, k), last)
+        return (max(first, k - self.h), min(last, k + self.l))
+
     def size(self, k: int) -> int:
         """Window size ``W(k) = 1 + wH(k) - wL(k)`` at position ``k``."""
         lo, hi = self.bounds(k)

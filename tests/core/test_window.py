@@ -82,6 +82,13 @@ class TestBoundsAndSize:
         # W(k) = 1 + W(k-1), W(1) counts position 0 by the paper's wL(k)=0.
         assert w.size(3) - w.size(2) == 1
 
+    def test_band_is_the_positions_whose_window_holds_k(self):
+        for w in (sliding(2, 1), sliding(0, 3), sliding(4, 0), cumulative()):
+            for k in range(1, 13):
+                want = [i for i in range(3, 11) if w.bounds(i)[0] <= k <= w.bounds(i)[1]]
+                lo, hi = w.band(k, 3, 10)
+                assert list(range(lo, hi + 1)) == want
+
     def test_cumulative_has_no_width(self):
         with pytest.raises(WindowError):
             cumulative().width
