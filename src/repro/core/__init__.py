@@ -34,7 +34,7 @@ from repro.core.reporting import (
     ordering_reduction,
     partitioning_reduction,
 )
-from repro.core.sequence import CustomBoundsSequenceSpec, SequenceSpec, raw_value
+from repro.core.sequence import CustomBoundsSequenceSpec, SequenceSpec
 from repro.core.vectorized import compute_vectorized
 from repro.core.window import WindowSpec, cumulative, sliding
 
@@ -74,7 +74,6 @@ __all__ = [
     "raw_at_from_sliding",
     "raw_from_cumulative",
     "raw_from_sliding",
-    "raw_value",
     "sliding",
     "sliding_from_cumulative",
 ]

@@ -37,6 +37,7 @@ __all__ = [
     "raw_from_cumulative",
     "raw_at_from_cumulative",
     "sliding_from_cumulative",
+    "sliding_at_from_cumulative",
     "raw_from_sliding",
     "raw_at_from_sliding",
 ]
@@ -74,13 +75,25 @@ def sliding_from_cumulative(seq: CompleteSequence, target: WindowSpec) -> List[f
     ``ỹ_k = x̃_{k+h} - x̃_{k-l-1}`` (fig. 5); the cumulative trailer
     (``x̃_j = x̃_n`` for ``j > n``) makes the formula total.
     """
+    _require_cumulative_to_sliding(seq, target)
+    l, h, n = target.l, target.h, seq.n
+    return (seq.span(1 + h, n + h) - seq.span(-l, n - l - 1)).tolist()
+
+
+def sliding_at_from_cumulative(
+    seq: CompleteSequence, target: WindowSpec, k: int
+) -> float:
+    """Single value ``ỹ_k = x̃_{k+h} - x̃_{k-l-1}`` from a cumulative view."""
+    _require_cumulative_to_sliding(seq, target)
+    return float(seq.value(k + target.h) - seq.value(k - target.l - 1))
+
+
+def _require_cumulative_to_sliding(seq: CompleteSequence, target: WindowSpec) -> None:
     if not seq.window.is_cumulative:
         raise DerivationError("sliding_from_cumulative needs a cumulative view")
     if not target.is_sliding:
         raise DerivationError("target window must be sliding")
     _require_sum_family(seq, "sliding-window derivation")
-    l, h, n = target.l, target.h, seq.n
-    return (seq.span(1 + h, n + h) - seq.span(-l, n - l - 1)).tolist()
 
 
 def raw_at_from_sliding(seq: CompleteSequence, k: int, *, form: str = "explicit") -> float:

@@ -29,17 +29,7 @@ from repro.core.aggregates import SUM, Aggregate
 from repro.core.window import WindowSpec
 from repro.errors import SequenceError
 
-__all__ = ["SequenceSpec", "CustomBoundsSequenceSpec", "raw_value"]
-
-
-def raw_value(raw: Sequence[float], i: int) -> float:
-    """``x_i`` with the paper's convention ``x_i = 0`` outside ``1..n``.
-
-    ``raw`` is a 0-based Python sequence holding ``x_1 .. x_n``.
-    """
-    if 1 <= i <= len(raw):
-        return raw[i - 1]
-    return 0.0
+__all__ = ["SequenceSpec", "CustomBoundsSequenceSpec"]
 
 
 @dataclass(frozen=True)

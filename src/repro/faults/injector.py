@@ -133,8 +133,8 @@ def verify_hook(view) -> None:
     """Fire ``bitflip`` specs for ``view``: corrupt one storage ``__val``.
 
     The row is chosen by the plan's seeded RNG; the corruption flips a high
-    mantissa bit of the float64 payload, so the change is large enough for
-    :func:`verify_view`'s relative-tolerance comparison to catch.
+    mantissa bit of the float64 payload.  :func:`verify_view` compares
+    values bit for bit, so a flip of any bit would be caught.
     """
     plan = _ACTIVE
     if plan is None:

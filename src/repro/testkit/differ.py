@@ -1,9 +1,8 @@
 """Cross-path result comparison.
 
-The comparison rule is :func:`repro.views.verify.values_differ` — the
-*same* helper view verification uses, so "two paths agree" and "a view is
-consistent" mean the same thing everywhere (NaN == NaN, relative tolerance
-floored at 1).
+The comparison rule is :func:`repro.views.verify.values_differ`: NaN ==
+NaN, relative tolerance floored at 1, because paths may legitimately
+differ in the last ulp.  (View verification compares bits instead.)
 
 Row-set drift (a path losing or inventing rows) is reported structurally,
 mirroring how ``verify_view`` treats missing/unexpected partitions.

@@ -14,6 +14,7 @@ changes — and the hook for fault-injection tests.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -68,10 +69,10 @@ class ConsistencyReport:
 def values_differ(a: float, b: float, *, tolerance: float = TOLERANCE) -> bool:
     """Do two sequence values disagree beyond the shared tolerance?
 
-    This is the single comparison rule for every cross-representation check
-    in the repository — view verification here and the differential testkit
-    (:mod:`repro.testkit.differ`) both use it, so "agrees" means the same
-    thing everywhere:
+    The comparison rule of the differential testkit
+    (:mod:`repro.testkit.differ`), whose paths may legitimately differ in
+    the last ulp.  View verification does not use it: a view must match
+    its recompute bit for bit (:func:`_differs`).
 
     * NaN == NaN counts as agreement: both representations computed "no
       value" the same way (e.g. AVG over an empty frame), which is not a
@@ -85,8 +86,16 @@ def values_differ(a: float, b: float, *, tolerance: float = TOLERANCE) -> bool:
     return abs(a - b) > tolerance * max(1.0, abs(a), abs(b))
 
 
-# Internal alias kept for the call sites below.
-_differs = values_differ
+def _differs(a: float, b: float) -> bool:
+    """Do a stored value and its recompute differ in any bit?
+
+    Mirror, storage and recompute all come from one evaluator, so a view
+    agrees with its base data bit for bit; NaN equals NaN (both computed
+    "no value" the same way).
+    """
+    if math.isnan(a) and math.isnan(b):
+        return False
+    return struct.pack("<d", a) != struct.pack("<d", b)
 
 
 def verify_view(view: MaterializedSequenceView, *, max_report: int = 20) -> ConsistencyReport:

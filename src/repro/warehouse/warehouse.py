@@ -497,6 +497,7 @@ class DataWarehouse:
         from repro.core import derivation as core_derivation
         from repro.core import maxoa as core_maxoa
         from repro.core import minoa as core_minoa
+        from repro.core import reconstruct
         from repro.views.maintenance import position_of
 
         view = self.view(view_name)
@@ -522,9 +523,11 @@ class DataWarehouse:
             return core_maxoa.derive_at(seq, target, k)
         if dplan.algorithm == "minoa":
             return core_minoa.derive_at(seq, target, k)
-        # Remaining plans (cumulative source, prefix, reconstruct) are all
-        # single-position computable through the generic facade.
-        return core_derivation.derive(seq, target, chosen=dplan)[k - 1]
+        if dplan.algorithm == "cumulative":
+            return reconstruct.sliding_at_from_cumulative(seq, target, k)
+        if dplan.algorithm == "reconstruct":
+            return reconstruct.raw_at_from_sliding(seq, k)
+        return core_derivation.prefix_up_to(seq, k)  # the "prefix" plan
 
     def verify(self, *, quarantine: bool = True):
         """Cross-check every view against base data; see

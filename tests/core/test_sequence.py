@@ -3,22 +3,10 @@
 import pytest
 
 from repro.core.aggregates import AVG, MAX, MIN, SUM
-from repro.core.sequence import CustomBoundsSequenceSpec, SequenceSpec, raw_value
+from repro.core.sequence import CustomBoundsSequenceSpec, SequenceSpec
 from repro.core.window import cumulative, sliding
 from repro.errors import SequenceError
 from tests.conftest import assert_close, brute_window
-
-
-class TestRawValueConvention:
-    def test_in_range(self):
-        assert raw_value([10.0, 20.0], 1) == 10.0
-        assert raw_value([10.0, 20.0], 2) == 20.0
-
-    def test_zero_outside(self):
-        # Paper: "for other i, x_i is set to zero".
-        assert raw_value([10.0], 0) == 0.0
-        assert raw_value([10.0], -5) == 0.0
-        assert raw_value([10.0], 2) == 0.0
 
 
 class TestSequenceSpec:

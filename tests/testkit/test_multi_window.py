@@ -111,17 +111,20 @@ class TestEngineCostPath:
         """engine plans with fresh statistics, engine-nostats with none:
         the one thing that tells the paths apart, and it changes neither
         the plan nor a bit of the answer."""
-        from repro.sql.planner import PhysicalPlanner
+        import repro.sql.planner as planner
+        import repro.warehouse.warehouse as warehouse_module
 
         seen = []
-        real = PhysicalPlanner.lower_root
+        real = planner.build_plan
 
-        def spy(self, node):
-            plan = real(self, node)
-            seen.append((self.db.stats.get("t") is not None, plan.explain()))
+        def spy(db, *args, **kwargs):
+            plan = real(db, *args, **kwargs)
+            seen.append((db.stats.get("t") is not None, plan.explain()))
             return plan
 
-        monkeypatch.setattr(PhysicalPlanner, "lower_root", spy)
+        # The warehouse imports the name, so it is patched there too.
+        for module in (planner, warehouse_module):
+            monkeypatch.setattr(module, "build_plan", spy)
         case = first_multi_case()
         with_stats = run_path("engine", case)
         without = run_path("engine-nostats", case)

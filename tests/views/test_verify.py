@@ -1,5 +1,7 @@
 """Consistency verification with fault injection."""
 
+import math
+
 import pytest
 
 from repro.views.verify import verify_view, verify_warehouse
@@ -37,6 +39,17 @@ class TestHealthy:
 
 
 class TestFaultInjection:
+    def test_one_ulp_storage_change_detected(self, wh):
+        table = wh.db.table("__mv_mv")
+        pos_slot = table.schema.resolve("__pos")
+        slot = next(i for i in range(len(table)) if table.row(i)[pos_slot] == 10)
+        value = table.row(slot)[table.schema.resolve("__val")]
+        table.set_column("__val", [slot], [math.nextafter(value, math.inf)])
+        report = wh.verify()["mv"]
+        assert [(d.representation, d.position) for d in report.discrepancies] == [
+            ("storage", 10)
+        ]
+
     def test_corrupted_storage_value_detected(self, wh):
         table = wh.db.table("__mv_mv")
         slot = 5

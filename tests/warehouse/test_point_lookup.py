@@ -1,8 +1,12 @@
 """Point lookups: single derived values from views (wh.value_at)."""
 
+import struct
+
 import pytest
 
-from repro.core.window import cumulative, sliding
+from repro.core.complete import CompleteSequence
+from repro.core.derivation import derive
+from repro.core.window import WindowSpec, cumulative, sliding
 from repro.errors import DerivationError, MaintenanceError
 from repro.warehouse import DataWarehouse, create_sequence_table
 from tests.conftest import brute_window
@@ -65,6 +69,49 @@ class TestValueAt:
                        "BETWEEN 1 PRECEDING AND 1 FOLLOWING) m FROM seq")
         with pytest.raises(DerivationError):
             wh.value_at("mx", 5, window=sliding(0, 1))  # narrower: underivable
+
+
+class TestSinglePositionReads:
+    """A derived point lookup reads O(k/Wx) view values, never the whole
+    derivation, and returns that derivation's k-th value bit for bit."""
+
+    N = 2000
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        wh = DataWarehouse()
+        create_sequence_table(wh.db, "seq", self.N, seed=11)
+        wh.create_view("mv", "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS "
+                       "BETWEEN 3 PRECEDING AND 2 FOLLOWING) s FROM seq")
+        wh.create_view("cv", "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS "
+                       "BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) c FROM seq")
+        return wh
+
+    @pytest.mark.parametrize("view, target, max_reads", [
+        ("mv", cumulative(), 2 * (N // 2 // 6 + 2)),
+        ("mv", WindowSpec.point(), 2 * (N // 2 // 6 + 2)),
+        ("cv", sliding(3, 2), 2),
+    ], ids=["prefix", "reconstruct", "cumulative"])
+    def test_reads_and_bits(self, big, monkeypatch, view, target, max_reads):
+        k = self.N // 2
+        reads = {"value": 0, "span": 0}
+
+        def counting(name):
+            real = getattr(CompleteSequence, name)
+
+            def read(self, *args):
+                reads[name] += 1
+                return real(self, *args)
+            return read
+
+        for name in reads:
+            monkeypatch.setattr(CompleteSequence, name, counting(name))
+        got = big.value_at(view, k, window=target)
+        monkeypatch.undo()
+        assert reads["span"] == 0
+        assert 0 < reads["value"] <= max_reads
+        want = derive(big.view(view).sequence(()), target)[k - 1]
+        assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 class TestResultCsv:
