@@ -17,7 +17,6 @@ Usage::
     python -m repro verify --dir DIR [--repair] [--json PATH]
     python -m repro fuzz [--seeds N] [--oracle sqlite|none] [--json PATH]
                          [--trace]
-    python -m repro migrate --dir DIR
 
 The ``table1``/``table2`` subcommands rerun the paper's evaluation sweeps
 with simple wall-clock timing and print rows in the papers' table layout
@@ -669,38 +668,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_migrate(args: argparse.Namespace) -> int:
-    """Rewrite a saved database dump of any supported version as pages.
-
-    The save removes the data files the new catalog no longer references.
-    A ``views.json`` beside the catalog is untouched — view definitions
-    are format-independent.
-    """
-    import json
-    import os
-
-    from repro.errors import ReproError
-    from repro.relational.persist import load_database, save_database
-
-    data_dir = os.path.join(args.dir, "data")
-    try:
-        with open(os.path.join(args.dir, "catalog.json"), encoding="utf-8") as fh:
-            old_version = json.load(fh).get("version")
-        before = set(os.listdir(data_dir)) if os.path.isdir(data_dir) else set()
-        db = load_database(args.dir)
-        save_database(db, args.dir)
-    except (OSError, ReproError) as exc:
-        print(f"migration failed: {type(exc).__name__}: {exc}")
-        return 2
-    tables = list(db.catalog.tables())
-    print(
-        f"migrated {args.dir}: v{old_version} -> v4, "
-        f"{len(tables)} tables ({sum(len(t) for t in tables)} rows), "
-        f"{len(before - set(os.listdir(data_dir)))} superseded data files removed"
-    )
-    return 0
-
-
 def cmd_table1(args: argparse.Namespace) -> int:
     """Rerun the paper's Table 1 sweep with simple wall-clock timing."""
     query = ("SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 "
@@ -869,13 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--json", dest="json_path", default=None,
                       help="write the machine-readable report to this path")
     fuzz.set_defaults(func=cmd_fuzz)
-
-    mig = sub.add_parser(
-        "migrate", help="rewrite a saved database dump of any version as pages"
-    )
-    mig.add_argument("--dir", required=True,
-                     help="directory written by save_database()/DataWarehouse.save()")
-    mig.set_defaults(func=cmd_migrate)
 
     serve = sub.add_parser(
         "serve", help="serve a demo warehouse over TCP (NDJSON protocol)"

@@ -48,14 +48,8 @@ def render_annotated(
     """EXPLAIN-style tree annotated with a probe's ``measures``."""
     measure = measures.get(id(plan))
     note = ""
-    est = getattr(plan, "analyze_est", None)
-    est_parts = (
-        [f"est rows={est['est_rows']}", f"est cost={est['est_cost']}"]
-        if est
-        else []
-    )
     if measure is not None and measure.calls:
-        parts = est_parts + [
+        parts = [
             f"actual rows={measure.rows_out}",
             f"time={measure.wall * 1000:.3f} ms",
         ]
@@ -66,7 +60,7 @@ def render_annotated(
             parts.extend(f"{k}={v}" for k, v in sorted(extra.items()))
         note = "  (" + ", ".join(parts) + ")"
     elif measure is not None:
-        note = "  (" + ", ".join(est_parts + ["never executed"]) + ")"
+        note = "  (never executed)"
     lines = ["  " * indent + plan.label() + note]
     for child in plan.children():
         lines.append(render_annotated(child, measures, indent + 1))

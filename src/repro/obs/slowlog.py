@@ -24,15 +24,11 @@ class SlowQueryLog:
         self,
         threshold_ms: float = 100.0,
         capacity: int = 128,
-        q_error_threshold: float = 2.0,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.threshold_ms = float(threshold_ms)
         self.capacity = capacity
-        # Queries whose cardinality q-error reaches this are kept even when
-        # fast: misestimates are a planner bug signal, not a latency one.
-        self.q_error_threshold = float(q_error_threshold)
         self._entries: deque = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self.total_queries = 0
@@ -44,11 +40,10 @@ class SlowQueryLog:
         *,
         rewrite: Optional[str] = None,
         summary: Optional[str] = None,
-        q_error: Optional[float] = None,
         trace_id: Optional[str] = None,
     ) -> bool:
-        """Report one query; returns True when it was kept (slow, or with a
-        cardinality estimate off by at least ``q_error_threshold``x).
+        """Report one query; returns True when it was kept (its wall time
+        reached ``threshold_ms``).
 
         ``trace_id`` links the entry to its span tree: with the ops
         endpoint running, ``/trace/<trace_id>`` shows exactly where the
@@ -57,10 +52,7 @@ class SlowQueryLog:
         with self._lock:
             self.total_queries += 1
             ms = seconds * 1000.0
-            misestimated = (
-                q_error is not None and q_error >= self.q_error_threshold
-            )
-            if ms < self.threshold_ms and not misestimated:
+            if ms < self.threshold_ms:
                 return False
             entry = {
                 "sql": sql,
@@ -69,8 +61,6 @@ class SlowQueryLog:
                 "rewrite": rewrite,
                 "stats": summary,
             }
-            if q_error is not None:
-                entry["q_error"] = round(q_error, 2)
             if trace_id is not None:
                 entry["trace_id"] = trace_id
             self._entries.append(entry)

@@ -166,20 +166,11 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-# Tables at or below this row count are re-analyzed on every bulk insert;
-# larger tables keep their (now stale) statistics until an explicit ANALYZE,
-# so loads stay O(rows) and the planner degrades to rule-based choices.
-AUTO_ANALYZE_MAX_ROWS = 200_000
-
-
 class Database:
     """An in-memory relational database instance."""
 
     def __init__(self) -> None:
-        from repro.stats.catalog import StatsCatalog
-
         self.catalog = Catalog()
-        self.stats = StatsCatalog()
         # Out-of-core knobs: set by load_database() for v4 (paged) dumps,
         # or directly by callers that want bounded-memory execution.
         # memory_budget_bytes caps both buffer-pool residency and operator
@@ -204,13 +195,10 @@ class Database:
 
     def drop_table(self, name: str, *, if_exists: bool = False) -> None:
         self.catalog.drop_table(name, if_exists=if_exists)
-        self.stats.drop(name)
 
     def rename_table(self, old: str, new: str, *, replace: bool = False) -> Table:
         """Atomically rebind a table name (see :meth:`Catalog.rename_table`)."""
-        table = self.catalog.rename_table(old, new, replace=replace)
-        self.stats.rename(old, new)
-        return table
+        return self.catalog.rename_table(old, new, replace=replace)
 
     def create_index(
         self,
@@ -231,18 +219,7 @@ class Database:
     # -- DML -----------------------------------------------------------------
 
     def insert(self, table: str, rows: Iterable[Sequence[Any]]) -> int:
-        tbl = self.catalog.table(table)
-        count = tbl.insert_many(rows)
-        if len(tbl) <= AUTO_ANALYZE_MAX_ROWS:
-            self.stats.analyze(tbl)
-        return count
-
-    def analyze(self, table: Optional[str] = None) -> dict:
-        """Collect optimizer statistics for one table (or all of them)."""
-        tables = (
-            [self.table(table)] if table is not None else list(self.catalog.tables())
-        )
-        return {t.name: self.stats.analyze(t) for t in tables}
+        return self.catalog.table(table).insert_many(rows)
 
     def table(self, name: str) -> Table:
         return self.catalog.table(name)

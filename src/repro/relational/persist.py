@@ -3,7 +3,7 @@
 Layout::
 
     <dir>/catalog.json          tables, schemas, primary keys, indexes,
-                                statistics, page directories, version 4
+                                page directories, version 4
     <dir>/data/<table>.pages    fixed-size CRC32 pages of binary column
                                 chunks (:mod:`repro.storage.page`)
 
@@ -25,13 +25,10 @@ every table, chunk by 500-slot chunk:
   the index rebuild streams the data once, afterwards residency is
   bounded by the pool.
 
-Older dumps still load, read-only: version 1 (row JSON lines), 2 (the same
-plus a CRC32 per file), 3 (one JSON value array per column, CRC32) and
-version-4 dumps of ``RPG4`` JSON pages.  ``repro migrate`` rewrites any of
-them as pages.  Values in JSON go through a small codec (dates become
-``{"$date": "YYYY-MM-DD"}``, NULL is JSON ``null``).  Loading recreates
-secondary indexes and re-runs the constraint checks, so a corrupted dump
-cannot smuggle in duplicate primary keys.
+Version 4 of ``RPG5`` pages is the one format read too: a catalog of any
+other version is refused with a :class:`~repro.errors.CatalogError` that
+names it.  Loading recreates secondary indexes and re-runs the constraint
+checks, so a corrupted dump cannot smuggle in duplicate primary keys.
 
 Crash consistency and corruption detection:
 
@@ -42,9 +39,8 @@ Crash consistency and corruption detection:
   power cut loses nothing, and no catalog can outlive the files it names;
   only then are data files the new catalog no longer names removed;
 * every page is checked — magic, page number, header CRC, the directory's
-  CRC, the chunk header — on each fault-in and on each in-memory decode;
-  a legacy file is checked against its whole-file CRC32.  A failure names
-  the table.
+  CRC, the chunk header — on each fault-in and on each in-memory decode.
+  A failure names the table.
 
 The ``storage_write`` fault site lets tests inject a write failure for a
 chosen table and assert that the pre-existing dump survives untouched.
@@ -54,26 +50,19 @@ from __future__ import annotations
 
 import json
 import os
-import zlib
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.errors import CatalogError
 from repro.relational.engine import Database
 from repro.relational.types import type_by_name
-from repro.storage.page import (
-    DEFAULT_PAGE_SIZE,
-    decode_value as _decode_value,
-    paginate_table,
-)
+from repro.storage.page import DEFAULT_PAGE_SIZE, paginate_table
 
 __all__ = ["save_database", "load_database", "durable_write"]
 
 # Version history: 1 = row JSONL, no checksums; 2 = row JSONL + per-table
 # CRC32; 3 = columnar JSON (one array per column) + CRC32; 4 = fixed-size
-# CRC32 pages.  All four load; only 4 is written.
+# CRC32 pages.  Only 4 is written or read.
 _FORMAT_VERSION = 4
-_SUPPORTED_VERSIONS = (1, 2, 3, 4)
-_DATA_SUFFIXES = (".pages", ".cols.json", ".jsonl")
 
 
 def _atomic_write(path: str, payload: bytes) -> None:
@@ -106,8 +95,7 @@ def durable_write(path: str, payload: bytes) -> None:
 def save_database(
     db: Database, directory: str, *, page_size: int = DEFAULT_PAGE_SIZE
 ) -> None:
-    """Write every table (schema, pages, indexes, statistics) under
-    ``directory``.
+    """Write every table (schema, pages, indexes) under ``directory``.
 
     Args:
         page_size: the page size in bytes; a table with a value wider than
@@ -116,10 +104,10 @@ def save_database(
     Atomic at file granularity and durable on return: each data file and
     the catalog are staged to a temp sibling, fsync'd and renamed into
     place, and the catalog — the file load trusts — is only published
-    after every data file it references has landed.  Data files of an
-    earlier dump the new catalog does not name (another table, a legacy
-    format) are removed last.  A failure mid-save (including the injected
-    ``storage_write`` fault) leaves any previous dump loadable.
+    after every data file it references has landed.  Page files of an
+    earlier dump the new catalog does not name are removed last.  A
+    failure mid-save (including the injected ``storage_write`` fault)
+    leaves any previous dump loadable.
     """
     from repro.faults import injector
 
@@ -158,9 +146,6 @@ def save_database(
                 "columns": dict(zip(names, directories)),
             },
         }
-        stats_doc = db.stats.dump(table.name)
-        if stats_doc is not None:
-            entry["stats"] = stats_doc
         catalog["tables"].append(entry)
         _atomic_write(os.path.join(data_dir, entry["data_file"]), b"".join(raw_pages))
     # Data files first, catalog after: the file load trusts must never be
@@ -172,50 +157,13 @@ def save_database(
     )
     referenced = {entry["data_file"] for entry in catalog["tables"]}
     for name in os.listdir(data_dir):
-        if name.endswith(_DATA_SUFFIXES) and name not in referenced:
+        if name.endswith(".pages") and name not in referenced:
             os.remove(os.path.join(data_dir, name))
-
-
-def _decode_rows(payload: bytes) -> List[List[Any]]:
-    """Decode a v1/v2 row JSON-lines payload."""
-    rows: List[List[Any]] = []
-    for line in payload.decode("utf-8").splitlines():
-        line = line.strip()
-        if line:
-            rows.append([_decode_value(v) for v in json.loads(line)])
-    return rows
-
-
-def _decode_columnar(
-    table_name: str, payload: bytes, expected_columns: int
-) -> List[List[Any]]:
-    """Decode a v3 columnar payload back to row lists for ingestion."""
-    if not payload:
-        return []
-    doc = json.loads(payload.decode("utf-8"))
-    cols = doc.get("columns", [])
-    if len(cols) != expected_columns:
-        raise CatalogError(
-            f"table {table_name!r}: dump has {len(cols)} columns, "
-            f"catalog declares {expected_columns}"
-        )
-    num_rows = doc.get("num_rows", 0)
-    decoded = []
-    for col in cols:
-        values = [_decode_value(v) for v in col["values"]]
-        if len(values) != num_rows:
-            raise CatalogError(
-                f"table {table_name!r}: column {col.get('name')!r} has "
-                f"{len(values)} values for {num_rows} rows"
-            )
-        decoded.append(values)
-    return [list(row) for row in zip(*decoded)] if num_rows else []
 
 
 def _page_refs(table, entry: Dict[str, Any], path: str):
     """The table's page file, and per column the :class:`PageRef` of each
     of its pages (checked to cover the table's rows in order)."""
-    from repro.columns import kind_for_type
     from repro.storage.buffer_pool import PageRef
     from repro.storage.pager import PageFile
 
@@ -245,7 +193,7 @@ def _page_refs(table, entry: Dict[str, Any], path: str):
                 e["start"],
                 e["rows"],
                 e.get("crc32"),
-                e.get("kind", kind_for_type(column.type.name)),  # absent for JSON pages
+                e["kind"],
                 (e["min"], e["max"]) if "min" in e else None,
             )
             for e in entries
@@ -284,40 +232,37 @@ def _load_pages(db: Database, table, entry: Dict[str, Any], path: str):
 def load_database(
     directory: str, *, memory_budget_bytes: Optional[int] = None
 ) -> Database:
-    """Rebuild a database saved with :func:`save_database` (or an older
-    dump of any supported version).
+    """Rebuild a database saved with :func:`save_database`.
 
     Args:
         memory_budget_bytes: the cap on resident page bytes.  ``None``
-            loads every table into memory; a budget leaves the chunks of a
-            paged dump on their pages behind a buffer pool of that size
-            and sets it as the database's operator spill budget (a legacy
-            dump loads into memory either way).
+            loads every table into memory; a budget leaves every chunk on
+            its pages behind a buffer pool of that size and sets it as the
+            database's operator spill budget.
 
     Raises:
-        CatalogError: missing or version-incompatible dump, or a data file
-            that fails its checks (the error names the table).  A page that
-            fails its checks is a :class:`~repro.errors.PageCorruptError`:
-            raised by the load itself in memory, on first fault-in with a
-            budget.
+        CatalogError: a missing dump, a catalog of a version other than 4
+            (the error names it), or a data file that fails its checks (the
+            error names the table).  A page that fails its checks is a
+            :class:`~repro.errors.PageCorruptError`: raised by the load
+            itself in memory, on first fault-in with a budget.
     """
     catalog_path = os.path.join(directory, "catalog.json")
     if not os.path.exists(catalog_path):
         raise CatalogError(f"no database dump at {directory!r}")
     with open(catalog_path, encoding="utf-8") as fh:
         catalog = json.load(fh)
-    if catalog.get("version") not in _SUPPORTED_VERSIONS:
+    if catalog.get("version") != _FORMAT_VERSION:
         raise CatalogError(
             f"dump version {catalog.get('version')!r} is not supported "
-            f"(expected one of {list(_SUPPORTED_VERSIONS)})"
+            f"(only version {_FORMAT_VERSION} loads)"
         )
-    version = catalog.get("version")
     db = Database()
-    if version >= 4 and memory_budget_bytes is not None:
+    if memory_budget_bytes is not None:
         from repro.storage.buffer_pool import BufferPool
 
         page_size = max(
-            (e["pages"]["page_size"] for e in catalog["tables"] if "pages" in e),
+            (e["pages"]["page_size"] for e in catalog["tables"]),
             default=DEFAULT_PAGE_SIZE,
         )
         db.buffer_pool = BufferPool(memory_budget_bytes, page_size=page_size)
@@ -327,38 +272,8 @@ def load_database(
         table = db.create_table(
             entry["name"], columns, primary_key=entry["primary_key"] or None
         )
-        data_file = entry.get("data_file") or (
-            f"{entry['name']}.cols.json" if version == 3 else f"{entry['name']}.jsonl"
-        )
-        path = os.path.join(directory, "data", data_file)
-        if "pages" in entry:
-            table = _load_pages(db, table, entry, path)
-        else:
-            payload = b""
-            if os.path.exists(path):
-                with open(path, "rb") as fh:
-                    payload = fh.read()
-            want = entry.get("crc32")
-            if want is not None and zlib.crc32(payload) != want:
-                raise CatalogError(
-                    f"data file for table {entry['name']!r} is corrupt: "
-                    f"CRC32 {zlib.crc32(payload)} != cataloged {want} "
-                    f"({path})"
-                )
-            if data_file.endswith(".cols.json"):
-                rows = _decode_columnar(entry["name"], payload, len(columns))
-            else:
-                rows = _decode_rows(payload)
-            table.insert_many(rows)
-        # Optimizer statistics travel with the dump; older dumps (or tables
-        # saved before their first ANALYZE) re-collect on load instead.
-        from repro.relational.engine import AUTO_ANALYZE_MAX_ROWS
-
-        stats_doc = entry.get("stats")
-        if stats_doc is not None:
-            db.stats.load(entry["name"], stats_doc)
-        elif len(table) <= AUTO_ANALYZE_MAX_ROWS:
-            db.stats.analyze(table)
+        path = os.path.join(directory, "data", entry["data_file"])
+        table = _load_pages(db, table, entry, path)
         for index in entry["indexes"]:
             table.create_index(
                 index["name"],

@@ -36,9 +36,8 @@ class QueryOptions:
 
     Attributes:
         use_views: attempt view-based rewriting first.
-        require_rewrite: answer from a view whenever one matches (even
-            when the estimate favours base data) and raise
-            :class:`~repro.errors.NoRewriteError` when none does.
+        require_rewrite: raise :class:`~repro.errors.NoRewriteError`
+            when no view matches (a matching view answers either way).
         algorithm: derivation algorithm (``"auto"`` = cheapest valid).
         variant: relational pattern variant (figs. 10/13).
         mode: derivation route; ``"auto"`` picks by estimated lookups per

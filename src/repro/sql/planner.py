@@ -8,13 +8,11 @@ ORDER BY / LIMIT.
 
 One builder walks a statement in that order and emits the physical
 operators directly, binding every clause against the schema of the
-operator below it.  Each operator is annotated as it is made with its
-estimated cardinality and cumulative cost from the
-:class:`~repro.stats.catalog.StatsCatalog` (``analyze_est``, which EXPLAIN
-ANALYZE shows next to the actuals).  The only choice the builder makes is
-a join's algorithm; a window operator has nothing to decide, because one
-kernel serves every frame and aggregate (DESIGN.md §5m), so statistics
-only feed the estimates.
+operator below it.  The only choice it makes is a join's algorithm — a
+hash join on cross-table equalities, a nested loop without; a window
+operator has nothing to decide, because one kernel serves every frame and
+aggregate (DESIGN.md §5m).  Nothing is estimated: EXPLAIN ANALYZE shows
+the actual rows each operator produced.
 
 Join planning is deliberately modest (the queries at hand join at most a
 few tables): WHERE conjuncts are pushed to single-table filters where
@@ -33,8 +31,8 @@ Two window-execution strategies implement Table 1's comparison:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import BindError, SchemaError, UnsupportedSqlError
 from repro.relational.aggregate import AggSpec, HashAggregate
@@ -62,12 +60,6 @@ from repro.sql.options import QueryOptions
 from repro.sql.parser import parse_query
 from repro.sql.patterns import self_join_window
 from repro.sql.window_exec import RANKING_FUNCS, WindowColumnSpec, WindowOperator
-from repro.stats.collect import TableStats
-from repro.stats.cost import (
-    DEFAULT_SELECTIVITY,
-    CostModel,
-    predicate_selectivity,
-)
 
 __all__ = [
     "build_plan",
@@ -85,10 +77,6 @@ def build_plan(
 ) -> Operator:
     """Build the operator tree of a SELECT (or UNION ALL compound) AST.
 
-    Every operator carries ``analyze_est`` (``{"est_rows": int,
-    "est_cost": float}``); the root's ``planner_notes`` holds one line per
-    window operator.
-
     Args:
         options: the query's :class:`~repro.sql.options.QueryOptions`
             (``window_strategy`` and ``use_index`` matter here).
@@ -98,16 +86,13 @@ def build_plan(
     with runtime.get_tracer().span(
         "query.plan", window_strategy=options.window_strategy
     ):
-        ops = _Operators(db)
-        plan = _build(ops, stmt, options)
-        plan.planner_notes = ops.notes
-        return plan
+        return _build(db, stmt, options)
 
 
-def _build(ops: _Operators, stmt, options: QueryOptions) -> Operator:
+def _build(db: Database, stmt, options: QueryOptions) -> Operator:
     if not isinstance(stmt, CompoundSelect):
-        return _Builder(ops, stmt, options).build()
-    branches = [_build(ops, sub, options) for sub in stmt.selects]
+        return _Builder(db, stmt, options).build()
+    branches = [_build(db, sub, options) for sub in stmt.selects]
     keys = []
     for item in stmt.order_by:
         # The first branch names the union's output columns.
@@ -117,11 +102,11 @@ def _build(ops: _Operators, stmt, options: QueryOptions) -> Operator:
                 "bind to the union's output columns"
             )
         keys.append((item.expr, item.ascending))
-    plan = ops.union_all(branches)
+    plan: Operator = UnionAll(branches)
     if keys:
-        plan = ops.sort(plan, keys)
+        plan = Sort(plan, keys)
     if stmt.limit is not None:
-        plan = ops.limit(plan, stmt.limit)
+        plan = _limit(plan, stmt.limit)
     return plan
 
 
@@ -136,9 +121,8 @@ def _binds(expr: Expr, schema) -> bool:
 class _Builder:
     """Build the operator tree of one SELECT statement."""
 
-    def __init__(self, ops: _Operators, stmt: SelectStmt, options: QueryOptions) -> None:
-        self.ops = ops
-        self.db = ops.db
+    def __init__(self, db: Database, stmt: SelectStmt, options: QueryOptions) -> None:
+        self.db = db
         self.stmt = stmt
         self.options = options
 
@@ -162,7 +146,7 @@ class _Builder:
 
         plan = self._project(plan, from_schema, has_group, window_names)
         if stmt.distinct:
-            plan = self.ops.distinct(plan)
+            plan = Distinct(plan)
         plan = self._order_limit(plan)
         return plan
 
@@ -170,16 +154,15 @@ class _Builder:
 
     def _from_where(self) -> Operator:
         stmt = self.stmt
-        ops = self.ops
         scans: List[Operator] = []
         for t in stmt.tables:
             if t.is_subquery:
                 sub = _build(
-                    ops, t.subquery, replace(self.options, window_strategy="native")
+                    self.db, t.subquery, replace(self.options, window_strategy="native")
                 )
-                scans.append(ops.alias(sub, t.binding))
+                scans.append(Alias(sub, t.binding))
             else:
-                scans.append(ops.scan(self.db.table(t.name), t.binding))
+                scans.append(TableScan(self.db.table(t.name), t.binding))
         conjuncts = _split_and(stmt.where)
 
         # Push single-table conjuncts down to their scan.
@@ -188,7 +171,7 @@ class _Builder:
             pushed = False
             for i, scan in enumerate(scans):
                 if _binds(conj, scan.schema):
-                    scans[i] = ops.filter(scan, conj)
+                    scans[i] = _filter(scan, conj)
                     pushed = True
                     break
             if not pushed:
@@ -210,14 +193,17 @@ class _Builder:
                 else:
                     residual.append(conj)
             res = And(*residual) if residual else None
-            plan = ops.join(plan, scan, eq_left, eq_right, res)
+            if eq_left:
+                plan = HashJoin(plan, scan, eq_left, eq_right, residual=res)
+            else:
+                plan = NestedLoopJoin(plan, scan, res)
         if remaining:
             leftover = And(*remaining) if len(remaining) > 1 else remaining[0]
             if not _binds(leftover, plan.schema):
                 raise BindError(
                     f"WHERE clause references unknown columns: {leftover}"
                 )
-            plan = ops.filter(plan, leftover)
+            plan = _filter(plan, leftover)
         return plan
 
     # -- GROUP BY / aggregates --------------------------------------------------------
@@ -240,7 +226,7 @@ class _Builder:
                 continue  # evaluated after grouping, over the aggregate output
             elif item.star:
                 raise UnsupportedSqlError("SELECT * cannot be combined with GROUP BY")
-        plan = self.ops.aggregate(plan, group_outputs, agg_specs)
+        plan = HashAggregate(plan, group_outputs, agg_specs)
 
         if stmt.having is not None:
             if not _binds(stmt.having, plan.schema):
@@ -248,7 +234,7 @@ class _Builder:
                     "HAVING must reference grouping columns or aggregate "
                     "aliases from the select list"
                 )
-            plan = self.ops.filter(plan, stmt.having)
+            plan = _filter(plan, stmt.having)
         return plan
 
     # -- reporting functions -------------------------------------------------------------
@@ -287,7 +273,7 @@ class _Builder:
                     range_frame=range_frame,
                 )
             )
-        return self.ops.window(plan, specs), names
+        return WindowOperator(plan, specs), names
 
     def _selfjoin_query(self, calls: Sequence[WindowCall]) -> Operator:
         """Table 1's "self join method": fig. 2 instead of the window operator.
@@ -343,7 +329,7 @@ class _Builder:
             use_index=self.options.use_index,
             output_name=out_name,
         )
-        return self._order_limit(self.ops.pattern(pattern))
+        return self._order_limit(pattern)
 
     # -- projection / ordering ---------------------------------------------------------------
 
@@ -399,7 +385,7 @@ class _Builder:
         # were not projected (standard SQL allows ordering by them).
         self._projection_child = plan
         self._projection_outputs = final
-        return self.ops.project(plan, final)
+        return Project(plan, final)
 
     def _order_limit(self, plan: Operator) -> Operator:
         stmt = self.stmt
@@ -432,9 +418,9 @@ class _Builder:
             if hidden:
                 plan = self._sort_with_hidden_columns(keys, plan.schema)
             else:
-                plan = self.ops.sort(plan, keys)
+                plan = Sort(plan, keys)
         if stmt.limit is not None:
-            plan = self.ops.limit(plan, stmt.limit)
+            plan = _limit(plan, stmt.limit)
         return plan
 
     def _sort_with_hidden_columns(
@@ -452,217 +438,34 @@ class _Builder:
                 hidden_name = f"__ord_{i}"
                 extended.append((expr, hidden_name))
                 rewritten_keys.append((col(hidden_name), asc))
-        ops = self.ops
-        wide = ops.project(self._projection_child, extended)
-        ordered = ops.sort(wide, rewritten_keys)
-        return ops.project(ordered, [(col(name), name) for name in visible])
+        wide = Project(self._projection_child, extended)
+        ordered = Sort(wide, rewritten_keys)
+        return Project(ordered, [(col(name), name) for name in visible])
 
 
-# -- operators and their estimates ----------------------------------------------------
+# -- operators with a pushdown -----------------------------------------------------
 
 
-@dataclass
-class _Est:
-    """An operator's estimate: output rows, cumulative cost and — for
-    single-table subtrees — the base table's statistics for
-    selectivity/NDV lookups."""
-
-    rows: float
-    cost: float
-    table: Optional[TableStats] = None
-    # Under a chain of filters: its input rows and the predicates so far.
-    filtered: Optional[Tuple[float, Tuple[Expr, ...]]] = None
-
-
-class _Operators:
-    """Make one plan's physical operators, each annotated with its
-    estimate (``analyze_est``) as it is made, from its children's."""
-
-    def __init__(self, db: Database) -> None:
-        self.db = db
-        self.cost_model = CostModel()
-        self.notes: List[str] = []
-        self._est: Dict[Operator, _Est] = {}
-
-    def _emit(self, op: Operator, est: _Est) -> Operator:
-        rows = max(int(round(est.rows)), 0)
-        op.analyze_est = {"est_rows": rows, "est_cost": round(est.cost, 1)}
-        self._est[op] = est
-        return op
-
-    # -- leaves --------------------------------------------------------------
-
-    def scan(self, table, binding: Optional[str]) -> Operator:
-        stats = self.db.stats.get(table.name)
-        rows = float(stats.row_count) if stats is not None else float(len(table))
-        # Chunks on pages pay per-page fault-in on top of the per-row cost,
-        # so the planner prefers plans touching fewer pages.
-        pages = float(table.pages_total)
-        est = _Est(rows, self.cost_model.scan_cost(rows, pages=pages), stats)
-        return self._emit(TableScan(table, binding), est)
-
-    def pattern(self, plan: Operator) -> Operator:
-        rows = float(_pattern_rows(plan))
-        # Pattern subtrees are opaque to the cost model: nominal cost.
-        return self._emit(plan, _Est(rows, self.cost_model.scan_cost(rows)))
-
-    # -- unary relational operators ------------------------------------------
-
-    def alias(self, child: Operator, alias: str) -> Operator:
-        return self._emit(Alias(child, alias), self._est[child])
-
-    def filter(self, child: Operator, predicate: Expr) -> Operator:
-        est = self._est[child]
-        # Stacked filters are one conjunction: estimated together (two
-        # bounds on a column are a range, not independent predicates) ...
-        base, conjuncts = est.filtered or (est.rows, ())
-        conjuncts += (predicate,)
-        rows = base * predicate_selectivity(And(*conjuncts), est.table)
-        cost = est.cost + self.cost_model.filter_cost(est.rows)
-        op = Filter(child, predicate)
-        # ... and, directly over a scan, all tested against its page zones.
-        scan = child
-        while isinstance(scan, Filter):
-            scan = scan.child
-        if isinstance(scan, TableScan) and op.mask_terms is not None:
-            scan.zone_terms.extend(op.mask_terms)
-        return self._emit(op, _Est(rows, cost, est.table, (base, conjuncts)))
-
-    def project(self, child: Operator, outputs: Sequence[Tuple[Expr, str]]) -> Operator:
-        est = self._est[child]
-        cost = est.cost + self.cost_model.project_cost(est.rows)
-        # Projection renames break the column->stats mapping.
-        return self._emit(Project(child, outputs), _Est(est.rows, cost))
-
-    def distinct(self, child: Operator) -> Operator:
-        est = self._est[child]
-        cost = est.cost + self.cost_model.distinct_cost(est.rows)
-        return self._emit(Distinct(child), _Est(est.rows, cost))
-
-    def sort(self, child: Operator, keys: Sequence[Tuple[Expr, bool]]) -> Operator:
-        est = self._est[child]
-        cost = est.cost + self.cost_model.sort_cost(est.rows)
-        return self._emit(Sort(child, keys), _Est(est.rows, cost, est.table))
-
-    def limit(self, child: Operator, limit: int) -> Operator:
-        est = self._est[child]
-        # A bare LIMIT bounds the rows its scan reads.
-        scan = child
-        while isinstance(scan, (Project, Alias)):  # one row out per row in
-            scan = scan.child
-        if isinstance(scan, TableScan):
-            scan.row_bound = limit
-        rows = min(est.rows, float(limit))
-        return self._emit(Limit(child, limit), _Est(rows, est.cost, est.table))
-
-    def aggregate(
-        self,
-        child: Operator,
-        group_outputs: Sequence[Tuple[Expr, str]],
-        agg_specs: Sequence[AggSpec],
-    ) -> Operator:
-        est = self._est[child]
-        if not group_outputs:
-            groups = 1.0
-        else:
-            groups = _ndv_product((expr for expr, _ in group_outputs), est.table)
-            if groups is None:
-                # Unknown grouping cardinality: the square-root heuristic.
-                groups = max(1.0, est.rows**0.5)
-            groups = min(groups, max(est.rows, 1.0))
-        cost = est.cost + self.cost_model.aggregate_cost(est.rows)
-        op = HashAggregate(child, group_outputs, agg_specs)
-        return self._emit(op, _Est(groups, cost))
-
-    # -- joins / unions ------------------------------------------------------
-
-    def join(
-        self,
-        left: Operator,
-        right: Operator,
-        eq_left: Sequence[Expr],
-        eq_right: Sequence[Expr],
-        residual: Optional[Expr],
-    ) -> Operator:
-        """A hash join on the cross-side equalities, a nested loop without."""
-        lest, rest = self._est[left], self._est[right]
-        product = lest.rows * rest.rows
-        if eq_left:
-            ndv_l = _ndv_product(eq_left, lest.table)
-            ndv_r = _ndv_product(eq_right, rest.table)
-            denom = max(ndv_l or 1.0, ndv_r or 1.0)
-            rows = product / max(denom, 1.0)
-            if residual is not None:
-                rows *= DEFAULT_SELECTIVITY
-            join_cost = self.cost_model.hash_join_cost(lest.rows, rest.rows)
-            op: Operator = HashJoin(left, right, eq_left, eq_right, residual=residual)
-        else:
-            rows = product * (DEFAULT_SELECTIVITY if residual is not None else 1.0)
-            join_cost = self.cost_model.nested_join_cost(lest.rows, rest.rows)
-            op = NestedLoopJoin(left, right, residual)
-        return self._emit(op, _Est(rows, lest.cost + rest.cost + join_cost))
-
-    def union_all(self, branches: Sequence[Operator]) -> Operator:
-        rows = cost = 0.0
-        for branch in branches:
-            est = self._est[branch]
-            rows += est.rows
-            cost += est.cost
-        return self._emit(UnionAll(branches), _Est(rows, cost))
-
-    # -- the window operator -------------------------------------------------
-
-    def window(self, child: Operator, specs: Sequence[WindowColumnSpec]) -> Operator:
-        est = self._est[child]
-        rows = est.rows
-        groups = self._estimate_groups(specs, est)
-        wcost = len(specs) * self.cost_model.window_cost(rows)
-        self.notes.append(
-            f"window[{','.join(s.name for s in specs)}]: serial "
-            f"(est_rows={int(rows)}, est_groups={int(groups)}, "
-            f"est_cost={wcost:.1f})"
-        )
-        op = WindowOperator(child, specs)
-        return self._emit(op, _Est(rows, est.cost + wcost, est.table))
-
-    def _estimate_groups(self, specs, est: _Est) -> float:
-        """Estimated PARTITION BY group count (max over the window specs)."""
-        worst = 1.0
-        for spec in specs:
-            if not spec.partition_by:
-                continue
-            ndv = _ndv_product(spec.partition_by, est.table)
-            if ndv is None:
-                ndv = max(1.0, est.rows**0.5)
-            worst = max(worst, min(ndv, max(est.rows, 1.0)))
-        return worst
+def _filter(child: Operator, predicate: Expr) -> Filter:
+    """A filter; directly over a scan (through stacked filters) its
+    conjuncts are also tested against the scan's page zones."""
+    op = Filter(child, predicate)
+    scan = child
+    while isinstance(scan, Filter):
+        scan = scan.child
+    if isinstance(scan, TableScan) and op.mask_terms is not None:
+        scan.zone_terms.extend(op.mask_terms)
+    return op
 
 
-def _ndv_product(exprs, table_stats: Optional[TableStats]) -> Optional[float]:
-    """Product of the NDVs of plain column references; None when unknown."""
-    if table_stats is None:
-        return None
-    product = 1.0
-    for expr in exprs:
-        if not isinstance(expr, ColumnRef):
-            return None
-        col_stats = table_stats.column(expr.name)
-        if col_stats is None:
-            return None
-        product *= max(col_stats.ndv, 1)
-    return product
-
-
-def _pattern_rows(plan: Operator) -> int:
-    """Row estimate for an opaque pattern subtree: its largest base table."""
-    best = 0
-    stack = [plan]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, TableScan):
-            best = max(best, len(node.table))
-        stack.extend(node.children())
-    return best
+def _limit(child: Operator, limit: int) -> Limit:
+    """A LIMIT; a bare one also bounds the rows its scan reads."""
+    scan = child
+    while isinstance(scan, (Project, Alias)):  # one row out per row in
+        scan = scan.child
+    if isinstance(scan, TableScan):
+        scan.row_bound = limit
+    return Limit(child, limit)
 
 
 # -- helpers ------------------------------------------------------------------------

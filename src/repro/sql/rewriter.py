@@ -2,9 +2,9 @@
 
 Given a parsed reporting-function query and the warehouse's registered
 views, :func:`plan_rewrite` makes the one rewrite decision — (1) asks the
-matcher for candidate views and takes the cheapest, (2) declines it when
-fresh statistics say a base-table recompute is cheaper, (3) picks the
-derivation algorithm and (4) the route:
+matcher for candidate views and takes the cheapest (a matching view
+always answers, in every tier), (2) picks the derivation algorithm and
+(3) the route:
 
 * **relational**: the fig. 10 / fig. 13 operator patterns against the
   view's storage table (the route the paper's evaluation measures),
@@ -57,7 +57,6 @@ from repro.views.materialized import MaterializedSequenceView
 __all__ = [
     "RewriteInfo",
     "RewritePlan",
-    "estimate_route_costs",
     "plan_rewrite",
     "try_rewrite",
 ]
@@ -172,11 +171,10 @@ def plan_rewrite(
 ) -> Optional[RewritePlan]:
     """Decide whether and how ``stmt`` is answered from a view.
 
-    Returns ``None`` when the statement shape is not rewritable, no view
-    matches, or — for a direct match, with fresh base-table statistics and
-    without ``require_rewrite`` — the estimate says a base-table recompute
-    is cheaper: a derivation whose per-position work grows with the
-    sequence length (raw reconstruction, prefix tiling) loses at scale.
+    Returns ``None`` when the statement shape is not rewritable or no view
+    matches.  A matching view always answers: the decision reads only the
+    statement and the view definitions, so every tier routes a query the
+    same way.
 
     Raises:
         DerivationError: a forced ``algorithm`` cannot derive the target,
@@ -188,98 +186,11 @@ def plan_rewrite(
         return None
     matches = rank_matches(shape, list(views))
     if matches:
-        match = matches[0]
-        # Only a direct match is interchangeable with the base route: a
-        # section-6 ordering reduction answers one row per remaining
-        # ordering value, which the native plan does not reproduce.
-        if (
-            match.kind == "direct"
-            and not options.require_rewrite
-            and not _view_route_wins(db, shape, match)
-        ):
-            return None
-        step = _plan_step(db, shape, match, options)
+        step = _plan_step(db, shape, matches[0], options)
         return RewritePlan(stmt, shape, step.info, (step,))
     if shape.func == "AVG":
         return _plan_avg_combination(db, stmt, shape, views, options)
     return None
-
-
-def _view_route_wins(db: Database, shape: QueryShape, match: Match) -> bool:
-    """Cost-compare the matched view route against a base-table recompute.
-
-    True (keep the rewrite) when statistics are absent or stale, or when
-    the view's estimated cost is no worse.
-    """
-    costs = estimate_route_costs(db, shape, match)
-    if costs is None:
-        return True
-    view_cost, base_cost = costs
-    return view_cost <= base_cost
-
-
-def estimate_route_costs(
-    db: Database, shape: QueryShape, match: Match
-) -> Optional[Tuple[float, float]]:
-    """``(view_cost, base_cost)`` in cost-model units, or None without
-    fresh statistics for the base table.
-
-    The base route is scan + partition sort + window kernel; the view
-    route is a storage scan plus the derivation's per-position lookups
-    (MaxOA touches at most 3 shifted values per position, MinOA one
-    sub-window tiling, reconstruction/prefix a whole O(n/Wx) chain).
-    """
-    from repro.stats.cost import CostModel
-
-    try:
-        base_table = db.table(shape.base_table)
-    except Exception:  # pragma: no cover - matcher validated the table
-        return None
-    stats = db.stats.fresh(base_table)
-    if stats is None:
-        return None
-    n = float(stats.row_count)
-    cm = CostModel()
-
-    # Chunks on pages pay per-page fault-in; resident ones don't.
-    base_cost = (
-        cm.scan_cost(n, pages=float(base_table.pages_total))
-        + cm.sort_cost(n)
-        + cm.window_cost(n)
-    )
-    try:
-        storage = db.table(match.view.definition.storage_table)
-        storage_pages = float(storage.pages_total)
-    except Exception:
-        storage_pages = 0.0
-    view_cost = (
-        cm.scan_cost(n, pages=storage_pages)
-        + _per_position_lookups(shape, match, n) * n
-    )
-    return view_cost, base_cost
-
-
-def _per_position_lookups(shape: QueryShape, match: Match, n: float) -> float:
-    """Sequence-value lookups per output position for one match."""
-    d_window = match.view.definition.window
-    view_width = float(d_window.width) if d_window.is_sliding else 1.0
-    if match.kind != "direct" or match.derivation is None:
-        # Reductions reconstruct raw data first (section 6).
-        return max(n / (2.0 * view_width), 1.0)
-    algo = match.derivation.algorithm
-    if algo == "identity":
-        return 1.0
-    if algo == "maxoa":
-        return 3.0  # values at k-Δl, k, k+Δh
-    if algo == "minoa":
-        target_width = (
-            float(shape.window.width) if shape.window.is_sliding else 1.0
-        )
-        return target_width / view_width + 1.0
-    if algo == "cumulative":
-        return 2.0  # x̃_{k+h} - x̃_{k-l-1}
-    # reconstruct / prefix: an O(n/Wx) telescoping chain per position.
-    return max(n / (2.0 * view_width), 1.0)
 
 
 def _plan_avg_combination(

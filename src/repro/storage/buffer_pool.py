@@ -11,8 +11,8 @@ A :class:`PageChunk` is a column chunk
 (:class:`~repro.columns.column.ColumnBuilder`) that is not resident: the
 slices of the pages under its slots, pinned on every read and written
 through :meth:`BufferPool.set_value`.  A 4 KiB int64/float64 page *is* one
-chunk; a denser page (``bool``, a smaller page size, ``RPG4``) is sliced
-by the chunks it spans.
+chunk; a denser page (``bool``, a smaller page size) is sliced by the
+chunks it spans.
 
 Lifecycle of a page:
 
@@ -59,7 +59,7 @@ from repro.columns import Column
 from repro.columns.column import Chunk, keep_range
 from repro.errors import PageCapacityError, PageCorruptError
 from repro.storage.page import (
-    HEADER_SIZE, JSON_PAGE_MAGIC, chunk_payload, decode_chunk, decode_page, encode_page,
+    HEADER_SIZE, chunk_payload, decode_chunk, decode_page, encode_page,
 )
 from repro.storage.pager import OverlayFile, PageFile
 
@@ -130,9 +130,8 @@ class PageRef:
         payload = decode_page(
             raw, self.page_no, self.file.page_size, expect_crc=expect_crc, context=context,
         )
-        is_json = raw[:4] == JSON_PAGE_MAGIC
-        doc, column = decode_chunk(payload, self.kind if is_json else None)
-        if (doc["r"], doc["n"]) != (self.start, self.rows) or doc["kind"] not in (None, self.kind):
+        doc, column = decode_chunk(payload)
+        if (doc["r"], doc["n"], doc["kind"]) != (self.start, self.rows, self.kind):
             raise PageCorruptError(
                 f"page {self.page_no} of {self.table}.{self.column} chunk "
                 f"header {doc['kind']} [{doc['r']},+{doc['n']}) disagrees with "
@@ -317,8 +316,8 @@ class BufferPool:
 
         Raises:
             PageCapacityError: the value is not of the page's kind, or the
-                re-encoded chunk over-fills the page (an ``object`` page,
-                or one loaded from a denser JSON page); nothing is changed
+                re-encoded chunk over-fills the page (an ``object``
+                page); nothing is changed
                 (the column builder then copies the chunk into memory).
         """
         frame = self.pin(ref)

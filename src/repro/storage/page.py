@@ -22,11 +22,9 @@ of :mod:`repro.columns.codec` without the base64::
     object kind:       a JSON value list (NULL is null, dates {"$date": ..})
 
 so a fixed-width page decodes by ``numpy.frombuffer`` with no per-value
-work, and a float is its eight bytes.  ``RPG4`` pages (a JSON document
-``{"r", "n", "values", "validity"}``) are still decoded, never written.
-The catalog version did not change with the magic: the catalog's shape is
-the same, a reader tells the payloads apart page by page, and every write
-(save, overlay write-back, ``repro migrate``) produces ``RPG5``.
+work, and a float is its eight bytes.  Every write (save, overlay
+write-back) produces ``RPG5``, and a page with any other magic is
+corrupt.
 
 Pages are self-validating (header CRC) *and* cross-checked against the
 per-page CRC recorded in the catalog's page directory at save time, so a
@@ -39,7 +37,6 @@ zone a scan tests before it reads the page
 
 from __future__ import annotations
 
-import base64
 import json
 import struct
 import zlib
@@ -55,7 +52,6 @@ __all__ = [
     "DEFAULT_PAGE_SIZE",
     "HEADER",
     "HEADER_SIZE",
-    "JSON_PAGE_MAGIC",
     "PAGE_MAGIC",
     "chunk_payload",
     "decode_chunk",
@@ -68,7 +64,6 @@ __all__ = [
 ]
 
 PAGE_MAGIC = b"RPG5"
-JSON_PAGE_MAGIC = b"RPG4"  # read-only
 HEADER = struct.Struct("<4sIII")  # magic, page_no, payload_len, crc32
 HEADER_SIZE = HEADER.size
 CHUNK = struct.Struct("<BBxxIQ")  # kind, has a validity bitmap, rows, first row
@@ -98,25 +93,10 @@ def chunk_payload(start: int, column: Column) -> bytes:
     return CHUNK.pack(KINDS.index(kind), valid is not None, len(column), start) + body
 
 
-def _decode_json_chunk(payload: bytes, kind: str) -> Tuple[dict, Column]:
-    """An ``RPG4`` payload; its validity bitmap is authoritative."""
-    doc = json.loads(payload.decode("utf-8"))
-    values = [decode_value(v) for v in doc["values"]]
-    packed = doc.get("validity")
-    if packed is not None:
-        bits = base64.b64decode(packed)
-        for i in range(len(values)):
-            if not (bits[i >> 3] >> (i & 7)) & 1:
-                values[i] = None
-    return {"r": doc["r"], "n": doc["n"], "kind": None}, Column.from_values(values, kind)
-
-
-def decode_chunk(payload: bytes, json_kind: Optional[str] = None) -> Tuple[dict, Column]:
+def decode_chunk(payload: bytes) -> Tuple[dict, Column]:
     """Decode a page payload back to ``(header_doc, column)``.
 
-    ``json_kind`` is given for the payload of an ``RPG4`` page: the kind to
-    build its values as.  ``header_doc`` is ``{"r": first row, "n": rows,
-    "kind": kind}`` (kind ``None`` for a JSON page, which names none).  The
+    ``header_doc`` is ``{"r": first row, "n": rows, "kind": kind}``.  The
     buffers of a fixed-width column are read-only views of ``payload``.
 
     Raises:
@@ -125,8 +105,6 @@ def decode_chunk(payload: bytes, json_kind: Optional[str] = None) -> Tuple[dict,
             length disagrees with the row count.
     """
     try:
-        if json_kind is not None:
-            return _decode_json_chunk(payload, json_kind)
         code, has_valid, rows, start = CHUNK.unpack_from(payload)
         kind = KINDS[code]
         doc = {"r": start, "n": rows, "kind": kind}
@@ -181,7 +159,7 @@ def decode_page(
             f"page {page_no} is truncated: {len(raw)} bytes{where}"
         )
     magic, stored_no, length, crc = HEADER.unpack_from(raw)
-    if magic not in (PAGE_MAGIC, JSON_PAGE_MAGIC):
+    if magic != PAGE_MAGIC:
         raise PageCorruptError(f"page {page_no} has bad magic {magic!r}{where}")
     if stored_no != page_no:
         raise PageCorruptError(

@@ -9,16 +9,13 @@ Paths:
 ``naive``            explicit form, O(W) per position (§2.2)
 ``pipelined``        recursive form, O(1) amortised per position (§2.2)
 ``vectorized``       the NumPy window kernel (the one the engine runs)
-``engine``           full SQL stack: parse -> plan -> WindowOperator, planned
-                     from the fresh statistics ``insert`` collected
-``engine-nostats``   same, with the statistics cleared first (as a served
-                     snapshot plans; plan and results must match)
+``engine``           full SQL stack: parse -> plan -> WindowOperator
 ``engine-paged``     same, on a v4 paged store loaded behind a small
                      buffer-pool budget (out-of-core reads + spilling)
 ``view-maxoa``       materialized view one step *narrower*, MaxOA (§4)
 ``view-minoa``       materialized view one step *wider*, MinOA (§5)
 ``view-default``     a view answered with default options: the algorithm
-                     and route the planner picks for served traffic
+                     and route every tier picks
 
 Multi-window cases (``case.extra_windows``) run on the core and engine
 paths with result keys ``(g, pos, column)``; the view paths return None
@@ -31,7 +28,7 @@ into storage (the ``bitflip`` fault) is visible to the differ, not just to
 ``verify_view``; MIN/MAX derivations and prefix tiling fall back to the
 in-memory form the engine provides.  ``view-default`` passes no option,
 so the SUM-family derivations run the in-memory recursive kernels unless
-the route estimate prefers the pattern.  All three call
+the lookups-per-position estimate prefers the pattern.  All three call
 :func:`repro.faults.injector.verify_hook` on the freshly materialized view
 first: that is the testkit's storage fault point, reusing the ``verify``
 site so existing fault plans work unchanged.
@@ -98,11 +95,9 @@ def path_vectorized(case: FuzzCase) -> ResultMap:
     return _core_path(case, compute_vectorized)
 
 
-def _engine_path(case: FuzzCase, stats: bool = True, paged: bool = False) -> ResultMap:
+def _engine_path(case: FuzzCase, paged: bool = False) -> ResultMap:
     """The full SQL stack against the in-process relational engine.
 
-    The dataset is auto-ANALYZEd on insert, so the planner estimates from
-    fresh statistics unless ``stats=False`` clears them first.
     With ``paged=True`` the dataset takes a detour through the v4 paged
     dump format: saved with a small page size, reloaded behind a buffer
     pool with a deliberately tiny memory budget, and queried out of core
@@ -114,8 +109,6 @@ def _engine_path(case: FuzzCase, stats: bool = True, paged: bool = False) -> Res
     wh = DataWarehouse()
     wh.create_table("t", [("g", INTEGER), ("pos", INTEGER), ("val", FLOAT)])
     wh.insert("t", list(case.rows))
-    if not stats:
-        wh.db.stats.clear()
     if paged:
         import tempfile
 
@@ -139,17 +132,8 @@ def _engine_path(case: FuzzCase, stats: bool = True, paged: bool = False) -> Res
 
 
 def path_engine(case: FuzzCase) -> ResultMap:
-    """The full SQL stack, serial: parse -> plan -> WindowOperator.
-
-    Statistics are fresh, so every estimate comes from the catalog.
-    """
+    """The full SQL stack, serial: parse -> plan -> WindowOperator."""
     return _engine_path(case)
-
-
-def path_engine_nostats(case: FuzzCase) -> ResultMap:
-    """The full SQL stack with no statistics, as a served snapshot plans:
-    same plan and same rows as ``engine``, estimates from table lengths."""
-    return _engine_path(case, stats=False)
 
 
 def path_engine_paged(case: FuzzCase) -> ResultMap:
@@ -224,9 +208,6 @@ def _view_path(
         f"OVER ({over} {case.window.to_frame_sql()}) AS w FROM t"
     )
     if algorithm is None:
-        # Served reads plan without statistics, so no estimate declines the
-        # view for the base route.
-        wh.db.stats.clear()
         options = {}
     else:
         if case.window.is_cumulative or case.aggregate_name == "AVG":
@@ -281,7 +262,6 @@ PATHS: Dict[str, PathFn] = {
     "pipelined": path_pipelined,
     "vectorized": path_vectorized,
     "engine": path_engine,
-    "engine-nostats": path_engine_nostats,
     "engine-paged": path_engine_paged,
     "view-maxoa": path_view_maxoa,
     "view-minoa": path_view_minoa,

@@ -22,6 +22,7 @@ recommendation carries its per-query plan so the DBA can audit the choice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -128,7 +129,7 @@ def _query_cost(
 ) -> Optional[QueryPlanCost]:
     try:
         dplan = derivation_plan(candidate, query.window, minmax=query.minmax)
-        # With statistics, the explicit form's formula at the real length
+        # With a row count, the explicit form's formula at the real length
         # instead of the normalised n=1000 ranking number.
         lookups = (
             dplan.explicit_lookups(row_count) * row_count
@@ -140,15 +141,10 @@ def _query_cost(
         if fallback_cost is None:
             return None
         if row_count is not None:
-            # Statistics-informed fallback: recomputing from base data costs
-            # one scan + sort + window pass over the real table.
-            from repro.stats.cost import CostModel
-
-            cm = CostModel()
+            # Recomputing from base data costs one scan (n), one partition
+            # sort (0.6 n log2 n) and one window pass (n) over the table.
             n = float(row_count)
-            fallback_cost = (
-                cm.scan_cost(n) + cm.sort_cost(n) + cm.window_cost(n)
-            )
+            fallback_cost = n + 0.6 * n * math.log2(max(n, 2.0)) + n
         return QueryPlanCost(query, "fallback", fallback_cost * query.weight)
 
 
@@ -165,7 +161,7 @@ def recommend(
         top: number of recommendations to return.
         fallback_cost: cost charged for queries the candidate cannot serve
             (None = such candidates are disqualified entirely).
-        row_count: actual base-sequence length from table statistics; when
+        row_count: the base table's row count (``len(table)``); when
             given, per-query costs are evaluated at this length (and the
             fallback is priced as a real base recompute) instead of the
             normalised n=1000 ranking numbers.

@@ -60,8 +60,9 @@ class QueryResult(Result):
 
     rewrite: Optional[RewriteInfo] = None
     epoch: Optional[int] = None
-    # Cardinality q-error max(est/actual, actual/est) of the root operator's
-    # estimate — set for natively planned queries, None for rewrites.
+    # Always None: nothing estimates cardinalities.  Kept because the
+    # end-to-end benchmark's tracer (benchmarks/e2e/tracing.py,
+    # _note_query) reads it.
     q_error: Optional[float] = None
     # Distributed tracing: the trace id of the span tree this query ran
     # under (None when tracing is off or the trace was unsampled).  The
@@ -183,9 +184,6 @@ class DataWarehouse:
             )
         view = MaterializedSequenceView(self.db, definition, complete=complete)
         self.views[name] = view
-        # Views materialize through direct table writes (bypassing the
-        # insert() auto-ANALYZE), so collect storage-table stats here.
-        self.db.analyze(definition.storage_table)
         return view
 
     def create_views_for_query(
@@ -264,7 +262,6 @@ class DataWarehouse:
         except Exception as exc:
             self.quarantine_view(name, f"refresh failed: {exc}")
             raise
-        self.db.analyze(view.definition.storage_table)
 
     # -- quarantine & repair -----------------------------------------------------
 
@@ -350,7 +347,6 @@ class DataWarehouse:
                 elapsed,
                 rewrite=info.description if info is not None else None,
                 summary=result.stats.summary(),
-                q_error=result.q_error,
                 trace_id=result.trace_id,
             )
         return result
@@ -363,7 +359,7 @@ class DataWarehouse:
         if isinstance(stmt, CompoundSelect):
             # UNION ALL compounds are evaluated natively (branch rewriting
             # would need per-branch provenance; run them against base data).
-            return self._run_native(self._native_plan(stmt, options))
+            return self._run_native(stmt, options)
         healthy = self.healthy_views()
         if options.use_views and healthy:
             try:
@@ -394,21 +390,14 @@ class DataWarehouse:
                 "no materialized view can answer this query "
                 f"(registered: {sorted(self.views)})"
             )
-        return self._run_native(self._native_plan(stmt, options))
+        return self._run_native(stmt, options)
 
     def _native_plan(self, stmt, options: QueryOptions):
         return build_plan(self.db, stmt, options)
 
-    def _run_native(self, plan) -> "QueryResult":
-        """Run a native plan and attach the root operator's cardinality
-        q-error (estimated vs returned rows)."""
-        result = QueryResult.wrap(self.db.run(plan), None)
-        est = getattr(plan, "analyze_est", None)
-        if est is not None:
-            est_rows = max(float(est["est_rows"]), 1.0)
-            actual = max(float(len(result)), 1.0)
-            result.q_error = max(est_rows / actual, actual / est_rows)
-        return result
+    def _run_native(self, stmt, options: QueryOptions) -> "QueryResult":
+        """Answer from base data: the native plan, run."""
+        return QueryResult.wrap(self.db.run(self._native_plan(stmt, options)), None)
 
     def _plan_rewrite(self, stmt, options: QueryOptions):
         """The rewrite plan ``query`` would run, or None for the native
@@ -687,9 +676,8 @@ class DataWarehouse:
         Queries that are not rewritable reporting-function shapes (joins,
         GROUP BY, expression arguments, ...) are ignored.
 
-        When the base table has collected statistics, each group's costs
-        are evaluated at the real row count rather than the advisor's
-        normalised length.
+        When the base table exists, each group's costs are evaluated at its
+        row count rather than the advisor's normalised length.
         """
         from repro.views.advisor import WorkloadQuery, recommend
         from repro.views.matcher import QueryShape
@@ -719,9 +707,6 @@ class DataWarehouse:
                 )
             )
         def _rows(base_table: str) -> Optional[int]:
-            stats = self.db.stats.get(base_table)
-            if stats is not None:
-                return stats.row_count
             try:
                 return len(self.db.table(base_table))
             except CatalogError:

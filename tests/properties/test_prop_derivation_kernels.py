@@ -282,7 +282,6 @@ def test_avg_combination_and_partitioning_reduction(sizes, target, seed):
             f"mv_{func.lower()}",
             f"SELECT g, pos, {func}(val) OVER (PARTITION BY g ORDER BY pos "
             f"{frame}) w FROM t")
-    wh.db.stats.clear()
 
     avg = (f"SELECT g, pos, AVG(val) OVER (PARTITION BY g ORDER BY pos "
            f"{target.to_frame_sql()}) w FROM t ORDER BY g, pos")
@@ -315,7 +314,6 @@ def test_avg_combination_and_partitioning_reduction(sizes, target, seed):
             f"md_{func.lower()}",
             f"SELECT g, day, tag, {func}(val) OVER (PARTITION BY g ORDER BY day, "
             f"tag {frame}) w FROM d")
-    wh.db.stats.clear()
     frame_sql = target.to_frame_sql()
     for kind, sql in (
         ("avg_combination", f"SELECT g, day, tag, AVG(val) OVER (PARTITION BY g "

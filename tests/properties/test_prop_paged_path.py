@@ -14,11 +14,8 @@ same ``c1:`` state digest, with views rehydrated from the dump or
 recomputed, and after a logged warehouse is cut by a crash and recovered.
 """
 
-import base64
 import datetime
-import json
 import struct
-import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -227,85 +224,3 @@ def test_a_logged_warehouse_cut_by_a_crash_recovers_its_acked_state(tmp_path):
         assert report.warehouse.query(VIEW).rows == answer
     finally:
         report.warehouse.wal.close()
-
-
-# -- a dump of JSON pages still loads -------------------------------------------------
-
-# `save_database(db, d, format_version=4, page_size=256)` at the commit before
-# binary pages, for 24 rows of t(pos INTEGER PRIMARY KEY, val FLOAT, tag TEXT):
-# data/t.pages (seven RPG4 pages, zlib + base64) and catalog.json without its stats.
-RPG4_PAGES = (
-    "eNrNlLtKA0EUhuO18AVsrKb1sMyZ2VsW0ikKNhobQSxiEiSwREk2CSLpLLXVIgiWttb2doLgK/gSdv7ZRMzs"
-    "BRQSyIF/z+78M8N85wxb3t+xC4hT6O1jrXUlIhFAJKrIF+dtvLVEIEk0RcAuiW4l7NTbIjhmUqTJJodc8sin"
-    "IrEkZmJFrIltYofYPYlXNGqN6FIEzU4Y9gtzFWXwLyAfQjfuoJvDPyRHAfxJfo/YJy6SkqRQDEVKk7LnHTiD"
-    "fxH5Cdp4vH4w+UEy2f9JfGnpRJC03EQQW7gT6ZnDupCCp5Keg6HEJo5RUuH1SiXRnyb/EvI9FD47zRx+P8Wv"
-    "cfoYQ6fOSzY8O0mGEXOeN1rvJCeauN2DaeJm8i8j30Gb67uvOfwZ999J4bjAdq3MXnuwvJTlpbbwLWniF3sz"
-    "xY/5V5BvoZejz22TP6qc5f7/RMTwIjV8SDHC/P2M3fHYz2fsjsdSa03smq7OFNvgX0WuQ19be+85/Bn9/yNr"
-    "gmvG7fx3fANW4fpb"
-)
-RPG4_CATALOG = (
-    '{"version":4,"tables":[{"name":"t","columns":[{"name":"pos","type":"INTEGER"},{"name'
-    '":"val","type":"FLOAT"},{"name":"tag","type":"TEXT"}],"primary_key":["pos"],"indexes'
-    '":[],"data_file":"t.pages","pages":{"page_size":256,"num_rows":24,"columns":{"pos":['
-    '{"page":0,"start":0,"rows":16,"crc32":1913312205},{"page":1,"start":16,"rows":8,"crc'
-    '32":1989883532}],"val":[{"page":2,"start":0,"rows":8,"crc32":2642714652},{"page":3,"'
-    'start":8,"rows":8,"crc32":1849012588},{"page":4,"start":16,"rows":8,"crc32":33266132'
-    '91}],"tag":[{"page":5,"start":0,"rows":16,"crc32":1172592827},{"page":6,"start":16,"'
-    'rows":8,"crc32":3494593785}]}}}]}'
-)
-RPG4_ROWS = [(i, None if i % 5 == 0 else i / 3.0, None if i % 4 == 0 else f"t{i % 3}")
-             for i in range(1, 25)]
-
-
-def write_rpg4_dump(directory):
-    (directory / "data").mkdir()
-    (directory / "data" / "t.pages").write_bytes(zlib.decompress(base64.b64decode(RPG4_PAGES)))
-    (directory / "catalog.json").write_text(RPG4_CATALOG)
-
-
-def test_json_page_dump_loads_answers_and_migrates_to_binary_pages(tmp_path, capsys):
-    from repro.cli import main
-
-    write_rpg4_dump(tmp_path)
-    pages = (tmp_path / "data" / "t.pages").read_bytes()
-    assert {pages[i:i + 4] for i in range(0, len(pages), 256)} == {b"RPG4"}
-    ref = Database()
-    ref.create_table("t", [("pos", INTEGER), ("val", FLOAT), ("tag", TEXT)], primary_key=["pos"])
-    ref.insert("t", RPG4_ROWS)
-    sqls = [
-        "SELECT * FROM t",
-        "SELECT pos, val FROM t WHERE pos BETWEEN 7 AND 18 ORDER BY pos",
-        "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS w "
-        "FROM t WHERE val > 2.0",
-    ]
-    loaded = load_database(str(tmp_path), memory_budget_bytes=512)
-    try:
-        table = loaded.table("t")
-        assert table.is_paged and table.column_values("val").kind == "float64"
-        assert [outcome(loaded, q) for q in sqls] == [outcome(ref, q) for q in sqls]
-        assert table.digest() == ref.table("t").digest()
-        for t in (table, ref.table("t")):  # a write goes to the overlay, as a binary page
-            t.update_slot(3, [4, 1 / 3, "t9"])
-        loaded.buffer_pool.flush()
-        assert [outcome(loaded, q) for q in sqls] == [outcome(ref, q) for q in sqls]
-        assert table.is_paged and loaded.buffer_pool.snapshot()["writebacks"] >= 1
-    finally:
-        loaded.table("t").close()
-        loaded.buffer_pool.close()
-    assert (tmp_path / "data" / "t.pages").read_bytes() == pages  # the base file never changes
-
-    assert main(["migrate", "--dir", str(tmp_path)]) == 0
-    assert "v4 -> v4" in capsys.readouterr().out
-    migrated = (tmp_path / "data" / "t.pages").read_bytes()
-    directory = json.loads((tmp_path / "catalog.json").read_text())["tables"][0]["pages"]
-    assert {migrated[i:i + 4] for i in range(0, len(migrated), directory["page_size"])} == {b"RPG5"}
-    entries = directory["columns"]
-    assert all("kind" in e for column in entries.values() for e in column)
-    assert all("min" in e for e in entries["pos"]) and not any("min" in e for e in entries["tag"])
-    again = load_database(str(tmp_path), memory_budget_bytes=512)
-    try:
-        ref.table("t").update_slot(3, list(RPG4_ROWS[3]))  # the migration saw the dump, not the write
-        assert [outcome(again, q) for q in sqls] == [outcome(ref, q) for q in sqls]
-    finally:
-        again.table("t").close()
-        again.buffer_pool.close()

@@ -9,7 +9,6 @@ import pytest
 from repro.errors import CatalogError
 from repro.relational import DATE, Database, FLOAT, INTEGER, TEXT
 from repro.relational.persist import load_database, save_database
-from tests.relational.legacy_dumps import build_db, write_legacy_dump
 
 
 @pytest.fixture
@@ -82,13 +81,16 @@ class TestFailureModes:
             load_database(str(tmp_path / "nowhere"))
 
     def test_version_check(self, db, tmp_path):
+        # Only version 4 loads: the retired row (1, 2) and columnar (3)
+        # formats are refused like an unknown one, naming the version.
         save_database(db, str(tmp_path))
         path = tmp_path / "catalog.json"
         doc = json.loads(path.read_text())
-        doc["version"] = 99
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CatalogError):
-            load_database(str(tmp_path))
+        for version in (1, 2, 3, 99):
+            doc["version"] = version
+            path.write_text(json.dumps(doc))
+            with pytest.raises(CatalogError, match=f"dump version {version} "):
+                load_database(str(tmp_path))
 
     def test_corrupted_duplicate_pk_rejected(self, tmp_path):
         # A dump whose every page and CRC is consistent, but whose catalog
@@ -107,15 +109,6 @@ class TestFailureModes:
         for budget in (None, 4096):
             with pytest.raises(ConstraintError):
                 load_database(str(tmp_path), memory_budget_bytes=budget)
-
-    @pytest.mark.parametrize("version", [2, 3])
-    def test_checksum_names_corrupt_table(self, tmp_path, version):
-        write_legacy_dump(str(tmp_path), version)
-        name = "t.jsonl" if version == 2 else "t.cols.json"
-        data = tmp_path / "data" / name
-        data.write_bytes(data.read_bytes() + b" ")  # bit rot / tamper
-        with pytest.raises(CatalogError, match="table 't' is corrupt"):
-            load_database(str(tmp_path))
 
     def test_checksum_clean_table_loads(self, db, tmp_path):
         save_database(db, str(tmp_path))
@@ -145,11 +138,6 @@ class TestFailureModes:
         save_database(db, str(tmp_path))
         assert not list(tmp_path.glob("**/*.tmp"))
 
-    def test_v2_round_trips(self, tmp_path):
-        write_legacy_dump(str(tmp_path), 2)
-        loaded = load_database(str(tmp_path))
-        assert loaded.table("t").rows == build_db().table("t").rows
-
     def test_unwritable_version_rejected(self, tmp_path):
         from repro.warehouse import DataWarehouse
 
@@ -161,24 +149,6 @@ class TestFailureModes:
         assert not (tmp_path / "catalog.json").exists()
         wh.save(str(tmp_path), storage_format=4)  # the one format, by name
         assert load_database(str(tmp_path)).table("s").rows == []
-
-    def test_v3_column_count_mismatch_detected(self, tmp_path):
-        write_legacy_dump(str(tmp_path), 3)
-        data = tmp_path / "data" / "t.cols.json"
-        doc = json.loads(data.read_text())
-        doc["columns"].pop()
-        payload = json.dumps(doc, separators=(",", ":")).encode()
-        data.write_bytes(payload)
-        import zlib
-
-        catalog = tmp_path / "catalog.json"
-        cat = json.loads(catalog.read_text())
-        next(e for e in cat["tables"] if e["name"] == "t")["crc32"] = (
-            zlib.crc32(payload)
-        )
-        catalog.write_text(json.dumps(cat))
-        with pytest.raises(CatalogError, match="columns"):
-            load_database(str(tmp_path))
 
 
 class TestWarehousePersistence:
@@ -305,7 +275,11 @@ class TestDurability:
         self, synced, tmp_path, monkeypatch
     ):
         d = str(tmp_path)
-        write_legacy_dump(d, 3)
+        old = Database()
+        for name in ("t", "old", "older"):
+            old.create_table(name, [("pos", INTEGER), ("val", FLOAT)])
+            old.insert(name, [(i, i / 3.0) for i in range(40)])
+        save_database(old, d)
         removed = []
         real_remove = os.remove
 
@@ -318,10 +292,12 @@ class TestDurability:
             real_remove(path)
 
         db = load_database(d)
+        db.drop_table("old")
+        db.drop_table("older")
         monkeypatch.setattr(os, "remove", recording)
         save_database(db, d)
-        assert sorted(removed) == ["empty.cols.json", "t.cols.json"]
-        assert load_database(d).table("t").rows == build_db().table("t").rows
+        assert sorted(removed) == ["old.pages", "older.pages"]
+        assert load_database(d).table("t").rows == db.table("t").rows
 
 
 class TestWideValues:

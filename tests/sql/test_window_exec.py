@@ -123,8 +123,6 @@ class TestFactorWindowSharing:
         planned = db.sql(sql).rows
         vals = [float((i * 37) % 101) for i in range(1, 2001)]
         assert [r[1] for r in planned] == brute_window(vals, sliding(300, 300), MAX)
-        db.stats.clear()
-        assert db.sql(sql).rows == planned
 
     def test_siblings_share_one_sort_and_are_computed_directly(self, db, raw40):
         narrow = spec("MAX", sliding(2, 1), name="a")

@@ -77,14 +77,6 @@ class TestChunkCodec:
         _doc, out = decode_chunk(chunk_payload(0, col(values)))
         assert out.to_pylist() == values
 
-    def test_json_page_payload_still_decodes(self):
-        # What the RPG4 encoder wrote for [1.0, 2.0, NULL] with bit 1 cleared too.
-        payload = (b'{"t":"t","c":"v","r":4,"n":3,"values":[1.0,2.0,null],'
-                   b'"validity":"AQ=="}')
-        doc, out = decode_chunk(payload, "float64")
-        assert (doc["r"], doc["n"], doc["kind"]) == (4, 3, None)
-        assert out.kind == "float64" and out.to_pylist() == [1.0, None, None]
-
     @pytest.mark.parametrize("mangle", [
         lambda p: p[:-1],                       # short value buffer
         lambda p: p + b"\x00",                  # trailing byte
@@ -132,10 +124,12 @@ class TestPageFraming:
         with pytest.raises(PageCorruptError, match="CRC32"):
             decode_page(bytes(raw), 0, 256)
 
-    def test_json_page_magic_still_accepted(self):
+    def test_json_page_magic_rejected(self):
+        # The retired JSON page format is corrupt input like any other magic.
         payload = b'{"r":0,"n":0,"values":[],"validity":null}'
         raw = b"RPG4" + encode_page(0, payload, 256)[4:]
-        assert decode_page(raw, 0, 256) == payload
+        with pytest.raises(PageCorruptError, match="bad magic b'RPG4'"):
+            decode_page(raw, 0, 256)
 
     def test_bad_magic_detected(self):
         raw = bytearray(encode_page(0, b"{}", 256))

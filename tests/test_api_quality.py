@@ -182,16 +182,15 @@ class TestOneWindowKernel:
 
     def test_no_kernel_choice_or_feedback_surface(self):
         import repro.sql.window_exec as window_exec
-        import repro.stats
         from repro.sql.window_exec import WindowOperator
         from repro import DataWarehouse
-        from repro.stats import CostModel
 
         parameters = inspect.signature(WindowOperator.__init__).parameters
         assert "kernel" not in parameters
         assert "share_derivation" not in parameters
-        assert not hasattr(repro.stats, "AdaptiveCostTable")
-        assert not hasattr(CostModel, "choose_window_kernel")
+        # No statistics or cost model is left to steer anything.
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.stats")
         wh = DataWarehouse()
         wh.create_table("t", [("pos", "INTEGER"), ("val", "FLOAT")])
         wh.insert("t", [(1, 1.0), (2, 2.0)])
@@ -222,7 +221,6 @@ class TestViewAnswersAreColumnar:
                 f"mv_{func.lower()}",
                 f"SELECT pos, {func}(val) OVER (ORDER BY pos {frame.format(4, 2)}) "
                 "w FROM seq")
-        wh.db.stats.clear()
 
         calls = []
         for name in ("value", "value_or_none"):

@@ -30,22 +30,6 @@ class TestDemo:
             main(argv)
 
 
-class TestMigrate:
-    def test_rewrites_a_dump_as_pages(self, capsys, tmp_path):
-        from tests.relational.legacy_dumps import write_legacy_dump
-
-        write_legacy_dump(str(tmp_path), 3)
-        assert main(["migrate", "--dir", str(tmp_path)]) == 0
-        assert "v3 -> v4, 2 tables (40 rows), 2 superseded data files removed" in (
-            capsys.readouterr().out)
-        assert sorted(p.name for p in (tmp_path / "data").iterdir()) == [
-            "empty.pages", "t.pages"]
-
-    def test_missing_dump_fails(self, capsys, tmp_path):
-        assert main(["migrate", "--dir", str(tmp_path / "nowhere")]) == 2
-        assert "migration failed" in capsys.readouterr().out
-
-
 class TestInjectFault:
     @pytest.fixture(autouse=True)
     def _clean(self):
@@ -161,3 +145,8 @@ class TestParser:
     def test_no_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_migrate_subcommand_is_gone(self, tmp_path):
+        # Only version-4 dumps load, so there is nothing left to migrate.
+        with pytest.raises(SystemExit):
+            main(["migrate", "--dir", str(tmp_path)])

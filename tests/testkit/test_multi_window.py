@@ -1,10 +1,9 @@
-"""Multi-OVER case generation and both sides of the planner's one choice.
+"""Multi-OVER case generation and the engine path over it.
 
-The engine path (fresh statistics: the estimates choose) and the
-engine-nostats path (the defaults) must both agree with the SQLite oracle
-on every case — the planner picks *how*, never *what*.  The multi-window
-case family exercises the window operator's sharing tiers (sort-cache,
-dedup, factor derivation) through the same differential harness.
+The engine path must agree with the SQLite oracle on every case.  The
+multi-window case family exercises the window operator's sharing tiers
+(sort-cache, dedup, factor derivation) through the same differential
+harness.
 """
 
 import pytest
@@ -93,51 +92,30 @@ class TestMultiWindowGeneration:
 
 class TestEngineCostPath:
     def test_registered_as_path(self):
-        assert "engine-nostats" in PATHS and "engine-cost" not in PATHS
-        assert len(PATHS) == 9
+        # Nothing reads statistics, so there is no second planning input
+        # for a path of its own to cover: one engine path per storage.
+        assert sorted(PATHS) == [
+            "engine", "engine-paged", "naive", "pipelined", "vectorized",
+            "view-default", "view-maxoa", "view-minoa",
+        ]
 
     def test_agrees_with_oracle(self):
         runner = FuzzRunner(
-            paths=["engine", "engine-nostats"], relations=(), corpus_dir=None
+            paths=["engine", "engine-paged"], relations=(), corpus_dir=None
         )
         report = runner.run(40)
         assert report.ok, report.to_dict()["failures"]
-        for path in ("engine", "engine-nostats"):
+        for path in ("engine", "engine-paged"):
             assert report.path_agreements[path] == {
                 "agree": 40, "disagree": 0, "skipped": 0,
             }
-
-    def test_statistics_decide_between_the_two_paths(self, monkeypatch):
-        """engine plans with fresh statistics, engine-nostats with none:
-        the one thing that tells the paths apart, and it changes neither
-        the plan nor a bit of the answer."""
-        import repro.sql.planner as planner
-        import repro.warehouse.warehouse as warehouse_module
-
-        seen = []
-        real = planner.build_plan
-
-        def spy(db, *args, **kwargs):
-            plan = real(db, *args, **kwargs)
-            seen.append((db.stats.get("t") is not None, plan.explain()))
-            return plan
-
-        # The warehouse imports the name, so it is patched there too.
-        for module in (planner, warehouse_module):
-            monkeypatch.setattr(module, "build_plan", spy)
-        case = first_multi_case()
-        with_stats = run_path("engine", case)
-        without = run_path("engine-nostats", case)
-        assert [had for had, _ in seen] == [True, False]
-        assert seen[0][1] == seen[1][1]
-        assert with_stats == without
 
     def test_multi_window_case_matches_oracle(self):
         from repro.testkit.differ import diff_results
         from repro.testkit.oracle import sqlite_oracle
 
         case = first_multi_case()
-        for path in ("engine", "engine-nostats"):
+        for path in ("engine", "engine-paged"):
             got = run_path(path, case)
             assert diff_results("sqlite", sqlite_oracle(case), path, got) == []
 
@@ -159,8 +137,8 @@ class TestEngineCostPath:
         assert run_relation("shift", case) == []
 
     def test_report_agreements_serialized(self):
-        runner = FuzzRunner(paths=["engine-nostats"], relations=(), corpus_dir=None)
+        runner = FuzzRunner(paths=["engine"], relations=(), corpus_dir=None)
         doc = runner.run(5).to_dict()
-        assert doc["path_agreements"]["engine-nostats"] == {
+        assert doc["path_agreements"]["engine"] == {
             "agree": 5, "disagree": 0, "skipped": 0,
         }

@@ -146,9 +146,9 @@ TRUTH_CASES = [
         {},
         id="partitioned-view",
     ),
-    # The estimate prefers base data for the cumulative target ...
-    pytest.param(_SUM_1_1, _CUMULATIVE, {}, id="cumulative-by-estimate"),
-    # ... and require_rewrite takes the view regardless.
+    # The view answers the cumulative target by prefix tiling, with or
+    # without require_rewrite.
+    pytest.param(_SUM_1_1, _CUMULATIVE, {}, id="cumulative"),
     pytest.param(
         _SUM_1_1, _CUMULATIVE, {"require_rewrite": True}, id="cumulative-required"
     ),
