@@ -305,7 +305,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_queue=args.max_queue,
-        workers=args.workers,
     )
     server.start()
     ops_server = None
@@ -847,8 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind port (0 picks an ephemeral port)")
     serve.add_argument("--max-queue", dest="max_queue", type=int, default=8,
                        help="admission bound: max queries in flight at once")
-    serve.add_argument("--workers", type=int, default=4,
-                       help="worker threads executing queries and writes")
     serve.add_argument("--ops-port", dest="ops_port", type=int, default=None,
                        help="also start the ops HTTP endpoint "
                             "(/metrics /healthz /trace/<id>) on this port "

@@ -10,7 +10,7 @@ the same convention ``EXPLAIN ANALYZE`` uses in mainstream engines.
 Distributed traces (DESIGN.md §5k): every span carries a ``trace_id``
 (inherited from its parent; a fresh one per root span) and a globally
 unique random ``span_id``, so spans recorded by *different* tracers — a
-client process, a serve worker thread — stitch into one tree.  A remote
+client process, a serve connection thread — stitch into one tree.  A remote
 parent is adopted by passing a :class:`~repro.obs.context.TraceContext` as
 ``parent_context``.  Sampling is decided once per root span
 (``sample_rate``) and propagates with the context; unsampled spans keep

@@ -8,8 +8,8 @@ Layers (bottom-up):
   thread-safe wrapper that serializes writers (copy-on-write) and gives
   every reader a pinned snapshot.
 * :mod:`repro.serve.protocol` / :mod:`repro.serve.server` /
-  :mod:`repro.serve.client` — newline-delimited-JSON asyncio front end
-  with bounded admission.
+  :mod:`repro.serve.client` — newline-delimited-JSON front end
+  (one thread per connection) with bounded admission.
 """
 
 from repro.serve.concurrent import ConcurrentWarehouse, SnapshotHandle
@@ -17,7 +17,7 @@ from repro.serve.epochs import EpochStore, Pin, Snapshot, ViewState
 
 
 def __getattr__(name):
-    # Server and client pull in asyncio/socket machinery; import lazily so
+    # Server and client pull in socket/threading machinery; import lazily so
     # `from repro.serve import ConcurrentWarehouse` stays featherweight.
     if name == "ServeServer":
         from repro.serve.server import ServeServer

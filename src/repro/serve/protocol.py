@@ -108,7 +108,7 @@ OPS = (
 
 # Maximum accepted request line (1 MiB) — a defensive bound so a broken
 # client cannot balloon server memory with an unterminated line.  The
-# server hands it to asyncio as its stream limit.
+# server's line reader enforces it.
 MAX_LINE_BYTES = 1 << 20
 
 

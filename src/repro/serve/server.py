@@ -1,25 +1,23 @@
-"""Asyncio serving front end with per-connection sessions and admission control.
+"""Threaded serving front end with per-connection sessions and admission control.
 
 :class:`ServeServer` accepts newline-delimited-JSON connections (see
 :mod:`repro.serve.protocol`) over a :class:`~repro.serve.concurrent.
 ConcurrentWarehouse`.  Design points:
 
+* **One thread per connection.**  An accept thread hands each connection
+  to its own thread, which reads a request line from a blocking socket,
+  runs it and writes the reply.  Reads pin their epoch inside that thread
+  (through ``ConcurrentWarehouse.query``), so a slow query holds its
+  snapshot and its own connection, never another session or the writers.
 * **Per-connection sessions.**  Each connection is a :class:`Session`,
   whose name tags its queries' spans and pins.
-* **Admission control.**  At most ``max_queue`` queries may be in flight
-  (executing or waiting for a worker thread) across all sessions; the
-  next query is rejected immediately with ``BackpressureError`` rather
-  than queued unboundedly.  Rejections are counted in
-  ``repro_serve_admission_rejections_total``.
-* **The event loop never blocks.**  Queries and writes run on a worker
-  thread pool via ``run_in_executor``; reads pin their epoch inside the
-  worker (through ``ConcurrentWarehouse.query``), so a slow query holds
-  its snapshot — never the loop, never the writers.
-* **Thread-hosted or native.**  ``start()``/``stop()`` host the loop on a
-  background thread (handy for synchronous tests and the CLI);
-  ``serve_async()`` integrates with a caller-owned loop.  Binding
-  ``port=0`` picks an ephemeral port, published as ``.port`` — tests can
-  run in parallel without collisions.
+* **Admission control.**  At most ``max_queue`` queries may be executing
+  across all sessions; the next query is rejected immediately with
+  ``BackpressureError`` rather than queued unboundedly.  Rejections are
+  counted in ``repro_serve_admission_rejections_total``.
+* **Lifecycle.**  ``start()`` binds (``port=0`` picks an ephemeral port,
+  published as ``.port``) and starts the accept thread; ``stop()`` closes
+  the listener and every connection and joins every thread it started.
 
 Observability: gauges ``repro_serve_active_sessions`` and
 ``repro_serve_queue_depth``, histogram ``repro_serve_query_seconds``, and
@@ -28,12 +26,11 @@ a ``serve.query`` span per query (session, epoch, sql attributes).
 
 from __future__ import annotations
 
-import asyncio
-import functools
+import contextlib
+import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional
+from typing import Any, BinaryIO, Dict, Optional, Tuple
 
 from repro.errors import (
     BackpressureError,
@@ -44,6 +41,8 @@ from repro.errors import (
     ReplicationError,
     ServeError,
 )
+from repro.faults import injector
+from repro.obs import runtime
 from repro.serve import protocol
 from repro.serve.concurrent import ConcurrentWarehouse
 from repro.sql.options import QueryOptions
@@ -73,7 +72,6 @@ class ServeServer:
         host/port: bind address; ``port=0`` (default) picks an ephemeral
             port, available as ``.port`` once started.
         max_queue: admission bound — maximum queries in flight at once.
-        workers: worker threads executing queries and writes.
         replica: a :class:`~repro.replicate.replica.Replica` role.  The
             server then answers ``ship``/``promote``; until promotion,
             write ops fail with :class:`NotPrimaryError` and query
@@ -90,7 +88,6 @@ class ServeServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_queue: int = 8,
-        workers: int = 4,
         replica=None,
         name: str = "primary",
     ) -> None:
@@ -107,27 +104,19 @@ class ServeServer:
         self.replica = replica
         self.name = name
         self.crashed = False
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-serve"
-        )
-        self._inflight = 0  # event-loop-confined; no lock needed
+        # Guards what connection threads update: the counts and the table.
+        self._lock = threading.Lock()
+        self._inflight = 0
         self._sessions = 0
-        self._writers: set = set()  # loop-confined open connections
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._stopped = threading.Event()
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        self._listener: Optional[socket.socket] = None
+        self._acceptor: Optional[threading.Thread] = None
 
     # -- metrics helpers -----------------------------------------------------
 
-    @staticmethod
-    def _registry():
-        from repro.obs import runtime
-
-        return runtime.get_registry()
-
     def _set_gauges(self) -> None:
-        registry = self._registry()
+        """Publish the session and admission counts; call under ``_lock``."""
+        registry = runtime.get_registry()
         registry.gauge(
             "repro_serve_active_sessions",
             help="Open serving-tier connections",
@@ -139,135 +128,148 @@ class ServeServer:
 
     # -- connection handling -------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        session = Session()
-        self._sessions += 1
-        self._writers.add(writer)
-        self._set_gauges()
-        try:
-            while not self.crashed:
-                try:
-                    line = await self._read_line(reader)
-                except ConnectionError:
-                    break
-                if line == b"":
-                    break
-                if line is not None and line.strip() == b"":
-                    continue
-                request_id = None
-                try:
-                    from repro.faults import injector
-
-                    if line is None:
-                        raise ProtocolError(
-                            f"request line exceeds {protocol.MAX_LINE_BYTES} bytes"
-                        )
-
-                    # The primary_crash fault site: the process "dies"
-                    # mid-dispatch — every connection is aborted with no
-                    # response, exactly what clients of a crashed primary
-                    # observe (ServeConnectionError), and the listener
-                    # stops accepting.
-                    injector.check("primary", self.name)
-                    request = protocol.decode_line(line)
-                    request_id = request.get("id")
-                    response = await self._dispatch(session, request)
-                    response.setdefault("id", request_id)
-                    # Encoded inside the try: a payload the encoder rejects
-                    # is one more failure to report, not the handler's end.
-                    encoded = protocol.encode_line(response)
-                except InjectedFault:
-                    self._crash()
-                    return
-                except Exception as exc:  # every failure -> error response
-                    response = protocol.error_response(exc, request_id)
-                    encoded = protocol.encode_line(response)
-                writer.write(encoded)
-                try:
-                    await writer.drain()
-                except ConnectionError:
-                    break
-                if response.get("closing"):
-                    break
-        finally:
-            self._sessions -= 1
-            self._writers.discard(writer)
-            self._set_gauges()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:
-                pass
-
-    @staticmethod
-    async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
-        """The next request line; ``b""`` at end of stream, ``None`` for a
-        line longer than the reader's limit (``protocol.MAX_LINE_BYTES``).
-
-        An over-long line is read off the stream and dropped, piece by
-        piece, up to its newline, so the caller can answer it with one
-        ``ProtocolError`` and the next line starts where it should.
-        (``StreamReader.readline`` would raise ``ValueError`` and leave the
-        rest of the line to be read as further requests.)
-        """
-        too_long = False
+    def _accept_loop(self, listener: socket.socket) -> None:
         while True:
             try:
-                line = await reader.readuntil(b"\n")
-            except asyncio.IncompleteReadError as exc:
-                return b"" if too_long else exc.partial
-            except asyncio.LimitOverrunError as exc:
-                too_long = True
-                await reader.readexactly(exc.consumed)
-                continue
-            return None if too_long else line
+                conn, _ = listener.accept()
+            except OSError:  # the listener was shut down: stop or crash
+                return
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            thread = threading.Thread(
+                target=self._handle_connection, args=(conn,),
+                name=f"repro-serve-{self.name}-conn", daemon=True,
+            )
+            with self._lock:
+                self._connections[conn] = thread
+                self._sessions += 1
+                self._set_gauges()
+            thread.start()
+
+    def _handle_connection(self, conn: socket.socket) -> None:
+        session = Session()
+        try:
+            with conn.makefile("rb") as stream:
+                while not self.crashed:
+                    line = self._read_line(stream)
+                    if line == b"":
+                        break
+                    if line is not None and line.strip() == b"":
+                        continue
+                    reply = self._answer(session, line)
+                    if reply is None:  # the request crashed the server
+                        break
+                    response, encoded = reply
+                    conn.sendall(encoded)
+                    if response.get("closing"):
+                        break
+        except OSError:  # the peer went away, or stop()/a crash shut us down
+            pass
+        finally:
+            with self._lock:
+                self._connections.pop(conn, None)
+                self._sessions -= 1
+                self._set_gauges()
+            conn.close()
+
+    def _answer(
+        self, session: Session, line: Optional[bytes]
+    ) -> Optional[Tuple[Dict[str, Any], bytes]]:
+        """Answer one request line (``None`` for an over-long one): the
+        response and its encoding, or ``None`` if it crashed the server."""
+        request_id = None
+        try:
+            if line is None:
+                raise ProtocolError(
+                    f"request line exceeds {protocol.MAX_LINE_BYTES} bytes"
+                )
+            # The primary_crash fault site: the process "dies" mid-dispatch
+            # — every connection is aborted with no response, exactly what
+            # clients of a crashed primary observe (ServeConnectionError),
+            # and the listener stops accepting.
+            injector.check("primary", self.name)
+            request = protocol.decode_line(line)
+            request_id = request.get("id")
+            response = self._dispatch(session, request)
+            # Encoded inside the try: a payload the encoder rejects is one
+            # more failure to report, not the connection's end.
+            return response, protocol.encode_line(response)
+        except InjectedFault:
+            self._crash()
+            return None
+        except Exception as exc:  # every failure -> error response
+            response = protocol.error_response(exc, request_id)
+            return response, protocol.encode_line(response)
+
+    @staticmethod
+    def _read_line(stream: BinaryIO) -> Optional[bytes]:
+        """The next request line; ``b""`` at end of stream, ``None`` for a
+        line longer than ``protocol.MAX_LINE_BYTES``.
+
+        An over-long line is read and dropped up to its newline, so it gets
+        one ``ProtocolError`` and the next line starts where it should.  A
+        last line with no newline before end of stream is returned as is.
+        """
+        limit = protocol.MAX_LINE_BYTES + 1  # the line plus its newline
+        line = stream.readline(limit)
+        if len(line) < limit or line.endswith(b"\n"):
+            return line
+        while not line.endswith(b"\n"):
+            line = stream.readline(limit)
+            if line == b"":
+                return b""
+        return None
+
+    def _shutdown_sockets(self) -> Dict[socket.socket, threading.Thread]:
+        """Close the listener and shut every open connection down; returns
+        the connections with their threads.
+
+        A blocked ``accept`` or ``readline`` returns; a request still
+        running finds its socket dead when it replies.  Connections are
+        shut under the lock, so none is shut after its thread closed it.
+        """
+        listener, self._listener = self._listener, None
+        if listener is not None:
+            with contextlib.suppress(OSError):
+                listener.shutdown(socket.SHUT_RDWR)
+            listener.close()
+        with self._lock:
+            for conn in self._connections:
+                with contextlib.suppress(OSError):  # the peer already left
+                    conn.shutdown(socket.SHUT_RDWR)
+            return dict(self._connections)
 
     def _crash(self) -> None:
         """Hard-stop serving: abort every connection, close the listener.
 
-        Runs on the event loop.  The hosting thread's loop keeps running
-        (so ``stop()`` still works) but no request gets a response and new
-        connections are refused — the crash signature failover probes for.
+        ``stop()`` still works afterwards, but no request gets a response
+        and new connections are refused — the crash signature failover
+        probes for.
         """
         self.crashed = True
-        if self._server is not None:
-            self._server.close()
-        for w in list(self._writers):
-            transport = w.transport
-            if transport is not None:
-                transport.abort()
-        from repro.obs import runtime
-
+        self._shutdown_sockets()
         runtime.event("serve.crashed", server=self.name)
 
-    async def _dispatch(
-        self, session: Session, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
+    def _dispatch(self, session: Session, request: Dict[str, Any]) -> Dict[str, Any]:
         op = request["op"]
-        request_id = request.get("id")
-        ok: Dict[str, Any] = {"id": request_id, "ok": True}
+        ok: Dict[str, Any] = {"id": request.get("id"), "ok": True}
         if op == "ping":
             return {**ok, "pong": True, "session": session.name}
         if op == "close":
             return {**ok, "closing": True}
         if op == "query":
-            return {**ok, **await self._run_query(session, request)}
+            return {**ok, **self._run_query(session, request)}
         if op == "epochs":
-            report = self.warehouse.epochs.verify()
-            return {**ok, **report}
+            return {**ok, **self.warehouse.epochs.verify()}
         if op == "stats":
-            return {**ok, "metrics": self._registry().to_json()}
+            return {**ok, "metrics": runtime.get_registry().to_json()}
         if op == "status":
             return {**ok, **self._status()}
         if op == "promote":
-            return {**ok, **await self._run_promote(request)}
+            return {**ok, **self._run_promote(request)}
         if op == "ship":
-            return {**ok, **await self._run_ship(request)}
-        # Remaining ops are writes: serialized by the warehouse's write
-        # lock, run off-loop so a refresh cannot stall other sessions.
-        return {**ok, **await self._run_write(request)}
+            return {**ok, **self._run_ship(request)}
+        # Remaining ops are writes, serialized by the warehouse's write lock.
+        return {**ok, **self._run_write(request)}
 
     # -- replication role ----------------------------------------------------
 
@@ -285,29 +287,16 @@ class ServeServer:
             "diverged": None,
         }
 
-    async def _run_promote(
-        self, request: Optional[Dict[str, Any]] = None
-    ) -> Dict[str, Any]:
+    def _run_promote(self, request: Dict[str, Any]) -> Dict[str, Any]:
         if self.replica is None:
             return self._status()  # idempotent: already the primary
-        ctx = protocol.trace_context(request or {})
+        with runtime.get_tracer().span(
+            "replica.promote", parent_context=protocol.trace_context(request),
+            replica=self.name,
+        ):
+            return self.replica.promote()
 
-        def promote():
-            from repro.obs import runtime
-
-            tracer = runtime.get_tracer()
-            if not tracer.enabled:
-                return self.replica.promote()
-            with tracer.span(
-                "replica.promote", parent_context=ctx, replica=self.name
-            ):
-                return self.replica.promote()
-
-        return await asyncio.get_running_loop().run_in_executor(
-            self._pool, promote
-        )
-
-    async def _run_ship(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _run_ship(self, request: Dict[str, Any]) -> Dict[str, Any]:
         if self.replica is None:
             raise ReplicationError(
                 f"server {self.name!r} is not a replica; nothing accepts "
@@ -316,25 +305,13 @@ class ServeServer:
         from repro.replicate.wal import EpochRecord
 
         record = EpochRecord.from_dict(dict(request.get("record") or {}))
-        ctx = protocol.trace_context(request)
+        with runtime.get_tracer().span(
+            "replica.apply", parent_context=protocol.trace_context(request),
+            replica=self.name, epoch=record.epoch, op=record.op,
+        ):
+            return self.replica.apply(record)
 
-        def apply():
-            from repro.obs import runtime
-
-            tracer = runtime.get_tracer()
-            if not tracer.enabled:
-                return self.replica.apply(record)
-            with tracer.span(
-                "replica.apply", parent_context=ctx, replica=self.name,
-                epoch=record.epoch, op=record.op,
-            ):
-                return self.replica.apply(record)
-
-        return await asyncio.get_running_loop().run_in_executor(
-            self._pool, apply
-        )
-
-    async def _run_query(
+    def _run_query(
         self, session: Session, request: Dict[str, Any]
     ) -> Dict[str, Any]:
         sql = request.get("sql")
@@ -342,36 +319,40 @@ class ServeServer:
             raise ProtocolError("query op needs a non-empty 'sql' string")
         options = self._query_options(request.get("options", {}))
         hold_ms = float(request.get("hold_ms", 0.0))
-        if self._inflight >= self.max_queue:
-            self._registry().counter(
-                "repro_serve_admission_rejections_total",
-                help="Queries rejected because the admission queue was full",
-            ).inc()
-            raise BackpressureError(
-                f"admission queue full ({self._inflight}/{self.max_queue} "
-                "in flight); retry later"
-            )
-        self._inflight += 1
-        self._set_gauges()
+        with self._lock:
+            if self._inflight >= self.max_queue:
+                runtime.get_registry().counter(
+                    "repro_serve_admission_rejections_total",
+                    help="Queries rejected because the admission queue was full",
+                ).inc()
+                raise BackpressureError(
+                    f"admission queue full ({self._inflight}/{self.max_queue} "
+                    "in flight); retry later"
+                )
+            self._inflight += 1
+            self._set_gauges()
         started = time.perf_counter()
         failed = True
         try:
-            result = await asyncio.get_running_loop().run_in_executor(
-                self._pool,
-                functools.partial(
-                    self._query_on_worker,
-                    session,
-                    sql,
-                    hold_ms,
-                    options,
-                    protocol.trace_context(request),
-                ),
-            )
+            with runtime.get_tracer().span(
+                "serve.query", parent_context=protocol.trace_context(request),
+                session=session.name, sql=sql,
+            ) as span:
+                result = self.warehouse.query(
+                    sql, session=session.name, hold_ms=hold_ms, **options
+                )
+                span.set(epoch=result.epoch)
+                if span.sampled and result.trace_id is None:
+                    # Tracing is on but the engine did not stamp an id (e.g.
+                    # a snapshot warehouse without a slow-query log): the
+                    # serving span's trace is still the right link target.
+                    result.trace_id = span.trace_id
             failed = False
         finally:
-            self._inflight -= 1
-            self._set_gauges()
-            registry = self._registry()
+            with self._lock:
+                self._inflight -= 1
+                self._set_gauges()
+            registry = runtime.get_registry()
             registry.histogram(
                 "repro_serve_query_seconds",
                 help="Serving-tier query wall time (admission to response)",
@@ -412,41 +393,12 @@ class ServeServer:
             raise ProtocolError(f"bad query options: {exc}") from None
         return raw
 
-    def _query_on_worker(self, session, sql, hold_ms, options, ctx=None):
-        from repro.obs import runtime
-
-        with runtime.get_tracer().span(
-            "serve.query", parent_context=ctx, session=session.name, sql=sql
-        ) as span:
-            result = self.warehouse.query(
-                sql,
-                session=session.name,
-                hold_ms=hold_ms,
-                **options,
-            )
-            span.set(epoch=result.epoch)
-            if span.sampled and result.trace_id is None:
-                # Tracing is on but the engine did not stamp an id (e.g. a
-                # snapshot warehouse without a slow-query log): the serving
-                # span's trace is still the right link target.
-                result.trace_id = span.trace_id
-            return result
-
-    async def _run_write(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _run_write(self, request: Dict[str, Any]) -> Dict[str, Any]:
         op = request["op"]
-        call = functools.partial(self._write_on_worker, op, request)
-        return await asyncio.get_running_loop().run_in_executor(self._pool, call)
-
-    def _write_on_worker(self, op: str, request: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.obs import runtime
-
-        tracer = runtime.get_tracer()
-        if not tracer.enabled:
-            return self._write_inner(op, request)
         # The commit listener (the replica shipper) runs on this thread
         # inside the write, so ship/ack spans nest under serve.write and
         # the whole commit → replica path shares one trace id.
-        with tracer.span(
+        with runtime.get_tracer().span(
             "serve.write", parent_context=protocol.trace_context(request),
             op=op, server=self.name,
         ) as span:
@@ -492,91 +444,39 @@ class ServeServer:
 
     # -- lifecycle -----------------------------------------------------------
 
-    async def serve_async(self) -> asyncio.AbstractServer:
-        """Bind and start serving on the running loop; returns the server.
-
-        The concrete port (for ``port=0`` binds) is published on ``.port``
-        before this returns.
-        """
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port,
-            limit=protocol.MAX_LINE_BYTES,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self._server
-
-    async def close_async(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    def start(self, *, timeout: float = 10.0) -> "ServeServer":
-        """Host the event loop on a background thread; returns self.
-
-        Blocks until the listening socket is bound (so ``.port`` is valid).
-        """
-        if self._thread is not None:
+    def start(self) -> "ServeServer":
+        """Bind the listener and start accepting; returns self, with the
+        concrete port (for ``port=0`` binds) on ``.port``."""
+        if self._acceptor is not None:
             raise ServeError("server already started")
-        ready = threading.Event()
-        failure: Dict[str, BaseException] = {}
-
-        def run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-            try:
-                loop.run_until_complete(self.serve_async())
-            except BaseException as exc:  # bind failure -> surface in start()
-                failure["exc"] = exc
-                ready.set()
-                return
-            ready.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(self.close_async())
-                loop.close()
-                self._stopped.set()
-
-        self._thread = threading.Thread(
-            target=run, name="repro-serve-loop", daemon=True
+        try:
+            listener = socket.create_server((self.host, self.port))
+        except OSError as exc:
+            raise ServeError(f"server failed to bind: {exc}") from None
+        self._listener = listener
+        self.port = listener.getsockname()[1]
+        self._acceptor = threading.Thread(
+            target=self._accept_loop, args=(listener,),
+            name=f"repro-serve-{self.name}-accept", daemon=True,
         )
-        self._thread.start()
-        if not ready.wait(timeout):
-            raise ServeError("server did not start in time")
-        if "exc" in failure:
-            self._thread.join()
-            self._thread = None
-            raise ServeError(f"server failed to bind: {failure['exc']}")
+        self._acceptor.start()
         return self
 
     def stop(self, *, timeout: float = 10.0) -> None:
-        """Stop the background-thread loop and release the worker pool.
-
-        Lingering connections (e.g. clients of a crashed server that never
-        sent ``close``) are aborted first so their handler tasks finish
-        before the loop stops.
-        """
-        if self._loop is not None and self._thread is not None:
-            loop = self._loop
-
-            def shutdown() -> None:
-                for w in list(self._writers):
-                    transport = w.transport
-                    if transport is not None:
-                        transport.abort()
-                # One beat for the aborted handlers to unwind, then stop.
-                loop.call_later(0.05, loop.stop)
-
-            self._loop.call_soon_threadsafe(shutdown)
-            self._thread.join(timeout)
-            self._thread = None
-            self._loop = None
-        self._pool.shutdown(wait=True)
+        """Close the listener, shut down open connections (e.g. clients of
+        a crashed server that never sent ``close``), join every thread."""
+        self._shutdown_sockets()
+        if self._acceptor is not None:
+            self._acceptor.join(timeout)
+            self._acceptor = None
+        # Again, now that no connection can be added: one the acceptor took
+        # while the listener closed is registered by now.
+        for thread in self._shutdown_sockets().values():
+            thread.join(timeout)
 
     def __enter__(self) -> "ServeServer":
         return self.start()
 
     def __exit__(self, *exc_info: Any) -> None:
         self.stop()
+

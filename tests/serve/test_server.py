@@ -6,9 +6,10 @@ run in parallel.
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socket
 import threading
+import time
 
 import pytest
 
@@ -31,7 +32,7 @@ pytestmark = pytest.mark.serve
 @pytest.fixture
 def server():
     cw = build_concurrent()
-    with ServeServer(cw, max_queue=2, workers=4) as srv:
+    with ServeServer(cw, max_queue=2) as srv:
         yield srv
 
 
@@ -249,58 +250,111 @@ def test_session_kill_over_the_wire(server):
         assert report["clean"] and report["pinned"] == []
 
 
-# -- asyncio-native usage -----------------------------------------------------
+# -- raw protocol ---------------------------------------------------------------
 
 
-def test_asyncio_refresh_during_read():
-    """Drive the protocol from a caller-owned event loop: concurrent reads
-    pin their epoch while a refresh commits mid-flight."""
-    cw = build_concurrent()
+def test_pipelined_refresh_during_held_read_over_raw_sockets(server):
+    """Drive the protocol over raw sockets: a query holding its pin on one
+    connection answers at its own epoch, byte for byte, while an update and
+    a refresh pipelined on a second connection commit mid-flight."""
 
-    async def scenario() -> None:
-        server = ServeServer(cw, max_queue=4, workers=4)
-        await server.serve_async()
-        try:
-            reader, writer = await asyncio.open_connection("127.0.0.1",
-                                                           server.port)
+    def connect():
+        sock = socket.create_connection(("127.0.0.1", server.port), timeout=10)
+        return sock, sock.makefile("rwb")
 
-            async def call(**fields):
-                writer.write(protocol.encode_line(fields))
-                await writer.drain()
-                return json.loads(await reader.readline())
+    def call(stream, **fields):
+        stream.write(protocol.encode_line(fields))
+        stream.flush()
+        return json.loads(stream.readline())
 
-            before = await call(op="query", sql=QUERY)
-            held = asyncio.create_task(
-                call(op="query", sql=QUERY, hold_ms=400)
-            )
-            await asyncio.sleep(0.15)
-            reader2, writer2 = await asyncio.open_connection(
-                "127.0.0.1", server.port
-            )
-            writer2.write(protocol.encode_line(
-                {"op": "update", "table": "seq", "keys": {"pos": 6},
-                 "value_col": "val", "new_value": 3.25}
-            ))
-            writer2.write(protocol.encode_line({"op": "refresh", "view": "mv"}))
-            await writer2.drain()
-            await reader2.readline()
-            refreshed = json.loads(await reader2.readline())
-            held_result = await held
-            assert held_result["ok"] and before["ok"] and refreshed["ok"]
-            assert held_result["epoch"] == before["epoch"]
-            # Raw protocol: the encoded columns are equal iff the bits are.
-            assert held_result["data"] == before["data"]
-            assert refreshed["epoch"] > before["epoch"]
-            after = await call(op="query", sql=QUERY)
-            assert after["epoch"] == refreshed["epoch"]
-            assert after["data"] != before["data"]
-            writer.close()
-            writer2.close()
-        finally:
-            await server.close_async()
+    sock, stream = connect()
+    sock2, stream2 = connect()
+    try:
+        before = call(stream, op="query", sql=QUERY)
+        held = {}
+        t = threading.Thread(target=lambda: held.update(
+            call(stream, op="query", sql=QUERY, hold_ms=400)))
+        t.start()
+        time.sleep(0.15)  # the held query has pinned by now
+        # Both requests are written before either reply is read.
+        stream2.write(protocol.encode_line(
+            {"op": "update", "table": "seq", "keys": {"pos": 6},
+             "value_col": "val", "new_value": 3.25}
+        ))
+        stream2.write(protocol.encode_line({"op": "refresh", "view": "mv"}))
+        stream2.flush()
+        updated = json.loads(stream2.readline())
+        refreshed = json.loads(stream2.readline())
+        t.join(10)
+        assert not t.is_alive()
+        assert held["ok"] and before["ok"] and updated["ok"] and refreshed["ok"]
+        assert held["epoch"] == before["epoch"]
+        # Raw protocol: the encoded columns are equal iff the bits are.
+        assert held["data"] == before["data"]
+        assert refreshed["epoch"] > updated["epoch"] > before["epoch"]
+        after = call(stream, op="query", sql=QUERY)
+        assert after["epoch"] == refreshed["epoch"]
+        assert after["data"] != before["data"]
+    finally:
+        for s in (stream, sock, stream2, sock2):
+            s.close()
+    assert server.warehouse.epochs.verify()["clean"]
 
-    asyncio.run(scenario())
-    assert cw.epochs.verify()["clean"]
+
+# -- lifecycle ------------------------------------------------------------------
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize("crash", [False, True], ids=["stop", "crash-then-stop"])
+def test_no_thread_or_socket_outlives_stop(crash):
+    """``stop()`` joins every thread the server started and leaves no
+    listener, whatever its connections were doing: one mid-``hold_ms``
+    query, one idle client that never sent ``close``, and one that sent
+    half a request line and vanished.  After a ``primary_crash`` too."""
+    before = set(threading.enumerate())
+    server = ServeServer(build_concurrent(), max_queue=4).start()
+    port = server.port
+    idle, holder, vanished = (
+        socket.create_connection(("127.0.0.1", port), timeout=10)
+        for _ in range(3))
+    streams = [sock.makefile("rwb") for sock in (idle, holder)]
+    idle_stream, holder_stream = streams
+
+    def send(stream, **request):
+        stream.write(protocol.encode_line(request))
+        stream.flush()
+
+    held = []
+    client_thread = threading.Thread(
+        target=lambda: held.append(holder_stream.readline()))
+    try:
+        send(idle_stream, op="ping", id=1)
+        assert json.loads(idle_stream.readline())["ok"]
+        vanished.sendall(b'{"op": "ping", "id": ')
+        send(holder_stream, op="query", sql=QUERY, hold_ms=500, id=2)
+        client_thread.start()
+        time.sleep(0.15)  # the held query has pinned by now
+        if crash:
+            plan = FaultPlan([FaultSpec("primary_crash", target="primary")])
+            with injector.active(plan), socket.create_connection(
+                    ("127.0.0.1", port), timeout=10) as victim:
+                victim.sendall(protocol.encode_line({"op": "ping", "id": 3}))
+                assert victim.recv(1) == b""  # closed with no reply
+            assert server.crashed and plan.fired_count("primary_crash") == 1
+        server.stop()
+        started = set(threading.enumerate()) - before - {client_thread}
+        assert started == set()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=5).close()
+        client_thread.join(10)
+        assert not client_thread.is_alive()
+        # The held query's connection was shut down before it could answer.
+        assert held == [b""]
+        assert idle_stream.readline() == b""
+    finally:
+        server.stop()
+        for f in (*streams, idle, holder, vanished):
+            f.close()
 
 
 def test_ephemeral_ports_do_not_collide():

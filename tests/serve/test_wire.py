@@ -14,6 +14,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.columns import Column
 from repro.errors import ProtocolError, ReproError
@@ -342,6 +344,62 @@ def test_over_long_line_is_answered_once_with_a_null_id():
             assert first["ok"] is False and first["id"] is None
             assert first["error"]["type"] == "ProtocolError"
             assert second["ok"] is True and second["id"] == 2
+
+
+@pytest.fixture(scope="module")
+def hostile_target():
+    with ServeServer(build_concurrent()) as server:
+        yield server
+
+
+LONG = protocol.MAX_LINE_BYTES
+# A valid request with no trailing newline, then the write side shuts.
+REQUEST_TAIL = protocol.encode_line({"op": "query", "sql": QUERY, "id": 99})[:-1]
+PIECES = st.one_of(
+    st.binary(max_size=48),  # random bytes, newlines included
+    st.sampled_from([b"\n", b"\r\n", b"  \t\n"]),  # empty lines
+    st.integers(1, 2048).map(lambda n: b"x" * (LONG + n) + b"\n"),  # over-long
+    st.just(protocol.encode_line({"op": "ping", "id": 1})),
+)
+TAILS = st.one_of(
+    st.just(b""),
+    st.binary(min_size=1, max_size=48).filter(lambda b: b"\n" not in b),
+    st.just(REQUEST_TAIL),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pieces=st.lists(PIECES, max_size=6), tail=TAILS)
+@example(pieces=[], tail=REQUEST_TAIL)
+@example(pieces=[b"x" * (LONG + 1) + b"\n", b"\n"], tail=b"")
+def test_hostile_request_bytes_get_error_replies_or_a_clean_close(
+        hostile_target, pieces, tail):
+    """Whatever bytes arrive, each non-blank line gets one reply (an error,
+    or the answer to a valid request), the connection then closes cleanly,
+    and the server goes on serving."""
+    payload = b"".join(pieces) + (b"\n" + tail if tail else b"")
+    expected = [line for line in payload.split(b"\n") if line.strip()]
+    with socket.create_connection(
+            ("127.0.0.1", hostile_target.port), timeout=10) as sock:
+        sock.sendall(payload)
+        sock.shutdown(socket.SHUT_WR)
+        with sock.makefile("rb") as stream:
+            replies = [json.loads(line) for line in stream]  # to a clean EOF
+    assert len(replies) == len(expected)
+    for line, reply in zip(expected, replies):
+        assert isinstance(reply, dict)
+        if len(line) > LONG:
+            assert reply["id"] is None
+            assert reply["error"]["type"] == "ProtocolError"
+        elif not reply["ok"]:
+            assert reply["error"]["type"] and reply["error"]["message"]
+    if tail == REQUEST_TAIL:
+        assert replies[-1]["ok"] and replies[-1]["id"] == 99
+        assert replies[-1]["nrows"] == 50
+    with ServeClient(port=hostile_target.port) as client:
+        assert client.ping()
+        assert len(client.query(QUERY)["rows"]) == 50
+        assert client.epochs()["clean"]
 
 
 def test_ship_record_over_64k_reaches_a_replica_server():

@@ -83,7 +83,7 @@ def test_every_tier_takes_the_same_route_to_the_same_bits(
     for result in (reloaded.query(sql, **options), cw.query(sql, **options)):
         assert _route(result.rewrite) == want_route, sql
         assert _answer(result.rows) == want, sql
-    with ServeServer(cw, max_queue=2, workers=1) as server:
+    with ServeServer(cw, max_queue=2) as server:
         with ServeClient(port=server.port) as client:
             reply = client.query(sql, **options)
     assert reply["rewrite"] == want_route, sql
