@@ -34,7 +34,7 @@ session = [(l, h) for l, h in session if l + h > 0]
 
 for i, (l, h) in enumerate(session, 1):
     start = time.perf_counter()
-    res = wh.query(moving_sum_query(l, h), mode="memory")
+    res = wh.query(moving_sum_query(l, h))
     elapsed = (time.perf_counter() - start) * 1000
     how = "MISS -> admitted" if res.rewrite.algorithm == "identity" and \
         cache.stats.admissions >= i - cache.stats.hits else "hit"

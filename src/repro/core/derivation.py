@@ -79,9 +79,6 @@ class DerivationPlan:
         estimated_lookups: rough count of sequence-value accesses of the
             *explicit* form for a length-``n`` derivation, as a function
             ``f(n)`` evaluated at ``n=1000`` (used for ranking strategies).
-        recursive_lookups: sequence values the *recursive* form reads per
-            output position, compensation/prefix sequences included; it
-            does not grow with ``n``.
         notes: human-readable remarks (e.g. paper-precondition status).
     """
 
@@ -89,7 +86,6 @@ class DerivationPlan:
     view: WindowSpec
     target: WindowSpec
     estimated_lookups: float
-    recursive_lookups: float
     notes: tuple = field(default_factory=tuple)
 
     def explicit_lookups(self, n: int) -> float:
@@ -118,7 +114,7 @@ def _candidate_plans(
     n = _RANKING_N
     plans: List[DerivationPlan] = []
     if view == target:
-        return [DerivationPlan("identity", view, target, n, 1)]
+        return [DerivationPlan("identity", view, target, n)]
     if view.is_cumulative:
         if target.is_sliding:
             algo = "cumulative"
@@ -127,7 +123,7 @@ def _candidate_plans(
                     "sliding windows are not derivable from cumulative MIN/MAX "
                     "views (no subtraction for semi-algebraic aggregates)"
                 )
-            return [DerivationPlan(algo, view, target, 2 * n, 2)]
+            return [DerivationPlan(algo, view, target, 2 * n)]
         raise DerivationError(f"cannot derive {target} from cumulative view")
     # view is sliding
     wx = view.width
@@ -142,7 +138,6 @@ def _candidate_plans(
                 view,
                 target,
                 n * n / (2 * wx),
-                2,  # x̃_j and P_{j-Wx}
                 notes=("positive prefix tiling only (MinOA specialisation)",),
             )
         )
@@ -153,10 +148,7 @@ def _candidate_plans(
             raise DerivationError(
                 "raw data is not reconstructible from MIN/MAX views"
             )
-        plans.append(
-            # x̃_{k-h}, x̃_{k-h-1} and x_{k-w}
-            DerivationPlan("reconstruct", view, target, n * n / wx, 3)
-        )
+        plans.append(DerivationPlan("reconstruct", view, target, n * n / wx))
         return plans
     delta_l = target.l - view.l
     delta_h = target.h - view.h
@@ -169,17 +161,11 @@ def _candidate_plans(
                 "outside the paper's stated bound ly<=hx-1+2lx (valid per the "
                 "telescoping argument, Δ<=Wx)",
             )
-        # MIN/MAX: the three shifted values.  SUM: three reads per element
-        # of z̃ᴸ and of z̃ᴴ, five to combine them.
-        recursive = 3 if minmax else 11
         plans.append(
-            DerivationPlan(
-                "maxoa", view, target, 2 * n * n / wx, recursive, notes=notes
-            )
+            DerivationPlan("maxoa", view, target, 2 * n * n / wx, notes=notes)
         )
     if not minmax:
-        # Two reads per element of P, two elements of P per position.
-        plans.append(DerivationPlan("minoa", view, target, n * n / wx, 4))
+        plans.append(DerivationPlan("minoa", view, target, n * n / wx))
     if not plans:
         raise DerivationError(
             f"{target} is not derivable from a MIN/MAX view of {view}: MaxOA "

@@ -174,13 +174,23 @@ class ServeClient:
         return self.call("stats")["metrics"]
 
     def close(self) -> None:
+        """Say ``close`` to the server and close the socket, on every path.
+
+        A connection the server already dropped is not an error here.
+        """
+        if self._sock.fileno() == -1:
+            return
         try:
             self.call("close")
-        except Exception:
-            pass  # already closing; nothing to salvage
+        except ServeConnectionError:
+            pass  # the server is gone; nothing to say goodbye to
         finally:
-            self._file.close()
-            self._sock.close()
+            try:
+                self._file.close()
+            except OSError:
+                pass  # the unsent ``close`` request cannot be flushed
+            finally:
+                self._sock.close()
 
     def __enter__(self) -> "ServeClient":
         return self

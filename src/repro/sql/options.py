@@ -24,7 +24,7 @@ _CHOICES = {
     "require_rewrite": (True, False),
     "algorithm": ("auto", "maxoa", "minoa"),
     "variant": ("disjunctive", "union"),
-    "mode": ("auto", "relational", "memory"),
+    "mode": ("memory", "relational"),
     "window_strategy": ("native", "selfjoin"),
     "use_index": ("auto", True, False),
 }
@@ -40,9 +40,9 @@ class QueryOptions:
             when no view matches (a matching view answers either way).
         algorithm: derivation algorithm (``"auto"`` = cheapest valid).
         variant: relational pattern variant (figs. 10/13).
-        mode: derivation route; ``"auto"`` picks by estimated lookups per
-            position: the relational pattern only when it reads no more
-            than the in-memory recursive form (DESIGN.md §5l).
+        mode: derivation route: ``"memory"`` (the in-memory derivation
+            forms) or ``"relational"`` (the fig. 10/13 patterns over the
+            view's storage table; DESIGN.md §5l).
         window_strategy: native window operator, or the fig. 2 self join.
         use_index: ``"auto"`` (use a sorted position index if present),
             ``True`` (require one) or ``False`` (never).
@@ -52,7 +52,7 @@ class QueryOptions:
     require_rewrite: bool = False
     algorithm: str = "auto"
     variant: str = "disjunctive"
-    mode: str = "auto"
+    mode: str = "memory"
     window_strategy: str = "native"
     use_index: Any = "auto"
 

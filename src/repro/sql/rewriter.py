@@ -6,22 +6,17 @@ matcher for candidate views and takes the cheapest (a matching view
 always answers, in every tier), (2) picks the derivation algorithm and
 (3) the route:
 
-* **relational**: the fig. 10 / fig. 13 operator patterns against the
-  view's storage table (the route the paper's evaluation measures),
-  available for SUM/COUNT views; or
-* **memory**: the explicit/recursive derivation forms over the view's
-  in-memory mirror — needed for MIN/MAX, prefix derivations and the
-  section-6 reductions.
+* **memory** (the default): the explicit/recursive derivation forms over
+  the view's in-memory mirror — every algorithm, MIN/MAX, prefix
+  derivations and the section-6 reductions; or
+* **relational** (``mode="relational"`` only): the fig. 10 / fig. 13
+  operator patterns against the view's storage table, the route the
+  paper's evaluation measures (Tables 1 and 2), available for SUM/COUNT
+  views.  A pattern is built at plan time, which is how the corner cases
+  it cannot express (e.g. the MinOA residue collision) are found.
 
-``mode="auto"`` decides by estimate: the relational pattern only when
-the storage rows it reads per output position do not exceed the sequence
-values the recursive in-memory form reads.  An identity match — a linear
-scan of the storage table — stays relational; a pattern that chains
-``n/Wx`` lookups per position runs only on sequences a few view windows
-long.  A pattern is built at plan time, which is how the corner cases it
-cannot express (e.g. the MinOA residue collision) are found.  The
-resulting :class:`RewritePlan` is what :func:`try_rewrite` runs and what
-warehouse ``EXPLAIN`` prints, so the two cannot disagree.
+The resulting :class:`RewritePlan` is what :func:`try_rewrite` runs and
+what warehouse ``EXPLAIN`` prints, so the two cannot disagree.
 """
 
 from __future__ import annotations
@@ -77,24 +72,14 @@ class RewriteInfo:
     mode: str
     variant: Optional[str]
     description: str
-    # Why ``mode``: estimated lookups per output position on either route
-    # (None for reductions and the AVG combination, which have no choice).
-    est_relational: Optional[float] = None
-    est_memory: Optional[float] = None
 
     def render(self) -> str:
         """The ``REWRITE using view ...`` line of warehouse EXPLAIN."""
-        estimates = ""
-        if self.est_relational is not None:
-            estimates = (
-                f" (lookups/position: relational {self.est_relational:.1f}, "
-                f"memory {self.est_memory:.1f})"
-            )
         return (
             f"REWRITE using view {self.view!r} [{self.kind}, "
             f"{self.algorithm}, {self.mode}"
             + (f", {self.variant}" if self.variant else "")
-            + f"]{estimates}: {self.description}"
+            + f"]: {self.description}"
         )
 
 
@@ -205,12 +190,7 @@ def _plan_avg_combination(
     Both component shapes must be independently answerable; each picks its
     own derivation algorithm.
     """
-    component_options = replace(
-        options,
-        algorithm="auto",
-        variant="disjunctive",
-        mode="memory" if options.mode == "auto" else options.mode,
-    )
+    component_options = replace(options, algorithm="auto", variant="disjunctive")
     steps = []
     for func in ("SUM", "COUNT"):
         component = replace(shape, func=func)
@@ -300,51 +280,32 @@ def _plan_step(
         and algo in ("maxoa", "minoa", "cumulative", "reconstruct")
         and not (view.is_partitioned and algo == "cumulative")
     )
-    if options.mode == "relational" and not relational_ok:
-        raise NoRewriteError(
-            f"relational rewrite unavailable for {algo} over a "
-            f"{'partitioned ' if view.is_partitioned else ''}"
-            f"{d.aggregate_name} view"
-        )
-    # Lookups per output position.  A pattern reads the storage row its
-    # scan drives from plus one row per lookup of the explicit form it
-    # evaluates; an identity match is that scan alone.
-    longest = max(view.partition_sizes().values(), default=0)
-    est_memory = float(dplan.recursive_lookups)
-    est_relational = 1.0 + (
-        0.0 if algo == "identity" else dplan.explicit_lookups(longest)
-    )
     pattern = None
-    if relational_ok and (
-        options.mode == "relational"
-        or (options.mode == "auto" and est_relational <= est_memory)
-    ):
-        n = 0 if view.is_partitioned else view.single_partition().seq.n
-        try:
-            pattern = _relational_plan(
-                db,
-                d.storage_table,
-                n,
-                d.window,
-                shape.window,
-                dplan,
-                options.variant,
-                partition_cols=d.partition_by,
+    if options.mode == "relational":
+        if not relational_ok:
+            raise NoRewriteError(
+                f"relational rewrite unavailable for {algo} over a "
+                f"{'partitioned ' if view.is_partitioned else ''}"
+                f"{d.aggregate_name} view"
             )
-        except DerivationError:
-            # Relational corner case (e.g. MinOA residue collision,
-            # Δl + Δh ≡ 0 mod Wx): the in-memory form handles it.
-            if options.mode == "relational":
-                raise
+        n = 0 if view.is_partitioned else view.single_partition().seq.n
+        pattern = _relational_plan(
+            db,
+            d.storage_table,
+            n,
+            d.window,
+            shape.window,
+            dplan,
+            options.variant,
+            partition_cols=d.partition_by,
+        )
     info = RewriteInfo(
         view.name,
         "direct",
         algo,
-        "relational" if pattern is not None else "memory",
+        options.mode,
         options.variant if pattern is not None else None,
         dplan.describe(),
-        est_relational,
-        est_memory,
     )
     return _Step(shape, match, info, dplan, pattern)
 
@@ -379,7 +340,6 @@ def _step_pieces(db: Database, step: _Step) -> Tuple[List[Piece], ExecutionStats
         "view.derive",
         view=view.name, algorithm=dplan.algorithm,
         mode=info.mode, variant=info.variant,
-        est_relational=info.est_relational, est_memory=info.est_memory,
     ):
         if step.pattern is None:
             pieces: List[Piece] = [

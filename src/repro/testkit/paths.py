@@ -27,8 +27,7 @@ matches) — the relational patterns read the view's *storage table*, so corrupt
 into storage (the ``bitflip`` fault) is visible to the differ, not just to
 ``verify_view``; MIN/MAX derivations and prefix tiling fall back to the
 in-memory form the engine provides.  ``view-default`` passes no option,
-so the SUM-family derivations run the in-memory recursive kernels unless
-the lookups-per-position estimate prefers the pattern.  All three call
+so every derivation runs the in-memory recursive kernels.  All three call
 :func:`repro.faults.injector.verify_hook` on the freshly materialized view
 first: that is the testkit's storage fault point, reusing the ``verify``
 site so existing fault plans work unchanged.

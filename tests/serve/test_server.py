@@ -17,6 +17,7 @@ from repro.errors import (
     BackpressureError,
     ProtocolError,
     ReproError,
+    ServeConnectionError,
     SessionKilledError,
 )
 from repro.faults import FaultPlan, FaultSpec, injector
@@ -355,6 +356,24 @@ def test_no_thread_or_socket_outlives_stop(crash):
         server.stop()
         for f in (*streams, idle, holder, vanished):
             f.close()
+
+
+def test_client_close_after_the_server_stopped():
+    """``close()`` on a connection the server already dropped neither
+    raises nor leaks the socket."""
+    server = ServeServer(build_concurrent(rows=10)).start()
+    client = ServeClient(port=server.port)
+    try:
+        assert client.ping()
+        server.stop()
+        with pytest.raises(ServeConnectionError):
+            client.ping()
+        client.close()
+        assert client._sock.fileno() == -1
+        client.close()  # a second close is a no-op
+    finally:
+        server.stop()
+        client._sock.close()
 
 
 def test_ephemeral_ports_do_not_collide():

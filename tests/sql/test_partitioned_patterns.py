@@ -115,7 +115,7 @@ class TestWarehousePartitionedRewrite:
         res = wh.query(
             "SELECT g, pos, SUM(v) OVER (PARTITION BY g ORDER BY pos "
             "ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) w FROM s "
-            "ORDER BY g, pos")
+            "ORDER BY g, pos", mode="relational")
         assert res.rewrite.algorithm == "identity"
         assert res.rewrite.mode == "relational"
         for g in GROUPS:

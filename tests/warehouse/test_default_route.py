@@ -1,8 +1,9 @@
-"""The default route is decided by estimate, not by availability (PR 18).
+"""The default route is the in-memory derivation, whatever the length.
 
-``mode="auto"`` used to mean "the relational pattern whenever one exists";
-for a SUM target over a SUM view that is MinOA's fig. 13 pattern, a chain
-of ``n/Wx`` lookups per position through a nested-loop join — quadratic,
+A query with no option derives its answer from the view's in-memory
+mirror.  The fig. 10/13 patterns answer only ``mode="relational"``: for a
+SUM target over a SUM view that is MinOA's fig. 13 pattern, a chain of
+``n/Wx`` lookups per position through a nested-loop join — quadratic,
 and on the 10 000-row table below it did not return in 100 s.
 """
 
@@ -38,7 +39,6 @@ def test_sum_target_over_a_large_sum_view_is_answered_in_memory():
     info = result.rewrite
     assert info is not None and (info.view, info.algorithm) == ("mv", "minoa")
     assert info.mode == "memory" and info.variant is None
-    assert info.est_relational > info.est_memory
     assert result.stats.pairs_examined == 0
     assert _agrees(result, wh.raw)
 
@@ -54,9 +54,15 @@ def test_relational_mode_still_runs_the_fig13_pattern():
     assert _agrees(result, wh.raw)
 
 
-def test_a_sequence_a_few_view_windows_long_keeps_the_pattern():
-    """The estimate, not a rule: 1 + n/Wx <= 4 lookups per position."""
+def test_a_sequence_a_few_view_windows_long_is_answered_in_memory():
+    """Short or long, no option means memory; the pattern agrees with it."""
     wh = _warehouse(20)
-    info = wh.query(QUERY).rewrite
-    assert info.mode == "relational"
-    assert info.est_relational <= info.est_memory
+    result = wh.query(QUERY)
+    assert result.rewrite.mode == "memory"
+    assert result.stats.pairs_examined == 0
+    assert _agrees(result, wh.raw)
+    relational = wh.query(QUERY, mode="relational")
+    assert relational.rewrite.mode == "relational"
+    got, want = relational.column("s"), result.column("s")
+    assert len(got) == len(want) == 20
+    assert not any(values_differ(a, b) for a, b in zip(got, want))

@@ -195,8 +195,7 @@ class TestExplainTellsTheTruth:
             return planned[-1]
 
         monkeypatch.setattr(warehouse_module, "plan_rewrite", counting)
-        # (2, 3) over SUM(1,1): MinOA's relational pattern has a residue
-        # collision, so the in-memory form runs.
+        # (2, 3) over SUM(1,1) with no option: the in-memory form runs.
         text = wh.explain_analyze(
             f"SELECT pos, SUM(val) OVER (ORDER BY pos {_frame(2, 3)}) s FROM seq"
         )
@@ -206,8 +205,8 @@ class TestExplainTellsTheTruth:
 
 
 class TestDecisionProvenance:
-    """The REWRITE line says why the route was taken: the two estimates
-    the planner compared (ROADMAP item 7)."""
+    """The REWRITE line names the view, match kind, algorithm and route
+    the query runs; with no option the route is always memory."""
 
     SQL = "SELECT pos, SUM(val) OVER (ORDER BY pos {}) s FROM seq"
 
@@ -218,31 +217,25 @@ class TestDecisionProvenance:
         wh.create_view("mv", self.SQL.format(_frame(4, 2)))
         return wh
 
-    def test_identity_hit_stays_relational(self, wh):
+    def test_identity_hit_goes_to_memory(self, wh):
         sql = self.SQL.format(_frame(4, 2))
         assert wh.explain(sql) == (
-            "REWRITE using view 'mv' [direct, identity, relational, disjunctive] "
-            "(lookups/position: relational 1.0, memory 1.0): "
+            "REWRITE using view 'mv' [direct, identity, memory]: "
             "identity: derive sliding(4, 2) from materialized sliding(4, 2)"
         )
         info = wh.query(sql).rewrite
-        assert (info.mode, info.est_relational, info.est_memory) == (
-            "relational", 1.0, 1.0)
+        assert (info.mode, info.variant) == ("memory", None)
 
     def test_minoa_hit_goes_to_memory(self, wh):
         sql = self.SQL.format(_frame(3, 2))
-        # 400 positions over a width-7 view: a chain of 400/7 lookups.
         assert wh.explain(sql) == (
-            "REWRITE using view 'mv' [direct, minoa, memory] "
-            "(lookups/position: relational 58.1, memory 4.0): "
+            "REWRITE using view 'mv' [direct, minoa, memory]: "
             "minoa: derive sliding(3, 2) from materialized sliding(4, 2)"
         )
         info = wh.query(sql).rewrite
-        assert info.mode == "memory"
-        assert info.est_relational == pytest.approx(1 + 400 / 7)
-        assert info.est_memory == 4.0
+        assert (info.mode, info.variant) == ("memory", None)
 
-    def test_the_derive_span_carries_the_estimates(self, wh):
+    def test_the_derive_span_carries_the_route(self, wh):
         from repro.obs import runtime
         from repro.obs.trace import Tracer
 
@@ -251,5 +244,5 @@ class TestDecisionProvenance:
             wh.query(self.SQL.format(_frame(3, 2)))
         (derive,) = tracer.spans("view.derive")
         assert derive.attributes["mode"] == "memory"
-        assert derive.attributes["est_relational"] == pytest.approx(1 + 400 / 7)
-        assert derive.attributes["est_memory"] == 4.0
+        assert derive.attributes["algorithm"] == "minoa"
+        assert not any(name.startswith("est_") for name in derive.attributes)

@@ -12,7 +12,8 @@ QUERY = ("SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND "
          "1 FOLLOWING) s FROM seq")
 
 BAD_VALUES = [
-    ("mode", "bogus", ("auto", "relational", "memory")),
+    ("mode", "bogus", ("memory", "relational")),
+    ("mode", "auto", ("memory", "relational")),  # the estimate-picked route went
     ("variant", "bogus", ("disjunctive", "union")),
     ("algorithm", "bogus", ("auto", "maxoa", "minoa")),
     ("window_strategy", "bogus", ("native", "selfjoin")),
