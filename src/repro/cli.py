@@ -837,7 +837,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.set_defaults(func=cmd_fuzz)
 
     serve = sub.add_parser(
-        "serve", help="serve a demo warehouse over TCP (NDJSON protocol)"
+        "serve",
+        help="serve a demo warehouse over TCP (JSON request lines, framed replies)",
     )
     serve.add_argument("--rows", type=int, default=500)
     serve.add_argument("--seed", type=int, default=0)

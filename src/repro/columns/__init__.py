@@ -11,7 +11,7 @@ shows its columns, so an operator that can stay on NumPy does.  See
 DESIGN.md §5e.
 """
 
-from repro.columns.codec import decode_column, encode_column
+from repro.columns.codec import buffer_sizes, decode_column, encode_column
 from repro.columns.column import Column, ColumnBuilder, KINDS, kind_for_type
 from repro.columns.rows import ColumnRows, sort_order
 
@@ -20,6 +20,7 @@ __all__ = [
     "ColumnBuilder",
     "ColumnRows",
     "KINDS",
+    "buffer_sizes",
     "decode_column",
     "encode_column",
     "kind_for_type",

@@ -12,8 +12,8 @@ Two transports:
 
 * :class:`LocalLink` — in-process, wraps a :class:`Replica` directly.
   Deterministic and fast; the fault-matrix tests use it.
-* :class:`RemoteLink` — ships over the serving tier's NDJSON protocol
-  (``ship``/``promote``/``status`` ops) to a replica-role
+* :class:`RemoteLink` — ships over the serving tier's protocol (JSON
+  request lines, framed replies; ``ship``/``promote``/``status`` ops) to a replica-role
   :class:`~repro.serve.server.ServeServer`; redials after failures.
 
 Fault site ``ship`` (per-link): a ``replica_lag`` spec defers this
@@ -63,7 +63,7 @@ class LocalLink:
 
 
 class RemoteLink:
-    """Transport to a replica-role serve server over the NDJSON protocol.
+    """Transport to a replica-role serve server over the serving protocol.
 
     The connection is dialled lazily and redialled after any failure, so
     a partitioned link heals by itself once the replica is reachable.

@@ -166,7 +166,7 @@ class EpochRecord:
                    digest=str(doc.get("digest", "")))
 
     def to_dict(self) -> Dict[str, Any]:
-        """Wire form for the NDJSON ``ship`` op."""
+        """Wire form for the ``ship`` op's JSON request line."""
         return {"epoch": self.epoch, "op": self.op, "args": self.args,
                 "digest": self.digest}
 

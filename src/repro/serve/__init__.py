@@ -8,8 +8,8 @@ Layers (bottom-up):
   thread-safe wrapper that serializes writers (copy-on-write) and gives
   every reader a pinned snapshot.
 * :mod:`repro.serve.protocol` / :mod:`repro.serve.server` /
-  :mod:`repro.serve.client` — newline-delimited-JSON front end
-  (one thread per connection) with bounded admission.
+  :mod:`repro.serve.client` — front end speaking JSON request lines and
+  framed replies (one thread per connection) with bounded admission.
 """
 
 from repro.serve.concurrent import ConcurrentWarehouse, SnapshotHandle

@@ -1,7 +1,8 @@
-"""Blocking client for the serving tier's NDJSON protocol.
+"""Blocking client for the serving tier's protocol: JSON request lines,
+framed replies.
 
 :class:`ServeClient` is a thin synchronous wrapper over one TCP
-connection — one request line out, one response line in.  Server-side
+connection — one request line out, one reply frame in.  Server-side
 failures are re-raised locally as the :mod:`repro.errors` class named in
 the error response (``BackpressureError`` for admission rejections,
 ``SessionKilledError`` for fault-injected kills, ...), so callers handle
@@ -13,14 +14,19 @@ typed :class:`~repro.errors.ServeConnectionError` carrying the id of the
 in-flight request, so retry/failover logic can distinguish "the network
 died" from "the server said no" without matching on ``OSError`` strings.
 
+A client that is out of step with its server closes itself: after a
+transport failure, a reply frame whose lengths or kinds cannot be trusted,
+or a reply that answers another request, the socket is closed and every
+later call raises ``ServeConnectionError`` — a half-read frame must never
+be taken for the next reply.
+
 Thread-safety: one client drives one connection; share a client across
-threads only with external locking (the benchmark driver opens one client
-per worker instead).
+threads only with external locking.
 """
 
 from __future__ import annotations
 
-import json
+import contextlib
 import socket
 from typing import Any, Dict, Sequence
 
@@ -60,8 +66,10 @@ class ServeClient:
             ReproError subclass: the exception class named by a failure
                 response.
             ServeConnectionError: the connection failed mid-request (reset,
-                broken pipe, timeout, or closed without a response); carries
-                the in-flight request id.
+                broken pipe, timeout, or closed without a response), or the
+                client was closed; carries the in-flight request id.
+            ProtocolError: the reply is not a well-formed frame, or answers
+                another request.
         """
         from repro.obs import runtime
 
@@ -79,38 +87,57 @@ class ServeClient:
 
     def _call(self, op: str, fields: Dict[str, Any]) -> Dict[str, Any]:
         self._next_id += 1
-        request = {"op": op, "id": self._next_id, **fields}
+        request_id = self._next_id
+        if self._sock.fileno() == -1:
+            raise ServeConnectionError(
+                f"client is closed; {op!r} request {request_id} not sent",
+                request_id=request_id,
+            )
+        request = {"op": op, "id": request_id, **fields}
         try:
             self._file.write(protocol.encode_line(request))
             self._file.flush()
-            line = self._file.readline()
-        except (ConnectionError, BrokenPipeError, socket.timeout, OSError) as exc:
+            response = protocol.read_reply(self._file)
+            if response is None:
+                raise EOFError("the server closed the connection")
+            reply_id = response.get("id")
+            # An error with a null id answers a request line the server
+            # could not read: the one in flight.
+            if reply_id != request_id and (reply_id is not None or response.get("ok")):
+                raise ProtocolError(
+                    f"reply id {reply_id!r} does not answer {op!r} request "
+                    f"{request_id}"
+                )
+            if op == "query" and response.get("ok") and "buffers" not in response:
+                raise ProtocolError(
+                    "malformed query reply: no 'data', so no telling where "
+                    "its frame ends"
+                )
+        except ProtocolError:
+            self._abandon()
+            raise
+        except (OSError, EOFError) as exc:
+            self._abandon()
             raise ServeConnectionError(
                 f"connection failed during {op!r} request "
-                f"{self._next_id}: {type(exc).__name__}: {exc}",
-                request_id=self._next_id,
+                f"{request_id}: {type(exc).__name__}: {exc}",
+                request_id=request_id,
             ) from exc
-        if not line:
-            raise ServeConnectionError(
-                f"connection closed by server during {op!r} request "
-                f"{self._next_id}",
-                request_id=self._next_id,
-            )
-        try:
-            response = json.loads(line.decode("utf-8"))
-        except ValueError as exc:
-            raise ProtocolError(f"malformed response line: {exc}") from None
-        if not isinstance(response, dict):
-            raise ProtocolError(
-                f"response must be a JSON object, got {type(response).__name__}"
-            )
         if not response.get("ok"):
             raise protocol.exception_for(response.get("error", {}))
         if op == "query":
             # Inside the call, so the caller's clock (and the benchmark's
-            # protocol span) sees what reading an answer really costs.
+            # protocol span) sees what reading an answer really costs.  The
+            # whole frame is read by now: a bad value leaves the stream in
+            # step.
             protocol.decode_result(response)
         return response
+
+    def _abandon(self) -> None:
+        """Close the socket of a connection that is out of step."""
+        with contextlib.suppress(OSError):  # unsent bytes cannot be flushed
+            self._file.close()
+        self._sock.close()
 
     # -- operations ----------------------------------------------------------
 
@@ -185,12 +212,7 @@ class ServeClient:
         except ServeConnectionError:
             pass  # the server is gone; nothing to say goodbye to
         finally:
-            try:
-                self._file.close()
-            except OSError:
-                pass  # the unsent ``close`` request cannot be flushed
-            finally:
-                self._sock.close()
+            self._abandon()
 
     def __enter__(self) -> "ServeClient":
         return self

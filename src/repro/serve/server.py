@@ -1,12 +1,12 @@
 """Threaded serving front end with per-connection sessions and admission control.
 
-:class:`ServeServer` accepts newline-delimited-JSON connections (see
-:mod:`repro.serve.protocol`) over a :class:`~repro.serve.concurrent.
-ConcurrentWarehouse`.  Design points:
+:class:`ServeServer` accepts connections that send JSON request lines and
+get framed replies (see :mod:`repro.serve.protocol`) over a
+:class:`~repro.serve.concurrent.ConcurrentWarehouse`.  Design points:
 
 * **One thread per connection.**  An accept thread hands each connection
   to its own thread, which reads a request line from a blocking socket,
-  runs it and writes the reply.  Reads pin their epoch inside that thread
+  runs it and writes the reply frame in one ``sendall``.  Reads pin their epoch inside that thread
   (through ``ConcurrentWarehouse.query``), so a slow query holds its
   snapshot and its own connection, never another session or the writers.
 * **Per-connection sessions.**  Each connection is a :class:`Session`,

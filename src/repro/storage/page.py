@@ -13,7 +13,8 @@ The header is ``struct "<4sIII"``: the magic, the page number (its own
 index in the file — a seek landing on the wrong page is caught, not just
 a flipped bit), the payload length, and the CRC32 of the payload.  The
 magic versions the payload.  ``RPG5``, the only one written, is the bytes
-of :mod:`repro.columns.codec` without the base64::
+of :mod:`repro.columns.codec` with a binary header in place of the JSON
+entry::
 
     chunk header (16B, "<BBxxIQ"): kind, validity flag, rows, first row
     fixed-width kinds: the little-endian value buffer (rows * itemsize),

@@ -266,7 +266,7 @@ def test_pipelined_refresh_during_held_read_over_raw_sockets(server):
     def call(stream, **fields):
         stream.write(protocol.encode_line(fields))
         stream.flush()
-        return json.loads(stream.readline())
+        return protocol.read_reply(stream)
 
     sock, stream = connect()
     sock2, stream2 = connect()
@@ -284,18 +284,19 @@ def test_pipelined_refresh_during_held_read_over_raw_sockets(server):
         ))
         stream2.write(protocol.encode_line({"op": "refresh", "view": "mv"}))
         stream2.flush()
-        updated = json.loads(stream2.readline())
-        refreshed = json.loads(stream2.readline())
+        updated = protocol.read_reply(stream2)
+        refreshed = protocol.read_reply(stream2)
         t.join(10)
         assert not t.is_alive()
         assert held["ok"] and before["ok"] and updated["ok"] and refreshed["ok"]
         assert held["epoch"] == before["epoch"]
         # Raw protocol: the encoded columns are equal iff the bits are.
         assert held["data"] == before["data"]
+        assert held["buffers"] == before["buffers"]
         assert refreshed["epoch"] > updated["epoch"] > before["epoch"]
         after = call(stream, op="query", sql=QUERY)
         assert after["epoch"] == refreshed["epoch"]
-        assert after["data"] != before["data"]
+        assert after["buffers"] != before["buffers"]
     finally:
         for s in (stream, sock, stream2, sock2):
             s.close()
@@ -374,6 +375,47 @@ def test_client_close_after_the_server_stopped():
     finally:
         server.stop()
         client._sock.close()
+
+
+def test_timed_out_client_closes_its_socket():
+    """A reply that outlasts the client's timeout leaves the stream out of
+    step: the client raises ``ServeConnectionError`` and closes itself."""
+    with ServeServer(build_concurrent(rows=10)) as server:
+        client = ServeClient(port=server.port, timeout=0.3)
+        try:
+            with pytest.raises(ServeConnectionError):
+                client.query(QUERY, hold_ms=1500)
+            assert client._sock.fileno() == -1
+            with pytest.raises(ServeConnectionError):
+                client.ping()  # not read as the held query's late reply
+        finally:
+            client.close()
+
+
+def test_reply_with_another_requests_id_is_a_protocol_error():
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def answer_with_id_7():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rwb") as stream:
+            stream.readline()
+            stream.write(protocol.encode_line(
+                {"id": 7, "ok": True, "pong": True, "session": "session-0"}))
+            stream.flush()
+            stream.readline()
+
+    thread = threading.Thread(target=answer_with_id_7, daemon=True)
+    thread.start()
+    try:
+        with ServeClient(port=port, timeout=5.0) as client:
+            with pytest.raises(ProtocolError, match="7"):
+                client.ping()
+            assert client._sock.fileno() == -1
+    finally:
+        listener.close()
+        thread.join(5)
+    assert not thread.is_alive()
 
 
 def test_ephemeral_ports_do_not_collide():

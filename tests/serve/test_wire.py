@@ -1,24 +1,28 @@
 """The typed-column wire encoding: round trips, served answers against
-embedded ones, hostile replies, and the two connection-handler defects
-(an unencodable payload, an over-long request line).
+embedded ones, hostile reply frames, and the two connection-handler
+defects (an unencodable payload, an over-long request line).
 """
 
 from __future__ import annotations
 
-import base64
+import contextlib
 import datetime
+import io
 import json
+import re
 import socket
 import struct
 import sys
 import threading
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.columns import Column
-from repro.errors import ProtocolError, ReproError
+from repro.errors import ProtocolError, ReproError, ServeConnectionError
 from repro.relational.engine import Database, Result
 from repro.relational.schema import Column as Field
 from repro.relational.schema import Schema
@@ -49,9 +53,11 @@ def row_bits(rows):
 
 
 def over_the_wire(result):
-    """result_payload -> encode_line -> the client's decode."""
-    line = protocol.encode_line({"ok": True, **protocol.result_payload(result)})
-    reply = json.loads(line.decode("utf-8"))
+    """result_payload -> encode_line -> the client's frame reader and decode."""
+    frame = protocol.encode_line({"ok": True, **protocol.result_payload(result)})
+    stream = io.BytesIO(frame)
+    reply = protocol.read_reply(stream)
+    assert stream.read() == b""  # the reader took the whole frame, no more
     protocol.decode_result(reply)
     return reply
 
@@ -89,7 +95,7 @@ def test_column_round_trip_is_exact(type_name, values, kind):
         payload = protocol.result_payload(result)
         assert "rows" not in payload
         assert payload["data"][0]["kind"] == kind
-        assert ("valid" in payload["data"][0]) == (
+        assert ("vbytes" in payload["data"][0]) == (
             kind != "object" and None in values)
         reply = over_the_wire(result)
         assert reply["columns"] == ["c"] and reply["types"] == [type_name]
@@ -207,14 +213,24 @@ def test_unencodable_payload_is_an_error_response(monkeypatch):
         assert len(client.query(QUERY)["rows"]) == 50
 
 
-# -- hostile replies ------------------------------------------------------------------
+# -- hostile reply frames ------------------------------------------------------------
 
 
-def good_reply():
+def good_reply(request_id=1):
+    """A reply payload: header fields plus its ``buffers`` (a: 24 bytes,
+    b: 24 bytes then a 1-byte bitmap, c: object values, no buffer)."""
     db = Database()
     db.create_table("t", [("a", "INTEGER"), ("b", "FLOAT"), ("c", "TEXT")])
     db.insert("t", [(1, 0.5, "x"), (2, None, "y"), (3, 2.5, None)])
-    return {"id": 1, "ok": True, **protocol.result_payload(db.sql("SELECT a, b, c FROM t"))}
+    return {"id": request_id, "ok": True,
+            **protocol.result_payload(db.sql("SELECT a, b, c FROM t"))}
+
+
+GOOD_ROWS = [[1, 0.5, "x"], [2, None, "y"], [3, 2.5, None]]
+
+
+def good_frame(request_id):
+    return protocol.encode_line(good_reply(request_id))
 
 
 def _set(path, value):
@@ -235,15 +251,26 @@ def _delete(path):
     return mutate
 
 
-TWO_ROWS = base64.b64encode(bytes(16)).decode()
+def _bool_column_of(raw):
+    def mutate(reply):
+        reply["data"][0] = {"kind": "bool", "nbytes": len(raw)}
+        reply["buffers"][0] = raw
+    return mutate
+
+
+# Header and buffer mutations.  The lengths a header declares decide
+# whether the client can find the frame's end: where they can be trusted,
+# a bad value leaves the connection in step; where they cannot, the
+# client closes its socket.
 HOSTILE = {
-    "truncated-b64": _set(["data", 0, "b64"], good_reply()["data"][0]["b64"][:-3]),
-    "not-base64": _set(["data", 1, "b64"], "@@@@ not base64 @@@@"),
-    "b64-not-a-string": _set(["data", 0, "b64"], 7),
-    "buffer-too-short": _set(["data", 0, "b64"], TWO_ROWS),
-    "buffer-not-a-multiple": _set(["data", 0, "b64"], base64.b64encode(bytes(25)).decode()),
-    "short-valid-bitmap": _set(["data", 1, "valid"], ""),
-    "valid-not-base64": _set(["data", 1, "valid"], "!"),
+    "nbytes-truncated": _set(["data", 0, "nbytes"], 21),
+    "nbytes-not-an-int": _set(["data", 1, "nbytes"], "24"),
+    "nbytes-missing": _delete(["data", 0, "nbytes"]),
+    "buffer-too-short": _set(["data", 0, "nbytes"], 16),
+    "buffer-not-a-multiple": _set(["data", 0, "nbytes"], 25),
+    "short-valid-bitmap": _set(["data", 1, "vbytes"], 0),
+    "vbytes-not-an-int": _set(["data", 1, "vbytes"], "!"),
+    "kind-length-mismatch": _set(["data", 0, "kind"], "bool"),
     "unknown-kind": _set(["data", 0, "kind"], "float128"),
     "kind-not-a-string": _set(["data", 0, "kind"], ["int64"]),
     "entry-not-an-object": _set(["data", 0], "AAAA"),
@@ -257,16 +284,19 @@ HOSTILE = {
     "object-values-not-a-list": _set(["data", 2, "values"], "xyz"),
     "bad-date": _set(["data", 2, "values"], [{"$date": "not-a-date"}, "y", None]),
     "date-not-a-string": _set(["data", 2, "values"], [{"$date": 5}, "y", None]),
-    "bool-bytes-beyond-0-1": lambda reply: reply["data"].__setitem__(
-        0, {"kind": "bool", "b64": base64.b64encode(b"\x00\x01\x07").decode()}),
+    "bool-bytes-beyond-0-1": _bool_column_of(b"\x00\x01\x07"),
 }
+IN_STEP = {"object-values-too-few", "object-values-not-a-list", "bad-date",
+           "date-not-a-string", "bool-bytes-beyond-0-1"}
 
 
 class CannedServer:
-    """Answers every request line with the next canned response line."""
+    """Answers each request line, on whichever connection asks, with the
+    next canned frame: bytes, or a function of the request's id.  A
+    connection is closed once the frames run out."""
 
-    def __init__(self, lines):
-        self._lines = list(lines)
+    def __init__(self, frames):
+        self._frames = list(frames)
         self._sock = socket.socket()
         self._sock.bind(("127.0.0.1", 0))
         self._sock.listen(1)
@@ -275,16 +305,25 @@ class CannedServer:
         self._thread.start()
 
     def _serve(self):
-        conn, _ = self._sock.accept()
-        with conn, conn.makefile("rwb") as stream:
-            for line in self._lines:
-                if not stream.readline():
-                    return
-                stream.write(line)
-                stream.flush()
-            stream.readline()  # the client's close
+        while self._frames:
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:
+                return
+            with conn, conn.makefile("rwb") as stream:
+                while self._frames:
+                    line = stream.readline()
+                    if not line:
+                        break
+                    frame = self._frames.pop(0)
+                    if callable(frame):
+                        frame = frame(json.loads(line)["id"])
+                    stream.write(frame)
+                    stream.flush()
 
     def close(self):
+        with contextlib.suppress(OSError):
+            self._sock.shutdown(socket.SHUT_RDWR)  # wakes a blocked accept
         self._sock.close()
         self._thread.join(timeout=5)
         assert not self._thread.is_alive()
@@ -294,15 +333,22 @@ class CannedServer:
 def test_hostile_reply_is_a_protocol_error_from_the_client(name):
     reply = good_reply()
     HOSTILE[name](reply)
-    canned = CannedServer([protocol.encode_line(reply),
-                           protocol.encode_line(good_reply())])
+    canned = CannedServer([protocol.encode_line(reply), good_frame])
     try:
         with ServeClient(port=canned.port, timeout=5.0) as client:
             with pytest.raises(ProtocolError):
                 client.query("SELECT a, b, c FROM t")
-            # The line was consumed whole: the connection is still in step.
-            assert list(client.query("SELECT a, b, c FROM t")["rows"]) == [
-                [1, 0.5, "x"], [2, None, "y"], [3, 2.5, None]]
+            if name in IN_STEP:
+                # The frame was consumed whole: the connection is still in step.
+                assert list(client.query("SELECT a, b, c FROM t")["rows"]) == GOOD_ROWS
+            else:
+                # No telling where the frame ends: the client closed itself.
+                assert client._sock.fileno() == -1
+                with pytest.raises(ServeConnectionError):
+                    client.ping()
+        if name not in IN_STEP:
+            with ServeClient(port=canned.port, timeout=5.0) as fresh:
+                assert list(fresh.query("SELECT a, b, c FROM t")["rows"]) == GOOD_ROWS
     finally:
         canned.close()
 
@@ -318,13 +364,85 @@ def test_reply_that_is_not_a_json_object_is_a_protocol_error(line):
         canned.close()
 
 
+def test_huge_declared_row_count_then_close_raises_without_allocating_it():
+    """A header declaring 2**40 float rows (8 TiB of buffer), then the
+    server hangs up: the client raises at once, having allocated what
+    arrived, not what was declared."""
+    header = {"id": 1, "ok": True, "columns": ["w"], "types": ["FLOAT"],
+              "nrows": 2**40, "data": [{"kind": "float64", "nbytes": 8 * 2**40}]}
+    canned = CannedServer([protocol.encode_line(header)])
+    try:
+        with ServeClient(port=canned.port, timeout=5.0) as client:
+            tracemalloc.start()
+            started = time.perf_counter()
+            try:
+                with pytest.raises(ServeConnectionError):
+                    client.query("SELECT w FROM t")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert time.perf_counter() - started < 2.0
+            assert peak < 8 << 20
+            assert client._sock.fileno() == -1
+    finally:
+        canned.close()
+
+
+def test_end_of_stream_inside_the_buffers_is_a_connection_error():
+    frame = good_frame(1)
+    canned = CannedServer([frame[:-10]])  # 10 bytes short, then hang up
+    try:
+        with ServeClient(port=canned.port, timeout=5.0) as client:
+            with pytest.raises(ServeConnectionError, match="short"):
+                client.query("SELECT a, b, c FROM t")
+            assert client._sock.fileno() == -1
+    finally:
+        canned.close()
+
+
+def test_replies_without_fixed_width_columns_are_one_json_line():
+    """Replies to ``ping``, to writes, to errors and to a query with only
+    object columns are exactly their JSON line: nothing follows it."""
+    cw = build_concurrent()
+    cw.create_table("names", [("name", "TEXT")])
+    cw.insert("names", [("x",)])
+    with ServeServer(cw) as server:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            stream = sock.makefile("rwb")
+            requests = [
+                {"op": "ping", "id": 1},
+                {"op": "update", "id": 2, "table": "seq", "keys": {"pos": 3},
+                 "value_col": "val", "new_value": 1.5},
+                {"op": "set", "id": 3},
+                {"op": "query", "id": 4, "sql": "SELECT name FROM names"},
+                {"op": "ping", "id": 5},
+            ]
+            for request in requests:
+                stream.write(protocol.encode_line(request))
+            stream.flush()
+            lines = [stream.readline() for _ in requests]
+    assert re.fullmatch(
+        rb'\{"id":1,"ok":true,"pong":true,"session":"session-\d+"\}\n', lines[0])
+    assert re.fullmatch(rb'\{"id":2,"ok":true,"epoch":\d+\}\n', lines[1])
+    assert lines[2] == (
+        b'{"id":null,"ok":false,"error":{"type":"ProtocolError","message":'
+        + json.dumps(f"unknown op 'set'; expected one of {protocol.OPS}").encode()
+        + b"}}\n")
+    assert re.fullmatch(
+        rb'\{"id":4,"ok":true,"columns":\["name"\],"types":\["TEXT"\],"nrows":1,'
+        rb'"data":\[\{"kind":"object","values":\["x"\]\}\],"epoch":\d+,'
+        rb'"rewrite":null,"trace_id":null,"session":"session-\d+"\}\n', lines[3])
+    assert re.fullmatch(
+        rb'\{"id":5,"ok":true,"pong":true,"session":"session-\d+"\}\n', lines[4])
+
+
 # -- request line length ------------------------------------------------------------------
 
 
 def test_max_line_bytes_is_the_limit_in_force():
     with ServeServer(build_concurrent()) as server, \
             ServeClient(port=server.port) as client:
-        # Above asyncio's 64 KiB default, below MAX_LINE_BYTES: served.
+        # A line of some 200 KB, below MAX_LINE_BYTES: served.
         assert len(client.query(QUERY + " " * 200_000)["rows"]) == 50
         # Above MAX_LINE_BYTES: one typed error (id null), then business as usual.
         with pytest.raises(ProtocolError, match=str(protocol.MAX_LINE_BYTES)):
@@ -384,7 +502,9 @@ def test_hostile_request_bytes_get_error_replies_or_a_clean_close(
         sock.sendall(payload)
         sock.shutdown(socket.SHUT_WR)
         with sock.makefile("rb") as stream:
-            replies = [json.loads(line) for line in stream]  # to a clean EOF
+            replies = []
+            while (reply := protocol.read_reply(stream)) is not None:  # to a clean EOF
+                replies.append(reply)
     assert len(replies) == len(expected)
     for line, reply in zip(expected, replies):
         assert isinstance(reply, dict)
