@@ -51,15 +51,17 @@ print("all four strategies produce identical results ✓")
 
 # --- 3. The core algebra directly (no SQL) -----------------------------------
 view_seq = CompleteSequence.from_raw(raw, sliding(2, 1))
-explicit = maxoa.derive(view_seq, sliding(3, 1), form="explicit")
-recursive = minoa.derive(view_seq, sliding(3, 1), form="recursive")
+# MaxOA's explicit form, one position at a time (the relational pattern's
+# profile), against MinOA's whole-sequence kernel (one NumPy array).
+explicit = [maxoa.derive_at(view_seq, sliding(3, 1), k) for k in range(1, len(raw) + 1)]
+recursive = minoa.derive(view_seq, sliding(3, 1))
 assert all(abs(a - b) < 1e-8 for a, b in zip(explicit, recursive))
 params = maxoa.check_preconditions(sliding(2, 1), sliding(3, 1))
 print(f"\nMaxOA factors for (2,1) -> (3,1): Δl={params.delta_l}, "
       f"Δp={params.delta_p}, shift period Δl+Δp={params.period} (= Wx)")
 
 # --- 4. Raw data is reconstructible from the complete view (section 3.2) ----
-reconstructed = raw_from_sliding(view_seq, form="recursive")
+reconstructed = raw_from_sliding(view_seq)
 assert all(abs(a - b) < 1e-8 for a, b in zip(reconstructed, raw))
 print("raw data reconstructed exactly from the materialized view ✓")
 

@@ -29,7 +29,7 @@ from repro.core.sequence import SequenceSpec
 from repro.core.window import WindowSpec
 from repro.errors import IncompleteSequenceError, SequenceError
 
-__all__ = ["CompleteSequence", "strided_cumsum"]
+__all__ = ["CompleteSequence", "frozen", "strided_cumsum"]
 
 
 def strided_cumsum(x: np.ndarray, period: int) -> np.ndarray:
@@ -46,6 +46,14 @@ def strided_cumsum(x: np.ndarray, period: int) -> np.ndarray:
     padded = np.zeros(rows * period)
     padded[:m] = x
     return np.cumsum(padded.reshape(rows, period), axis=0).reshape(-1)[:m]
+
+
+def frozen(x: np.ndarray) -> np.ndarray:
+    """``x``, made read-only: a derived column may be a view of
+    :meth:`CompleteSequence.span`'s cached array, so none is handed out
+    writable."""
+    x.flags.writeable = False
+    return x
 
 
 class CompleteSequence:

@@ -19,7 +19,7 @@ The compensation sequences satisfy recursions with period
     ``z̃^H_k = x̃_{k+Δh} - x̃_{k+Wx} + z̃^H_{k+Wx}``
 
 Unrolling yields the *explicit form* — the one the relational operator
-pattern (fig. 10) implements:
+pattern (fig. 10) implements, and :func:`derive_at` at one position:
 
     ``ỹ_k = x̃_k + Σ_{i>=1} (x̃_{k-i·Wx} - x̃_{k-i·Wx-Δl})
                  + Σ_{i>=1} (x̃_{k+i·Wx} - x̃_{k+i·Wx+Δh})``
@@ -41,12 +41,12 @@ the overlap is harmless (duplicate-insensitive), so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.aggregates import MIN
-from repro.core.complete import CompleteSequence, strided_cumsum
+from repro.core.complete import CompleteSequence, frozen, strided_cumsum
 from repro.core.window import WindowSpec
 from repro.errors import DerivationError
 
@@ -158,7 +158,7 @@ def _derive_at_minmax(seq: CompleteSequence, params: MaxOAParameters, k: int) ->
     return result
 
 
-def _derive_minmax(seq: CompleteSequence, params: MaxOAParameters) -> List[float]:
+def _derive_minmax(seq: CompleteSequence, params: MaxOAParameters) -> np.ndarray:
     """The MIN/MAX cover over all positions: three shifted slices of the
     view, a shifted value taking part only where its window still
     intersects ``1..n`` (:meth:`CompleteSequence.value_or_none`)."""
@@ -171,7 +171,7 @@ def _derive_minmax(seq: CompleteSequence, params: MaxOAParameters) -> List[float
             present = (at >= 1 - params.view.h) & (at <= n + params.view.l)
             shifted = seq.span(1 + shift, n + shift)
             out = np.where(present, combine(out, shifted), out)
-    return out.tolist()
+    return frozen(out)
 
 
 def derive_at(seq: CompleteSequence, target: WindowSpec, k: int) -> float:
@@ -186,7 +186,7 @@ def derive_at(seq: CompleteSequence, target: WindowSpec, k: int) -> float:
     return _derive_at_sum(seq, params, k)
 
 
-def _derive_recursive(seq: CompleteSequence, params: MaxOAParameters) -> List[float]:
+def _derive_recursive(seq: CompleteSequence, params: MaxOAParameters) -> np.ndarray:
     """Recursive form: materialize the compensation sequences in one pass.
 
     This is the strategy an engine with internal caches would use (paper
@@ -213,23 +213,21 @@ def _derive_recursive(seq: CompleteSequence, params: MaxOAParameters) -> List[fl
         diff = shifted - seq.span(1 + period, hi + period)
         zh = strided_cumsum(diff[::-1], period)[::-1]
         out = out + (shifted[:n] - zh[:n])
-    return out.tolist()
+    return frozen(out)
 
 
 def derive(
     seq: CompleteSequence,
     target: WindowSpec,
     *,
-    form: str = "explicit",
     params: Optional[MaxOAParameters] = None,
-) -> List[float]:
-    """Derive ``[ỹ_1 .. ỹ_n]`` for ``target`` from the materialized ``seq``.
+) -> np.ndarray:
+    """``[ỹ_1 .. ỹ_n]`` for ``target`` from the materialized ``seq``, as a
+    read-only float64 array: the recursive form, O(n) lookups.  The
+    explicit form (O(n/Wx) lookups per position, the relational pattern's
+    profile) is :func:`derive_at`.
 
     Args:
-        form: ``"explicit"`` evaluates the telescoped sums per position
-            (O(n²/Wx) lookups — the relational pattern's profile);
-            ``"recursive"`` materializes the compensation sequences
-            (O(n) lookups — the internal-cache strategy).
         params: pre-checked parameters (skips re-validation).
 
     Raises:
@@ -239,15 +237,9 @@ def derive(
     if params is None:
         params = check_preconditions(seq.window, target)
     if seq.aggregate.duplicate_insensitive:
-        if form == "recursive":
-            return _derive_minmax(seq, params)
-        return [_derive_at_minmax(seq, params, k) for k in range(1, seq.n + 1)]
+        return _derive_minmax(seq, params)
     if not seq.aggregate.invertible:
         raise DerivationError(
             f"MaxOA supports SUM/COUNT/MIN/MAX views; got {seq.aggregate.name}"
         )
-    if form == "recursive":
-        return _derive_recursive(seq, params)
-    if form != "explicit":
-        raise DerivationError(f"unknown MaxOA form {form!r}")
-    return [_derive_at_sum(seq, params, k) for k in range(1, seq.n + 1)]
+    return _derive_recursive(seq, params)

@@ -35,9 +35,11 @@ Compared to MaxOA (section 4):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
-from repro.core.complete import CompleteSequence, strided_cumsum
+import numpy as np
+
+from repro.core.complete import CompleteSequence, frozen, strided_cumsum
 from repro.core.window import WindowSpec
 from repro.errors import DerivationError
 
@@ -122,17 +124,16 @@ def derive(
     seq: CompleteSequence,
     target: WindowSpec,
     *,
-    form: str = "explicit",
     params: Optional[MinOAParameters] = None,
-) -> List[float]:
-    """Derive ``[ỹ_1 .. ỹ_n]`` for ``target`` from the materialized ``seq``.
+) -> np.ndarray:
+    """``[ỹ_1 .. ỹ_n]`` for ``target`` from the materialized ``seq``, as a
+    read-only float64 array.
 
-    Args:
-        form: ``"explicit"`` evaluates the tilings per position (O(n²/Wx)
-            lookups, the relational pattern's cost profile); ``"recursive"``
-            computes both prefix-tiling sums incrementally (O(n) lookups):
-            with ``P_k = Σ_{i>=0} x̃_{k-i·Wx}``, the positive part at ``k`` is
-            ``P_{k+Δh}`` and ``P_k = x̃_k + P_{k-Wx}``.
+    Both prefix-tiling sums are computed incrementally (O(n) lookups): with
+    ``P_k = Σ_{i>=0} x̃_{k-i·Wx}``, the positive part at ``k`` is
+    ``P_{k+Δh}`` and ``P_k = x̃_k + P_{k-Wx}``.  The explicit form (the
+    tilings summed at one position, the relational pattern's profile) is
+    :func:`derive_at`.
 
     Raises:
         DerivationError: non-sliding windows or non-invertible aggregate.
@@ -140,15 +141,10 @@ def derive(
     if params is None:
         params = check_preconditions(seq.window, target)
     _require_invertible(seq)
-    n = seq.n
-    if form == "explicit":
-        return [_derive_at(seq, params, k) for k in range(1, n + 1)]
-    if form != "recursive":
-        raise DerivationError(f"unknown MinOA form {form!r}")
-
     # P_j = x̃_j + P_{j-Wx} over every position either tiling can reach
     # (x̃ and hence P vanish below 1 - hx): one strided cumsum, read at the
     # two shifted ranges.
+    n = seq.n
     period = params.period
     pos_head = 1 + params.delta_h
     neg_head = 1 - params.delta_l - period
@@ -157,4 +153,4 @@ def derive(
     prefix = strided_cumsum(seq.span(lo, hi), period)
     positive = prefix[pos_head - lo : pos_head - lo + n]
     negative = prefix[neg_head - lo : neg_head - lo + n]
-    return (positive - negative).tolist()
+    return frozen(positive - negative)

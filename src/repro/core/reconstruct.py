@@ -16,20 +16,23 @@ Three building blocks:
 
       ``x_k = Σ_{i>=0} ( x̃_{k-h-i·w} - x̃_{k-h-1-i·w} )``
 
-  are provided; the sum stops at ``i_up = ceil(k / w)`` because beyond that
-  point ``k - h - i·w <= -h`` and the sequence values vanish.
+  hold; the sum stops at ``i_up = ceil(k / w)`` because beyond that point
+  ``k - h - i·w <= -h`` and the sequence values vanish.
 
-All functions work on :class:`~repro.core.complete.CompleteSequence` values
-and use its total value function, so headers/trailers and the paper's
-zero-extension conventions apply uniformly.
+The whole-sequence functions return read-only float64 arrays; the
+``*_at_*`` functions evaluate one position.  All of them read
+:class:`~repro.core.complete.CompleteSequence` values through its total
+value function, so headers/trailers and the paper's zero-extension
+conventions apply uniformly.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List
 
-from repro.core.complete import CompleteSequence, strided_cumsum
+import numpy as np
+
+from repro.core.complete import CompleteSequence, frozen, strided_cumsum
 from repro.core.window import WindowSpec
 from repro.errors import DerivationError
 
@@ -59,17 +62,17 @@ def raw_at_from_cumulative(seq: CompleteSequence, k: int) -> float:
     return seq.value(k) - seq.value(k - 1)
 
 
-def raw_from_cumulative(seq: CompleteSequence) -> List[float]:
+def raw_from_cumulative(seq: CompleteSequence) -> np.ndarray:
     """All raw values ``x_1 .. x_n`` from a cumulative sequence (fig. 4):
     the view minus itself shifted by one position."""
     if not seq.window.is_cumulative:
         raise DerivationError("raw_from_cumulative needs a cumulative sequence")
     _require_sum_family(seq, "raw-data reconstruction")
     n = seq.n
-    return (seq.span(1, n) - seq.span(0, n - 1)).tolist()
+    return frozen(seq.span(1, n) - seq.span(0, n - 1))
 
 
-def sliding_from_cumulative(seq: CompleteSequence, target: WindowSpec) -> List[float]:
+def sliding_from_cumulative(seq: CompleteSequence, target: WindowSpec) -> np.ndarray:
     """Derive a sliding-window sequence ``ỹ = (l, h)`` from a cumulative view.
 
     ``ỹ_k = x̃_{k+h} - x̃_{k-l-1}`` (fig. 5); the cumulative trailer
@@ -77,7 +80,7 @@ def sliding_from_cumulative(seq: CompleteSequence, target: WindowSpec) -> List[f
     """
     _require_cumulative_to_sliding(seq, target)
     l, h, n = target.l, target.h, seq.n
-    return (seq.span(1 + h, n + h) - seq.span(-l, n - l - 1)).tolist()
+    return frozen(seq.span(1 + h, n + h) - seq.span(-l, n - l - 1))
 
 
 def sliding_at_from_cumulative(
@@ -126,21 +129,15 @@ def raw_at_from_sliding(seq: CompleteSequence, k: int, *, form: str = "explicit"
     return total
 
 
-def raw_from_sliding(seq: CompleteSequence, *, form: str = "explicit") -> List[float]:
-    """All raw values ``x_1 .. x_n`` from a complete sliding-window sequence.
-
-    ``form="recursive"`` runs the recursion ``x_k = x̃_{k-h} - x̃_{k-h-1} +
-    x_{k-w}`` forward over the whole sequence (O(n) total, one strided
-    cumsum); ``form="explicit"`` evaluates the bounded sum at
-    every position (O(n²/w) total), matching the relational pattern's cost
-    profile.
+def raw_from_sliding(seq: CompleteSequence) -> np.ndarray:
+    """All raw values ``x_1 .. x_n`` from a complete sliding-window sequence:
+    the recursion ``x_k = x̃_{k-h} - x̃_{k-h-1} + x_{k-w}`` run forward over
+    the whole sequence (O(n) total, one strided cumsum).  The explicit
+    form at one position is :func:`raw_at_from_sliding`.
     """
     if not seq.window.is_sliding:
         raise DerivationError("raw_from_sliding needs a sliding-window view")
     _require_sum_family(seq, "raw-data reconstruction")
-    n = seq.n
-    if form == "recursive":
-        h = seq.window.h
-        steps = seq.span(1 - h, n - h) - seq.span(-h, n - h - 1)
-        return strided_cumsum(steps, seq.window.width).tolist()
-    return [raw_at_from_sliding(seq, k, form=form) for k in range(1, n + 1)]
+    n, h = seq.n, seq.window.h
+    steps = seq.span(1 - h, n - h) - seq.span(-h, n - h - 1)
+    return frozen(strided_cumsum(steps, seq.window.width))

@@ -189,23 +189,20 @@ class ReportingSequence:
     # -- window derivation (same partitioning/ordering) --------------------------
 
     def derive_window(
-        self, target: WindowSpec, *, algorithm: str = "auto", form: str = "explicit"
+        self, target: WindowSpec, *, algorithm: str = "auto"
     ) -> "ReportingSequence":
         """Derive a different window per partition (sections 3-5 applied
         partition-wise)."""
         partitions = {}
         for key, part in self.partitions.items():
-            values = derive_window_values(
-                part.seq, target, algorithm=algorithm, form=form
-            )
-            raw_placeholder = values  # the derived values ARE the new sequence
+            values = derive_window_values(part.seq, target, algorithm=algorithm)
             partitions[key] = PartitionData(
                 list(part.order_keys),
                 CompleteSequence.from_values(
                     target,
                     self.aggregate,
                     part.seq.n,
-                    list(zip(range(1, part.seq.n + 1), raw_placeholder)),
+                    list(zip(range(1, part.seq.n + 1), values)),
                     complete=False,
                 ),
             )
@@ -213,7 +210,7 @@ class ReportingSequence:
             self.partition_by, self.order_by, target, self.aggregate, partitions
         )
 
-    def reconstruct_raw(self) -> Dict[Key, List[float]]:
+    def reconstruct_raw(self) -> Dict[Key, np.ndarray]:
         """Per-partition raw values (requires completeness for sliding views)."""
         out = {}
         for key, part in self.partitions.items():
@@ -226,7 +223,7 @@ class ReportingSequence:
                         "reconstruction from a sliding view needs a complete "
                         "reporting function"
                     )
-                out[key] = raw_from_sliding(part.seq, form="recursive")
+                out[key] = raw_from_sliding(part.seq)
         return out
 
 

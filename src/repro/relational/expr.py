@@ -19,11 +19,13 @@ scalar functions (``ABS``, date part extractors for the intro example).
 
 from __future__ import annotations
 
+import datetime
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Set, Tuple
 
 from repro.errors import ExpressionError
 from repro.relational.schema import Schema
+from repro.relational.types import BOOLEAN, DATE, FLOAT, INTEGER, TEXT, DataType
 
 __all__ = [
     "Expr",
@@ -42,6 +44,7 @@ __all__ = [
     "FuncCall",
     "col",
     "lit",
+    "result_type",
 ]
 
 Row = Tuple[Any, ...]
@@ -423,8 +426,9 @@ class CaseExpr(Expr):
     default: Optional[Expr] = None
 
     def bind(self, schema: Schema) -> Compiled:
-        branches = [(c.bind(schema), v.bind(schema)) for c, v in self.whens]
-        default = self.default.bind(schema) if self.default is not None else None
+        target = result_type(self, schema)
+        branches = [(c.bind(schema), _bind_as(v, schema, target)) for c, v in self.whens]
+        default = _bind_as(self.default, schema, target) if self.default is not None else None
 
         def run(row: Row) -> Any:
             for cond, value in branches:
@@ -460,7 +464,8 @@ class Coalesce(Expr):
         object.__setattr__(self, "items", tuple(items))
 
     def bind(self, schema: Schema) -> Compiled:
-        compiled = [item.bind(schema) for item in self.items]
+        target = result_type(self, schema)
+        compiled = [_bind_as(item, schema, target) for item in self.items]
 
         def run(row: Row) -> Any:
             for c in compiled:
@@ -548,3 +553,74 @@ class FuncCall(Expr):
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(str(a) for a in self.args)})"
+
+
+# -- result types -------------------------------------------------------------
+
+_LITERAL_TYPES = {bool: BOOLEAN, int: INTEGER, float: FLOAT, str: TEXT, datetime.date: DATE}
+_PREDICATES = (Comparison, And, Or, Not, InList, IsNull, Like)
+_NUMERIC = (INTEGER, FLOAT)
+# The type of an expression that is always NULL: it takes the type of
+# whatever it is combined with.
+_NULL = object()
+
+
+def result_type(expr: Expr, schema: Schema) -> Optional[DataType]:
+    """The type of ``expr``'s non-NULL values over rows of ``schema``, or
+    ``None`` where it is not known before execution (an expression that is
+    always NULL, arithmetic over non-numbers, branches of unrelated types).
+
+    Literals by kind, predicates BOOLEAN, arithmetic by numeric promotion
+    (INTEGER op INTEGER is INTEGER, except ``/``), ``CASE``/``COALESCE``
+    by their branches (INTEGER and FLOAT promote to FLOAT),
+    ``MONTH``/``YEAR``/``DAY`` INTEGER.
+    """
+    found = _type(expr, schema)
+    return None if found is _NULL else found
+
+
+def _type(expr: Expr, schema: Schema) -> Any:
+    if isinstance(expr, ColumnRef):
+        return schema.column(expr.name, expr.qualifier).type
+    if isinstance(expr, Literal):
+        return _NULL if expr.value is None else _LITERAL_TYPES.get(type(expr.value))
+    if isinstance(expr, _PREDICATES):
+        return BOOLEAN
+    if isinstance(expr, Arithmetic):
+        return _promote(expr.op, _type(expr.left, schema), _type(expr.right, schema))
+    if isinstance(expr, FuncCall):
+        args = [_type(a, schema) for a in expr.args]
+        if expr.name == "MOD":
+            return _promote("%", *args)
+        if expr.name == "ABS":
+            return args[0] if args[0] in (INTEGER, FLOAT, _NULL) else None
+        return INTEGER  # MONTH, YEAR, DAY
+    if isinstance(expr, (CaseExpr, Coalesce)):
+        branches = list(expr.items) if isinstance(expr, Coalesce) else [v for _, v in expr.whens]
+        if isinstance(expr, CaseExpr) and expr.default is not None:
+            branches.append(expr.default)
+        kinds = {_type(b, schema) for b in branches} - {_NULL}
+        if not kinds:
+            return _NULL
+        if len(kinds) == 1:
+            return kinds.pop()
+        return FLOAT if kinds == {INTEGER, FLOAT} else None
+    return None
+
+
+def _promote(op: str, left: Any, right: Any) -> Any:
+    left, right = (right if left is _NULL else left), (left if right is _NULL else right)
+    if left is _NULL:
+        return _NULL
+    if left is INTEGER and right is INTEGER:
+        return FLOAT if op == "/" else INTEGER
+    return FLOAT if left in _NUMERIC and right in _NUMERIC else None
+
+
+def _bind_as(expr: Expr, schema: Schema, target: Optional[DataType]) -> Compiled:
+    """Compile a ``CASE``/``COALESCE`` branch: an INTEGER branch of a FLOAT
+    result yields floats, so every value has the declared type."""
+    compiled = expr.bind(schema)
+    if target is not FLOAT or result_type(expr, schema) is not INTEGER:
+        return compiled
+    return lambda row: None if (v := compiled(row)) is None else float(v)

@@ -28,7 +28,7 @@ import numpy as np
 from repro.columns import ColumnRows, sort_order
 from repro.errors import PlanError
 from repro.obs.instrument import span_name_for
-from repro.relational.expr import And, ColumnRef, Comparison, Expr, Literal
+from repro.relational.expr import And, ColumnRef, Comparison, Expr, Literal, result_type
 from repro.relational.schema import Column, Schema
 from repro.relational.stats import ExecutionStats, Probe
 from repro.relational.table import Table
@@ -302,8 +302,9 @@ class Project(Operator):
 
     Args:
         outputs: ``(expr, name)`` pairs; output columns are unqualified.
-        types: optional per-column types; defaults to FLOAT for computed
-            expressions and the source type for plain column references.
+        types: optional per-column types; defaults to the expression's
+            :func:`~repro.relational.expr.result_type`, FLOAT where that is
+            not known before execution.
     """
 
     def __init__(
@@ -341,9 +342,7 @@ class Project(Operator):
 
 
 def _infer_type(expr: Expr, schema: Schema) -> DataType:
-    if isinstance(expr, ColumnRef):
-        return schema.column(expr.name, expr.qualifier).type
-    return FLOAT
+    return result_type(expr, schema) or FLOAT
 
 
 class Sort(Operator):

@@ -329,8 +329,7 @@ def _step_pieces(db: Database, step: _Step) -> Tuple[List[Piece], ExecutionStats
             view.reporting, drop, target_window=shape.window
         )
         return [
-            (pkey, part.key_columns(kinds[:len(shape.order_by)]),
-             np.array(part.seq.core_values(), dtype=np.float64))
+            (pkey, part.key_columns(kinds[:len(shape.order_by)]), part.seq.span(1, part.seq.n))
             for pkey, part in derived.partitions.items()
         ], ExecutionStats()
 
@@ -346,9 +345,7 @@ def _step_pieces(db: Database, step: _Step) -> Tuple[List[Piece], ExecutionStats
                 (
                     pkey,
                     part.key_columns(kinds),
-                    np.array(core_derivation.derive(
-                        part.seq, shape.window, chosen=dplan, form="recursive"
-                    ), dtype=np.float64),
+                    core_derivation.derive(part.seq, shape.window, chosen=dplan),
                 )
                 for pkey, part in partitions.items()
             ]

@@ -11,9 +11,9 @@ from repro.core.reconstruct import (
     raw_from_sliding,
     sliding_from_cumulative,
 )
-from repro.core.window import cumulative, sliding
+from repro.core.window import WindowSpec, cumulative, sliding
 from repro.errors import DerivationError, IncompleteSequenceError
-from tests.conftest import assert_close, brute_window
+from tests.conftest import assert_close, brute_window, derive_each
 
 
 class TestFromCumulative:
@@ -50,7 +50,8 @@ class TestFromSliding:
     @pytest.mark.parametrize("form", ["explicit", "recursive"])
     def test_raw_reconstruction(self, raw40, window, form):
         seq = CompleteSequence.from_raw(raw40, window)
-        assert_close(raw_from_sliding(seq, form=form), raw40)
+        got = derive_each(seq, WindowSpec.point()) if form == "explicit" else raw_from_sliding(seq)
+        assert_close(got, raw40)
 
     def test_single_point_forms_agree(self, raw40):
         seq = CompleteSequence.from_raw(raw40, sliding(2, 2))
@@ -78,7 +79,5 @@ class TestFromSliding:
 
     def test_unknown_form(self, raw40):
         seq = CompleteSequence.from_raw(raw40, sliding(2, 1))
-        with pytest.raises(DerivationError):
-            raw_from_sliding(seq, form="magic")
         with pytest.raises(DerivationError):
             raw_at_from_sliding(seq, 1, form="magic")

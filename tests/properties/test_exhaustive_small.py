@@ -15,9 +15,9 @@ from repro.core import maintenance, maxoa, minoa
 from repro.core.complete import CompleteSequence
 from repro.core.compute import compute_naive, compute_pipelined
 from repro.core.reconstruct import raw_from_sliding
-from repro.core.window import sliding
+from repro.core.window import WindowSpec, sliding
 from repro.errors import SequenceError
-from tests.conftest import brute_window
+from tests.conftest import brute_window, derive_each
 
 BOUND = 3
 WINDOWS = [
@@ -60,9 +60,8 @@ class TestExhaustiveReconstruction:
         for raw in small_sequences():
             for window in WINDOWS:
                 seq = CompleteSequence.from_raw(raw, window)
-                for form in ("explicit", "recursive"):
-                    assert raw_from_sliding(seq, form=form) == raw, (
-                        raw, str(window), form)
+                assert raw_from_sliding(seq).tolist() == raw, (raw, str(window))
+                assert derive_each(seq, WindowSpec.point()) == raw, (raw, str(window))
 
 
 class TestExhaustiveMinOA:
@@ -72,9 +71,10 @@ class TestExhaustiveMinOA:
             seq = CompleteSequence.from_raw(raw, view)
             for target in WINDOWS:
                 expected = brute_window(raw, target)
-                for form in ("explicit", "recursive"):
-                    got = minoa.derive(seq, target, form=form)
-                    assert got == expected, (str(view), str(target), form)
+                got = minoa.derive(seq, target).tolist()
+                assert got == expected, (str(view), str(target))
+                explicit = [minoa.derive_at(seq, target, k) for k in range(1, 9)]
+                assert explicit == expected, (str(view), str(target))
 
 
 class TestExhaustiveMaxOA:
@@ -88,9 +88,10 @@ class TestExhaustiveMaxOA:
                 if not (0 <= dl <= wx and 0 <= dh <= wx):
                     continue
                 expected = brute_window(raw, target)
-                for form in ("explicit", "recursive"):
-                    got = maxoa.derive(seq, target, form=form)
-                    assert got == expected, (str(view), str(target), form)
+                got = maxoa.derive(seq, target).tolist()
+                assert got == expected, (str(view), str(target))
+                explicit = [maxoa.derive_at(seq, target, k) for k in range(1, 9)]
+                assert explicit == expected, (str(view), str(target))
 
 
 class TestExhaustiveMaintenance:

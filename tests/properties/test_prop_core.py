@@ -20,7 +20,7 @@ from repro.core.derivation import derive, prefix_up_to
 from repro.core.reconstruct import raw_from_cumulative, raw_from_sliding
 from repro.core.sequence import SequenceSpec
 from repro.core.window import WindowSpec, cumulative, sliding
-from tests.conftest import assert_close, brute_window
+from tests.conftest import assert_close, brute_window, derive_each
 
 values = st.lists(
     st.floats(min_value=-1000, max_value=1000, allow_nan=False, width=32),
@@ -57,8 +57,8 @@ def test_minmax_deque_equals_naive(raw, window, agg):
 @given(raw=values, window=window_strategy())
 def test_raw_reconstruction_roundtrip(raw, window):
     seq = CompleteSequence.from_raw(raw, window)
-    for form in ("explicit", "recursive"):
-        assert_close(raw_from_sliding(seq, form=form), raw, tol=1e-5)
+    assert_close(raw_from_sliding(seq), raw, tol=1e-5)
+    assert_close(derive_each(seq, WindowSpec.point()), raw, tol=1e-5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -69,26 +69,28 @@ def test_cumulative_roundtrip(raw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(raw=values, view=window_strategy(), target=window_strategy(),
-       form=st.sampled_from(["explicit", "recursive"]))
-def test_minoa_always_derives(raw, view, target, form):
+@given(raw=values, view=window_strategy(), target=window_strategy())
+def test_minoa_always_derives(raw, view, target):
     seq = CompleteSequence.from_raw(raw, view)
-    got = minoa.derive(seq, target, form=form)
-    assert_close(got, brute_window(raw, target), tol=1e-5)
+    expected = brute_window(raw, target)
+    assert_close(minoa.derive(seq, target), expected, tol=1e-5)
+    explicit = [minoa.derive_at(seq, target, k) for k in range(1, seq.n + 1)]
+    assert_close(explicit, expected, tol=1e-5)
 
 
 @settings(max_examples=200, deadline=None)
-@given(raw=values, view=window_strategy(), dl=bounds, dh=bounds,
-       form=st.sampled_from(["explicit", "recursive"]))
-def test_maxoa_derives_within_preconditions(raw, view, dl, dh, form):
+@given(raw=values, view=window_strategy(), dl=bounds, dh=bounds)
+def test_maxoa_derives_within_preconditions(raw, view, dl, dh):
     wx = view.width
     dl, dh = min(dl, wx), min(dh, wx)
     target = sliding(view.l + dl, view.h + dh, allow_point=True)
     if target.is_point:
         return
     seq = CompleteSequence.from_raw(raw, view)
-    got = maxoa.derive(seq, target, form=form)
-    assert_close(got, brute_window(raw, target), tol=1e-5)
+    expected = brute_window(raw, target)
+    assert_close(maxoa.derive(seq, target), expected, tol=1e-5)
+    explicit = [maxoa.derive_at(seq, target, k) for k in range(1, seq.n + 1)]
+    assert_close(explicit, expected, tol=1e-5)
 
 
 @settings(max_examples=100, deadline=None)
@@ -102,7 +104,7 @@ def test_maxoa_minmax(raw, view, dl, dh, agg):
         return
     seq = CompleteSequence.from_raw(raw, view, agg)
     got = maxoa.derive(seq, target)
-    assert got == brute_window(raw, target, agg)
+    assert got.tolist() == brute_window(raw, target, agg)
 
 
 @settings(max_examples=80, deadline=None)

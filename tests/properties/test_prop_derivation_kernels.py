@@ -1,11 +1,12 @@
 """The whole-sequence derivation kernels against what they replaced.
 
-``form="recursive"`` of every derivation is a NumPy kernel (shifted slices,
-one strided cumsum per period-``Wx`` recurrence).  The scalar recurrences
-they replaced are kept here as reference functions: the kernels perform the
-same additions in the same order, so the two must agree *bit for bit*, and
-both must agree with ``form="explicit"`` — the testkit oracle — within
-``values_differ``.
+Every whole-sequence derivation is a NumPy kernel (shifted slices, one
+strided cumsum per period-``Wx`` recurrence) that returns a float64 array.
+The scalar recurrences they replaced are kept here as reference functions:
+the kernels perform the same additions in the same order, so the two must
+agree *bit for bit* (compared as ``tolist()``), and both must agree with
+the per-position explicit forms (``derive_at`` and its kin, the testkit
+oracle) within ``values_differ``.
 """
 
 import datetime
@@ -28,6 +29,7 @@ from repro.core.window import WindowSpec, cumulative, sliding
 from repro.errors import IncompleteSequenceError
 from repro.views.verify import values_differ
 from repro.warehouse import DataWarehouse
+from tests.conftest import derive_each
 
 # -- the scalar recurrences the kernels replaced ---------------------------------
 
@@ -161,9 +163,9 @@ def test_maxoa_sum_family(data, agg, more):
         delta_h = more.draw(st.integers(0, view.width))
     target = sliding(view.l + delta_l, view.h + delta_h)
     seq = CompleteSequence.from_raw(raw, view, agg)
-    got = maxoa.derive(seq, target, form="recursive")
+    got = maxoa.derive(seq, target).tolist()
     assert got == ref_maxoa_sum(seq, target)
-    close(got, maxoa.derive(seq, target, form="explicit"))
+    close(got, [maxoa.derive_at(seq, target, k) for k in range(1, seq.n + 1)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -174,9 +176,9 @@ def test_maxoa_minmax(data, agg, more):
     delta_h = more.draw(st.integers(0, view.width))
     target = sliding(view.l + delta_l, view.h + delta_h)
     seq = CompleteSequence.from_raw(raw, view, agg)
-    got = maxoa.derive(seq, target, form="recursive")
+    got = maxoa.derive(seq, target).tolist()
     assert got == ref_maxoa_minmax(seq, target)
-    assert got == maxoa.derive(seq, target, form="explicit")
+    assert got == [maxoa.derive_at(seq, target, k) for k in range(1, seq.n + 1)]
 
 
 # -- MinOA, prefix tiling, reconstruction ---------------------------------------------
@@ -187,9 +189,9 @@ def test_maxoa_minmax(data, agg, more):
 def test_minoa(data, target, agg):
     view, raw = data  # the target may be narrower than the view on either side
     seq = CompleteSequence.from_raw(raw, view, agg)
-    got = minoa.derive(seq, target, form="recursive")
+    got = minoa.derive(seq, target).tolist()
     assert got == ref_minoa(seq, target)
-    close(got, minoa.derive(seq, target, form="explicit"))
+    close(got, [minoa.derive_at(seq, target, k) for k in range(1, seq.n + 1)])
 
 
 @settings(max_examples=100, deadline=None)
@@ -197,9 +199,9 @@ def test_minoa(data, target, agg):
 def test_prefix_tiling(data):
     view, raw = data
     seq = CompleteSequence.from_raw(raw, view)
-    got = derive(seq, cumulative(), form="recursive")
+    got = derive(seq, cumulative()).tolist()
     assert got == ref_prefix(seq)
-    close(got, derive(seq, cumulative(), form="explicit"))
+    close(got, derive_each(seq, cumulative()))
     close(got, list(itertools.accumulate(raw)))
 
 
@@ -208,10 +210,10 @@ def test_prefix_tiling(data):
 def test_reconstruct_from_sliding(data):
     view, raw = data
     seq = CompleteSequence.from_raw(raw, view)
-    got = raw_from_sliding(seq, form="recursive")
+    got = raw_from_sliding(seq).tolist()
     assert got == ref_raw_from_sliding(seq)
-    assert got == derive(seq, WindowSpec.point(), form="recursive")
-    close(got, raw_from_sliding(seq, form="explicit"))
+    assert got == derive(seq, WindowSpec.point()).tolist()
+    close(got, derive_each(seq, WindowSpec.point()))
 
 
 # -- figs. 4 and 5 -------------------------------------------------------------------
@@ -221,11 +223,11 @@ def test_reconstruct_from_sliding(data):
 @given(raw=st.lists(measures, min_size=1, max_size=40), target=view_windows)
 def test_cumulative_view(raw, target):
     seq = CompleteSequence.from_raw(raw, cumulative())
-    assert raw_from_cumulative(seq) == ref_raw_from_cumulative(seq)
-    got = sliding_from_cumulative(seq, target)
+    assert raw_from_cumulative(seq).tolist() == ref_raw_from_cumulative(seq)
+    got = sliding_from_cumulative(seq, target).tolist()
     assert got == ref_sliding_from_cumulative(seq, target)
-    assert got == derive(seq, target, form="recursive")
-    assert got == derive(seq, target, form="explicit")
+    assert got == derive(seq, target).tolist()
+    assert got == derive_each(seq, target)
 
 
 # -- incomplete sequences --------------------------------------------------------------
@@ -233,22 +235,29 @@ def test_cumulative_view(raw, target):
 
 @pytest.mark.parametrize("form", ["explicit", "recursive"])
 def test_incomplete_sequences_raise_the_same_error(form):
+    """The whole-sequence kernels ("recursive") raise where the
+    per-position explicit forms do."""
     raw = [float(i) for i in range(1, 13)]
     seq = CompleteSequence.from_raw(raw, sliding(2, 1), complete=False)
-    for fn in (
-        lambda: maxoa.derive(seq, sliding(3, 2), form=form),
-        lambda: minoa.derive(seq, sliding(3, 2), form=form),
-        lambda: minoa.derive(seq, sliding(1, 0), form=form),
-        lambda: raw_from_sliding(seq, form=form),
-        lambda: derive(seq, cumulative(), form=form),
+    minmax = CompleteSequence.from_raw(raw, sliding(2, 1), MAX, complete=False)
+
+    def run(s, target, algorithm="auto"):
+        if form == "explicit":
+            return derive_each(s, target, algorithm=algorithm)
+        return derive(s, target, algorithm=algorithm).tolist()
+
+    for s, target, algorithm in (
+        (seq, sliding(3, 2), "maxoa"),
+        (seq, sliding(3, 2), "minoa"),
+        (seq, sliding(1, 0), "minoa"),
+        (seq, WindowSpec.point(), "auto"),
+        (seq, cumulative(), "auto"),
+        (minmax, sliding(3, 2), "maxoa"),
     ):
         with pytest.raises(IncompleteSequenceError, match="header/trailer"):
-            fn()
-    minmax = CompleteSequence.from_raw(raw, sliding(2, 1), MAX, complete=False)
-    with pytest.raises(IncompleteSequenceError, match="header/trailer"):
-        maxoa.derive(minmax, sliding(3, 2), form=form)
+            run(s, target, algorithm)
     # Identity needs neither header nor trailer.
-    assert derive(seq, sliding(2, 1), form=form) == seq.core_values()
+    assert run(seq, sliding(2, 1)) == seq.core_values()
 
 
 # -- the two combinations the rewriter builds on top ----------------------------------
