@@ -483,10 +483,7 @@ class DataWarehouse:
             MaintenanceError: unknown order/partition key.
             DerivationError: window not derivable from the view.
         """
-        from repro.core import derivation as core_derivation
-        from repro.core import maxoa as core_maxoa
-        from repro.core import minoa as core_minoa
-        from repro.core import reconstruct
+        from repro.core.derivation import derive_at
         from repro.views.maintenance import position_of
 
         view = self.view(view_name)
@@ -500,23 +497,7 @@ class DataWarehouse:
         k = position_of(view, pkey, okey)
         seq = view.sequence(pkey)
         target = window or view.definition.window
-        dplan = core_derivation.plan(
-            seq.window,
-            target,
-            minmax=view.definition.aggregate.duplicate_insensitive,
-            algorithm=algorithm,
-        )
-        if dplan.algorithm == "identity":
-            return seq.value(k)
-        if dplan.algorithm == "maxoa":
-            return core_maxoa.derive_at(seq, target, k)
-        if dplan.algorithm == "minoa":
-            return core_minoa.derive_at(seq, target, k)
-        if dplan.algorithm == "cumulative":
-            return reconstruct.sliding_at_from_cumulative(seq, target, k)
-        if dplan.algorithm == "reconstruct":
-            return reconstruct.raw_at_from_sliding(seq, k)
-        return core_derivation.prefix_up_to(seq, k)  # the "prefix" plan
+        return derive_at(seq, target, k, algorithm=algorithm)
 
     def verify(self, *, quarantine: bool = True):
         """Cross-check every view against base data; see
