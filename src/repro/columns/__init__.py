@@ -13,7 +13,7 @@ DESIGN.md §5e.
 
 from repro.columns.codec import buffer_sizes, decode_column, encode_column
 from repro.columns.column import Column, ColumnBuilder, KINDS, kind_for_type
-from repro.columns.rows import ColumnRows, sort_order
+from repro.columns.rows import ColumnRows, run_starts, sort_order
 
 __all__ = [
     "Column",
@@ -24,5 +24,6 @@ __all__ = [
     "decode_column",
     "encode_column",
     "kind_for_type",
+    "run_starts",
     "sort_order",
 ]

@@ -130,3 +130,15 @@ def sort_order(
     if not arrays:
         return np.arange(nrows)
     return np.lexsort(arrays[::-1])
+
+
+def run_starts(columns: Sequence[Column], nrows: int) -> np.ndarray:
+    """The rows where a run of equal values (NULL equal to NULL) of
+    ``columns`` starts: ``[0]`` for no columns, none for no rows."""
+    change = np.zeros(nrows if columns else min(nrows, 1), dtype=np.bool_)
+    change[:1] = True
+    for column in columns:
+        change[1:] |= column.data[1:] != column.data[:-1]
+        if column.validity is not None:
+            change[1:] |= column.validity[1:] != column.validity[:-1]
+    return np.flatnonzero(change)

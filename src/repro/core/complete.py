@@ -33,19 +33,22 @@ __all__ = ["CompleteSequence", "frozen", "strided_cumsum"]
 
 
 def strided_cumsum(x: np.ndarray, period: int) -> np.ndarray:
-    """``out[i] = x[i] + out[i - period]``, with ``out`` zero before index 0.
+    """``out[..., i] = x[..., i] + out[..., i - period]``, with ``out`` zero
+    before index 0, along the last axis.
 
     The period-``Wx`` recurrences of sections 3-5 (``z̃ᴸ``/``z̃ᴴ``, MinOA's
     ``P_j``, raw reconstruction) run independently per residue class
     ``i mod period``.  Reshaped to ``(-1, period)`` a class is a column and
     its recurrence one sequential ``cumsum``: the scalar loop's additions in
-    the scalar loop's order, hence bit-identical to it.
+    the scalar loop's order, hence bit-identical to it (row by row, for the
+    stacked values of a length class).
     """
-    m = len(x)
+    lead, m = x.shape[:-1], x.shape[-1]
     rows = -(-m // period)
-    padded = np.zeros(rows * period)
-    padded[:m] = x
-    return np.cumsum(padded.reshape(rows, period), axis=0).reshape(-1)[:m]
+    padded = np.zeros(lead + (rows * period,))
+    padded[..., :m] = x
+    stacked = np.cumsum(padded.reshape(lead + (rows, period)), axis=-2)
+    return stacked.reshape(lead + (-1,))[..., :m]
 
 
 def frozen(x: np.ndarray) -> np.ndarray:
@@ -215,27 +218,59 @@ class CompleteSequence:
 
     def span(self, lo: int, hi: int) -> np.ndarray:
         """``[x̃_lo .. x̃_hi]`` as float64 — :meth:`value` over a whole range,
-        which is what the whole-sequence derivation kernels read.
+        which is what the whole-sequence derivation kernels read (along the
+        last axis: one row per partition of a :meth:`stack`).
 
         The stored values become one array on first use, kept until
         maintenance replaces them; the result may be a read-only view of it.
         Raises :class:`IncompleteSequenceError` exactly where ``value`` does.
         """
         first, last = self._first(), self._last()
-        if self._array is None:
-            self._array = np.array(self._values, dtype=np.float64)
-            self._array.flags.writeable = False
+        array = self._stored_array()
         if first <= lo <= hi + 1 <= last + 1:
-            return self._array[lo - first : hi - first + 1]
+            return array[..., lo - first : hi - first + 1]
         if not self._complete:
-            # Rare (tests, refused rewrites): value() knows what is missing.
-            return np.array([self.value(k) for k in range(lo, hi + 1)])
-        out = np.zeros(max(hi - lo + 1, 0))
+            # Out of the stored range, an incomplete sequence extrapolates
+            # as a complete one does, except over its missing header/trailer.
+            need_lo = 1 - self.window.header_span()
+            need_hi = self._n + self.window.trailer_span()
+            for s, e in ((max(lo, need_lo), min(hi, first - 1)),
+                         (max(lo, last + 1), min(hi, need_hi))):
+                if s <= e:
+                    self.value(s)  # raises, naming the position
+        out = np.zeros(array.shape[:-1] + (max(hi - lo + 1, 0),))
         s, e = max(lo, first), min(hi, last)
         if s <= e:
-            out[s - lo : e - lo + 1] = self._array[s - first : e - first + 1]
-        if self.window.is_cumulative and hi > last:
-            out[max(last + 1 - lo, 0) :] = self._extrapolate(last + 1)
+            out[..., s - lo : e - lo + 1] = array[..., s - first : e - first + 1]
+        if self.window.is_cumulative and hi > last and self._n:
+            # k > n: the running total stays at x̃_n.
+            out[..., max(last + 1 - lo, 0) :] = array[..., self._n - first, None]
+        return out
+
+    def _stored_array(self) -> np.ndarray:
+        if self._array is None:
+            array = np.array(self._values, dtype=np.float64)
+            array.flags.writeable = False
+            self._array = array
+        return self._array
+
+    @classmethod
+    def stack(cls, seqs: Sequence["CompleteSequence"]) -> "CompleteSequence":
+        """Sequences of one window, aggregate, length and completeness as
+        one whose stored values are a ``(len(seqs), stored)`` array, row
+        ``i`` being ``seqs[i]``'s.  Only :meth:`span` and the attributes
+        the whole-sequence derivations read are meaningful on it; a single
+        sequence stacks as a zero-copy ``[None, :]`` view."""
+        head = seqs[0]
+        out = cls.__new__(cls)
+        out.window, out.aggregate = head.window, head.aggregate
+        out._n, out._complete = head._n, head._complete
+        if len(seqs) == 1:
+            out._array = head._stored_array()[None, :]
+        else:
+            out._array = np.array([seq._values for seq in seqs], dtype=np.float64)
+            out._array.flags.writeable = False
+        out._values = out._array
         return out
 
     def value_or_none(self, k: int) -> Optional[float]:

@@ -204,15 +204,15 @@ def _derive_recursive(seq: CompleteSequence, params: MaxOAParameters) -> np.ndar
         lo = min(delta_l - params.view.h + 1, 1)
         shifted = seq.span(lo - delta_l, n - delta_l)
         zl = strided_cumsum(shifted - seq.span(lo - period, n - period), period)
-        out = out + (shifted[1 - lo :] - zl[1 - lo :])
+        out = out + (shifted[..., 1 - lo :] - zl[..., 1 - lo :])
     if delta_h:
         # z̃^H_k = x̃_{k+Δh} - x̃_{k+Wx} + z̃^H_{k+Wx} runs down from k = n + lx
         # (beyond it every term is 0): the same recurrence, reversed.
         hi = n + params.view.l
         shifted = seq.span(1 + delta_h, hi + delta_h)
         diff = shifted - seq.span(1 + period, hi + period)
-        zh = strided_cumsum(diff[::-1], period)[::-1]
-        out = out + (shifted[:n] - zh[:n])
+        zh = strided_cumsum(diff[..., ::-1], period)[..., ::-1]
+        out = out + (shifted[..., :n] - zh[..., :n])
     return frozen(out)
 
 

@@ -151,6 +151,6 @@ def derive(
     lo = min(1 - params.view.h, pos_head, neg_head)
     hi = n + max(params.view.l, params.delta_h, -params.delta_l - period)
     prefix = strided_cumsum(seq.span(lo, hi), period)
-    positive = prefix[pos_head - lo : pos_head - lo + n]
-    negative = prefix[neg_head - lo : neg_head - lo + n]
+    positive = prefix[..., pos_head - lo : pos_head - lo + n]
+    negative = prefix[..., neg_head - lo : neg_head - lo + n]
     return frozen(positive - negative)

@@ -34,7 +34,7 @@ Two derivation lemmas are implemented:
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,6 +46,7 @@ from repro.core.derivation import derive as derive_window_values
 from repro.core.derivation import prefix_up_to
 from repro.core.positions import PositionFunction
 from repro.core.reconstruct import raw_from_cumulative, raw_from_sliding
+from repro.core.segments import LengthClass, Segments, segment_rows
 from repro.core.sequence import CustomBoundsSequenceSpec, SequenceSpec
 from repro.core.vectorized import compute_vectorized
 from repro.core.window import WindowSpec
@@ -68,24 +69,6 @@ class PartitionData:
 
     order_keys: List[Key]
     seq: CompleteSequence
-    _key_columns: Optional[Tuple[Tuple[str, ...], Tuple[Column, ...]]] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def key_columns(self, kinds: Sequence[str]) -> Tuple[Column, ...]:
-        """``order_keys`` as one column per ordering column, of ``kinds``
-        (see :meth:`Column.from_values`).  Built on the first read and
-        kept: a writer edits ``order_keys`` only of a fresh partition
-        (:meth:`ReportingSequence.owning`), and two readers racing to fill
-        a frozen one build equal columns.  Readers copy, never hand out,
-        these columns."""
-        kinds = tuple(kinds)
-        if self._key_columns is None or self._key_columns[0] != kinds:
-            by_column = list(zip(*self.order_keys)) or [()] * len(kinds)
-            self._key_columns = (kinds, tuple(
-                Column.from_values(values, kind) for values, kind in zip(by_column, kinds)
-            ))
-        return self._key_columns[1]
 
 
 class ReportingSequence:
@@ -104,6 +87,7 @@ class ReportingSequence:
         self.window = window
         self.aggregate = aggregate
         self.partitions = partitions
+        self._segments: Optional[Segments] = None
 
     # -- construction ----------------------------------------------------------
 
@@ -168,6 +152,15 @@ class ReportingSequence:
             for i, value in enumerate(part.seq.core_values()):
                 yield pkey, part.order_keys[i], value
 
+    def segments(self) -> Segments:
+        """The partitions as :class:`Segments`, built on the first read and
+        kept: writers change only a fresh copy (:meth:`owning`), and two
+        readers racing to fill them build equal ones."""
+        segments = self._segments
+        if segments is None:
+            segments = self._segments = Segments.of(self.partitions)
+        return segments
+
     def partition(self, key: Key) -> PartitionData:
         try:
             return self.partitions[key]
@@ -192,39 +185,37 @@ class ReportingSequence:
         self, target: WindowSpec, *, algorithm: str = "auto"
     ) -> "ReportingSequence":
         """Derive a different window per partition (sections 3-5 applied
-        partition-wise)."""
-        partitions = {}
-        for key, part in self.partitions.items():
-            values = derive_window_values(part.seq, target, algorithm=algorithm)
-            partitions[key] = PartitionData(
-                list(part.order_keys),
-                CompleteSequence.from_values(
-                    target,
-                    self.aggregate,
-                    part.seq.n,
-                    list(zip(range(1, part.seq.n + 1), values)),
-                    complete=False,
-                ),
-            )
+        to each length class at once)."""
+        derived: Dict[Key, np.ndarray] = {}
+        for cls_ in self.segments().classes:
+            derived.update(zip(cls_.keys, derive_window_values(cls_.seq, target, algorithm=algorithm)))
+        partitions = {
+            key: PartitionData(list(part.order_keys), CompleteSequence(
+                target, self.aggregate, part.seq.n, derived[key].tolist(), complete=False))
+            for key, part in self.partitions.items()
+        }
         return ReportingSequence(
             self.partition_by, self.order_by, target, self.aggregate, partitions
         )
 
     def reconstruct_raw(self) -> Dict[Key, np.ndarray]:
         """Per-partition raw values (requires completeness for sliding views)."""
-        out = {}
-        for key, part in self.partitions.items():
-            if self.window.is_cumulative:
-                out[key] = raw_from_cumulative(part.seq)
-            else:
-                if not part.seq.is_complete:
-                    raise IncompleteSequenceError(
-                        f"partition {key!r} lacks header/trailer; raw "
-                        "reconstruction from a sliding view needs a complete "
-                        "reporting function"
-                    )
-                out[key] = raw_from_sliding(part.seq)
-        return out
+        raws: Dict[Key, np.ndarray] = {}
+        for cls_ in self.segments().classes:
+            raws.update(zip(cls_.keys, self._class_raw(cls_)))
+        return raws
+
+    def _class_raw(self, cls_: LengthClass) -> np.ndarray:
+        """One length class's raw values, a row per partition."""
+        if self.window.is_cumulative:
+            return raw_from_cumulative(cls_.seq)
+        if not cls_.seq.is_complete:
+            raise IncompleteSequenceError(
+                f"partition {cls_.keys[0]!r} lacks header/trailer; raw "
+                "reconstruction from a sliding view needs a complete "
+                "reporting function"
+            )
+        return raw_from_sliding(cls_.seq)
 
 
 def _sequence_around(
@@ -275,15 +266,20 @@ def partitioning_reduction(
     target = target_window or view.window
     every_key = (okey for part in view.partitions.values() for okey in part.order_keys)
     kinds = [_kind_of(values) for values in zip(*every_key)]
-    partitions: Dict[Key, PartitionData] = {}
-    for coarse, fine, order, _, raw, core in merged_partitions(
-        view, new_partition_by, target, kinds
-    ):
-        flat = [okey + (drop,) for drop, pkey in fine for okey in view.partitions[pkey].order_keys]
-        partitions[coarse] = PartitionData(
-            [flat[i] for i in order.tolist()],
-            _sequence_around(raw, core.tolist(), target, view.aggregate, complete),
-        )
+    keys, offsets, rows, _, raw, values = merged_partitions(view, new_partition_by, target, kinds)
+    segments = view.segments()
+    owner = np.repeat(np.arange(len(segments.keys)), segments.lengths)[rows]
+    drop_idx = [i for i, c in enumerate(view.partition_by) if c not in new_partition_by]
+    flat = [
+        segments.order_keys[r] + (tuple(segments.keys[p][j] for j in drop_idx),)
+        for r, p in zip(rows.tolist(), owner.tolist())
+    ]
+    bounds = zip(offsets.tolist(), [*offsets[1:].tolist(), len(raw)])
+    partitions = {
+        key: PartitionData(flat[lo:hi], _sequence_around(
+            raw[lo:hi], values[lo:hi].tolist(), target, view.aggregate, complete))
+        for key, (lo, hi) in zip(keys, bounds)
+    }
     return ReportingSequence(
         tuple(new_partition_by), tuple(view.order_by) + ("__drop__",), target,
         view.aggregate, partitions,
@@ -295,14 +291,17 @@ def merged_partitions(
     new_partition_by: Sequence[str],
     target: WindowSpec,
     kinds: Sequence[str],
-) -> List[tuple]:
+) -> tuple:
     """The section-6.2 merge :func:`partitioning_reduction` and the rewriter
-    share: per non-empty coarse partition (``repr`` order), ``(key, fine,
-    order, key columns, raw, values)``.  ``fine`` is its ``(dropped values,
-    key)`` pairs in dropped-value order; ``order`` one stable sort of their
-    concatenated ordering keys (ties keep that order); the key columns (of
-    ``kinds``) and raw values sorted by it; ``values`` the kernel's ``target``
-    over ``raw``."""
+    share, over every coarse partition at once: ``(keys, offsets, rows,
+    columns, raw, values)`` — the non-empty coarse keys (``repr`` order)
+    and their offsets in the merged rows; per merged row, its row in the
+    view's :meth:`~ReportingSequence.segments` order, ordering key (one
+    column of ``kinds`` each) and raw value (reconstructed class by class);
+    and the kernel's ``target`` over ``raw`` per coarse partition.  Fine
+    partitions are gathered by coarse key, then dropped values, and merged
+    by one stable sort on coarse key and ordering key (ties keep that
+    order)."""
     new_cols = tuple(new_partition_by)
     if not set(new_cols) <= set(view.partition_by):
         raise DerivationError(
@@ -316,33 +315,30 @@ def merged_partitions(
         )
     keep_idx = [view.partition_by.index(c) for c in new_cols]
     drop_idx = [i for i in range(len(view.partition_by)) if i not in keep_idx]
-    raws = view.reconstruct_raw()
-    by_coarse: Dict[Key, List[Tuple[Key, Key]]] = {}
-    for pkey in view.partitions:
-        by_coarse.setdefault(tuple(pkey[j] for j in keep_idx), []).append(
-            (tuple(pkey[j] for j in drop_idx), pkey)
-        )
-    merged = []
-    for coarse in sorted(by_coarse, key=repr):
-        fine = sorted(by_coarse[coarse], key=lambda drop_and_key: drop_and_key[0])
-        parts = [view.partitions[pkey] for _, pkey in fine]
-        keys = [
-            Column.concat([part.key_columns(kinds)[i] for part in parts], kind)
-            for i, kind in enumerate(kinds)
-        ]
-        raw = np.concatenate([np.empty(0)] + [raws[pkey] for _, pkey in fine])
-        if not len(raw):
-            continue
-        order = sort_order([(column, True) for column in keys], len(raw))
-        if order is None:  # TEXT, DATE or NULL keys: sort as Python does
-            flat = [okey for part in parts for okey in part.order_keys]
-            order = np.array(sorted(range(len(flat)), key=flat.__getitem__), dtype=np.intp)
-        raw = raw[order]
-        merged.append((
-            coarse, fine, order, [column.take(order) for column in keys], raw,
-            compute_vectorized(raw, target, view.aggregate),
-        ))
-    return merged
+    segments = view.segments()
+    coarse_of = [tuple(pkey[j] for j in keep_idx) for pkey in segments.keys]
+    coarse_keys = sorted(set(coarse_of), key=repr)
+    rank = {key: r for r, key in enumerate(coarse_keys)}
+    fine = sorted(range(len(coarse_of)), key=lambda i: (
+        rank[coarse_of[i]], tuple(segments.keys[i][j] for j in drop_idx)))
+    lengths = segments.lengths[fine]
+    gather = segment_rows(segments.offsets[fine], lengths)
+    coarse_id = np.repeat(np.array([rank[coarse_of[i]] for i in fine], dtype=np.int64), lengths)
+    columns = [column.take(gather) for column in segments.key_columns(kinds)]
+    order = sort_order([(Column(coarse_id), True)] + [(c, True) for c in columns], len(gather))
+    if order is None:  # TEXT, DATE or NULL keys: sort as Python does
+        flat = list(zip(coarse_id.tolist(), (segments.order_keys[r] for r in gather.tolist())))
+        order = np.array(sorted(range(len(flat)), key=flat.__getitem__), dtype=np.intp)
+    counts = np.bincount(coarse_id, minlength=len(coarse_keys))
+    present = np.flatnonzero(counts)
+    offsets = (np.cumsum(counts) - counts)[present]
+    rows = gather[order]
+    raw = segments.scatter([view._class_raw(cls_) for cls_ in segments.classes])[rows]
+    values = compute_vectorized(raw, target, view.aggregate, offsets) if len(raw) else raw
+    return (
+        [coarse_keys[i] for i in present.tolist()], offsets, rows,
+        [column.take(order) for column in columns], raw, values,
+    )
 
 
 def _kind_of(values: Sequence[object]) -> str:

@@ -23,7 +23,7 @@ import datetime
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Set, Tuple
 
-from repro.errors import ExpressionError
+from repro.errors import ExpressionError, PlanError
 from repro.relational.schema import Schema
 from repro.relational.types import BOOLEAN, DATE, FLOAT, INTEGER, TEXT, DataType
 
@@ -182,6 +182,7 @@ class Arithmetic(Expr):
     def bind(self, schema: Schema) -> Compiled:
         fn = _ARITH_OPS[self.op]
         lc, rc = self.left.bind(schema), self.right.bind(schema)
+        _type(self, schema)  # PlanError for a TEXT, BOOLEAN or DATE operand
 
         def run(row: Row) -> Any:
             a, b = lc(row), rc(row)
@@ -568,10 +569,11 @@ _NULL = object()
 def result_type(expr: Expr, schema: Schema) -> Optional[DataType]:
     """The type of ``expr``'s non-NULL values over rows of ``schema``, or
     ``None`` where it is not known before execution (an expression that is
-    always NULL, arithmetic over non-numbers, branches of unrelated types).
+    always NULL, branches of unrelated types).
 
     Literals by kind, predicates BOOLEAN, arithmetic by numeric promotion
-    (INTEGER op INTEGER is INTEGER, except ``/``), ``CASE``/``COALESCE``
+    (INTEGER op INTEGER is INTEGER, except ``/``; a TEXT, BOOLEAN or DATE
+    operand is a :class:`~repro.errors.PlanError`), ``CASE``/``COALESCE``
     by their branches (INTEGER and FLOAT promote to FLOAT),
     ``MONTH``/``YEAR``/``DAY`` INTEGER.
     """
@@ -609,6 +611,11 @@ def _type(expr: Expr, schema: Schema) -> Any:
 
 
 def _promote(op: str, left: Any, right: Any) -> Any:
+    for side in (left, right):
+        if isinstance(side, DataType) and side not in _NUMERIC:
+            raise PlanError(
+                f"arithmetic operator {op!r} needs numeric operands, got {side.name}"
+            )
     left, right = (right if left is _NULL else left), (left if right is _NULL else right)
     if left is _NULL:
         return _NULL

@@ -27,9 +27,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.columns import Column as DataColumn
-from repro.columns import ColumnRows, kind_for_type, sort_order
+from repro.columns import ColumnRows, kind_for_type, run_starts, sort_order
 from repro.core import derivation as core_derivation
 from repro.core import reporting as core_reporting
+from repro.core.segments import segment_rows
 from repro.core.window import WindowSpec
 from repro.errors import DerivationError, NoRewriteError
 from repro.relational.engine import Database, Result
@@ -57,9 +58,9 @@ __all__ = [
 ]
 
 Key = Tuple[object, ...]
-# One partition of an answer: its key, one column per ordering column and
-# the derived values (float64), one entry per output position.
-Piece = Tuple[Key, Sequence[DataColumn], np.ndarray]
+# An answer before projection: its partitions' keys and row counts, one column
+# per ordering column and the derived values (float64), partition by partition.
+Answer = Tuple[Sequence[Key], np.ndarray, Sequence[DataColumn], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -109,29 +110,35 @@ class RewritePlan:
     steps: Tuple[_Step, ...]
 
     def run(self, db: Database) -> Result:
-        pieces, stats = _step_pieces(db, self.steps[0])
+        answer, stats = _step_answer(db, self.steps[0])
         if len(self.steps) == 2:
             # Section 2.1: "AVG may be directly derived from SUM and
             # COUNT"; both components enumerate a partition's positions in
             # the same order, so the quotient is element-wise.
-            count_pieces, count_stats = _step_pieces(db, self.steps[1])
-            counts = {pkey: values for pkey, _, values in count_pieces}
-            pieces = [
-                (pkey, keys, _quotient(sums, counts.get(pkey, np.empty(0))))
-                for pkey, keys, sums in pieces
-            ]
+            counts, count_stats = _step_answer(db, self.steps[1])
+            answer = _quotient(answer, counts)
             stats.merge(count_stats)
-        return _assemble(db, self.stmt, self.shape, pieces, stats)
+        return _assemble(db, self.stmt, self.shape, answer, stats)
 
 
-def _quotient(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _quotient(sums: Answer, counts: Answer) -> Answer:
+    keys, lengths, columns, values = sums
+    count_keys, count_lengths, _, count_values = counts
+    if list(count_keys) != list(keys):  # the views list partitions apart
+        where = {key: i for i, key in enumerate(count_keys)}
+        pick = np.array([where.get(key, -1) for key in keys], dtype=np.intp)
+        if (pick < 0).any():
+            raise DerivationError("the COUNT view of an AVG combination lacks a partition")
+        starts = np.cumsum(count_lengths) - count_lengths
+        count_lengths = count_lengths[pick]
+        count_values = count_values[segment_rows(starts[pick], count_lengths)]
     # A COUNT view's frame at a core position holds that position, and a
     # view refuses NULL measures, so every count is at least 1.
-    if len(sums) != len(counts):
+    if not np.array_equal(lengths, count_lengths):
         raise DerivationError(
             "the SUM and COUNT views of an AVG combination cover different rows"
         )
-    return sums / counts
+    return keys, lengths, columns, values / count_values
 
 
 def try_rewrite(
@@ -310,8 +317,8 @@ def _plan_step(
     return _Step(shape, match, info, dplan, pattern)
 
 
-def _step_pieces(db: Database, step: _Step) -> Tuple[List[Piece], ExecutionStats]:
-    """Derive one step's answer, partition by partition (no projection)."""
+def _step_answer(db: Database, step: _Step) -> Tuple[Answer, ExecutionStats]:
+    """Derive one step's answer (no projection), once per length class."""
     from repro.obs import runtime
 
     view = step.match.view
@@ -319,69 +326,61 @@ def _step_pieces(db: Database, step: _Step) -> Tuple[List[Piece], ExecutionStats
     schema = db.table(shape.base_table).schema
     kinds = [kind_for_type(schema.column(c).type.name) for c in view.definition.order_by]
     if step.match.kind == "partition_reduction":
-        merged = core_reporting.merged_partitions(
+        keys, offsets, _, columns, _, values = core_reporting.merged_partitions(
             view.reporting, shape.partition_by, shape.window, kinds
         )
-        return [(coarse, keys, values) for coarse, _, _, keys, _, values in merged], ExecutionStats()
+        lengths = np.diff(offsets, append=len(values))
+        return (keys, lengths, columns, values), ExecutionStats()
     if step.match.kind == "ordering_reduction":
         drop = len(view.definition.order_by) - len(shape.order_by)
-        derived = core_reporting.ordering_reduction(
-            view.reporting, drop, target_window=shape.window
-        )
-        return [
-            (pkey, part.key_columns(kinds[:len(shape.order_by)]), part.seq.span(1, part.seq.n))
-            for pkey, part in derived.partitions.items()
-        ], ExecutionStats()
+        derived = core_reporting.ordering_reduction(view.reporting, drop, target_window=shape.window)
+        return _by_class(
+            derived, kinds[:len(shape.order_by)], lambda seq: seq.span(1, seq.n)
+        ), ExecutionStats()
 
     dplan, info = step.dplan, step.info
-    partitions = view.reporting.partitions
+    segments = view.reporting.segments()
     with runtime.get_tracer().span(
         "view.derive",
         view=view.name, algorithm=dplan.algorithm,
-        mode=info.mode, variant=info.variant,
+        mode=info.mode, variant=info.variant, classes=len(segments.classes),
     ):
         if step.pattern is None:
-            pieces: List[Piece] = [
-                (
-                    pkey,
-                    part.key_columns(kinds),
-                    core_derivation.derive(part.seq, shape.window, chosen=dplan),
-                )
-                for pkey, part in partitions.items()
-            ]
+            answer = _by_class(
+                view.reporting, kinds,
+                lambda seq: core_derivation.derive(seq, shape.window, chosen=dplan),
+            )
             stats = ExecutionStats()
         else:
             # Pattern rows are (partition..., pos, value), sorted: each run
             # of one partition takes its ordering keys at its positions.
             exec_result = db.run(step.pattern)
             stats = exec_result.stats
-            answer = exec_result.as_columns()
+            rows = exec_result.as_columns()
             n_part = len(view.definition.partition_by)
-            positions = answer.columns[n_part].data.astype(np.intp) - 1
-            values = answer.columns[-1].as_float64(np.nan)
-            starts = _run_starts(answer.columns[:n_part], len(answer))
-            pieces = []
-            for lo, hi in zip(starts, starts[1:] + [len(answer)]):
-                pkey = tuple(column.value(lo) for column in answer.columns[:n_part])
-                keys = partitions[pkey].key_columns(kinds)
-                pieces.append((pkey, [k.take(positions[lo:hi]) for k in keys], values[lo:hi]))
+            starts = run_starts(rows.columns[:n_part], len(rows))
+            keys = [tuple(c.value(lo) for c in rows.columns[:n_part]) for lo in starts.tolist()]
+            where = {key: i for i, key in enumerate(segments.keys)}
+            lengths = np.diff(starts, append=len(rows))
+            at = np.repeat(segments.offsets[[where[key] for key in keys]], lengths)
+            at += rows.columns[n_part].data.astype(np.intp) - 1  # position - 1
+            answer = (
+                keys, lengths, [column.take(at) for column in segments.key_columns(kinds)],
+                rows.columns[-1].as_float64(np.nan),
+            )
     runtime.get_registry().counter(
         "repro_views_derivations_total",
         {"algorithm": dplan.algorithm, "mode": info.mode},
         help="Queries answered by deriving from a materialized view",
     ).inc()
-    return pieces, stats
+    return answer, stats
 
 
-def _run_starts(columns: Sequence[DataColumn], nrows: int) -> List[int]:
-    """The rows where a run of equal values of ``columns`` starts."""
-    change = np.zeros(nrows, dtype=np.bool_)
-    change[:1] = True
-    for column in columns:
-        change[1:] |= column.data[1:] != column.data[:-1]
-        if column.validity is not None:
-            change[1:] |= column.validity[1:] != column.validity[:-1]
-    return np.flatnonzero(change).tolist()
+def _by_class(reporting, kinds: Sequence[str], derive) -> Answer:
+    """``derive`` over each length class of ``reporting``, in partition order."""
+    segments = reporting.segments()
+    values = segments.scatter([derive(cls_.seq) for cls_ in segments.classes])
+    return segments.keys, segments.lengths, segments.key_columns(kinds), values
 
 
 def _relational_plan(
@@ -431,11 +430,11 @@ def _assemble(
     db: Database,
     stmt: SelectStmt,
     shape: QueryShape,
-    pieces: Sequence[Piece],
+    answer: Answer,
     stats: ExecutionStats,
 ) -> Result:
-    """Concatenate the pieces column by column and project them into the
-    statement's select-item order."""
+    """Project an answer into the statement's select-item order (in
+    columns of its own: the mirror's arrays are never handed out)."""
     base = db.table(shape.base_table)
     columns: List[Column] = []
     pickers = []
@@ -451,17 +450,16 @@ def _assemble(
             columns.append(Column(name, base.schema.column(col_name).type))
             pickers.append(col_name)
     out_schema = Schema(columns)
-    values = np.concatenate([np.empty(0)] + [piece[2] for piece in pieces])
-    built = {"__window__": DataColumn(values)}
+    keys, lengths, key_columns, values = answer
+    built = {"__window__": DataColumn(np.array(values, dtype=np.float64))}
     for name in set(pickers) - {"__window__"}:
         kind = kind_for_type(base.schema.column(name).type.name)
         if name in shape.order_by:
-            i = shape.order_by.index(name)
-            built[name] = DataColumn.concat([piece[1][i] for piece in pieces], kind)
-        else:  # a partition column: each piece's key value, repeated
+            built[name] = DataColumn.concat([key_columns[shape.order_by.index(name)]], kind)
+        else:  # a partition column: each partition's key value, repeated
             i = shape.partition_by.index(name)
-            owner = np.repeat(np.arange(len(pieces)), [len(piece[2]) for piece in pieces])
-            built[name] = DataColumn.from_values([piece[0][i] for piece in pieces], kind).take(owner)
+            owner = np.repeat(np.arange(len(keys)), lengths)
+            built[name] = DataColumn.from_values([key[i] for key in keys], kind).take(owner)
     answer = ColumnRows([built[name] for name in pickers], len(values))
 
     if stmt.order_by:

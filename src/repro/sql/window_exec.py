@@ -7,9 +7,11 @@ engine" column of the paper's Table 1: each window column is evaluated by
 2. sorting each partition by the window's local ``ORDER BY`` (independent of
    the query's global ORDER BY — fig. 1's semantics), and
 3. computing the frame aggregate with the one window kernel,
-   :func:`~repro.core.vectorized.compute_vectorized`: section 2.2's
-   pipelined recurrence as whole-sequence NumPy, O(1) per row for every
-   aggregate and bit-identical to the scalar recurrence (DESIGN.md §5m).
+   :func:`~repro.core.vectorized.compute_vectorized`, called once over all
+   partitions as segments of the sorted input: section 2.2's pipelined
+   recurrence as NumPy, one 2-D run per distinct partition length, O(1)
+   per row for every aggregate and bit-identical to the scalar recurrence
+   (DESIGN.md §5m).
 
 Reporting functions do not shrink the data volume: one output value is
 produced per input row, appended as extra columns to the child's rows.
@@ -44,9 +46,9 @@ from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.columns import Column as DataColumn
-from repro.columns import ColumnRows, kind_for_type, sort_order
+from repro.columns import ColumnRows, kind_for_type, run_starts, sort_order
 from repro.core.aggregates import by_name
-from repro.core.vectorized import compute_vectorized
+from repro.core.vectorized import compute_vectorized, length_classes
 from repro.core.window import WindowSpec
 from repro.errors import PlanError, SchemaError
 from repro.relational.expr import ColumnRef, Expr
@@ -234,25 +236,21 @@ class WindowOperator(Operator):
                 spec.range_frame,
             )
             if dedup_key in result_cache:
-                self.analyze_extra["deduped"] = (
-                    self.analyze_extra.get("deduped", 0) + 1
-                )
+                self._count("deduped")
                 extras.append(result_cache[dedup_key])
                 continue
-            groups = self._partition_and_sort(
+            segments = self._partition_and_sort(
                 sig, partition, order, rows, sort_cache, orders
             )
             measure = self._measure_column(spec, columns or rows, measure_cache)
-            values = self._evaluate(spec, arg, order, groups, rows, stats, measure)
+            values = self._evaluate(spec, arg, order, segments, rows, stats, measure)
             if budget is not None:
                 run_bytes = values.nbytes
                 if held_bytes + run_bytes > max(budget // 2, 1):
                     if spill_store is None:
                         spill_store = SpillStore()
                     values = SpilledFloatRun(spill_store, values)
-                    self.analyze_extra["spilled_runs"] = (
-                        self.analyze_extra.get("spilled_runs", 0) + 1
-                    )
+                    self._count("spilled_runs")
                 else:
                     held_bytes += run_bytes
             result_cache[dedup_key] = values
@@ -274,6 +272,9 @@ class WindowOperator(Operator):
             )
         return self._emit(rows, extras, spill_store)
 
+    def _count(self, what: str, n: int = 1) -> None:
+        self.analyze_extra[what] = self.analyze_extra.get(what, 0) + n
+
     @staticmethod
     def _emit(rows: List[Row], extras: list, spill_store) -> Iterator[Row]:
         """The child's rows, each extended by its window values."""
@@ -293,7 +294,7 @@ class WindowOperator(Operator):
         """The measure as a :class:`~repro.columns.Column`, when gatherable.
 
         Plain column-reference arguments take the columnar fast path: the
-        per-group raw sequences become C-speed gathers (``take`` +
+        sorted raw sequence is one C-speed gather (``take`` +
         ``as_float64``) over one measure buffer instead of per-row closure
         calls.  A columnar input already has the column; for rows, when the
         child is a bare (possibly aliased) table scan the buffer is the
@@ -337,16 +338,12 @@ class WindowOperator(Operator):
 
     def _partition_and_sort(
         self, sig, partition, order, rows, cache: dict, orders: Optional[dict] = None
-    ) -> list:
-        """Partition + locally sort the input once per distinct signature:
-        one sequence of row indexes per PARTITION BY group.
-
-        Clauses sharing a (PARTITION BY, ORDER BY) signature reuse the
-        sorted index lists — the always-on sharing tier.  The lists are
-        never re-sorted afterwards, so sharing is safe.  With ``orders``
-        (a columnar input) a group is a run of the signature's sort order
-        between two changes of the partition key.
-        """
+    ) -> tuple:
+        """Partition + locally sort the input once per distinct signature
+        (clauses sharing one reuse it, the always-on sharing tier): the row
+        indexes in (partition, local order) order and the offset of each
+        PARTITION BY group's segment in them.  With ``orders`` (a columnar
+        input) a segment is a run of the signature's sort order."""
         from repro.obs import runtime
 
         if sig in cache:
@@ -354,66 +351,71 @@ class WindowOperator(Operator):
                 "repro_window_sort_cache_hits_total",
                 help="Partition/sort passes served from the shared cache",
             ).inc()
-            self.analyze_extra["shared_sorts"] = (
-                self.analyze_extra.get("shared_sorts", 0) + 1
-            )
+            self._count("shared_sorts")
             return cache[sig]
         if orders is not None:
-            groups = _cut_groups(*orders[sig])
+            indexes, partition_columns = orders[sig]
+            keys = [column.take(indexes) for column in partition_columns]
+            segments = (indexes, run_starts(keys, len(indexes)))
         else:
             by_key: dict = {}
             for i, row in enumerate(rows):
                 key = tuple(p(row) for p in partition)
                 by_key.setdefault(key, []).append(i)
-            groups = list(by_key.values())
-            for indexes in groups:
+            for indexes in by_key.values():
                 # Local sort order per reporting function (stable multi-key).
                 for key_fn, asc in reversed(order):
                     indexes.sort(key=lambda i: key_fn(rows[i]), reverse=not asc)
-        cache[sig] = groups
-        return groups
+            lengths = [len(indexes) for indexes in by_key.values()]
+            flat = [i for indexes in by_key.values() for i in indexes]
+            segments = (np.array(flat, dtype=np.intp), np.cumsum([0] + lengths)[:-1])
+        cache[sig] = segments
+        return segments
 
     def _evaluate(
-        self,
-        spec: WindowColumnSpec,
-        arg,
-        order,
-        groups: list,
-        rows,
-        stats: ExecutionStats,
-        measure: Optional[DataColumn] = None,
+        self, spec: WindowColumnSpec, arg, order, segments: tuple, rows,
+        stats: ExecutionStats, measure: Optional[DataColumn] = None,
     ) -> np.ndarray:
         from repro.obs import runtime
 
         aggregate = None if spec.is_ranking else by_name(spec.func)
-        runtime.get_registry().counter(
+        indexes, offsets = segments
+        registry = runtime.get_registry()
+        registry.counter(
             "repro_window_groups_total",
             help="PARTITION BY groups evaluated by the window operator",
-        ).inc(len(groups))
-        self.analyze_extra["groups"] = len(groups)
+        ).inc(len(offsets))
+        self.analyze_extra["groups"] = len(offsets)
+        stats.rows_sorted += len(indexes)
         out = np.zeros(len(rows))
-        for indexes in groups:
-            stats.rows_sorted += len(indexes)
-            if spec.is_ranking:
-                values = self._rank(spec.func, indexes, rows, order)
-            elif spec.is_range:
-                values = self._range_frame(spec, aggregate, arg, indexes, rows, order)
-            else:
-                if arg is None:
-                    raw: Sequence[float] = [1.0] * len(indexes)
-                elif measure is not None:
-                    # Exactly the floats the row loop would make (NULL ->
-                    # 0.0, ints promoted losslessly), as one float64 array.
-                    raw = measure.take(indexes).as_float64(0.0)
+        kernel_calls = 0
+        if spec.is_ranking or spec.is_range:  # row loops, partition by partition
+            for group in np.split(indexes, offsets[1:]):
+                group = group.tolist()
+                if spec.is_ranking:
+                    out[group] = self._rank(spec.func, group, rows, order)
                 else:
-                    # The sequence model has no NULLs; absent measures
-                    # count as 0 (row fallback for computed arguments).
-                    raw = [
-                        float(v) if (v := arg(rows[i])) is not None else 0.0
-                        for i in indexes
-                    ]
-                values = compute_vectorized(raw, spec.window, aggregate)
-            out[indexes] = values
+                    out[group] = self._range_frame(spec, aggregate, arg, group, rows, order)
+        elif len(indexes):
+            if arg is None:
+                raw = np.ones(len(indexes))
+            elif measure is not None:
+                # Exactly the floats the row loop would make (NULL ->
+                # 0.0, ints promoted losslessly), in input order.
+                raw = measure.as_float64(0.0)
+            else:
+                # The sequence model has no NULLs; absent measures
+                # count as 0 (row fallback for computed arguments).
+                raw = np.array([float(v) if (v := arg(row)) is not None else 0.0
+                                for row in rows])
+            # One kernel call over every segment, read in sort order.
+            out = compute_vectorized(raw, spec.window, aggregate, offsets, indexes)
+            kernel_calls = len(length_classes(offsets, len(indexes)))
+        registry.counter(
+            "repro_window_kernel_calls_total",
+            help="Window kernel runs (one per distinct partition length and block)",
+        ).inc(kernel_calls)
+        self._count("kernel_calls", kernel_calls)
         return out
 
     @staticmethod
@@ -521,16 +523,3 @@ def _signature(spec: WindowColumnSpec) -> tuple:
         tuple(str(e) for e in spec.partition_by),
         tuple((str(o.expr), o.ascending) for o in spec.order_by),
     )
-
-
-def _cut_groups(order: np.ndarray, partition_columns: Sequence[DataColumn]) -> list:
-    """Split a sort order (partition keys first) at partition-key changes."""
-    if len(order) == 0:
-        return []
-    if not partition_columns:
-        return [order]
-    change = np.zeros(len(order) - 1, dtype=np.bool_)
-    for column in partition_columns:
-        keys = column.data[order]
-        change |= keys[1:] != keys[:-1]
-    return np.split(order, np.flatnonzero(change) + 1)

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.testkit.differ import PathDiscrepancy, diff_paths
 from repro.testkit.generator import CaseGenerator, FuzzCase
-from repro.testkit.shrinker import shrink_case
+from repro.testkit.shrinker import PassingCaseError, shrink_case
 from repro.views.verify import TOLERANCE
 
 __all__ = ["CaseOutcome", "FuzzReport", "FuzzRunner"]
@@ -245,7 +245,12 @@ class FuzzRunner:
         )
         shrunk = case
         if self.shrink:
-            shrunk = shrink_case(case, self.fails)
+            try:
+                shrunk = shrink_case(case, self.fails)
+            except PassingCaseError:
+                # A randomized fault (a bitflip of a slot this evaluation
+                # does not read) need not fire again: keep the case found.
+                shrunk = case
             outcome.shrunk_rows = len(shrunk.rows)
             outcome.shrunk_description = shrunk.describe()
         if self.corpus_dir:

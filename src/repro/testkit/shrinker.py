@@ -19,7 +19,7 @@ from typing import Callable, List
 from repro.core.window import cumulative, sliding
 from repro.testkit.generator import FuzzCase
 
-__all__ = ["shrink_case"]
+__all__ = ["PassingCaseError", "shrink_case"]
 
 Predicate = Callable[[FuzzCase], bool]
 
@@ -107,6 +107,10 @@ def _simplify_values(case: FuzzCase, fails: Predicate) -> FuzzCase:
     return case.with_rows(rows)
 
 
+class PassingCaseError(ValueError):
+    """The case handed to :func:`shrink_case` does not fail."""
+
+
 def shrink_case(
     case: FuzzCase,
     fails: Predicate,
@@ -122,9 +126,12 @@ def shrink_case(
     Args:
         max_rounds: fixpoint iterations of the row/window/value passes.
         max_checks_per_round: ddmin predicate-evaluation budget per round.
+
+    Raises:
+        PassingCaseError: ``case`` passes the predicate.
     """
     if not _try(case, fails):
-        raise ValueError(
+        raise PassingCaseError(
             f"shrink_case needs a failing case (seed={case.seed} passes the predicate)"
         )
     for _ in range(max_rounds):

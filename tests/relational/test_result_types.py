@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import PlanError
 from repro.serve import ConcurrentWarehouse
 from repro.serve.client import ServeClient
 from repro.serve.server import ServeServer
@@ -129,6 +130,22 @@ def test_mixed_numeric_branches_promote_their_integers():
     assert result.rows[2] == (None, 0.0) and type(result.rows[2][1]) is float
 
 
+ILL_TYPED = [
+    "SELECT b + 1 AS x, s + s AS y FROM t",
+    "SELECT (i + 1) * b AS x FROM t",
+    "SELECT d - 1 AS x FROM t",
+    "SELECT MOD(s, 2) AS x FROM t",
+    "SELECT i FROM t WHERE s + 1 > 0",
+    "SELECT SUM(i * b) AS x FROM t",
+]
+
+
+@pytest.mark.parametrize("sql", ILL_TYPED)
+def test_arithmetic_over_a_non_number_is_a_plan_error(sql):
+    with pytest.raises(PlanError, match="numeric operands"):
+        _table(DataWarehouse()).query(sql)
+
+
 @settings(max_examples=150, deadline=None)
 @given(items=st.lists(expressions, min_size=1, max_size=4))
 def test_declared_types_match_values_embedded(items):
@@ -150,3 +167,11 @@ def test_declared_types_match_values_served(client, items):
     sql = _select(items)
     reply = client.query(sql)
     _check(reply["types"], [list(row) for row in reply["rows"]], sql)
+
+
+@pytest.mark.parametrize("sql", ILL_TYPED)
+def test_arithmetic_over_a_non_number_is_a_plan_error_served(client, sql):
+    with pytest.raises(PlanError, match="numeric operands"):
+        client.query(sql)
+    # A refused query leaves the connection usable.
+    assert client.query("SELECT i + 1 AS x FROM t")["types"] == ["INTEGER"]

@@ -1,5 +1,7 @@
 """Case generator: determinism, seed echoing, and edge-case coverage."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.window import sliding
@@ -46,6 +48,17 @@ class TestShape:
         assert any(v == 0.0 for v in values if v is not None), "no zero ties"
         sizes = {len(rows) for c in cases for rows in c.partitions().values()}
         assert 1 in sizes, "no single-row partition (header+trailer edge)"
+
+    def test_equal_length_partitions_appear(self):
+        # The engine runs partitions of one length as one 2-D kernel call;
+        # the sweep must reach classes of several multi-row partitions.
+        cases = [c for c in GEN.cases(500) if c.partitioned]
+        shared = [
+            c for c in cases
+            if any(count >= 3 and length >= 2 for length, count in
+                   Counter(len(rows) for rows in c.partitions().values()).items())
+        ]
+        assert len(shared) >= 40, len(shared)
 
     def test_both_query_shapes_appear(self):
         cases = GEN.cases(50)

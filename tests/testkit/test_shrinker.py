@@ -80,6 +80,18 @@ class TestSafety:
         with pytest.raises(ValueError, match="failing case"):
             shrink_case(_case(rows), lambda c: False)
 
+    def test_a_failure_that_does_not_fire_again_is_kept_unshrunk(self):
+        # A randomized fault can fail a case once and pass its replay; the
+        # runner records the case as found instead of aborting the run.
+        from repro.testkit.runner import FuzzRunner
+
+        case = _case([(1, 1, 1.0), (1, 2, 2.0)])
+        runner = FuzzRunner(oracle=None, corpus_dir="")
+        runner.fails = lambda c: False
+        outcome = runner._record_failure(case, [])
+        assert outcome.shrunk_description == case.describe()
+        assert outcome.shrunk_rows == len(case.rows)
+
     def test_crashing_candidate_not_taken(self):
         rows = [(1, i, float(i)) for i in range(1, 11)] + [(1, 99, POISON)]
 

@@ -80,7 +80,7 @@ class TestExplainConsistency:
         def boom(*args, **kwargs):  # pragma: no cover - should never run
             raise AssertionError("EXPLAIN executed the rewrite")
 
-        monkeypatch.setattr(rewriter_module, "_step_pieces", boom)
+        monkeypatch.setattr(rewriter_module, "_step_answer", boom)
         text = wh.explain("SELECT pos, SUM(val) OVER (ORDER BY pos ROWS "
                           "BETWEEN 3 PRECEDING AND 1 FOLLOWING) s FROM seq")
         assert text.startswith("REWRITE")
