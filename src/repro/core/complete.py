@@ -89,6 +89,13 @@ class CompleteSequence:
                 f"expected {expected} stored values for positions "
                 f"{self._first()}..{self._last()}, got {len(values)}"
             )
+        # The values are kept twice on purpose: a list for value(), an array
+        # (built on the first span()) for the whole-sequence kernels.  A
+        # derived point read — value_at on a 20 000-row view with another
+        # window — makes about 5 200 value() calls, and indexing a list costs
+        # ~21 ns where indexing an ndarray costs ~94 ns (2-core Xeon, CPython
+        # 3.11), so an array-only sequence would add 0.3-0.45 ms to a
+        # ~2 ms read.
         self._values = values
         self._array: Optional[np.ndarray] = None
 

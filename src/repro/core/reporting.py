@@ -65,10 +65,13 @@ class PartitionData:
         order_keys: ordering-column coordinates, index ``i`` holding the key
             of sequence position ``i + 1``.
         seq: the partition's materialized (ideally complete) sequence.
+        raw: the raw values ``x_1 .. x_n`` maintenance edits and recomputes
+            its band from (``None`` for a derived partition).
     """
 
     order_keys: List[Key]
     seq: CompleteSequence
+    raw: Optional[List[float]] = None
 
 
 class ReportingSequence:
@@ -134,8 +137,8 @@ class ReportingSequence:
             for raw in raws
         ]
         partitions: Dict[Key, PartitionData] = {
-            key: PartitionData(order_keys, seq)
-            for key, order_keys, seq in zip(keys, order_keys_by_key, seqs)
+            key: PartitionData(order_keys, seq, raw)
+            for key, order_keys, seq, raw in zip(keys, order_keys_by_key, seqs, raws)
         }
         return cls(partition_by, order_by, window, aggregate, partitions)
 
@@ -169,11 +172,12 @@ class ReportingSequence:
 
     def owning(self, key: Key) -> "ReportingSequence":
         """A copy for a writer about to change partition ``key``: that
-        partition is copied (its ``order_keys`` list; its sequence object,
-        whose value list maintenance replaces rather than edits), every
-        other :class:`PartitionData` is shared with this one."""
+        partition is copied (its ``order_keys`` and ``raw`` lists; its
+        sequence object, whose value list maintenance replaces rather than
+        edits), every other :class:`PartitionData` is shared with this
+        one."""
         part = self.partition(key)
-        mine = PartitionData(list(part.order_keys), copy.copy(part.seq))
+        mine = PartitionData(list(part.order_keys), copy.copy(part.seq), list(part.raw))
         return ReportingSequence(
             self.partition_by, self.order_by, self.window, self.aggregate,
             {**self.partitions, key: mine},

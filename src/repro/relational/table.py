@@ -239,7 +239,9 @@ class Table:
 
     # -- mutation ------------------------------------------------------------------
 
-    def _coerce(self, values: Sequence[Any]) -> Row:
+    def coerce(self, values: Sequence[Any]) -> Row:
+        """``values`` as this table stores them, each validated by its
+        column's type (``SchemaError`` when one does not fit)."""
         if len(values) != len(self.schema):
             raise SchemaError(
                 f"table {self.name!r} expects {len(self.schema)} values, "
@@ -257,7 +259,7 @@ class Table:
             ConstraintError: primary key / unique index violation (the row
                 is not inserted).
         """
-        row = self._coerce(values)
+        row = self.coerce(values)
         slot = self._nrows
         added: List[Index] = []
         try:
@@ -281,9 +283,10 @@ class Table:
             count += 1
         return count
 
-    def update_slot(self, slot: int, values: Sequence[Any]) -> None:
-        """Replace the row at ``slot`` (indexes maintained incrementally)."""
-        new_row = self._coerce(values)
+    def update_slot(self, slot: int, values: Sequence[Any]) -> Row:
+        """Replace the row at ``slot`` (indexes maintained incrementally);
+        returns the row it replaced."""
+        new_row = self.coerce(values)
         old_row = self.row(slot)
         for index in self.indexes.values():
             index.remove(old_row, slot)
@@ -297,6 +300,7 @@ class Table:
             raise
         for builder, value in zip(self._columns, new_row):
             builder.set(slot, value)
+        return old_row
 
     def set_column(self, column: str, slots: Sequence[int], values: Sequence[Any]) -> None:
         """Overwrite one column at ``slots``, leaving the rest of each row."""

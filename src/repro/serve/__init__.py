@@ -13,7 +13,7 @@ Layers (bottom-up):
 """
 
 from repro.serve.concurrent import ConcurrentWarehouse, SnapshotHandle
-from repro.serve.epochs import EpochStore, Pin, Snapshot, ViewState
+from repro.serve.epochs import EpochStore, Pin, Snapshot
 
 
 def __getattr__(name):
@@ -38,5 +38,4 @@ __all__ = [
     "SnapshotHandle",
     "ServeClient",
     "ServeServer",
-    "ViewState",
 ]

@@ -5,8 +5,8 @@ blocking readers.  The mechanism rides directly on the crash-consistency
 machinery from the fault-tolerance work: every committed write (view
 refresh, incremental maintenance, DDL, base-data change) already ends in a
 handful of atomic catalog/attribute rebindings, so each commit can publish
-an immutable :class:`Snapshot` — the set of table objects and frozen
-per-view states visible at that instant.
+an immutable :class:`Snapshot` — the set of table objects and views
+(shallow copies) visible at that instant.
 
 Lifecycle (DESIGN.md §5g)::
 
@@ -31,38 +31,21 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import ServeError
 
-__all__ = ["EpochStore", "Pin", "Snapshot", "ViewState"]
-
-
-@dataclass(frozen=True)
-class ViewState:
-    """Frozen per-view state captured at publish time.
-
-    Holds *references* to the view's storage-side and in-memory
-    representations as of one epoch; the copy-on-write writer discipline
-    guarantees none of them is mutated after publication.
-    """
-
-    definition: Any
-    complete: bool
-    reporting: Any
-    raw: Mapping[Tuple[object, ...], List[float]]
-    view_epoch: int
-    quarantined: bool
-    quarantine_reason: Optional[str]
+__all__ = ["EpochStore", "Pin", "Snapshot"]
 
 
 @dataclass(frozen=True)
 class Snapshot:
-    """One immutable epoch of the warehouse: tables + view states."""
+    """One immutable epoch of the warehouse: its tables, and its views as
+    shallow copies taken at publish time."""
 
     epoch: int
     tables: Mapping[str, Any]
-    views: Mapping[str, ViewState]
+    views: Mapping[str, Any]
 
 
 class Pin:
@@ -115,7 +98,7 @@ class EpochStore:
     def publish(
         self,
         tables: Mapping[str, Any],
-        views: Mapping[str, ViewState],
+        views: Mapping[str, Any],
         *,
         epoch: Optional[int] = None,
     ) -> Snapshot:

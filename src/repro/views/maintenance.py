@@ -6,12 +6,14 @@ materialized view *without* recomputing the sequence:
 values whose windows contain the modified position, with the evaluator a
 refresh uses, so they hold a refresh's exact bits.
 
-Synchronisation strategy for the two representations:
+Synchronisation strategy, one body (:func:`_maintain`) for every kind:
 
-* the in-memory mirror is updated by the core band recompute (O(w)
-  values) on a copy that owns the touched partition and shares every other one
+* the in-memory mirror — per partition raw values, ordering keys and
+  sequence — is updated by the core band recompute (O(w) values) on a copy
+  that owns the touched partition and shares every other one
   (:meth:`~repro.core.reporting.ReportingSequence.owning`), so a mirror
-  someone else still reads — a pinned epoch — is never written;
+  someone else still reads — a pinned epoch — is never written; a
+  partition opens with its first row and closes with its last;
 * the storage table's ``__val`` is patched in place for the affected band;
   for *insert*/*delete* dense positions shift, so the rows from ``k`` on
   first hand their content to their neighbour (:func:`_shift_storage`) —
@@ -28,27 +30,15 @@ from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core import maintenance as core_maintenance
+from repro.core.complete import CompleteSequence
 from repro.core.maintenance import MaintenanceResult
+from repro.core.reporting import PartitionData, ReportingSequence
 from repro.errors import MaintenanceError
-from repro.core.reporting import PartitionData
 from repro.views.materialized import MaterializedSequenceView
 
 __all__ = ["propagate_update", "propagate_insert", "propagate_delete", "position_of"]
 
 Key = Tuple[object, ...]
-
-
-def _maintain_span(view: MaterializedSequenceView, op: str, **attrs):
-    from repro.obs import runtime
-
-    runtime.get_registry().counter(
-        "repro_views_maintenance_total",
-        {"op": op},
-        help="Incremental maintenance operations propagated into views",
-    ).inc()
-    return runtime.get_tracer().span(
-        "view.maintain", view=view.name, op=op, **attrs
-    )
 
 
 def position_of(
@@ -60,48 +50,77 @@ def position_of(
     Raises:
         MaintenanceError: unknown partition or ordering key.
     """
-    assert view.reporting is not None
-    try:
-        part = view.reporting.partition(tuple(partition_key))
-    except Exception as exc:
-        raise MaintenanceError(
-            f"view {view.name!r} has no partition {tuple(partition_key)!r}"
-        ) from exc
-    okey = tuple(order_key)
+    pkey, okey = tuple(partition_key), tuple(order_key)
+    part = view.reporting.partitions.get(pkey)
+    if part is None:
+        raise MaintenanceError(f"view {view.name!r} has no partition {pkey!r}")
     i = bisect_left(part.order_keys, okey)
     if i == len(part.order_keys) or part.order_keys[i] != okey:
         raise MaintenanceError(
             f"view {view.name!r}: no row with ordering key "
-            f"{okey!r} in partition {tuple(partition_key)!r}"
+            f"{okey!r} in partition {pkey!r}"
         )
     return i + 1
 
 
-def insertion_position(
-    view: MaterializedSequenceView, partition_key: Key, order_key: Key
-) -> int:
-    """Position a new row with ``order_key`` would take (1-based)."""
-    assert view.reporting is not None
-    part = view.reporting.partitions.get(tuple(partition_key))
-    if part is None:
-        raise MaintenanceError(
-            f"view {view.name!r}: inserting into a brand-new partition "
-            f"{tuple(partition_key)!r} requires refresh()"
-        )
-    okey = tuple(order_key)
-    i = bisect_left(part.order_keys, okey)
-    if i < len(part.order_keys) and part.order_keys[i] == okey:
+def _insertion_position(view: MaterializedSequenceView, pkey: Key, okey: Key) -> int:
+    """Position a new row with ``okey`` takes (1-based; 1 in a partition
+    the view lacks)."""
+    part = view.reporting.partitions.get(pkey)
+    keys = part.order_keys if part is not None else []
+    i = bisect_left(keys, okey)
+    if i < len(keys) and keys[i] == okey:
         raise MaintenanceError(
             f"view {view.name!r}: ordering key {okey!r} already exists"
         )
     return i + 1
 
 
+def _rebind_partitions(view: MaterializedSequenceView, partitions) -> None:
+    """Rebind the view's mirror to a copy holding ``partitions``, in the
+    ``repr`` order of their keys as a refresh lays them out."""
+    r = view.reporting
+    view.reporting = ReportingSequence(
+        r.partition_by, r.order_by, r.window, r.aggregate,
+        dict(sorted(partitions.items(), key=lambda item: repr(item[0]))),
+    )
+
+
 def _own_partition(view: MaterializedSequenceView, pkey: Key) -> PartitionData:
-    """Rebind the view's mirror to a copy owning partition ``pkey``."""
-    view.reporting = view.reporting.owning(pkey)
-    view.raw = {**view.raw, pkey: list(view.raw[pkey])}
-    return view.reporting.partitions[pkey]
+    """Rebind the view's mirror to a copy owning partition ``pkey``; one the
+    view lacks opens empty (no core position; header and trailer stored)."""
+    if pkey in view.reporting.partitions:
+        view.reporting = view.reporting.owning(pkey)
+        return view.reporting.partitions[pkey]
+    d = view.definition
+    seq = CompleteSequence.from_raw([], d.window, d.aggregate, complete=view.complete)
+    part = PartitionData([], seq, [])
+    _rebind_partitions(view, {**view.reporting.partitions, pkey: part})
+    view.db.table(d.storage_table).insert_many(
+        pkey + (None,) * len(d.order_by) + (pos, value, False) for pos, value in seq.items()
+    )
+    return part
+
+
+def _maintain(view: MaterializedSequenceView, op: str, pkey: Key, okey: Key, edit):
+    """The body every kind of write shares: fault check, position, a mirror
+    owning the partition, the span, ``edit`` — the kind's own change to
+    the partition — and the storage band."""
+    from repro.faults import injector
+    from repro.obs import runtime
+
+    injector.check("maintenance", view.name)
+    pkey, okey = tuple(pkey), tuple(okey)
+    k = (_insertion_position if op == "insert" else position_of)(view, pkey, okey)
+    part = _own_partition(view, pkey)
+    runtime.get_registry().counter(
+        "repro_views_maintenance_total", {"op": op},
+        help="Incremental maintenance operations propagated into views",
+    ).inc()
+    with runtime.get_tracer().span("view.maintain", view=view.name, op=op, position=k):
+        result = edit(part, k)
+        _patch_storage_band(view, pkey, result)
+    return result
 
 
 def propagate_update(
@@ -112,18 +131,11 @@ def propagate_update(
     partition_key: Sequence[object] = (),
 ) -> MaintenanceResult:
     """Maintain the view for a base update: ``order_key``'s value becomes ``new_value``."""
-    from repro.faults import injector
 
-    injector.check("maintenance", view.name)
-    pkey = tuple(partition_key)
-    k = position_of(view, pkey, tuple(order_key))
-    part = _own_partition(view, pkey)
-    with _maintain_span(view, "update", position=k):
-        result = core_maintenance.apply_update(
-            view.raw[pkey], part.seq, k, float(new_value)
-        )
-        _patch_storage_band(view, pkey, result)
-    return result
+    def edit(part: PartitionData, k: int) -> MaintenanceResult:
+        return core_maintenance.apply_update(part.raw, part.seq, k, float(new_value))
+
+    return _maintain(view, "update", partition_key, order_key, edit)
 
 
 def propagate_insert(
@@ -133,22 +145,16 @@ def propagate_insert(
     *,
     partition_key: Sequence[object] = (),
 ) -> MaintenanceResult:
-    """Maintain the view for a new base row."""
-    from repro.faults import injector
+    """Maintain the view for a new base row (the first of its partition
+    opens the partition)."""
 
-    injector.check("maintenance", view.name)
-    pkey = tuple(partition_key)
-    okey = tuple(order_key)
-    k = insertion_position(view, pkey, okey)
-    part = _own_partition(view, pkey)
-    with _maintain_span(view, "insert", position=k):
-        result = core_maintenance.apply_insert(
-            view.raw[pkey], part.seq, k, float(value)
-        )
-        part.order_keys.insert(k - 1, okey)
-        _shift_storage(view, pkey, k, okey)
-        _patch_storage_band(view, pkey, result)
-    return result
+    def edit(part: PartitionData, k: int) -> MaintenanceResult:
+        result = core_maintenance.apply_insert(part.raw, part.seq, k, float(value))
+        part.order_keys.insert(k - 1, tuple(order_key))
+        _shift_storage(view, tuple(partition_key), k, tuple(order_key))
+        return result
+
+    return _maintain(view, "insert", partition_key, order_key, edit)
 
 
 def propagate_delete(
@@ -157,19 +163,21 @@ def propagate_delete(
     *,
     partition_key: Sequence[object] = (),
 ) -> MaintenanceResult:
-    """Maintain the view for a removed base row."""
-    from repro.faults import injector
-
-    injector.check("maintenance", view.name)
+    """Maintain the view for a removed base row (the last of its partition
+    closes the partition: its storage rows and its mirror entry go)."""
     pkey = tuple(partition_key)
-    okey = tuple(order_key)
-    k = position_of(view, pkey, okey)
-    part = _own_partition(view, pkey)
-    with _maintain_span(view, "delete", position=k):
-        result = core_maintenance.apply_delete(view.raw[pkey], part.seq, k)
+
+    def edit(part: PartitionData, k: int) -> MaintenanceResult:
+        result = core_maintenance.apply_delete(part.raw, part.seq, k)
         del part.order_keys[k - 1]
         _shift_storage(view, pkey, k, None)
-        _patch_storage_band(view, pkey, result)
+        return result
+
+    result = _maintain(view, "delete", pkey, order_key, edit)
+    if not view.sequence(pkey).n:
+        table, slots = _position_slots(view, pkey, *view.sequence(pkey).stored_range)
+        table.delete_slots(slots)
+        _rebind_partitions(view, {k: p for k, p in view.reporting.partitions.items() if k != pkey})
     return result
 
 

@@ -1,6 +1,6 @@
 """Materialized reporting-function views: storage and refresh.
 
-A materialized view keeps two synchronized representations:
+A materialized view keeps its sequence in two places:
 
 * a **storage table** in the warehouse database named
   ``__mv_<view>`` with columns ``(partition..., order..., pos, val)`` —
@@ -10,7 +10,9 @@ A materialized view keeps two synchronized representations:
   against this table.
 * an in-memory :class:`~repro.core.reporting.ReportingSequence` mirror used
   by the in-memory derivation forms, by incremental maintenance, and to
-  label derived values with their original ordering keys.
+  label derived values with their original ordering keys.  Each of its
+  partitions holds the raw values next to the ordering keys and the
+  sequence: maintenance edits them and recomputes its band from them.
 
 ``refresh()`` rebuilds both from the base table; the incremental
 maintenance entry points in :mod:`repro.views.maintenance` keep them in
@@ -18,9 +20,9 @@ sync under point updates/inserts/deletes.
 
 Refresh is **crash-consistent**: every rebuild is staged into an
 epoch-versioned *shadow* storage table (``__mv_<view>__e<epoch>``) and the
-in-memory mirror/raw replacements are prepared on the side; only when the
+in-memory mirror replacement is prepared on the side; only when the
 shadow is complete does a single atomic commit — a catalog rename plus
-three attribute rebindings — publish the new epoch.  An interruption at
+two attribute rebindings — publish the new epoch.  An interruption at
 *any* point (including the injected ``refresh_interrupt`` fault) leaves the
 view wholly at the old epoch, never a torn band; the half-built shadow is
 dropped.
@@ -34,6 +36,7 @@ re-verify — reinstates it.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.complete import CompleteSequence
@@ -62,7 +65,6 @@ class MaterializedSequenceView:
         self.definition = definition
         self.complete = complete
         self.reporting: Optional[ReportingSequence] = None
-        self.raw: Dict[Key, List[float]] = {}
         # Epoch counter: bumped by every committed refresh.  Epoch 0 means
         # "never refreshed" — the storage table does not exist yet.
         self.epoch = 0
@@ -112,6 +114,13 @@ class MaterializedSequenceView:
         view.epoch = 1
         view._index_storage(db.table(d.storage_table))
 
+        # Raw values come from the base table — base rows round-trip the
+        # dump exactly, so these are the same floats maintenance last saw.
+        # A key the base table lacks reads NaN, which verify reports.
+        base: Dict[Key, Dict[Key, float]] = {}
+        for row in view._base_rows():
+            base.setdefault(tuple(row[c] for c in d.partition_by), {})[
+                tuple(row[c] for c in d.order_by)] = float(row[d.value_col])
         part_arity = len(d.partition_by)
         order_arity = len(d.order_by)
         groups: Dict[Key, List[Tuple[int, float, bool, Key]]] = {}
@@ -133,23 +142,20 @@ class MaterializedSequenceView:
                 [(e[0], e[1]) for e in entries],
                 complete=complete,
             )
-            partitions[pkey] = PartitionData(order_keys, seq)
+            raw = base.get(pkey, {})
+            partitions[pkey] = PartitionData(
+                order_keys, seq, [raw.get(okey, math.nan) for okey in order_keys]
+            )
         view.reporting = ReportingSequence(
             d.partition_by, d.order_by, d.window, d.aggregate, partitions
         )
-        # Raw mirrors come from the base table — base rows round-trip the
-        # dump exactly, so these are the same floats maintenance last saw.
-        view.raw = view._raw_mirror(view._base_rows())
         return view
 
     # -- storage ------------------------------------------------------------------
 
     def _create_storage(self, table_name: str):
-        """Create an (empty) storage table under ``table_name``.
-
-        Index names always use the canonical storage prefix so a shadow
-        table carries identical index structure to the table it replaces.
-        """
+        """Create an (empty, unindexed) storage table under ``table_name``;
+        :meth:`_index_storage` indexes it once its rows are in."""
         d = self.definition
         base = self.db.table(d.base_table)
         columns: List[Tuple[str, object]] = []
@@ -162,13 +168,16 @@ class MaterializedSequenceView:
         # True for core positions 1..n, False for header/trailer rows; the
         # relational patterns filter on it (per-partition n varies).
         columns.append(("__core", BOOLEAN))
-        table = self.db.create_table(table_name, columns)
-        self._index_storage(table)
-        return table
+        return self.db.create_table(table_name, columns)
 
     def _index_storage(self, table) -> None:
         """Create the storage indexes ``table`` lacks (none after a load:
-        they travel with a dump; maintenance finds its rows through them)."""
+        they travel with a dump; maintenance finds its rows through them),
+        each with one sort of the rows already in it.
+
+        Index names always use the canonical storage prefix so a shadow
+        table carries identical index structure to the table it replaces.
+        """
         d = self.definition
         # The paper's Table 2 setting: primary-key index over the position.
         wanted = {f"{d.storage_table}_pk": (list(d.partition_by) + ["__pos"], True)}
@@ -182,9 +191,9 @@ class MaterializedSequenceView:
     def refresh(self) -> None:
         """Full recomputation from the base table (section 2.3's baseline).
 
-        Crash-consistent: the new state is staged completely — mirror, raw
-        slices, and an epoch-versioned shadow storage table — before a
-        single atomic commit swaps it in.  Any exception before the commit
+        Crash-consistent: the new state is staged completely — the mirror
+        and an epoch-versioned shadow storage table — before a single
+        atomic commit swaps it in.  Any exception before the commit
         (an injected interruption, a NULL measure, ...) drops the shadow and
         leaves every representation at the old epoch.
         """
@@ -220,13 +229,12 @@ class MaterializedSequenceView:
             aggregate=d.aggregate,
             complete=self.complete,
         )
-        raw = self._raw_mirror(rows)
-
         shadow_name = f"{d.storage_table}__e{self.epoch + 1}"
         self.db.drop_table(shadow_name, if_exists=True)  # stale failed shadow
         shadow = self._create_storage(shadow_name)
         try:
             shadow.insert_many(self._storage_rows(reporting))
+            self._index_storage(shadow)
             injector.check("refresh_commit", self.name)
         except BaseException:
             self.db.drop_table(shadow_name, if_exists=True)
@@ -235,7 +243,6 @@ class MaterializedSequenceView:
         # rebindings; no partially-visible state exists on either side.
         self.db.rename_table(shadow_name, d.storage_table, replace=True)
         self.reporting = reporting
-        self.raw = raw
         self.epoch += 1
         span.set(partitions=len(reporting.partitions))
 
@@ -259,17 +266,6 @@ class MaterializedSequenceView:
                     okey = (None,) * order_arity  # header/trailer rows
                 rows.append(tuple(pkey) + okey + (pos, value, core))
         return rows
-
-    def _raw_mirror(self, rows: List[dict]) -> Dict[Key, List[float]]:
-        """Per-partition raw values in sequence order (the slice of base
-        data the view covers); incremental maintenance reads old raw values
-        from here."""
-        d = self.definition
-        raw: Dict[Key, List[float]] = {}
-        for row in sorted(rows, key=lambda r: tuple(r[c] for c in d.order_by)):
-            key = tuple(row[c] for c in d.partition_by)
-            raw.setdefault(key, []).append(float(row[d.value_col]))
-        return raw
 
     def _base_rows(self) -> List[dict]:
         d = self.definition

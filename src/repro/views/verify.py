@@ -1,10 +1,11 @@
 """Consistency verification of materialized views.
 
-A materialized view has three representations that must agree: the base
-table (ground truth), the in-memory mirror, and the storage table the
-relational patterns read.  :func:`verify_view` recomputes the sequence from
-base data and cross-checks both against it; the warehouse-level
-:func:`verify_warehouse` runs it for every registered view.
+A materialized view keeps two places that must agree with the base table
+(ground truth): the in-memory mirror (raw values, ordering keys and sequence
+per partition) and the storage table the relational patterns read.
+:func:`verify_view` recomputes the sequence from base data and cross-checks
+both against it; the warehouse-level :func:`verify_warehouse` runs it for
+every registered view.
 
 This is the defence against silent corruption — a maintenance-rule bug, a
 manual edit of the storage table, a stale mirror after external base
@@ -138,6 +139,14 @@ def verify_view(view: MaterializedSequenceView, *, max_report: int = 20) -> Cons
             continue  # already reported structurally above
         if mpart.order_keys != tpart.order_keys:
             add("mirror", pkey, None, "ordering keys out of sync with base data")
+        if len(mpart.raw) != len(tpart.raw):
+            add("mirror", pkey, None,
+                f"{len(mpart.raw)} raw values, base data has {len(tpart.raw)}")
+        for pos, (value, want) in enumerate(zip(mpart.raw, tpart.raw), start=1):
+            report.checked_values += 1
+            if _differs(value, want):
+                add("mirror", pkey, pos,
+                    f"raw value {value!r} != base data {want!r}")
         expected = dict(tpart.seq.items())
         for pos, value in mpart.seq.items():
             report.checked_values += 1

@@ -62,7 +62,7 @@ def frozen_copy(snapshot) -> dict:
     for name, state in snapshot.views.items():
         views[name] = {
             pkey: (list(part.order_keys), bits(part.seq.to_list()), part.seq.n,
-                   bits(state.raw[pkey]))
+                   bits(part.raw))
             for pkey, part in state.reporting.partitions.items()
         }
     return {"tables": tables, "views": views}
@@ -108,10 +108,10 @@ def test_pinned_epoch_is_bit_identical_across_a_commit(what):
                 old = pinned_parts[name][pkey]
                 if pkey == (2,):
                     assert part is not old and part.seq is not old.seq
-                    assert state.raw[pkey] is not snap.snapshot.views[name].raw[pkey]
+                    assert part.raw is not old.raw
                 else:
                     assert part is old
-                    assert state.raw[pkey] is snap.snapshot.views[name].raw[pkey]
+                    assert part.raw is old.raw
         # ... and differs from the pinned one where the write landed.
         assert frozen_copy(latest) != before
     report = cw.epochs.verify()

@@ -50,6 +50,18 @@ class TestFaultInjection:
             ("storage", 10)
         ]
 
+    def test_drifted_raw_value_detected(self, wh):
+        """A raw value the mirror keeps for maintenance that drifted from
+        base data is reported before it corrupts the next maintained band."""
+        part = wh.view("mv").single_partition()
+        part.raw[11] = math.nextafter(part.raw[11], math.inf)
+        report = wh.verify()["mv"]
+        assert [(d.representation, d.position) for d in report.discrepancies] == [
+            ("mirror", 12)
+        ]
+        assert "raw value" in report.discrepancies[0].detail
+        assert wh.quarantined_views() == ["mv"]
+
     def test_corrupted_storage_value_detected(self, wh):
         table = wh.db.table("__mv_mv")
         slot = 5

@@ -107,7 +107,7 @@ class TestViewRegistry:
             wh.create_view("mv2", d)
 
     def test_refresh_view(self, wh):
-        wh.insert("seq", [(N + 1, 3.25)])
+        wh.db.insert("seq", [(N + 1, 3.25)])  # base moves, the view is stale
         wh.refresh_view("mv")
         assert wh.view("mv").sequence().n == N + 1
 
