@@ -40,17 +40,19 @@ __all__ = ["BLOCK", "compute_vectorized", "length_classes"]
 def _sliding_sums(values: np.ndarray, l: int, h: int) -> np.ndarray:
     """The sliding-SUM recurrence as one sequential cumulative sum per row."""
     n = values.shape[-1]
-    seed = min(1 + h, n)  # x̃_1 = x_1 + ... + x_{1+h}, left to right
-    steps = np.zeros(values.shape[:-1] + (seed + 2 * (n - 1),))
-    steps[..., :seed] = values[..., :seed]
+    seed = min(1 + h, n)  # x̃_1 = 0.0 + x_1 + ... + x_{1+h}, left to right
+    # The leading 0.0 is the sum's start, as in a sum onto 0.0 (the view
+    # route's): a window of -0.0 sums to +0.0, and nothing else changes.
+    steps = np.zeros(values.shape[:-1] + (1 + seed + 2 * (n - 1),))
+    steps[..., 1 : seed + 1] = values[..., :seed]
     # Step k adds the entering x_{k+h} (0.0 past the data) ...
-    steps[..., seed : seed + 2 * max(n - 1 - h, 0) : 2] = values[..., h + 1 :]
+    steps[..., seed + 1 : seed + 1 + 2 * max(n - 1 - h, 0) : 2] = values[..., h + 1 :]
     # ... then subtracts the leaving x_{k-l-1} (-0.0 before the data, which
     # like the recurrence's "- 0.0" leaves every accumulator unchanged).
-    leaving = steps[..., seed + 1 :: 2]
+    leaving = steps[..., seed + 2 :: 2]
     leaving[..., l:] = values[..., : max(n - 1 - l, 0)]
     np.negative(leaving, out=leaving)
-    return np.cumsum(steps, axis=-1)[..., seed - 1 :: 2]
+    return np.cumsum(steps, axis=-1)[..., seed :: 2]
 
 
 def _sliding_extrema(values: np.ndarray, l: int, h: int, ufunc) -> np.ndarray:
@@ -172,12 +174,14 @@ def _kernel(values: np.ndarray, window: WindowSpec, aggregate: Aggregate) -> np.
     the same for every row, comes back 1-D: assignment broadcasts it)."""
     n = values.shape[-1]
     if window.is_cumulative:
-        if aggregate is SUM:
-            return np.cumsum(values, axis=-1)
+        if aggregate in (SUM, AVG):
+            # "+= 0.0" turns a -0.0 sum into +0.0 and leaves every other
+            # value as it is: a sum onto 0.0 (the view route's) is never -0.0.
+            sums = np.cumsum(values, axis=-1)
+            sums += 0.0
+            return sums if aggregate is SUM else sums / np.arange(1, n + 1)
         if aggregate is COUNT:
             return np.arange(1, n + 1, dtype=np.float64)
-        if aggregate is AVG:
-            return np.cumsum(values, axis=-1) / np.arange(1, n + 1)
         if aggregate is MIN:
             return np.minimum.accumulate(values, axis=-1)
         if aggregate is MAX:

@@ -157,6 +157,8 @@ class Literal(Expr):
             return "'" + self.value.replace("'", "''") + "'"
         if self.value is None:
             return "NULL"
+        if isinstance(self.value, datetime.date):
+            return f"DATE '{self.value.isoformat()}'"
         return str(self.value)
 
 

@@ -187,8 +187,9 @@ class ReplicatedClient:
 
     # -- calls ---------------------------------------------------------------
 
-    def write(self, op: str, **fields: Any) -> Dict[str, Any]:
-        """Send one write op to the live primary, failing over as needed."""
+    def write(self, op: str, **args: Any) -> Dict[str, Any]:
+        """Send one write op to the live primary, failing over as needed
+        (see :meth:`ServeClient.write`)."""
         from repro.errors import NotPrimaryError
 
         last: Optional[Exception] = None
@@ -199,7 +200,7 @@ class ReplicatedClient:
                 last = exc
                 continue
             try:
-                return self._client(endpoint).call(op, **fields)
+                return self._client(endpoint).write(op, **args)
             except ServeConnectionError as exc:
                 last = exc
                 self._invalidate(endpoint)

@@ -2,7 +2,8 @@
 
 Every :class:`~repro.serve.concurrent.ConcurrentWarehouse` mutation appends
 one :class:`EpochRecord` — the epoch id it will publish, the *logical*
-operation (op name + JSON-safe arguments), and a content digest of the
+operation (a ``DataWarehouse`` mutator's name and the keyword arguments it
+was called with, through :func:`encode_args`), and a content digest of the
 post-commit state — to the log, fsync'd, **before** the epoch becomes
 visible to readers.  Replaying the log over the last durable snapshot
 therefore reconstructs every committed epoch; the digest lets recovery and
@@ -72,8 +73,9 @@ _CHECKPOINT_FILE = "checkpoint.json"
 def encode_args(value: Any) -> Any:
     """Deep-encode op arguments into JSON-safe structures.
 
-    Dates become ``{"$date": iso}`` (the persistence codec's convention);
-    tuples become lists; relational type objects degrade to their names.
+    Dates become ``{"$date": iso}`` (the persistence codec's convention), a
+    view definition ``{"$view": doc}`` (its ``to_doc``); tuples become
+    lists; relational type objects degrade to their names.
     """
     if isinstance(value, datetime.date):
         return {"$date": value.isoformat()}
@@ -81,6 +83,8 @@ def encode_args(value: Any) -> Any:
         return {k: encode_args(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [encode_args(v) for v in value]
+    if hasattr(value, "to_doc"):
+        return {"$view": value.to_doc()}
     if hasattr(value, "name") and type(value).__module__.startswith("repro."):
         return value.name  # a relational DataType in a column spec
     return value
@@ -92,6 +96,10 @@ def decode_args(value: Any) -> Any:
     if isinstance(value, dict):
         if "$date" in value and len(value) == 1:
             return datetime.date.fromisoformat(value["$date"])
+        if "$view" in value and len(value) == 1:
+            from repro.views.definition import SequenceViewDefinition
+
+            return SequenceViewDefinition.from_doc(value["$view"])
         return {k: decode_args(v) for k, v in value.items()}
     if isinstance(value, list):
         return [decode_args(v) for v in value]
@@ -154,19 +162,15 @@ class EpochRecord:
     digest: str = ""
 
     def to_payload(self) -> bytes:
-        doc = {"epoch": self.epoch, "op": self.op, "args": self.args,
-               "digest": self.digest}
-        return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+        return json.dumps(self.to_dict(), separators=(",", ":")).encode("utf-8")
 
     @classmethod
     def from_payload(cls, payload: bytes) -> "EpochRecord":
-        doc = json.loads(payload.decode("utf-8"))
-        return cls(epoch=int(doc["epoch"]), op=str(doc["op"]),
-                   args=dict(doc.get("args", {})),
-                   digest=str(doc.get("digest", "")))
+        return cls.from_dict(json.loads(payload.decode("utf-8")))
 
     def to_dict(self) -> Dict[str, Any]:
-        """Wire form for the ``ship`` op's JSON request line."""
+        """The record as JSON-safe fields: a WAL frame's payload and the
+        ``ship`` op's ``record``."""
         return {"epoch": self.epoch, "op": self.op, "args": self.args,
                 "digest": self.digest}
 
@@ -176,7 +180,7 @@ class EpochRecord:
             return cls(epoch=int(doc["epoch"]), op=str(doc["op"]),
                        args=dict(doc.get("args", {})),
                        digest=str(doc.get("digest", "")))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ReplicationError(f"malformed epoch record: {exc}") from None
 
 
@@ -206,7 +210,7 @@ def _scan_frames(data: bytes) -> Tuple[List[EpochRecord], int, str]:
             return records, offset, "frame CRC32 mismatch"
         try:
             records.append(EpochRecord.from_payload(payload))
-        except (ValueError, KeyError, json.JSONDecodeError):
+        except (ValueError, ReplicationError):
             return records, offset, "frame payload is not a record"
         offset = start + length
     return records, offset, ""
@@ -295,6 +299,7 @@ class WriteAheadLog:
         """
         from repro.errors import InjectedFault
         from repro.faults import injector
+        from repro.obs import runtime
 
         if record.epoch <= self.last_epoch:
             raise ReplicationError(
@@ -317,7 +322,10 @@ class WriteAheadLog:
         if self.fsync:
             os.fsync(handle.fileno())
         self.last_epoch = record.epoch
-        self._count_metric("repro_wal_records_total")
+        runtime.get_registry().counter(
+            "repro_wal_records_total",
+            help="Records appended to the write-ahead epoch log",
+        ).inc()
         if handle.tell() >= self.segment_bytes:
             self._close_handle()
             self._active = None  # next append opens a fresh segment
@@ -336,14 +344,6 @@ class WriteAheadLog:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-    @staticmethod
-    def _count_metric(name: str) -> None:
-        from repro.obs import runtime
-
-        runtime.get_registry().counter(
-            name, help="Records appended to the write-ahead epoch log"
-        ).inc()
 
     # -- reading -------------------------------------------------------------
 

@@ -31,6 +31,7 @@ import socket
 from typing import Any, Dict, Sequence
 
 from repro.errors import ProtocolError, ServeConnectionError
+from repro.replicate.wal import encode_args
 from repro.serve import protocol
 
 __all__ = ["ServeClient"]
@@ -161,24 +162,30 @@ class ServeClient:
         """
         return self.call("query", sql=sql, hold_ms=hold_ms, options=options)
 
+    def write(self, op: str, **args: Any) -> Dict[str, Any]:
+        """Send one write op (a name of ``protocol.WRITE_OPS``) with the
+        keyword arguments of the warehouse method of that name; returns
+        the reply, whose ``epoch`` is the one the commit published."""
+        return self.call(op, args=encode_args(args))
+
     def refresh(self, view: str) -> int:
         """Refresh a view; returns the epoch the commit published."""
-        return self.call("refresh", view=view)["epoch"]
+        return self.write("refresh_view", name=view)["epoch"]
 
     def update_measure(
         self, table: str, *, keys: Dict[str, Any], value_col: str,
         new_value: float,
     ) -> int:
-        return self.call(
-            "update", table=table, keys=keys, value_col=value_col,
+        return self.write(
+            "update_measure", table=table, keys=keys, value_col=value_col,
             new_value=new_value,
         )["epoch"]
 
     def insert_row(self, table: str, values: Sequence[Any]) -> int:
-        return self.call("insert_row", table=table, values=list(values))["epoch"]
+        return self.write("insert_row", table=table, values=list(values))["epoch"]
 
     def delete_row(self, table: str, *, keys: Dict[str, Any]) -> int:
-        return self.call("delete_row", table=table, keys=keys)["epoch"]
+        return self.write("delete_row", table=table, keys=keys)["epoch"]
 
     def epochs(self) -> Dict[str, Any]:
         """The server's epoch-store cleanliness report (verify())."""

@@ -33,6 +33,7 @@ clean (no pinned, no orphaned epochs).
 
 from __future__ import annotations
 
+import inspect
 import threading
 import weakref
 from typing import Any, Dict, Iterable, List, Optional, Sequence
@@ -48,7 +49,27 @@ from repro.relational.catalog import Catalog
 from repro.serve.epochs import EpochStore, Pin, Snapshot
 from repro.warehouse.warehouse import DataWarehouse, QueryResult
 
-__all__ = ["ConcurrentWarehouse", "SnapshotHandle"]
+__all__ = ["LOGGED_OPS", "ConcurrentWarehouse", "SnapshotHandle", "bind_op"]
+
+#: The ``DataWarehouse`` mutators a commit logs, ships and replays: an
+#: epoch record's ``op`` is one of these names and its ``args`` are the
+#: keyword arguments the method was called with.
+LOGGED_OPS = frozenset({
+    "create_table", "drop_table", "insert", "create_index", "create_view",
+    "drop_view", "refresh_view", "update_measure", "insert_row",
+    "delete_row", "repair", "quarantine_view",
+})
+_SIGNATURES = {op: inspect.signature(getattr(DataWarehouse, op)) for op in LOGGED_OPS}
+
+
+def bind_op(op: str, args: Any) -> None:
+    """Raise ``TypeError`` unless ``op`` is one of :data:`LOGGED_OPS` and
+    ``args`` is a dict of keyword arguments that bind to its signature."""
+    if op not in LOGGED_OPS:
+        raise TypeError(f"{op!r} is not a logged op")
+    if not isinstance(args, dict):
+        raise TypeError(f"args must be an object, got {type(args).__name__}")
+    _SIGNATURES[op].bind(None, **args)
 
 
 def _view_copy(view, **changes):
@@ -155,17 +176,10 @@ class ConcurrentWarehouse:
         self._epoch_override: Optional[int] = None
         self._poisoned: Optional[str] = None
         wh._concurrent_owner = weakref.ref(self)
-        with self._write_lock:
-            self._mark_write()
-            try:
-                if initial_epoch is not None and initial_epoch > 0:
-                    self._epoch_override = initial_epoch
-                try:
-                    self._publish()
-                finally:
-                    self._epoch_override = None
-            finally:
-                self._unmark_write()
+        if initial_epoch is not None and initial_epoch > 0:
+            self._epoch_override = initial_epoch
+        self._publish()
+        self._epoch_override = None
 
     # -- ownership / write-section bookkeeping -------------------------------
 
@@ -187,22 +201,22 @@ class ConcurrentWarehouse:
 
     # -- write path ----------------------------------------------------------
 
-    def _write(self, fn, *, op: Optional[str] = None,
-               args: Optional[Dict[str, Any]] = None,
-               cow_tables: Iterable[str] = ()):
-        """Run one mutation serialized, copy-on-write, logged, published.
+    def _write(self, op: str, **args: Any):
+        """Run ``DataWarehouse.<op>(**args)`` serialized, copy-on-write,
+        logged, published.
 
-        The clone step installs fresh table objects in the *live* catalog
-        for everything ``fn`` will mutate in place; epochs published
+        Copy-on-write: when ``args`` name a ``table``, that table and every
+        dependent view's storage table are replaced by clones in the *live*
+        catalog before the call mutates them in place; epochs published
         earlier keep the originals.
 
-        Write-ahead discipline (when a WAL is attached and ``op`` names a
-        logical operation): after ``fn`` succeeds, the op — with its
-        JSON-safe arguments and a post-state content digest — is appended
-        and fsync'd *before* the epoch publishes.  A WAL append failure
-        (torn write, disk error) **poisons** the wrapper: the epoch is not
-        published, every later write is refused, and the owner must
-        recover from the log.  Readers keep serving already-published
+        Write-ahead discipline (when a WAL or a commit listener is attached
+        and ``op`` is one of :data:`LOGGED_OPS`): after the call succeeds,
+        ``op`` and ``args`` — JSON-encoded, with a post-state content digest
+        — are appended and fsync'd *before* the epoch publishes.  A WAL
+        append failure (torn write, disk error) **poisons** the wrapper: the
+        epoch is not published, every later write is refused, and the owner
+        must recover from the log.  Readers keep serving already-published
         epochs.
 
         A *failed* mutation still publishes (no WAL record): partial
@@ -221,13 +235,14 @@ class ConcurrentWarehouse:
                 )
             self._mark_write()
             try:
-                for name in cow_tables:
-                    if self._wh.db.catalog.has_table(name):
-                        self._wh.db.catalog.replace(
-                            self._wh.db.table(name).clone()
-                        )
+                table = args.get("table")
+                if table is not None:
+                    self._clone([table] + [
+                        v.definition.storage_table for v in self._wh.views.values()
+                        if v.definition.base_table == table
+                    ])
                 try:
-                    result = fn()
+                    result = getattr(self._wh, op)(**args)
                 except BaseException:
                     self._publish()
                     raise
@@ -240,16 +255,22 @@ class ConcurrentWarehouse:
             finally:
                 self._unmark_write()
 
-    def _log_commit(self, op: Optional[str], args: Optional[Dict[str, Any]]):
+    def _clone(self, names: Iterable[str]) -> None:
+        catalog = self._wh.db.catalog
+        for name in names:
+            if catalog.has_table(name):
+                catalog.replace(catalog.table(name).clone())
+
+    def _log_commit(self, op: str, args: Dict[str, Any]):
         """Build and durably append this commit's EpochRecord (or None when
         the op is unlogged or nobody is listening)."""
-        if op is None or (self._wal is None and not self._commit_listeners):
+        if op not in LOGGED_OPS or (self._wal is None and not self._commit_listeners):
             return None
         from repro.replicate.wal import EpochRecord, encode_args, state_digest
 
         epoch = self._epoch_override or self.epochs.latest_epoch + 1
         record = EpochRecord(
-            epoch=epoch, op=op, args=encode_args(args or {}),
+            epoch=epoch, op=op, args=encode_args(args),
             digest=state_digest(self._wh),
         )
         if self._wal is not None:
@@ -267,119 +288,56 @@ class ConcurrentWarehouse:
         views = {name: _view_copy(v) for name, v in self._wh.views.items()}
         return self.epochs.publish(tables, views, epoch=self._epoch_override)
 
-    def _maintenance_cow(self, table: str) -> List[str]:
-        """COW targets of one base-data change: the table, plus every
-        dependent view's storage table."""
-        return [table] + [
-            v.definition.storage_table for v in self._wh.views.values()
-            if v.definition.base_table == table
-        ]
-
     # -- mutations (all serialized, all logged, all publish) -----------------
 
     def create_table(self, name: str, columns, **kwargs):
-        columns = [tuple(c) if isinstance(c, (list, tuple)) else c
-                   for c in columns]
-        return self._write(
-            lambda: self._wh.create_table(name, columns, **kwargs),
-            op="create_table",
-            args={"name": name, "columns": columns, "kwargs": kwargs},
-        )
+        return self._write("create_table", name=name, columns=list(columns), **kwargs)
 
     def drop_table(self, name: str, **kwargs) -> None:
-        return self._write(
-            lambda: self._wh.drop_table(name, **kwargs),
-            op="drop_table", args={"name": name, "kwargs": kwargs},
-        )
+        return self._write("drop_table", name=name, **kwargs)
 
     def insert(self, table: str, rows: Iterable[Sequence[Any]]) -> int:
-        rows = [list(r) for r in rows]  # materialize: logged after fn() runs
-        return self._write(
-            lambda: self._wh.insert(table, rows),
-            cow_tables=self._maintenance_cow(table),
-            op="insert", args={"table": table, "rows": rows},
-        )
+        return self._write("insert", table=table, rows=list(rows))
 
     def create_index(self, table: str, name: str, columns, **kwargs):
-        return self._write(
-            lambda: self._wh.create_index(table, name, columns, **kwargs),
-            cow_tables=[table],
-            op="create_index",
-            args={"table": table, "name": name, "columns": list(columns),
-                  "kwargs": kwargs},
-        )
+        return self._write("create_index", table=table, name=name,
+                           columns=list(columns), **kwargs)
 
     def create_view(self, name: str, definition, *, complete: bool = True):
-        if isinstance(definition, str):
-            logged = {"sql": definition}
-        else:
-            logged = definition.to_doc()
-        return self._write(
-            lambda: self._wh.create_view(name, definition, complete=complete),
-            op="create_view",
-            args={"name": name, "definition": logged, "complete": complete},
-        )
+        return self._write("create_view", name=name, definition=definition,
+                           complete=complete)
 
     def drop_view(self, name: str) -> None:
-        return self._write(
-            lambda: self._wh.drop_view(name),
-            op="drop_view", args={"name": name},
-        )
+        return self._write("drop_view", name=name)
 
     def refresh_view(self, name: str) -> None:
         # Refresh is already copy-on-write: it stages a shadow storage
         # table and fresh mirrors, then swaps atomically.
-        return self._write(
-            lambda: self._wh.refresh_view(name),
-            op="refresh_view", args={"name": name},
-        )
+        return self._write("refresh_view", name=name)
 
     def update_measure(self, table: str, **kwargs) -> List[Any]:
-        return self._write(
-            lambda: self._wh.update_measure(table, **kwargs),
-            cow_tables=self._maintenance_cow(table),
-            op="update_measure", args={"table": table, "kwargs": kwargs},
-        )
+        return self._write("update_measure", table=table, **kwargs)
 
     def insert_row(self, table: str, values: Sequence[Any]) -> List[Any]:
-        values = list(values)
-        return self._write(
-            lambda: self._wh.insert_row(table, values),
-            cow_tables=self._maintenance_cow(table),
-            op="insert_row", args={"table": table, "values": values},
-        )
+        return self._write("insert_row", table=table, values=list(values))
 
     def delete_row(self, table: str, *, keys: Dict[str, Any]) -> List[Any]:
-        return self._write(
-            lambda: self._wh.delete_row(table, keys=keys),
-            cow_tables=self._maintenance_cow(table),
-            op="delete_row", args={"table": table, "keys": dict(keys)},
-        )
+        return self._write("delete_row", table=table, keys=keys)
 
     def repair(self, name: Optional[str] = None) -> Dict[str, Any]:
-        return self._write(
-            lambda: self._wh.repair(name),
-            op="repair", args={"name": name},
-        )
+        return self._write("repair", name=name)
 
     def quarantine_view(self, name: str, reason: str) -> None:
-        return self._write(
-            lambda: self._wh.quarantine_view(name, reason),
-            op="quarantine_view", args={"name": name, "reason": reason},
-        )
+        return self._write("quarantine_view", name=name, reason=reason)
 
     def verify(self, *, quarantine: bool = True):
         """:meth:`audit_digest`, then cross-check every view against base data."""
-        # The verify-time bitflip fault hook corrupts storage in place;
-        # COW every storage table so pinned epochs stay pristine.
-        storages = [
-            v.definition.storage_table for v in self._wh.views.values()
-        ]
         self.audit_digest()
-        return self._write(
-            lambda: self._wh.verify(quarantine=quarantine),
-            cow_tables=storages,
-        )
+        with self._write_lock:
+            # The verify-time bitflip fault hook corrupts storage in place;
+            # COW every storage table so pinned epochs stay pristine.
+            self._clone(v.definition.storage_table for v in self._wh.views.values())
+            return self._write("verify", quarantine=quarantine)
 
     def audit_digest(self) -> str:
         """Recompute the content digest from every buffer and compare it
@@ -460,18 +418,20 @@ class ConcurrentWarehouse:
     def apply_record(self, record) -> bool:
         """Re-execute one shipped/replayed logical op at the primary's epoch.
 
-        The record's op is dispatched through the normal mutator path —
-        same COW discipline, same WAL append (a replica with its own log
-        is durable too), same publish — but the published epoch is forced
-        to ``record.epoch`` so both sides agree on what each epoch means.
+        The record's op is one of :data:`LOGGED_OPS`, called with the
+        record's arguments through the normal mutator path — same COW
+        discipline, same WAL append (a replica with its own log is durable
+        too), same publish — but the published epoch is forced to
+        ``record.epoch`` so both sides agree on what each epoch means.
 
         Returns whether the post-apply digest was compared: not (and
         counted) for a record of another digest scheme, e.g. an older log.
 
         Raises:
             ReplicationError: the record does not advance the epoch (the
-                shipper re-sent something already applied) or names an
-                unknown op.
+                shipper re-sent something already applied), names an op
+                that is not logged, or carries arguments that do not bind
+                to it; nothing is applied or published then.
             DivergenceError: the post-apply content digest disagrees with
                 the digest the primary recorded — the replica has diverged
                 and must not be promoted.
@@ -485,9 +445,16 @@ class ConcurrentWarehouse:
                 raise ReplicationError(
                     f"cannot apply epoch {record.epoch}: already at {latest}"
                 )
+            try:
+                args = decode_args(record.args)
+                bind_op(record.op, args)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ReplicationError(
+                    f"cannot apply epoch {record.epoch} ({record.op}): {exc}"
+                ) from None
             self._epoch_override = record.epoch
             try:
-                self._dispatch_op(record.op, decode_args(record.args))
+                getattr(self, record.op)(**args)
             finally:
                 self._epoch_override = None
             if not record.digest.startswith(DIGEST_SCHEME):
@@ -504,49 +471,6 @@ class ConcurrentWarehouse:
                     f"{record.digest[:15]}"
                 )
             return True
-
-    def _dispatch_op(self, op: str, args: Dict[str, Any]) -> None:
-        """Replay one decoded logical op against the owned warehouse."""
-        if op == "create_table":
-            self.create_table(
-                args["name"], [tuple(c) for c in args["columns"]],
-                **args.get("kwargs", {}),
-            )
-        elif op == "drop_table":
-            self.drop_table(args["name"], **args.get("kwargs", {}))
-        elif op == "insert":
-            self.insert(args["table"], args["rows"])
-        elif op == "create_index":
-            self.create_index(
-                args["table"], args["name"], args["columns"],
-                **args.get("kwargs", {}),
-            )
-        elif op == "create_view":
-            from repro.views.definition import SequenceViewDefinition
-
-            doc = args["definition"]
-            definition = (
-                doc["sql"] if "sql" in doc else SequenceViewDefinition.from_doc(doc)
-            )
-            self.create_view(
-                args["name"], definition, complete=args.get("complete", True)
-            )
-        elif op == "drop_view":
-            self.drop_view(args["name"])
-        elif op == "refresh_view":
-            self.refresh_view(args["name"])
-        elif op == "update_measure":
-            self.update_measure(args["table"], **args.get("kwargs", {}))
-        elif op == "insert_row":
-            self.insert_row(args["table"], args["values"])
-        elif op == "delete_row":
-            self.delete_row(args["table"], keys=args["keys"])
-        elif op == "repair":
-            self.repair(args.get("name"))
-        elif op == "quarantine_view":
-            self.quarantine_view(args["name"], args["reason"])
-        else:
-            raise ReplicationError(f"unknown replicated op {op!r}")
 
     def release(self) -> DataWarehouse:
         """Relinquish ownership: the warehouse becomes single-caller again.

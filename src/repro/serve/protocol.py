@@ -20,17 +20,24 @@ Operations::
                                                          "types": [...], "nrows": n,
                                                          "data": [<column>, ...],
                                                          "epoch": N, "rewrite": ...}
-    {"op": "refresh", "view": name}
-    {"op": "update", "table": ..., "keys": {...},
-     "value_col": ..., "new_value": ...}
-    {"op": "insert_row", "table": ..., "values": [...]}
-    {"op": "delete_row", "table": ..., "keys": {...}}
+    {"op": "refresh_view", "args": {"name": ...}}   -> {"ok": true, "epoch": N}
+    {"op": "update_measure", "args": {"table": ..., "keys": {...},
+     "value_col": ..., "new_value": ...}}
+    {"op": "insert_row", "args": {"table": ..., "values": [...]}}
+    {"op": "delete_row", "args": {"table": ..., "keys": {...}}}
     {"op": "epochs"}                                 -> epoch-store verify() report
     {"op": "stats"}                                  -> metrics-registry snapshot
     {"op": "ship", "record": {...}}                  -> replica applies one epoch record
     {"op": "promote"}                                -> replica accepts the primary role
     {"op": "status"}                                 -> {replica, applied, primary, diverged}
     {"op": "close"}                                  -> server closes the connection
+
+A write op (:data:`WRITE_OPS`) names a ``DataWarehouse`` method and
+``args`` holds its keyword arguments, encoded by
+:func:`repro.replicate.wal.encode_args` (dates as ``{"$date": iso}``): the
+same pair the write-ahead log records.  A missing ``args``, one that is not
+an object or one that does not bind to the method is a ``ProtocolError``,
+answered before the write starts.
 
 Query replies carry the answer as typed columns, one ``data`` entry per
 name in ``columns`` (``types`` are the engine type names), in the one
@@ -93,6 +100,7 @@ from repro.errors import ProtocolError, ReproError
 __all__ = [
     "MAX_LINE_BYTES",
     "OPS",
+    "WRITE_OPS",
     "decode_line",
     "decode_result",
     "encode_line",
@@ -103,13 +111,14 @@ __all__ = [
     "trace_context",
 ]
 
+#: The write ops, a subset of the warehouse's logged ops
+#: (:data:`repro.serve.concurrent.LOGGED_OPS`).
+WRITE_OPS = ("refresh_view", "update_measure", "insert_row", "delete_row")
+
 OPS = (
     "ping",
     "query",
-    "refresh",
-    "update",
-    "insert_row",
-    "delete_row",
+    *WRITE_OPS,
     "epochs",
     "stats",
     "ship",

@@ -43,8 +43,9 @@ from repro.errors import (
 )
 from repro.faults import injector
 from repro.obs import runtime
+from repro.replicate.wal import decode_args
 from repro.serve import protocol
-from repro.serve.concurrent import ConcurrentWarehouse
+from repro.serve.concurrent import ConcurrentWarehouse, bind_op
 from repro.sql.options import QueryOptions
 
 __all__ = ["ServeServer", "Session"]
@@ -250,26 +251,19 @@ class ServeServer:
         runtime.event("serve.crashed", server=self.name)
 
     def _dispatch(self, session: Session, request: Dict[str, Any]) -> Dict[str, Any]:
-        op = request["op"]
-        ok: Dict[str, Any] = {"id": request.get("id"), "ok": True}
-        if op == "ping":
-            return {**ok, "pong": True, "session": session.name}
-        if op == "close":
-            return {**ok, "closing": True}
-        if op == "query":
-            return {**ok, **self._run_query(session, request)}
-        if op == "epochs":
-            return {**ok, **self.warehouse.epochs.verify()}
-        if op == "stats":
-            return {**ok, "metrics": runtime.get_registry().to_json()}
-        if op == "status":
-            return {**ok, **self._status()}
-        if op == "promote":
-            return {**ok, **self._run_promote(request)}
-        if op == "ship":
-            return {**ok, **self._run_ship(request)}
-        # Remaining ops are writes, serialized by the warehouse's write lock.
-        return {**ok, **self._run_write(request)}
+        handlers = {
+            "ping": lambda: {"pong": True, "session": session.name},
+            "close": lambda: {"closing": True},
+            "query": lambda: self._run_query(session, request),
+            "epochs": self.warehouse.epochs.verify,
+            "stats": lambda: {"metrics": runtime.get_registry().to_json()},
+            "status": self._status,
+            "promote": lambda: self._run_promote(request),
+            "ship": lambda: self._run_ship(request),
+        }
+        # Any other op decode_line let through is a write (protocol.WRITE_OPS).
+        run = handlers.get(request["op"], lambda: self._run_write(request))
+        return {"id": request.get("id"), "ok": True, **run()}
 
     # -- replication role ----------------------------------------------------
 
@@ -417,30 +411,13 @@ class ServeServer:
                 f"(applied epoch {self.warehouse.epochs.latest_epoch}); "
                 "writes go to the primary"
             )
-        wh = self.warehouse
-
-        def need(field: str):
-            value = request.get(field)
-            if value is None:
-                raise ProtocolError(f"{op} op needs {field!r}")
-            return value
-
-        if op == "refresh":
-            wh.refresh_view(need("view"))
-        elif op == "update":
-            wh.update_measure(
-                need("table"),
-                keys=dict(need("keys")),
-                value_col=need("value_col"),
-                new_value=float(need("new_value")),
-            )
-        elif op == "insert_row":
-            wh.insert_row(need("table"), list(need("values")))
-        elif op == "delete_row":
-            wh.delete_row(need("table"), keys=dict(need("keys")))
-        else:  # unreachable: decode_line validated op
-            raise ProtocolError(f"unhandled op {op!r}")
-        return {"epoch": wh.epochs.latest_epoch}
+        try:
+            args = decode_args(request.get("args"))
+            bind_op(op, args)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProtocolError(f"bad {op} args: {exc}") from None
+        getattr(self.warehouse, op)(**args)
+        return {"epoch": self.warehouse.epochs.latest_epoch}
 
     # -- lifecycle -----------------------------------------------------------
 

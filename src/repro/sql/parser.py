@@ -22,6 +22,7 @@ layer.  Aggregate functions are recognised only as top-level select items
 
 from __future__ import annotations
 
+import datetime
 from typing import List, Optional, Tuple
 
 from repro.errors import ParseError, UnsupportedSqlError
@@ -462,6 +463,12 @@ class _Parser:
             return expr
         if tok.kind == "IDENT":
             name = self._advance().value
+            if name.upper() == "DATE" and self._cur.kind == "STRING":
+                text = self._advance().value  # DATE 'YYYY-MM-DD', as a date prints
+                try:
+                    return Literal(datetime.date.fromisoformat(text))
+                except ValueError:
+                    raise self._error(f"bad DATE literal {text!r}") from None
             if self._cur.is_symbol("("):
                 upper = name.upper()
                 if upper in _AGG_FUNCS:

@@ -140,13 +140,15 @@ class DataWarehouse:
 
     # -- table management (delegation) ------------------------------------------
 
-    def create_table(self, name: str, columns, **kwargs):
+    def create_table(self, name: str, columns, *, primary_key=None,
+                     if_not_exists: bool = False):
         self._assert_exclusive("create_table")
-        return self.db.create_table(name, columns, **kwargs)
+        return self.db.create_table(name, columns, primary_key=primary_key,
+                                    if_not_exists=if_not_exists)
 
-    def drop_table(self, name: str, **kwargs) -> None:
+    def drop_table(self, name: str, *, if_exists: bool = False) -> None:
         self._assert_exclusive("drop_table")
-        self.db.drop_table(name, **kwargs)
+        self.db.drop_table(name, if_exists=if_exists)
 
     def insert(self, table: str, rows: Iterable[Sequence[Any]]) -> int:
         """Insert rows; with a view over ``table`` each row is maintained
@@ -160,9 +162,10 @@ class DataWarehouse:
             count += 1
         return count
 
-    def create_index(self, table: str, name: str, columns, **kwargs):
+    def create_index(self, table: str, name: str, columns, *,
+                     kind: str = "sorted", unique: bool = False):
         self._assert_exclusive("create_index")
-        return self.db.create_index(table, name, columns, **kwargs)
+        return self.db.create_index(table, name, columns, kind=kind, unique=unique)
 
     # -- view management ------------------------------------------------------------
 

@@ -120,8 +120,8 @@ class TestWriteTrace:
     def test_write_trace_covers_ship_and_replica_apply(self, tracer, cluster):
         primary_server, replica, _shipper = cluster
         with ServeClient(port=primary_server.port) as client:
-            response = client.call(
-                "update", table="seq", keys={"pos": 5}, value_col="val",
+            response = client.write(
+                "update_measure", table="seq", keys={"pos": 5}, value_col="val",
                 new_value=1.25,
             )
         trace_id = response["trace_id"]

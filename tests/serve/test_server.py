@@ -279,10 +279,11 @@ def test_pipelined_refresh_during_held_read_over_raw_sockets(server):
         time.sleep(0.15)  # the held query has pinned by now
         # Both requests are written before either reply is read.
         stream2.write(protocol.encode_line(
-            {"op": "update", "table": "seq", "keys": {"pos": 6},
-             "value_col": "val", "new_value": 3.25}
+            {"op": "update_measure", "args": {"table": "seq", "keys": {"pos": 6},
+             "value_col": "val", "new_value": 3.25}}
         ))
-        stream2.write(protocol.encode_line({"op": "refresh", "view": "mv"}))
+        stream2.write(protocol.encode_line(
+            {"op": "refresh_view", "args": {"name": "mv"}}))
         stream2.flush()
         updated = protocol.read_reply(stream2)
         refreshed = protocol.read_reply(stream2)

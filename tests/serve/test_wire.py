@@ -411,8 +411,9 @@ def test_replies_without_fixed_width_columns_are_one_json_line():
             stream = sock.makefile("rwb")
             requests = [
                 {"op": "ping", "id": 1},
-                {"op": "update", "id": 2, "table": "seq", "keys": {"pos": 3},
-                 "value_col": "val", "new_value": 1.5},
+                {"op": "update_measure", "id": 2, "args": {
+                    "table": "seq", "keys": {"pos": 3}, "value_col": "val",
+                    "new_value": 1.5}},
                 {"op": "set", "id": 3},
                 {"op": "query", "id": 4, "sql": "SELECT name FROM names"},
                 {"op": "ping", "id": 5},

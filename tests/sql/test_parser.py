@@ -154,6 +154,16 @@ class TestExpressions:
         expr = parse_expression("pos IN (1, 2, 3)")
         assert isinstance(expr, InList)
 
+    def test_date_literal_prints_as_it_parses(self):
+        import datetime
+
+        expr = parse_expression("day >= DATE '2002-03-06'")
+        assert expr.right.value == datetime.date(2002, 3, 6)
+        assert parse_expression(str(expr)) == expr
+        assert isinstance(parse_expression("date"), ColumnRef)
+        with pytest.raises(ParseError, match="DATE literal"):
+            parse_expression("DATE '2002-13-01'")
+
     def test_between_desugars(self):
         expr = parse_expression("x BETWEEN 1 AND 5")
         assert isinstance(expr, And)

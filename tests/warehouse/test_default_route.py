@@ -66,3 +66,32 @@ def test_a_sequence_a_few_view_windows_long_is_answered_in_memory():
     got, want = relational.column("s"), result.column("s")
     assert len(got) == len(want) == 20
     assert not any(values_differ(a, b) for a, b in zip(got, want))
+
+
+def test_a_zero_window_sum_is_positive_zero_on_both_routes():
+    """Windows holding only -0.0 sum to +0.0 natively, as a sum onto 0.0
+    (the view route's, and SQLite's) does."""
+    import struct
+
+    wh = DataWarehouse()
+    wh.create_table("t", [("g", "INTEGER"), ("pos", "INTEGER"), ("val", "FLOAT")])
+    wh.insert("t", [(0, 0, -0.0), (0, 2, -0.0), (1, 0, -0.0), (1, 2, 3.0)])
+    checked = 0
+    for agg in ("SUM", "AVG"):
+        for frame in ("ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING",
+                      "ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW"):
+            call = f"{agg}(val) OVER (PARTITION BY g ORDER BY pos {frame})"
+            name = f"v{checked}"
+            wh.create_view(name, f"SELECT g, pos, {call} s FROM t")
+            sql = f"SELECT g, pos, {call} s FROM t ORDER BY g, pos"
+            routed = wh.query(sql)
+            assert routed.rewrite is not None and routed.rewrite.view == name
+            native = wh.query(sql, use_views=False)
+            bits = [[struct.pack("<d", r[2]) for r in res.rows]
+                    for res in (routed, native)]
+            assert bits[0] == bits[1], (agg, frame)
+            assert struct.pack("<d", 0.0) in bits[1]
+            assert struct.pack("<d", -0.0) not in bits[1]
+            wh.drop_view(name)
+            checked += 1
+    assert checked == 4
