@@ -116,3 +116,35 @@ def test_view_route_builds_no_list_of_the_view(warehouse, monkeypatch, sql, kind
     for row, want in zip(by_key(got.rows), by_key(expected.rows)):
         assert row[:-1] == want[:-1]
         assert not values_differ(row[-1], want[-1]), (row, want)
+
+
+def test_ordering_reduction_reads_one_running_sum_per_partition(monkeypatch):
+    """Section 6.1's group totals are differences of one running-sum array
+    per partition: no per-position ``value()`` read, and the answer is the
+    base data's (group totals by ``GROUP BY`` with ``use_views=False``,
+    windowed over the months)."""
+    rng = random.Random(61)
+    wh = DataWarehouse()
+    wh.create_table("sales", [("region", "TEXT"), ("month", "INTEGER"),
+                              ("day", "INTEGER"), ("amount", "FLOAT")])
+    wh.insert("sales", [(r, m, d, rng.uniform(50.0, 900.0))
+                        for r in "abc" for m in range(1, 7) for d in range(1, 31)])
+    wh.create_view("mv_daily", "SELECT region, month, day, SUM(amount) OVER (PARTITION BY "
+                   "region ORDER BY month, day ROWS BETWEEN 3 PRECEDING AND 3 FOLLOWING) "
+                   "AS w FROM sales")
+    reads = []
+    real = CompleteSequence.value
+    monkeypatch.setattr(CompleteSequence, "value",
+                        lambda self, k: reads.append(k) or real(self, k))
+    got = wh.query("SELECT region, month, SUM(amount) OVER (PARTITION BY region ORDER BY "
+                   "month ROWS 1 PRECEDING) AS two_month FROM sales ORDER BY region, month")
+    monkeypatch.undo()
+    assert got.rewrite is not None and got.rewrite.kind == "ordering_reduction"
+    assert reads == []
+    totals = {(r, m): t for r, m, t in wh.query(
+        "SELECT region, month, SUM(amount) AS t FROM sales GROUP BY region, month",
+        use_views=False).rows}
+    assert len(got.rows) == len(totals) == 18
+    for region, month, value in got.rows:
+        want = totals[(region, month)] + totals.get((region, month - 1), 0.0)
+        assert not values_differ(value, want), (region, month, value, want)
