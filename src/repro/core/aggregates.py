@@ -73,12 +73,7 @@ class Aggregate:
         if self.name == "COUNT":
             return float(len(values))
         if self.name in ("MIN", "MAX"):
-            # The first NaN member propagates, as in NumPy's minimum and
-            # maximum (the window kernel's); min()/max() skip a later one.
-            nans = [value for value in values if value != value]
-            if nans or not values:
-                return nans[0] if nans else None
-            return (min if self.name == "MIN" else max)(values)
+            return reduce(self.combine, values) if values else None
         raise SequenceError(f"unknown aggregate {self.name!r}")
 
     def subtract(self, total: float, part: float) -> float:
@@ -95,13 +90,21 @@ def _add(a: float, b: float) -> float:
     return a + b
 
 
+def _keeping_nan(pick: Callable[[float, float], float]) -> Callable[[float, float], float]:
+    """``pick`` (min or max) of two values where the first NaN operand
+    propagates, as in NumPy's minimum and maximum (the window kernel's)."""
+    return lambda a, b: a if a != a else b if b != b else pick(a, b)
+
+
 SUM = Aggregate("SUM", identity=0.0, invertible=True, duplicate_insensitive=False, combine=_add)
 COUNT = Aggregate("COUNT", identity=0.0, invertible=True, duplicate_insensitive=False, combine=_add)
 # AVG is handled by derivation from SUM and COUNT wherever derivation matters;
 # apply() still evaluates it directly for native computation.
 AVG = Aggregate("AVG", identity=None, invertible=False, duplicate_insensitive=False, combine=_add)
-MIN = Aggregate("MIN", identity=None, invertible=False, duplicate_insensitive=True, combine=min)
-MAX = Aggregate("MAX", identity=None, invertible=False, duplicate_insensitive=True, combine=max)
+MIN = Aggregate("MIN", identity=None, invertible=False, duplicate_insensitive=True,
+                combine=_keeping_nan(min))
+MAX = Aggregate("MAX", identity=None, invertible=False, duplicate_insensitive=True,
+                combine=_keeping_nan(max))
 
 ALL_AGGREGATES = (SUM, COUNT, AVG, MIN, MAX)
 _BY_NAME = {agg.name: agg for agg in ALL_AGGREGATES}

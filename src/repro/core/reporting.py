@@ -39,7 +39,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.columns import Column, sort_order
+from repro.columns import Column, run_starts, sort_order
 from repro.core.aggregates import SUM, Aggregate
 from repro.core.complete import CompleteSequence
 from repro.core.derivation import derive as derive_window_values
@@ -94,9 +94,16 @@ class ReportingSequence:
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def from_rows(
+    def from_rows(cls, rows: Sequence[dict], value_col: str, **options) -> "ReportingSequence":
+        """:meth:`from_columns` over rows given as dicts."""
+        names = (*options.get("partition_by", ()), *options.get("order_by", ()), value_col)
+        columns = {name: Column.from_values([row[name] for row in rows]) for name in names}
+        return cls.from_columns(columns, value_col, **options)
+
+    @classmethod
+    def from_columns(
         cls,
-        rows: Sequence[dict],
+        columns: Dict[str, Column],
         value_col: str,
         *,
         partition_by: Sequence[str] = (),
@@ -105,40 +112,40 @@ class ReportingSequence:
         aggregate: Aggregate = SUM,
         complete: bool = True,
     ) -> "ReportingSequence":
-        """Materialize a reporting sequence from raw warehouse rows.
-
-        Rows are dicts; within a partition they are sorted by the ordering
-        columns (the reporting function's local ORDER BY).
-        """
+        """Materialize a reporting sequence from raw warehouse rows, one
+        column per name: grouped by the partitioning columns (partitions in
+        the ``repr`` order of their keys) and sorted by the ordering columns
+        (the reporting function's local ORDER BY) with one ``np.lexsort``
+        for numeric keys; other keys sort as Python values."""
         if not order_by:
             raise SequenceError("a reporting sequence needs ordering columns")
-        groups: Dict[Key, List[dict]] = {}
-        for row in rows:
-            key = tuple(row[c] for c in partition_by)
-            groups.setdefault(key, []).append(row)
-        keys: List[Key] = sorted(groups, key=repr)
-        order_keys_by_key: List[List[Key]] = []
-        raws: List[List[float]] = []
-        for key in keys:
-            part_rows = sorted(
-                groups[key], key=lambda r: tuple(r[c] for c in order_by)
-            )
-            order_keys = [tuple(r[c] for c in order_by) for r in part_rows]
-            if len(set(order_keys)) != len(order_keys):
-                raise SequenceError(
-                    f"duplicate ordering key within partition {key!r}; the "
-                    "sequence model requires a strict linear order"
-                )
-            order_keys_by_key.append(order_keys)
-            raws.append([float(r[value_col]) for r in part_rows])
-        seqs = [
-            CompleteSequence.from_raw(raw, window, aggregate, complete=complete)
-            for raw in raws
-        ]
-        partitions: Dict[Key, PartitionData] = {
-            key: PartitionData(order_keys, seq, raw)
-            for key, order_keys, seq, raw in zip(keys, order_keys_by_key, seqs, raws)
-        }
+        arity = len(partition_by)
+        keys = [columns[c] for c in (*partition_by, *order_by)]
+        n = len(columns[value_col])
+        order = sort_order([(c, True) for c in keys], n)
+        if order is None:  # TEXT, DATE, NULL or NaN keys sort as Python values
+            rows = [(repr(r[:arity]), r[arity:]) for r in zip(*(c.to_pylist() for c in keys))]
+            order = np.array(sorted(range(n), key=rows.__getitem__), dtype=np.intp)
+        keys = [c.take(order) for c in keys]
+        runs = run_starts(keys, n)
+        if len(runs) < n:  # two rows of one partition share an ordering key
+            at = int(runs[np.flatnonzero(np.diff(runs, append=n) > 1)[0]])
+            pkey = tuple(c.value(at) for c in keys[:arity])
+            raise SequenceError(f"duplicate ordering key within partition {pkey!r}; the "
+                                "sequence model requires a strict linear order")
+        starts = run_starts(keys[:arity], n)
+        pkeys = list(zip(*(c.take(starts).to_pylist() for c in keys[:arity]))) or [()] * len(starts)
+        okeys = list(zip(*(c.to_pylist() for c in keys[arity:])))
+        if columns[value_col].null_count:
+            raise SequenceError("a reporting sequence has no NULL position")
+        raws = columns[value_col].as_float64()[order]
+        bounds = dict(zip(pkeys, zip(starts.tolist(), [*starts[1:].tolist(), n])))
+        partitions: Dict[Key, PartitionData] = {}
+        for key in sorted(bounds, key=repr):
+            lo, hi = bounds[key]
+            raw = raws[lo:hi].tolist()
+            seq = CompleteSequence.from_raw(raw, window, aggregate, complete=complete)
+            partitions[key] = PartitionData(okeys[lo:hi], seq, raw)
         return cls(partition_by, order_by, window, aggregate, partitions)
 
     # -- inspection -------------------------------------------------------------

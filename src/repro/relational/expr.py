@@ -571,13 +571,14 @@ _NULL = object()
 def result_type(expr: Expr, schema: Schema) -> Optional[DataType]:
     """The type of ``expr``'s non-NULL values over rows of ``schema``, or
     ``None`` where it is not known before execution (an expression that is
-    always NULL, branches of unrelated types).
+    always NULL, a branch of unknown type).
 
     Literals by kind, predicates BOOLEAN, arithmetic by numeric promotion
     (INTEGER op INTEGER is INTEGER, except ``/``; a TEXT, BOOLEAN or DATE
     operand is a :class:`~repro.errors.PlanError`), ``CASE``/``COALESCE``
     by their branches (INTEGER and FLOAT promote to FLOAT),
-    ``MONTH``/``YEAR``/``DAY`` INTEGER.
+    ``MONTH``/``YEAR``/``DAY`` INTEGER; ``CASE``/``COALESCE`` branches
+    of two known, unrelated types are a :class:`~repro.errors.PlanError`.
     """
     found = _type(expr, schema)
     return None if found is _NULL else found
@@ -608,6 +609,9 @@ def _type(expr: Expr, schema: Schema) -> Any:
             return _NULL
         if len(kinds) == 1:
             return kinds.pop()
+        if None not in kinds and kinds != {INTEGER, FLOAT}:
+            names = ", ".join(sorted(k.name for k in kinds))
+            raise PlanError(f"{expr} mixes values of unrelated types {names}")
         return FLOAT if kinds == {INTEGER, FLOAT} else None
     return None
 

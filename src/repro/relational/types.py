@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import SchemaError
 
@@ -22,10 +22,12 @@ __all__ = ["DataType", "INTEGER", "FLOAT", "TEXT", "BOOLEAN", "DATE", "type_by_n
 
 @dataclass(frozen=True)
 class DataType:
-    """A column type: a name plus a coercion/validation function."""
+    """A column type: a name, a coercion/validation function, and the
+    Python type whose values ``coerce`` returns unchanged."""
 
     name: str
     coerce: Callable[[Any], Any]
+    exact: type
 
     def validate(self, value: Any) -> Any:
         """Coerce ``value`` to this type (``None`` passes through as NULL).
@@ -39,6 +41,13 @@ class DataType:
             return self.coerce(value)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"cannot store {value!r} in a {self.name} column") from exc
+
+    def validate_all(self, values: Sequence[Any]) -> Sequence[Any]:
+        """:meth:`validate` over ``values``: ``values`` themselves when each
+        is NULL or of the :attr:`exact` type (one pass over their types)."""
+        if set(map(type, values)) <= {self.exact, type(None)}:
+            return values
+        return [self.validate(value) for value in values]
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
@@ -80,11 +89,11 @@ def _coerce_date(value: Any) -> datetime.date:
     raise TypeError(f"expected date, got {type(value).__name__}")
 
 
-INTEGER = DataType("INTEGER", _coerce_int)
-FLOAT = DataType("FLOAT", _coerce_float)
-TEXT = DataType("TEXT", _coerce_text)
-BOOLEAN = DataType("BOOLEAN", _coerce_bool)
-DATE = DataType("DATE", _coerce_date)
+INTEGER = DataType("INTEGER", _coerce_int, int)
+FLOAT = DataType("FLOAT", _coerce_float, float)
+TEXT = DataType("TEXT", _coerce_text, str)
+BOOLEAN = DataType("BOOLEAN", _coerce_bool, bool)
+DATE = DataType("DATE", _coerce_date, datetime.date)
 
 _TYPES = {t.name: t for t in (INTEGER, FLOAT, TEXT, BOOLEAN, DATE)}
 _ALIASES = {"INT": INTEGER, "DOUBLE": FLOAT, "REAL": FLOAT, "VARCHAR": TEXT, "STRING": TEXT, "BOOL": BOOLEAN}

@@ -306,7 +306,7 @@ def _literal_row(exprs: Tuple[Expr, ...]) -> List[Any]:
 
 def _execute_insert(db: Database, stmt: InsertStmt) -> int:
     table = db.table(stmt.table)
-    count = 0
+    rows = []
     for value_exprs in stmt.rows:
         values = _literal_row(value_exprs)
         if stmt.columns:
@@ -322,9 +322,8 @@ def _execute_insert(db: Database, stmt: InsertStmt) -> int:
                 raise ParseError(f"unknown INSERT columns {sorted(unknown)}")
         else:
             row = values
-        table.insert(row)
-        count += 1
-    return count
+        rows.append(row)
+    return table.insert_many(rows)  # all rows or none
 
 
 def _execute_update(db: Database, stmt: UpdateStmt) -> int:

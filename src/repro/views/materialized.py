@@ -37,8 +37,11 @@ re-verify — reinstates it.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.columns import Column, kind_for_type
 from repro.core.complete import CompleteSequence
 from repro.core.reporting import PartitionData, ReportingSequence
 from repro.errors import ViewDefinitionError, ViewError
@@ -118,29 +121,20 @@ class MaterializedSequenceView:
         # dump exactly, so these are the same floats maintenance last saw.
         # A key the base table lacks reads NaN, which verify reports.
         base: Dict[Key, Dict[Key, float]] = {}
-        for row in view._base_rows():
-            base.setdefault(tuple(row[c] for c in d.partition_by), {})[
-                tuple(row[c] for c in d.order_by)] = float(row[d.value_col])
-        part_arity = len(d.partition_by)
-        order_arity = len(d.order_by)
-        groups: Dict[Key, List[Tuple[int, float, bool, Key]]] = {}
-        for row in db.table(d.storage_table).rows:
-            pkey = tuple(row[:part_arity])
-            okey = tuple(row[part_arity:part_arity + order_arity])
-            pos = row[part_arity + order_arity]
-            value = row[part_arity + order_arity + 1]
-            core = bool(row[part_arity + order_arity + 2])
-            groups.setdefault(pkey, []).append((pos, value, core, okey))
+        p, arity = len(d.partition_by), len(d.partition_by) + len(d.order_by)
+        columns = view._base_columns()
+        for row in zip(*(columns[c].to_pylist() for c in (*d.partition_by, *d.order_by, d.value_col))):
+            base.setdefault(row[:p], {})[row[p:-1]] = float(row[-1])
+        groups: Dict[Key, List[tuple]] = {}
+        for row in db.table(d.storage_table).rows:  # (partition, order, __pos, __val, __core)
+            groups.setdefault(row[:p], []).append(row)
         partitions: Dict[Key, PartitionData] = {}
-        for pkey, entries in groups.items():
-            entries.sort(key=lambda e: e[0])
-            order_keys = [e[3] for e in entries if e[2]]
+        for pkey, rows in groups.items():
+            rows.sort(key=lambda row: row[arity])
+            order_keys = [row[p:arity] for row in rows if row[-1]]
             seq = CompleteSequence.from_values(
-                d.window,
-                d.aggregate,
-                sum(1 for e in entries if e[2]),
-                [(e[0], e[1]) for e in entries],
-                complete=complete,
+                d.window, d.aggregate, len(order_keys),
+                [row[arity:arity + 2] for row in rows], complete=complete,
             )
             raw = base.get(pkey, {})
             partitions[pkey] = PartitionData(
@@ -157,17 +151,11 @@ class MaterializedSequenceView:
         """Create an (empty, unindexed) storage table under ``table_name``;
         :meth:`_index_storage` indexes it once its rows are in."""
         d = self.definition
-        base = self.db.table(d.base_table)
-        columns: List[Tuple[str, object]] = []
-        for c in d.partition_by:
-            columns.append((c, base.schema.column(c).type))
-        for c in d.order_by:
-            columns.append((c, base.schema.column(c).type))
-        columns.append(("__pos", INTEGER))
-        columns.append(("__val", FLOAT))
-        # True for core positions 1..n, False for header/trailer rows; the
-        # relational patterns filter on it (per-partition n varies).
-        columns.append(("__core", BOOLEAN))
+        schema = self.db.table(d.base_table).schema
+        columns = [(c, schema.column(c).type) for c in (*d.partition_by, *d.order_by)]
+        # __core: True for core positions 1..n, False for header/trailer
+        # rows; the relational patterns filter on it (per-partition n varies).
+        columns += [("__pos", INTEGER), ("__val", FLOAT), ("__core", BOOLEAN)]
         return self.db.create_table(table_name, columns)
 
     def _index_storage(self, table) -> None:
@@ -213,15 +201,15 @@ class MaterializedSequenceView:
 
         d = self.definition
         injector.check("refresh_begin", self.name)
-        rows = self._base_rows()
-        if any(row[d.value_col] is None for row in rows):
+        columns = self._base_columns()
+        if columns[d.value_col].null_count:
             raise ViewDefinitionError(
                 f"view {self.name!r}: measure column {d.base_table}.{d.value_col} "
                 "holds a NULL in a row the view selects; a reporting sequence "
                 "has no NULL position"
             )
-        reporting = ReportingSequence.from_rows(
-            rows,
+        reporting = ReportingSequence.from_columns(
+            columns,
             d.value_col,
             partition_by=d.partition_by,
             order_by=d.order_by,
@@ -233,7 +221,7 @@ class MaterializedSequenceView:
         self.db.drop_table(shadow_name, if_exists=True)  # stale failed shadow
         shadow = self._create_storage(shadow_name)
         try:
-            shadow.insert_many(self._storage_rows(reporting))
+            shadow.append_columns(self._storage_columns(reporting, shadow.schema))
             self._index_storage(shadow)
             injector.check("refresh_commit", self.name)
         except BaseException:
@@ -246,28 +234,35 @@ class MaterializedSequenceView:
         self.epoch += 1
         span.set(partitions=len(reporting.partitions))
 
-    def _storage_rows(self, reporting: ReportingSequence) -> List[Sequence[object]]:
-        """All storage rows for a (staged) reporting mirror, checking the
-        per-row ``refresh_write`` fault hook as it goes."""
+    def _storage_columns(self, reporting: ReportingSequence, schema) -> List[Column]:
+        """The storage table's columns for a (staged) mirror, partition by
+        partition: key columns (order keys NULL on header/trailer rows),
+        ``__pos`` a range, ``__val`` the stored array, ``__core`` a mask.
+        An armed ``refresh_write`` fault hook sees each position first."""
         from repro.faults import injector
 
-        d = self.definition
-        hook = injector.refresh_write_hook(self.name)
-        rows: List[Sequence[object]] = []
-        order_arity = len(d.order_by)
+        blank = (None,) * len(self.definition.order_by)
+        keys: List[Key] = []
+        pos, val, core = [np.empty(0, np.int64)], [np.empty(0)], [np.empty(0, np.bool_)]
         for pkey, part in reporting.partitions.items():
-            for pos, value in part.seq.items():
-                if hook is not None:
-                    hook(pos)
-                core = 1 <= pos <= part.seq.n
-                if core:
-                    okey: Tuple[object, ...] = part.order_keys[pos - 1]
-                else:
-                    okey = (None,) * order_arity  # header/trailer rows
-                rows.append(tuple(pkey) + okey + (pos, value, core))
-        return rows
+            first, last = part.seq.stored_range
+            keys += [pkey + blank] * (1 - first) + [pkey + k for k in part.order_keys]
+            keys += [pkey + blank] * (last - part.seq.n)
+            pos.append(np.arange(first, last + 1, dtype=np.int64))
+            val.append(part.seq.span(first, last))
+            core.append((pos[-1] >= 1) & (pos[-1] <= part.seq.n))
+        pos = np.concatenate(pos)
+        hook = injector.refresh_write_hook(self.name)
+        for position in pos.tolist() if hook is not None else ():
+            hook(position)
+        columns = list(zip(*keys)) or [()] * (len(schema) - 3)
+        return [
+            Column.from_values(values, kind_for_type(c.type.name))
+            for values, c in zip(columns, schema)
+        ] + [Column(pos), Column(np.concatenate(val)), Column(np.concatenate(core))]
 
-    def _base_rows(self) -> List[dict]:
+    def _base_columns(self) -> Dict[str, Column]:
+        """The base rows the view selects, one column per base column."""
         d = self.definition
         from repro.relational.operators import Filter, TableScan
 
@@ -275,7 +270,7 @@ class MaterializedSequenceView:
         if d.where is not None:
             plan = Filter(plan, d.where)
         result = self.db.run(plan)
-        return result.to_dicts()
+        return dict(zip(result.columns, result.as_columns().columns))
 
     # -- quarantine ------------------------------------------------------------------
 

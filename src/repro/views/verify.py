@@ -106,8 +106,8 @@ def verify_view(view: MaterializedSequenceView, *, max_report: int = 20) -> Cons
     injector.verify_hook(view)  # armed ``bitflip`` specs corrupt storage here
     d = view.definition
     report = ConsistencyReport(view.name)
-    truth = ReportingSequence.from_rows(
-        view._base_rows(),
+    truth = ReportingSequence.from_columns(
+        view._base_columns(),
         d.value_col,
         partition_by=d.partition_by,
         order_by=d.order_by,

@@ -89,3 +89,10 @@ class TestLookup:
         assert SUM.combine(2.0, 3.0) == 5.0
         assert MIN.combine(2.0, 3.0) == 2.0
         assert MAX.combine(2.0, 3.0) == 3.0
+
+    def test_min_max_combine_propagates_nan_from_either_side(self):
+        nan = float("nan")
+        for agg in (MIN, MAX):
+            assert math.isnan(agg.combine(1.0, nan))
+            assert math.isnan(agg.combine(nan, 1.0))
+            assert agg.combine(1.0, 1.0) == 1.0

@@ -140,6 +140,22 @@ ILL_TYPED = [
 ]
 
 
+MIXED = [
+    "SELECT i, CASE WHEN i > 2 THEN 'a' ELSE 1 END AS c FROM t",
+    "SELECT COALESCE(s, d) AS c FROM t",
+    "SELECT CASE WHEN b THEN f ELSE b END AS c FROM t",
+]
+
+
+@pytest.mark.parametrize("sql", MIXED)
+def test_branches_of_unrelated_types_are_a_plan_error(sql, client):
+    with pytest.raises(PlanError, match="unrelated types"):
+        _table(DataWarehouse()).query(sql)
+    with pytest.raises(PlanError, match="unrelated types"):
+        client.query(sql)
+    assert client.query("SELECT i + 1 AS x FROM t")["types"] == ["INTEGER"]
+
+
 @pytest.mark.parametrize("sql", ILL_TYPED)
 def test_arithmetic_over_a_non_number_is_a_plan_error(sql):
     with pytest.raises(PlanError, match="numeric operands"):

@@ -95,6 +95,50 @@ class TestSqliteOracle:
             )
 
 
+TYPE_ROWS = [(3, 2.5, "ab"), (-7, -0.25, None), (0, None, "x")]
+# Branch types SQLite reports with typeof() -> the type the engine declares;
+# any other mix is a PlanError.
+DECLARED = {("integer",): "INTEGER", ("real",): "FLOAT", ("integer", "real"): "FLOAT",
+            ("text",): "TEXT"}
+
+
+@pytest.mark.parametrize("expr", [
+    "CASE WHEN i > 0 THEN 'a' ELSE 1 END",
+    "CASE WHEN i > 0 THEN s ELSE f END",
+    "COALESCE(s, i)",
+    "COALESCE(f, s, i)",
+    "CASE WHEN i > 0 THEN i ELSE f END",
+    "COALESCE(f, i)",
+    "CASE WHEN i > 0 THEN s ELSE NULL END",
+    "CASE WHEN i > 0 THEN 1 ELSE 2 END",
+])
+def test_branch_type_rule_matches_sqlite_typeof(expr):
+    """A CASE/COALESCE whose values SQLite stores as more than one class
+    (INTEGER with REAL aside) is a PlanError; otherwise the declared type
+    is the class SQLite reports."""
+    import sqlite3
+
+    from repro.errors import PlanError
+    from repro.warehouse import DataWarehouse
+
+    con = sqlite3.connect(":memory:")
+    con.execute("CREATE TABLE t (i INTEGER, f REAL, s TEXT)")
+    con.executemany("INSERT INTO t VALUES (?, ?, ?)", TYPE_ROWS)
+    classes = tuple(sorted({kind for (kind,) in con.execute(
+        f"SELECT typeof({expr}) FROM t")} - {"null"}))
+    wh = DataWarehouse()
+    wh.create_table("t", [("i", "INTEGER"), ("f", "FLOAT"), ("s", "TEXT")])
+    wh.insert("t", TYPE_ROWS)
+    sql = f"SELECT {expr} AS c FROM t"
+    if classes not in DECLARED:
+        with pytest.raises(PlanError, match="unrelated types"):
+            wh.query(sql)
+        return
+    result = wh.query(sql)
+    assert [c.type.name for c in result.schema] == [DECLARED[classes]]
+    assert [row[0] for row in result.rows] == [row[0] for row in con.execute(sql)]
+
+
 @needs_sqlite
 class TestFuzzRunner:
     def test_sweep_is_clean_and_echoes_seeds(self, tmp_path):
