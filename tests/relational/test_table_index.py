@@ -128,7 +128,7 @@ class TestHashIndex:
 
     def test_rebuild(self):
         idx = HashIndex("h", [0])
-        idx.rebuild([(1,), (2,), (1,)])
+        idx.load([(1,), (2,), (1,)])
         assert idx.lookup((1,)) == [0, 2]
         assert len(idx) == 3
 
@@ -160,7 +160,7 @@ class TestSortedIndex:
         with pytest.raises(ConstraintError):
             idx.add((1,), 1)
         with pytest.raises(ConstraintError):
-            SortedIndex("s2", [0], unique=True).rebuild([(1,), (1,)])
+            SortedIndex("s2", [0], unique=True).load([(1,), (1,)])
 
     def test_remove_specific_slot(self):
         idx = SortedIndex("s", [0])

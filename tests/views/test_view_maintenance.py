@@ -138,7 +138,7 @@ class TestStorageTableIndexes:
         for name in ("by_key", "by_val"):
             kept = table.indexes[name]
             fresh = type(kept)(name, kept.column_indexes)
-            fresh.rebuild(table.rows)
+            fresh.load([fresh.key_of(row) for row in table.rows])
             for row in table.rows:
                 key = kept.key_of(row)
                 assert sorted(kept.lookup(key)) == sorted(fresh.lookup(key))
