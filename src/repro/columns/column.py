@@ -348,7 +348,8 @@ def keep_range(out: List[tuple], lo: int, hi: int) -> None:
 
 class Chunk:
     """A resident column chunk: the first ``rows`` slots of a value buffer
-    and a validity mask (capacity grows by doubling up to ``CHUNK_SLOTS``).
+    and a validity mask (a builder's last chunk has room for
+    ``CHUNK_SLOTS``, so appends fill it in place).
 
     ``hash`` is the chunk's digest hash once asked for, ``None`` again after
     any write.  ``shared`` marks a chunk a clone shares: it is never written
@@ -402,15 +403,9 @@ class Chunk:
             self.data[i] = value
             return True
 
-    def append(self, value: Any) -> bool:
-        if self.rows == len(self.data):
-            capacity = min(max(16, 2 * self.rows), CHUNK_SLOTS)
-            self.data, self.validity = self._resized(capacity)
-        self.rows += 1
-        return self.set(self.rows - 1, value)
-
-    def assign(self, at: slice, data: np.ndarray, validity: np.ndarray) -> bool:
-        """Write values and NULL bits over the slots ``at``."""
+    def assign(self, at, data: np.ndarray, validity) -> bool:
+        """Write values and NULL bits over the slots ``at`` (a slice or an
+        index array)."""
         self.hash = None
         promote = data.dtype == object and self.data.dtype != object
         if promote:
@@ -423,12 +418,11 @@ class Chunk:
         """A chunk of its own with the same slots and capacity."""
         return Chunk(self.data.copy(), self.validity.copy(), self.rows)
 
-    def _resized(self, capacity: int) -> tuple:
-        data = np.empty(capacity, dtype=self.data.dtype)
-        data[: self.rows] = self.data[: self.rows]
-        validity = np.empty(capacity, dtype=np.bool_)
-        validity[: self.rows] = self.validity[: self.rows]
-        return data, validity
+    def put(self, column: "Column") -> None:
+        """Append ``column``'s values after the chunk's slots (it has room)."""
+        valid = True if column.validity is None else column.validity
+        self.assign(slice(self.rows, self.rows + len(column)), column.data, valid)
+        self.rows += len(column)
 
     def _promote_to_object(self) -> None:
         data = np.empty(len(self.data), dtype=object)
@@ -506,30 +500,52 @@ class ColumnBuilder:
         return chunk
 
     def extend(self, column: Column) -> None:
-        """Append ``column``'s values (copied): the last chunk, topped up
-        with them, and whole chunks of the rest replace the partial one."""
+        """Append ``column``'s values (copied).  A resident last chunk no
+        clone shares takes what fits in place; a shared, paged or full
+        one is copied out together with the new values.  The rest fill new
+        chunks, a partial last one with room for :data:`CHUNK_SLOTS`
+        slots, so the next small append writes in place too."""
         if not len(column):
             return  # the last chunk stays as it is, on its pages or not
-        start = self._size - self._size % CHUNK_SLOTS
-        tail = Column.concat([self.gather([(start, self._size)])[0], column], self.kind)
-        del self.chunks[start // CHUNK_SLOTS:]
-        for lo in range(0, len(tail), CHUNK_SLOTS):
-            part = tail.data[lo:lo + CHUNK_SLOTS]
-            valid = None if tail.validity is None else tail.validity[lo:lo + CHUNK_SLOTS]
-            self.chunks.append(Chunk(part, valid, len(part)))
-        self._size, self._pages = start + len(tail), None
-        if tail.kind == "object":
+        if self.kind == "object" and column.kind != "object":
+            column = Column.from_values(column.to_pylist())
+        held = self._size % CHUNK_SLOTS
+        if held:
+            last = self.chunks[-1]
+            room = min(CHUNK_SLOTS - held, len(column))
+            if (last.resident and not last.shared and len(last.data) >= held + room
+                    and last.data.dtype == column.data.dtype):
+                last.put(column.slice(0, room))
+                self._size += room
+                column = column.slice(room, len(column))
+            else:
+                start = self._size - held
+                column = Column.concat([self.gather([(start, self._size)])[0], column], self.kind)
+                del self.chunks[-1]
+                self._size, self._pages = start, None
+        for lo in range(0, len(column), CHUNK_SLOTS):  # each chunk with room for CHUNK_SLOTS
+            self.chunks.append(Chunk(np.empty(CHUNK_SLOTS, dtype=column.data.dtype), None, 0))
+            self.chunks[-1].put(column.slice(lo, lo + CHUNK_SLOTS))
+        self._size += len(column)
+        if column.kind == "object":
             self.kind = "object"
 
+    def insert(self, slot: int, column: Column) -> None:
+        """Put ``column``'s values before ``slot``; later slots move up.
+        The chunks from ``slot``'s on are rebuilt, so a chunk's slots stay
+        a function of its number (at the end it is an :meth:`extend`)."""
+        if slot < self._size:
+            start = slot - slot % CHUNK_SLOTS
+            tail = self.gather([(start, self._size)])[0]
+            at = slot - start
+            parts = [tail.slice(0, at), column, tail.slice(at, len(tail))]
+            column = Column.concat(parts, self.kind)
+            del self.chunks[start // CHUNK_SLOTS:]
+            self._size, self._pages = start, None
+        self.extend(column)
+
     def append(self, value: Any) -> None:
-        if self._size % CHUNK_SLOTS == 0:
-            self.chunks.append(Chunk(np.empty(0, dtype=_DTYPES[self.kind]), None, 0))
-        chunk = self.chunks[-1]
-        if chunk.shared or not chunk.resident:
-            chunk = self._own(len(self.chunks) - 1)
-        if chunk.append(value):
-            self.kind = "object"
-        self._size += 1
+        self.extend(Column.from_values([value], self.kind))
 
     def set(self, slot: int, value: Any) -> None:
         if not 0 <= slot < self._size:
@@ -554,25 +570,23 @@ class ColumnBuilder:
         self.chunks = []
         self._size = self._pages = 0
 
-    def move(self, src: np.ndarray, dst: np.ndarray) -> None:
-        """Copy the values and NULL bits at slots ``src`` over slots ``dst``
-        (index arrays; the two may overlap): one fancy assignment inside a
-        gathered copy of the slots both span, then every chunk that holds a
-        destination takes its part of the copy back."""
-        if not len(dst):
+    def write(self, slots: np.ndarray, column: Column) -> None:
+        """Write ``column``'s values and NULLs over ``slots`` (an index
+        array): a resident chunk takes its part in one assignment (a shared
+        one is copied first), a page chunk takes each value through
+        :meth:`set`."""
+        if not len(slots):
             return
-        both = np.concatenate((src, dst))
-        lo, hi = int(both.min()), int(both.max()) + 1
-        span = self.gather([(lo, hi)])[0]
-        data = np.array(span.data)
-        valid = np.ones(hi - lo, np.bool_) if span.validity is None else np.array(span.validity)
-        at, of = dst - lo, src - lo
-        data[at], valid[at] = data[of], valid[of]
-        for c in np.flatnonzero(np.bincount(dst // CHUNK_SLOTS)).tolist():
-            base = c * CHUNK_SLOTS
-            a, b = max(lo, base), min(hi, base + CHUNK_SLOTS)
-            part = slice(a - lo, b - lo)
-            if self._own(c).assign(slice(a - base, b - base), data[part], valid[part]):
+        if not (0 <= slots.min() and slots.max() < self._size):
+            raise IndexError(f"slots {slots.min()}..{slots.max()} out of range (size {self._size})")
+        valid = np.ones(len(column), np.bool_) if column.validity is None else column.validity
+        chunk_of = slots // CHUNK_SLOTS
+        for part in np.split(np.arange(len(slots)), np.flatnonzero(np.diff(chunk_of)) + 1):
+            c = int(chunk_of[part[0]])
+            if not self.chunks[c].resident:
+                for j in part.tolist():
+                    self.set(int(slots[j]), column.value(j))
+            elif self._own(c).assign(slots[part] - c * CHUNK_SLOTS, column.data[part], valid[part]):
                 self.kind = "object"
 
     def keep(self, mask: np.ndarray) -> None:
@@ -582,7 +596,7 @@ class ColumnBuilder:
         start = int(np.argmin(mask)) // CHUNK_SLOTS * CHUNK_SLOTS
         tail = self.gather([(start, self._size)])[0].take(np.flatnonzero(mask[start:]))
         del self.chunks[start // CHUNK_SLOTS:]
-        self._size = start
+        self._size, self._pages = start, None
         self.extend(tail)
 
     def copy(self) -> "ColumnBuilder":

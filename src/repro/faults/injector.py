@@ -132,7 +132,7 @@ def refresh_write_hook(target: str) -> Optional[Callable[[int], None]]:
 def verify_hook(view) -> None:
     """Fire ``bitflip`` specs for ``view``: corrupt one storage ``__val``.
 
-    The row is chosen by the plan's seeded RNG; the corruption flips a high
+    The slot is chosen by the plan's seeded RNG; the corruption flips a high
     mantissa bit of the float64 payload.  :func:`verify_view` compares
     values bit for bit, so a flip of any bit would be caught.
     """
@@ -144,10 +144,8 @@ def verify_hook(view) -> None:
         if not len(table):  # pragma: no cover - empty views aren't materializable
             continue
         slot = plan.rng.randrange(len(table))
-        val_slot = table.schema.resolve("__val")
-        row = list(table.row(slot))
-        row[val_slot] = _flip_bit(float(row[val_slot]))
-        table.update_slot(slot, row)
+        value = table.column_values("__val").value(slot)
+        table.set_column("__val", [slot], [_flip_bit(value)])
         plan.record(
             spec.kind, "verify", view.name,
             f"flipped a bit of storage slot {slot}",

@@ -306,6 +306,21 @@ class Table:
             index.add_staged(entries)
         return count
 
+    def insert_columns(self, slot: int, columns: Sequence[Column]) -> int:
+        """Insert ``columns`` (as for :meth:`append_columns`) as rows before
+        ``slot``; later rows move up.  A duplicate key changes nothing;
+        otherwise every index is rebuilt from its key columns.  Returns
+        how many."""
+        for index in self.indexes.values():
+            index.stage(self._keys(index, columns), self._nrows)
+        for builder, column in zip(self._columns, columns):
+            builder.insert(slot, column)
+        self._nrows += len(columns[0])
+        self._structure_version += 1
+        for index in self.indexes.values():
+            index.load(self._keys(index))
+        return len(columns[0])
+
     def _keys(self, index: Index, columns: Optional[Sequence[Column]] = None) -> List[Row]:
         """``index``'s key of every row of ``columns`` (one per schema
         column; the heap's when None): one list per key column, zipped."""
@@ -332,20 +347,14 @@ class Table:
         return old_row
 
     def set_column(self, column: str, slots: Sequence[int], values: Sequence[Any]) -> None:
-        """Overwrite one column at ``slots``, leaving the rest of each row."""
+        """Overwrite one column at ``slots``, leaving the rest of each row:
+        the values are validated before any is written, then written
+        chunk by chunk (:meth:`ColumnBuilder.write`)."""
         i = self.schema.resolve(column)
-        validate, builder = self.schema.columns[i].type.validate, self._columns[i]
+        ctype = self.schema.columns[i].type
+        new = Column.from_values(ctype.validate_all(list(values)), kind_for_type(ctype.name))
         with self._reindexing([i], slots):
-            for slot, value in zip(slots, values):
-                builder.set(slot, validate(value))
-
-    def move_rows(self, columns: Sequence[str], src: Sequence[int], dst: Sequence[int]) -> None:
-        """Copy ``columns`` of rows ``src`` over rows ``dst`` (one array assignment each)."""
-        cols = [self.schema.resolve(c) for c in columns]
-        src_a, dst_a = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
-        with self._reindexing(cols, dst):
-            for i in cols:
-                self._columns[i].move(src_a, dst_a)
+            self._columns[i].write(np.asarray(slots, dtype=np.intp), new)
 
     @contextmanager
     def _reindexing(self, cols: Sequence[int], slots: Sequence[int]) -> Iterator[None]:

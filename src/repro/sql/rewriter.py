@@ -38,7 +38,7 @@ from repro.relational.expr import ColumnRef
 from repro.relational.operators import Operator, plain_column_indexes
 from repro.relational.schema import Column, Schema
 from repro.relational.stats import ExecutionStats
-from repro.relational.types import FLOAT
+from repro.relational.types import BOOLEAN, FLOAT, INTEGER
 from repro.sql.ast_nodes import SelectStmt, WindowCall
 from repro.sql.options import QueryOptions
 from repro.sql.patterns import (
@@ -297,7 +297,7 @@ def _plan_step(
             )
         n = 0 if view.is_partitioned else view.single_partition().seq.n
         pattern = _relational_plan(
-            db,
+            _relation(db, view),
             d.storage_table,
             n,
             d.window,
@@ -381,6 +381,35 @@ def _by_class(reporting, kinds: Sequence[str], derive) -> Answer:
     segments = reporting.segments()
     values = segments.scatter([derive(cls_.seq) for cls_ in segments.classes])
     return segments.keys, segments.lengths, segments.key_columns(kinds), values
+
+
+def _relation(db: Database, view) -> Database:
+    """A throwaway database holding ``view``'s fig. 10/13 relation under
+    its storage table's name: the partition keys and ``__val`` read from
+    the storage table (so a corrupt stored value reaches the answer), each
+    slot's ``__pos`` and ``__core`` flag from the mirror's stored ranges,
+    and the sorted ``(partition..., __pos)`` index the patterns probe."""
+    d = view.definition
+    storage = db.table(d.storage_table)
+    ranges = [(*part.seq.stored_range, part.seq.n) for part in view.reporting.partitions.values()]
+    pos = np.concatenate([np.empty(0, np.int64)] + [np.arange(lo, hi + 1) for lo, hi, _ in ranges])
+    if len(pos) != len(storage):
+        raise NoRewriteError(
+            f"view {view.name!r}: storage holds {len(storage)} values, "
+            f"the mirror {len(pos)}"
+        )
+    n = np.repeat([n for *_, n in ranges], [hi - lo + 1 for lo, hi, _ in ranges])
+    core = (pos >= 1) & (pos <= n)
+    out = Database()
+    keys = [(c.name, c.type) for c in storage.schema.columns[:-1]]
+    table = out.create_table(
+        d.storage_table, keys + [("__pos", INTEGER), ("__val", FLOAT), ("__core", BOOLEAN)]
+    )
+    table.append_columns([storage.column_values(name) for name, _ in keys] + [
+        DataColumn(pos), storage.column_values("__val"), DataColumn(core),
+    ])
+    table.create_index(f"{d.storage_table}_pk", [*d.partition_by, "__pos"], unique=True)
+    return out
 
 
 def _relational_plan(

@@ -97,8 +97,8 @@ def relation_insert_delete(case: FuzzCase, path: str = "engine") -> List[PathDis
 
     Exercises the incremental maintenance rules (§2.3) end to end: the view
     is materialized once, a fresh row is propagated in and back out, and
-    the storage table must match the original bit for bit (tolerance rule
-    shared with verify).
+    the storage table must match the original slot for slot (tolerance
+    rule shared with verify).
     """
     from repro.relational import FLOAT, INTEGER
     from repro.warehouse import DataWarehouse
@@ -117,13 +117,7 @@ def relation_insert_delete(case: FuzzCase, path: str = "engine") -> List[PathDis
 
     def snapshot() -> Dict[tuple, float]:
         table = wh.db.table(view.definition.storage_table)
-        n_part = len(view.definition.partition_by)
-        pos_slot = table.schema.resolve("__pos")
-        val_slot = table.schema.resolve("__val")
-        return {
-            tuple(r[:n_part]) + (r[pos_slot],): float(r[val_slot])
-            for r in table.rows
-        }
+        return {(slot, *row[:-1]): float(row[-1]) for slot, row in enumerate(table.rows)}
 
     before = snapshot()
     new_pos = max(r[1] for r in rows) + 1

@@ -14,11 +14,14 @@ Synchronisation strategy, one body (:func:`_maintain`) for every kind:
   (:meth:`~repro.core.reporting.ReportingSequence.owning`), so a mirror
   someone else still reads — a pinned epoch — is never written; a
   partition opens with its first row and closes with its last;
-* the storage table's ``__val`` is patched in place for the affected band;
-  for *insert*/*delete* dense positions shift, so the rows from ``k`` on
-  first hand their content to their neighbour (:func:`_shift_storage`) —
-  the sequence *values* still change only locally, which is what
-  :class:`~repro.core.maintenance.MaintenanceResult` accounts.
+* the storage table's ``__val`` takes ``seq.stored(lo, hi)`` over the
+  partition's run of slots (:func:`_write_run`): an update writes its band;
+  an insert or delete writes from the band's start to the run's end and
+  adds or removes one slot there, so later runs move by one — the
+  sequence *values* still change only locally, which is what
+  :class:`~repro.core.maintenance.MaintenanceResult` accounts.  Opening or
+  closing a partition inserts or deletes its whole run at its place, so
+  a maintained table is slot for slot what a refresh builds.
 
 All functions mutate the view only; updating the base table itself is the
 caller's (warehouse's) job.
@@ -27,8 +30,11 @@ caller's (warehouse's) job.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
+import numpy as np
+
+from repro.columns import Column, kind_for_type
 from repro.core import maintenance as core_maintenance
 from repro.core.complete import CompleteSequence
 from repro.core.maintenance import MaintenanceResult
@@ -88,7 +94,8 @@ def _rebind_partitions(view: MaterializedSequenceView, partitions) -> None:
 
 def _own_partition(view: MaterializedSequenceView, pkey: Key) -> PartitionData:
     """Rebind the view's mirror to a copy owning partition ``pkey``; one the
-    view lacks opens empty (no core position; header and trailer stored)."""
+    view lacks opens empty (no core position; header and trailer stored,
+    their run inserted at the partition's place)."""
     if pkey in view.reporting.partitions:
         view.reporting = view.reporting.owning(pkey)
         return view.reporting.partitions[pkey]
@@ -96,16 +103,16 @@ def _own_partition(view: MaterializedSequenceView, pkey: Key) -> PartitionData:
     seq = CompleteSequence.from_raw([], d.window, d.aggregate, complete=view.complete)
     part = PartitionData([], seq, [])
     _rebind_partitions(view, {**view.reporting.partitions, pkey: part})
-    view.db.table(d.storage_table).insert_many(
-        pkey + (None,) * len(d.order_by) + (pos, value, False) for pos, value in seq.items()
-    )
+    table = view.db.table(d.storage_table)
+    run = _run_columns(table, pkey, seq.stored(*seq.stored_range))
+    table.insert_columns(view.run_offset(pkey), run)
     return part
 
 
 def _maintain(view: MaterializedSequenceView, op: str, pkey: Key, okey: Key, edit):
     """The body every kind of write shares: fault check, position, a mirror
     owning the partition, the span, ``edit`` — the kind's own change to
-    the partition — and the storage band."""
+    the partition — and the storage run."""
     from repro.faults import injector
     from repro.obs import runtime
 
@@ -119,7 +126,7 @@ def _maintain(view: MaterializedSequenceView, op: str, pkey: Key, okey: Key, edi
     ).inc()
     with runtime.get_tracer().span("view.maintain", view=view.name, op=op, position=k):
         result = edit(part, k)
-        _patch_storage_band(view, pkey, result)
+        _write_run(view, pkey, result)
     return result
 
 
@@ -151,7 +158,6 @@ def propagate_insert(
     def edit(part: PartitionData, k: int) -> MaintenanceResult:
         result = core_maintenance.apply_insert(part.raw, part.seq, k, float(value))
         part.order_keys.insert(k - 1, tuple(order_key))
-        _shift_storage(view, tuple(partition_key), k, tuple(order_key))
         return result
 
     return _maintain(view, "insert", partition_key, order_key, edit)
@@ -170,13 +176,14 @@ def propagate_delete(
     def edit(part: PartitionData, k: int) -> MaintenanceResult:
         result = core_maintenance.apply_delete(part.raw, part.seq, k)
         del part.order_keys[k - 1]
-        _shift_storage(view, pkey, k, None)
         return result
 
     result = _maintain(view, "delete", pkey, order_key, edit)
     if not view.sequence(pkey).n:
-        table, slots = _position_slots(view, pkey, *view.sequence(pkey).stored_range)
-        table.delete_slots(slots)
+        first, last = view.sequence(pkey).stored_range
+        offset = view.run_offset(pkey)
+        table = view.db.table(view.definition.storage_table)
+        table.delete_slots(range(offset, offset + last - first + 1))
         _rebind_partitions(view, {k: p for k, p in view.reporting.partitions.items() if k != pkey})
     return result
 
@@ -184,69 +191,39 @@ def propagate_delete(
 # -- storage synchronisation ----------------------------------------------------
 
 
-def _position_slots(view: MaterializedSequenceView, pkey: Key, lo: int, hi: int):
-    """The storage table and the slots of positions ``lo..hi`` of one
-    partition, in position order, read off the ``(partition, __pos)`` index
-    (a scan when that index has been dropped)."""
-    d = view.definition
-    table = view.db.table(d.storage_table)
-    index = table.find_index(list(d.partition_by) + ["__pos"], sorted_only=True)
-    if index is not None:
-        slots: List[int] = list(index.range(pkey + (lo,), pkey + (hi,)))
-    else:
-        n_part, at = len(pkey), table.schema.resolve("__pos")
-        slots = [slot for _, slot in sorted(
-            (row[at], slot) for slot, row in enumerate(table.rows)
-            if row[:n_part] == pkey and lo <= row[at] <= hi
-        )]
-    if len(slots) != max(hi - lo + 1, 0):
-        raise MaintenanceError(
-            f"view {view.name!r}: storage rows missing in positions {lo}..{hi}"
-        )
-    return table, slots
+def _run_columns(table, pkey: Key, values: List[float]) -> List[Column]:
+    """``values`` as rows of the storage ``table`` in partition ``pkey``."""
+    return [
+        Column.from_values([key] * len(values), kind_for_type(c.type.name))
+        for key, c in zip(pkey, table.schema.columns)
+    ] + [Column(np.array(values, dtype=np.float64))]
 
 
-def _patch_storage_band(
-    view: MaterializedSequenceView, pkey: Key, result: MaintenanceResult
-) -> None:
-    """In-place update of the stored values in the affected band (one
-    slice of the sequence's stored values: the band lies inside them)."""
-    seq = view.reporting.partition(pkey).seq
-    lo, hi = view.definition.window.band(result.position, *seq.stored_range)
+def _write_run(view: MaterializedSequenceView, pkey: Key, result: MaintenanceResult) -> None:
+    """Write the partition's changed stored values over its run of slots:
+    the band for an update; from the band's start to the run's end for an
+    insert, which first adds one slot at the run's end, or a delete, which
+    then removes the run's old last slot.  Later runs move by one."""
     from repro.obs import runtime
 
+    seq = view.reporting.partition(pkey).seq
+    first, last = seq.stored_range
+    lo, hi = view.definition.window.band(result.position, first, last)
     span = runtime.get_tracer().current_span()
     if span is not None:
         # Interior point updates patch exactly w = l + h + 1 values
         # (paper section 2.3); edge positions clamp to the stored range.
         span.set(band_width=max(hi - lo + 1, 0))
-    table, slots = _position_slots(view, pkey, lo, hi)
-    table.set_column("__val", slots, seq.stored(lo, hi))
-
-
-def _shift_storage(
-    view: MaterializedSequenceView, pkey: Key, k: int, inserted: Optional[Key]
-) -> None:
-    """Open (``inserted`` = the new row's ordering key) or close (None) a
-    gap at position ``k`` of one partition's storage rows.
-
-    Positions are dense, so the rows keep their ``(partition, __pos)`` keys
-    and pass their *content* — ordering key, value, core flag — along: to
-    the next position when a row arrives, from it when one leaves: one
-    array assignment per content column, and one row appended or removed
-    at the partition's end.  :func:`_patch_storage_band` runs afterwards.
-    """
-    d = view.definition
-    content = list(d.order_by) + ["__val", "__core"]
-    seq = view.reporting.partition(pkey).seq
-    last = seq.stored_range[1]  # already the new last position
-    if inserted is not None:
-        table, slots = _position_slots(view, pkey, k, last - 1)
-        blank = (None,) * len(d.order_by)
-        slots.append(table.insert(pkey + blank + (last, 0.0, False)))
-        table.move_rows(content, slots[:-1], slots[1:])
-        table.update_slot(slots[0], pkey + inserted + (k, 0.0, True))
-    else:
-        table, slots = _position_slots(view, pkey, k, last + 1)
-        table.move_rows(content, slots[1:], slots[:-1])
-        table.delete_slots(slots[-1:])
+    table = view.db.table(view.definition.storage_table)
+    shift = {"update": 0, "insert": 1, "delete": -1}[result.operation]
+    start = view.run_offset(pkey) - first  # the slot of position 0
+    if start + last - shift >= len(table):
+        raise MaintenanceError(
+            f"view {view.name!r}: storage rows missing in positions {first}..{last}"
+        )
+    if shift > 0:
+        table.insert_columns(start + last, _run_columns(table, pkey, [0.0]))
+    hi = last if shift else hi
+    table.set_column("__val", range(start + lo, start + hi + 1), seq.stored(lo, hi))
+    if shift < 0:
+        table.delete_slots([start + last + 1])

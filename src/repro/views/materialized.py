@@ -2,12 +2,14 @@
 
 A materialized view keeps its sequence in two places:
 
-* a **storage table** in the warehouse database named
-  ``__mv_<view>`` with columns ``(partition..., order..., pos, val)`` —
-  the *complete* sequence per partition, i.e. core positions ``1..n`` plus
-  header (``1-h..0``) and trailer (``n+1..n+l``) rows whose ordering
-  columns are NULL.  The relational rewrite patterns (figs. 10/13) run
-  against this table.
+* a **storage table** in the warehouse database named ``__mv_<view>``
+  with columns ``(partition..., __val)``: the *complete* sequence of each
+  partition — header (``1-h..0``), core (``1..n``) and trailer
+  (``n+1..n+l``) values — as one dense run, the runs in the ``repr``
+  order of their partition keys.  Position ``k`` of a partition is slot
+  ``run offset + k - first`` (:meth:`MaterializedSequenceView.run_offset`),
+  so the table needs no index.  A relational rewrite (figs. 10/13) reads
+  it through a per-query relation that adds the positions.
 * an in-memory :class:`~repro.core.reporting.ReportingSequence` mirror used
   by the in-memory derivation forms, by incremental maintenance, and to
   label derived values with their original ordering keys.  Each of its
@@ -41,17 +43,26 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.columns import Column, kind_for_type
+from repro.columns import Column, kind_for_type, run_starts
 from repro.core.complete import CompleteSequence
 from repro.core.reporting import PartitionData, ReportingSequence
 from repro.errors import ViewDefinitionError, ViewError
 from repro.relational.engine import Database
-from repro.relational.types import BOOLEAN, FLOAT, INTEGER
+from repro.relational.types import FLOAT
 from repro.views.definition import SequenceViewDefinition
 
-__all__ = ["MaterializedSequenceView"]
+__all__ = ["MaterializedSequenceView", "storage_runs"]
 
 Key = Tuple[object, ...]
+
+
+def storage_runs(table, partition_by) -> Dict[Key, Tuple[int, int]]:
+    """The ``[lo, hi)`` slots of each run of equal partition keys in a
+    storage ``table`` (a key in two runs keeps the last)."""
+    keys = [table.column_values(c) for c in partition_by]
+    starts = run_starts(keys, len(table))
+    pkeys = list(zip(*(c.take(starts).to_pylist() for c in keys))) or [()] * len(starts)
+    return dict(zip(pkeys, zip(starts.tolist(), [*starts[1:].tolist(), len(table)])))
 
 
 class MaterializedSequenceView:
@@ -89,15 +100,14 @@ class MaterializedSequenceView:
         refresh.
 
         ``DataWarehouse.load`` normally replaces dumped storage with a
-        fresh recomputation, which guarantees base/view consistency.
-        Maintained values equal a recompute's bit for bit, but not the
-        storage table's slot order: an insert into a partitioned view
-        appends the partition's new last row at the end of the table.
-        Recovery replays a WAL whose records carry digests of the
-        *primary's live* tables, and ``repro verify`` checks the dump's own
-        values, so both keep the dumped table; this constructor wraps the
-        stored values via :meth:`CompleteSequence.from_values` instead of
-        recomputing.
+        fresh recomputation; maintained storage is slot for slot what a
+        refresh builds, so that reproduces a live table.  What rehydration
+        still keeps is the dump's own values: ``repro verify`` checks them,
+        and WAL recovery replays digest-checked records on top of them.
+        Partitions, ordering keys and raw values come from the base table
+        (:meth:`ReportingSequence.from_columns`); each partition's sequence
+        is its run of ``__val``.  A run that is missing or of another
+        length reads NaN, which verify reports.
 
         Raises:
             ViewError: the storage table is missing (never refreshed).
@@ -115,66 +125,42 @@ class MaterializedSequenceView:
         view.quarantined = False
         view.quarantine_reason = None
         view.epoch = 1
-        view._index_storage(db.table(d.storage_table))
-
-        # Raw values come from the base table — base rows round-trip the
-        # dump exactly, so these are the same floats maintenance last saw.
-        # A key the base table lacks reads NaN, which verify reports.
-        base: Dict[Key, Dict[Key, float]] = {}
-        p, arity = len(d.partition_by), len(d.partition_by) + len(d.order_by)
-        columns = view._base_columns()
-        for row in zip(*(columns[c].to_pylist() for c in (*d.partition_by, *d.order_by, d.value_col))):
-            base.setdefault(row[:p], {})[row[p:-1]] = float(row[-1])
-        groups: Dict[Key, List[tuple]] = {}
-        for row in db.table(d.storage_table).rows:  # (partition, order, __pos, __val, __core)
-            groups.setdefault(row[:p], []).append(row)
-        partitions: Dict[Key, PartitionData] = {}
-        for pkey, rows in groups.items():
-            rows.sort(key=lambda row: row[arity])
-            order_keys = [row[p:arity] for row in rows if row[-1]]
-            seq = CompleteSequence.from_values(
-                d.window, d.aggregate, len(order_keys),
-                [row[arity:arity + 2] for row in rows], complete=complete,
-            )
-            raw = base.get(pkey, {})
-            partitions[pkey] = PartitionData(
-                order_keys, seq, [raw.get(okey, math.nan) for okey in order_keys]
-            )
-        view.reporting = ReportingSequence(
-            d.partition_by, d.order_by, d.window, d.aggregate, partitions
-        )
+        view.reporting = view.recompute()
+        storage = db.table(d.storage_table)
+        runs = storage_runs(storage, d.partition_by)
+        values = storage.column_values("__val").as_float64(math.nan)
+        for pkey, part in view.reporting.partitions.items():
+            first, last = part.seq.stored_range
+            lo, hi = runs.get(pkey, (0, 0))
+            size = last - first + 1
+            stored = values[lo:hi] if hi - lo == size else np.full(size, math.nan)
+            part.seq = CompleteSequence(d.window, d.aggregate, part.seq.n, stored, complete)
         return view
 
     # -- storage ------------------------------------------------------------------
 
     def _create_storage(self, table_name: str):
-        """Create an (empty, unindexed) storage table under ``table_name``;
-        :meth:`_index_storage` indexes it once its rows are in."""
+        """Create an empty storage table under ``table_name``: the
+        partition-key columns and ``__val``, no index."""
         d = self.definition
         schema = self.db.table(d.base_table).schema
-        columns = [(c, schema.column(c).type) for c in (*d.partition_by, *d.order_by)]
-        # __core: True for core positions 1..n, False for header/trailer
-        # rows; the relational patterns filter on it (per-partition n varies).
-        columns += [("__pos", INTEGER), ("__val", FLOAT), ("__core", BOOLEAN)]
-        return self.db.create_table(table_name, columns)
+        columns = [(c, schema.column(c).type) for c in d.partition_by]
+        return self.db.create_table(table_name, columns + [("__val", FLOAT)])
 
-    def _index_storage(self, table) -> None:
-        """Create the storage indexes ``table`` lacks (none after a load:
-        they travel with a dump; maintenance finds its rows through them),
-        each with one sort of the rows already in it.
+    def run_offset(self, partition_key: Key) -> int:
+        """The storage slot of partition ``partition_key``'s first stored
+        position: the length of the runs before it, in mirror order.
 
-        Index names always use the canonical storage prefix so a shadow
-        table carries identical index structure to the table it replaces.
+        Raises:
+            ViewError: the view has no such partition.
         """
-        d = self.definition
-        # The paper's Table 2 setting: primary-key index over the position.
-        wanted = {f"{d.storage_table}_pk": (list(d.partition_by) + ["__pos"], True)}
-        if d.partition_by:
-            # A plain position index serves single-partition probes too.
-            wanted[f"{d.storage_table}_pos"] = (["__pos"], False)
-        for name, (columns, unique) in wanted.items():
-            if name not in table.indexes:
-                table.create_index(name, columns, kind="sorted", unique=unique)
+        offset = 0
+        for key, part in self.reporting.partitions.items():
+            if key == partition_key:
+                return offset
+            first, last = part.seq.stored_range
+            offset += last - first + 1
+        raise ViewError(f"view {self.name!r} has no partition {partition_key!r}")
 
     def refresh(self) -> None:
         """Full recomputation from the base table (section 2.3's baseline).
@@ -208,21 +194,12 @@ class MaterializedSequenceView:
                 "holds a NULL in a row the view selects; a reporting sequence "
                 "has no NULL position"
             )
-        reporting = ReportingSequence.from_columns(
-            columns,
-            d.value_col,
-            partition_by=d.partition_by,
-            order_by=d.order_by,
-            window=d.window,
-            aggregate=d.aggregate,
-            complete=self.complete,
-        )
+        reporting = self.recompute(columns)
         shadow_name = f"{d.storage_table}__e{self.epoch + 1}"
         self.db.drop_table(shadow_name, if_exists=True)  # stale failed shadow
         shadow = self._create_storage(shadow_name)
         try:
             shadow.append_columns(self._storage_columns(reporting, shadow.schema))
-            self._index_storage(shadow)
             injector.check("refresh_commit", self.name)
         except BaseException:
             self.db.drop_table(shadow_name, if_exists=True)
@@ -235,31 +212,34 @@ class MaterializedSequenceView:
         span.set(partitions=len(reporting.partitions))
 
     def _storage_columns(self, reporting: ReportingSequence, schema) -> List[Column]:
-        """The storage table's columns for a (staged) mirror, partition by
-        partition: key columns (order keys NULL on header/trailer rows),
-        ``__pos`` a range, ``__val`` the stored array, ``__core`` a mask.
-        An armed ``refresh_write`` fault hook sees each position first."""
+        """The storage table's columns for a (staged) mirror: each
+        partition's key repeated over its run, and ``__val`` the runs'
+        stored values.  An armed ``refresh_write`` fault hook sees each
+        position first."""
         from repro.faults import injector
 
-        blank = (None,) * len(self.definition.order_by)
-        keys: List[Key] = []
-        pos, val, core = [np.empty(0, np.int64)], [np.empty(0)], [np.empty(0, np.bool_)]
-        for pkey, part in reporting.partitions.items():
-            first, last = part.seq.stored_range
-            keys += [pkey + blank] * (1 - first) + [pkey + k for k in part.order_keys]
-            keys += [pkey + blank] * (last - part.seq.n)
-            pos.append(np.arange(first, last + 1, dtype=np.int64))
-            val.append(part.seq.span(first, last))
-            core.append((pos[-1] >= 1) & (pos[-1] <= part.seq.n))
-        pos = np.concatenate(pos)
+        seqs = [part.seq for part in reporting.partitions.values()]
         hook = injector.refresh_write_hook(self.name)
-        for position in pos.tolist() if hook is not None else ():
+        for position in (p for seq in seqs for p in seq.positions()) if hook is not None else ():
             hook(position)
-        columns = list(zip(*keys)) or [()] * (len(schema) - 3)
-        return [
-            Column.from_values(values, kind_for_type(c.type.name))
-            for values, c in zip(columns, schema)
-        ] + [Column(pos), Column(np.concatenate(val)), Column(np.concatenate(core))]
+        lengths = [last - first + 1 for first, last in (seq.stored_range for seq in seqs)]
+        owner = np.repeat(np.arange(len(seqs)), lengths)
+        keys = [
+            Column.from_values([pkey[i] for pkey in reporting.partitions],
+                               kind_for_type(c.type.name)).take(owner)
+            for i, c in enumerate(schema.columns[:-1])
+        ]
+        values = [seq.span(*seq.stored_range) for seq in seqs]
+        return keys + [Column(np.concatenate([np.empty(0), *values]))]
+
+    def recompute(self, columns: Optional[Dict[str, Column]] = None) -> ReportingSequence:
+        """The view's sequence computed from base rows: ``columns`` (one per
+        base column), or the rows it selects now."""
+        d = self.definition
+        return ReportingSequence.from_columns(
+            columns or self._base_columns(), d.value_col, partition_by=d.partition_by,
+            order_by=d.order_by, window=d.window, aggregate=d.aggregate, complete=self.complete,
+        )
 
     def _base_columns(self) -> Dict[str, Column]:
         """The base rows the view selects, one column per base column."""

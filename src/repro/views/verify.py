@@ -19,8 +19,9 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.core.reporting import ReportingSequence
-from repro.views.materialized import MaterializedSequenceView
+import numpy as np
+
+from repro.views.materialized import MaterializedSequenceView, storage_runs
 
 __all__ = [
     "Discrepancy",
@@ -99,6 +100,11 @@ def _differs(a: float, b: float) -> bool:
     return struct.pack("<d", a) != struct.pack("<d", b)
 
 
+def _differing(got: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """:func:`_differs` over two float64 arrays, as a mask."""
+    return (got.view(np.uint64) != want.view(np.uint64)) & ~(np.isnan(got) & np.isnan(want))
+
+
 def verify_view(view: MaterializedSequenceView, *, max_report: int = 20) -> ConsistencyReport:
     """Recompute the view from base data and cross-check mirror and storage."""
     from repro.faults import injector
@@ -106,15 +112,7 @@ def verify_view(view: MaterializedSequenceView, *, max_report: int = 20) -> Cons
     injector.verify_hook(view)  # armed ``bitflip`` specs corrupt storage here
     d = view.definition
     report = ConsistencyReport(view.name)
-    truth = ReportingSequence.from_columns(
-        view._base_columns(),
-        d.value_col,
-        partition_by=d.partition_by,
-        order_by=d.order_by,
-        window=d.window,
-        aggregate=d.aggregate,
-        complete=view.complete,
-    )
+    truth = view.recompute()
 
     def add(representation, partition, position, detail) -> None:
         if len(report.discrepancies) < max_report:
@@ -156,33 +154,31 @@ def verify_view(view: MaterializedSequenceView, *, max_report: int = 20) -> Cons
                     f"mirror value {value!r} != recomputed {want!r}")
 
     # -- storage vs truth ---------------------------------------------------------
+    # Slot for slot what a refresh stores: one run per partition, in mirror
+    # order.  Structural drift is reported before any value, so a missing
+    # slot is named even when the values after it fill the report.
     table = view.db.table(d.storage_table)
-    n_part = len(d.partition_by)
-    pos_slot = table.schema.resolve("__pos")
-    val_slot = table.schema.resolve("__val")
-    seen: Dict[Tuple, set] = {}
-    for row in table.rows:
-        pkey = tuple(row[:n_part])
-        pos = row[pos_slot]
-        seen.setdefault(pkey, set()).add(pos)
-        tpart = truth.partitions.get(pkey)
-        if tpart is None:
-            add("storage", pkey, pos, "storage row for unknown partition")
-            continue
-        first, last = tpart.seq.stored_range
-        if not first <= pos <= last:
-            add("storage", pkey, pos, "storage row outside the stored range")
-            continue
-        report.checked_values += 1
-        want = tpart.seq.value(pos)
-        if _differs(row[val_slot], want):
-            add("storage", pkey, pos,
-                f"storage value {row[val_slot]!r} != recomputed {want!r}")
+    runs = storage_runs(table, d.partition_by)
+    values = table.column_values("__val").as_float64(math.nan)
+    for pkey in sorted(set(runs) - set(truth.partitions), key=repr):
+        add("storage", pkey, None, "storage run for unknown partition")
+    if [k for k in runs if k in truth.partitions] != [k for k in truth.partitions if k in runs]:
+        add("storage", (), None, "storage runs out of partition order")
+    compare = []
     for pkey, tpart in truth.partitions.items():
         first, last = tpart.seq.stored_range
-        missing = set(range(first, last + 1)) - seen.get(pkey, set())
-        for pos in sorted(missing):
+        lo, hi = runs.get(pkey, (0, 0))
+        for pos in range(first + hi - lo, last + 1):
             add("storage", pkey, pos, "storage row missing")
+        for pos in range(last + 1, first + hi - lo):
+            add("storage", pkey, pos, "storage row outside the stored range")
+        got = values[lo:min(hi, lo + last - first + 1)]
+        compare.append((pkey, first, got, tpart.seq.span(first, first + len(got) - 1)))
+    for pkey, first, got, want in compare:
+        report.checked_values += len(got)
+        for i in np.flatnonzero(_differing(got, want)).tolist():
+            add("storage", pkey, first + i,
+                f"storage value {float(got[i])!r} != recomputed {float(want[i])!r}")
     return report
 
 

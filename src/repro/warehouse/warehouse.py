@@ -592,12 +592,10 @@ class DataWarehouse:
         Args:
             rehydrate: wrap each view's *dumped* storage table instead of
                 refreshing it.  The default refresh guarantees base/view
-                consistency; rehydration keeps the dump's own view values
-                (what ``repro verify`` checks) and its storage slot order,
-                which a refresh does not reproduce after inserts into a
-                partitioned view: that is what WAL recovery needs before
-                it replays digest-checked records on top.  (Maintained
-                values equal a refresh's, bit for bit.)
+                consistency, and reproduces a maintained storage table
+                slot for slot.  Rehydration keeps the dump's own view
+                values: what ``repro verify`` checks, and what WAL
+                recovery replays digest-checked records on top of.
             memory_budget_bytes: where the tables live.  ``None`` (the
                 default) reads every page into memory — no buffer pool, no
                 spill budget.  A budget keeps the tables of a paged dump

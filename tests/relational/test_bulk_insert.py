@@ -200,3 +200,29 @@ def test_a_small_bulk_insert_into_a_large_table_touches_few_held_keys(batch):
     assert pk.lookup((n + 1,)) == [n] and by_g.lookup((-1,)) == [n]
     keys = [k for (k,) in pk._keys]
     assert keys == sorted(keys) and list(pk.range((n,), (n + 2,))) == [n // 2, n, n // 2 + 1]
+
+
+@pytest.mark.parametrize("at", [0, 7, CHUNK_SLOTS - 1, CHUNK_SLOTS + 3])
+def test_insert_columns_before_a_slot_moves_later_rows_and_keeps_indexes(at):
+    from repro.columns import Column
+    import numpy as np
+
+    def table_of(rows):
+        table = Table("t", Schema.of(("k", INTEGER), ("v", type_by_name("FLOAT"))), ["k"])
+        table.create_index("by_v", ["v"], kind="hash")
+        table.insert_many(rows)
+        return table
+
+    rows = [(k, k / 2) for k in range(0, 4 * CHUNK_SLOTS, 2)]
+    table = table_of(rows)
+    new = [(-1, -0.5), (-3, -1.5)]
+    columns = [Column(np.array(c)) for c in zip(*new)]
+    assert table.insert_columns(at, columns) == 2
+    expected = table_of(rows[:at] + new + rows[at:])
+    assert table.digest(cached=False) == expected.digest(cached=False)
+    for key in ((-3,), (rows[at][0],), (rows[-1][0],)):
+        assert table.indexes["t_pk"].lookup(key) == expected.indexes["t_pk"].lookup(key)
+    assert table.indexes["by_v"].lookup((-1.5,)) == [at + 1]
+    with pytest.raises(ConstraintError):  # a duplicate key changes nothing
+        table.insert_columns(at, [Column(np.array([rows[0][0]])), Column(np.array([9.0]))])
+    assert table.digest(cached=False) == expected.digest(cached=False)

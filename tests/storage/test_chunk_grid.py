@@ -133,3 +133,34 @@ def test_a_paged_tables_kept_digest_rehashes_only_the_written_chunks(tmp_path):
         assert table.is_paged
     finally:
         paged.buffer_pool.close()
+
+
+class TestExtend:
+    """A small append tops up the last chunk in place when it is resident
+    and no clone shares it; otherwise that chunk is copied first."""
+
+    def test_a_one_row_extend_onto_a_partial_resident_chunk_copies_no_held_value(self, monkeypatch):
+        from repro.columns import Column, ColumnBuilder
+
+        builder = ColumnBuilder("float64")
+        builder.extend(Column(np.arange(CHUNK_SLOTS - 1, dtype=np.float64)))
+        last = builder.chunks[-1]
+        buffer = last.data
+        gathered = []
+        monkeypatch.setattr(ColumnBuilder, "gather",
+                            lambda self, ranges: gathered.append(ranges))
+        builder.extend(Column(np.array([-1.0])))
+        assert gathered == []
+        assert builder.chunks[-1] is last and last.data is buffer
+        assert last.rows == len(builder) == CHUNK_SLOTS
+        assert last.data[CHUNK_SLOTS - 1] == -1.0
+
+    def test_an_extend_after_a_clone_leaves_the_clone_as_it_was(self):
+        db = Database()
+        table = db.create_table("t", [("k", INTEGER), ("v", FLOAT), ("s", TEXT)])
+        table.insert_many([(i, i / 4, str(i)) for i in range(CHUNK_SLOTS + 7)])
+        clone = table.clone()
+        digest, rows = clone.digest(cached=False), list(clone.rows)
+        table.insert_many([(-1, -1.0, "x")])
+        assert clone.digest(cached=False) == digest and list(clone.rows) == rows
+        assert len(table) == len(clone) + 1 and table.row(len(clone)) == (-1, -1.0, "x")

@@ -41,8 +41,7 @@ class TestHealthy:
 class TestFaultInjection:
     def test_one_ulp_storage_change_detected(self, wh):
         table = wh.db.table("__mv_mv")
-        pos_slot = table.schema.resolve("__pos")
-        slot = next(i for i in range(len(table)) if table.row(i)[pos_slot] == 10)
+        slot = 10 - wh.view("mv").sequence().stored_range[0]  # position 10
         value = table.row(slot)[table.schema.resolve("__val")]
         table.set_column("__val", [slot], [math.nextafter(value, math.inf)])
         report = wh.verify()["mv"]
@@ -167,13 +166,11 @@ class TestFaultInjection:
                        "ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 "
                        "FOLLOWING) w FROM s")
         table = wh.db.table("__mv_mv")
-        # Corrupt one row of partition 'b'.
-        for slot, row in enumerate(table.rows):
-            if row[0] == "b" and row[table.schema.resolve("__pos")] == 2:
-                bad = list(row)
-                bad[table.schema.resolve("__val")] = 0.123
-                table.update_slot(slot, bad)
-                break
+        # Corrupt one row of partition 'b' (position 2 of its run).
+        view = wh.view("mv")
+        slot = view.run_offset(("b",)) + 2 - view.sequence(("b",)).stored_range[0]
+        assert table.row(slot)[0] == "b"
+        table.update_slot(slot, ("b", 0.123))
         report = verify_view(wh.view("mv"))
         assert not report.ok
         assert all(d.partition == ("b",) for d in report.discrepancies)

@@ -39,8 +39,9 @@ def view(db):
 
 
 def storage_values(view):
+    """``__val`` in slot order: the run of the one partition, position order."""
     table = view.db.table(view.definition.storage_table)
-    return [v for _, v in sorted((r[1], r[2]) for r in table.rows)]
+    return table.column_values("__val").to_pylist()
 
 
 class TestPropagation:
@@ -112,8 +113,8 @@ class TestPropagation:
 
 class TestStorageTableIndexes:
     """What a user does to the storage table's indexes must not cost the
-    view its maintenance: indexes over the columns the sync writes are
-    kept right, and a dropped position index falls back to a scan."""
+    view its maintenance: an index over the column the sync writes is
+    kept right."""
 
     def _exercise(self, view, raw40):
         propagate_update(view, (10,), 777.0)
@@ -131,25 +132,15 @@ class TestStorageTableIndexes:
 
     def test_user_indexes_over_written_columns_are_maintained(self, view, raw40):
         table = view.db.table(view.definition.storage_table)
-        # (header/trailer rows have a NULL ordering key: hash, not sorted)
-        table.create_index("by_key", ["pos"], kind="hash")
         table.create_index("by_val", ["__val"], kind="sorted")
         raw = self._exercise(view, raw40)
-        for name in ("by_key", "by_val"):
-            kept = table.indexes[name]
-            fresh = type(kept)(name, kept.column_indexes)
-            fresh.load([fresh.key_of(row) for row in table.rows])
-            for row in table.rows:
-                key = kept.key_of(row)
-                assert sorted(kept.lookup(key)) == sorted(fresh.lookup(key))
-        assert len(table.indexes["by_key"].lookup((10.5,))) == 1
-        assert table.indexes["by_key"].lookup((3.0,)) == []
+        kept = table.indexes["by_val"]
+        fresh = type(kept)("by_val", kept.column_indexes)
+        fresh.load([fresh.key_of(row) for row in table.rows])
+        for row in table.rows:
+            key = kept.key_of(row)
+            assert sorted(kept.lookup(key)) == sorted(fresh.lookup(key))
         assert len(table) == len(raw) + 3  # header + two trailer rows
-
-    def test_dropped_position_index_falls_back_to_a_scan(self, view, raw40):
-        table = view.db.table(view.definition.storage_table)
-        table.drop_index(f"{table.name}_pk")
-        self._exercise(view, raw40)
 
 
 class TestCumulativeView:
@@ -186,10 +177,64 @@ class TestCumulativeView:
         result = propagate_update(view, (3,), 0.7)
         assert result.values_touched == n - 2
         assert len(calls) == 0
-        stored = [v for _, v in sorted((r[1], r[2]) for r in
-                                       db.table(d.storage_table).rows)]
+        stored = db.table(d.storage_table).column_values("__val").to_pylist()
         bits = [struct.pack("<d", v) for v in view.sequence().to_list()]
         assert [struct.pack("<d", v) for v in stored] == bits
+
+
+class TestStorageWritesCounted:
+    """On a 10 000-row view a write touches ``__val`` slots only: an
+    interior update its band of ``w = l + h + 1``, an interior insert the
+    slots from its band's start to the run's end plus one new slot."""
+
+    L, H = 4, 2
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        from repro.columns import ColumnBuilder
+        from repro.relational.table import Table
+        from repro.warehouse import DataWarehouse, create_sequence_table
+
+        wh = DataWarehouse()
+        create_sequence_table(wh.db, "seq", 10_000, seed=3)
+        view = wh.create_view("mv", f"SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN "
+                                    f"{self.L} PRECEDING AND {self.H} FOLLOWING) s FROM seq")
+        table = wh.db.table(view.definition.storage_table)
+        calls = []
+        for name in ("write", "set", "extend", "append", "keep"):
+            def spy(self, *args, _original=getattr(ColumnBuilder, name), _name=name):
+                if any(self is builder for builder in table._columns):
+                    size = len(args[0] if _name == "write" else args[-1]) \
+                        if _name in ("write", "extend") else 1
+                    calls.append((table.schema.columns[table._columns.index(self)].name, _name, size))
+                return _original(self, *args)
+            monkeypatch.setattr(ColumnBuilder, name, spy)
+        row = Table.row
+        monkeypatch.setattr(Table, "row", lambda self, slot: calls.append((self.name, "row", 1))
+                            or row(self, slot))
+        return wh, view, table, calls
+
+    def test_an_interior_update_writes_exactly_its_band_of_val(self, counted):
+        wh, view, table, calls = counted
+        wh.update_measure("seq", keys={"pos": 5_000}, value_col="val", new_value=-1.0)
+        assert [c for c in calls if c[0] != "seq"] == [("__val", "write", self.L + self.H + 1)]
+        assert verify_clean(wh)
+
+    def test_an_interior_insert_moves_no_ordering_key(self, counted):
+        wh, view, table, calls = counted
+        wh.delete_row("seq", keys={"pos": 5_000})
+        calls.clear()
+        wh.insert_row("seq", (5_000, 0.5))
+        assert [c.name for c in table.schema] == ["__val"]  # no ordering-key column to move
+        first, last = view.sequence().stored_range
+        band_start = 5_000 - self.H
+        assert [c for c in calls if c[0] != "seq"] == [
+            ("__val", "extend", 1), ("__val", "write", last - band_start + 1)]
+        assert verify_clean(wh)
+
+
+def verify_clean(wh):
+    return all(report.ok for report in wh.verify(quarantine=False).values())
 
 
 class TestPartitionedView:
@@ -216,15 +261,12 @@ def packed(values):
 
 
 def stored_bits(wh, name):
-    """The view's mirror and its ``__val`` storage, as bits in position order."""
+    """The view's mirror and its storage rows, values as bits, in slot order."""
     view = wh.view(name)
     table = wh.db.table(view.definition.storage_table)
-    at_pos, at_val = table.schema.resolve("__pos"), table.schema.resolve("__val")
-    n_part = len(view.definition.partition_by)
-    storage = sorted((row[:n_part], row[at_pos], row[at_val]) for row in table.rows)
     mirror = {key: packed(part.seq.to_list())
               for key, part in view.reporting.partitions.items()}
-    return mirror, packed(v for *_, v in storage)
+    return mirror, [(*row[:-1], *packed([row[-1]])) for row in table.rows]
 
 
 def assert_maintained_is_refreshed(wh, name):
@@ -312,17 +354,36 @@ class TestMaintainedEqualsRefreshed:
             assert wh.quarantined_views() == []
             assert_maintained_is_refreshed(wh, "mv")
 
-    def test_a_refreshing_load_reproduces_the_live_digest(self, tmp_path):
-        """Only slot order is left for ``rehydrate=`` to keep: on an
-        unpartitioned view a load that refreshes hashes like the live one."""
+    @pytest.mark.parametrize("partitioned", [False, True])
+    def test_a_refreshing_load_reproduces_the_live_digest(self, tmp_path, partitioned):
+        """A maintained storage table is slot for slot what a refresh
+        builds, partitioned or not, so a load that refreshes hashes like
+        the live warehouse.  ``rehydrate=`` still keeps the dump's own
+        values: what ``repro verify`` checks and WAL recovery replays on."""
         from repro.replicate.wal import state_digest
         from repro.warehouse import DataWarehouse, create_sequence_table
 
         wh = DataWarehouse()
-        create_sequence_table(wh.db, "seq", 30, seed=5)
-        wh.create_view("mv", "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS "
+        if partitioned:
+            wh.create_table("seq", [("g", "TEXT"), ("pos", "INTEGER"), ("val", "FLOAT")])
+            wh.insert("seq", [(g, i, i / 4) for g in "ace" for i in range(1, 11)])
+            over = "PARTITION BY g ORDER BY pos"
+            writes = [
+                lambda wh: wh.insert_row("seq", ("a", 11, 5.0)),  # the first run grows
+                lambda wh: wh.insert_row("seq", ("c", 31, 55.0)),  # a middle run grows
+                lambda wh: wh.insert_row("seq", ("b", 1, 2.0)),  # a partition opens
+                lambda wh: wh.insert_row("seq", ("d", 1, 3.0)),
+                lambda wh: wh.delete_row("seq", keys={"g": "b", "pos": 1}),  # and closes
+                lambda wh: wh.update_measure("seq", keys={"g": "e", "pos": 4},
+                                             value_col="val", new_value=1000.0),
+                lambda wh: wh.delete_row("seq", keys={"g": "c", "pos": 3}),
+            ]
+        else:
+            create_sequence_table(wh.db, "seq", 30, seed=5)
+            over, writes = "ORDER BY pos", self.WRITES
+        wh.create_view("mv", f"SELECT pos, SUM(val) OVER ({over} ROWS "
                        "BETWEEN 2 PRECEDING AND 1 FOLLOWING) s FROM seq")
-        for write in self.WRITES:
+        for write in writes:
             write(wh)
         wh.save(str(tmp_path))
         loaded = DataWarehouse.load(str(tmp_path))
